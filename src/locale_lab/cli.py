@@ -16,14 +16,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from locale_lab.corpus import chain_spec
-from locale_lab.frames import (
-    Frame,
-    FrameError,
-    build_frame,
-    frame_spec_from_json,
-    topology_spec_from_json,
-)
-from locale_lab.intervals import InvalidInterval, frac, parse_ratopen
+from locale_lab.frames import FrameError, build_frame, spec_from_json
+from locale_lab.intervals import InvalidInterval, parse_ratopen
 from locale_lab.laws import SUITES, format_text, report_to_json, reports_to_json
 from locale_lab.measure import (
     Lebesgue,
@@ -93,10 +87,7 @@ def cmd_frame_check(args) -> int:
         _err(f"not valid JSON: {exc}")
         return 2
     try:
-        if isinstance(obj, dict) and "points" in obj:
-            fr = Frame.from_topology(topology_spec_from_json(obj))
-        else:
-            fr = build_frame(frame_spec_from_json(obj))
+        fr = build_frame(spec_from_json(obj))
     except FrameError as exc:
         _err(f"invalid: {exc}")
         return 1
@@ -112,10 +103,9 @@ def cmd_frame_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_laws(args) -> int:
-    tol = None if args.tol is None else frac(args.tol)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     try:
-        reports = [SUITES[n](args.corpus, args.max_size, tol) for n in names]
+        reports = [SUITES[n](args.corpus, args.max_size, args.tol) for n in names]
     except FileNotFoundError as exc:
         _err(str(exc))
         return 2
@@ -183,11 +173,10 @@ def parse_part(text: str):
 
 
 def cmd_measure(args) -> int:
-    tol = frac(args.tol)
     try:
         d = parse_descriptor(args.descriptor)
         x = parse_part(args.part)
-        b = measure_bounds(x, d, tol)
+        b = measure_bounds(x, d, args.tol)
     except USAGE_ERRORS as exc:
         _err(str(exc))
         return 1
@@ -312,6 +301,18 @@ def cmd_demo(args) -> int:
 # entry
 # ---------------------------------------------------------------------------
 
+def _positive_rational(text: str) -> Fraction:
+    """The --tol type: a rational above zero, refused here rather than
+    left to spin in the measure loop."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        value = None
+    if value is None or value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive rational, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="locale-lab",
@@ -327,14 +328,16 @@ def build_parser() -> argparse.ArgumentParser:
     lw.add_argument("suite", choices=sorted(SUITES) + ["all"])
     lw.add_argument("--corpus", default=None, help="corpus directory")
     lw.add_argument("--max-size", type=int, default=None, help="frame size cap")
-    lw.add_argument("--tol", default=None, help="tolerance for measure bounds")
+    lw.add_argument(
+        "--tol", type=_positive_rational, default=None, help="tolerance for measure bounds"
+    )
     lw.add_argument("--format", choices=("text", "json"), default="text")
     lw.set_defaults(fn=cmd_laws)
 
     ms = sub.add_parser("measure", help="bound the measure of a part of [0,1]")
     ms.add_argument("descriptor", help="e.g. 'lebesgue', 'atoms 1/2:1', 'restrict [0,1/2]'")
     ms.add_argument("part", help="e.g. '(0,1/2)', 'closed (0,1/2)', 'rationals', 'union(rationals; (0,1/4))'")
-    ms.add_argument("--tol", default="1/1000")
+    ms.add_argument("--tol", type=_positive_rational, default="1/1000")
     ms.set_defaults(fn=cmd_measure)
 
     dm = sub.add_parser("demo", help="walk through a scripted example")

@@ -16,12 +16,11 @@ import sys
 from pathlib import Path
 
 from locale_lab.frames import (
-    Frame,
     FrameSpec,
     TopologySpec,
     build_frame,
     frame_spec_from_json,
-    topology_spec_from_json,
+    spec_from_json,
 )
 
 POINT_NAMES = ("p", "q", "r")
@@ -34,9 +33,14 @@ ENV_VAR = "LOCALE_LAB_CORPUS"
 # ---------------------------------------------------------------------------
 
 
+def point_names(k: int) -> tuple:
+    """k distinct point names: p, q, r, then p3, p4, ... as needed."""
+    return POINT_NAMES[:k] + tuple(f"p{i}" for i in range(3, k))
+
+
 def all_topologies(k: int) -> list:
     """Every topology on k named points, in a canonical order."""
-    pts = list(POINT_NAMES[:k])
+    pts = list(point_names(k))
     full = frozenset(pts)
     middles = [
         frozenset(s)
@@ -71,7 +75,7 @@ def chain_spec(n: int) -> FrameSpec:
 
 def boolean_spec(k: int) -> FrameSpec:
     """The powerset of k points as a pure lattice, subset-labeled."""
-    pts = POINT_NAMES[:k]
+    pts = point_names(k)
     subsets = [
         frozenset(s)
         for r in range(k + 1)
@@ -182,15 +186,15 @@ def _read(path: Path):
 def iter_corpus_frames(root=None) -> list:
     """All positive corpus entries as (name, Frame), topology-backed ones
     first, in filename order."""
+    return [(p.stem, build_frame(spec_from_json(_read(p)))) for p in corpus_files(root)]
+
+
+def corpus_files(root=None) -> list:
+    """The positive corpus files: topologies, then frames, in filename order."""
     root = corpus_root(root)
-    out = []
-    for p in sorted((root / "topologies").glob("*.json")):
-        spec = topology_spec_from_json(_read(p))
-        out.append((p.stem, Frame.from_topology(spec)))
-    for p in sorted((root / "frames").glob("*.json")):
-        spec = frame_spec_from_json(_read(p))
-        out.append((p.stem, build_frame(spec)))
-    return out
+    return sorted((root / "topologies").glob("*.json")) + sorted(
+        (root / "frames").glob("*.json")
+    )
 
 
 def iter_negative_specs(root=None) -> list:

@@ -8,10 +8,8 @@ and distributivity checks and downstream law suites never re-prove them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 
 class FrameError(ValueError):
@@ -476,13 +474,9 @@ def topology_spec_from_json(obj, where="$") -> TopologySpec:
     return TopologySpec.make(pts, opens)
 
 
-def load_frame(path) -> Frame:
-    """Load a frame or topology JSON file; dispatch on its keys."""
-    text = Path(path).read_text()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"invalid JSON: {exc}", "$") from None
+def spec_from_json(obj):
+    """A frame or topology spec from parsed JSON; a "points" key selects
+    the topology form. Pass the result to `build_frame`."""
     if isinstance(obj, dict) and "points" in obj:
-        return Frame.from_topology(topology_spec_from_json(obj))
-    return Frame.build(frame_spec_from_json(obj))
+        return topology_spec_from_json(obj)
+    return frame_spec_from_json(obj)

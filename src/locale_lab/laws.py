@@ -1,9 +1,13 @@
 """Law suites: the algebraic identities the library rests on, replayed
 exhaustively over the bundled corpus and, for measure, the unit interval.
 
-Each suite returns a RunReport: how many instances were checked, which
-failed (with witnesses), timing, and honest notes about phenomena the
-corpus is too small to exhibit. No violations is the pass signal the
+Each law is declared once, as a `Law` registered with the laws of one
+kind of context: a corpus entry, a frame, a part lattice, a map, a
+valuation or the interval arena. Its check runs the law's loop over one
+context and returns the cases checked and the failure witnesses; one
+runner turns those into a RunReport: how many instances were checked,
+which failed (with witnesses), timing, and honest notes about phenomena
+the corpus is too small to exhibit. No violations is the pass signal the
 CLI turns into exit code 0.
 """
 
@@ -13,18 +17,15 @@ import itertools
 import json
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import comb
 
 from locale_lab import intervals as ivs
-from locale_lab.corpus import corpus_root, iter_corpus_frames, iter_negative_specs
-from locale_lab.frames import (
-    Frame,
-    FrameError,
-    build_frame,
-    frame_spec_from_json,
-    topology_spec_from_json,
-)
+from locale_lab.corpus import corpus_files, iter_corpus_frames, iter_negative_specs
+from locale_lab.frames import Frame, FrameError, build_frame, spec_from_json
 from locale_lab.intervals import RatOpen, frac, iv, normalize, parse_fin, parse_ratopen
 from locale_lab.measure import (
     Lebesgue,
@@ -84,6 +85,7 @@ from locale_lab.sublocales import (
 )
 
 __all__ = [
+    "Law",
     "Violation",
     "RunReport",
     "SubLattice",
@@ -184,8 +186,37 @@ def format_text(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Suite:
-    """Accumulator for one suite run."""
+# ---------------------------------------------------------------------------
+# laws and the runner
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Law:
+    """One identity, declared once. `check(ctx)` replays it over one
+    context and returns (cases checked, failure witnesses)."""
+
+    name: str
+    identity: str
+    check: Callable
+
+
+def _declare(laws: list, name: str, identity: str):
+    """Register the decorated check as law `name` in `laws`."""
+
+    def register(check):
+        laws.append(Law(name, identity, check))
+        return check
+
+    return register
+
+
+def _once(ok: bool, witness=None):
+    """The result of a law that is one case."""
+    return 1, [] if ok else [witness or {}]
+
+
+class _Run:
+    """One suite run: case counts, violations, notes and timing."""
 
     def __init__(self, name: str, tol=None):
         self.name = name
@@ -195,20 +226,24 @@ class _Suite:
         self.notes = []
         self._t0 = time.perf_counter()
 
-    def check(self, law, identity, frame, ok, witness=None):
-        self.cases += 1
-        if not ok:
-            self.violations.append(
-                Violation(law, identity, frame, dict(witness or {}))
-            )
-
-    def bulk(self, law, identity, frame, checked, failures):
-        self.cases += checked
-        for w in failures:
-            self.violations.append(Violation(law, identity, frame, dict(w)))
+    def apply(self, laws, label: str, ctx):
+        """Check every law in `laws` on `ctx`, reporting failures under `label`."""
+        for law in laws:
+            cases, bad = law.check(ctx)
+            self.cases += cases
+            for w in bad:
+                self.violations.append(Violation(law.name, law.identity, label, dict(w)))
 
     def note(self, text):
         self.notes.append(text)
+
+    def within(self, named_frames, max_size: int):
+        """The frames under the size cap; each one over it becomes a note."""
+        for name, fr in named_frames:
+            if fr.n > max_size:
+                self.note(f"{name} skipped: {fr.n} elements over the size cap {max_size}")
+            else:
+                yield name, fr
 
     def report(self) -> RunReport:
         tol = None if self.tol is None else str(self.tol)
@@ -270,6 +305,24 @@ class SubLattice:
         ]
         self.dense = [e == frame.bottom for e in self.ext]
 
+    @cached_property
+    def closed_parts(self) -> list:
+        return sorted(set(self.closed_idx))
+
+    @cached_property
+    def generic_idx(self) -> int:
+        return self.index[generic(self.frame).nucleus]
+
+    @cached_property
+    def subspace_idx(self) -> dict:
+        """Point subset -> index of its subspace part (topology frames only)."""
+        pts = self.frame.point_names
+        return {
+            frozenset(c): self.index[subspace_sublocale(self.frame, c).nucleus]
+            for r in range(len(pts) + 1)
+            for c in itertools.combinations(pts, r)
+        }
+
     def label(self, i: int) -> str:
         s = self.subs[i]
         fixed = [
@@ -298,19 +351,13 @@ class SubLattice:
 # ---------------------------------------------------------------------------
 
 def _profile(f: Frame):
-    return tuple(
-        sorted(
-            (bin(f.up[i]).count("1"), bin(f.down[i]).count("1"))
-            for i in range(f.n)
-        )
-    )
+    return [(bin(f.up[i]).count("1"), bin(f.down[i]).count("1")) for i in range(f.n)]
 
 
 def _isomorphic(f: Frame, g: Frame) -> bool:
-    if f.n != g.n or _profile(f) != _profile(g):
+    prof_f, prof_g = _profile(f), _profile(g)
+    if f.n != g.n or sorted(prof_f) != sorted(prof_g):
         return False
-    prof_f = [(bin(f.up[i]).count("1"), bin(f.down[i]).count("1")) for i in range(f.n)]
-    prof_g = [(bin(g.up[i]).count("1"), bin(g.down[i]).count("1")) for i in range(g.n)]
     groups: dict = {}
     for i, p in enumerate(prof_f):
         groups.setdefault(p, []).append(i)
@@ -346,311 +393,278 @@ def _iso_reps(named_frames):
 
 
 # ---------------------------------------------------------------------------
-# frame suite
+# frame suite: corpus entries, negatives, and the laws of each frame
 # ---------------------------------------------------------------------------
+
+ENTRY_LAWS: list = []
+NEGATIVE_LAWS: list = []
+FRAME_LAWS: list = []
+
 
 def run_frame_suite(root=None, max_size=None, tol=None) -> RunReport:
     max_size = 10 if max_size is None else max_size
-    s = _Suite("frame")
-    rootp = corpus_root(root)
-    files = sorted((rootp / "topologies").glob("*.json")) + sorted(
-        (rootp / "frames").glob("*.json")
-    )
-    frames = []
-    for p in files:
-        try:
-            obj = json.loads(p.read_text())
-            if isinstance(obj, dict) and "points" in obj:
-                fr = Frame.from_topology(topology_spec_from_json(obj))
-            else:
-                fr = build_frame(frame_spec_from_json(obj))
-        except Exception as exc:
-            s.check(
-                "frame-valid",
-                "every positive corpus entry builds a valid frame",
-                p.stem,
-                False,
-                {"error": str(exc)},
-            )
-            continue
-        s.check(
-            "frame-valid",
-            "every positive corpus entry builds a valid frame",
-            p.stem,
-            True,
-        )
-        frames.append((p.stem, fr))
-
-    for stem, spec in iter_negative_specs(rootp):
-        try:
-            build_frame(spec)
-        except FrameError as exc:
-            s.check(
-                "negative-rejected",
-                "every negative corpus entry is refused with a witness",
-                stem,
-                getattr(exc, "witness", None) is not None,
-                {"error": str(exc)},
-            )
-        else:
-            s.check(
-                "negative-rejected",
-                "every negative corpus entry is refused with a witness",
-                stem,
-                False,
-                {"error": "built without complaint"},
-            )
-
-    for stem, fr in frames:
-        if fr.n > max_size:
-            s.note(f"{stem} skipped: {fr.n} elements over the size cap {max_size}")
-            continue
-        _frame_laws(s, stem, fr)
-    return s.report()
+    run = _Run("frame")
+    entries = [(p.stem, _load_entry(p)) for p in corpus_files(root)]
+    for stem, entry in entries:
+        run.apply(ENTRY_LAWS, stem, entry)
+    for stem, spec in iter_negative_specs(root):
+        run.apply(NEGATIVE_LAWS, stem, spec)
+    frames = [(stem, fr) for stem, fr in entries if isinstance(fr, Frame)]
+    for stem, fr in run.within(frames, max_size):
+        run.apply(FRAME_LAWS, stem, fr)
+    return run.report()
 
 
-def _frame_laws(s: _Suite, stem: str, fr: Frame):
-    n = fr.n
-    nm = fr.name
+def _load_entry(path):
+    """The frame a corpus file describes, or the error that stopped it."""
+    try:
+        return build_frame(spec_from_json(json.loads(path.read_text())))
+    except (OSError, ValueError) as exc:
+        return exc
 
-    checked, bad = 0, []
+
+@_declare(ENTRY_LAWS, "frame-valid", "every positive corpus entry builds a valid frame")
+def _frame_valid(entry):
+    return _once(isinstance(entry, Frame), {"error": str(entry)})
+
+
+@_declare(NEGATIVE_LAWS, "negative-rejected",
+          "every negative corpus entry is refused with a witness")
+def _negative_rejected(spec):
+    try:
+        build_frame(spec)
+    except FrameError as exc:
+        return _once(getattr(exc, "witness", None) is not None, {"error": str(exc)})
+    return _once(False, {"error": "built without complaint"})
+
+
+@_declare(FRAME_LAWS, "heyting-adjunction", "W <= (U => H) iff W n U <= H")
+def _heyting_adjunction(fr):
+    n, nm = fr.n, fr.name
+    bad = []
     for w in range(n):
         for u in range(n):
             for h in range(n):
-                checked += 1
                 if fr.leq(w, fr.heyting(u, h)) != fr.leq(fr.meet(w, u), h):
                     bad.append({"w": nm(w), "u": nm(u), "h": nm(h)})
-    s.bulk("heyting-adjunction", "W <= (U => H) iff W n U <= H", stem, checked, bad)
+    return n ** 3, bad
 
-    checked, bad = 0, []
+
+@_declare(FRAME_LAWS, "meet-over-join", "A n (B u C) = (A n B) u (A n C)")
+def _meet_over_join(fr):
+    n, nm = fr.n, fr.name
+    bad = []
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                checked += 1
                 if fr.meet(a, fr.join(b, c)) != fr.join(fr.meet(a, b), fr.meet(a, c)):
                     bad.append({"a": nm(a), "b": nm(b), "c": nm(c)})
-    s.bulk("meet-over-join", "A n (B u C) = (A n B) u (A n C)", stem, checked, bad)
+    return n ** 3, bad
 
-    complemented = all(fr.join(x, fr.neg(x)) == fr.top for x in range(n))
-    s.check(
-        "boolean-definition",
-        "the boolean flag means every element has a complement",
-        stem,
-        fr.boolean == complemented,
-        {"flag": str(fr.boolean)},
-    )
+
+@_declare(FRAME_LAWS, "boolean-definition",
+          "the boolean flag means every element has a complement")
+def _boolean_definition(fr):
+    complemented = all(fr.join(x, fr.neg(x)) == fr.top for x in range(fr.n))
+    return _once(fr.boolean == complemented, {"flag": str(fr.boolean)})
+
+
+@_declare(FRAME_LAWS, "regular-definition",
+          "the regular flag means every element is the join of elements well inside it")
+def _regular_definition(fr):
     reg = all(
-        fr.join_all(w for w in range(n) if fr.well_inside(w, u)) == u
-        for u in range(n)
+        fr.join_all(w for w in range(fr.n) if fr.well_inside(w, u)) == u
+        for u in range(fr.n)
     )
-    s.check(
-        "regular-definition",
-        "the regular flag means every element is the join of elements well inside it",
-        stem,
-        fr.regular == reg,
-        {"flag": str(fr.regular)},
-    )
-    s.check(
-        "finite-regular-is-boolean",
-        "on a finite frame regularity and complementation coincide",
-        stem,
-        fr.regular == fr.boolean,
-    )
+    return _once(fr.regular == reg, {"flag": str(fr.regular)})
 
-    checked, bad = 0, []
+
+@_declare(FRAME_LAWS, "finite-regular-is-boolean",
+          "on a finite frame regularity and complementation coincide")
+def _finite_regular_is_boolean(fr):
+    return _once(fr.regular == fr.boolean)
+
+
+@_declare(FRAME_LAWS, "neg-of-join", "not(U u V) = not U n not V")
+def _neg_of_join(fr):
+    n, nm = fr.n, fr.name
+    bad = []
     for u in range(n):
         for v in range(n):
-            checked += 1
             if fr.neg(fr.join(u, v)) != fr.meet(fr.neg(u), fr.neg(v)):
                 bad.append({"u": nm(u), "v": nm(v)})
-    s.bulk("neg-of-join", "not(U u V) = not U n not V", stem, checked, bad)
+    return n * n, bad
 
-    checked, bad = 0, []
-    for u in range(n):
-        checked += 1
+
+@_declare(FRAME_LAWS, "triple-negation", "not not not U = not U")
+def _triple_negation(fr):
+    bad = []
+    for u in range(fr.n):
         if fr.neg(fr.neg(fr.neg(u))) != fr.neg(u):
-            bad.append({"u": nm(u)})
-    s.bulk("triple-negation", "not not not U = not U", stem, checked, bad)
+            bad.append({"u": fr.name(u)})
+    return fr.n, bad
 
 
 # ---------------------------------------------------------------------------
-# sublocale suite
+# sublocale suite: the laws of each part lattice
 # ---------------------------------------------------------------------------
+
+PART_LAWS: list = []
+
 
 def run_sublocale_suite(root=None, max_size=None, tol=None) -> RunReport:
     max_size = 10 if max_size is None else max_size
-    s = _Suite("sublocale")
-    strict_note = None
-    distributivity_failed = False
-    for name, fr in iter_corpus_frames(root):
-        if fr.n > max_size:
-            s.note(f"{name} skipped: {fr.n} elements over the size cap {max_size}")
-            continue
+    run = _Run("sublocale")
+    lossy = None
+    for name, fr in run.within(iter_corpus_frames(root), max_size):
         L = SubLattice(fr)
-        _open_closed_laws(s, name, L)
-        _lattice_laws(s, name, L)
-        _topological_laws(s, name, L)
-        _generic_laws(s, name, L)
-        _complement_laws(s, name, L)
-        _entanglement_laws(s, name, L)
-        distributivity_failed |= _distributivity_search(s, name, L)
-        if fr.opens is not None and len(fr.point_names) <= 3:
-            found = _subspace_laws(s, name, fr, L)
-            if found and strict_note is None:
-                strict_note = found
-    if not distributivity_failed:
-        s.note(
+        run.apply(PART_LAWS, name, L)
+        lossy = lossy or _lossy_note(name, L)
+    if not any(v.law == "meet-over-union-search" for v in run.violations):
+        run.note(
             "meet over arbitrary union: no violation found; every finite "
             "assembly of sublocales is a distributive lattice, so the corpus "
             "is too small to exhibit the failure (it needs an infinite join)"
         )
-    if strict_note:
-        s.note(strict_note)
-    return s.report()
+    if lossy:
+        run.note(lossy)
+    return run.report()
 
 
-def _open_closed_laws(s: _Suite, name: str, L: SubLattice):
-    fr = L.frame
-    n, k = fr.n, len(L.subs)
-    nm = fr.name
-
-    checked, bad = 0, []
+@_declare(PART_LAWS, "nucleus-valid",
+          "every enumerated sublocale map is inflationary, idempotent, and meet-preserving")
+def _nucleus_valid(L):
+    bad = []
     for sub in L.subs:
-        checked += 1
         try:
-            validate_nucleus(fr, sub.nucleus)
+            validate_nucleus(L.frame, sub.nucleus)
         except FrameError as exc:
             bad.append({"error": str(exc)})
-    s.bulk(
-        "nucleus-valid",
-        "every enumerated sublocale map is inflationary, idempotent, and meet-preserving",
-        name,
-        checked,
-        bad,
-    )
+    return len(L.subs), bad
 
-    checked, bad = 0, []
-    for u in range(n):
-        for v in range(n):
-            checked += 1
+
+@_declare(PART_LAWS, "open-order", "U <= V iff [U] inside [V]")
+def _open_order(L):
+    fr = L.frame
+    bad = []
+    for u in range(fr.n):
+        for v in range(fr.n):
             if fr.leq(u, v) != L.le[L.open_idx[u]][L.open_idx[v]]:
-                bad.append({"u": nm(u), "v": nm(v)})
-    s.bulk("open-order", "U <= V iff [U] inside [V]", name, checked, bad)
+                bad.append({"u": fr.name(u), "v": fr.name(v)})
+    return fr.n ** 2, bad
 
-    checked, bad = 0, []
-    for u in range(n):
-        for v in range(n):
-            checked += 1
+
+@_declare(PART_LAWS, "open-meet", "[U n V] = [U] n [V]")
+def _open_meet(L):
+    fr = L.frame
+    bad = []
+    for u in range(fr.n):
+        for v in range(fr.n):
             if L.open_idx[fr.meet(u, v)] != L.meet_t[L.open_idx[u]][L.open_idx[v]]:
-                bad.append({"u": nm(u), "v": nm(v)})
-    s.bulk("open-meet", "[U n V] = [U] n [V]", name, checked, bad)
+                bad.append({"u": fr.name(u), "v": fr.name(v)})
+    return fr.n ** 2, bad
 
-    checked, bad = 0, []
-    for u in range(n):
-        for v in range(n):
-            checked += 1
+
+@_declare(PART_LAWS, "open-join", "[U u V] = [U] u [V]")
+def _open_join(L):
+    fr = L.frame
+    bad = []
+    for u in range(fr.n):
+        for v in range(fr.n):
             if L.open_idx[fr.join(u, v)] != L.union_t[L.open_idx[u]][L.open_idx[v]]:
-                bad.append({"u": nm(u), "v": nm(v)})
-    s.bulk("open-join", "[U u V] = [U] u [V]", name, checked, bad)
+                bad.append({"u": fr.name(u), "v": fr.name(v)})
+    return fr.n ** 2, bad
 
-    checked, bad = 0, []
-    for u in range(n):
-        for v in range(n):
-            checked += 3
+
+@_declare(PART_LAWS, "closed-duality",
+          "c reverses order, c(U u V) = c(U) n c(V), c(U n V) = c(U) u c(V)")
+def _closed_duality(L):
+    fr, nm = L.frame, L.frame.name
+    bad = []
+    for u in range(fr.n):
+        for v in range(fr.n):
             if fr.leq(v, u) != L.le[L.closed_idx[u]][L.closed_idx[v]]:
                 bad.append({"law": "order", "u": nm(u), "v": nm(v)})
             if L.closed_idx[fr.join(u, v)] != L.meet_t[L.closed_idx[u]][L.closed_idx[v]]:
                 bad.append({"law": "meet", "u": nm(u), "v": nm(v)})
             if L.closed_idx[fr.meet(u, v)] != L.union_t[L.closed_idx[u]][L.closed_idx[v]]:
                 bad.append({"law": "join", "u": nm(u), "v": nm(v)})
-    s.bulk(
-        "closed-duality",
-        "c reverses order, c(U u V) = c(U) n c(V), c(U n V) = c(U) u c(V)",
-        name,
-        checked,
-        bad,
-    )
+    return 3 * fr.n ** 2, bad
 
-    checked, bad = 0, []
-    for v in range(n):
-        checked += 2
+
+@_declare(PART_LAWS, "open-closed-partition", "[V] u c(V) = E and [V] n c(V) = empty")
+def _open_closed_partition(L):
+    fr = L.frame
+    bad = []
+    for v in range(fr.n):
         if L.union_t[L.open_idx[v]][L.closed_idx[v]] != L.whole_idx:
-            bad.append({"v": nm(v), "side": "union"})
+            bad.append({"v": fr.name(v), "side": "union"})
         if L.meet_t[L.open_idx[v]][L.closed_idx[v]] != L.empty_idx:
-            bad.append({"v": nm(v), "side": "meet"})
-    s.bulk(
-        "open-closed-partition",
-        "[V] u c(V) = E and [V] n c(V) = empty",
-        name,
-        checked,
-        bad,
-    )
+            bad.append({"v": fr.name(v), "side": "meet"})
+    return 2 * fr.n, bad
 
-    # the four equivalences pairing a sublocale against an open/closed pair
-    checked, bad = 0, []
-    for v in range(n):
+
+# the four equivalences pairing a sublocale against an open/closed pair
+@_declare(PART_LAWS, "complement-characterizations",
+          "union with one of the pair is everything iff the other is contained")
+def _complement_characterizations(L):
+    fr, k = L.frame, len(L.subs)
+    bad = []
+    for v in range(fr.n):
         ov, cv = L.open_idx[v], L.closed_idx[v]
         for x in range(k):
-            checked += 4
             if (L.union_t[x][cv] == L.whole_idx) != L.le[ov][x]:
-                bad.append({"v": nm(v), "x": L.label(x), "form": "X u c(V) = E iff [V] in X"})
+                bad.append({"v": fr.name(v), "x": L.label(x), "form": "X u c(V) = E iff [V] in X"})
             if (L.meet_t[x][ov] == L.empty_idx) != L.le[x][cv]:
-                bad.append({"v": nm(v), "x": L.label(x), "form": "X n [V] = 0 iff X in c(V)"})
+                bad.append({"v": fr.name(v), "x": L.label(x), "form": "X n [V] = 0 iff X in c(V)"})
             if (L.union_t[x][ov] == L.whole_idx) != L.le[cv][x]:
-                bad.append({"v": nm(v), "x": L.label(x), "form": "X u [V] = E iff c(V) in X"})
+                bad.append({"v": fr.name(v), "x": L.label(x), "form": "X u [V] = E iff c(V) in X"})
             if (L.meet_t[x][cv] == L.empty_idx) != L.le[x][ov]:
-                bad.append({"v": nm(v), "x": L.label(x), "form": "X n c(V) = 0 iff X in [V]"})
-    s.bulk(
-        "complement-characterizations",
-        "union with one of the pair is everything iff the other is contained",
-        name,
-        checked,
-        bad,
-    )
+                bad.append({"v": fr.name(v), "x": L.label(x), "form": "X n c(V) = 0 iff X in [V]"})
+    return 4 * fr.n * k, bad
 
-    # meets with opens and closeds have closed-form nuclei
-    checked, bad = 0, []
-    for v in range(n):
+
+# meets with opens and closeds have closed-form nuclei
+@_declare(PART_LAWS, "meet-nucleus-form",
+          "([V] n X) maps H to V => e_X(H); (c(V) n X) maps H to e_X(H u V)")
+def _meet_nucleus_form(L):
+    fr, k = L.frame, len(L.subs)
+    nm = fr.name
+    bad = []
+    for v in range(fr.n):
         ov, cv = L.open_idx[v], L.closed_idx[v]
         for x in range(k):
             ex = L.subs[x].nucleus
             open_meet = L.subs[L.meet_t[ov][x]].nucleus
             closed_meet = L.subs[L.meet_t[cv][x]].nucleus
-            for h in range(n):
-                checked += 2
+            for h in range(fr.n):
                 if open_meet[h] != fr.heyting(v, ex[h]):
                     bad.append({"v": nm(v), "x": L.label(x), "h": nm(h), "side": "open"})
                 if closed_meet[h] != ex[fr.join(h, v)]:
                     bad.append({"v": nm(v), "x": L.label(x), "h": nm(h), "side": "closed"})
-    s.bulk(
-        "meet-nucleus-form",
-        "([V] n X) maps H to V => e_X(H); (c(V) n X) maps H to e_X(H u V)",
-        name,
-        checked,
-        bad,
-    )
+    return 2 * fr.n * k * fr.n, bad
 
-    # opens and closeds distribute over finite unions of sublocales
-    checked, bad = 0, []
-    for v in range(n):
+
+# opens and closeds distribute over finite unions of sublocales
+@_declare(PART_LAWS, "side-distributivity",
+          "L n (X u Y) = (L n X) u (L n Y) for L open or closed")
+def _side_distributivity(L):
+    fr, k = L.frame, len(L.subs)
+    bad = []
+    for v in range(fr.n):
         for li in (L.open_idx[v], L.closed_idx[v]):
             row_m, row_u = L.meet_t[li], L.union_t
             for x in range(k):
                 mx = row_m[x]
                 for y in range(k):
-                    checked += 1
                     if row_m[row_u[x][y]] != row_u[mx][row_m[y]]:
-                        bad.append({"v": nm(v), "x": L.label(x), "y": L.label(y)})
-    s.bulk(
-        "side-distributivity",
-        "L n (X u Y) = (L n X) u (L n Y) for L open or closed",
-        name,
-        checked,
-        bad,
-    )
+                        bad.append({"v": fr.name(v), "x": L.label(x), "y": L.label(y)})
+    return 2 * fr.n * k * k, bad
 
 
-def _lattice_laws(s: _Suite, name: str, L: SubLattice):
+@_declare(PART_LAWS, "union-lub-intersect-glb",
+          "union is the least upper bound and intersection the greatest lower bound")
+def _union_lub_intersect_glb(L):
     k = len(L.subs)
     checked, bad = 0, []
     for i in range(k):
@@ -660,81 +674,66 @@ def _lattice_laws(s: _Suite, name: str, L: SubLattice):
             if not (L.le[i][u] and L.le[j][u]) or not (L.le[m][i] and L.le[m][j]):
                 bad.append({"x": L.label(i), "y": L.label(j), "form": "bounds"})
                 continue
+            checked += 2 * k
             for z in range(k):
-                checked += 2
                 if L.le[i][z] and L.le[j][z] and not L.le[u][z]:
                     bad.append({"x": L.label(i), "y": L.label(j), "z": L.label(z), "form": "union not least"})
                 if L.le[z][i] and L.le[z][j] and not L.le[z][m]:
                     bad.append({"x": L.label(i), "y": L.label(j), "z": L.label(z), "form": "meet not greatest"})
-    s.bulk(
-        "union-lub-intersect-glb",
-        "union is the least upper bound and intersection the greatest lower bound",
-        name,
-        checked,
-        bad,
-    )
+    return checked, bad
 
-    # finite unions distribute over meets (pairs and triples)
-    checked, bad = 0, []
+
+# finite unions distribute over meets (pairs and triples)
+@_declare(PART_LAWS, "join-over-meet",
+          "A u (B1 n B2 n ...) = (A u B1) n (A u B2) n ... over pairs and triples")
+def _join_over_meet(L):
+    k = len(L.subs)
+    bad = []
     for a in range(k):
         row_u = L.union_t[a]
         for i, j in itertools.combinations(range(k), 2):
-            checked += 1
             if row_u[L.meet_t[i][j]] != L.meet_t[row_u[i]][row_u[j]]:
                 bad.append({"a": L.label(a), "b1": L.label(i), "b2": L.label(j)})
         for i, j, h in itertools.combinations(range(k), 3):
-            checked += 1
             lhs = row_u[L.meet_t[L.meet_t[i][j]][h]]
             rhs = L.meet_t[L.meet_t[row_u[i]][row_u[j]]][row_u[h]]
             if lhs != rhs:
                 bad.append({"a": L.label(a), "b1": L.label(i), "b2": L.label(j), "b3": L.label(h)})
-    s.bulk(
-        "join-over-meet",
-        "A u (B1 n B2 n ...) = (A u B1) n (A u B2) n ... over pairs and triples",
-        name,
-        checked,
-        bad,
-    )
+    return k * (comb(k, 2) + comb(k, 3)), bad
 
 
-def _topological_laws(s: _Suite, name: str, L: SubLattice):
-    fr = L.frame
-    n, k = fr.n, len(L.subs)
-    nm = fr.name
-    closed_set = sorted(set(L.closed_idx))
-
-    checked, bad = 0, []
+@_declare(PART_LAWS, "closure-interior-extremal",
+          "closure is the least closed part above, interior the largest open inside")
+def _closure_interior_extremal(L):
+    fr, k = L.frame, len(L.subs)
+    bad = []
     for i in range(k):
         ci = L.closure_idx[i]
-        checked += 4
         if not L.le[i][ci]:
             bad.append({"x": L.label(i), "form": "closure not above"})
-        if ci not in closed_set:
+        if ci not in L.closed_parts:
             bad.append({"x": L.label(i), "form": "closure not closed"})
         if L.closure_idx[ci] != ci:
             bad.append({"x": L.label(i), "form": "closure not idempotent"})
-        for d in closed_set:
-            checked += 1
+        for d in L.closed_parts:
             if L.le[i][d] and not L.le[ci][d]:
                 bad.append({"x": L.label(i), "form": "closure not least", "d": L.label(d)})
         u = L.int_el[i]
         if not L.le[L.open_idx[u]][i] or any(
-            L.le[L.open_idx[v]][i] and not fr.leq(v, u) for v in range(n)
+            L.le[L.open_idx[v]][i] and not fr.leq(v, u) for v in range(fr.n)
         ):
             bad.append({"x": L.label(i), "form": "interior not greatest open inside"})
-    s.bulk(
-        "closure-interior-extremal",
-        "closure is the least closed part above, interior the largest open inside",
-        name,
-        checked,
-        bad,
-    )
+    return k * (4 + len(L.closed_parts)), bad
 
-    checked, bad = 0, []
+
+@_declare(PART_LAWS, "exterior-partition",
+          "the exterior, interior, and boundary of a part tile the space")
+def _exterior_partition(L):
+    fr, k = L.frame, len(L.subs)
+    bad = []
     for i in range(k):
         ext_i, int_i = L.ext[i], L.int_el[i]
         bd = L.meet_t[L.closure_idx[i]][L.closed_idx[int_i]]
-        checked += 5
         if L.closure_idx[i] != L.closed_idx[ext_i]:
             bad.append({"x": L.label(i), "form": "closure is c(Ext X)"})
         if bd != L.closed_idx[fr.join(int_i, ext_i)]:
@@ -746,124 +745,99 @@ def _topological_laws(s: _Suite, name: str, L: SubLattice):
         dense = L.dense[i]
         if dense != (L.closure_idx[i] == L.whole_idx) or dense != is_dense(L.subs[i]):
             bad.append({"x": L.label(i), "form": "dense iff closure is everything"})
-    s.bulk(
-        "exterior-partition",
-        "the exterior, interior, and boundary of a part tile the space",
-        name,
-        checked,
-        bad,
-    )
+    return 5 * k, bad
 
 
-def _generic_laws(s: _Suite, name: str, L: SubLattice):
+@_declare(PART_LAWS, "generic-nucleus",
+          "the least dense part maps H to not not H = Int closure [H]")
+def _generic_nucleus(L):
     fr = L.frame
-    n = fr.n
-    nm = fr.name
-    g = generic(fr)
-    gi = L.index[g.nucleus]
+    g = L.subs[L.generic_idx].nucleus
+    bad = []
+    for h in range(fr.n):
+        if g[h] != fr.neg(fr.neg(h)):
+            bad.append({"h": fr.name(h), "form": "double negation"})
+        if g[h] != L.int_el[L.closure_idx[L.open_idx[h]]]:
+            bad.append({"h": fr.name(h), "form": "interior of closure"})
+    return 2 * fr.n, bad
 
-    checked, bad = 0, []
-    for h in range(n):
-        checked += 2
-        if g.nucleus[h] != fr.neg(fr.neg(h)):
-            bad.append({"h": nm(h), "form": "double negation"})
-        if g.nucleus[h] != L.int_el[L.closure_idx[L.open_idx[h]]]:
-            bad.append({"h": nm(h), "form": "interior of closure"})
-    s.bulk(
-        "generic-nucleus",
-        "the least dense part maps H to not not H = Int closure [H]",
-        name,
-        checked,
-        bad,
-    )
 
-    s.check("generic-dense", "the generic part is dense", name, L.dense[gi])
-    checked, bad = 0, []
+@_declare(PART_LAWS, "generic-dense", "the generic part is dense")
+def _generic_dense(L):
+    return _once(L.dense[L.generic_idx])
+
+
+@_declare(PART_LAWS, "generic-least-dense",
+          "the generic part is contained in every dense part")
+def _generic_least_dense(L):
+    bad = []
     for i in range(len(L.subs)):
-        if L.dense[i]:
-            checked += 1
-            if not L.le[gi][i]:
-                bad.append({"d": L.label(i)})
-    s.bulk(
-        "generic-least-dense",
-        "the generic part is contained in every dense part",
-        name,
-        checked,
-        bad,
-    )
-    if fr.boolean:
-        s.check(
-            "boolean-generic-whole",
-            "on a complemented frame the generic part is everything",
-            name,
-            gi == L.whole_idx,
-        )
-    s.check(
-        "generic-boolean-part",
-        "the generic part equals the generic part of its closure",
-        name,
-        is_boolean_sublocale(g),
-    )
+        if L.dense[i] and not L.le[L.generic_idx][i]:
+            bad.append({"d": L.label(i)})
+    return sum(L.dense), bad
 
-    checked, bad = 0, []
-    for v in range(n):
-        checked += 1
+
+@_declare(PART_LAWS, "boolean-generic-whole",
+          "on a complemented frame the generic part is everything")
+def _boolean_generic_whole(L):
+    if not L.frame.boolean:
+        return 0, []
+    return _once(L.generic_idx == L.whole_idx)
+
+
+@_declare(PART_LAWS, "generic-boolean-part",
+          "the generic part equals the generic part of its closure")
+def _generic_boolean_part(L):
+    return _once(is_boolean_sublocale(L.subs[L.generic_idx]))
+
+
+@_declare(PART_LAWS, "generic-closed-swap", "generic n c(V) = generic n [not V]")
+def _generic_closed_swap(L):
+    fr, gi = L.frame, L.generic_idx
+    bad = []
+    for v in range(fr.n):
         if L.meet_t[gi][L.closed_idx[v]] != L.meet_t[gi][L.open_idx[fr.neg(v)]]:
-            bad.append({"v": nm(v)})
-    s.bulk(
-        "generic-closed-swap",
-        "generic n c(V) = generic n [not V]",
-        name,
-        checked,
-        bad,
-    )
+            bad.append({"v": fr.name(v)})
+    return fr.n, bad
 
 
-def _complement_laws(s: _Suite, name: str, L: SubLattice):
+@_declare(PART_LAWS, "smallest-cocover",
+          "the complement is the least part whose union with X is everything")
+def _smallest_cocover(L):
     k = len(L.subs)
-    checked, bad = 0, []
+    bad = []
     for i in range(k):
-        y = complement_c(L.subs[i], all_subs=L.subs)
-        yi = L.index[y.nucleus]
-        checked += 1
+        yi = L.index[complement_c(L.subs[i], all_subs=L.subs).nucleus]
         if L.union_t[i][yi] != L.whole_idx:
             bad.append({"x": L.label(i), "form": "not a cover"})
         for z in range(k):
-            checked += 1
             if L.union_t[i][z] == L.whole_idx and not L.le[yi][z]:
                 bad.append({"x": L.label(i), "z": L.label(z), "form": "not least"})
-    s.bulk(
-        "smallest-cocover",
-        "the complement is the least part whose union with X is everything",
-        name,
-        checked,
-        bad,
-    )
-
-    if L.frame.boolean:
-        checked, bad = 0, []
-        for v in range(L.frame.n):
-            checked += 1
-            if not is_boolean_sublocale(L.subs[L.open_idx[v]]):
-                bad.append({"v": L.frame.name(v)})
-        s.bulk(
-            "boolean-opens",
-            "open parts of a complemented frame equal the generic part of their closure",
-            name,
-            checked,
-            bad,
-        )
+    return k * (1 + k), bad
 
 
-def _entanglement_laws(s: _Suite, name: str, L: SubLattice):
+@_declare(PART_LAWS, "boolean-opens",
+          "open parts of a complemented frame equal the generic part of their closure")
+def _boolean_opens(L):
+    fr = L.frame
+    if not fr.boolean:
+        return 0, []
+    bad = []
+    for v in range(fr.n):
+        if not is_boolean_sublocale(L.subs[L.open_idx[v]]):
+            bad.append({"v": fr.name(v)})
+    return fr.n, bad
+
+
+@_declare(PART_LAWS, "entanglement-zone",
+          "closure(A n B) is the largest closed F with A n F and B n F dense in F")
+def _entanglement_zone(L):
     k = len(L.subs)
-    closed_set = sorted(set(L.closed_idx))
-    checked, bad = 0, []
+    bad = []
     for a in range(k):
         for b in range(k):
             eps = L.closure_idx[L.meet_t[a][b]]
             got = entanglement(L.subs[a], L.subs[b])
-            checked += 2
             if L.index[got.nucleus] != eps:
                 bad.append({"a": L.label(a), "b": L.label(b), "form": "closure of the meet"})
 
@@ -875,105 +849,79 @@ def _entanglement_laws(s: _Suite, name: str, L: SubLattice):
 
             if not dense_in(eps):
                 bad.append({"a": L.label(a), "b": L.label(b), "form": "zone not dense in itself"})
-            for g in closed_set:
-                checked += 1
+            for g in L.closed_parts:
                 if dense_in(g) and not L.le[g][eps]:
                     bad.append({"a": L.label(a), "b": L.label(b), "g": L.label(g), "form": "not largest"})
-    s.bulk(
-        "entanglement-zone",
-        "closure(A n B) is the largest closed F with A n F and B n F dense in F",
-        name,
-        checked,
-        bad,
-    )
+    return k * k * (2 + len(L.closed_parts)), bad
 
 
-def _distributivity_search(s: _Suite, name: str, L: SubLattice) -> bool:
-    """Look for X n (Y u Z) != (X n Y) u (X n Z); expected to find nothing
-    on a finite corpus. Returns whether a failure exists."""
+# expected to find nothing: every finite lattice of sublocales is
+# distributive, and the failure needs an infinite join
+@_declare(PART_LAWS, "meet-over-union-search",
+          "search for a finite failure of X n (Y u Z) = (X n Y) u (X n Z)")
+def _meet_over_union_search(L):
     k = len(L.subs)
-    found = False
-    checked = 0
+    bad = []
     for x in range(k):
         row_m = L.meet_t[x]
         for y in range(k):
             my = row_m[y]
             for z in range(k):
-                checked += 1
                 if row_m[L.union_t[y][z]] != L.union_t[my][row_m[z]]:
-                    found = True
-    s.bulk(
-        "meet-over-union-search",
-        "search for a finite failure of X n (Y u Z) = (X n Y) u (X n Z)",
-        name,
-        checked,
-        [],
-    )
-    return found
+                    bad.append({"x": L.label(x), "y": L.label(y), "z": L.label(z)})
+    return k ** 3, bad
 
 
-def _subspace_laws(s: _Suite, name: str, fr: Frame, L: SubLattice):
-    pts = tuple(fr.point_names)
-    open_of = {frozenset(o): v for v, o in enumerate(fr.opens)}
-    subsets = [
-        frozenset(c)
-        for r in range(len(pts) + 1)
-        for c in itertools.combinations(pts, r)
-    ]
-    idx_of = {}
-    for ss in subsets:
-        idx_of[ss] = L.index[subspace_sublocale(fr, ss).nucleus]
-
-    def ext_el(ss):
-        return fr.join_all(v for v in range(fr.n) if not (fr.opens[v] & ss))
-
-    def int_el(ss):
-        return fr.join_all(v for v in range(fr.n) if fr.opens[v] <= ss)
-
-    strict = None
-    checked, bad = 0, []
-    for xs in subsets:
-        ix = idx_of[xs]
-        ee = ext_el(xs)
-        closure_pts = frozenset(pts) - fr.opens[ee]
-        checked += 3
+@_declare(PART_LAWS, "subspace-laws",
+          "point subsets embed compatibly with union, open meets, exterior, and closure")
+def _subspace_laws(L):
+    fr = L.frame
+    if fr.opens is None or len(fr.point_names) > 3:
+        return 0, []
+    pts = frozenset(fr.point_names)
+    idx_of = L.subspace_idx
+    bad = []
+    for xs, ix in idx_of.items():
+        ee = fr.join_all(v for v in range(fr.n) if not (fr.opens[v] & xs))
+        closure_pts = pts - fr.opens[ee]
         if L.ext[ix] != ee:
             bad.append({"X": set_label(xs), "form": "exterior matches the point picture"})
-        if L.closure_idx[ix] != L.index[subspace_sublocale(fr, closure_pts).nucleus]:
+        if L.closure_idx[ix] != idx_of[closure_pts]:
             bad.append({"X": set_label(xs), "form": "closure matches the point picture"})
-        interior_pts = fr.opens[int_el(xs)]
-        if not fr.leq(int_el(xs), L.int_el[ix]):
+        ie = fr.join_all(v for v in range(fr.n) if fr.opens[v] <= xs)
+        if not fr.leq(ie, L.int_el[ix]):
             bad.append({"X": set_label(xs), "form": "point interior inside localic interior"})
         bd = L.meet_t[L.closure_idx[ix]][L.closed_idx[L.int_el[ix]]]
-        fr_pts = closure_pts - interior_pts
-        checked += 1
-        if not L.le[bd][idx_of[fr_pts]]:
+        if not L.le[bd][idx_of[closure_pts - fr.opens[ie]]]:
             bad.append({"X": set_label(xs), "form": "boundary inside the point boundary"})
         for v in range(fr.n):
-            checked += 1
             if idx_of[frozenset(fr.opens[v] & xs)] != L.meet_t[L.open_idx[v]][ix]:
                 bad.append({"X": set_label(xs), "U": fr.name(v), "form": "[U n X] = [U] n [X]"})
-        for ys in subsets:
-            iy = idx_of[ys]
-            checked += 2
+        for ys, iy in idx_of.items():
             if idx_of[xs | ys] != L.union_t[ix][iy]:
                 bad.append({"X": set_label(xs), "Y": set_label(ys), "form": "[X u Y] = [X] u [Y]"})
-            meet_ix = L.meet_t[ix][iy]
-            if not L.le[idx_of[xs & ys]][meet_ix]:
+            if not L.le[idx_of[xs & ys]][L.meet_t[ix][iy]]:
                 bad.append({"X": set_label(xs), "Y": set_label(ys), "form": "[X n Y] inside [X] n [Y]"})
-            elif strict is None and idx_of[xs & ys] != meet_ix:
-                strict = (
+    s = len(idx_of)
+    return s * (4 + fr.n + 2 * s), bad
+
+
+def _lossy_note(name: str, L: SubLattice):
+    """A note on the first pair of point subsets whose meet is strictly
+    below the meet of their parts, or None."""
+    fr = L.frame
+    if fr.opens is None or len(fr.point_names) > 3:
+        return None
+    idx_of = L.subspace_idx
+    for xs, ix in idx_of.items():
+        for ys, iy in idx_of.items():
+            both, meet = idx_of[xs & ys], L.meet_t[ix][iy]
+            if both != meet and L.le[both][meet]:
+                return (
                     f"point picture is lossy on {name}: [X n Y] is strictly "
                     f"below [X] n [Y] for X={set_label(xs)}, Y={set_label(ys)}"
                 )
-    s.bulk(
-        "subspace-laws",
-        "point subsets embed compatibly with union, open meets, exterior, and closure",
-        name,
-        checked,
-        bad,
-    )
-    return strict
+    return None
 
 
 def set_label(ss) -> str:
@@ -981,102 +929,101 @@ def set_label(ss) -> str:
 
 
 # ---------------------------------------------------------------------------
-# morphism suite
+# morphism suite: the laws of each part lattice, of each map between
+# representatives, and of composites
 # ---------------------------------------------------------------------------
+
+LATTICE_LAWS: list = []
+MAP_LAWS: list = []
+COMPOSITION_LAWS: list = []
+
 
 def run_morphism_suite(root=None, max_size=None, tol=None) -> RunReport:
     max_size = 8 if max_size is None else max_size
-    s = _Suite("morphism")
+    run = _Run("morphism")
     frames = [(nm, fr) for nm, fr in iter_corpus_frames(root) if fr.n <= max_size]
     reps, skipped = _iso_reps(frames)
-    s.note(
+    run.note(
         f"{len(frames)} corpus frames of size <= {max_size} collapse to "
         f"{len(reps)} up to isomorphism; maps are enumerated between representatives "
         f"({skipped} relabeled copies skipped)"
     )
     lats = {nm: SubLattice(fr) for nm, fr in reps}
-
-    for nm, fr in reps:
-        L = lats[nm]
-        _layer_decomposition_law(s, nm, L)
-        _boolean_combination_law(s, nm, L)
-        _meets_of_joins_law(s, nm, L)
-
+    for nm, _ in reps:
+        run.apply(LATTICE_LAWS, nm, lats[nm])
     for (an, a), (bn, b) in itertools.product(reps, repeat=2):
-        FL, EL = lats[an], lats[bn]
         for mi, f in enumerate(enumerate_morphisms(a, b)):
-            _morphism_laws(s, f"{an}->{bn}#{mi}", f, FL, EL)
+            run.apply(MAP_LAWS, f"{an}->{bn}#{mi}", _Mapped(f, lats[an], lats[bn]))
+    small = [(nm, fr) for nm, fr in reps if fr.n <= 4]
+    run.note(
+        "composition laws checked on the representatives with at most 4 "
+        "elements: " + ", ".join(nm for nm, _ in small)
+    )
+    run.apply(COMPOSITION_LAWS, "small representatives", (small, lats))
+    return run.report()
 
-    _transitivity_laws(s, reps, lats)
-    return s.report()
+
+class _Mapped:
+    """A map with the pullback of every part of its source lattice and
+    the image of every part of its target lattice, as indexes."""
+
+    def __init__(self, f, FL: SubLattice, EL: SubLattice):
+        self.f, self.FL, self.EL = f, FL, EL
+        self.pre = [EL.index[preimage(f, y).nucleus] for y in FL.subs]
+        self.img = [FL.index[image(f, x).nucleus] for x in EL.subs]
 
 
-def _layer_decomposition_law(s: _Suite, name: str, L: SubLattice):
-    fr = L.frame
-    checked, bad = 0, []
+@_declare(LATTICE_LAWS, "layer-decomposition", "every part is the meet over V of [V] u c(e(V))")
+def _layer_decomposition(L):
+    bad = []
     for i, sub in enumerate(L.subs):
         layers = [
             L.union_t[L.open_idx[v]][L.closed_idx[sub.nucleus[v]]]
-            for v in range(fr.n)
+            for v in range(L.frame.n)
         ]
-        checked += 1
         if L.meet_fold(layers) != i:
             bad.append({"x": L.label(i)})
-    s.bulk(
-        "layer-decomposition",
-        "every part is the meet over V of [V] u c(e(V))",
-        name,
-        checked,
-        bad,
-    )
+    return len(L.subs), bad
 
 
-def _boolean_combination_law(s: _Suite, name: str, L: SubLattice):
-    cells = atoms(L.frame)
-    cell_idx = [L.index[c.nucleus] for c in cells]
-    checked, bad = 0, []
+@_declare(LATTICE_LAWS, "boolean-combination-distributivity",
+          "H n (A u B) = (H n A) u (H n B) for H a boolean combination of opens")
+def _boolean_combination_distributivity(L):
+    cell_idx = [L.index[c.nucleus] for c in atoms(L.frame)]
+    cells, k = len(cell_idx), len(L.subs)
+    bad = []
     if cell_idx:
-        u = L.union_fold(cell_idx)
-        checked += 1
-        if u != L.whole_idx:
+        if L.union_fold(cell_idx) != L.whole_idx:
             bad.append({"form": "cells do not cover"})
-        for i, j in itertools.combinations(range(len(cell_idx)), 2):
-            checked += 1
+        for i, j in itertools.combinations(range(cells), 2):
             if L.meet_t[cell_idx[i]][cell_idx[j]] != L.empty_idx:
                 bad.append({"form": "cells overlap", "i": str(i), "j": str(j)})
     combos = sorted(
         {
             L.union_fold([cell_idx[i] for i in picked])
-            for r in range(len(cell_idx) + 1)
-            for picked in itertools.combinations(range(len(cell_idx)), r)
+            for r in range(cells + 1)
+            for picked in itertools.combinations(range(cells), r)
         }
     )
-    k = len(L.subs)
     for h in combos:
         row_m = L.meet_t[h]
         for x in range(k):
             mx = row_m[x]
             for y in range(k):
-                checked += 1
                 if row_m[L.union_t[x][y]] != L.union_t[mx][row_m[y]]:
                     bad.append({"h": L.label(h), "a": L.label(x), "b": L.label(y)})
-    s.bulk(
-        "boolean-combination-distributivity",
-        "H n (A u B) = (H n A) u (H n B) for H a boolean combination of opens",
-        name,
-        checked,
-        bad,
-    )
+    cover_cases = 1 + comb(cells, 2) if cells else 0
+    return cover_cases + len(combos) * k * k, bad
 
 
-def _meets_of_joins_law(s: _Suite, name: str, L: SubLattice):
-    k = len(L.subs)
-    pairs = list(itertools.combinations(range(k), 2))
-    checked, bad = 0, []
+@_declare(LATTICE_LAWS, "meets-join-product",
+          "(meet of As) u (meet of Bs) = meet over pairs of (Ai u Bj)")
+def _meets_join_product(L):
+    pairs = list(itertools.combinations(range(len(L.subs)), 2))
+    bad = []
     for a1, a2 in pairs:
         ma = L.meet_t[a1][a2]
         for b1, b2 in pairs:
-            checked += 1
             lhs = L.union_t[ma][L.meet_t[b1][b2]]
             rhs = L.meet_fold(
                 [
@@ -1090,139 +1037,111 @@ def _meets_of_joins_law(s: _Suite, name: str, L: SubLattice):
                 bad.append(
                     {"a1": L.label(a1), "a2": L.label(a2), "b1": L.label(b1), "b2": L.label(b2)}
                 )
-    s.bulk(
-        "meets-join-product",
-        "(meet of As) u (meet of Bs) = meet over pairs of (Ai u Bj)",
-        name,
-        checked,
-        bad,
-    )
+    return len(pairs) ** 2, bad
 
 
-def _morphism_laws(s: _Suite, label: str, f, FL: SubLattice, EL: SubLattice):
-    src, tgt = f.source, f.target
-    adj = right_adjoint(f)
-
-    checked, bad = 0, []
+@_declare(MAP_LAWS, "adjunction", "fstar(V) <= U iff V <= fstar-adjoint(U)")
+def _adjunction(m):
+    src, tgt, fstar = m.f.source, m.f.target, m.f.fstar
+    adj = right_adjoint(m.f)
+    bad = []
     for v in range(src.n):
         for u in range(tgt.n):
-            checked += 1
-            if tgt.leq(f.fstar[v], u) != src.leq(v, adj[u]):
+            if tgt.leq(fstar[v], u) != src.leq(v, adj[u]):
                 bad.append({"v": src.name(v), "u": tgt.name(u)})
-    s.bulk(
-        "adjunction",
-        "fstar(V) <= U iff V <= fstar-adjoint(U)",
-        label,
-        checked,
-        bad,
-    )
-    s.check(
-        "embedding-three-ways",
-        "surjectivity of fstar, injectivity of the adjoint, and the section law agree",
-        label,
-        isinstance(is_embedding(f), bool),
-    )
+    return src.n * tgt.n, bad
 
-    checked, bad = 0, []
+
+@_declare(MAP_LAWS, "embedding-three-ways",
+          "surjectivity of fstar, injectivity of the adjoint, and the section law agree")
+def _embedding_three_ways(m):
+    return _once(isinstance(is_embedding(m.f), bool))
+
+
+@_declare(MAP_LAWS, "preimage-open-closed",
+          "pullback of [V] is [fstar V]; pullback of c(V) is c(fstar V)")
+def _preimage_open_closed(m):
+    f, EL = m.f, m.EL
+    src = f.source
+    bad = []
     for v in range(src.n):
-        checked += 2
         if EL.index[preimage(f, open_sublocale(src, v)).nucleus] != EL.open_idx[f.fstar[v]]:
             bad.append({"v": src.name(v), "side": "open"})
         if EL.index[preimage(f, closed_sublocale(src, v)).nucleus] != EL.closed_idx[f.fstar[v]]:
             bad.append({"v": src.name(v), "side": "closed"})
-    s.bulk(
-        "preimage-open-closed",
-        "pullback of [V] is [fstar V]; pullback of c(V) is c(fstar V)",
-        label,
-        checked,
-        bad,
-    )
+    return 2 * src.n, bad
 
-    pre = [EL.index[preimage(f, y).nucleus] for y in FL.subs]
-    img = [FL.index[image(f, x).nucleus] for x in EL.subs]
-    kf, ke = len(FL.subs), len(EL.subs)
 
-    checked, bad = 0, []
+@_declare(MAP_LAWS, "preimage-union-meet",
+          "pullback commutes with binary unions and meets of parts")
+def _preimage_union_meet(m):
+    FL, EL, pre = m.FL, m.EL, m.pre
+    kf = len(FL.subs)
+    bad = []
     for i in range(kf):
         pi = pre[i]
         for j in range(kf):
-            checked += 2
             if pre[FL.union_t[i][j]] != EL.union_t[pi][pre[j]]:
                 bad.append({"a": FL.label(i), "b": FL.label(j), "side": "union"})
             if pre[FL.meet_t[i][j]] != EL.meet_t[pi][pre[j]]:
                 bad.append({"a": FL.label(i), "b": FL.label(j), "side": "meet"})
-    s.bulk(
-        "preimage-union-meet",
-        "pullback commutes with binary unions and meets of parts",
-        label,
-        checked,
-        bad,
-    )
+    return 2 * kf * kf, bad
 
-    checked, bad = 0, []
+
+@_declare(MAP_LAWS, "image-union", "the image of a union is the union of the images")
+def _image_union(m):
+    FL, EL, img = m.FL, m.EL, m.img
+    ke = len(EL.subs)
+    bad = []
     for i in range(ke):
         for j in range(ke):
-            checked += 1
             if img[EL.union_t[i][j]] != FL.union_t[img[i]][img[j]]:
                 bad.append({"x": EL.label(i), "y": EL.label(j)})
-    s.bulk(
-        "image-union",
-        "the image of a union is the union of the images",
-        label,
-        checked,
-        bad,
-    )
+    return ke * ke, bad
 
-    checked, bad = 0, []
-    for i in range(kf):
-        checked += 1
+
+@_declare(MAP_LAWS, "image-preimage-galois",
+          "image(pullback(Y)) inside Y and X inside pullback(image(X))")
+def _image_preimage_galois(m):
+    FL, EL, pre, img = m.FL, m.EL, m.pre, m.img
+    bad = []
+    for i in range(len(FL.subs)):
         if not FL.le[img[pre[i]]][i]:
             bad.append({"y": FL.label(i), "side": "image of pullback"})
-    for j in range(ke):
-        checked += 1
+    for j in range(len(EL.subs)):
         if not EL.le[j][pre[img[j]]]:
             bad.append({"x": EL.label(j), "side": "pullback of image"})
-    s.bulk(
-        "image-preimage-galois",
-        "image(pullback(Y)) inside Y and X inside pullback(image(X))",
-        label,
-        checked,
-        bad,
-    )
+    return len(FL.subs) + len(EL.subs), bad
 
 
-def _transitivity_laws(s: _Suite, reps, lats):
-    small = [(nm, fr) for nm, fr in reps if fr.n <= 4]
-    s.note(
-        "composition laws checked on the representatives with at most 4 "
-        "elements: " + ", ".join(nm for nm, _ in small)
-    )
+@_declare(COMPOSITION_LAWS, "composition",
+          "images and pullbacks compose along composite maps")
+def _composition(ctx):
+    small, lats = ctx
     checked, bad = 0, []
     for (an, a), (bn, b), (cn, c) in itertools.product(small, repeat=3):
         AL, CL = lats[an], lats[cn]
         for f in enumerate_morphisms(a, b):
             for g in enumerate_morphisms(b, c):
                 h = compose(g, f)
+                checked += len(CL.subs) + len(AL.subs)
                 for x in CL.subs:
-                    checked += 1
                     if image(h, x) != image(f, image(g, x)):
                         bad.append({"path": f"{an}->{bn}->{cn}", "x": CL.label(CL.index[x.nucleus])})
                 for y in AL.subs:
-                    checked += 1
                     if preimage(h, y) != preimage(g, preimage(f, y)):
                         bad.append({"path": f"{an}->{bn}->{cn}", "y": AL.label(AL.index[y.nucleus])})
-    s.bulk(
-        "composition",
-        "images and pullbacks compose along composite maps",
-        "small representatives",
-        checked,
-        bad,
-    )
+    return checked, bad
 
 
 # ---------------------------------------------------------------------------
 # measure suite
 # ---------------------------------------------------------------------------
+
+MEASURE_FRAME_LAWS: list = []
+FINITE_MEASURE_LAWS: list = []
+INTERVAL_LAWS: list = []
+
 
 def _boolean_valuations(fr: Frame):
     """At least three distinct valuations on a complemented frame, one on
@@ -1254,39 +1173,24 @@ def _boolean_valuations(fr: Frame):
 def run_measure_suite(root=None, max_size=None, tol=None) -> RunReport:
     max_size = 10 if max_size is None else max_size
     tol = Fraction(1, 1000) if tol is None else frac(tol)
-    s = _Suite("measure", tol)
+    run = _Run("measure", tol)
     gated, tiny = [], []
     chain3 = None
-    for nm, fr in iter_corpus_frames(root):
-        if fr.n > max_size:
-            s.note(f"{nm} skipped: {fr.n} elements over the size cap {max_size}")
-            continue
+    for nm, fr in run.within(iter_corpus_frames(root), max_size):
+        vals = _boolean_valuations(fr) if fr.boolean else []
+        run.apply(MEASURE_FRAME_LAWS, nm, (fr, vals))
         if not fr.boolean:
             gated.append(nm)
-            s.check(
-                "regularity-gate",
-                "measure identities are asserted only on complemented frames",
-                nm,
-                not fr.regular,
-            )
             if nm == "chain3":
                 chain3 = fr
             continue
-        L = SubLattice(fr)
-        vals = _boolean_valuations(fr)
         if fr.n == 1:
             tiny.append(nm)
-        s.check(
-            "valuation-count",
-            "at least three distinct valuations per complemented frame",
-            nm,
-            len(vals) >= (3 if fr.n > 1 else 1),
-            {"got": str(len(vals))},
-        )
+        L = SubLattice(fr)
         for vi, val in enumerate(vals):
-            _finite_measure_laws(s, f"{nm}/mu{vi}", fr, L, val)
+            run.apply(FINITE_MEASURE_LAWS, f"{nm}/mu{vi}", _Valued(L, val))
     if gated:
-        s.note(
+        run.note(
             "no measure claims on the non-complemented frames: "
             + ", ".join(sorted(gated))
         )
@@ -1295,50 +1199,86 @@ def run_measure_suite(root=None, max_size=None, tol=None) -> RunReport:
         g = generic(chain3)
         c = closed_sublocale(chain3, chain3.el("u"))
         res = strict_additivity_check(val, g, c)
-        s.note(
+        run.note(
             "the gate is not vacuous: on chain3 the additivity residual of "
             f"the generic part against c(u) is {res}, not 0"
         )
     if tiny:
-        s.note(
+        run.note(
             "one-element frames admit only the zero valuation: "
             + ", ".join(sorted(tiny))
         )
-    _interval_measure_laws(s, tol)
-    return s.report()
-
-
-def _finite_measure_laws(s: _Suite, label: str, fr: Frame, L: SubLattice, val):
-    n, k = fr.n, len(L.subs)
-    nm = fr.name
-    out = [outer_measure_finite(val, x) for x in L.subs]
-    top_m = val(fr.top)
-
-    checked, bad = 0, []
-    for v in range(n):
-        checked += 1
-        if out[L.open_idx[v]] != val(v):
-            bad.append({"v": nm(v)})
-    s.bulk(
-        "outer-extends",
-        "the outer measure of [V] is the valuation of V",
-        label,
-        checked,
-        bad,
+    run.apply(INTERVAL_LAWS, "[0,1]", _Arena(tol))
+    run.note(
+        "both halves of the rational/irrational split are dense, so their "
+        "meet contains the least dense part: the set picture's empty "
+        "intersection is localically a dense, measure-null part"
     )
+    run.note(
+        "meet does not distribute over the countable union of points: "
+        "the generic part meets every single point emptily, yet meets "
+        "their dense union in all of itself"
+    )
+    return run.report()
 
-    checked, bad = 0, []
+
+@_declare(MEASURE_FRAME_LAWS, "regularity-gate",
+          "measure identities are asserted only on complemented frames")
+def _regularity_gate(ctx):
+    fr, _ = ctx
+    return (0, []) if fr.boolean else _once(not fr.regular)
+
+
+@_declare(MEASURE_FRAME_LAWS, "valuation-count",
+          "at least three distinct valuations per complemented frame")
+def _valuation_count(ctx):
+    fr, vals = ctx
+    if not fr.boolean:
+        return 0, []
+    return _once(len(vals) >= (3 if fr.n > 1 else 1), {"got": str(len(vals))})
+
+
+class _Valued:
+    """A valuation on a frame's part lattice, with the outer measure and
+    the reduction of every part."""
+
+    def __init__(self, L: SubLattice, val):
+        self.L, self.val = L, val
+        self.out = [outer_measure_finite(val, x) for x in L.subs]
+        self.top = val(L.frame.top)
+        self.red = [L.index[mu_reduce(val, x, all_subs=L.subs).nucleus] for x in L.subs]
+        self.reduced = sorted(set(self.red))
+
+
+@_declare(FINITE_MEASURE_LAWS, "outer-extends",
+          "the outer measure of [V] is the valuation of V")
+def _outer_extends(m):
+    L, out, fr = m.L, m.out, m.L.frame
+    bad = []
+    for v in range(fr.n):
+        if out[L.open_idx[v]] != m.val(v):
+            bad.append({"v": fr.name(v)})
+    return fr.n, bad
+
+
+@_declare(FINITE_MEASURE_LAWS, "outer-monotone", "X inside Y gives mu(X) <= mu(Y)")
+def _outer_monotone(m):
+    L, out, k = m.L, m.out, len(m.L.subs)
+    bad = []
     for i in range(k):
         for j in range(k):
-            checked += 1
             if L.le[i][j] and out[i] > out[j]:
                 bad.append({"x": L.label(i), "y": L.label(j)})
-    s.bulk("outer-monotone", "X inside Y gives mu(X) <= mu(Y)", label, checked, bad)
+    return k * k, bad
 
-    checked, bad = 0, []
+
+@_declare(FINITE_MEASURE_LAWS, "strict-additivity",
+          "mu(X u Y) + mu(X n Y) = mu(X) + mu(Y) for every pair")
+def _strict_additivity(m):
+    L, out, k = m.L, m.out, len(m.L.subs)
+    bad = []
     for i in range(k):
         for j in range(k):
-            checked += 1
             if out[L.union_t[i][j]] + out[L.meet_t[i][j]] != out[i] + out[j]:
                 bad.append(
                     {
@@ -1349,14 +1289,13 @@ def _finite_measure_laws(s: _Suite, label: str, fr: Frame, L: SubLattice, val):
                         ),
                     }
                 )
-    s.bulk(
-        "strict-additivity",
-        "mu(X u Y) + mu(X n Y) = mu(X) + mu(Y) for every pair",
-        label,
-        checked,
-        bad,
-    )
+    return k * k, bad
 
+
+@_declare(FINITE_MEASURE_LAWS, "increasing-union-sup",
+          "along an increasing chain the measure of the union is the sup")
+def _increasing_union_sup(m):
+    L, out, k = m.L, m.out, len(m.L.subs)
     checked, bad = 0, []
     for i in range(k):
         for j in range(k):
@@ -1372,170 +1311,141 @@ def _finite_measure_laws(s: _Suite, label: str, fr: Frame, L: SubLattice, val):
                 u = L.union_t[L.union_t[i][j]][h]
                 if out[u] != max(out[i], out[j], out[h]):
                     bad.append({"x": L.label(i), "y": L.label(j), "z": L.label(h)})
-    s.bulk(
-        "increasing-union-sup",
-        "along an increasing chain the measure of the union is the sup",
-        label,
-        checked,
-        bad,
-    )
+    return checked, bad
 
-    checked, bad = 0, []
-    for v in range(n):
-        checked += 1
-        if out[L.open_idx[v]] + out[L.closed_idx[v]] != top_m:
-            bad.append({"v": nm(v)})
-    s.bulk(
-        "closed-complement",
-        "mu[V] + mu(c(V)) is the total mass",
-        label,
-        checked,
-        bad,
-    )
 
-    checked, bad = 0, []
-    for i in range(k):
-        for v in range(n):
-            checked += 1
+@_declare(FINITE_MEASURE_LAWS, "closed-complement", "mu[V] + mu(c(V)) is the total mass")
+def _closed_complement(m):
+    L, out, fr = m.L, m.out, m.L.frame
+    bad = []
+    for v in range(fr.n):
+        if out[L.open_idx[v]] + out[L.closed_idx[v]] != m.top:
+            bad.append({"v": fr.name(v)})
+    return fr.n, bad
+
+
+@_declare(FINITE_MEASURE_LAWS, "open-split", "mu(A n [V]) + mu(A n c(V)) = mu(A)")
+def _open_split(m):
+    L, out, fr = m.L, m.out, m.L.frame
+    bad = []
+    for i in range(len(L.subs)):
+        for v in range(fr.n):
             if out[L.meet_t[i][L.open_idx[v]]] + out[L.meet_t[i][L.closed_idx[v]]] != out[i]:
-                bad.append({"x": L.label(i), "v": nm(v)})
-    s.bulk(
-        "open-split",
-        "mu(A n [V]) + mu(A n c(V)) = mu(A)",
-        label,
-        checked,
-        bad,
-    )
+                bad.append({"x": L.label(i), "v": fr.name(v)})
+    return len(L.subs) * fr.n, bad
 
-    checked, bad = 0, []
-    for i in range(k):
+
+@_declare(FINITE_MEASURE_LAWS, "relative-modularity",
+          "through any part A, opens stay modular and filtered joins reach the sup")
+def _relative_modularity(m):
+    L, out, fr = m.L, m.out, m.L.frame
+    n, nm = fr.n, fr.name
+    bad = []
+    for i in range(len(L.subs)):
         row = L.meet_t[i]
         for u in range(n):
             for v in range(n):
-                checked += 2
                 ju, jv = L.open_idx[u], L.open_idx[v]
                 lhs = out[row[L.open_idx[fr.join(u, v)]]]
                 if lhs != out[row[ju]] + out[row[jv]] - out[row[L.open_idx[fr.meet(u, v)]]]:
                     bad.append({"x": L.label(i), "u": nm(u), "v": nm(v), "form": "relative modularity"})
                 if lhs != max(out[row[ju]], out[row[jv]], lhs):
                     bad.append({"x": L.label(i), "u": nm(u), "v": nm(v), "form": "filtered sup"})
-    s.bulk(
-        "relative-modularity",
-        "through any part A, opens stay modular and filtered joins reach the sup",
-        label,
-        checked,
-        bad,
-    )
+    return 2 * len(L.subs) * n * n, bad
 
-    checked, bad = 0, []
+
+@_declare(FINITE_MEASURE_LAWS, "decreasing-meet-inf",
+          "downward filtered families reach the inf at their meet")
+def _decreasing_meet_inf(m):
+    L, out, val, fr = m.L, m.out, m.val, m.L.frame
+    n, k = fr.n, len(L.subs)
+    bad = []
     for u in range(n):
         for v in range(n):
-            checked += 1
             if out[L.meet_t[L.open_idx[u]][L.open_idx[v]]] != min(
                 val(u), val(v), val(fr.meet(u, v))
             ):
-                bad.append({"u": nm(u), "v": nm(v)})
+                bad.append({"u": fr.name(u), "v": fr.name(v)})
     for i in range(k):
         for j in range(k):
-            checked += 1
             if out[L.meet_t[i][j]] != min(out[i], out[j], out[L.meet_t[i][j]]):
                 bad.append({"x": L.label(i), "y": L.label(j)})
-    s.bulk(
-        "decreasing-meet-inf",
-        "downward filtered families reach the inf at their meet",
-        label,
-        checked,
-        bad,
-    )
+    return n * n + k * k, bad
 
-    red = [L.index[mu_reduce(val, x, all_subs=L.subs).nucleus] for x in L.subs]
-    checked, bad = 0, []
+
+@_declare(FINITE_MEASURE_LAWS, "reduction",
+          "the reduction is the least part of equal measure, and reducing twice changes nothing")
+def _reduction(m):
+    L, out, red, k = m.L, m.out, m.red, len(m.L.subs)
+    bad = []
     for i in range(k):
         r = red[i]
-        checked += 3
         if not L.le[r][i] or out[r] != out[i]:
             bad.append({"x": L.label(i), "form": "reduction keeps measure inside"})
         if red[r] != r:
             bad.append({"x": L.label(i), "form": "idempotent"})
         for z in range(k):
-            checked += 1
             if L.le[z][i] and out[z] == out[i] and not L.le[r][z]:
                 bad.append({"x": L.label(i), "z": L.label(z), "form": "least full-measure part"})
-    s.bulk(
-        "reduction",
-        "the reduction is the least part of equal measure, and reducing twice changes nothing",
-        label,
-        checked,
-        bad,
-    )
+    return k * (3 + k), bad
 
-    reduced = sorted(set(red))
-    checked, bad = 0, []
+
+@_declare(FINITE_MEASURE_LAWS, "reduced-parts-algebra",
+          "unions of reduced parts are reduced and meets distribute over their unions")
+def _reduced_parts_algebra(m):
+    L, red, reduced = m.L, m.red, m.reduced
+    bad = []
     for r1 in reduced:
         for r2 in reduced:
             u = L.union_t[r1][r2]
-            checked += 1
             if red[u] != u:
                 bad.append({"x": L.label(r1), "y": L.label(r2)})
     for r1 in reduced:
         row = L.meet_t[r1]
         for r2 in reduced:
             for r3 in reduced:
-                checked += 1
                 if row[L.union_t[r2][r3]] != L.union_t[row[r2]][row[r3]]:
                     bad.append({"x": L.label(r1), "y": L.label(r2), "z": L.label(r3)})
-    s.bulk(
-        "reduced-parts-algebra",
-        "unions of reduced parts are reduced and meets distribute over their unions",
-        label,
-        checked,
-        bad,
-    )
+    return len(reduced) ** 2 + len(reduced) ** 3, bad
 
-    checked, bad = 0, []
-    for i in range(k):
-        b, certs = null_partner(val, L.subs[i])
-        checked += 2
-        if certs["union"] != top_m:
+
+@_declare(FINITE_MEASURE_LAWS, "null-partner",
+          "the partner restores the total mass while meeting X in measure zero")
+def _null_partner(m):
+    L = m.L
+    bad = []
+    for i in range(len(L.subs)):
+        b, certs = null_partner(m.val, L.subs[i])
+        if certs["union"] != m.top:
             bad.append({"x": L.label(i), "form": "union short of total", "got": str(certs["union"])})
         if certs["intersection"] != 0:
             bad.append({"x": L.label(i), "form": "meet not null", "got": str(certs["intersection"])})
-    s.bulk(
-        "null-partner",
-        "the partner restores the total mass while meeting X in measure zero",
-        label,
-        checked,
-        bad,
-    )
+    return 2 * len(L.subs), bad
 
-    checked, bad = 0, []
-    for i in range(k):
-        checked += 1
+
+@_declare(FINITE_MEASURE_LAWS, "restriction-valid",
+          "restricting the valuation to any part yields a valuation")
+def _restriction_valid(m):
+    L = m.L
+    bad = []
+    for i in range(len(L.subs)):
         try:
-            restrict_valuation(val, L.subs[i])
+            restrict_valuation(m.val, L.subs[i])
         except FrameError as exc:
             bad.append({"x": L.label(i), "error": str(exc)})
-    s.bulk(
-        "restriction-valid",
-        "restricting the valuation to any part yields a valuation",
-        label,
-        checked,
-        bad,
-    )
+    return len(L.subs), bad
 
-    ra = reduced_algebra(val, max_size=max(10, fr.n))
-    ok = ra.frame.boolean and ra.frame.n == len(reduced)
+
+@_declare(FINITE_MEASURE_LAWS, "reduced-algebra",
+          "the reduced parts form a complemented frame with a measure-compatible quotient")
+def _reduced_algebra(m):
+    ra = reduced_algebra(m.val, max_size=max(10, m.L.frame.n))
+    ok = ra.frame.boolean and ra.frame.n == len(m.reduced)
     ok = ok and all(
-        outer_measure_finite(val, ra.reps[i]) == ra.valuation(i)
+        outer_measure_finite(m.val, ra.reps[i]) == ra.valuation(i)
         for i in range(ra.frame.n)
     )
-    s.check(
-        "reduced-algebra",
-        "the reduced parts form a complemented frame with a measure-compatible quotient",
-        label,
-        ok,
-        {"size": str(ra.frame.n)},
-    )
+    return _once(ok, {"size": str(ra.frame.n)})
 
 
 # -- interval side ----------------------------------------------------------
@@ -1588,18 +1498,30 @@ def _meets_cell(x, a, b, budget: int = 70000) -> bool:
     return False
 
 
-def _interval_measure_laws(s: _Suite, tol: Fraction):
-    arena = "[0,1]"
-    descriptors = _interval_descriptors()
-    rng = random.Random(20260822)
+class _Arena:
+    """[0,1] at one tolerance. The interval laws draw their random opens
+    from one seeded stream, in declaration order."""
 
+    def __init__(self, tol: Fraction):
+        self.tol = tol
+        self.rng = random.Random(20260822)
+        self.descriptors = _interval_descriptors()
+        self.rats = CountablePoints(RATIONALS)
+        self.irr = CoCountable(RATIONALS)
+        self.atom_half = atomic([(Fraction(1, 2), Fraction(1))])
+        self.restricted = LebesgueRestrictedTo(parse_fin("[0,1/2]"))
+
+
+@_declare(INTERVAL_LAWS, "closed-complement-interval",
+          "mu(U) + mu(complement of U) is the total mass, attained by neighborhood stages")
+def _closed_complement_interval(a):
     checked, bad = 0, []
     for t in range(100):
-        u = _random_ratopen(rng)
-        for dn, d in descriptors:
+        u = _random_ratopen(a.rng)
+        for dn, d in a.descriptors:
             total = total_measure(d)
-            bo = measure_bounds(Open(u), d, tol)
-            bc = measure_bounds(Closed(u), d, tol)
+            bo = measure_bounds(Open(u), d, a.tol)
+            bc = measure_bounds(Closed(u), d, a.tol)
             checked += 1
             if not (bo.is_exact and bc.is_exact and bo.upper + bc.upper == total):
                 bad.append({"u": str(u), "descriptor": dn})
@@ -1613,161 +1535,130 @@ def _interval_measure_laws(s: _Suite, tol: Fraction):
             if m < exact:
                 bad.append({"u": str(u), "stage": str(kk), "form": "stage below the closed mass"})
                 break
-            if m - exact <= tol:
+            if m - exact <= a.tol:
                 good = True
                 break
         if not good:
             bad.append({"u": str(u), "form": "neighborhood stages did not converge"})
-    s.bulk(
-        "closed-complement-interval",
-        "mu(U) + mu(complement of U) is the total mass, attained by neighborhood stages",
-        arena,
-        checked,
-        bad,
-    )
+    return checked, bad
 
-    rats = CountablePoints(RATIONALS)
-    irr = CoCountable(RATIONALS)
-    d = Lebesgue()
-    bq = measure_bounds(rats, d, tol)
-    s.check(
-        "countable-dense-null",
-        "the rational-points part has outer measure at most the tolerance",
-        arena,
-        Fraction(0) <= bq.lower <= bq.upper <= tol,
-        {"bounds": str(bq)},
-    )
-    bi = measure_bounds(irr, d, tol)
-    s.check(
-        "cocountable-full",
-        "removing countably many points keeps full measure within tolerance",
-        arena,
-        1 - tol <= bi.lower <= bi.upper <= 1,
-        {"bounds": str(bi)},
-    )
-    for dn, dd in descriptors:
-        bg = measure_bounds(Generic(), dd, tol)
-        s.check(
-            "generic-null",
-            "the least dense part has outer measure at most the tolerance",
-            arena,
-            bg.upper <= tol,
-            {"descriptor": dn, "bounds": str(bg)},
-        )
 
-    res = strict_additivity_interval(rats, irr, d, tol)
-    s.check(
-        "additivity-residual",
-        "the additivity residual of the rational/irrational split brackets zero tightly",
-        arena,
-        res.contains_zero() and res.width <= 4 * tol,
+@_declare(INTERVAL_LAWS, "countable-dense-null",
+          "the rational-points part has outer measure at most the tolerance")
+def _countable_dense_null(a):
+    bq = measure_bounds(a.rats, Lebesgue(), a.tol)
+    return _once(Fraction(0) <= bq.lower <= bq.upper <= a.tol, {"bounds": str(bq)})
+
+
+@_declare(INTERVAL_LAWS, "cocountable-full",
+          "removing countably many points keeps full measure within tolerance")
+def _cocountable_full(a):
+    bi = measure_bounds(a.irr, Lebesgue(), a.tol)
+    return _once(1 - a.tol <= bi.lower <= bi.upper <= 1, {"bounds": str(bi)})
+
+
+@_declare(INTERVAL_LAWS, "generic-null",
+          "the least dense part has outer measure at most the tolerance")
+def _generic_null(a):
+    bad = []
+    for dn, dd in a.descriptors:
+        bg = measure_bounds(Generic(), dd, a.tol)
+        if not bg.upper <= a.tol:
+            bad.append({"descriptor": dn, "bounds": str(bg)})
+    return len(a.descriptors), bad
+
+
+@_declare(INTERVAL_LAWS, "additivity-residual",
+          "the additivity residual of the rational/irrational split brackets zero tightly")
+def _additivity_residual(a):
+    res = strict_additivity_interval(a.rats, a.irr, Lebesgue(), a.tol)
+    return _once(
+        res.contains_zero() and res.width <= 4 * a.tol,
         {"lo": str(res.lo), "hi": str(res.hi)},
     )
-    checked, bad = 0, []
+
+
+@_declare(INTERVAL_LAWS, "additivity-open-pairs",
+          "for opens the additivity residual is exactly zero")
+def _additivity_open_pairs(a):
+    bad = []
     for t in range(10):
-        x, y = Open(_random_ratopen(rng)), Open(_random_ratopen(rng))
-        r = strict_additivity_interval(x, y, d, tol)
-        checked += 1
+        x, y = Open(_random_ratopen(a.rng)), Open(_random_ratopen(a.rng))
+        r = strict_additivity_interval(x, y, Lebesgue(), a.tol)
         if not (r.lo == r.hi == 0):
             bad.append({"x": str(x.part), "y": str(y.part)})
-    s.bulk(
-        "additivity-open-pairs",
-        "for opens the additivity residual is exactly zero",
-        arena,
-        checked,
-        bad,
-    )
+    return 10, bad
 
+
+@_declare(INTERVAL_LAWS, "reduce-fills-null-gap",
+          "a missing massless point disappears under reduction")
+def _reduce_fills_null_gap(a):
     halves = parse_ratopen("(0,1/2)|(1/2,1)")
-    s.check(
-        "reduce-fills-null-gap",
-        "a missing massless point disappears under reduction",
-        arena,
-        mu_reduce_open(Lebesgue(), halves) == parse_ratopen("(0,1)"),
-    )
-    atom_half = atomic([(Fraction(1, 2), Fraction(1))])
-    r = mu_reduce_interval(atom_half)
-    s.check(
-        "reduce-to-atom",
-        "a single atom reduces the space to the closed part carrying it",
-        arena,
-        isinstance(r, Closed) and r.of_open == parse_ratopen("[0,1/2)|(1/2,1]"),
-    )
-    restricted = LebesgueRestrictedTo(parse_fin("[0,1/2]"))
-    r2 = mu_reduce_interval(restricted)
-    s.check(
-        "reduce-to-support",
-        "restricted length reduces the space to its support",
-        arena,
-        isinstance(r2, Closed) and r2.of_open == parse_ratopen("(1/2,1]"),
-    )
-    checked, bad = 0, []
-    for dn, dd in (("lebesgue", Lebesgue()), ("atoms", atom_half), ("restrict", restricted)):
-        first = mu_reduce_interval(dd)
-        second = mu_reduce_interval(dd, first)
-        checked += 1
-        if first != second:
-            bad.append({"descriptor": dn})
-    s.bulk(
-        "reduce-idempotent-interval",
-        "reducing the reduction changes nothing",
-        arena,
-        checked,
-        bad,
-    )
+    return _once(mu_reduce_open(Lebesgue(), halves) == parse_ratopen("(0,1)"))
 
-    checked, bad = 0, []
-    for part, pname in ((rats, "countable-points"), (irr, "cocountable")):
-        for a, b in _cells(4):
-            checked += 1
-            if not _meets_cell(part, a, b):
-                bad.append({"part": pname, "cell": f"({a},{b})"})
-    s.bulk(
-        "dense-probes",
-        "both halves of the rational/irrational split reach into every dyadic cell",
-        arena,
-        checked,
-        bad,
-    )
-    partner, certs = null_partner_interval(rats, d, tol)
-    s.check(
-        "hidden-intersection",
-        "the split is certified a cover with a null meet only by measure accounting, "
-        "never by structural disjointness",
-        arena,
-        structural_union_is_whole(rats, irr)
+
+@_declare(INTERVAL_LAWS, "reduce-to-atom",
+          "a single atom reduces the space to the closed part carrying it")
+def _reduce_to_atom(a):
+    r = mu_reduce_interval(a.atom_half)
+    return _once(isinstance(r, Closed) and r.of_open == parse_ratopen("[0,1/2)|(1/2,1]"))
+
+
+@_declare(INTERVAL_LAWS, "reduce-to-support",
+          "restricted length reduces the space to its support")
+def _reduce_to_support(a):
+    r = mu_reduce_interval(a.restricted)
+    return _once(isinstance(r, Closed) and r.of_open == parse_ratopen("(1/2,1]"))
+
+
+@_declare(INTERVAL_LAWS, "reduce-idempotent-interval", "reducing the reduction changes nothing")
+def _reduce_idempotent_interval(a):
+    bad = []
+    for dn, dd in (("lebesgue", Lebesgue()), ("atoms", a.atom_half), ("restrict", a.restricted)):
+        first = mu_reduce_interval(dd)
+        if first != mu_reduce_interval(dd, first):
+            bad.append({"descriptor": dn})
+    return 3, bad
+
+
+@_declare(INTERVAL_LAWS, "dense-probes",
+          "both halves of the rational/irrational split reach into every dyadic cell")
+def _dense_probes(a):
+    cells = _cells(4)
+    bad = []
+    for part, pname in ((a.rats, "countable-points"), (a.irr, "cocountable")):
+        for lo, hi in cells:
+            if not _meets_cell(part, lo, hi):
+                bad.append({"part": pname, "cell": f"({lo},{hi})"})
+    return 2 * len(cells), bad
+
+
+@_declare(INTERVAL_LAWS, "hidden-intersection",
+          "the split is certified a cover with a null meet only by measure accounting, "
+          "never by structural disjointness")
+def _hidden_intersection(a):
+    partner, certs = null_partner_interval(a.rats, Lebesgue(), a.tol)
+    return _once(
+        structural_union_is_whole(a.rats, a.irr)
         and certs["union"].lower == certs["union"].upper == 1
-        and certs["intersection"].upper <= 2 * tol,
+        and certs["intersection"].upper <= 2 * a.tol,
         {"intersection-upper": str(certs["intersection"].upper)},
     )
-    s.note(
-        "both halves of the rational/irrational split are dense, so their "
-        "meet contains the least dense part: the set picture's empty "
-        "intersection is localically a dense, measure-null part"
-    )
 
-    checked, bad = 0, []
-    for q in RATIONALS.prefix(100):
-        checked += 1
+
+@_declare(INTERVAL_LAWS, "pointless-but-nonempty",
+          "the generic part misses every sampled point yet every neighborhood of it is dense")
+def _pointless_but_nonempty(a):
+    points, probes = RATIONALS.prefix(100), RATIONALS.prefix(64)
+    bad = []
+    for q in points:
         if point_sublocale_meets_generic(q):
             bad.append({"q": str(q)})
     nb = neighborhood(Generic(), 5)
-    for q in RATIONALS.prefix(64):
-        checked += 1
+    for q in probes:
         if not nb.may_contain(q):
             bad.append({"form": "neighborhood stream misses a rational", "q": str(q)})
-    s.bulk(
-        "pointless-but-nonempty",
-        "the generic part misses every sampled point yet every neighborhood of it is dense",
-        arena,
-        checked,
-        bad,
-    )
-    s.note(
-        "meet does not distribute over the countable union of points: "
-        "the generic part meets every single point emptily, yet meets "
-        "their dense union in all of itself"
-    )
+    return len(points) + len(probes), bad
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from locale_lab.sublocales import (
     intersect_all,
     open_sublocale,
     union,
-    validate_nucleus,
     whole,
 )
 
@@ -156,7 +155,7 @@ def image(f: FrameMorphism, x: Sublocale) -> Sublocale:
         raise MixedFrames()
     adj = right_adjoint(f)
     e = tuple(adj[x.nucleus[f.fstar[v]]] for v in range(f.source.n))
-    return validate_nucleus(f.source, e)
+    return Sublocale(f.source, e)
 
 
 def preimage(f: FrameMorphism, y: Sublocale) -> Sublocale:

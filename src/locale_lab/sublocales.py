@@ -5,6 +5,14 @@ frame elements). Two sublocales are equal exactly when their nuclei agree,
 and X is contained in Y exactly when e_X >= e_Y pointwise. The fixpoint
 set determines the nucleus (e(x) is the least fixpoint above x), which is
 what `enumerate_sublocales` exploits.
+
+Validation happens at the edges: `validate_nucleus` checks a mapping
+supplied from outside, and `enumerate_sublocales` uses it to filter its
+candidates. The library's own constructors (open, closed, generic,
+subspace, union, intersect here; image and preimage in `morphisms`) build
+`Sublocale` directly, because their results are nuclei by standard
+closure facts (Picado & Pultr, *Frames and Locales*, ch. III); the tests
+keep `validate_nucleus` on them as an oracle.
 """
 
 from __future__ import annotations
@@ -47,7 +55,11 @@ class FrameTooLarge(FrameError):
 
 
 class Sublocale:
-    """A validated nucleus on a frame. Immutable; hashable."""
+    """A nucleus on a frame. Immutable; hashable.
+
+    The constructor trusts its argument; use `validate_nucleus` for a
+    mapping that does not come from the library's own constructors.
+    """
 
     __slots__ = ("frame", "nucleus", "fixpoints", "_hash")
 
@@ -143,9 +155,7 @@ def closed_sublocale(frame: Frame, v) -> Sublocale:
 
 def generic(frame: Frame) -> Sublocale:
     """The smallest dense sublocale: double pseudo-complementation."""
-    return validate_nucleus(
-        frame, tuple(frame.neg(frame.neg(h)) for h in range(frame.n))
-    )
+    return Sublocale(frame, tuple(frame.neg(frame.neg(h)) for h in range(frame.n)))
 
 
 # -- lattice of sublocales -------------------------------------------------
@@ -156,9 +166,8 @@ def union(*subs) -> Sublocale:
     e = tuple(
         frame.meet_all(s.nucleus[h] for s in subs) for h in range(frame.n)
     )
-    # pointwise meet of nuclei is inflationary and meet-preserving for
-    # free but idempotence is not; validate rather than trust.
-    return validate_nucleus(frame, e)
+    # a pointwise meet of nuclei is again a nucleus, idempotence included
+    return Sublocale(frame, e)
 
 
 def intersect(*subs) -> Sublocale:
@@ -175,7 +184,7 @@ def intersect(*subs) -> Sublocale:
                 break
             cur = nxt
         e.append(cur)
-    return validate_nucleus(frame, tuple(e))
+    return Sublocale(frame, tuple(e))
 
 
 def union_all(frame: Frame, subs) -> Sublocale:
@@ -317,7 +326,7 @@ def is_boolean_sublocale(b: Sublocale) -> bool:
     lifted = tuple(
         fix[gamma.nucleus[amb_to_om[cl.nucleus[h]]]] for h in range(frame.n)
     )
-    return validate_nucleus(frame, lifted) == b
+    return Sublocale(frame, lifted) == b
 
 
 def subspace_sublocale(frame: Frame, pts) -> Sublocale:
@@ -339,4 +348,4 @@ def subspace_sublocale(frame: Frame, pts) -> Sublocale:
             if frame.opens[w] & pts <= frame.opens[v]
         ]
         e.append(frame.join_all(ws))
-    return validate_nucleus(frame, tuple(e))
+    return Sublocale(frame, tuple(e))

@@ -21,14 +21,7 @@ from locale_lab.frames import (
     topology_spec_from_json,
 )
 from locale_lab.intervals import EMPTY_RO, parse_fin, parse_ratopen
-from locale_lab.laws import (
-    _boolean_valuations,
-    _meets_cell,
-    _random_ratopen,
-    run_measure_suite,
-    run_morphism_suite,
-    run_sublocale_suite,
-)
+from locale_lab.laws import _boolean_valuations, _meets_cell, _random_ratopen
 from locale_lab.measure import (
     Lebesgue,
     LebesgueRestrictedTo,
@@ -94,21 +87,6 @@ def corpus_frames(root):
     from locale_lab.corpus import iter_corpus_frames
 
     return iter_corpus_frames(root)
-
-
-@pytest.fixture(scope="module")
-def sublocale_report():
-    return run_sublocale_suite()
-
-
-@pytest.fixture(scope="module")
-def morphism_report():
-    return run_morphism_suite()
-
-
-@pytest.fixture(scope="module")
-def measure_report():
-    return run_measure_suite()
 
 
 def test_c01_frame_gate(root):

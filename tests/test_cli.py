@@ -85,6 +85,17 @@ def test_measure_bad_interval(capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "abc", "0", "-1"])
+@pytest.mark.parametrize("argv", [["measure", "lebesgue", "(0,1/2)"], ["laws", "measure"]])
+def test_bad_tolerance_is_an_argument_error(argv, tol, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--tol", tol])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith(f"--tol: expected a positive rational, got {tol!r}")
+
+
 def test_parse_part_shapes():
     assert isinstance(parse_part("rationals"), CountablePoints)
     assert isinstance(parse_part("irrationals"), CoCountable)

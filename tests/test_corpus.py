@@ -5,6 +5,7 @@ import pytest
 from locale_lab.corpus import (
     ENV_VAR,
     all_topologies,
+    boolean_spec,
     corpus_root,
     generate,
     iter_corpus_frames,
@@ -14,7 +15,12 @@ from locale_lab.frames import FrameError, NotDistributive, build_frame
 
 
 def test_topology_counts():
-    assert [len(all_topologies(k)) for k in range(4)] == [1, 1, 4, 29]
+    assert [len(all_topologies(k)) for k in range(5)] == [1, 1, 4, 29, 355]
+
+
+def test_boolean_spec_keeps_every_point():
+    fr = build_frame(boolean_spec(4))
+    assert fr.n == 16 and fr.boolean
 
 
 def test_shipped_corpus_is_fresh(tmp_path):

@@ -3,6 +3,7 @@ import shutil
 
 import pytest
 
+from locale_lab import laws
 from locale_lab.corpus import corpus_root, generate
 from locale_lab.frames import build_frame, frame_spec_from_json
 from locale_lab.laws import (
@@ -12,31 +13,9 @@ from locale_lab.laws import (
     report_to_json,
     reports_to_json,
     run_frame_suite,
-    run_measure_suite,
-    run_morphism_suite,
     run_sublocale_suite,
     run_suite,
 )
-
-
-@pytest.fixture(scope="module")
-def frame_report():
-    return run_frame_suite()
-
-
-@pytest.fixture(scope="module")
-def sublocale_report():
-    return run_sublocale_suite()
-
-
-@pytest.fixture(scope="module")
-def morphism_report():
-    return run_morphism_suite()
-
-
-@pytest.fixture(scope="module")
-def measure_report():
-    return run_measure_suite()
 
 
 def test_frame_suite_green(frame_report):
@@ -99,6 +78,14 @@ def test_format_text_layout(frame_report):
     text = format_text(frame_report)
     assert text.startswith("suite: frame\n")
     assert "violations: 0" in text
+
+
+def test_each_law_is_declared_once():
+    registries = [v for k, v in vars(laws).items() if k.endswith("_LAWS")]
+    declared = [law for reg in registries for law in reg]
+    assert len(registries) == 10
+    assert len({law.name for law in declared}) == len(declared) == 71
+    assert all(law.identity and callable(law.check) for law in declared)
 
 
 def test_run_suite_dispatch():

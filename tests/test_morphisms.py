@@ -2,7 +2,9 @@ import itertools
 
 import pytest
 
+from locale_lab.corpus import iter_corpus_frames
 from locale_lab.frames import Frame, FrameError, FrameSpec, TopologySpec, build_frame
+from locale_lab.laws import _iso_reps
 from locale_lab.morphisms import (
     FrameMorphism,
     NotAFrameMorphism,
@@ -27,6 +29,7 @@ from locale_lab.sublocales import (
     is_subsublocale,
     open_sublocale,
     union_all,
+    validate_nucleus,
     whole,
 )
 
@@ -289,3 +292,23 @@ def test_atoms_partition_and_generate():
             s = open_sublocale(f, u)
             inside = [a for a in cells if is_subsublocale(a, s)]
             assert union_all(f, inside) == s
+
+
+# ------------------------------------------- oracle for trusted results
+
+def test_image_and_preimage_build_nuclei():
+    # image and preimage skip validation; validate_nucleus must accept
+    # every result along every map between small corpus frames (one per
+    # isomorphism class: relabeled copies give relabeled results)
+    reps, _ = _iso_reps((n, f) for n, f in iter_corpus_frames() if f.n <= 5)
+    frames = [f for _, f in reps]
+    parts = {id(f): enumerate_sublocales(f) for f in frames}
+    for src in frames:
+        for tgt in frames:
+            for m in enumerate_morphisms(src, tgt):
+                for x in parts[id(tgt)]:
+                    ix = image(m, x)
+                    assert validate_nucleus(src, ix.nucleus) == ix
+                for y in parts[id(src)]:
+                    py = preimage(m, y)
+                    assert validate_nucleus(tgt, py.nucleus) == py

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from locale_lab.corpus import iter_corpus_frames
 from locale_lab.frames import Frame, FrameSpec, TopologySpec, build_frame
 from locale_lab.sublocales import (
     FrameTooLarge,
@@ -358,3 +359,24 @@ def test_subspace_of_discrete_space_is_open():
     f = powerset("abc")
     s = subspace_sublocale(f, {"a", "c"})
     assert s == open_sublocale(f, "{a,c}")
+
+
+# ------------------------------------------- oracle for trusted results
+
+def test_trusted_constructors_build_nuclei():
+    # union, intersect, generic and subspace_sublocale skip validation;
+    # validate_nucleus must accept every result they build
+    for name, f in iter_corpus_frames():
+        if f.n > 8:
+            continue
+        subs = enumerate_sublocales(f)
+        built = [generic(f)]
+        for a in subs:
+            for b in subs:
+                built += [union(a, b), intersect(a, b)]
+        if f.opens is not None:
+            for r in range(len(f.point_names) + 1):
+                for pts in itertools.combinations(f.point_names, r):
+                    built.append(subspace_sublocale(f, pts))
+        for s in built:
+            assert validate_nucleus(f, s.nucleus) == s, name
