@@ -123,6 +123,7 @@ class Frame:
         self._join = self._binary_table(self.up, "join")
         self._check_distributive()
         self._heyting = None
+        self._prime_meets = {}
 
         # Only set when the frame came from a TopologySpec: the open set
         # behind each element, aligned with `elements`.
@@ -334,33 +335,51 @@ class Frame:
                 out.append(x)
         return tuple(out)
 
+    @cached_property
+    def primes(self) -> tuple:
+        """The meet-irreducible elements other than top, in index order.
+
+        In a distributive lattice these are exactly the prime elements,
+        i.e. the points of the frame.
+        """
+        out = []
+        for x in range(self.n):
+            if x == self.top:
+                continue
+            above = self.meet_all(y for y in _bits(self.up[x]) if y != x)
+            if above != x:
+                out.append(x)
+        return tuple(out)
+
+    @cached_property
+    def primes_above(self) -> tuple:
+        """primes_above[v] has bit i set iff primes[i] is above v."""
+        return tuple(
+            sum(1 << i for i, p in enumerate(self.primes) if self.leq(v, p))
+            for v in range(self.n)
+        )
+
+    def meet_of_primes(self, mask: int) -> int:
+        """The meet of the primes whose bits are set in `mask`; top if none."""
+        try:
+            return self._prime_meets[mask]
+        except KeyError:
+            out = self.meet_all(self.primes[i] for i in _bits(mask))
+            self._prime_meets[mask] = out
+            return out
+
     def points(self) -> list:
         """Frame homomorphisms to the 2-chain, as 0/1 tuples over elements.
 
-        Computed from the prime elements (q with a&b <= q forcing a <= q or
-        b <= q): the map x -> [x not below q]. Every returned map is
-        re-validated against all four preservation laws.
+        Computed from the primes: the map x -> [x not below q]. Every
+        returned map is re-validated against all four preservation laws.
         """
         out = []
-        for q in range(self.n):
-            if q == self.top:
-                continue
-            if self._is_prime(q):
-                p = tuple(0 if self.leq(x, q) else 1 for x in range(self.n))
-                assert self._point_ok(p), "prime element produced a non-point"
-                out.append(p)
+        for q in self.primes:
+            p = tuple(0 if self.leq(x, q) else 1 for x in range(self.n))
+            assert self._point_ok(p), "prime element produced a non-point"
+            out.append(p)
         return out
-
-    def _is_prime(self, q: int) -> bool:
-        for a in range(self.n):
-            if self.leq(a, q):
-                continue
-            for b in range(a, self.n):
-                if self.leq(b, q):
-                    continue
-                if self.leq(self._meet[a][b], q):
-                    return False
-        return True
 
     def _point_ok(self, p) -> bool:
         if p[self.bottom] != 0 or p[self.top] != 1:

@@ -73,14 +73,13 @@ from locale_lab.sublocales import (
     complement_c,
     entanglement,
     enumerate_sublocales,
+    exterior,
     generic,
-    intersect,
+    interior,
     is_boolean_sublocale,
     is_dense,
-    is_subsublocale,
     open_sublocale,
     subspace_sublocale,
-    union,
     validate_nucleus,
 )
 
@@ -258,51 +257,29 @@ class _Run:
 
 
 # ---------------------------------------------------------------------------
-# the sublocale lattice of a finite frame, as lookup tables
+# the sublocale lattice of a finite frame, as point sets
 # ---------------------------------------------------------------------------
 
 class SubLattice:
-    """Every sublocale of a finite frame with join/meet/order tables.
+    """Every sublocale of a finite frame, indexed by its set of points.
 
-    The enumeration is closed under union and intersection, so both
-    operations become index lookups and the exhaustive law checks reduce
-    to integer arithmetic.
+    `subs[m]` is the part whose points are the bitmask m, so the union,
+    the meet and the inclusion of parts i and j are `i | j`, `i & j` and
+    `i & j == i`, and the exhaustive law checks reduce to integer
+    arithmetic.
     """
 
     def __init__(self, frame: Frame):
         self.frame = frame
         self.subs = enumerate_sublocales(frame, max(10, frame.n))
-        self.index = {s.nucleus: i for i, s in enumerate(self.subs)}
-        k = len(self.subs)
-        self.le = [
-            [is_subsublocale(a, b) for b in self.subs] for a in self.subs
-        ]
-        self.union_t = [[0] * k for _ in range(k)]
-        self.meet_t = [[0] * k for _ in range(k)]
-        for i in range(k):
-            self.union_t[i][i] = self.meet_t[i][i] = i
-            for j in range(i + 1, k):
-                u = self.index[union(self.subs[i], self.subs[j]).nucleus]
-                m = self.index[intersect(self.subs[i], self.subs[j]).nucleus]
-                self.union_t[i][j] = self.union_t[j][i] = u
-                self.meet_t[i][j] = self.meet_t[j][i] = m
-        self.open_idx = [
-            self.index[open_sublocale(frame, v).nucleus] for v in range(frame.n)
-        ]
-        self.closed_idx = [
-            self.index[closed_sublocale(frame, v).nucleus] for v in range(frame.n)
-        ]
+        self.open_idx = [open_sublocale(frame, v).points for v in range(frame.n)]
+        self.closed_idx = [closed_sublocale(frame, v).points for v in range(frame.n)]
         self.whole_idx = self.open_idx[frame.top]
         self.empty_idx = self.open_idx[frame.bottom]
         # derived per-sublocale data
-        self.ext = [s.nucleus[frame.bottom] for s in self.subs]
+        self.ext = [exterior(s) for s in self.subs]
         self.closure_idx = [self.closed_idx[e] for e in self.ext]
-        self.int_el = [
-            frame.join_all(
-                v for v in range(frame.n) if self.le[self.open_idx[v]][i]
-            )
-            for i in range(k)
-        ]
+        self.int_el = [interior(s) for s in self.subs]
         self.dense = [e == frame.bottom for e in self.ext]
 
     @cached_property
@@ -311,37 +288,32 @@ class SubLattice:
 
     @cached_property
     def generic_idx(self) -> int:
-        return self.index[generic(self.frame).nucleus]
+        return generic(self.frame).points
 
     @cached_property
     def subspace_idx(self) -> dict:
         """Point subset -> index of its subspace part (topology frames only)."""
         pts = self.frame.point_names
         return {
-            frozenset(c): self.index[subspace_sublocale(self.frame, c).nucleus]
+            frozenset(c): subspace_sublocale(self.frame, c).points
             for r in range(len(pts) + 1)
             for c in itertools.combinations(pts, r)
         }
 
     def label(self, i: int) -> str:
-        s = self.subs[i]
-        fixed = [
-            str(self.frame.elements[h])
-            for h in range(self.frame.n)
-            if s.nucleus[h] == h
-        ]
+        fixed = [str(self.frame.elements[h]) for h in self.subs[i].fixpoints]
         return "fix(" + ",".join(fixed) + ")"
 
     def meet_fold(self, idxs) -> int:
         out = self.whole_idx
         for i in idxs:
-            out = self.meet_t[out][i]
+            out &= i
         return out
 
     def union_fold(self, idxs) -> int:
         out = self.empty_idx
         for i in idxs:
-            out = self.union_t[out][i]
+            out |= i
         return out
 
 
@@ -549,7 +521,8 @@ def _open_order(L):
     bad = []
     for u in range(fr.n):
         for v in range(fr.n):
-            if fr.leq(u, v) != L.le[L.open_idx[u]][L.open_idx[v]]:
+            ou, ov = L.open_idx[u], L.open_idx[v]
+            if fr.leq(u, v) != (ou & ov == ou):
                 bad.append({"u": fr.name(u), "v": fr.name(v)})
     return fr.n ** 2, bad
 
@@ -560,7 +533,7 @@ def _open_meet(L):
     bad = []
     for u in range(fr.n):
         for v in range(fr.n):
-            if L.open_idx[fr.meet(u, v)] != L.meet_t[L.open_idx[u]][L.open_idx[v]]:
+            if L.open_idx[fr.meet(u, v)] != L.open_idx[u] & L.open_idx[v]:
                 bad.append({"u": fr.name(u), "v": fr.name(v)})
     return fr.n ** 2, bad
 
@@ -571,7 +544,7 @@ def _open_join(L):
     bad = []
     for u in range(fr.n):
         for v in range(fr.n):
-            if L.open_idx[fr.join(u, v)] != L.union_t[L.open_idx[u]][L.open_idx[v]]:
+            if L.open_idx[fr.join(u, v)] != L.open_idx[u] | L.open_idx[v]:
                 bad.append({"u": fr.name(u), "v": fr.name(v)})
     return fr.n ** 2, bad
 
@@ -583,11 +556,12 @@ def _closed_duality(L):
     bad = []
     for u in range(fr.n):
         for v in range(fr.n):
-            if fr.leq(v, u) != L.le[L.closed_idx[u]][L.closed_idx[v]]:
+            cu, cv = L.closed_idx[u], L.closed_idx[v]
+            if fr.leq(v, u) != (cu & cv == cu):
                 bad.append({"law": "order", "u": nm(u), "v": nm(v)})
-            if L.closed_idx[fr.join(u, v)] != L.meet_t[L.closed_idx[u]][L.closed_idx[v]]:
+            if L.closed_idx[fr.join(u, v)] != L.closed_idx[u] & L.closed_idx[v]:
                 bad.append({"law": "meet", "u": nm(u), "v": nm(v)})
-            if L.closed_idx[fr.meet(u, v)] != L.union_t[L.closed_idx[u]][L.closed_idx[v]]:
+            if L.closed_idx[fr.meet(u, v)] != L.closed_idx[u] | L.closed_idx[v]:
                 bad.append({"law": "join", "u": nm(u), "v": nm(v)})
     return 3 * fr.n ** 2, bad
 
@@ -597,9 +571,9 @@ def _open_closed_partition(L):
     fr = L.frame
     bad = []
     for v in range(fr.n):
-        if L.union_t[L.open_idx[v]][L.closed_idx[v]] != L.whole_idx:
+        if (L.open_idx[v] | L.closed_idx[v]) != L.whole_idx:
             bad.append({"v": fr.name(v), "side": "union"})
-        if L.meet_t[L.open_idx[v]][L.closed_idx[v]] != L.empty_idx:
+        if (L.open_idx[v] & L.closed_idx[v]) != L.empty_idx:
             bad.append({"v": fr.name(v), "side": "meet"})
     return 2 * fr.n, bad
 
@@ -613,13 +587,13 @@ def _complement_characterizations(L):
     for v in range(fr.n):
         ov, cv = L.open_idx[v], L.closed_idx[v]
         for x in range(k):
-            if (L.union_t[x][cv] == L.whole_idx) != L.le[ov][x]:
+            if (x | cv == L.whole_idx) != (ov & x == ov):
                 bad.append({"v": fr.name(v), "x": L.label(x), "form": "X u c(V) = E iff [V] in X"})
-            if (L.meet_t[x][ov] == L.empty_idx) != L.le[x][cv]:
+            if (x & ov == L.empty_idx) != (x & cv == x):
                 bad.append({"v": fr.name(v), "x": L.label(x), "form": "X n [V] = 0 iff X in c(V)"})
-            if (L.union_t[x][ov] == L.whole_idx) != L.le[cv][x]:
+            if (x | ov == L.whole_idx) != (cv & x == cv):
                 bad.append({"v": fr.name(v), "x": L.label(x), "form": "X u [V] = E iff c(V) in X"})
-            if (L.meet_t[x][cv] == L.empty_idx) != L.le[x][ov]:
+            if (x & cv == L.empty_idx) != (x & ov == x):
                 bad.append({"v": fr.name(v), "x": L.label(x), "form": "X n c(V) = 0 iff X in [V]"})
     return 4 * fr.n * k, bad
 
@@ -635,8 +609,8 @@ def _meet_nucleus_form(L):
         ov, cv = L.open_idx[v], L.closed_idx[v]
         for x in range(k):
             ex = L.subs[x].nucleus
-            open_meet = L.subs[L.meet_t[ov][x]].nucleus
-            closed_meet = L.subs[L.meet_t[cv][x]].nucleus
+            open_meet = L.subs[ov & x].nucleus
+            closed_meet = L.subs[cv & x].nucleus
             for h in range(fr.n):
                 if open_meet[h] != fr.heyting(v, ex[h]):
                     bad.append({"v": nm(v), "x": L.label(x), "h": nm(h), "side": "open"})
@@ -653,11 +627,9 @@ def _side_distributivity(L):
     bad = []
     for v in range(fr.n):
         for li in (L.open_idx[v], L.closed_idx[v]):
-            row_m, row_u = L.meet_t[li], L.union_t
             for x in range(k):
-                mx = row_m[x]
                 for y in range(k):
-                    if row_m[row_u[x][y]] != row_u[mx][row_m[y]]:
+                    if li & (x | y) != (li & x) | (li & y):
                         bad.append({"v": fr.name(v), "x": L.label(x), "y": L.label(y)})
     return 2 * fr.n * k * k, bad
 
@@ -669,16 +641,16 @@ def _union_lub_intersect_glb(L):
     checked, bad = 0, []
     for i in range(k):
         for j in range(k):
-            u, m = L.union_t[i][j], L.meet_t[i][j]
+            u, m = i | j, i & j
             checked += 2
-            if not (L.le[i][u] and L.le[j][u]) or not (L.le[m][i] and L.le[m][j]):
+            if not (i & u == i and j & u == j) or not (m & i == m and m & j == m):
                 bad.append({"x": L.label(i), "y": L.label(j), "form": "bounds"})
                 continue
             checked += 2 * k
             for z in range(k):
-                if L.le[i][z] and L.le[j][z] and not L.le[u][z]:
+                if i & z == i and j & z == j and u & z != u:
                     bad.append({"x": L.label(i), "y": L.label(j), "z": L.label(z), "form": "union not least"})
-                if L.le[z][i] and L.le[z][j] and not L.le[z][m]:
+                if z & i == z and z & j == z and z & m != z:
                     bad.append({"x": L.label(i), "y": L.label(j), "z": L.label(z), "form": "meet not greatest"})
     return checked, bad
 
@@ -690,14 +662,11 @@ def _join_over_meet(L):
     k = len(L.subs)
     bad = []
     for a in range(k):
-        row_u = L.union_t[a]
         for i, j in itertools.combinations(range(k), 2):
-            if row_u[L.meet_t[i][j]] != L.meet_t[row_u[i]][row_u[j]]:
+            if a | (i & j) != (a | i) & (a | j):
                 bad.append({"a": L.label(a), "b1": L.label(i), "b2": L.label(j)})
         for i, j, h in itertools.combinations(range(k), 3):
-            lhs = row_u[L.meet_t[L.meet_t[i][j]][h]]
-            rhs = L.meet_t[L.meet_t[row_u[i]][row_u[j]]][row_u[h]]
-            if lhs != rhs:
+            if a | (i & j & h) != (a | i) & (a | j) & (a | h):
                 bad.append({"a": L.label(a), "b1": L.label(i), "b2": L.label(j), "b3": L.label(h)})
     return k * (comb(k, 2) + comb(k, 3)), bad
 
@@ -709,18 +678,18 @@ def _closure_interior_extremal(L):
     bad = []
     for i in range(k):
         ci = L.closure_idx[i]
-        if not L.le[i][ci]:
+        if i & ci != i:
             bad.append({"x": L.label(i), "form": "closure not above"})
         if ci not in L.closed_parts:
             bad.append({"x": L.label(i), "form": "closure not closed"})
         if L.closure_idx[ci] != ci:
             bad.append({"x": L.label(i), "form": "closure not idempotent"})
         for d in L.closed_parts:
-            if L.le[i][d] and not L.le[ci][d]:
+            if i & d == i and ci & d != ci:
                 bad.append({"x": L.label(i), "form": "closure not least", "d": L.label(d)})
         u = L.int_el[i]
-        if not L.le[L.open_idx[u]][i] or any(
-            L.le[L.open_idx[v]][i] and not fr.leq(v, u) for v in range(fr.n)
+        if L.open_idx[u] & i != L.open_idx[u] or any(
+            L.open_idx[v] & i == L.open_idx[v] and not fr.leq(v, u) for v in range(fr.n)
         ):
             bad.append({"x": L.label(i), "form": "interior not greatest open inside"})
     return k * (4 + len(L.closed_parts)), bad
@@ -733,14 +702,14 @@ def _exterior_partition(L):
     bad = []
     for i in range(k):
         ext_i, int_i = L.ext[i], L.int_el[i]
-        bd = L.meet_t[L.closure_idx[i]][L.closed_idx[int_i]]
+        bd = L.closure_idx[i] & L.closed_idx[int_i]
         if L.closure_idx[i] != L.closed_idx[ext_i]:
             bad.append({"x": L.label(i), "form": "closure is c(Ext X)"})
         if bd != L.closed_idx[fr.join(int_i, ext_i)]:
             bad.append({"x": L.label(i), "form": "boundary is c(Int X u Ext X)"})
-        if L.union_t[L.open_idx[int_i]][bd] != L.closure_idx[i]:
+        if (L.open_idx[int_i] | bd) != L.closure_idx[i]:
             bad.append({"x": L.label(i), "form": "[Int X] u boundary = closure"})
-        if L.union_t[L.open_idx[ext_i]][bd] != L.closed_idx[int_i]:
+        if (L.open_idx[ext_i] | bd) != L.closed_idx[int_i]:
             bad.append({"x": L.label(i), "form": "[Ext X] u boundary = c(Int X)"})
         dense = L.dense[i]
         if dense != (L.closure_idx[i] == L.whole_idx) or dense != is_dense(L.subs[i]):
@@ -772,7 +741,7 @@ def _generic_dense(L):
 def _generic_least_dense(L):
     bad = []
     for i in range(len(L.subs)):
-        if L.dense[i] and not L.le[L.generic_idx][i]:
+        if L.dense[i] and L.generic_idx & i != L.generic_idx:
             bad.append({"d": L.label(i)})
     return sum(L.dense), bad
 
@@ -796,7 +765,7 @@ def _generic_closed_swap(L):
     fr, gi = L.frame, L.generic_idx
     bad = []
     for v in range(fr.n):
-        if L.meet_t[gi][L.closed_idx[v]] != L.meet_t[gi][L.open_idx[fr.neg(v)]]:
+        if gi & L.closed_idx[v] != gi & L.open_idx[fr.neg(v)]:
             bad.append({"v": fr.name(v)})
     return fr.n, bad
 
@@ -807,11 +776,11 @@ def _smallest_cocover(L):
     k = len(L.subs)
     bad = []
     for i in range(k):
-        yi = L.index[complement_c(L.subs[i], all_subs=L.subs).nucleus]
-        if L.union_t[i][yi] != L.whole_idx:
+        yi = complement_c(L.subs[i]).points
+        if i | yi != L.whole_idx:
             bad.append({"x": L.label(i), "form": "not a cover"})
         for z in range(k):
-            if L.union_t[i][z] == L.whole_idx and not L.le[yi][z]:
+            if i | z == L.whole_idx and yi & z != yi:
                 bad.append({"x": L.label(i), "z": L.label(z), "form": "not least"})
     return k * (1 + k), bad
 
@@ -836,21 +805,17 @@ def _entanglement_zone(L):
     bad = []
     for a in range(k):
         for b in range(k):
-            eps = L.closure_idx[L.meet_t[a][b]]
-            got = entanglement(L.subs[a], L.subs[b])
-            if L.index[got.nucleus] != eps:
+            eps = L.closure_idx[a & b]
+            if entanglement(L.subs[a], L.subs[b]).points != eps:
                 bad.append({"a": L.label(a), "b": L.label(b), "form": "closure of the meet"})
 
             def dense_in(g):
-                return (
-                    L.closure_idx[L.meet_t[a][g]] == g
-                    and L.closure_idx[L.meet_t[b][g]] == g
-                )
+                return L.closure_idx[a & g] == g and L.closure_idx[b & g] == g
 
             if not dense_in(eps):
                 bad.append({"a": L.label(a), "b": L.label(b), "form": "zone not dense in itself"})
             for g in L.closed_parts:
-                if dense_in(g) and not L.le[g][eps]:
+                if dense_in(g) and g & eps != g:
                     bad.append({"a": L.label(a), "b": L.label(b), "g": L.label(g), "form": "not largest"})
     return k * k * (2 + len(L.closed_parts)), bad
 
@@ -863,11 +828,9 @@ def _meet_over_union_search(L):
     k = len(L.subs)
     bad = []
     for x in range(k):
-        row_m = L.meet_t[x]
         for y in range(k):
-            my = row_m[y]
             for z in range(k):
-                if row_m[L.union_t[y][z]] != L.union_t[my][row_m[z]]:
+                if x & (y | z) != (x & y) | (x & z):
                     bad.append({"x": L.label(x), "y": L.label(y), "z": L.label(z)})
     return k ** 3, bad
 
@@ -891,16 +854,18 @@ def _subspace_laws(L):
         ie = fr.join_all(v for v in range(fr.n) if fr.opens[v] <= xs)
         if not fr.leq(ie, L.int_el[ix]):
             bad.append({"X": set_label(xs), "form": "point interior inside localic interior"})
-        bd = L.meet_t[L.closure_idx[ix]][L.closed_idx[L.int_el[ix]]]
-        if not L.le[bd][idx_of[closure_pts - fr.opens[ie]]]:
+        bd = L.closure_idx[ix] & L.closed_idx[L.int_el[ix]]
+        point_bd = idx_of[closure_pts - fr.opens[ie]]
+        if bd & point_bd != bd:
             bad.append({"X": set_label(xs), "form": "boundary inside the point boundary"})
         for v in range(fr.n):
-            if idx_of[frozenset(fr.opens[v] & xs)] != L.meet_t[L.open_idx[v]][ix]:
+            if idx_of[frozenset(fr.opens[v] & xs)] != L.open_idx[v] & ix:
                 bad.append({"X": set_label(xs), "U": fr.name(v), "form": "[U n X] = [U] n [X]"})
         for ys, iy in idx_of.items():
-            if idx_of[xs | ys] != L.union_t[ix][iy]:
+            if idx_of[xs | ys] != ix | iy:
                 bad.append({"X": set_label(xs), "Y": set_label(ys), "form": "[X u Y] = [X] u [Y]"})
-            if not L.le[idx_of[xs & ys]][L.meet_t[ix][iy]]:
+            both = idx_of[xs & ys]
+            if both & ix & iy != both:
                 bad.append({"X": set_label(xs), "Y": set_label(ys), "form": "[X n Y] inside [X] n [Y]"})
     s = len(idx_of)
     return s * (4 + fr.n + 2 * s), bad
@@ -915,8 +880,8 @@ def _lossy_note(name: str, L: SubLattice):
     idx_of = L.subspace_idx
     for xs, ix in idx_of.items():
         for ys, iy in idx_of.items():
-            both, meet = idx_of[xs & ys], L.meet_t[ix][iy]
-            if both != meet and L.le[both][meet]:
+            both, meet = idx_of[xs & ys], ix & iy
+            if both != meet and both & meet == both:
                 return (
                     f"point picture is lossy on {name}: [X n Y] is strictly "
                     f"below [X] n [Y] for X={set_label(xs)}, Y={set_label(ys)}"
@@ -969,8 +934,8 @@ class _Mapped:
 
     def __init__(self, f, FL: SubLattice, EL: SubLattice):
         self.f, self.FL, self.EL = f, FL, EL
-        self.pre = [EL.index[preimage(f, y).nucleus] for y in FL.subs]
-        self.img = [FL.index[image(f, x).nucleus] for x in EL.subs]
+        self.pre = [preimage(f, y).points for y in FL.subs]
+        self.img = [image(f, x).points for x in EL.subs]
 
 
 @_declare(LATTICE_LAWS, "layer-decomposition", "every part is the meet over V of [V] u c(e(V))")
@@ -978,8 +943,7 @@ def _layer_decomposition(L):
     bad = []
     for i, sub in enumerate(L.subs):
         layers = [
-            L.union_t[L.open_idx[v]][L.closed_idx[sub.nucleus[v]]]
-            for v in range(L.frame.n)
+            L.open_idx[v] | L.closed_idx[sub.nucleus[v]] for v in range(L.frame.n)
         ]
         if L.meet_fold(layers) != i:
             bad.append({"x": L.label(i)})
@@ -989,14 +953,14 @@ def _layer_decomposition(L):
 @_declare(LATTICE_LAWS, "boolean-combination-distributivity",
           "H n (A u B) = (H n A) u (H n B) for H a boolean combination of opens")
 def _boolean_combination_distributivity(L):
-    cell_idx = [L.index[c.nucleus] for c in atoms(L.frame)]
+    cell_idx = [c.points for c in atoms(L.frame)]
     cells, k = len(cell_idx), len(L.subs)
     bad = []
     if cell_idx:
         if L.union_fold(cell_idx) != L.whole_idx:
             bad.append({"form": "cells do not cover"})
         for i, j in itertools.combinations(range(cells), 2):
-            if L.meet_t[cell_idx[i]][cell_idx[j]] != L.empty_idx:
+            if cell_idx[i] & cell_idx[j] != L.empty_idx:
                 bad.append({"form": "cells overlap", "i": str(i), "j": str(j)})
     combos = sorted(
         {
@@ -1006,11 +970,9 @@ def _boolean_combination_distributivity(L):
         }
     )
     for h in combos:
-        row_m = L.meet_t[h]
         for x in range(k):
-            mx = row_m[x]
             for y in range(k):
-                if row_m[L.union_t[x][y]] != L.union_t[mx][row_m[y]]:
+                if h & (x | y) != (h & x) | (h & y):
                     bad.append({"h": L.label(h), "a": L.label(x), "b": L.label(y)})
     cover_cases = 1 + comb(cells, 2) if cells else 0
     return cover_cases + len(combos) * k * k, bad
@@ -1022,18 +984,8 @@ def _meets_join_product(L):
     pairs = list(itertools.combinations(range(len(L.subs)), 2))
     bad = []
     for a1, a2 in pairs:
-        ma = L.meet_t[a1][a2]
         for b1, b2 in pairs:
-            lhs = L.union_t[ma][L.meet_t[b1][b2]]
-            rhs = L.meet_fold(
-                [
-                    L.union_t[a1][b1],
-                    L.union_t[a1][b2],
-                    L.union_t[a2][b1],
-                    L.union_t[a2][b2],
-                ]
-            )
-            if lhs != rhs:
+            if (a1 & a2) | (b1 & b2) != (a1 | b1) & (a1 | b2) & (a2 | b1) & (a2 | b2):
                 bad.append(
                     {"a1": L.label(a1), "a2": L.label(a2), "b1": L.label(b1), "b2": L.label(b2)}
                 )
@@ -1065,9 +1017,9 @@ def _preimage_open_closed(m):
     src = f.source
     bad = []
     for v in range(src.n):
-        if EL.index[preimage(f, open_sublocale(src, v)).nucleus] != EL.open_idx[f.fstar[v]]:
+        if preimage(f, open_sublocale(src, v)).points != EL.open_idx[f.fstar[v]]:
             bad.append({"v": src.name(v), "side": "open"})
-        if EL.index[preimage(f, closed_sublocale(src, v)).nucleus] != EL.closed_idx[f.fstar[v]]:
+        if preimage(f, closed_sublocale(src, v)).points != EL.closed_idx[f.fstar[v]]:
             bad.append({"v": src.name(v), "side": "closed"})
     return 2 * src.n, bad
 
@@ -1081,9 +1033,9 @@ def _preimage_union_meet(m):
     for i in range(kf):
         pi = pre[i]
         for j in range(kf):
-            if pre[FL.union_t[i][j]] != EL.union_t[pi][pre[j]]:
+            if pre[i | j] != pi | pre[j]:
                 bad.append({"a": FL.label(i), "b": FL.label(j), "side": "union"})
-            if pre[FL.meet_t[i][j]] != EL.meet_t[pi][pre[j]]:
+            if pre[i & j] != pi & pre[j]:
                 bad.append({"a": FL.label(i), "b": FL.label(j), "side": "meet"})
     return 2 * kf * kf, bad
 
@@ -1095,7 +1047,7 @@ def _image_union(m):
     bad = []
     for i in range(ke):
         for j in range(ke):
-            if img[EL.union_t[i][j]] != FL.union_t[img[i]][img[j]]:
+            if img[i | j] != img[i] | img[j]:
                 bad.append({"x": EL.label(i), "y": EL.label(j)})
     return ke * ke, bad
 
@@ -1106,10 +1058,10 @@ def _image_preimage_galois(m):
     FL, EL, pre, img = m.FL, m.EL, m.pre, m.img
     bad = []
     for i in range(len(FL.subs)):
-        if not FL.le[img[pre[i]]][i]:
+        if img[pre[i]] & i != img[pre[i]]:
             bad.append({"y": FL.label(i), "side": "image of pullback"})
     for j in range(len(EL.subs)):
-        if not EL.le[j][pre[img[j]]]:
+        if j & pre[img[j]] != j:
             bad.append({"x": EL.label(j), "side": "pullback of image"})
     return len(FL.subs) + len(EL.subs), bad
 
@@ -1127,10 +1079,10 @@ def _composition(ctx):
                 checked += len(CL.subs) + len(AL.subs)
                 for x in CL.subs:
                     if image(h, x) != image(f, image(g, x)):
-                        bad.append({"path": f"{an}->{bn}->{cn}", "x": CL.label(CL.index[x.nucleus])})
+                        bad.append({"path": f"{an}->{bn}->{cn}", "x": CL.label(x.points)})
                 for y in AL.subs:
                     if preimage(h, y) != preimage(g, preimage(f, y)):
-                        bad.append({"path": f"{an}->{bn}->{cn}", "y": AL.label(AL.index[y.nucleus])})
+                        bad.append({"path": f"{an}->{bn}->{cn}", "y": AL.label(y.points)})
     return checked, bad
 
 
@@ -1246,7 +1198,7 @@ class _Valued:
         self.L, self.val = L, val
         self.out = [outer_measure_finite(val, x) for x in L.subs]
         self.top = val(L.frame.top)
-        self.red = [L.index[mu_reduce(val, x, all_subs=L.subs).nucleus] for x in L.subs]
+        self.red = [mu_reduce(val, x, all_subs=L.subs).points for x in L.subs]
         self.reduced = sorted(set(self.red))
 
 
@@ -1267,7 +1219,7 @@ def _outer_monotone(m):
     bad = []
     for i in range(k):
         for j in range(k):
-            if L.le[i][j] and out[i] > out[j]:
+            if i & j == i and out[i] > out[j]:
                 bad.append({"x": L.label(i), "y": L.label(j)})
     return k * k, bad
 
@@ -1279,14 +1231,12 @@ def _strict_additivity(m):
     bad = []
     for i in range(k):
         for j in range(k):
-            if out[L.union_t[i][j]] + out[L.meet_t[i][j]] != out[i] + out[j]:
+            if out[i | j] + out[i & j] != out[i] + out[j]:
                 bad.append(
                     {
                         "x": L.label(i),
                         "y": L.label(j),
-                        "residual": str(
-                            out[L.union_t[i][j]] + out[L.meet_t[i][j]] - out[i] - out[j]
-                        ),
+                        "residual": str(out[i | j] + out[i & j] - out[i] - out[j]),
                     }
                 )
     return k * k, bad
@@ -1299,17 +1249,16 @@ def _increasing_union_sup(m):
     checked, bad = 0, []
     for i in range(k):
         for j in range(k):
-            if not L.le[i][j]:
+            if i & j != i:
                 continue
             checked += 1
-            if out[L.union_t[i][j]] != max(out[i], out[j]):
+            if out[i | j] != max(out[i], out[j]):
                 bad.append({"x": L.label(i), "y": L.label(j)})
             for h in range(k):
-                if not L.le[j][h]:
+                if j & h != j:
                     continue
                 checked += 1
-                u = L.union_t[L.union_t[i][j]][h]
-                if out[u] != max(out[i], out[j], out[h]):
+                if out[i | j | h] != max(out[i], out[j], out[h]):
                     bad.append({"x": L.label(i), "y": L.label(j), "z": L.label(h)})
     return checked, bad
 
@@ -1330,7 +1279,7 @@ def _open_split(m):
     bad = []
     for i in range(len(L.subs)):
         for v in range(fr.n):
-            if out[L.meet_t[i][L.open_idx[v]]] + out[L.meet_t[i][L.closed_idx[v]]] != out[i]:
+            if out[i & L.open_idx[v]] + out[i & L.closed_idx[v]] != out[i]:
                 bad.append({"x": L.label(i), "v": fr.name(v)})
     return len(L.subs) * fr.n, bad
 
@@ -1342,14 +1291,13 @@ def _relative_modularity(m):
     n, nm = fr.n, fr.name
     bad = []
     for i in range(len(L.subs)):
-        row = L.meet_t[i]
         for u in range(n):
             for v in range(n):
-                ju, jv = L.open_idx[u], L.open_idx[v]
-                lhs = out[row[L.open_idx[fr.join(u, v)]]]
-                if lhs != out[row[ju]] + out[row[jv]] - out[row[L.open_idx[fr.meet(u, v)]]]:
+                iu, iv = out[i & L.open_idx[u]], out[i & L.open_idx[v]]
+                lhs = out[i & L.open_idx[fr.join(u, v)]]
+                if lhs != iu + iv - out[i & L.open_idx[fr.meet(u, v)]]:
                     bad.append({"x": L.label(i), "u": nm(u), "v": nm(v), "form": "relative modularity"})
-                if lhs != max(out[row[ju]], out[row[jv]], lhs):
+                if lhs != max(iu, iv, lhs):
                     bad.append({"x": L.label(i), "u": nm(u), "v": nm(v), "form": "filtered sup"})
     return 2 * len(L.subs) * n * n, bad
 
@@ -1362,13 +1310,13 @@ def _decreasing_meet_inf(m):
     bad = []
     for u in range(n):
         for v in range(n):
-            if out[L.meet_t[L.open_idx[u]][L.open_idx[v]]] != min(
+            if out[L.open_idx[u] & L.open_idx[v]] != min(
                 val(u), val(v), val(fr.meet(u, v))
             ):
                 bad.append({"u": fr.name(u), "v": fr.name(v)})
     for i in range(k):
         for j in range(k):
-            if out[L.meet_t[i][j]] != min(out[i], out[j], out[L.meet_t[i][j]]):
+            if out[i & j] != min(out[i], out[j], out[i & j]):
                 bad.append({"x": L.label(i), "y": L.label(j)})
     return n * n + k * k, bad
 
@@ -1380,12 +1328,12 @@ def _reduction(m):
     bad = []
     for i in range(k):
         r = red[i]
-        if not L.le[r][i] or out[r] != out[i]:
+        if r & i != r or out[r] != out[i]:
             bad.append({"x": L.label(i), "form": "reduction keeps measure inside"})
         if red[r] != r:
             bad.append({"x": L.label(i), "form": "idempotent"})
         for z in range(k):
-            if L.le[z][i] and out[z] == out[i] and not L.le[r][z]:
+            if z & i == z and out[z] == out[i] and r & z != r:
                 bad.append({"x": L.label(i), "z": L.label(z), "form": "least full-measure part"})
     return k * (3 + k), bad
 
@@ -1397,14 +1345,13 @@ def _reduced_parts_algebra(m):
     bad = []
     for r1 in reduced:
         for r2 in reduced:
-            u = L.union_t[r1][r2]
+            u = r1 | r2
             if red[u] != u:
                 bad.append({"x": L.label(r1), "y": L.label(r2)})
     for r1 in reduced:
-        row = L.meet_t[r1]
         for r2 in reduced:
             for r3 in reduced:
-                if row[L.union_t[r2][r3]] != L.union_t[row[r2]][row[r3]]:
+                if r1 & (r2 | r3) != (r1 & r2) | (r1 & r3):
                     bad.append({"x": L.label(r1), "y": L.label(r2), "z": L.label(r3)})
     return len(reduced) ** 2 + len(reduced) ** 3, bad
 

@@ -2,8 +2,10 @@
 
 A FrameMorphism stores fstar, the frame homomorphism from `source` to
 `target`; read as a map of locales it points the other way, from the
-locale of `target` to the locale of `source`. Everything downstream
-(adjoints, images, preimages) is phrased in terms of fstar alone.
+locale of `target` to the locale of `source`. Adjoints are phrased in
+terms of fstar alone. The right adjoint f_* sends each point (prime) of
+the target to a point of the source, and images and preimages of parts,
+which are sets of points, move forward and back along that point map.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import itertools
 
 from locale_lab.frames import Frame, FrameError, FrameSpec, build_frame
+# union and whole are not used here but stay importable from this module
 from locale_lab.sublocales import (
     MixedFrames,
     Sublocale,
@@ -32,13 +35,14 @@ class NotAFrameMorphism(FrameError):
 class FrameMorphism:
     """A validated frame homomorphism fstar: source -> target."""
 
-    __slots__ = ("source", "target", "fstar", "_adjoint")
+    __slots__ = ("source", "target", "fstar", "_adjoint", "_points")
 
     def __init__(self, source: Frame, target: Frame, fstar: tuple):
         self.source = source
         self.target = target
         self.fstar = fstar
         self._adjoint = None
+        self._points = None
 
     def __call__(self, v) -> int:
         return self.fstar[self.source.el(v)]
@@ -148,34 +152,39 @@ def sublocale_embedding(x: Sublocale):
     return FrameMorphism(x.frame, omega, fstar), omega, fix
 
 
+def _point_map(f: FrameMorphism) -> tuple:
+    """Entry j is the index in `f.source.primes` of f_*(q) for the target
+    prime q = f.target.primes[j]: a frame map's right adjoint sends
+    primes to primes, so a locale map moves points to points."""
+    if f._points is None:
+        adj = right_adjoint(f)
+        f._points = tuple(f.source.primes.index(adj[q]) for q in f.target.primes)
+    return f._points
+
+
 def image(f: FrameMorphism, x: Sublocale) -> Sublocale:
-    """Forward image of a sublocale of the target locale, as a nucleus
-    V -> f_*(e_x(fstar(V))) on the source frame."""
+    """Forward image of a sublocale of the target locale: its points moved
+    along the point map. Its nucleus is V -> f_*(e_x(fstar(V)))."""
     if x.frame is not f.target:
         raise MixedFrames()
-    adj = right_adjoint(f)
-    e = tuple(adj[x.nucleus[f.fstar[v]]] for v in range(f.source.n))
-    return Sublocale(f.source, e)
+    points = 0
+    for j, i in enumerate(_point_map(f)):
+        if x.points >> j & 1:
+            points |= 1 << i
+    return Sublocale(f.source, points)
 
 
 def preimage(f: FrameMorphism, y: Sublocale) -> Sublocale:
-    """Inverse image: intersect the pullbacks of y's open-closed layers.
-
-    y is the intersection over V of [V] union c(e_y(V)), and each layer
-    pulls back to [fstar(V)] union c(fstar(e_y(V))).
-    """
+    """Inverse image: the target points the point map sends into y. Its
+    nucleus is the meet over V of the layers [fstar(V)] union
+    c(fstar(e_y(V)))."""
     if y.frame is not f.source:
         raise MixedFrames()
-    src = f.source
-    layers = []
-    for v in range(src.n):
-        layers.append(
-            union(
-                open_sublocale(f.target, f.fstar[v]),
-                closed_sublocale(f.target, f.fstar[y.nucleus[v]]),
-            )
-        )
-    return intersect_all(f.target, layers)
+    points = 0
+    for j, i in enumerate(_point_map(f)):
+        if y.points >> i & 1:
+            points |= 1 << j
+    return Sublocale(f.target, points)
 
 
 def factors_through(f: FrameMorphism, i: FrameMorphism):

@@ -1,25 +1,22 @@
-"""Sublocales of a finite frame, represented by their nuclei.
+"""Sublocales of a finite frame, represented by their sets of points.
 
-A sublocale is stored as the full graph of its nucleus (a tuple indexed by
-frame elements). Two sublocales are equal exactly when their nuclei agree,
-and X is contained in Y exactly when e_X >= e_Y pointwise. The fixpoint
-set determines the nucleus (e(x) is the least fixpoint above x), which is
-what `enumerate_sublocales` exploits.
+Every finite frame is spatial (Birkhoff's representation theorem) and
+every finite T0 space is T_D (Picado & Pultr, *Frames and Locales*), so
+the sublocales of a finite frame correspond exactly to the sets of its
+points, the primes in `Frame.primes`. A sublocale stores that set as a
+bitmask; union, intersection and inclusion are `|`, `&` and a subset
+test, and the part lattice is the Boolean algebra of point sets. The
+nucleus is a derived view: e(a) is the meet of the part's points above a.
 
 Validation happens at the edges: `validate_nucleus` checks a mapping
-supplied from outside, and `enumerate_sublocales` uses it to filter its
-candidates. The library's own constructors (open, closed, generic,
-subspace, union, intersect here; image and preimage in `morphisms`) build
-`Sublocale` directly, because their results are nuclei by standard
-closure facts (Picado & Pultr, *Frames and Locales*, ch. III); the tests
-keep `validate_nucleus` on them as an oracle.
+supplied from outside and returns the part made of the primes it fixes.
+The library's own constructors build `Sublocale` directly; the tests keep
+the nucleus algorithms as a differential oracle.
 """
 
 from __future__ import annotations
 
-import itertools
-
-from locale_lab.frames import Frame, FrameError, build_frame, FrameSpec
+from locale_lab.frames import Frame, FrameError, FrameSpec, build_frame
 
 
 class NucleusError(FrameError):
@@ -55,43 +52,64 @@ class FrameTooLarge(FrameError):
 
 
 class Sublocale:
-    """A nucleus on a frame. Immutable; hashable.
+    """A part of a finite frame: a set of its points. Immutable; hashable.
+
+    `points` is a bitmask over `frame.primes` (bit i for primes[i]). Every
+    finite frame is spatial and every finite T0 space is T_D, so the parts
+    correspond exactly to these sets. The nucleus is derived from them:
+    e(a) is the meet of the points in the part that lie above a.
 
     The constructor trusts its argument; use `validate_nucleus` for a
     mapping that does not come from the library's own constructors.
     """
 
-    __slots__ = ("frame", "nucleus", "fixpoints", "_hash")
+    __slots__ = ("frame", "points", "_nucleus")
 
-    def __init__(self, frame: Frame, nucleus: tuple):
+    def __init__(self, frame: Frame, points: int):
         self.frame = frame
-        self.nucleus = nucleus
-        self.fixpoints = tuple(i for i in range(frame.n) if nucleus[i] == i)
-        self._hash = hash((id(frame), nucleus))
+        self.points = points
+        self._nucleus = None
+
+    @property
+    def nucleus(self) -> tuple:
+        if self._nucleus is None:
+            fr = self.frame
+            self._nucleus = tuple(
+                fr.meet_of_primes(self.points & above) for above in fr.primes_above
+            )
+        return self._nucleus
+
+    @property
+    def fixpoints(self) -> tuple:
+        e = self.nucleus
+        return tuple(i for i in range(self.frame.n) if e[i] == i)
 
     def fix(self, h: int) -> int:
         return self.nucleus[h]
 
     @property
     def is_whole(self) -> bool:
-        return len(self.fixpoints) == self.frame.n
+        return self.points == _all_points(self.frame)
 
     @property
     def is_empty(self) -> bool:
-        # only top is fixed
-        return self.fixpoints == (self.frame.top,)
+        return self.points == 0
 
     def __eq__(self, other):
         if not isinstance(other, Sublocale):
             return NotImplemented
-        return self.frame is other.frame and self.nucleus == other.nucleus
+        return self.frame is other.frame and self.points == other.points
 
     def __hash__(self):
-        return self._hash
+        return hash((id(self.frame), self.points))
 
     def __repr__(self):
         names = ",".join(str(self.frame.elements[i]) for i in self.fixpoints)
         return f"Sublocale[{names}]"
+
+
+def _all_points(frame: Frame) -> int:
+    return (1 << len(frame.primes)) - 1
 
 
 def _as_map(frame: Frame, mapping) -> tuple:
@@ -122,7 +140,9 @@ def validate_nucleus(frame: Frame, mapping) -> Sublocale:
         for y in range(x, frame.n):
             if e[frame.meet(x, y)] != frame.meet(e[x], e[y]):
                 raise NotMeetPreserving(names[x], names[y])
-    return Sublocale(frame, e)
+    return Sublocale(
+        frame, sum(1 << i for i, p in enumerate(frame.primes) if e[p] == p)
+    )
 
 
 def _same_frame(*subs):
@@ -136,55 +156,60 @@ def _same_frame(*subs):
 # -- basic constructors ---------------------------------------------------
 
 def whole(frame: Frame) -> Sublocale:
-    return Sublocale(frame, tuple(range(frame.n)))
+    return Sublocale(frame, _all_points(frame))
 
 
 def empty(frame: Frame) -> Sublocale:
-    return Sublocale(frame, (frame.top,) * frame.n)
+    return Sublocale(frame, 0)
 
 
 def open_sublocale(frame: Frame, u) -> Sublocale:
+    """[u]: the points not above u."""
     u = frame.el(u)
-    return Sublocale(frame, tuple(frame.heyting(u, h) for h in range(frame.n)))
+    return Sublocale(frame, _all_points(frame) & ~frame.primes_above[u])
 
 
 def closed_sublocale(frame: Frame, v) -> Sublocale:
+    """c(v): the points above v."""
     v = frame.el(v)
-    return Sublocale(frame, tuple(frame.join(h, v) for h in range(frame.n)))
+    return Sublocale(frame, frame.primes_above[v])
 
 
 def generic(frame: Frame) -> Sublocale:
-    """The smallest dense sublocale: double pseudo-complementation."""
-    return Sublocale(frame, tuple(frame.neg(frame.neg(h)) for h in range(frame.n)))
+    """The smallest dense sublocale: the points fixed by double negation."""
+    return Sublocale(frame, _generic_points(frame, frame.bottom))
+
+
+def _generic_points(frame: Frame, a: int) -> int:
+    """The points of the smallest dense part of c(a): the points p above a
+    with (p => a) => a = p, double negation in the frame of c(a)."""
+    def neg(h):
+        return frame.heyting(h, a)
+
+    return sum(
+        1 << i for i, p in enumerate(frame.primes)
+        if frame.leq(a, p) and neg(neg(p)) == p
+    )
 
 
 # -- lattice of sublocales -------------------------------------------------
 
 def union(*subs) -> Sublocale:
-    """Join in the sublocale lattice: pointwise meet of nuclei."""
+    """Join in the sublocale lattice: the union of the point sets."""
     frame = _same_frame(*subs)
-    e = tuple(
-        frame.meet_all(s.nucleus[h] for s in subs) for h in range(frame.n)
-    )
-    # a pointwise meet of nuclei is again a nucleus, idempotence included
-    return Sublocale(frame, e)
+    points = 0
+    for s in subs:
+        points |= s.points
+    return Sublocale(frame, points)
 
 
 def intersect(*subs) -> Sublocale:
-    """Meet in the sublocale lattice: least common fixpoints above each h."""
+    """Meet in the sublocale lattice: the common points."""
     frame = _same_frame(*subs)
-    e = []
-    for h in range(frame.n):
-        cur = h
-        while True:
-            nxt = cur
-            for s in subs:
-                nxt = s.nucleus[nxt]
-            if nxt == cur:
-                break
-            cur = nxt
-        e.append(cur)
-    return Sublocale(frame, tuple(e))
+    points = _all_points(frame)
+    for s in subs:
+        points &= s.points
+    return Sublocale(frame, points)
 
 
 def union_all(frame: Frame, subs) -> Sublocale:
@@ -202,16 +227,16 @@ def intersect_all(frame: Frame, subs) -> Sublocale:
 
 
 def is_subsublocale(x: Sublocale, y: Sublocale) -> bool:
-    """x is contained in y iff e_x dominates e_y pointwise."""
-    frame = _same_frame(x, y)
-    return all(frame.leq(y.nucleus[h], x.nucleus[h]) for h in range(frame.n))
+    """x is contained in y iff every point of x is a point of y."""
+    _same_frame(x, y)
+    return x.points & ~y.points == 0
 
 
 # -- topology of sublocales -------------------------------------------------
 
 def exterior(x: Sublocale) -> int:
-    """The largest open missing x: e_x(bottom)."""
-    return x.nucleus[x.frame.bottom]
+    """The largest open missing x: the meet of its points."""
+    return x.frame.meet_of_primes(x.points)
 
 
 def closure(x: Sublocale) -> Sublocale:
@@ -219,13 +244,9 @@ def closure(x: Sublocale) -> Sublocale:
 
 
 def interior(x: Sublocale) -> int:
-    """The largest open u with [u] contained in x, as a frame element."""
-    frame = x.frame
-    opens = [
-        u for u in range(frame.n)
-        if is_subsublocale(open_sublocale(frame, u), x)
-    ]
-    return frame.join_all(opens)
+    """The largest open u with [u] contained in x: the meet of the points
+    outside x."""
+    return exterior(complement_c(x))
 
 
 def boundary(x: Sublocale) -> Sublocale:
@@ -239,53 +260,16 @@ def is_dense(x: Sublocale) -> bool:
 # -- enumeration -------------------------------------------------------------
 
 def enumerate_sublocales(frame: Frame, max_size: int = 10) -> list:
-    """Every sublocale of the frame, via meet-closed fixpoint sets.
-
-    A subset S containing top is the fixpoint set of a nucleus iff it is
-    closed under meets and the map x -> least member of S above x preserves
-    binary meets. Candidates not satisfying the latter are dropped, so the
-    result is exactly the nuclei, each one validated.
-    """
+    """Every sublocale of the frame: one per set of points, so that the
+    part at position m has `points == m`."""
     if frame.n > max_size:
         raise FrameTooLarge(frame.n, max_size)
-    others = [i for i in range(frame.n) if i != frame.top]
-    seen = set()
-    out = []
-    for r in range(len(others) + 1):
-        for combo in itertools.combinations(others, r):
-            s = set(combo)
-            s.add(frame.top)
-            # meet-closed?
-            ok = all(frame.meet(a, b) in s for a in s for b in s)
-            if not ok:
-                continue
-            e = []
-            for x in range(frame.n):
-                e.append(frame.meet_all(t for t in s if frame.leq(x, t)))
-            e = tuple(e)
-            try:
-                sub = validate_nucleus(frame, e)
-            except NucleusError:
-                continue
-            if sub.nucleus not in seen:
-                seen.add(sub.nucleus)
-                out.append(sub)
-    return out
+    return [Sublocale(frame, m) for m in range(1 << len(frame.primes))]
 
 
-def complement_c(x: Sublocale, all_subs=None, max_size: int = 10) -> Sublocale:
-    """Smallest y with x union y = whole.
-
-    The family of such y is closed under intersections (unions distribute
-    over intersections in the sublocale lattice), so its intersection is
-    the least member.
-    """
-    frame = x.frame
-    if all_subs is None:
-        all_subs = enumerate_sublocales(frame, max_size)
-    w = whole(frame)
-    covers = [y for y in all_subs if union(x, y) == w]
-    return intersect_all(frame, covers)
+def complement_c(x: Sublocale) -> Sublocale:
+    """Smallest y with x union y = whole: the points outside x."""
+    return Sublocale(x.frame, _all_points(x.frame) & ~x.points)
 
 
 def entanglement(a: Sublocale, b: Sublocale) -> Sublocale:
@@ -318,22 +302,15 @@ def fixpoint_frame(x: Sublocale):
 
 def is_boolean_sublocale(b: Sublocale) -> bool:
     """A sublocale is Boolean iff it is the smallest dense part of its closure."""
-    frame = b.frame
-    cl = closure(b)
-    omega, fix = fixpoint_frame(cl)
-    amb_to_om = {amb: k for k, amb in enumerate(fix)}
-    gamma = generic(omega)
-    lifted = tuple(
-        fix[gamma.nucleus[amb_to_om[cl.nucleus[h]]]] for h in range(frame.n)
-    )
-    return Sublocale(frame, lifted) == b
+    return b.points == _generic_points(b.frame, exterior(b))
 
 
 def subspace_sublocale(frame: Frame, pts) -> Sublocale:
     """The sublocale a subset of points induces on its topology's frame.
 
-    e(V) is the largest open W with W intersect pts inside V. Requires a
-    frame built from a topology.
+    Its points are the primes P_x, for x in the subset, where P_x is the
+    largest open missing x. Several points x can share one prime, so the
+    picture can lose information. Requires a frame built from a topology.
     """
     if frame.opens is None:
         raise FrameError("subspace_sublocale needs a frame built from a topology")
@@ -341,11 +318,8 @@ def subspace_sublocale(frame: Frame, pts) -> Sublocale:
     unknown = pts - set(frame.point_names)
     if unknown:
         raise FrameError(f"unknown point {sorted(unknown)[0]!r}")
-    e = []
-    for v in range(frame.n):
-        ws = [
-            w for w in range(frame.n)
-            if frame.opens[w] & pts <= frame.opens[v]
-        ]
-        e.append(frame.join_all(ws))
-    return Sublocale(frame, tuple(e))
+    points = 0
+    for x in pts:
+        missing = frame.join_all(w for w in range(frame.n) if x not in frame.opens[w])
+        points |= 1 << frame.primes.index(missing)
+    return Sublocale(frame, points)

@@ -4,7 +4,7 @@ import shutil
 import pytest
 
 from locale_lab import laws
-from locale_lab.corpus import corpus_root, generate
+from locale_lab.corpus import boolean_spec, chain_spec, corpus_root, generate
 from locale_lab.frames import build_frame, frame_spec_from_json
 from locale_lab.laws import (
     SubLattice,
@@ -16,6 +16,7 @@ from locale_lab.laws import (
     run_sublocale_suite,
     run_suite,
 )
+from locale_lab.sublocales import enumerate_sublocales, intersect, is_subsublocale, union
 
 
 def test_frame_suite_green(frame_report):
@@ -114,11 +115,26 @@ def test_sublattice_tables_on_chain3():
     k = len(L.subs)
     assert k == 4
     for i in range(k):
-        assert L.union_t[i][L.empty_idx] == i
-        assert L.meet_t[i][L.whole_idx] == i
+        assert L.subs[i].points == i
+        assert i | L.empty_idx == i
+        assert i & L.whole_idx == i
         for j in range(k):
-            assert L.union_t[i][j] == L.union_t[j][i]
-            assert L.meet_t[i][j] == L.meet_t[j][i]
+            assert L.subs[i | j] == union(L.subs[i], L.subs[j])
+            assert L.subs[i & j] == intersect(L.subs[i], L.subs[j])
+            assert (i & j == i) == is_subsublocale(L.subs[i], L.subs[j])
+
+
+def test_part_lattice_scales_past_the_corpus():
+    # one part per set of points: 2^11 on the 12-chain, 2^4 on 2^4
+    chain12 = build_frame(chain_spec(12))
+    assert len(enumerate_sublocales(chain12, max_size=12)) == 2048
+    bool16 = build_frame(boolean_spec(4))
+    assert bool16.n == 16
+    assert len(enumerate_sublocales(bool16, max_size=16)) == 16
+    L = SubLattice(chain12)
+    assert len(L.subs) == 2048
+    assert L.whole_idx == 2047
+    assert L.subs[L.whole_idx].is_whole
 
 
 def test_size_cap_skips_with_note(tmp_path):
