@@ -20,6 +20,7 @@ from locale_lab.frames import FrameError, build_frame, spec_from_json
 from locale_lab.intervals import InvalidInterval, parse_ratopen
 from locale_lab.laws import SUITES, format_text, report_to_json, reports_to_json
 from locale_lab.measure import (
+    MIN_TOL,
     Lebesgue,
     NoResidualBound,
     TolNotReached,
@@ -181,7 +182,7 @@ def cmd_measure(args) -> int:
         _err(str(exc))
         return 1
     except TolNotReached as exc:
-        _err(f"tolerance not reached: {exc} (best bounds [{exc.lower}, {exc.upper}])")
+        _err(f"tolerance {args.tol} not reached: {exc}")
         return 1
     if b.is_exact:
         print(f"mu = {b.lower} (exact)")
@@ -310,6 +311,8 @@ def _positive_rational(text: str) -> Fraction:
         value = None
     if value is None or value <= 0:
         raise argparse.ArgumentTypeError(f"expected a positive rational, got {text!r}")
+    if value < MIN_TOL:
+        raise argparse.ArgumentTypeError(f"tolerance {text!r} is below 2^-100")
     return value
 
 

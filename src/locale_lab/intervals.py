@@ -12,6 +12,7 @@ All interior/closure talk is relative to [0,1]; [0,1/4) is open here.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,6 +72,10 @@ def iv(lo, hi, lo_in=False, hi_in=False) -> Iv:
     return Iv(frac(lo), frac(hi), lo_in, hi_in)
 
 
+def _start_key(p: Iv):
+    return (p.lo, not p.lo_in)
+
+
 def _end_key(p: Iv):
     return (p.hi, 1 if p.hi_in else 0)
 
@@ -81,17 +86,22 @@ def _mergeable(a: Iv, b: Iv) -> bool:
     return b.lo < a.hi or (b.lo == a.hi and (a.hi_in or b.lo_in))
 
 
+def _merged(a: Iv, b: Iv) -> Iv:
+    # b starts at or after a and merges with it
+    if _end_key(b) > _end_key(a):
+        return Iv(a.lo, b.hi, a.lo_in, b.hi_in)
+    return a
+
+
 def normalize(pieces) -> "FinUnion":
     live = sorted(
         (p for p in pieces if not p.is_empty),
-        key=lambda p: (p.lo, not p.lo_in),
+        key=_start_key,
     )
     out: list[Iv] = []
     for p in live:
         if out and _mergeable(out[-1], p):
-            a = out[-1]
-            if _end_key(p) > _end_key(a):
-                out[-1] = Iv(a.lo, p.hi, a.lo_in, p.hi_in)
+            out[-1] = _merged(out[-1], p)
         else:
             out.append(p)
     return FinUnion(tuple(out))
@@ -133,6 +143,27 @@ FULL = FinUnion((Iv(Fraction(0), Fraction(1), True, True),))
 
 def union(*us) -> FinUnion:
     return normalize(p for u in us for p in u.pieces)
+
+
+def add(u: FinUnion, v: FinUnion) -> FinUnion:
+    """The union of u with a v of few pieces.
+
+    Each piece of v goes into u's sorted pieces by bisection and swallows
+    the neighbours it merges with, so u is not sorted again; the result is
+    still checked canonical like any FinUnion.
+    """
+    out = list(u.pieces)
+    for p in v.pieces:
+        i = bisect_left(out, _start_key(p), key=_start_key)
+        if i and _mergeable(out[i - 1], p):
+            i -= 1
+            p = _merged(out[i], p)
+        j = i
+        while j < len(out) and _mergeable(p, out[j]):
+            p = _merged(p, out[j])
+            j += 1
+        out[i:j] = [p]
+    return FinUnion(tuple(out))
 
 
 def intersect(*us) -> FinUnion:

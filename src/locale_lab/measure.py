@@ -268,10 +268,19 @@ class UnsupportedCombination(ValueError):
 
 
 class TolNotReached(RuntimeError):
-    def __init__(self, msg, lower=None, upper=None):
+    """Bounds left wider than tol once the budgets ran out.
+
+    side names what stalled: "upper stream" (the neighbourhood stages
+    were still falling, or never reached their tail tolerance),
+    "partner lower" or "lower from parts" (a lower route exists but
+    stopped short), or "no lower route".
+    """
+
+    def __init__(self, msg, lower=None, upper=None, side=None):
         super().__init__(msg)
         self.lower = lower
         self.upper = upper
+        self.side = side
 
 
 class NoResidualBound(RuntimeError):
@@ -455,6 +464,11 @@ def mu_reduce_interval(d, a: PresentedSublocale | None = None) -> PresentedSublo
 # -- certified bounds -----------------------------------------------------------
 
 
+# Below this the budgets, and the time spent before an honest failure,
+# grow past what an interactive query should spend.
+MIN_TOL = Fraction(1, 2 ** 100)
+
+
 @dataclass(frozen=True)
 class MeasureBounds:
     lower: Fraction
@@ -493,7 +507,20 @@ def _rest_bound(d, lazy: LazyOpen, n: int) -> Fraction:
     raise UnsupportedDescriptor(f"cannot bound tails of {type(d).__name__}")
 
 
-def _lazy_upper(d, lazy: LazyOpen, inner_tol: Fraction, max_stage: int = 80) -> Fraction:
+def _budgets(tol: Fraction) -> tuple:
+    """(neighbourhoods, stages per neighbourhood) to try at tolerance tol.
+
+    The k-th neighbourhood of a countable set has length below 2**-(k+1)
+    and its stage n leaves at most 2**-(k+n+1) unseen, so both counts must
+    grow with the bit length of 1/tol. The constant keeps tol 1/1000 at
+    40 neighbourhoods of 80 stages, so no answer at the default tolerance
+    moves; each further bit adds one neighbourhood and two stages.
+    """
+    k = (tol.denominator // tol.numerator).bit_length() + 30
+    return k, 2 * k
+
+
+def _lazy_upper(d, lazy: LazyOpen, inner_tol: Fraction, max_stage: int) -> Fraction:
     best = None
     for n in range(max_stage + 1):
         cand = measure_fin(d, lazy.stage(n).fin) + _rest_bound(d, lazy, n)
@@ -527,13 +554,14 @@ def measure_bounds(
     d,
     tol,
     *,
-    max_k: int = 40,
     via_stream: bool = False,
 ) -> MeasureBounds:
     """Certified bounds on the outer measure of x, of width at most tol.
 
     via_stream skips the exact shortcuts for opens and closed sets, so the
-    converging stream can be checked against them.
+    converging stream can be checked against them. The number of
+    neighbourhoods and stages tried follows from tol; past them the
+    TolNotReached raised says which side stalled.
     """
     tol = frac(tol)
     total = total_measure(d)
@@ -567,33 +595,50 @@ def measure_bounds(
     if isinstance(x, Union):
         # any part sits inside x, so its lower bound transfers
         for p in x.parts:
-            sub = measure_bounds(p, d, tol, max_k=max_k)
+            sub = measure_bounds(p, d, tol)
             if sub.lower > lower:
                 lower = sub.lower
         certs.append("monotone-from-parts")
 
     inner = tol / 4
     upper = total
+    max_k, max_stage = _budgets(tol)
     for k in range(1, max_k + 1):
+        last_upper = upper
         nb = _punctured_neighborhood(x, d, k)
         try:
-            upper = min(upper, _lazy_upper(d, nb, inner))
+            upper = min(upper, _lazy_upper(d, nb, inner, max_stage))
+            upper_cut = False
         except TolNotReached as exc:
+            upper_cut = True
             if exc.upper is not None:
                 upper = min(upper, exc.upper)
         if partner is not None:
             pnb = _punctured_neighborhood(partner, d, k)
             try:
-                lower = max(lower, total - _lazy_upper(d, pnb, inner))
+                lower = max(lower, total - _lazy_upper(d, pnb, inner, max_stage))
             except TolNotReached as exc:
                 if exc.upper is not None:
                     lower = max(lower, total - exc.upper)
         if upper - lower <= tol:
             return MeasureBounds(lower, upper, tuple(certs))
+    # the upper stream converges to the outer measure, so a gap that its
+    # last step could not have closed belongs to the lower side
+    if upper_cut or last_upper - upper >= upper - lower - tol:
+        side = "upper stream"
+    elif partner is not None:
+        side = "partner lower"
+    elif isinstance(x, Union):
+        side = "lower from parts"
+    else:
+        side = "no lower route"
+    stalled = side if side == "no lower route" else f"{side} stalled"
     raise TolNotReached(
-        f"bounds stuck at [{lower}, {upper}] after {max_k} neighborhoods",
+        f"{stalled}: bounds stuck at [{lower}, {upper}] after {max_k} "
+        f"neighborhoods of up to {max_stage} stages",
         lower=lower,
         upper=upper,
+        side=side,
     )
 
 
@@ -699,17 +744,22 @@ def null_partner_interval(x: PresentedSublocale, d, tol):
     }
 
 
-def _small_stage(x, d, tol, max_k: int = 40) -> RatOpen:
+def _small_stage(x, d, tol) -> RatOpen:
     """A neighborhood stage of x with descriptor measure at most 2*tol."""
+    max_k, max_stage = _budgets(tol)
     for k in range(1, max_k + 1):
         nb = _punctured_neighborhood(x, d, k)
-        for n in range(80):
+        for n in range(max_stage + 1):
             stage = nb.stage(n)
             if _rest_bound(d, nb, n) <= tol:
                 if measure_ro(d, stage) <= 2 * tol:
                     return stage
                 break
-    raise TolNotReached("no neighborhood stage of small enough measure")
+    raise TolNotReached(
+        f"upper stream stalled: no stage of measure at most {2 * tol} after "
+        f"{max_k} neighborhoods of up to {max_stage} stages",
+        side="upper stream",
+    )
 
 
 # ---------------------------------------------------------------------------

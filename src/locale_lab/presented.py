@@ -9,6 +9,14 @@ stream's measures converge down to the outer measure.
 
 Opens come in two flavours: an exact RatOpen, or a LazyOpen whose stages
 grow forever but whose unseen remainder has a certified length bound.
+
+Stages only grow: stage n is stage n-1 joined with the few pieces that
+arrive at n, so each stage costs one insertion into the stage before it.
+Joining, meeting with an open and removing points all distribute over
+finite unions, so a combined stream can grow by combining its operands'
+new pieces; every stage is the same set, hence the same canonical tuple,
+as when it was rebuilt from the whole prefix, and every bound read off
+the stages is unchanged.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from locale_lab import intervals as ivs
-from locale_lab.intervals import EMPTY, FULL_RO, Iv, RatOpen, frac, normalize
+from locale_lab.intervals import EMPTY_RO, FULL_RO, FinUnion, Iv, RatOpen, frac, normalize
 
 
 class UnsupportedConstructor(ValueError):
@@ -64,9 +72,17 @@ class Enumerator:
         self._gen = factory()
 
     def prefix(self, k: int) -> list:
+        self._extend(k)
+        return self._cache[:k]
+
+    def point(self, i: int) -> Fraction:
+        """The i-th point of the listing, without copying the prefix."""
+        self._extend(i + 1)
+        return self._cache[i]
+
+    def _extend(self, k: int) -> None:
         while len(self._cache) < k:
             self._cache.append(next(self._gen))
-        return self._cache[:k]
 
     def contains(self, q) -> bool:
         q = frac(q)
@@ -101,21 +117,29 @@ def get_enumerator(name: str) -> Enumerator:
 class LazyOpen:
     """An open given by increasing stages plus a length bound on the rest.
 
-    stage(n) is a RatOpen below the limit; tail(n) bounds the total length
-    of limit-minus-stage(n). may_contain is a conservative membership test:
-    False only when the point is provably outside the limit.
+    grow(n) is the open that arrives at stage n; stage(n) is the union of
+    grow(0..n), built once from stage(n-1) and kept. tail(n) bounds the
+    total length of limit-minus-stage(n). may_contain is a conservative
+    membership test: False only when the point is provably outside the
+    limit. Stages only grow, so a stream derived from this one by a
+    finite-union-preserving operation can apply it to grow alone.
     """
 
-    def __init__(self, stage_fn, tail_fn, may_fn):
-        self._stage_fn = stage_fn
+    def __init__(self, grow, tail_fn, may_fn):
+        self.grow = grow
         self._tail_fn = tail_fn
         self._may_fn = may_fn
-        self._stages = {}
+        self._stages = []
 
     def stage(self, n: int) -> RatOpen:
-        if n not in self._stages:
-            self._stages[n] = self._stage_fn(n)
-        return self._stages[n]
+        stages = self._stages
+        while len(stages) <= n:
+            new = self.grow(len(stages))
+            if stages:
+                prev = stages[-1]
+                new = prev if new.is_empty else RatOpen(ivs.add(prev.fin, new.fin))
+            stages.append(new)
+        return stages[n]
 
     def tail(self, n: int) -> Fraction:
         return self._tail_fn(n)
@@ -125,34 +149,35 @@ class LazyOpen:
 
 
 def as_lazy(u: RatOpen) -> LazyOpen:
-    return LazyOpen(lambda n: u, lambda n: Fraction(0), u.contains)
+    return LazyOpen(lambda n: EMPTY_RO if n else u, lambda n: Fraction(0), u.contains)
 
 
 def lazy_cover(points: Enumerator, eps) -> LazyOpen:
     """An open covering every enumerated point, of total length below eps/2.
 
     Point i gets the interval (q_i - r, q_i + r) with r = eps / 2**(i+3),
-    clipped to [0,1]; the pieces past stage n sum to at most eps / 2**(n+1).
+    clipped to [0,1], and arrives at stage i+1; the pieces past stage n
+    sum to at most eps / 2**(n+1).
     """
     eps = frac(eps)
     if eps <= 0:
         raise UnsupportedConstructor("cover needs a positive eps")
 
-    def stage(n):
-        pieces = []
-        for i, q in enumerate(points.prefix(n)):
-            r = eps / 2 ** (i + 3)
-            lo = max(Fraction(0), q - r)
-            hi = min(Fraction(1), q + r)
-            pieces.append(Iv(lo, hi, q - r < 0, q + r > 1))
-        return RatOpen(normalize(pieces))
+    def grow(n):
+        if n == 0:
+            return EMPTY_RO
+        q = points.point(n - 1)
+        r = eps / 2 ** (n + 2)
+        lo = max(Fraction(0), q - r)
+        hi = min(Fraction(1), q + r)
+        return RatOpen(FinUnion((Iv(lo, hi, q - r < 0, q + r > 1),)))
 
-    return LazyOpen(stage, lambda n: eps / 2 ** (n + 1), lambda x: True)
+    return LazyOpen(grow, lambda n: eps / 2 ** (n + 1), lambda x: True)
 
 
 def lazy_join(a: LazyOpen, b: LazyOpen) -> LazyOpen:
     return LazyOpen(
-        lambda n: ivs.join(a.stage(n), b.stage(n)),
+        lambda n: ivs.join(a.grow(n), b.grow(n)),
         lambda n: a.tail(n) + b.tail(n),
         lambda x: a.may_contain(x) or b.may_contain(x),
     )
@@ -160,7 +185,7 @@ def lazy_join(a: LazyOpen, b: LazyOpen) -> LazyOpen:
 
 def lazy_meet_open(a: LazyOpen, u: RatOpen) -> LazyOpen:
     return LazyOpen(
-        lambda n: ivs.meet(a.stage(n), u),
+        lambda n: ivs.meet(a.grow(n), u),
         a.tail,
         lambda x: a.may_contain(x) and u.contains(x),
     )
@@ -177,8 +202,9 @@ def ratopen_minus_points(u: RatOpen, pts) -> RatOpen:
 def lazy_puncture(a: LazyOpen, pts) -> LazyOpen:
     """Remove finitely many points from the limit open."""
     pts = tuple(frac(p) for p in pts)
+    rest = ivs.complement(points_fin(pts))
     return LazyOpen(
-        lambda n: ratopen_minus_points(a.stage(n), pts),
+        lambda n: RatOpen(ivs.intersect(a.grow(n).fin, rest)),
         a.tail,
         lambda x: a.may_contain(x) and x not in pts,
     )

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from locale_lab.cli import main, parse_part
+from locale_lab.cli import _positive_rational, build_parser, main, parse_part
 from locale_lab.corpus import generate
 from locale_lab.laws import report_from_json, report_to_json
 from locale_lab.presented import (
@@ -70,6 +70,24 @@ def test_measure_rationals_within_tolerance(capsys):
     assert upper <= Fraction(1, 1000)
 
 
+def test_measure_rationals_past_1e_12(capsys):
+    assert main(["measure", "lebesgue", "rationals", "--tol", "1/1000000000000000"]) == 0
+    out = capsys.readouterr().out.strip()
+    upper = Fraction(out[len("mu in [0, "):-1])
+    assert upper <= Fraction(1, 10 ** 15)
+
+
+def test_measure_failure_names_the_stalled_side(capsys):
+    # a known gap: the true value is 1/2, but no route gives a lower bound
+    assert main(["measure", "lebesgue", "meet-open(irrationals; (0,1/2))"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "tolerance 1/1000 not reached: no lower route: bounds stuck at [0, 1/2] "
+        "after 40 neighborhoods of up to 80 stages"
+    ]
+
+
 def test_measure_closed_restricted(capsys):
     assert main(["measure", "restrict [0,1/2]", "closed (1/2,1]"]) == 0
     assert capsys.readouterr().out.strip() == "mu = 1/2 (exact)"
@@ -94,6 +112,19 @@ def test_bad_tolerance_is_an_argument_error(argv, tol, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1].endswith(f"--tol: expected a positive rational, got {tol!r}")
+
+
+@pytest.mark.parametrize("tol", ["1e-300", f"1/{2 ** 100 + 1}"])
+@pytest.mark.parametrize("argv", [["measure", "lebesgue", "rationals"], ["laws", "measure"]])
+def test_tolerance_below_the_floor_is_an_argument_error(argv, tol, capsys):
+    # parse only: without the floor the query would spin, not fail
+    with pytest.raises(SystemExit) as e:
+        build_parser().parse_args(argv + ["--tol", tol])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith(f"--tol: tolerance {tol!r} is below 2^-100")
+    assert _positive_rational(f"1/{2 ** 100}") == Fraction(1, 2 ** 100)
 
 
 def test_parse_part_shapes():

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from locale_lab.intervals import (
     EMPTY,
@@ -14,6 +14,7 @@ from locale_lab.intervals import (
     Iv,
     OutOfAmbient,
     RatOpen,
+    add,
     closure,
     closure_ro,
     complement,
@@ -65,6 +66,21 @@ def fin_unions(draw):
 
 rat_opens = fin_unions().map(lambda u: RatOpen(interior(u)))
 
+# endpoints on a coarse grid, so pieces often touch, shrink to single
+# points, or reach the ambient ends 0 and 1
+eighths = st.integers(0, 8).map(lambda i: F(i, 8))
+
+
+@st.composite
+def coarse_unions(draw):
+    pieces = []
+    for _ in range(draw(st.integers(0, 6))):
+        a, b = sorted((draw(eighths), draw(eighths)))
+        if draw(st.booleans()):
+            b = a
+        pieces.append(Iv(a, b, draw(st.booleans()), draw(st.booleans())))
+    return normalize(pieces)
+
 
 # ------------------------------------------------------------ normalize
 
@@ -97,6 +113,17 @@ def test_empty_pieces_dropped():
 def test_normalize_output_is_canonical(u):
     # FinUnion.__post_init__ would raise otherwise; re-normalizing is a no-op
     assert normalize(u.pieces) == u
+
+
+@given(coarse_unions(), coarse_unions())
+@settings(max_examples=300)
+@example(parse_fin("[0,1/4]|(1/2,1]"), parse_fin("[1/4,1/4]|[1/2,1/2]"))
+@example(parse_fin("(0,1/4)|(1/4,1/2)"), parse_fin("[1/4,1/4]"))
+@example(parse_fin("[0,0]|(1/8,1/4)|[1,1]"), parse_fin("[0,1/8]|[1/4,1)"))
+@example(parse_fin("(1/8,1/4)|(1/2,3/4)"), parse_fin("(0,1]"))
+@example(EMPTY, parse_fin("[0,1/2)|(1/2,1]"))
+def test_add_is_union(u, v):
+    assert add(u, v) == union(u, v)
 
 
 def test_canonical_form_enforced():

@@ -527,9 +527,10 @@ def test_union_bounds_use_structure_and_parts():
 def test_bounds_honestly_fail_when_no_lower_route_exists():
     x = IntersectWithOpen(CoCountable(RATIONALS), parse_ratopen("(0,1)"))
     with pytest.raises(TolNotReached) as exc:
-        measure_bounds(x, Lebesgue(), TOL, max_k=5)
+        measure_bounds(x, Lebesgue(), TOL)
     assert exc.value.lower == 0
     assert exc.value.upper == 1
+    assert exc.value.side == "no lower route"
 
 
 # ----------------------------------------------------------- interval additivity

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from locale_lab import intervals as ivs
-from locale_lab.intervals import EMPTY_RO, FULL_RO, parse_ratopen
+from locale_lab.intervals import EMPTY_RO, FULL_RO, Iv, RatOpen, normalize, parse_ratopen
 from locale_lab.presented import (
     DYADICS,
     RATIONALS,
@@ -30,6 +30,7 @@ from locale_lab.presented import (
     neighborhood,
     point_sublocale,
     point_sublocale_meets_generic,
+    ratopen_minus_points,
     structural_union_is_whole,
 )
 
@@ -58,6 +59,13 @@ def test_dyadics():
     assert DYADICS.contains(F(3, 8))
     assert not DYADICS.contains(F(1, 3))
     assert len(set(DYADICS.prefix(100))) == 100
+
+
+def test_point_reads_the_listing():
+    sevenths = Enumerator("sevenths", lambda: (F(i, 7) for i in range(8)), lambda q: True)
+    assert sevenths.point(5) == F(5, 7)
+    assert sevenths.prefix(8) == [F(i, 7) for i in range(8)]
+    assert [RATIONALS.point(i) for i in range(60)] == RATIONALS.prefix(60)
 
 
 def test_get_enumerator():
@@ -115,6 +123,97 @@ def test_lazy_ops():
     assert not p.stage(5).contains(F(1, 2))
     assert not p.may_contain(F(1, 2))
     assert p.tail(5) == cov.tail(5)
+
+
+# ------------------------------------- incremental stages against rebuilds
+
+# The reference streams rebuild every stage from nothing: normalize over
+# all pieces through stage n, then the join, meet or point removal.
+
+def rebuilt_cover(points, eps):
+    def stage(n):
+        pieces = []
+        for i, q in enumerate(points.prefix(n)):
+            r = eps / 2 ** (i + 3)
+            lo = max(F(0), q - r)
+            hi = min(F(1), q + r)
+            pieces.append(Iv(lo, hi, q - r < 0, q + r > 1))
+        return RatOpen(normalize(pieces))
+
+    return stage
+
+
+def rebuilt_join(a, b):
+    return lambda n: ivs.join(a(n), b(n))
+
+
+def rebuilt_meet(a, u):
+    return lambda n: ivs.meet(a(n), u)
+
+
+def rebuilt_puncture(a, pts):
+    return lambda n: ratopen_minus_points(a(n), pts)
+
+
+U = parse_ratopen("(1/5,2/3)|(3/4,1]")
+PTS = [F(0), F(1, 3), F(1, 2), F(5, 8), F(1)]
+
+
+def stream_pairs(k):
+    """(name, incremental stream, rebuilt stream) at neighbourhood k."""
+    eps = F(1, 2 ** k)
+    closed = closed_neighborhood(U, k)
+    rat, dy = lazy_cover(RATIONALS, eps), lazy_cover(DYADICS, eps)
+    s_rat, s_dy = rebuilt_cover(RATIONALS, eps), rebuilt_cover(DYADICS, eps)
+    nested = lazy_puncture(lazy_join(lazy_meet_open(rat, U), dy), PTS)
+    s_nested = rebuilt_puncture(rebuilt_join(rebuilt_meet(s_rat, U), s_dy), PTS)
+    return [
+        ("cover rationals", rat, s_rat),
+        ("cover dyadics", dy, s_dy),
+        ("join", lazy_join(rat, dy), rebuilt_join(s_rat, s_dy)),
+        ("join exact", lazy_join(as_lazy(U), dy), rebuilt_join(lambda n: U, s_dy)),
+        ("meet open", lazy_meet_open(rat, U), rebuilt_meet(s_rat, U)),
+        ("puncture", lazy_puncture(dy, PTS), rebuilt_puncture(s_dy, PTS)),
+        ("closed nb", as_lazy(closed), lambda n: closed),
+        ("meet closed nb", lazy_meet_open(dy, closed), rebuilt_meet(s_dy, closed)),
+        ("nested", nested, s_nested),
+    ]
+
+
+@pytest.mark.parametrize("k", [1, 5, 20])
+def test_incremental_stages_match_rebuilt_builds(k):
+    for name, lazy, rebuilt in stream_pairs(k):
+        for n in range(61):
+            assert lazy.stage(n) == rebuilt(n), (name, k, n)
+
+
+def test_stages_read_out_of_order_match_rebuilt_builds():
+    for name, lazy, rebuilt in stream_pairs(5):
+        for n in (60, 7, 0, 33, 60, 1):
+            assert lazy.stage(n) == rebuilt(n), (name, n)
+
+
+@pytest.mark.parametrize("k", [1, 5, 20])
+def test_neighborhood_stages_match_rebuilt_builds(k):
+    eps = F(1, 2 ** k)
+    closed = closed_neighborhood(U, k)
+    cases = [
+        (Generic(), rebuilt_cover(RATIONALS, eps)),
+        (
+            Union((CountablePoints(DYADICS), Open(U))),
+            rebuilt_join(rebuilt_cover(DYADICS, eps), lambda n: U),
+        ),
+        (IntersectWithOpen(Generic(), U), rebuilt_meet(rebuilt_cover(RATIONALS, eps), U)),
+        (
+            IntersectWithClosed(CountablePoints(DYADICS), U),
+            rebuilt_meet(rebuilt_cover(DYADICS, eps), closed),
+        ),
+        (CoCountable(RATIONALS), lambda n: full_minus_points(RATIONALS.prefix(k))),
+    ]
+    for x, rebuilt in cases:
+        nb = neighborhood(x, k)
+        for n in range(61):
+            assert nb.stage(n) == rebuilt(n), (x, k, n)
 
 
 # ------------------------------------------------------- closed neighborhoods
