@@ -144,9 +144,12 @@ def parse_part(text: str):
     """A part of [0,1]: an open literal, a named shape, or a combination.
 
     Combinations use ';' as the separator because ',' already appears
-    inside interval literals.
+    inside interval literals. A blank part or argument is refused; the
+    empty open is written `empty`.
     """
     t = text.strip()
+    if not t:
+        raise UnsupportedConstructor("blank part; write 'empty' for the empty open")
     low = t.lower()
     if low == "rationals":
         return CountablePoints(RATIONALS)
@@ -159,6 +162,8 @@ def parse_part(text: str):
     for head in ("union", "meet-open", "meet-closed"):
         if low.startswith(head + "(") and t.endswith(")"):
             inner = _split_top(t[len(head) + 1:-1])
+            if any(not p.strip() for p in inner):
+                raise UnsupportedConstructor(f"{head}() has a blank argument")
             if head == "union":
                 return Union(tuple(parse_part(p) for p in inner))
             if len(inner) != 2:
@@ -316,6 +321,14 @@ def _positive_rational(text: str) -> Fraction:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """The --max-size type: a cap below one element would admit no frame
+    and pass vacuously."""
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="locale-lab",
@@ -330,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     lw = sub.add_parser("laws", help="replay the law suites over the corpus")
     lw.add_argument("suite", choices=sorted(SUITES) + ["all"])
     lw.add_argument("--corpus", default=None, help="corpus directory")
-    lw.add_argument("--max-size", type=int, default=None, help="frame size cap")
+    lw.add_argument("--max-size", type=_positive_int, default=None, help="frame size cap")
     lw.add_argument(
         "--tol", type=_positive_rational, default=None, help="tolerance for measure bounds"
     )

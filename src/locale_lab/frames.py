@@ -394,10 +394,6 @@ class Frame:
 
     # -- misc -----------------------------------------------------------
 
-    def structure_key(self):
-        """Hashable identity of the labelled order (for dedup and tests)."""
-        return (self.elements, self.up)
-
     def __repr__(self):
         return f"Frame({self.n} elements, bottom={self.elements[self.bottom]!r}, top={self.elements[self.top]!r})"
 

@@ -21,7 +21,7 @@ class InvalidInterval(ValueError):
     pass
 
 
-class OutOfAmbient(ValueError):
+class OutOfAmbient(InvalidInterval):
     pass
 
 

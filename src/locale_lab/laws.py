@@ -322,42 +322,18 @@ class SubLattice:
 # copies; the corpus keeps the copies so loading stays honest)
 # ---------------------------------------------------------------------------
 
-def _profile(f: Frame):
-    return [(bin(f.up[i]).count("1"), bin(f.down[i]).count("1")) for i in range(f.n)]
-
-
-def _isomorphic(f: Frame, g: Frame) -> bool:
-    prof_f, prof_g = _profile(f), _profile(g)
-    if f.n != g.n or sorted(prof_f) != sorted(prof_g):
-        return False
-    groups: dict = {}
-    for i, p in enumerate(prof_f):
-        groups.setdefault(p, []).append(i)
-    targets: dict = {}
-    for j, p in enumerate(prof_g):
-        targets.setdefault(p, []).append(j)
-    keys = sorted(groups)
-    for choice in itertools.product(
-        *(itertools.permutations(targets[k]) for k in keys)
-    ):
-        m = {}
-        for k, perm in zip(keys, choice):
-            for i, j in zip(groups[k], perm):
-                m[i] = j
-        if all(
-            f.leq(a, b) == g.leq(m[a], m[b])
-            for a in range(f.n)
-            for b in range(f.n)
-        ):
-            return True
-    return False
-
-
 def _iso_reps(named_frames):
+    """One frame per isomorphism class, in order, and the number of copies
+    skipped: a frame is a copy when one of its maps to an earlier
+    representative of its size has a bijective fstar."""
     reps = []
     skipped = 0
     for name, fr in named_frames:
-        if any(_isomorphic(fr, rf) for _, rf in reps):
+        if any(
+            rf.n == fr.n
+            and any(len(set(m.fstar)) == fr.n for m in enumerate_morphisms(fr, rf))
+            for _, rf in reps
+        ):
             skipped += 1
             continue
         reps.append((name, fr))

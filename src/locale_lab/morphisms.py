@@ -6,6 +6,7 @@ locale of `target` to the locale of `source`. Adjoints are phrased in
 terms of fstar alone. The right adjoint f_* sends each point (prime) of
 the target to a point of the source, and images and preimages of parts,
 which are sets of points, move forward and back along that point map.
+Maps are enumerated as monotone maps of points, with fstar derived.
 """
 
 from __future__ import annotations
@@ -33,16 +34,24 @@ class NotAFrameMorphism(FrameError):
 
 
 class FrameMorphism:
-    """A validated frame homomorphism fstar: source -> target."""
+    """A validated frame homomorphism fstar: source -> target, given by
+    fstar or by its point map (see `_point_map`); the other is derived
+    when first asked for."""
 
-    __slots__ = ("source", "target", "fstar", "_adjoint", "_points")
+    __slots__ = ("source", "target", "_fstar", "_adjoint", "_points")
 
-    def __init__(self, source: Frame, target: Frame, fstar: tuple):
+    def __init__(self, source: Frame, target: Frame, fstar=None, points=None):
         self.source = source
         self.target = target
-        self.fstar = fstar
+        self._fstar = fstar
         self._adjoint = None
-        self._points = None
+        self._points = points
+
+    @property
+    def fstar(self) -> tuple:
+        if self._fstar is None:
+            self._fstar = _star_at(self.source, self.target, self._points, range(self.source.n))
+        return self._fstar
 
     def __call__(self, v) -> int:
         return self.fstar[self.source.el(v)]
@@ -103,15 +112,16 @@ def validate_morphism(source: Frame, target: Frame, mapping) -> FrameMorphism:
 
 
 def identity_morphism(frame: Frame) -> FrameMorphism:
-    return FrameMorphism(frame, frame, tuple(range(frame.n)))
+    return FrameMorphism(frame, frame, points=tuple(range(len(frame.primes))))
 
 
 def compose(g: FrameMorphism, f: FrameMorphism) -> FrameMorphism:
-    """(g after f) on the star maps: source of f, target of g."""
+    """(g after f) on the star maps, built from its point map: f's after g's."""
     if f.target is not g.source:
         raise MixedFrames()
+    f_points = _point_map(f)
     return FrameMorphism(
-        f.source, g.target, tuple(g.fstar[f.fstar[v]] for v in range(f.source.n))
+        f.source, g.target, points=tuple(f_points[i] for i in _point_map(g))
     )
 
 
@@ -155,7 +165,8 @@ def sublocale_embedding(x: Sublocale):
 def _point_map(f: FrameMorphism) -> tuple:
     """Entry j is the index in `f.source.primes` of f_*(q) for the target
     prime q = f.target.primes[j]: a frame map's right adjoint sends
-    primes to primes, so a locale map moves points to points."""
+    primes to primes, so a locale map moves points to points. Maps given
+    by their fstar derive it here."""
     if f._points is None:
         adj = right_adjoint(f)
         f._points = tuple(f.source.primes.index(adj[q]) for q in f.target.primes)
@@ -263,51 +274,52 @@ def atoms(frame: Frame, gens=None) -> list:
 
 # -- enumeration ----------------------------------------------------------
 
-def enumerate_morphisms(source: Frame, target: Frame, limit=None) -> list:
-    """All frame homomorphisms source -> target.
+def enumerate_morphisms(source: Frame, target: Frame) -> list:
+    """All frame homomorphisms source -> target, built from their points.
 
-    Every element of a finite distributive lattice is the join of the
-    join-irreducibles below it, and those are join-prime, so any monotone
-    assignment on the irreducibles extends uniquely to a join-preserving
-    map. Assign images by DFS with monotonicity pruning, then keep the
-    extensions that also preserve top and binary meets.
+    By Birkhoff duality the frame maps are exactly the monotone maps from
+    the target's primes to the source's primes, q -> f_*(q). Place the
+    target primes by down-set size, each on a source prime above the
+    images of those below it; each complete placement is a map whose
+    fstar is derived on demand. Sorted by the images of the source's
+    join-irreducibles, smallest down-set first.
     """
-    irr = sorted(source.join_irreducibles, key=lambda p: bin(source.down[p]).count("1"))
+    order = sorted(
+        range(len(target.primes)),
+        key=lambda j: bin(target.down[target.primes[j]]).count("1"),
+    )
     below = [
-        [j for j in irr if source.leq(j, p) and j != p] for p in irr
+        [k for k in order[:pos] if target.leq(target.primes[k], target.primes[j])]
+        for pos, j in enumerate(order)
     ]
+    above = [source.primes_above[p] for p in source.primes]
+    point = [0] * len(order)
     out = []
-    assignment = {}
 
-    def extend():
-        ext = [None] * source.n
-        for x in range(source.n):
-            ext[x] = target.join_all(assignment[p] for p in irr if source.leq(p, x))
-        return tuple(ext)
-
-    def ok(ext):
-        if ext[source.top] != target.top:
-            return False
-        for a in range(source.n):
-            for b in range(a, source.n):
-                if ext[source.meet(a, b)] != target.meet(ext[a], ext[b]):
-                    return False
-        return True
-
-    def dfs(k):
-        if limit is not None and len(out) >= limit:
+    def place(pos):
+        if pos == len(order):
+            out.append(FrameMorphism(source, target, points=tuple(point)))
             return
-        if k == len(irr):
-            ext = extend()
-            if ok(ext):
-                out.append(FrameMorphism(source, target, ext))
-            return
-        p = irr[k]
-        for img in range(target.n):
-            if all(target.leq(assignment[q], img) for q in below[k]):
-                assignment[p] = img
-                dfs(k + 1)
-        assignment.pop(p, None)
+        allowed = (1 << len(above)) - 1
+        for k in below[pos]:
+            allowed &= above[point[k]]
+        for i in range(len(above)):
+            if allowed >> i & 1:
+                point[order[pos]] = i
+                place(pos + 1)
 
-    dfs(0)
+    place(0)
+    irr = sorted(source.join_irreducibles, key=lambda p: bin(source.down[p]).count("1"))
+    out.sort(key=lambda f: _star_at(source, target, f._points, irr))
     return out
+
+
+def _star_at(source: Frame, target: Frame, points: tuple, elements) -> tuple:
+    """fstar at each of `elements` for the map with this point map: the
+    meet of the target primes whose image lies above the element."""
+    return tuple(
+        target.meet_of_primes(
+            sum(1 << j for j, i in enumerate(points) if source.primes_above[a] >> i & 1)
+        )
+        for a in elements
+    )

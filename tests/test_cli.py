@@ -103,6 +103,41 @@ def test_measure_bad_interval(capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["measure", "lebesgue", "(0,2)"],
+    ["measure", "lebesgue", "union(rationals; (0,3))"],
+    ["measure", "restrict [0,2]", "rationals"],
+])
+def test_measure_outside_the_unit_interval(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and "leaves [0,1]" in err
+
+
+@pytest.mark.parametrize("part", ["", "union()", "union(rationals; )", "meet-open(generic; )"])
+def test_measure_refuses_blank_parts(part, capsys):
+    assert main(["measure", "lebesgue", part]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "blank" in err
+    with pytest.raises(UnsupportedConstructor):
+        parse_part(part)
+    assert main(["measure", "lebesgue", "empty"]) == 0
+    assert capsys.readouterr().out.strip() == "mu = 0 (exact)"
+
+
+@pytest.mark.parametrize("size", ["0", "-1", "abc"])
+def test_max_size_must_be_positive(size, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["laws", "morphism", "--max-size", size])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith(
+        f"--max-size: expected a positive integer, got {size!r}"
+    )
+
+
 @pytest.mark.parametrize("tol", ["nan", "abc", "0", "-1"])
 @pytest.mark.parametrize("argv", [["measure", "lebesgue", "(0,1/2)"], ["laws", "measure"]])
 def test_bad_tolerance_is_an_argument_error(argv, tol, capsys):

@@ -2,9 +2,20 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from locale_lab.frames import Frame, FrameSpec, SpecError, TopologySpec, build_frame
-from locale_lab.intervals import EMPTY_RO, FULL_RO, RatOpen, parse_fin, parse_ratopen
+from locale_lab.intervals import (
+    EMPTY_RO,
+    FULL_RO,
+    Iv,
+    RatOpen,
+    interior,
+    meet,
+    normalize,
+    parse_fin,
+    parse_ratopen,
+)
 from locale_lab.measure import (
     Atomic,
     Lebesgue,
@@ -468,6 +479,44 @@ def test_stream_bounds_bracket_the_exact_values():
             b = measure_bounds(x, d, TOL, via_stream=True)
             assert b.lower <= exact <= b.upper
             assert b.width <= TOL
+
+
+eighths = st.integers(0, 8).map(lambda i: F(i, 8))
+
+
+@st.composite
+def coarse_opens(draw):
+    """Opens with endpoints on the eighths, so pieces touch, reach 0 or
+    1, or vanish, and atoms and restrictions sit on their ends."""
+    pieces = []
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = sorted((draw(eighths), draw(eighths)))
+        pieces.append(Iv(a, b, draw(st.booleans()), draw(st.booleans())))
+    return RatOpen(interior(normalize(pieces)))
+
+
+DESCRIPTOR_KINDS = {
+    "lebesgue": Lebesgue(),
+    "restrict": LebesgueRestrictedTo(parse_fin("[1/4,3/4]")),
+    "atoms": atomic([("1/4", "1/2"), ("1/2", "1")]),
+    "mix": Mixture((Lebesgue(), atomic([("5/8", "1/3")]))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DESCRIPTOR_KINDS))
+@given(coarse_opens(), coarse_opens())
+@settings(max_examples=25, deadline=None)
+def test_stream_bounds_are_monotone_and_within_tol(kind, v, w):
+    # U = V meet W lies in V, so Open(U) lies in Open(V) and Closed(V)
+    # in Closed(U): the smaller part's lower bound cannot pass the larger
+    # part's upper bound
+    d = DESCRIPTOR_KINDS[kind]
+    u = meet(v, w)
+    for small, large in [(Open(u), Open(v)), (Closed(v), Closed(u))]:
+        bs = measure_bounds(small, d, TOL, via_stream=True)
+        bl = measure_bounds(large, d, TOL, via_stream=True)
+        assert bs.lower <= bl.upper
+        assert bs.width <= TOL and bl.width <= TOL
 
 
 def test_rational_points_are_lebesgue_null():

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from locale_lab.corpus import iter_corpus_frames
+from locale_lab.corpus import boolean_spec, chain_spec, iter_corpus_frames
 from locale_lab.frames import Frame, FrameError, FrameSpec, TopologySpec, build_frame
 from locale_lab.laws import _iso_reps
 from locale_lab.morphisms import (
@@ -21,6 +21,7 @@ from locale_lab.morphisms import (
     sum_frame,
     validate_morphism,
 )
+from locale_lab.morphisms import _point_map
 from locale_lab.sublocales import (
     closed_sublocale,
     empty,
@@ -131,6 +132,132 @@ def test_morphisms_to_two_chain_are_points():
         f = make()
         ms = enumerate_morphisms(f, chain(2))
         assert len(ms) == len(f.points())
+
+
+def test_self_map_counts_past_the_corpus():
+    # monotone self-maps of a 7-chain of points: C(13, 6); of a 4-point
+    # antichain: 4^4
+    chain8 = build_frame(chain_spec(8))
+    assert len(enumerate_morphisms(chain8, chain8)) == 1716
+    bool16 = build_frame(boolean_spec(4))
+    assert len(enumerate_morphisms(bool16, bool16)) == 256
+
+
+# ------------------------------------------- oracle for the point-map DFS
+
+def generate_and_test(source, target):
+    """Frame maps by assigning join-irreducibles: any monotone assignment
+    extends uniquely to a join-preserving map; keep the extensions that
+    also preserve top and binary meets. Same order as enumerate_morphisms."""
+    irr = sorted(source.join_irreducibles, key=lambda p: bin(source.down[p]).count("1"))
+    below = [[j for j in irr if source.leq(j, p) and j != p] for p in irr]
+    out = []
+    assignment = {}
+
+    def extend():
+        return tuple(
+            target.join_all(assignment[p] for p in irr if source.leq(p, x))
+            for x in range(source.n)
+        )
+
+    def ok(ext):
+        return ext[source.top] == target.top and all(
+            ext[source.meet(a, b)] == target.meet(ext[a], ext[b])
+            for a in range(source.n)
+            for b in range(a, source.n)
+        )
+
+    def dfs(k):
+        if k == len(irr):
+            ext = extend()
+            if ok(ext):
+                out.append(ext)
+            return
+        for img in range(target.n):
+            if all(target.leq(assignment[q], img) for q in below[k]):
+                assignment[irr[k]] = img
+                dfs(k + 1)
+        assignment.pop(irr[k], None)
+
+    dfs(0)
+    return out
+
+
+def small_reps():
+    return _iso_reps((n, f) for n, f in iter_corpus_frames() if f.n <= 8)[0]
+
+
+def test_enumeration_matches_generate_and_test():
+    # the same fstars in the same order (suite labels a->b#i depend on
+    # it), and the point map each map carries is the one its right
+    # adjoint gives
+    total = 0
+    for (_, src), (_, tgt) in itertools.product(small_reps(), repeat=2):
+        maps = enumerate_morphisms(src, tgt)
+        assert [m.fstar for m in maps] == generate_and_test(src, tgt)
+        for m in maps:
+            assert m._points == _point_map(FrameMorphism(src, tgt, m.fstar))
+        total += len(maps)
+    assert total == 1490
+
+
+def test_maps_built_from_points_compose():
+    # compose and identity_morphism give only a point map; the fstar
+    # derived from it must be the composite of the fstars, or the identity
+    reps = [f for _, f in small_reps() if f.n <= 5]
+    for a, b, c in itertools.product(reps, repeat=3):
+        for f in enumerate_morphisms(a, b):
+            for g in enumerate_morphisms(b, c):
+                h = compose(g, f)
+                assert h.fstar == tuple(g.fstar[f.fstar[v]] for v in range(a.n))
+                assert h._points == _point_map(FrameMorphism(a, c, h.fstar))
+    for f in reps:
+        assert identity_morphism(f).fstar == tuple(range(f.n))
+
+
+def profile(f):
+    return [(bin(f.up[i]).count("1"), bin(f.down[i]).count("1")) for i in range(f.n)]
+
+
+def isomorphic(f, g):
+    """Search the bijections that keep each element's up- and down-set
+    sizes for one that preserves the order both ways."""
+    prof_f, prof_g = profile(f), profile(g)
+    if f.n != g.n or sorted(prof_f) != sorted(prof_g):
+        return False
+    groups, targets = {}, {}
+    for i, p in enumerate(prof_f):
+        groups.setdefault(p, []).append(i)
+    for j, p in enumerate(prof_g):
+        targets.setdefault(p, []).append(j)
+    keys = sorted(groups)
+    for choice in itertools.product(*(itertools.permutations(targets[k]) for k in keys)):
+        m = {}
+        for k, perm in zip(keys, choice):
+            m.update(zip(groups[k], perm))
+        if all(
+            f.leq(a, b) == g.leq(m[a], m[b]) for a in range(f.n) for b in range(f.n)
+        ):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("order", ["corpus", "reversed"])
+def test_iso_reps_match_the_permutation_search(order):
+    # reversed, larger frames come first, so a smaller frame that maps
+    # injectively into one of them must still be kept
+    frames = [(n, f) for n, f in iter_corpus_frames() if f.n <= 8]
+    if order == "reversed":
+        frames.reverse()
+    reps, skipped = [], 0
+    for name, fr in frames:
+        if any(isomorphic(fr, rf) for _, rf in reps):
+            skipped += 1
+        else:
+            reps.append((name, fr))
+    got, got_skipped = _iso_reps(frames)
+    assert [n for n, _ in got] == [n for n, _ in reps]
+    assert got_skipped == skipped
 
 
 # ------------------------------------------------------------ adjoints
