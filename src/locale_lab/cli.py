@@ -59,6 +59,7 @@ from locale_lab.sublocales import (
     generic,
     is_dense,
     is_subsublocale,
+    whole,
 )
 
 USAGE_ERRORS = (
@@ -189,6 +190,9 @@ def cmd_measure(args) -> int:
     except TolNotReached as exc:
         _err(f"tolerance {args.tol} not reached: {exc}")
         return 1
+    except RecursionError:
+        _err("part is nested too deeply")
+        return 1
     if b.is_exact:
         print(f"mu = {b.lower} (exact)")
     else:
@@ -245,11 +249,9 @@ def _demo_rationals() -> None:
 def _demo_reduction() -> None:
     fr = build_frame(chain_spec(3))
     val = validate_valuation(fr, {"0": 0, "u": Fraction(1, 2), "1": 1})
-    subs = enumerate_sublocales(fr)
-    whole = next(s for s in subs if s.is_whole)
-    r = mu_reduce(val, whole, all_subs=subs)
+    r = mu_reduce(val)
     print("chain 0 < u < 1 with mu(u) = 1/2, mu(1) = 1:")
-    print(f"  outer measure of the whole space: {outer_measure_finite(val, whole)}")
+    print(f"  outer measure of the whole space: {outer_measure_finite(val, whole(fr))}")
     print(f"  the reduction keeps only what carries mass: "
           f"{sorted(fr.name(h) for h in r.fixpoints)} "
           f"(outer measure {outer_measure_finite(val, r)})")

@@ -300,9 +300,6 @@ class Frame:
     def neg(self, u: int) -> int:
         return self.heyting(u, self.bottom)
 
-    def joins_of(self, mask: int) -> int:
-        return self.join_all(_bits(mask))
-
     # -- predicates ------------------------------------------------------
 
     def well_inside(self, w: int, u: int) -> bool:

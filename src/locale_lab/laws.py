@@ -1174,7 +1174,7 @@ class _Valued:
         self.L, self.val = L, val
         self.out = [outer_measure_finite(val, x) for x in L.subs]
         self.top = val(L.frame.top)
-        self.red = [mu_reduce(val, x, all_subs=L.subs).points for x in L.subs]
+        self.red = [mu_reduce(val, x).points for x in L.subs]
         self.reduced = sorted(set(self.red))
 
 
@@ -1362,7 +1362,7 @@ def _restriction_valid(m):
 @_declare(FINITE_MEASURE_LAWS, "reduced-algebra",
           "the reduced parts form a complemented frame with a measure-compatible quotient")
 def _reduced_algebra(m):
-    ra = reduced_algebra(m.val, max_size=max(10, m.L.frame.n))
+    ra = reduced_algebra(m.val)
     ok = ra.frame.boolean and ra.frame.n == len(m.reduced)
     ok = ok and all(
         outer_measure_finite(m.val, ra.reps[i]) == ra.valuation(i)

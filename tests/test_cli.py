@@ -126,6 +126,14 @@ def test_measure_refuses_blank_parts(part, capsys):
     assert capsys.readouterr().out.strip() == "mu = 0 (exact)"
 
 
+def test_measure_refuses_deep_nesting_in_one_line(capsys):
+    deep = "union(" * 2000 + "rationals" + ")" * 2000
+    assert main(["measure", "lebesgue", deep]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["part is nested too deeply"]
+
+
 @pytest.mark.parametrize("size", ["0", "-1", "abc"])
 def test_max_size_must_be_positive(size, capsys):
     with pytest.raises(SystemExit) as e:

@@ -1,10 +1,19 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from locale_lab.frames import Frame, FrameSpec, SpecError, TopologySpec, build_frame
+from locale_lab.corpus import boolean_spec, chain_spec, iter_corpus_frames
+from locale_lab.frames import (
+    Frame,
+    FrameError,
+    FrameSpec,
+    SpecError,
+    TopologySpec,
+    build_frame,
+)
 from locale_lab.intervals import (
     EMPTY_RO,
     FULL_RO,
@@ -28,6 +37,7 @@ from locale_lab.measure import (
     NotZeroAtBottom,
     TolNotReached,
     UnsupportedCombination,
+    ValuationError,
     UnsupportedDescriptor,
     atomic,
     descriptor_from_json,
@@ -56,6 +66,7 @@ from locale_lab.measure import (
     valuation_from_json,
     vstar,
 )
+from locale_lab.morphisms import validate_morphism
 from locale_lab.presented import (
     DYADICS,
     RATIONALS,
@@ -73,6 +84,7 @@ from locale_lab.sublocales import (
     empty,
     enumerate_sublocales,
     intersect,
+    intersect_all,
     is_subsublocale,
     open_sublocale,
     union,
@@ -353,6 +365,129 @@ def test_reduced_algebra_quotient_and_measure():
     assert alg.quotient.target is alg.frame
     for v in range(f.n):
         assert alg.valuation.mu[alg.quotient.fstar[v]] == val.mu[v]
+
+
+# The reduction and the reduced algebra straight from their definitions,
+# by enumerating parts: the oracle for the point-mass versions.
+
+def oracle_mu_reduce(val, a, all_subs):
+    """Meet every part of a that carries the full measure of a, then
+    certify the meet still does."""
+    frame = val.frame
+    target = outer_measure_finite(val, a)
+    family = [
+        z for z in all_subs
+        if is_subsublocale(z, a) and outer_measure_finite(val, z) == target
+    ]
+    r = intersect_all(frame, family)
+    if outer_measure_finite(val, r) != target:
+        raise ValuationError(
+            "the full-measure sublocales of this piece have no least member"
+        )
+    return r
+
+
+def oracle_reduced_algebra(val):
+    """Reduce every part, order the distinct reductions by inclusion and
+    rebuild them as a frame; V -> reduce([V]) must be a frame morphism."""
+    frame = val.frame
+    subs = enumerate_sublocales(frame)
+    seen = {}
+    for s in subs:
+        r = oracle_mu_reduce(val, s, subs)
+        seen[r.nucleus] = r
+    reps = sorted(seen.values(), key=lambda r: (len(r.fixpoints), r.nucleus))
+    labels = [f"r{i}" for i in range(len(reps))]
+    leq = [
+        (labels[i], labels[j])
+        for i in range(len(reps))
+        for j in range(len(reps))
+        if is_subsublocale(reps[i], reps[j])
+    ]
+    red = build_frame(FrameSpec.make(labels, leq))
+    index = {reps[i].nucleus: i for i in range(len(reps))}
+    fstar = tuple(
+        index[oracle_mu_reduce(val, open_sublocale(frame, v), subs).nucleus]
+        for v in range(frame.n)
+    )
+    quotient = validate_morphism(frame, red, fstar)
+    nu = validate_valuation(
+        red, tuple(outer_measure_finite(val, r) for r in reps)
+    )
+    return reps, quotient, nu
+
+
+def mass_valuation(frame, masses):
+    """The valuation whose point primes[i] carries masses[i]: mu(V) is the
+    mass of the points of [V]."""
+    mu = [
+        sum((m for i, m in enumerate(masses) if open_sublocale(frame, v).points >> i & 1), F(0))
+        for v in range(frame.n)
+    ]
+    return validate_valuation(frame, mu)
+
+
+def seeded_valuations(name, frame):
+    """Five valuations from masses seeded by name, about a third of them zero."""
+    rng = random.Random(name)
+    return [
+        mass_valuation(frame, [F(rng.choice((0, 0, 1, 2, 3)), rng.choice((1, 2)))
+                               for _ in frame.primes])
+        for _ in range(5)
+    ]
+
+
+def test_point_mass_reduction_matches_enumerating_oracle_on_corpus():
+    seen = {"reduce": 0, "reduce-raises": 0, "algebra": 0, "algebra-raises": 0}
+    for name, fr in iter_corpus_frames():
+        subs = enumerate_sublocales(fr)
+        for val in seeded_valuations(name, fr):
+            for a in subs:
+                try:
+                    want = oracle_mu_reduce(val, a, subs)
+                except ValuationError:
+                    with pytest.raises(ValuationError):
+                        mu_reduce(val, a)
+                    seen["reduce-raises"] += 1
+                    continue
+                assert mu_reduce(val, a) == want, (name, val, a)
+                seen["reduce"] += 1
+            try:
+                reps, quotient, nu = oracle_reduced_algebra(val)
+            except FrameError:
+                with pytest.raises(ValuationError):
+                    reduced_algebra(val)
+                seen["algebra-raises"] += 1
+                continue
+            alg = reduced_algebra(val)
+            assert alg.reps == tuple(reps), (name, val)
+            assert alg.quotient.fstar == quotient.fstar, (name, val)
+            assert alg.valuation.mu == nu.mu, (name, val)
+            seen["algebra"] += 1
+    assert all(seen.values()), seen
+
+
+def test_mass_is_the_point_masses_of_the_table():
+    for name, fr in iter_corpus_frames():
+        rng = random.Random(name)
+        masses = [F(rng.randrange(4)) for _ in fr.primes]
+        assert mass_valuation(fr, masses).mass == tuple(masses), name
+
+
+def test_reduction_past_the_enumeration_cap():
+    cube = build_frame(boolean_spec(5))
+    val = mass_valuation(cube, [F(1)] * 5)
+    alg = reduced_algebra(val)
+    assert alg.frame.n == 32 and alg.frame.boolean
+    assert mu_reduce(val) == whole(cube)
+    chain = build_frame(chain_spec(12))
+    top_point = len(chain.primes) - 1  # the coatom, the only maximal point
+    val = mass_valuation(chain, [F(int(i == top_point)) for i in range(len(chain.primes))])
+    alg = reduced_algebra(val)
+    assert alg.frame.n == 2
+    assert alg.reps[1] == closed_sublocale(chain, chain.primes[top_point])
+    assert mu_reduce(val) == alg.reps[1]
+    assert outer_measure_finite(val, alg.reps[1]) == 1
 
 
 # ----------------------------------------------------------- descriptors
