@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from locale_lab.corpus import chain_spec
+from locale_lab.corpus import CorpusError, chain_spec
 from locale_lab.frames import FrameError, build_frame, spec_from_json
 from locale_lab.intervals import InvalidInterval, parse_ratopen
 from locale_lab.laws import SUITES, format_text, report_to_json, reports_to_json
@@ -81,12 +81,12 @@ def _err(msg: str) -> None:
 
 def cmd_frame_check(args) -> int:
     try:
-        obj = json.loads(Path(args.path).read_text())
+        obj = json.loads(Path(args.path).read_text(encoding="utf-8"))
     except OSError as exc:
         _err(f"cannot read {args.path}: {exc}")
         return 2
-    except json.JSONDecodeError as exc:
-        _err(f"not valid JSON: {exc}")
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
+        _err(f"cannot parse {args.path}: {exc}")
         return 2
     try:
         fr = build_frame(spec_from_json(obj))
@@ -108,7 +108,7 @@ def cmd_laws(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     try:
         reports = [SUITES[n](args.corpus, args.max_size, args.tol) for n in names]
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, CorpusError) as exc:
         _err(str(exc))
         return 2
     if args.format == "json":

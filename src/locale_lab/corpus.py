@@ -179,14 +179,22 @@ def corpus_root(explicit=None) -> Path:
     )
 
 
-def _read(path: Path):
-    return json.loads(path.read_text())
+class CorpusError(ValueError):
+    """A corpus file that cannot be read, parsed or built; names the file."""
+
+
+def load(path: Path, build=lambda obj: build_frame(spec_from_json(obj))):
+    """What build makes of the JSON in a corpus file: by default its frame."""
+    try:
+        return build(json.loads(path.read_text(encoding="utf-8")))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise CorpusError(f"{path}: {exc}") from exc
 
 
 def iter_corpus_frames(root=None) -> list:
     """All positive corpus entries as (name, Frame), topology-backed ones
     first, in filename order."""
-    return [(p.stem, build_frame(spec_from_json(_read(p)))) for p in corpus_files(root)]
+    return [(p.stem, load(p)) for p in corpus_files(root)]
 
 
 def corpus_files(root=None) -> list:
@@ -200,7 +208,7 @@ def corpus_files(root=None) -> list:
 def iter_negative_specs(root=None) -> list:
     root = corpus_root(root)
     return [
-        (p.stem, frame_spec_from_json(_read(p)))
+        (p.stem, load(p, frame_spec_from_json))
         for p in sorted((root / "negative").glob("*.json"))
     ]
 

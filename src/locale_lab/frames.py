@@ -356,6 +356,13 @@ class Frame:
             for v in range(self.n)
         )
 
+    @cached_property
+    def least_not_below(self) -> tuple:
+        """least_not_below[i] is kappa(primes[i]): the meet of the elements
+        not below it, which are closed under meets as primes[i] is prime."""
+        everything = self.up[self.bottom]
+        return tuple(self.meet_all(_bits(everything & ~self.down[p])) for p in self.primes)
+
     def meet_of_primes(self, mask: int) -> int:
         """The meet of the primes whose bits are set in `mask`; top if none."""
         try:

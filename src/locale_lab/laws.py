@@ -24,8 +24,8 @@ from functools import cached_property
 from math import comb
 
 from locale_lab import intervals as ivs
-from locale_lab.corpus import corpus_files, iter_corpus_frames, iter_negative_specs
-from locale_lab.frames import Frame, FrameError, build_frame, spec_from_json
+from locale_lab.corpus import CorpusError, corpus_files, iter_corpus_frames, iter_negative_specs, load
+from locale_lab.frames import Frame, FrameError, build_frame
 from locale_lab.intervals import RatOpen, frac, iv, normalize, parse_fin, parse_ratopen
 from locale_lab.measure import (
     Lebesgue,
@@ -366,8 +366,8 @@ def run_frame_suite(root=None, max_size=None, tol=None) -> RunReport:
 def _load_entry(path):
     """The frame a corpus file describes, or the error that stopped it."""
     try:
-        return build_frame(spec_from_json(json.loads(path.read_text())))
-    except (OSError, ValueError) as exc:
+        return load(path)
+    except CorpusError as exc:
         return exc
 
 
@@ -1402,23 +1402,13 @@ def _interval_descriptors():
     ]
 
 
-def _cells(depth: int):
-    d = 2 ** depth
-    return [(Fraction(i, d), Fraction(i + 1, d)) for i in range(d)]
-
-
-def _meets_cell(x, a, b, budget: int = 70000) -> bool:
+def _meets_cell(x, a, b) -> bool:
     """Certify the presentation reaches into (a, b)."""
     if isinstance(x, CountablePoints):
-        return any(a < q < b for q in x.points.prefix(budget))
-    if isinstance(x, (CoCountable, Generic)):
-        # stages are the whole interval minus finitely many points (or
-        # dense opens); no cell can be missed
-        return True
-    if isinstance(x, Open) and isinstance(x.part, RatOpen):
-        probe = RatOpen(normalize([iv(a, b)]))
-        return ivs.meet(x.part, probe).fin.pieces != ()
-    return False
+        return a < x.points.point(x.points.first_in(a, b)) < b
+    # stages of the rest are the whole interval minus finitely many points
+    # (or dense opens); no cell can be missed
+    return isinstance(x, (CoCountable, Generic))
 
 
 class _Arena:
@@ -1547,7 +1537,7 @@ def _reduce_idempotent_interval(a):
 @_declare(INTERVAL_LAWS, "dense-probes",
           "both halves of the rational/irrational split reach into every dyadic cell")
 def _dense_probes(a):
-    cells = _cells(4)
+    cells = [(Fraction(i, 16), Fraction(i + 1, 16)) for i in range(16)]
     bad = []
     for part, pname in ((a.rats, "countable-points"), (a.irr, "cocountable")):
         for lo, hi in cells:

@@ -92,8 +92,7 @@ class FiniteValuation:
         """mass[i] is what p = primes[i] carries: mu(k) - mu(k meet p), with k
         the least element not below p. A derived view; mu is stored."""
         fr, mu = self.frame, self.mu
-        least = [fr.meet_all(v for v in range(fr.n) if not fr.leq(v, p)) for p in fr.primes]
-        return tuple(mu[k] - mu[fr.meet(k, p)] for k, p in zip(least, fr.primes))
+        return tuple(mu[k] - mu[fr.meet(k, p)] for k, p in zip(fr.least_not_below, fr.primes))
 
     def __call__(self, v) -> Fraction:
         return self.mu[self.frame.el(v)]
@@ -138,9 +137,10 @@ def measure_open(val: FiniteValuation, v) -> Fraction:
 
 
 def vstar(x: Sublocale) -> int:
-    """The smallest open neighborhood: the meet of all V with e_X(V) = top."""
+    """The smallest open neighborhood: the meet of all V with e_X(V) = top.
+    Those V are the ones above kappa(p) for each point p of X: their join."""
     f = x.frame
-    return f.meet_all(v for v in range(f.n) if x.nucleus[v] == f.top)
+    return f.join_all(k for i, k in enumerate(f.least_not_below) if x.points >> i & 1)
 
 
 def outer_measure_finite(val: FiniteValuation, x: Sublocale) -> Fraction:

@@ -3,20 +3,17 @@
 The frame here is the rational-endpoint opens of [0,1], so sublocales are
 given symbolically: opens, closed complements, countable point sets and
 their complements, the smallest dense sublocale, and unions/meets of
-those. What makes them computable is the neighborhood stream: for each
-presentation, `neighborhood(x, k)` is an open set containing x, and the
-stream's measures converge down to the outer measure.
+those. Each presentation has a neighborhood stream: `neighborhood(x, k)`
+is an open containing x, and its measures converge down to the outer
+measure.
 
-Opens come in two flavours: an exact RatOpen, or a LazyOpen whose stages
-grow forever but whose unseen remainder has a certified length bound.
+Countable point sets are listings read off binary trees of rationals by
+descent (see Enumerator): they keep no state and find points without scans.
 
-Stages only grow: stage n is stage n-1 joined with the few pieces that
-arrive at n, so each stage costs one insertion into the stage before it.
-Joining, meeting with an open and removing points all distribute over
-finite unions, so a combined stream can grow by combining its operands'
-new pieces; every stage is the same set, hence the same canonical tuple,
-as when it was rebuilt from the whole prefix, and every bound read off
-the stages is unchanged.
+Opens are an exact RatOpen, or a LazyOpen whose stages grow forever with
+a certified length bound on the unseen rest. Stage n is stage n-1 with
+the pieces that arrive at n inserted (see LazyOpen): the same set, hence
+the same canonical tuple, as a rebuild from the whole prefix.
 """
 
 from __future__ import annotations
@@ -34,59 +31,65 @@ class UnsupportedConstructor(ValueError):
 
 # -- countable point sets -----------------------------------------------------
 
-def _stern_brocot():
-    yield Fraction(0)
-    yield Fraction(1)
-    level = [Fraction(0), Fraction(1)]
-    while True:
-        mediants = [
-            Fraction(a.numerator + b.numerator, a.denominator + b.denominator)
-            for a, b in zip(level, level[1:])
-        ]
-        yield from mediants
-        merged = []
-        for x, m in zip(level, mediants):
-            merged += [x, m]
-        merged.append(level[-1])
-        level = merged
+def _mediant(ln, ld, hn, hd):
+    return ln + hn, ld + hd
 
 
-def _dyadics():
-    yield Fraction(0)
-    yield Fraction(1)
-    d = 2
-    while True:
-        for k in range(1, d, 2):
-            yield Fraction(k, d)
-        d *= 2
+def _midpoint(ln, ld, hn, hd):
+    d = max(ld, hd)  # both powers of two: the larger is a common denominator
+    return ln * (d // ld) + hn * (d // hd), 2 * d
 
 
+@dataclass(frozen=True)
 class Enumerator:
-    """An infinite listing of rationals in [0,1] with decidable membership."""
+    """A listing of rationals in [0,1] with decidable membership.
 
-    def __init__(self, name, factory, membership):
-        self.name = name
-        self._factory = factory
-        self._membership = membership
-        self._cache = []
-        self._gen = factory()
+    The listing is 0, 1, then in level order the binary tree `split` grows
+    on [0,1]: node split(lo, hi) has children split(lo, node) and
+    split(node, hi). Position i >= 2 is the path spelt by the bits of i - 1
+    after the leading one, 0 left and 1 right. The tree is sorted in order,
+    so the first node met inside (a, b) going down is the shallowest there,
+    hence the first listed. `split` maps numerators and denominators.
+    """
 
-    def prefix(self, k: int) -> list:
-        self._extend(k)
-        return self._cache[:k]
+    name: str
+    split: object
+    membership: object
 
     def point(self, i: int) -> Fraction:
-        """The i-th point of the listing, without copying the prefix."""
-        self._extend(i + 1)
-        return self._cache[i]
+        """The i-th point of the listing."""
+        if i < 2:
+            return Fraction(i)
+        ln, ld, hn, hd = 0, 1, 1, 1
+        for bit in bin(i - 1)[3:]:
+            n, d = self.split(ln, ld, hn, hd)
+            if bit == "1":
+                ln, ld = n, d
+            else:
+                hn, hd = n, d
+        return Fraction(*self.split(ln, ld, hn, hd))
 
-    def _extend(self, k: int) -> None:
-        while len(self._cache) < k:
-            self._cache.append(next(self._gen))
+    def first_in(self, a, b) -> int:
+        """The position of the first listed point strictly inside (a, b) in [0,1]."""
+        a, b = frac(a), frac(b)
+        if not 0 <= a < b <= 1:
+            raise ValueError(f"({a}, {b}) is not an interval inside [0,1]")
+        ln, ld, hn, hd, path = 0, 1, 1, 1, 1  # path: the binary digits of position - 1
+        while True:
+            n, d = self.split(ln, ld, hn, hd)
+            if n * a.denominator <= a.numerator * d:
+                ln, ld, path = n, d, 2 * path + 1
+            elif n * b.denominator >= b.numerator * d:
+                hn, hd, path = n, d, 2 * path
+            else:
+                return path + 1
+
+    def prefix(self, k: int) -> list:
+        return [self.point(i) for i in range(k)]
 
     def contains(self, q) -> bool:
         q = frac(q)
-        return Fraction(0) <= q <= Fraction(1) and self._membership(q)
+        return Fraction(0) <= q <= Fraction(1) and self.membership(q)
 
     def __repr__(self):
         return f"Enumerator({self.name})"
@@ -97,19 +100,10 @@ def _is_dyadic(q: Fraction) -> bool:
     return d & (d - 1) == 0
 
 
-RATIONALS = Enumerator("rationals-stern-brocot", _stern_brocot, lambda q: True)
-DYADICS = Enumerator("dyadics", _dyadics, _is_dyadic)
-
-ENUMERATORS = {e.name: e for e in (RATIONALS, DYADICS)}
-
-
-def get_enumerator(name: str) -> Enumerator:
-    try:
-        return ENUMERATORS[name]
-    except KeyError:
-        raise UnsupportedConstructor(
-            f"unknown enumerator {name!r}; know {sorted(ENUMERATORS)}"
-        ) from None
+# The mediant grows the Stern-Brocot tree, which holds every rational in
+# (0,1) once (Graham, Knuth and Patashnik, *Concrete Mathematics* 4.5).
+RATIONALS = Enumerator("rationals-stern-brocot", _mediant, lambda q: True)
+DYADICS = Enumerator("dyadics", _midpoint, _is_dyadic)
 
 
 # -- lazy opens ----------------------------------------------------------------

@@ -41,8 +41,14 @@ def test_frame_check_sierpinski(sierpinski, capsys):
 def test_frame_check_parse_failure(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
-    assert main(["frame-check", str(bad)]) == 2
-    assert main(["frame-check", str(tmp_path / "missing.json")]) == 2
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    for path in (bad, tmp_path / "missing.json", latin, deep):
+        assert main(["frame-check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(path) in err
 
 
 def test_frame_check_invalid_frame(tmp_path, capsys):
@@ -214,6 +220,16 @@ def test_laws_flag_tampered_corpus(tmp_path, capsys):
     shutil.copy(tmp_path / "negative" / "m3.json", tmp_path / "frames" / "zz-m3.json")
     assert main(["laws", "frame", "--corpus", str(tmp_path)]) == 1
     assert "FAIL frame-valid" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("suite", ["sublocale", "morphism", "measure", "all"])
+def test_laws_name_an_invalid_corpus_file(tmp_path, capsys, suite):
+    generate(tmp_path)
+    bad = tmp_path / "frames" / "zz-cycle.json"
+    bad.write_text(json.dumps({"elements": ["a", "b"], "leq": [["a", "b"], ["b", "a"]]}))
+    assert main(["laws", suite, "--corpus", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and str(bad) in err
 
 
 def test_laws_missing_corpus(capsys):

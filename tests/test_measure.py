@@ -474,6 +474,14 @@ def test_mass_is_the_point_masses_of_the_table():
         assert mass_valuation(fr, masses).mass == tuple(masses), name
 
 
+def test_vstar_is_the_defining_meet_on_corpus():
+    # the meet of every V with e_X(V) = top is the oracle for the join
+    for name, fr in iter_corpus_frames():
+        for x in enumerate_sublocales(fr):
+            want = fr.meet_all(v for v in range(fr.n) if x.nucleus[v] == fr.top)
+            assert vstar(x) == want, (name, x)
+
+
 def test_reduction_past_the_enumeration_cap():
     cube = build_frame(boolean_spec(5))
     val = mass_valuation(cube, [F(1)] * 5)

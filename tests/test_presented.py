@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from locale_lab.presented import (
     Closed,
     CoCountable,
     CountablePoints,
-    Enumerator,
     Generic,
     IntersectWithClosed,
     IntersectWithOpen,
@@ -22,7 +22,6 @@ from locale_lab.presented import (
     avoids_point,
     closed_neighborhood,
     full_minus_points,
-    get_enumerator,
     lazy_cover,
     lazy_join,
     lazy_meet_open,
@@ -61,18 +60,86 @@ def test_dyadics():
     assert len(set(DYADICS.prefix(100))) == 100
 
 
+# Reference listings: the generators the listings were first written as,
+# a level of mediants, or of odd numerators over the next power of two.
+
+def stern_brocot():
+    yield F(0)
+    yield F(1)
+    level = [F(0), F(1)]
+    while True:
+        mediants = [
+            F(a.numerator + b.numerator, a.denominator + b.denominator)
+            for a, b in zip(level, level[1:])
+        ]
+        yield from mediants
+        merged = []
+        for x, m in zip(level, mediants):
+            merged += [x, m]
+        merged.append(level[-1])
+        level = merged
+
+
+def dyadics():
+    yield F(0)
+    yield F(1)
+    d = 2
+    while True:
+        for k in range(1, d, 2):
+            yield F(k, d)
+        d *= 2
+
+
+REFERENCES = {RATIONALS.name: stern_brocot, DYADICS.name: dyadics}
+LISTINGS = pytest.mark.parametrize("points", [RATIONALS, DYADICS], ids=lambda e: e.name)
+SCAN = 70000
+CELLS = [(F(i, 2 ** d), F(i + 1, 2 ** d)) for d in range(7) for i in range(2 ** d)]
+# Cells near 0 and 1 at depths 5 and 6 are first reached deep down the
+# mediant tree: (0, 1/64) at 1/65, position 2**63 + 1.
+BEYOND_SCAN = {RATIONALS.name: 10, DYADICS.name: 0}
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return {name: list(itertools.islice(gen(), SCAN)) for name, gen in REFERENCES.items()}
+
+
+@LISTINGS
+def test_point_matches_the_reference_listing(points, reference):
+    assert [points.point(i) for i in range(SCAN)] == reference[points.name]
+
+
 def test_point_reads_the_listing():
-    sevenths = Enumerator("sevenths", lambda: (F(i, 7) for i in range(8)), lambda q: True)
-    assert sevenths.point(5) == F(5, 7)
-    assert sevenths.prefix(8) == [F(i, 7) for i in range(8)]
-    assert [RATIONALS.point(i) for i in range(60)] == RATIONALS.prefix(60)
+    for points in (RATIONALS, DYADICS):
+        assert points.prefix(60) == list(itertools.islice(REFERENCES[points.name](), 60))
+    # the bits of i - 1 after the leading one are the path: all right, all left
+    assert RATIONALS.point(2 ** 40) == F(40, 41)
+    assert RATIONALS.point(2 ** 40 + 1) == F(1, 42)
+    assert DYADICS.point(2 ** 40 + 1) == F(1, 2 ** 41)
 
 
-def test_get_enumerator():
-    assert get_enumerator("dyadics") is DYADICS
-    assert get_enumerator("rationals-stern-brocot") is RATIONALS
-    with pytest.raises(UnsupportedConstructor):
-        get_enumerator("primes")
+@LISTINGS
+def test_first_in_matches_the_reference_scan(points, reference):
+    scanned = 0
+    for a, b in CELLS:
+        hit = next((i for i, q in enumerate(reference[points.name]) if a < q < b), None)
+        if hit is not None:
+            assert points.first_in(a, b) == hit, (a, b)
+            scanned += 1
+    assert scanned == len(CELLS) - BEYOND_SCAN[points.name]
+
+
+@LISTINGS
+def test_first_in_lands_inside_every_cell(points):
+    beyond = 0
+    for a, b in CELLS:
+        i = points.first_in(a, b)
+        assert a < points.point(i) < b, (a, b)
+        beyond += i >= SCAN
+    assert beyond == BEYOND_SCAN[points.name]
+    for a, b in ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 3)), (F(-1), F(1, 2)), (F(1, 2), F(2))):
+        with pytest.raises(ValueError):
+            points.first_in(a, b)
 
 
 # -------------------------------------------------------------- lazy covers
