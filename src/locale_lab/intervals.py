@@ -7,14 +7,21 @@ equality. RatOpen restricts to the relatively open sets of [0,1]: pieces
 may only include an endpoint at the ambient boundary.
 
 All interior/closure talk is relative to [0,1]; [0,1/4) is open here.
+
+The canonical check runs at the edges: the public FinUnion and Iv
+constructors and parse_fin (which the JSON and command-line paths use).
+normalize, add and presented.full_minus_points build canonical output by
+construction and skip it through _trusted; add also carries the length
+along, so a union sums its pieces at most once.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 
 class InvalidInterval(ValueError):
@@ -30,7 +37,7 @@ def frac(x) -> Fraction:
         return x
     try:
         return Fraction(x)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise InvalidInterval(f"bad rational {x!r}: {exc}") from None
 
 
@@ -104,12 +111,13 @@ def normalize(pieces) -> "FinUnion":
             out[-1] = _merged(out[-1], p)
         else:
             out.append(p)
-    return FinUnion(tuple(out))
+    return _trusted(tuple(out))
 
 
 @dataclass(frozen=True)
 class FinUnion:
     pieces: tuple
+    _length: Fraction | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for i, p in enumerate(self.pieces):
@@ -125,16 +133,30 @@ class FinUnion:
         return not self.pieces
 
     def length(self) -> Fraction:
-        return sum((p.hi - p.lo for p in self.pieces), Fraction(0))
+        if self._length is None:
+            total = sum((p.hi - p.lo for p in self.pieces), Fraction(0))
+            object.__setattr__(self, "_length", total)
+        return self._length
 
     def contains(self, x) -> bool:
+        # starts strictly increase and pieces are separated, so only the
+        # last piece starting at or before x can hold it
         x = frac(x)
-        return any(p.contains(x) for p in self.pieces)
+        i = bisect_right(self.pieces, x, key=attrgetter("lo"))
+        return i > 0 and self.pieces[i - 1].contains(x)
 
     def __str__(self):
         if not self.pieces:
             return "empty"
         return "|".join(str(p) for p in self.pieces)
+
+
+def _trusted(pieces: tuple, length: Fraction | None = None) -> FinUnion:
+    """A FinUnion of pieces canonical by construction, unchecked."""
+    u = object.__new__(FinUnion)
+    object.__setattr__(u, "pieces", pieces)
+    object.__setattr__(u, "_length", length)
+    return u
 
 
 EMPTY = FinUnion(())
@@ -149,10 +171,12 @@ def add(u: FinUnion, v: FinUnion) -> FinUnion:
     """The union of u with a v of few pieces.
 
     Each piece of v goes into u's sorted pieces by bisection and swallows
-    the neighbours it merges with, so u is not sorted again; the result is
-    still checked canonical like any FinUnion.
+    the neighbours it merges with, so u is not sorted again. The result is
+    canonical by construction and is not checked again; its length is u's,
+    less the swallowed pieces, plus the pieces that replace them.
     """
     out = list(u.pieces)
+    length = u.length()
     for p in v.pieces:
         i = bisect_left(out, _start_key(p), key=_start_key)
         if i and _mergeable(out[i - 1], p):
@@ -162,8 +186,9 @@ def add(u: FinUnion, v: FinUnion) -> FinUnion:
         while j < len(out) and _mergeable(p, out[j]):
             p = _merged(p, out[j])
             j += 1
+        length += p.hi - p.lo - sum((q.hi - q.lo for q in out[i:j]), Fraction(0))
         out[i:j] = [p]
-    return FinUnion(tuple(out))
+    return _trusted(tuple(out), length)
 
 
 def intersect(*us) -> FinUnion:

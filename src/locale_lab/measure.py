@@ -38,9 +38,9 @@ from locale_lab.presented import (
     Union,
     UnsupportedConstructor,
     avoids_point,
+    full_minus_points,
     lazy_puncture,
     neighborhood,
-    ratopen_minus_points,
     structural_union_is_whole,
 )
 from locale_lab.sublocales import (
@@ -385,7 +385,7 @@ def null_open(d) -> RatOpen:
         fat = ivs.normalize(p for p in d.region.pieces if p.lo < p.hi)
         return RatOpen(ivs.interior(ivs.complement(ivs.closure(fat))))
     if isinstance(d, Atomic):
-        return ratopen_minus_points(FULL_RO, [q for q, _ in d.atoms])
+        return full_minus_points(q for q, _ in d.atoms)
     if isinstance(d, Mixture):
         acc = FULL_RO
         for p in d.parts:
@@ -524,10 +524,11 @@ def _budgets(tol: Fraction) -> tuple:
 def _lazy_upper(d, lazy: LazyOpen, inner_tol: Fraction, max_stage: int) -> Fraction:
     best = None
     for n in range(max_stage + 1):
-        cand = measure_fin(d, lazy.stage(n).fin) + _rest_bound(d, lazy, n)
+        rest = _rest_bound(d, lazy, n)
+        cand = measure_fin(d, lazy.stage(n).fin) + rest
         if best is None or cand < best:
             best = cand
-        if _rest_bound(d, lazy, n) <= inner_tol:
+        if rest <= inner_tol:
             return best
     raise TolNotReached("stage bound did not tighten enough", upper=best)
 
@@ -792,17 +793,35 @@ def valuation_from_json(frame: Frame, obj, where: str = "$") -> FiniteValuation:
 
 def descriptor_from_json(obj, where: str = "$"):
     from locale_lab.frames import SpecError
-    from locale_lab.intervals import parse_fin
+    from locale_lab.intervals import InvalidInterval, parse_fin
 
     if obj == "lebesgue":
         return Lebesgue()
     if isinstance(obj, dict) and set(obj) == {"restrict"}:
-        return LebesgueRestrictedTo(parse_fin(obj["restrict"]))
+        region = obj["restrict"]
+        if not isinstance(region, str):
+            raise SpecError("restrict must be a union of intervals such as '[0,1/2]'",
+                            f"{where}.restrict")
+        try:
+            return LebesgueRestrictedTo(parse_fin(region))
+        except InvalidInterval as exc:
+            raise SpecError(str(exc), f"{where}.restrict") from None
     if isinstance(obj, dict) and set(obj) == {"atoms"}:
         pairs = obj["atoms"]
         if not isinstance(pairs, list):
             raise SpecError("atoms must be a list of [point, weight]", f"{where}.atoms")
-        return atomic((q, w) for q, w in pairs)
+        atoms = []
+        for i, pair in enumerate(pairs):
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise SpecError("an atom must be [point, weight]", f"{where}.atoms[{i}]")
+            try:
+                atoms.append((frac(pair[0]), frac(pair[1])))
+            except InvalidInterval as exc:
+                raise SpecError(str(exc), f"{where}.atoms[{i}]") from None
+        try:
+            return atomic(atoms)
+        except UnsupportedDescriptor as exc:
+            raise SpecError(str(exc), f"{where}.atoms") from None
     if isinstance(obj, dict) and set(obj) == {"mix"}:
         parts = obj["mix"]
         if not isinstance(parts, list) or not parts:

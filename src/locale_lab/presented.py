@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from locale_lab import intervals as ivs
-from locale_lab.intervals import EMPTY_RO, FULL_RO, FinUnion, Iv, RatOpen, frac, normalize
+from locale_lab.intervals import EMPTY_RO, FinUnion, Iv, RatOpen, frac, normalize
 
 
 class UnsupportedConstructor(ValueError):
@@ -185,18 +185,10 @@ def lazy_meet_open(a: LazyOpen, u: RatOpen) -> LazyOpen:
     )
 
 
-def points_fin(pts):
-    return normalize(Iv(frac(p), frac(p), True, True) for p in pts)
-
-
-def ratopen_minus_points(u: RatOpen, pts) -> RatOpen:
-    return RatOpen(ivs.minus(u.fin, points_fin(pts)))
-
-
 def lazy_puncture(a: LazyOpen, pts) -> LazyOpen:
     """Remove finitely many points from the limit open."""
     pts = tuple(frac(p) for p in pts)
-    rest = ivs.complement(points_fin(pts))
+    rest = full_minus_points(pts).fin
     return LazyOpen(
         lambda n: RatOpen(ivs.intersect(a.grow(n).fin, rest)),
         a.tail,
@@ -205,7 +197,20 @@ def lazy_puncture(a: LazyOpen, pts) -> LazyOpen:
 
 
 def full_minus_points(pts) -> RatOpen:
-    return ratopen_minus_points(FULL_RO, pts)
+    """[0,1] minus finitely many points: the gaps between them, in one pass.
+
+    A gap is kept only when it is nonempty, which drops repeated points and
+    the gaps before points at 0; the gaps are separated by the points, so
+    the result is canonical by construction.
+    """
+    out, lo, lo_in = [], Fraction(0), True
+    for q in sorted(frac(p) for p in pts):
+        if lo < q:
+            out.append(Iv(lo, q, lo_in, False))
+        lo, lo_in = q, False
+    if lo < 1:
+        out.append(Iv(lo, Fraction(1), lo_in, True))
+    return RatOpen(ivs._trusted(tuple(out)))
 
 
 # -- presentations --------------------------------------------------------------

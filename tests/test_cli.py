@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import shutil
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from locale_lab.cli import _positive_rational, build_parser, main, parse_part
 from locale_lab.corpus import generate
@@ -138,6 +141,47 @@ def test_measure_refuses_deep_nesting_in_one_line(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["part is nested too deeply"]
+
+
+# A small grammar of measure arguments, a third of its fragments malformed.
+DESCRIPTORS = st.sampled_from([
+    "lebesgue", "atoms 1/2:1", "atoms 1/3:1/2,3/4:1/4", "restrict [0,1/2]",
+    "restrict (1/4,1/2)|(3/4,1]", "mix lebesgue + atoms 1/3:1/2",
+    "", "bogus", "atoms", "atoms 1/2", "atoms 2:1", "atoms 1/2:0", "atoms 1/0:1",
+    "atoms a:1", "atoms 1/2:1,1/2:1", "restrict [0,2]", "restrict (1/2,1/4)",
+    "restrict", "mix", "mix lebesgue +", "mix bogus + lebesgue",
+])
+LEAVES = st.sampled_from([
+    "rationals", "irrationals", "generic", "empty", "(0,1/2)", "[0,1/4)|(1/2,1]",
+    "closed (1/4,3/4)", " Rationals ",
+    "", "bogus", "(0,2)", "(1/2,1/4)", "[1/4,1/2)", "closed", "closed rationals",
+    "(0;1)", "union()", "union(rationals", "meet-open(generic)",
+])
+OPENS = st.sampled_from(["(0,1/2)", "(1/4,1]", "empty", "(1/2,3/2)", "[1/3,1/2)", "rationals", ""])
+PARTS = st.recursive(LEAVES, lambda inner: st.one_of(
+    st.lists(inner, min_size=1, max_size=3).map(lambda ps: f"union({'; '.join(ps)})"),
+    st.tuples(inner, OPENS).map(lambda t: f"meet-open({t[0]}; {t[1]})"),
+    st.tuples(inner, OPENS).map(lambda t: f"meet-closed({t[0]}; {t[1]})"),
+), max_leaves=4)
+
+
+@given(DESCRIPTORS, PARTS)
+@settings(max_examples=150, deadline=None)
+def test_measure_answers_any_arguments_in_one_line(descriptor, part):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(["measure", descriptor, part])
+        except SystemExit as exc:
+            rc = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err
+    assert len(err.splitlines()) <= 1
+    if rc == 0:
+        assert err == "" and len(out.splitlines()) == 1
+    else:
+        assert out == "" and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("size", ["0", "-1", "abc"])

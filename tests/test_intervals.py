@@ -123,7 +123,26 @@ def test_normalize_output_is_canonical(u):
 @example(parse_fin("(1/8,1/4)|(1/2,3/4)"), parse_fin("(0,1]"))
 @example(EMPTY, parse_fin("[0,1/2)|(1/2,1]"))
 def test_add_is_union(u, v):
-    assert add(u, v) == union(u, v)
+    w = add(u, v)
+    assert w == union(u, v)
+    # add skips the canonical check and carries its length: both must hold
+    assert FinUnion(w.pieces) == w
+    assert w.length() == sum((p.hi - p.lo for p in w.pieces), F(0))
+
+
+SIXTEENTHS = [F(i, 16) for i in range(17)]
+
+
+@given(coarse_unions())
+@settings(max_examples=100)
+@example(parse_fin("[0,0]|(1/8,1/4)|[1/2,1/2]|(3/4,1]"))
+@example(parse_fin("(0,1/4)|(1/4,1/2)|[5/8,3/4]|(3/4,1)"))
+@example(FULL)
+@example(EMPTY)
+def test_contains_bisects_like_a_scan(u):
+    # the grid holds every endpoint and midpoint of a coarse union
+    for x in SIXTEENTHS:
+        assert u.contains(x) == any(p.contains(x) for p in u.pieces), x
 
 
 def test_canonical_form_enforced():

@@ -824,6 +824,24 @@ def test_descriptor_from_json():
         descriptor_from_json({"volume": 3})
 
 
+@pytest.mark.parametrize("obj, where", [
+    ({"atoms": [[1]]}, "$.atoms[0]"),
+    ({"atoms": ["1/2:1"]}, "$.atoms[0]"),
+    ({"restrict": 5}, "$.restrict"),
+    ({"atoms": [["a", "1"]]}, "$.atoms[0]"),
+    ({"atoms": [[float("inf"), "1"]]}, "$.atoms[0]"),
+    ({"mix": [{"atoms": [[1]]}]}, "$.mix[0].atoms[0]"),
+    ({"mix": ["lebesgue", {"atoms": [["1/2", "1"], [1]]}]}, "$.mix[1].atoms[1]"),
+    ({"restrict": "[0,2]"}, "$.restrict"),
+    ({"atoms": [["1/2", "0"]]}, "$.atoms"),
+])
+def test_descriptor_from_json_names_the_bad_path(obj, where):
+    with pytest.raises(SpecError) as e:
+        descriptor_from_json(obj)
+    assert e.value.where == where
+    assert str(e.value).startswith(f"{where}: ")
+
+
 def test_parse_descriptor_grammar():
     assert parse_descriptor("lebesgue") == Lebesgue()
     assert parse_descriptor("restrict [0,1/2]|(3/4,1)") == LebesgueRestrictedTo(

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from locale_lab import intervals as ivs
-from locale_lab.intervals import EMPTY_RO, FULL_RO, Iv, RatOpen, normalize, parse_ratopen
+from locale_lab.intervals import EMPTY_RO, FULL_RO, FinUnion, Iv, RatOpen, normalize, parse_ratopen
 from locale_lab.presented import (
     DYADICS,
     RATIONALS,
@@ -29,7 +29,6 @@ from locale_lab.presented import (
     neighborhood,
     point_sublocale,
     point_sublocale_meets_generic,
-    ratopen_minus_points,
     structural_union_is_whole,
 )
 
@@ -218,6 +217,11 @@ def rebuilt_meet(a, u):
     return lambda n: ivs.meet(a(n), u)
 
 
+def ratopen_minus_points(u, pts):
+    """u minus points the long way: normalise the points, complement, meet."""
+    return RatOpen(ivs.minus(u.fin, normalize(Iv(F(p), F(p), True, True) for p in pts)))
+
+
 def rebuilt_puncture(a, pts):
     return lambda n: ratopen_minus_points(a(n), pts)
 
@@ -275,12 +279,28 @@ def test_neighborhood_stages_match_rebuilt_builds(k):
             IntersectWithClosed(CountablePoints(DYADICS), U),
             rebuilt_meet(rebuilt_cover(DYADICS, eps), closed),
         ),
-        (CoCountable(RATIONALS), lambda n: full_minus_points(RATIONALS.prefix(k))),
+        (CoCountable(RATIONALS), lambda n: ratopen_minus_points(FULL_RO, RATIONALS.prefix(k))),
     ]
     for x, rebuilt in cases:
         nb = neighborhood(x, k)
         for n in range(61):
             assert nb.stage(n) == rebuilt(n), (x, k, n)
+
+
+@pytest.mark.parametrize("k", [1, 5, 20])
+def test_every_stage_is_canonical_with_its_carried_length(k):
+    # stages skip the canonical check and carry their length, so re-check
+    # both on every stream shape the measure ladder builds
+    atoms = [F(1, 3), F(3, 4)]
+    streams = [(name, lazy) for name, lazy, _ in stream_pairs(k)]
+    for x in (Generic(), CoCountable(RATIONALS), CountablePoints(DYADICS)):
+        streams.append((f"{x} nb", neighborhood(x, k)))
+        streams.append((f"{x} nb punctured", lazy_puncture(neighborhood(x, k), atoms)))
+    for name, lazy in streams:
+        for n in range(61):
+            fin = lazy.stage(n).fin
+            assert FinUnion(fin.pieces) == fin, (name, k, n)
+            assert fin.length() == sum((p.hi - p.lo for p in fin.pieces), F(0)), (name, k, n)
 
 
 # ------------------------------------------------------- closed neighborhoods
@@ -404,3 +424,18 @@ def test_full_minus_points():
     assert not w.contains(F(1, 2))
     assert w.contains(F(1, 3))
     assert len(w.fin.pieces) == 2
+    # the one-pass build against the long way round, on empty, unsorted and
+    # duplicated points and on the ambient ends
+    for pts in (
+        [],
+        [F(0)],
+        [F(1)],
+        [F(1, 2)],
+        [F(3, 4), F(1, 4), F(1, 2)],
+        [F(1, 2), F(0), F(1, 2), F(1), F(0)],
+        RATIONALS.prefix(30)[::-1] + DYADICS.prefix(30),
+    ):
+        w = full_minus_points(pts)
+        assert w == ratopen_minus_points(FULL_RO, pts), pts
+        assert FinUnion(w.fin.pieces) == w.fin, pts
+        assert len(w.fin.pieces) == len(set(pts)) + 1 - (F(0) in pts) - (F(1) in pts)
