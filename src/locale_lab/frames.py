@@ -94,7 +94,10 @@ class Frame:
     """A validated finite frame. Elements are 0..n-1; `elements` holds names.
 
     `up[i]` / `down[i]` are bitmasks of the elements above / below i, so the
-    order tests used by the law suites are single AND operations.
+    order tests used by the law suites are single AND operations. Values
+    read off sets of primes are derived once per frame and kept as long as
+    the frame lives: the meet of each set of primes (`meet_of_primes`) and
+    the nucleus of each part (`nucleus_of`), at most one entry per part.
     """
 
     def __init__(self, elements, up, *, opens=None, point_names=None):
@@ -124,6 +127,7 @@ class Frame:
         self._check_distributive()
         self._heyting = None
         self._prime_meets = {}
+        self._nuclei = {}
 
         # Only set when the frame came from a TopologySpec: the open set
         # behind each element, aligned with `elements`.
@@ -370,6 +374,16 @@ class Frame:
         except KeyError:
             out = self.meet_all(self.primes[i] for i in _bits(mask))
             self._prime_meets[mask] = out
+            return out
+
+    def nucleus_of(self, mask: int) -> tuple:
+        """The nucleus of the part whose points are the primes set in `mask`:
+        e(a) is the meet of those points above a."""
+        try:
+            return self._nuclei[mask]
+        except KeyError:
+            out = tuple(self.meet_of_primes(mask & above) for above in self.primes_above)
+            self._nuclei[mask] = out
             return out
 
     def points(self) -> list:

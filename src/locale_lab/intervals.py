@@ -10,9 +10,9 @@ All interior/closure talk is relative to [0,1]; [0,1/4) is open here.
 
 The canonical check runs at the edges: the public FinUnion and Iv
 constructors and parse_fin (which the JSON and command-line paths use).
-normalize, add and presented.full_minus_points build canonical output by
-construction and skip it through _trusted; add also carries the length
-along, so a union sums its pieces at most once.
+normalize, add, intersect and presented's gap builders make canonical
+output by construction and skip it through _trusted; add also carries the
+length along, so a union sums its pieces at most once.
 """
 
 from __future__ import annotations
@@ -208,7 +208,9 @@ def intersect(*us) -> FinUnion:
                     hi, hi_in = b.hi, b.hi_in and (a.hi > b.hi or a.hi_in)
                 if lo < hi or (lo == hi and lo_in and hi_in):
                     got.append(Iv(lo, hi, lo_in, hi_in))
-        acc = normalize(got)
+        # meets inside one piece of acc are sorted and separated like the
+        # pieces of other, and those of later pieces of acc come after them
+        acc = _trusted(tuple(got))
     return acc
 
 

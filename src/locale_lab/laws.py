@@ -581,12 +581,13 @@ def _meet_nucleus_form(L):
     fr, k = L.frame, len(L.subs)
     nm = fr.name
     bad = []
+    nuclei = [s.nucleus for s in L.subs]
     for v in range(fr.n):
         ov, cv = L.open_idx[v], L.closed_idx[v]
         for x in range(k):
-            ex = L.subs[x].nucleus
-            open_meet = L.subs[ov & x].nucleus
-            closed_meet = L.subs[cv & x].nucleus
+            ex = nuclei[x]
+            open_meet = nuclei[ov & x]
+            closed_meet = nuclei[cv & x]
             for h in range(fr.n):
                 if open_meet[h] != fr.heyting(v, ex[h]):
                     bad.append({"v": nm(v), "x": L.label(x), "h": nm(h), "side": "open"})
@@ -918,9 +919,7 @@ class _Mapped:
 def _layer_decomposition(L):
     bad = []
     for i, sub in enumerate(L.subs):
-        layers = [
-            L.open_idx[v] | L.closed_idx[sub.nucleus[v]] for v in range(L.frame.n)
-        ]
+        layers = [L.open_idx[v] | L.closed_idx[ev] for v, ev in enumerate(sub.nucleus)]
         if L.meet_fold(layers) != i:
             bad.append({"x": L.label(i)})
     return len(L.subs), bad

@@ -20,6 +20,7 @@ is structurally all of [0,1], or are an honest zero.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -521,11 +522,32 @@ def _budgets(tol: Fraction) -> tuple:
     return k, 2 * k
 
 
+def _stage_measures(d, lazy: LazyOpen):
+    """measure_fin(d, lazy.stage(n).fin) for n = 0, 1, 2, ...
+
+    A restricted Lebesgue part keeps a running union of grow(n) met with
+    its region, so no whole stage is met with the region: meet distributes
+    over the finite unions, so the running union is stage(n) met with the
+    region, and its carried length is the measure.
+    """
+    if isinstance(d, LebesgueRestrictedTo):
+        seen = ivs.EMPTY
+        for n in itertools.count():
+            seen = ivs.add(seen, ivs.intersect(lazy.grow(n).fin, d.region))
+            yield seen.length()
+    elif isinstance(d, Mixture):
+        for parts in zip(*(_stage_measures(p, lazy) for p in d.parts)):
+            yield sum(parts, Fraction(0))
+    else:
+        for n in itertools.count():
+            yield measure_fin(d, lazy.stage(n).fin)
+
+
 def _lazy_upper(d, lazy: LazyOpen, inner_tol: Fraction, max_stage: int) -> Fraction:
     best = None
-    for n in range(max_stage + 1):
+    for n, m in zip(range(max_stage + 1), _stage_measures(d, lazy)):
         rest = _rest_bound(d, lazy, n)
-        cand = measure_fin(d, lazy.stage(n).fin) + rest
+        cand = m + rest
         if best is None or cand < best:
             best = cand
         if rest <= inner_tol:

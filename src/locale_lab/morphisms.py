@@ -12,6 +12,7 @@ Maps are enumerated as monotone maps of points, with fstar derived.
 from __future__ import annotations
 
 import itertools
+from operator import getitem
 
 from locale_lab.frames import Frame, FrameError, FrameSpec, build_frame
 # union and whole are not used here but stay importable from this module
@@ -309,8 +310,32 @@ def enumerate_morphisms(source: Frame, target: Frame) -> list:
                 place(pos + 1)
 
     place(0)
+    # place refers to itself through its closure; unbinding it breaks that
+    # cycle, so `out` is freed when the caller drops it, not at the next
+    # full collection
+    del place
+    # The key is fstar at each join-irreducible a: the meet of the target
+    # primes j whose point lies above a. spread[j][i] holds bit j in field
+    # k (of `width` bits) when source prime i lies above irr[k], so one sum
+    # over a map's points gives every field's mask at once.
     irr = sorted(source.join_irreducibles, key=lambda p: bin(source.down[p]).count("1"))
-    out.sort(key=lambda f: _star_at(source, target, f._points, irr))
+    width = len(target.primes)
+    spread = [
+        [
+            sum((source.primes_above[a] >> i & 1) << (k * width + j) for k, a in enumerate(irr))
+            for i in range(len(source.primes))
+        ]
+        for j in range(width)
+    ]
+    field = (1 << width) - 1
+    shifts = [k * width for k in range(len(irr))]
+    meet = target.meet_of_primes
+
+    def key(f):
+        masks = sum(map(getitem, spread, f._points))
+        return tuple([meet(masks >> s & field) for s in shifts])
+
+    out.sort(key=key)
     return out
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from locale_lab import intervals as ivs
-from locale_lab.intervals import EMPTY_RO, FinUnion, Iv, RatOpen, frac, normalize
+from locale_lab.intervals import EMPTY_RO, FinUnion, Iv, RatOpen, frac
 
 
 class UnsupportedConstructor(ValueError):
@@ -197,17 +197,23 @@ def lazy_puncture(a: LazyOpen, pts) -> LazyOpen:
 
 
 def full_minus_points(pts) -> RatOpen:
-    """[0,1] minus finitely many points: the gaps between them, in one pass.
+    """[0,1] minus finitely many points: the gaps between them, in one pass."""
+    return _gaps((q, q) for q in sorted(frac(p) for p in pts))
 
-    A gap is kept only when it is nonempty, which drops repeated points and
-    the gaps before points at 0; the gaps are separated by the points, so
-    the result is canonical by construction.
+
+def _gaps(cores) -> RatOpen:
+    """[0,1] minus closed cores [a, b], given in order, each one equal to
+    the last or after it.
+
+    A gap is kept only when it is nonempty, which drops repeated cores and
+    the gap before a core at 0; the gaps are separated by the cores, so the
+    result is canonical by construction.
     """
     out, lo, lo_in = [], Fraction(0), True
-    for q in sorted(frac(p) for p in pts):
-        if lo < q:
-            out.append(Iv(lo, q, lo_in, False))
-        lo, lo_in = q, False
+    for a, b in cores:
+        if lo < a:
+            out.append(Iv(lo, a, lo_in, False))
+        lo, lo_in = b, False
     if lo < 1:
         out.append(Iv(lo, Fraction(1), lo_in, True))
     return RatOpen(ivs._trusted(tuple(out)))
@@ -278,15 +284,16 @@ def closed_neighborhood(u: RatOpen, k: int) -> RatOpen:
     """An open around the closed complement of u, shrinking as k grows.
 
     Each piece of u keeps a closed core, grown toward the full piece as k
-    increases; the complement of the cores is the neighborhood.
+    increases; the gaps between the cores are the neighborhood. The cores
+    lie inside u's separated pieces and miss their open ends, so they come
+    in order and apart.
     """
-    cores = []
-    for p in u.fin.pieces:
-        d = (p.hi - p.lo) / 2 ** (k + 2)
-        lo = p.lo if p.lo_in else p.lo + d
-        hi = p.hi if p.hi_in else p.hi - d
-        cores.append(Iv(lo, hi, True, True))
-    return RatOpen(ivs.complement(normalize(cores)))
+    def cores():
+        for p in u.fin.pieces:
+            d = (p.hi - p.lo) / 2 ** (k + 2)
+            yield (p.lo if p.lo_in else p.lo + d, p.hi if p.hi_in else p.hi - d)
+
+    return _gaps(cores())
 
 
 def neighborhood(x: PresentedSublocale, k: int) -> LazyOpen:

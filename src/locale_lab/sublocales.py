@@ -7,6 +7,8 @@ points, the primes in `Frame.primes`. A sublocale stores that set as a
 bitmask; union, intersection and inclusion are `|`, `&` and a subset
 test, and the part lattice is the Boolean algebra of point sets. The
 nucleus is a derived view: e(a) is the meet of the part's points above a.
+The frame derives each part's nucleus once (`Frame.nucleus_of`) and keeps
+it, so the many `Sublocale` objects of one part share a single tuple.
 
 Validation happens at the edges: `validate_nucleus` checks a mapping
 supplied from outside and returns the part made of the primes it fixes.
@@ -63,21 +65,15 @@ class Sublocale:
     mapping that does not come from the library's own constructors.
     """
 
-    __slots__ = ("frame", "points", "_nucleus")
+    __slots__ = ("frame", "points")
 
     def __init__(self, frame: Frame, points: int):
         self.frame = frame
         self.points = points
-        self._nucleus = None
 
     @property
     def nucleus(self) -> tuple:
-        if self._nucleus is None:
-            fr = self.frame
-            self._nucleus = tuple(
-                fr.meet_of_primes(self.points & above) for above in fr.primes_above
-            )
-        return self._nucleus
+        return self.frame.nucleus_of(self.points)
 
     @property
     def fixpoints(self) -> tuple:
@@ -145,14 +141,6 @@ def validate_nucleus(frame: Frame, mapping) -> Sublocale:
     )
 
 
-def _same_frame(*subs):
-    f = subs[0].frame
-    for s in subs[1:]:
-        if s.frame is not f:
-            raise MixedFrames()
-    return f
-
-
 # -- basic constructors ---------------------------------------------------
 
 def whole(frame: Frame) -> Sublocale:
@@ -196,18 +184,26 @@ def _generic_points(frame: Frame, a: int) -> int:
 
 def union(*subs) -> Sublocale:
     """Join in the sublocale lattice: the union of the point sets."""
-    frame = _same_frame(*subs)
+    if not subs:
+        raise FrameError("union of no parts: use union_all(frame, parts)")
+    frame = subs[0].frame
     points = 0
     for s in subs:
+        if s.frame is not frame:
+            raise MixedFrames()
         points |= s.points
     return Sublocale(frame, points)
 
 
 def intersect(*subs) -> Sublocale:
     """Meet in the sublocale lattice: the common points."""
-    frame = _same_frame(*subs)
-    points = _all_points(frame)
+    if not subs:
+        raise FrameError("intersection of no parts: use intersect_all(frame, parts)")
+    frame = subs[0].frame
+    points = subs[0].points
     for s in subs:
+        if s.frame is not frame:
+            raise MixedFrames()
         points &= s.points
     return Sublocale(frame, points)
 
@@ -228,7 +224,8 @@ def intersect_all(frame: Frame, subs) -> Sublocale:
 
 def is_subsublocale(x: Sublocale, y: Sublocale) -> bool:
     """x is contained in y iff every point of x is a point of y."""
-    _same_frame(x, y)
+    if x.frame is not y.frame:
+        raise MixedFrames()
     return x.points & ~y.points == 0
 
 
@@ -274,7 +271,6 @@ def complement_c(x: Sublocale) -> Sublocale:
 
 def entanglement(a: Sublocale, b: Sublocale) -> Sublocale:
     """Largest closed piece on which a and b are both dense."""
-    _same_frame(a, b)
     return closure(intersect(a, b))
 
 

@@ -130,6 +130,38 @@ def test_add_is_union(u, v):
     assert w.length() == sum((p.hi - p.lo for p in w.pieces), F(0))
 
 
+def meet_pieces(a, b):
+    """The meet of two pieces: the later start and the earlier end, or None."""
+    lo, lo_open = max((a.lo, not a.lo_in), (b.lo, not b.lo_in))
+    hi, hi_in = min((a.hi, a.hi_in), (b.hi, b.hi_in))
+    if lo < hi or (lo == hi and not lo_open and hi_in):
+        return Iv(lo, hi, not lo_open, hi_in)
+    return None
+
+
+@given(coarse_unions(), coarse_unions())
+@settings(max_examples=300)
+@example(parse_fin("[0,0]|(1/8,1/4)|[1,1]"), parse_fin("[0,1/8]|[1/4,1]"))
+@example(parse_fin("[0,1/4)|(1/4,1/2]|(3/4,1]"), parse_fin("[1/4,3/4]|[1,1]"))
+@example(parse_fin("[0,1/2)|(1/2,1]"), FULL)
+@example(parse_fin("(0,1/8)|[1/2,1/2]"), parse_fin("[0,1/8]|(1/4,1/2]"))
+@example(EMPTY, FULL)
+def test_intersect_is_the_normalized_pairwise_meets(u, v):
+    w = intersect(u, v)
+    meets = (meet_pieces(a, b) for a in u.pieces for b in v.pieces)
+    assert w == normalize(p for p in meets if p is not None)
+    # intersect skips the canonical check: it must hold all the same
+    assert FinUnion(w.pieces) == w
+
+
+@given(coarse_unions(), coarse_unions(), coarse_unions())
+@settings(max_examples=100)
+def test_intersect_of_three_folds_the_pairs(u, v, w):
+    got = intersect(u, v, w)
+    assert got == intersect(intersect(u, v), w)
+    assert FinUnion(got.pieces) == got
+
+
 SIXTEENTHS = [F(i, 16) for i in range(17)]
 
 

@@ -66,6 +66,7 @@ from locale_lab.measure import (
     valuation_from_json,
     vstar,
 )
+from locale_lab.measure import _stage_measures
 from locale_lab.morphisms import validate_morphism
 from locale_lab.presented import (
     DYADICS,
@@ -78,6 +79,7 @@ from locale_lab.presented import (
     Open,
     Union,
     UnsupportedConstructor,
+    neighborhood,
 )
 from locale_lab.sublocales import (
     closed_sublocale,
@@ -660,6 +662,33 @@ def test_stream_bounds_are_monotone_and_within_tol(kind, v, w):
         bl = measure_bounds(large, d, TOL, via_stream=True)
         assert bs.lower <= bl.upper
         assert bs.width <= TOL and bl.width <= TOL
+
+
+STAGE_STREAMS = [
+    ("irrationals", CoCountable(RATIONALS)),
+    ("rationals", CountablePoints(DYADICS)),
+    ("closed", Closed(parse_ratopen("[0,1/8)|(1/4,3/8)|(5/8,1]"))),
+    ("union", Union((CountablePoints(RATIONALS), Open(parse_ratopen("(1/2,3/4)"))))),
+    ("meet", IntersectWithOpen(CountablePoints(RATIONALS), parse_ratopen("(1/3,1]"))),
+]
+
+
+@pytest.mark.parametrize("name,x", STAGE_STREAMS, ids=[n for n, _ in STAGE_STREAMS])
+def test_stage_measures_match_measure_fin(name, x):
+    # restricted parts keep a running union of each stage's new pieces met
+    # with their region; measure_fin on the whole stage is the definition
+    region = parse_fin("[0,1/2]|(5/8,3/4)|[7/8,1]")
+    descriptors = [
+        LebesgueRestrictedTo(region),
+        LebesgueRestrictedTo(parse_fin("(0,1)")),
+        Mixture((Lebesgue(), LebesgueRestrictedTo(region), atomic([("1/2", "1/3")]))),
+        Mixture((LebesgueRestrictedTo(parse_fin("[1/4,1/4]|[1/2,1]")),)),
+    ]
+    for k in (1, 5, 20):
+        for d in descriptors:
+            nb = neighborhood(x, k)
+            got = list(itertools.islice(_stage_measures(d, nb), 61))
+            assert got == [measure_fin(d, nb.stage(n).fin) for n in range(61)], (name, k, d)
 
 
 def test_rational_points_are_lebesgue_null():

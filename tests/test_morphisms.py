@@ -21,7 +21,7 @@ from locale_lab.morphisms import (
     sum_frame,
     validate_morphism,
 )
-from locale_lab.morphisms import _point_map
+from locale_lab.morphisms import _point_map, _star_at
 from locale_lab.sublocales import (
     closed_sublocale,
     empty,
@@ -292,6 +292,23 @@ def test_embeddings_of_all_sublocales():
             emb, omega, _ = sublocale_embedding(s)
             assert is_embedding(emb)
             assert omega.n == len(s.fixpoints)
+
+
+def star_order(src, tgt, maps):
+    """The maps sorted by fstar at the source's join-irreducibles, smallest
+    down-set first, each computed by _star_at: the order before the keys
+    were read from a table."""
+    irr = sorted(src.join_irreducibles, key=lambda p: bin(src.down[p]).count("1"))
+    return sorted(maps, key=lambda f: _star_at(src, tgt, f._points, irr))
+
+
+def test_enumeration_order_matches_the_star_key():
+    pairs = [(chain(n), chain(n)) for n in (7, 8, 9)]
+    pairs.append((powerset("pqrs"), powerset("pqrs")))
+    pairs += [(src, tgt) for (_, src), (_, tgt) in itertools.product(small_reps(), repeat=2)]
+    for src, tgt in pairs:
+        maps = enumerate_morphisms(src, tgt)
+        assert [m._points for m in maps] == [m._points for m in star_order(src, tgt, maps)]
 
 
 # ------------------------------------------------------ image, preimage

@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from locale_lab import intervals as ivs
 from locale_lab.intervals import EMPTY_RO, FULL_RO, FinUnion, Iv, RatOpen, normalize, parse_ratopen
@@ -318,6 +319,45 @@ def test_closed_neighborhood_shrinks_to_complement():
             assert ivs.meet(w, prev) == w
         prev = w
     assert closed_neighborhood(u, 20).length() - comp_len == F(2, 4) / 2 ** 22
+
+
+eighths = st.integers(0, 8).map(lambda i: F(i, 8))
+
+
+@st.composite
+def coarse_opens(draw):
+    """Opens with endpoints on the eighths: pieces touch, or reach 0 or 1."""
+    pieces = []
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = sorted((draw(eighths), draw(eighths)))
+        pieces.append(Iv(a, b, draw(st.booleans()), draw(st.booleans())))
+    return RatOpen(ivs.interior(normalize(pieces)))
+
+
+def neighborhood_by_complement(u, k):
+    """The closed cores of u's pieces, normalised, then complemented."""
+    cores = []
+    for p in u.fin.pieces:
+        d = (p.hi - p.lo) / 2 ** (k + 2)
+        lo = p.lo if p.lo_in else p.lo + d
+        hi = p.hi if p.hi_in else p.hi - d
+        cores.append(Iv(lo, hi, True, True))
+    return RatOpen(ivs.complement(normalize(cores)))
+
+
+@given(coarse_opens(), st.integers(0, 60))
+@settings(max_examples=200)
+@example(parse_ratopen("[0,1/4)|(1/4,1/2)|(3/4,1]"), 0)
+@example(parse_ratopen("[0,1/8)"), 60)
+@example(parse_ratopen("(7/8,1]"), 3)
+@example(parse_ratopen("(0,1)"), 1)
+@example(FULL_RO, 5)
+@example(EMPTY_RO, 5)
+def test_closed_neighborhood_is_the_complement_of_the_cores(u, k):
+    w = closed_neighborhood(u, k)
+    assert w == neighborhood_by_complement(u, k)
+    # the gaps skip the canonical check: it must hold all the same
+    assert FinUnion(w.fin.pieces) == w.fin
 
 
 def test_closed_neighborhood_of_empty_complement():

@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from locale_lab.corpus import iter_corpus_frames
-from locale_lab.frames import Frame, FrameSpec, TopologySpec, build_frame
+from locale_lab.corpus import boolean_spec, chain_spec, iter_corpus_frames
+from locale_lab.frames import Frame, FrameError, FrameSpec, TopologySpec, build_frame
 from locale_lab.sublocales import (
     FrameTooLarge,
     MixedFrames,
@@ -97,6 +97,28 @@ def test_not_meet_preserving():
 def test_mixed_frames_rejected():
     with pytest.raises(MixedFrames):
         union(whole(chain3()), whole(chain3()))
+
+
+def test_mixed_frames_rejected_at_every_position():
+    f, g = chain3(), chain3()
+    a, b, c = whole(f), empty(f), whole(g)
+    for op in (union, intersect):
+        for args in ((a, c), (c, a), (a, b, c), (a, c, b), (c, a, b)):
+            with pytest.raises(MixedFrames):
+                op(*args)
+    with pytest.raises(MixedFrames):
+        is_subsublocale(a, c)
+    with pytest.raises(MixedFrames):
+        is_subsublocale(c, a)
+    with pytest.raises(MixedFrames):
+        entanglement(a, c)
+
+
+def test_union_and_intersect_of_no_parts_point_to_the_folds():
+    with pytest.raises(FrameError, match="union_all"):
+        union()
+    with pytest.raises(FrameError, match="intersect_all"):
+        intersect()
 
 
 # ---------------------------------------------------------- enumeration
@@ -429,3 +451,35 @@ def test_trusted_constructors_build_nuclei():
                     built.append(sub)
         for s in built:
             assert validate_nucleus(f, s.nucleus) == s, name
+
+
+# ---------------------------------------------- nuclei derived per frame
+
+def nucleus_by_meets(f, mask):
+    """e(a) as the meet of the part's points above a, with no memo."""
+    return tuple(
+        f.meet_all(p for i, p in enumerate(f.primes) if mask >> i & 1 and f.leq(a, p))
+        for a in range(f.n)
+    )
+
+
+def test_nucleus_of_matches_the_direct_meets():
+    # one run over many frames, so a memo shared between frames would
+    # hand one frame's nucleus to another
+    frames = [f for _, f in iter_corpus_frames()]
+    frames += [build_frame(chain_spec(12)), build_frame(boolean_spec(5))]
+    for f in frames:
+        for mask in range(1 << len(f.primes)):
+            assert f.nucleus_of(mask) == nucleus_by_meets(f, mask), (f, mask)
+            assert Sublocale(f, mask).nucleus is f.nucleus_of(mask)
+
+
+def test_nucleus_memo_holds_one_entry_per_part():
+    f = build_frame(chain_spec(9))
+    subs = enumerate_sublocales(f, max_size=f.n)
+    index = {s.nucleus: i for i, s in enumerate(subs)}
+    for a in subs:
+        for b in subs:
+            assert index[union(a, b).nucleus] == a.points | b.points
+            assert index[intersect(a, b).nucleus] == a.points & b.points
+    assert len(f._nuclei) <= 1 << len(f.primes)
