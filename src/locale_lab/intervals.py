@@ -173,8 +173,11 @@ def add(u: FinUnion, v: FinUnion) -> FinUnion:
     Each piece of v goes into u's sorted pieces by bisection and swallows
     the neighbours it merges with, so u is not sorted again. The result is
     canonical by construction and is not checked again; its length is u's,
-    less the swallowed pieces, plus the pieces that replace them.
+    less the swallowed pieces, plus the pieces that replace them. An empty
+    u gives v itself.
     """
+    if not u.pieces:
+        return v
     out = list(u.pieces)
     length = u.length()
     for p in v.pieces:
@@ -192,7 +195,7 @@ def add(u: FinUnion, v: FinUnion) -> FinUnion:
 
 
 def intersect(*us) -> FinUnion:
-    us = list(us)
+    us = [u for u in us if u is not FULL] or [FULL]  # meeting [0,1] changes nothing
     acc = us[0]
     for other in us[1:]:
         got = []

@@ -10,12 +10,16 @@ its full measure are closed upwards, so X reduces to the points whose
 removal loses measure. The reduced parts form a Boolean algebra, that of
 the sets of points of positive mass, exactly when all of those are maximal.
 
-Interval half. A descriptor (Lebesgue, a restriction of it, finitely many
-atoms, or a mixture) measures RatOpens exactly; presented sublocales get
-MeasureBounds whose width the caller caps with tol. Upper bounds come
-from neighborhood streams, punctured at atoms the sublocale provably
-avoids; lower bounds come from a partner whose union with the sublocale
-is structurally all of [0,1], or are an honest zero.
+Interval half. Every measure here is one Measure(regions, atoms): length
+on each region plus point masses, a density part and an atomic part as
+in the Lebesgue decomposition. Lebesgue measure is length on [0,1], a
+restriction meets each region, and a mixture lists its parts' regions
+side by side and adds the weights of atoms at one point. A Measure
+measures RatOpens exactly; presented sublocales get MeasureBounds whose
+width the caller caps with tol. Upper bounds come from neighborhood
+streams, punctured at atoms the sublocale provably avoids, each grow of a
+stream read once; lower bounds come from a partner whose union with the
+sublocale is structurally all of [0,1], or are an honest zero.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from locale_lab.presented import (
     Union,
     UnsupportedConstructor,
     avoids_point,
-    full_minus_points,
     lazy_puncture,
     neighborhood,
     structural_union_is_whole,
@@ -290,18 +293,15 @@ class NoResidualBound(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Lebesgue:
-    pass
+class Measure:
+    """Length on each of the regions plus point masses at the atoms.
 
+    A region listed twice counts twice. atoms is ((point, weight), ...)
+    with strictly increasing points in [0,1] and positive weights.
+    """
 
-@dataclass(frozen=True)
-class LebesgueRestrictedTo:
-    region: FinUnion
-
-
-@dataclass(frozen=True)
-class Atomic:
-    atoms: tuple  # ((point, weight), ...) sorted by point
+    regions: tuple = ()
+    atoms: tuple = ()
 
     def __post_init__(self):
         last = None
@@ -315,106 +315,81 @@ class Atomic:
             last = q
 
 
-def atomic(pairs) -> Atomic:
-    pairs = sorted((frac(q), frac(w)) for q, w in pairs)
-    return Atomic(tuple(pairs))
+def Lebesgue() -> Measure:
+    return Measure((ivs.FULL,))
 
 
-@dataclass(frozen=True)
-class Mixture:
-    parts: tuple
-
-    def __post_init__(self):
-        if not self.parts:
-            raise UnsupportedDescriptor("empty mixture")
+def LebesgueRestrictedTo(region: FinUnion) -> Measure:
+    return Measure((region,))
 
 
-def measure_fin(d, fin: FinUnion) -> Fraction:
-    if isinstance(d, Lebesgue):
-        return fin.length()
-    if isinstance(d, LebesgueRestrictedTo):
-        return ivs.intersect(fin, d.region).length()
-    if isinstance(d, Atomic):
-        return sum((w for q, w in d.atoms if fin.contains(q)), Fraction(0))
-    if isinstance(d, Mixture):
-        return sum((measure_fin(p, fin) for p in d.parts), Fraction(0))
-    raise UnsupportedDescriptor(f"cannot measure with {type(d).__name__}")
+def atomic(pairs) -> Measure:
+    return Measure(atoms=tuple(sorted((frac(q), frac(w)) for q, w in pairs)))
 
 
-def measure_ro(d, u: RatOpen) -> Fraction:
+def Mixture(parts) -> Measure:
+    """The sum of the parts: their regions side by side, the weights of
+    atoms at one point added."""
+    if not parts:
+        raise UnsupportedDescriptor("empty mixture")
+    weights = {}
+    for p in parts:
+        for q, w in p.atoms:
+            weights[q] = weights.get(q, 0) + w
+    return Measure(tuple(r for p in parts for r in p.regions), tuple(sorted(weights.items())))
+
+
+def measure_fin(d: Measure, fin: FinUnion) -> Fraction:
+    lengths = sum((ivs.intersect(fin, r).length() for r in d.regions), Fraction(0))
+    return lengths + sum((w for q, w in d.atoms if fin.contains(q)), Fraction(0))
+
+
+def measure_ro(d: Measure, u: RatOpen) -> Fraction:
     return measure_fin(d, u.fin)
 
 
-def total_measure(d) -> Fraction:
-    return measure_fin(d, ivs.FULL)
+def total_measure(d: Measure) -> Fraction:
+    return sum((r.length() for r in d.regions), Fraction(0)) + sum(w for _, w in d.atoms)
 
 
-def measure_closed_exact(d, u: RatOpen) -> Fraction:
+def measure_closed_exact(d: Measure, u: RatOpen) -> Fraction:
     """Outer measure of the closed complement of u: total minus mu(u).
 
-    Exact for every descriptor: the shrinking neighborhoods converge to
-    it from above, and subadditivity pins it from below.
+    Exact for every measure: the shrinking neighborhoods converge to it
+    from above, and subadditivity pins it from below.
     """
     return total_measure(d) - measure_ro(d, u)
 
 
-def point_mass(d, q) -> Fraction:
+def point_mass(d: Measure, q) -> Fraction:
     q = frac(q)
-    if isinstance(d, Atomic):
-        for p, w in d.atoms:
-            if p == q:
-                return w
-        return Fraction(0)
-    if isinstance(d, Mixture):
-        return sum((point_mass(p, q) for p in d.parts), Fraction(0))
-    return Fraction(0)
+    return next((w for p, w in d.atoms if p == q), Fraction(0))
 
 
-def positive_atoms(d) -> list:
-    if isinstance(d, Atomic):
-        return list(d.atoms)
-    if isinstance(d, Mixture):
-        return [a for p in d.parts for a in positive_atoms(p)]
-    return []
+def null_open(d: Measure) -> RatOpen:
+    """The largest open of measure zero: the exterior of the support, the
+    closure of the regions' nondegenerate pieces and of the atoms."""
+    support = ivs.normalize(itertools.chain(
+        (Iv(p.lo, p.hi, True, True) for r in d.regions for p in r.pieces if p.lo < p.hi),
+        (Iv(q, q, True, True) for q, _ in d.atoms),
+    ))
+    return RatOpen(ivs.interior(ivs.complement(support)))
 
 
-def null_open(d) -> RatOpen:
-    """The largest open of measure zero: the exterior of the support."""
-    if isinstance(d, Lebesgue):
-        return EMPTY_RO
-    if isinstance(d, LebesgueRestrictedTo):
-        fat = ivs.normalize(p for p in d.region.pieces if p.lo < p.hi)
-        return RatOpen(ivs.interior(ivs.complement(ivs.closure(fat))))
-    if isinstance(d, Atomic):
-        return full_minus_points(q for q, _ in d.atoms)
-    if isinstance(d, Mixture):
-        acc = FULL_RO
-        for p in d.parts:
-            acc = ivs.meet(acc, null_open(p))
-        return acc
-    raise UnsupportedDescriptor(f"cannot take support of {type(d).__name__}")
-
-
-def restrict_to_open(d, u: RatOpen):
+def restrict_to_open(d: Measure, u: RatOpen) -> Measure:
     return _restrict_fin(d, u.fin)
 
 
-def restrict_to_closed(d, u: RatOpen):
+def restrict_to_closed(d: Measure, u: RatOpen) -> Measure:
     """Restrict to the closed complement of u."""
     return _restrict_fin(d, ivs.complement(u.fin))
 
 
-def _restrict_fin(d, fin: FinUnion):
-    if isinstance(d, Lebesgue):
-        return LebesgueRestrictedTo(fin)
-    if isinstance(d, LebesgueRestrictedTo):
-        return LebesgueRestrictedTo(ivs.intersect(d.region, fin))
-    if isinstance(d, Atomic):
-        kept = tuple((q, w) for q, w in d.atoms if fin.contains(q))
-        return Atomic(kept) if kept else LebesgueRestrictedTo(ivs.EMPTY)
-    if isinstance(d, Mixture):
-        return Mixture(tuple(_restrict_fin(p, fin) for p in d.parts))
-    raise UnsupportedDescriptor(f"cannot restrict {type(d).__name__}")
+def _restrict_fin(d: Measure, fin: FinUnion) -> Measure:
+    return Measure(
+        tuple(ivs.intersect(r, fin) for r in d.regions),
+        tuple((q, w) for q, w in d.atoms if fin.contains(q)),
+    )
 
 
 # -- reduction ----------------------------------------------------------------
@@ -494,21 +469,6 @@ class MeasureBounds:
         return f"[{self.lower}, {self.upper}]"
 
 
-def _rest_bound(d, lazy: LazyOpen, n: int) -> Fraction:
-    """Bound on the descriptor measure of the limit beyond stage n."""
-    if isinstance(d, (Lebesgue, LebesgueRestrictedTo)):
-        return lazy.tail(n)
-    if isinstance(d, Atomic):
-        stage = lazy.stage(n)
-        return sum(
-            (w for q, w in d.atoms if not stage.contains(q) and lazy.may_contain(q)),
-            Fraction(0),
-        )
-    if isinstance(d, Mixture):
-        return sum((_rest_bound(p, lazy, n) for p in d.parts), Fraction(0))
-    raise UnsupportedDescriptor(f"cannot bound tails of {type(d).__name__}")
-
-
 def _budgets(tol: Fraction) -> tuple:
     """(neighbourhoods, stages per neighbourhood) to try at tolerance tol.
 
@@ -522,31 +482,30 @@ def _budgets(tol: Fraction) -> tuple:
     return k, 2 * k
 
 
-def _stage_measures(d, lazy: LazyOpen):
-    """measure_fin(d, lazy.stage(n).fin) for n = 0, 1, 2, ...
+def _stages(d: Measure, lazy: LazyOpen):
+    """(measure of stage n, bound on the measure of the rest) for n = 0, 1, ...
 
-    A restricted Lebesgue part keeps a running union of grow(n) met with
-    its region, so no whole stage is met with the region: meet distributes
-    over the finite unions, so the running union is stage(n) met with the
-    region, and its carried length is the measure.
+    Each grow(n) is read once. A region keeps a running union of the grows
+    met with it: meet distributes over finite unions, so that is stage(n)
+    met with the region, and its carried length is the stage's measure
+    there. An atom counts from the first grow that holds it; until then its
+    weight is in the rest whenever the limit may hold it.
     """
-    if isinstance(d, LebesgueRestrictedTo):
-        seen = ivs.EMPTY
-        for n in itertools.count():
-            seen = ivs.add(seen, ivs.intersect(lazy.grow(n).fin, d.region))
-            yield seen.length()
-    elif isinstance(d, Mixture):
-        for parts in zip(*(_stage_measures(p, lazy) for p in d.parts)):
-            yield sum(parts, Fraction(0))
-    else:
-        for n in itertools.count():
-            yield measure_fin(d, lazy.stage(n).fin)
+    seen = [ivs.EMPTY] * len(d.regions)
+    reached, waiting = Fraction(0), d.atoms
+    for n in itertools.count():
+        new = lazy.grow(n).fin
+        seen = [ivs.add(s, ivs.intersect(new, r)) for s, r in zip(seen, d.regions)]
+        if waiting:
+            reached += sum((w for q, w in waiting if new.contains(q)), Fraction(0))
+            waiting = tuple((q, w) for q, w in waiting if not new.contains(q))
+        rest = sum((w for q, w in waiting if lazy.may_contain(q)), len(d.regions) * lazy.tail(n))
+        yield sum((s.length() for s in seen), reached), rest
 
 
-def _lazy_upper(d, lazy: LazyOpen, inner_tol: Fraction, max_stage: int) -> Fraction:
+def _lazy_upper(d: Measure, lazy: LazyOpen, inner_tol: Fraction, max_stage: int) -> Fraction:
     best = None
-    for n, m in zip(range(max_stage + 1), _stage_measures(d, lazy)):
-        rest = _rest_bound(d, lazy, n)
+    for m, rest in itertools.islice(_stages(d, lazy), max_stage + 1):
         cand = m + rest
         if best is None or cand < best:
             best = cand
@@ -569,43 +528,44 @@ def _partner_of(x: PresentedSublocale):
 
 def _punctured_neighborhood(x, d, k) -> LazyOpen:
     nb = neighborhood(x, k)
-    pts = [q for q, w in positive_atoms(d) if avoids_point(x, q)]
+    pts = [q for q, _ in d.atoms if avoids_point(x, q)]
     return lazy_puncture(nb, pts) if pts else nb
 
 
-def measure_bounds(
-    x: PresentedSublocale,
-    d,
-    tol,
-    *,
-    via_stream: bool = False,
-) -> MeasureBounds:
+def measure_bounds(x: PresentedSublocale, d: Measure, tol) -> MeasureBounds:
     """Certified bounds on the outer measure of x, of width at most tol.
 
-    via_stream skips the exact shortcuts for opens and closed sets, so the
-    converging stream can be checked against them. The number of
-    neighbourhoods and stages tried follows from tol; past them the
-    TolNotReached raised says which side stalled.
+    Opens, closed sets and unions of opens are measured exactly; anything
+    else goes to the stream (see _stream_bounds).
     """
     tol = frac(tol)
+    if isinstance(x, Open) and isinstance(x.part, RatOpen):
+        m = measure_ro(d, x.part)
+        return MeasureBounds(m, m, ("exact-open",))
+    if isinstance(x, Closed):
+        m = measure_closed_exact(d, x.of_open)
+        return MeasureBounds(m, m, ("exact-closed",))
+    if isinstance(x, Union) and all(
+        isinstance(p, Open) and isinstance(p.part, RatOpen) for p in x.parts
+    ):
+        m = measure_ro(d, ivs.join(*(p.part for p in x.parts)))
+        return MeasureBounds(m, m, ("exact-open",))
+    return _stream_bounds(x, d, tol)
+
+
+def _stream_bounds(x: PresentedSublocale, d: Measure, tol: Fraction) -> MeasureBounds:
+    """Bounds from the neighbourhood streams of x and of its partner.
+
+    A union with two parts that are structurally all of [0,1] is the
+    total. The number of neighbourhoods and stages tried follows from
+    tol; past them the TolNotReached raised says which side stalled.
+    """
     total = total_measure(d)
-    if not via_stream:
-        if isinstance(x, Open) and isinstance(x.part, RatOpen):
-            m = measure_ro(d, x.part)
-            return MeasureBounds(m, m, ("exact-open",))
-        if isinstance(x, Closed):
-            m = measure_closed_exact(d, x.of_open)
-            return MeasureBounds(m, m, ("exact-closed",))
     if isinstance(x, Union):
         for i, p in enumerate(x.parts):
             for q in x.parts[i + 1:]:
                 if structural_union_is_whole(p, q):
                     return MeasureBounds(total, total, ("structural-whole",))
-        if not via_stream and all(
-            isinstance(p, Open) and isinstance(p.part, RatOpen) for p in x.parts
-        ):
-            m = measure_ro(d, ivs.join(*(p.part for p in x.parts)))
-            return MeasureBounds(m, m, ("exact-open",))
 
     certs = ["stream-upper"]
     lower = Fraction(0)
@@ -773,11 +733,10 @@ def _small_stage(x, d, tol) -> RatOpen:
     max_k, max_stage = _budgets(tol)
     for k in range(1, max_k + 1):
         nb = _punctured_neighborhood(x, d, k)
-        for n in range(max_stage + 1):
-            stage = nb.stage(n)
-            if _rest_bound(d, nb, n) <= tol:
-                if measure_ro(d, stage) <= 2 * tol:
-                    return stage
+        for n, (m, rest) in enumerate(itertools.islice(_stages(d, nb), max_stage + 1)):
+            if rest <= tol:
+                if m <= 2 * tol:
+                    return nb.stage(n)
                 break
     raise TolNotReached(
         f"upper stream stalled: no stage of measure at most {2 * tol} after "
@@ -789,6 +748,19 @@ def _small_stage(x, d, tol) -> RatOpen:
 # ---------------------------------------------------------------------------
 # loading
 # ---------------------------------------------------------------------------
+
+
+def _json_rational(v, where: str) -> Fraction:
+    """An integer or a rational string such as '1/10'; a JSON float or
+    boolean is refused rather than read as the binary fraction it holds."""
+    from locale_lab.frames import SpecError
+
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise SpecError(f"{v!r} is not an integer or a rational string such as '1/10'", where)
+    try:
+        return frac(v)
+    except ivs.InvalidInterval:
+        raise SpecError(f"bad rational {v!r}", where) from None
 
 
 def valuation_from_json(frame: Frame, obj, where: str = "$") -> FiniteValuation:
@@ -806,10 +778,7 @@ def valuation_from_json(frame: Frame, obj, where: str = "$") -> FiniteValuation:
     for k, v in mu.items():
         if k not in frame.index:
             raise SpecError(f"unknown element {k!r}", f"{where}.mu")
-        try:
-            table[k] = frac(v)
-        except (ValueError, ZeroDivisionError, TypeError):
-            raise SpecError(f"bad rational {v!r}", f"{where}.mu.{k}") from None
+        table[k] = _json_rational(v, f"{where}.mu.{k}")
     return validate_valuation(frame, table)
 
 
@@ -836,10 +805,7 @@ def descriptor_from_json(obj, where: str = "$"):
         for i, pair in enumerate(pairs):
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise SpecError("an atom must be [point, weight]", f"{where}.atoms[{i}]")
-            try:
-                atoms.append((frac(pair[0]), frac(pair[1])))
-            except InvalidInterval as exc:
-                raise SpecError(str(exc), f"{where}.atoms[{i}]") from None
+            atoms.append(tuple(_json_rational(v, f"{where}.atoms[{i}]") for v in pair))
         try:
             return atomic(atoms)
         except UnsupportedDescriptor as exc:

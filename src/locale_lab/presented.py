@@ -162,9 +162,9 @@ def lazy_cover(points: Enumerator, eps) -> LazyOpen:
             return EMPTY_RO
         q = points.point(n - 1)
         r = eps / 2 ** (n + 2)
-        lo = max(Fraction(0), q - r)
-        hi = min(Fraction(1), q + r)
-        return RatOpen(FinUnion((Iv(lo, hi, q - r < 0, q + r > 1),)))
+        lo, hi = q - r, q + r
+        piece = Iv(lo if lo > 0 else Fraction(0), hi if hi < 1 else Fraction(1), lo < 0, hi > 1)
+        return RatOpen(FinUnion((piece,)))
 
     return LazyOpen(grow, lambda n: eps / 2 ** (n + 1), lambda x: True)
 

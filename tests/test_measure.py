@@ -1,10 +1,12 @@
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from locale_lab import intervals as ivs
 from locale_lab.corpus import boolean_spec, chain_spec, iter_corpus_frames
 from locale_lab.frames import (
     Frame,
@@ -26,9 +28,9 @@ from locale_lab.intervals import (
     parse_ratopen,
 )
 from locale_lab.measure import (
-    Atomic,
     Lebesgue,
     LebesgueRestrictedTo,
+    Measure,
     MeasureBounds,
     Mixture,
     NoResidualBound,
@@ -66,7 +68,7 @@ from locale_lab.measure import (
     valuation_from_json,
     vstar,
 )
-from locale_lab.measure import _stage_measures
+from locale_lab.measure import _stages, _stream_bounds
 from locale_lab.morphisms import validate_morphism
 from locale_lab.presented import (
     DYADICS,
@@ -76,9 +78,11 @@ from locale_lab.presented import (
     CountablePoints,
     Generic,
     IntersectWithOpen,
+    LazyOpen,
     Open,
     Union,
     UnsupportedConstructor,
+    full_minus_points,
     neighborhood,
 )
 from locale_lab.sublocales import (
@@ -518,11 +522,11 @@ def test_point_mass_and_atoms_validation():
     assert point_mass(d, "1/2") == F(1, 3)
     assert point_mass(d, "1/3") == 0
     with pytest.raises(UnsupportedDescriptor):
-        Atomic(((F(1, 2), F(0)),))
+        Measure(atoms=((F(1, 2), F(0)),))
     with pytest.raises(UnsupportedDescriptor):
-        Atomic(((F(3, 2), F(1)),))
+        Measure(atoms=((F(3, 2), F(1)),))
     with pytest.raises(UnsupportedDescriptor):
-        Atomic(((F(1, 2), F(1)), (F(1, 2), F(1))))
+        Measure(atoms=((F(1, 2), F(1)), (F(1, 2), F(1))))
 
 
 def test_null_open_per_descriptor():
@@ -539,7 +543,7 @@ def test_null_open_per_descriptor():
 def test_restriction_of_descriptors():
     u = parse_ratopen("(0,1/2)")
     r = restrict_to_open(Lebesgue(), u)
-    assert isinstance(r, LebesgueRestrictedTo)
+    assert r == LebesgueRestrictedTo(u.fin)
     assert measure_fin(r, parse_fin("[0,1]")) == F(1, 2)
     a = atomic([("1/4", "1"), ("3/4", "2")])
     assert restrict_to_open(a, u) == atomic([("1/4", "1")])
@@ -621,7 +625,7 @@ def test_stream_bounds_bracket_the_exact_values():
             (Open(u), measure_ro(d, u)),
             (Closed(u), measure_closed_exact(d, u)),
         ]:
-            b = measure_bounds(x, d, TOL, via_stream=True)
+            b = _stream_bounds(x, d, TOL)
             assert b.lower <= exact <= b.upper
             assert b.width <= TOL
 
@@ -658,8 +662,8 @@ def test_stream_bounds_are_monotone_and_within_tol(kind, v, w):
     d = DESCRIPTOR_KINDS[kind]
     u = meet(v, w)
     for small, large in [(Open(u), Open(v)), (Closed(v), Closed(u))]:
-        bs = measure_bounds(small, d, TOL, via_stream=True)
-        bl = measure_bounds(large, d, TOL, via_stream=True)
+        bs = _stream_bounds(small, d, TOL)
+        bl = _stream_bounds(large, d, TOL)
         assert bs.lower <= bl.upper
         assert bs.width <= TOL and bl.width <= TOL
 
@@ -687,7 +691,7 @@ def test_stage_measures_match_measure_fin(name, x):
     for k in (1, 5, 20):
         for d in descriptors:
             nb = neighborhood(x, k)
-            got = list(itertools.islice(_stage_measures(d, nb), 61))
+            got = [m for m, _ in itertools.islice(_stages(d, nb), 61)]
             assert got == [measure_fin(d, nb.stage(n).fin) for n in range(61)], (name, k, d)
 
 
@@ -839,6 +843,14 @@ def test_valuation_from_json():
         valuation_from_json(f, {"mu": {"0": "0", "w": "1/2", "1": "1"}})
     with pytest.raises(SpecError):
         valuation_from_json(f, {"mu": {"0": "0", "u": "a/b", "1": "1"}})
+    assert valuation_from_json(f, {"mu": {"0": 0, "u": "1/10", "1": 1}})("u") == F(1, 10)
+    # a JSON float is a binary fraction and a boolean is not a number: both
+    # are refused at their path, not read as rationals
+    for mu, where in [({"0": "0", "u": 0.1, "1": True}, "$.mu.u"),
+                      ({"0": "0", "u": "1/2", "1": True}, "$.mu.1")]:
+        with pytest.raises(SpecError) as e:
+            valuation_from_json(f, {"mu": mu})
+        assert e.value.where == where
 
 
 def test_descriptor_from_json():
@@ -863,6 +875,10 @@ def test_descriptor_from_json():
     ({"mix": ["lebesgue", {"atoms": [["1/2", "1"], [1]]}]}, "$.mix[1].atoms[1]"),
     ({"restrict": "[0,2]"}, "$.restrict"),
     ({"atoms": [["1/2", "0"]]}, "$.atoms"),
+    ({"atoms": [[0.1, True]]}, "$.atoms[0]"),
+    ({"atoms": [["1/2", True]]}, "$.atoms[0]"),
+    ({"atoms": [["1/2", 1.0]]}, "$.atoms[0]"),
+    ({"mix": ["lebesgue", {"atoms": [[0.5, "1"]]}]}, "$.mix[1].atoms[0]"),
 ])
 def test_descriptor_from_json_names_the_bad_path(obj, where):
     with pytest.raises(SpecError) as e:
@@ -885,3 +901,209 @@ def test_parse_descriptor_grammar():
         parse_descriptor("uniform")
     with pytest.raises(UnsupportedDescriptor):
         parse_descriptor("atoms 1/2")
+
+
+# ----------------------------------------------------------- one form against the tree
+#
+# Measures were once a tree of four descriptor classes, each operation a
+# recursion over it. The tree and its recursions are kept here as the
+# oracle for the single Measure(regions, atoms) form.
+
+
+@dataclass(frozen=True)
+class TreeLebesgue:
+    pass
+
+
+@dataclass(frozen=True)
+class TreeRestricted:
+    region: object
+
+
+@dataclass(frozen=True)
+class TreeAtoms:
+    atoms: tuple  # sorted by point
+
+
+@dataclass(frozen=True)
+class TreeMix:
+    parts: tuple
+
+
+def tree_measure_fin(t, fin):
+    if isinstance(t, TreeLebesgue):
+        return fin.length()
+    if isinstance(t, TreeRestricted):
+        return ivs.intersect(fin, t.region).length()
+    if isinstance(t, TreeAtoms):
+        return sum((w for q, w in t.atoms if fin.contains(q)), F(0))
+    return sum((tree_measure_fin(p, fin) for p in t.parts), F(0))
+
+
+def tree_point_mass(t, q):
+    if isinstance(t, TreeAtoms):
+        return sum((w for p, w in t.atoms if p == q), F(0))
+    if isinstance(t, TreeMix):
+        return sum((tree_point_mass(p, q) for p in t.parts), F(0))
+    return F(0)
+
+
+def tree_null_open(t):
+    if isinstance(t, TreeLebesgue):
+        return EMPTY_RO
+    if isinstance(t, TreeRestricted):
+        fat = normalize(p for p in t.region.pieces if p.lo < p.hi)
+        return RatOpen(interior(ivs.complement(ivs.closure(fat))))
+    if isinstance(t, TreeAtoms):
+        return full_minus_points(q for q, _ in t.atoms)
+    acc = FULL_RO
+    for p in t.parts:
+        acc = meet(acc, tree_null_open(p))
+    return acc
+
+
+def tree_restrict(t, fin):
+    if isinstance(t, TreeLebesgue):
+        return TreeRestricted(fin)
+    if isinstance(t, TreeRestricted):
+        return TreeRestricted(ivs.intersect(t.region, fin))
+    if isinstance(t, TreeAtoms):
+        return TreeAtoms(tuple((q, w) for q, w in t.atoms if fin.contains(q)))
+    return TreeMix(tuple(tree_restrict(p, fin) for p in t.parts))
+
+
+def tree_rest_bound(t, lazy, n):
+    if isinstance(t, (TreeLebesgue, TreeRestricted)):
+        return lazy.tail(n)
+    if isinstance(t, TreeAtoms):
+        stage = lazy.stage(n)
+        return sum((w for q, w in t.atoms if not stage.contains(q) and lazy.may_contain(q)),
+                   F(0))
+    return sum((tree_rest_bound(p, lazy, n) for p in t.parts), F(0))
+
+
+def tree_stage_measures(t, lazy):
+    if isinstance(t, TreeRestricted):
+        seen = ivs.EMPTY
+        for n in itertools.count():
+            seen = ivs.add(seen, ivs.intersect(lazy.grow(n).fin, t.region))
+            yield seen.length()
+    elif isinstance(t, TreeMix):
+        for parts in zip(*(tree_stage_measures(p, lazy) for p in t.parts)):
+            yield sum(parts, F(0))
+    else:
+        for n in itertools.count():
+            yield tree_measure_fin(t, lazy.stage(n).fin)
+
+
+def from_tree(t):
+    """The same measure built by the public constructors."""
+    if isinstance(t, TreeLebesgue):
+        return Lebesgue()
+    if isinstance(t, TreeRestricted):
+        return LebesgueRestrictedTo(t.region)
+    if isinstance(t, TreeAtoms):
+        return Measure(atoms=t.atoms)
+    return Mixture(tuple(from_tree(p) for p in t.parts))
+
+
+@st.composite
+def coarse_unions(draw):
+    """Unions with endpoints on the eighths, degenerate pieces and pieces
+    at 0 and 1 included."""
+    pieces = []
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = sorted((draw(eighths), draw(eighths)))
+        pieces.append(Iv(a, b, draw(st.booleans()), draw(st.booleans())))
+    if draw(st.booleans()):
+        q = draw(eighths)
+        pieces.append(Iv(q, q, True, True))
+    return normalize(pieces)
+
+
+# few points, so that parts of a mixture repeat each other's atoms
+ATOM_POINTS = [F(0), F(1, 3), F(1, 2), F(5, 8), F(1)]
+atom_trees = st.dictionaries(
+    st.sampled_from(ATOM_POINTS), st.sampled_from([F(1, 3), F(1, 2), F(1)]), min_size=1
+).map(lambda m: TreeAtoms(tuple(sorted(m.items()))))
+leaf_trees = st.one_of(
+    st.just(TreeLebesgue()), coarse_unions().map(TreeRestricted), atom_trees, atom_trees
+)
+trees = st.one_of(
+    leaf_trees,
+    st.lists(st.one_of(leaf_trees, st.lists(leaf_trees, min_size=1, max_size=3)
+                       .map(lambda ps: TreeMix(tuple(ps)))),
+             min_size=1, max_size=3).map(lambda ps: TreeMix(tuple(ps))),
+)
+
+
+@given(trees, st.lists(coarse_unions(), min_size=1, max_size=3), coarse_opens())
+@settings(max_examples=60, deadline=None)
+def test_one_form_agrees_with_the_tree(tree, fins, u):
+    # the tree beside itself repeats every atom across parts
+    for t in (tree, TreeMix((tree, tree))):
+        _agrees_with_the_tree(t, fins, u)
+
+
+def _agrees_with_the_tree(t, fins, u):
+    d = from_tree(t)
+    assert total_measure(d) == tree_measure_fin(t, ivs.FULL)
+    for fin in fins:
+        assert measure_fin(d, fin) == tree_measure_fin(t, fin)
+    for q in {F(i, 8) for i in range(9)} | set(ATOM_POINTS):
+        assert point_mass(d, q) == tree_point_mass(t, q)
+    assert null_open(d) == tree_null_open(t)
+    for got, want in [(restrict_to_open(d, u), tree_restrict(t, u.fin)),
+                      (restrict_to_closed(d, u), tree_restrict(t, ivs.complement(u.fin)))]:
+        for fin in [ivs.FULL, *fins]:
+            assert measure_fin(got, fin) == tree_measure_fin(want, fin)
+
+
+@given(trees, st.sampled_from([1, 4]))
+@settings(max_examples=12, deadline=None)
+def test_stages_agree_with_the_tree(tree, k):
+    for t in (tree, TreeMix((tree, tree))):
+        d = from_tree(t)
+        for name, x in STAGE_STREAMS:
+            nb = neighborhood(x, k)
+            got = list(itertools.islice(_stages(d, nb), 61))
+            want = zip(tree_stage_measures(t, nb), (tree_rest_bound(t, nb, n) for n in range(61)))
+            assert got == list(want), name
+
+
+@pytest.mark.parametrize("desc", ["mix lebesgue + restrict [0,1/2]",
+                                  "mix lebesgue + restrict [0,1/2] + atoms 1/2:1"])
+def test_a_mixture_reads_each_grow_once(desc):
+    # length, restricted length and atoms all read the same grow(n)
+    nb = neighborhood(CoCountable(RATIONALS), 3)
+    calls = []
+    lazy = LazyOpen(lambda n: calls.append(n) or nb.grow(n), nb.tail, nb.may_contain)
+    list(itertools.islice(_stages(parse_descriptor(desc), lazy), 50))
+    assert calls == list(range(50))
+
+
+# Exact printed answers of streamed queries: a change that moves any of
+# them changes what the command certifies.
+PINNED_ANSWERS = [
+    ("lebesgue", "irrationals", 12, "mu in [8796093022203/8796093022208, 1]"),
+    ("mix lebesgue + restrict [0,1/2]", "irrationals", 12,
+     "mu in [26388279066607/17592186044416, 3/2]"),
+    ("restrict [0,1/2]", "irrationals", 12, "mu in [4398046511097/8796093022208, 1/2]"),
+    ("mix lebesgue + atoms 1/3:1/2", "rationals", 12,
+     "mu in [1/2, 4398046511109/8796093022208]"),
+    ("lebesgue", "generic", 9, "mu in [0, 5/8589934592]"),
+    ("mix restrict [1/4,3/4] + atoms 1/2:1 + lebesgue", "union(generic; (1/8,1/4))", 9,
+     "mu in [1/8, 1073741831/8589934592]"),
+    ("restrict [0,1/4]|[1/2,1]|[3/8,3/8]", "rationals", 9, "mu in [0, 5/8589934592]"),
+    ("mix atoms 1/3:1/3 + atoms 1/3:1,1/2:1", "irrationals", 9, "mu = 0 (exact)"),
+    ("lebesgue", "union(rationals; (0,1/4))", 12, "mu in [1/4, 1099511627779/4398046511104]"),
+]
+
+
+@pytest.mark.parametrize("desc,part,digits,answer", PINNED_ANSWERS,
+                         ids=[f"{d} | {p} | 1e-{k}" for d, p, k, _ in PINNED_ANSWERS])
+def test_pinned_streamed_answers(capsys, desc, part, digits, answer):
+    from locale_lab.cli import main
+
+    assert main(["measure", desc, part, "--tol", f"1/{10 ** digits}"]) == 0
+    assert capsys.readouterr().out.strip() == answer
