@@ -18,7 +18,7 @@ from pathlib import Path
 from locale_lab.corpus import CorpusError, chain_spec
 from locale_lab.frames import FrameError, build_frame, spec_from_json
 from locale_lab.intervals import InvalidInterval, parse_ratopen
-from locale_lab.laws import SUITES, format_text, report_to_json, reports_to_json
+from locale_lab.laws import SUITES, format_text, report_to_json, reports_to_json, run_suite
 from locale_lab.measure import (
     MIN_TOL,
     Lebesgue,
@@ -96,7 +96,7 @@ def cmd_frame_check(args) -> int:
     print(f"valid frame: {fr.n} elements")
     print(f"boolean: {'yes' if fr.boolean else 'no'}")
     print(f"regular: {'yes' if fr.regular else 'no'}")
-    print(f"points: {len(fr.points())}")
+    print(f"points: {len(fr.primes)}")
     return 0
 
 
@@ -105,17 +105,14 @@ def cmd_frame_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_laws(args) -> int:
-    names = list(SUITES) if args.suite == "all" else [args.suite]
     try:
-        reports = [SUITES[n](args.corpus, args.max_size, args.tol) for n in names]
+        got = run_suite(args.suite, args.corpus, args.max_size, args.tol)
     except (FileNotFoundError, CorpusError) as exc:
         _err(str(exc))
         return 2
+    reports = got if args.suite == "all" else [got]
     if args.format == "json":
-        if args.suite == "all":
-            sys.stdout.write(reports_to_json(reports))
-        else:
-            sys.stdout.write(report_to_json(reports[0]))
+        sys.stdout.write(reports_to_json(got) if args.suite == "all" else report_to_json(got))
     else:
         for r in reports:
             sys.stdout.write(format_text(r))

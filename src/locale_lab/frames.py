@@ -386,30 +386,6 @@ class Frame:
             self._nuclei[mask] = out
             return out
 
-    def points(self) -> list:
-        """Frame homomorphisms to the 2-chain, as 0/1 tuples over elements.
-
-        Computed from the primes: the map x -> [x not below q]. Every
-        returned map is re-validated against all four preservation laws.
-        """
-        out = []
-        for q in self.primes:
-            p = tuple(0 if self.leq(x, q) else 1 for x in range(self.n))
-            assert self._point_ok(p), "prime element produced a non-point"
-            out.append(p)
-        return out
-
-    def _point_ok(self, p) -> bool:
-        if p[self.bottom] != 0 or p[self.top] != 1:
-            return False
-        for i in range(self.n):
-            for j in range(self.n):
-                if p[self._meet[i][j]] != (p[i] & p[j]):
-                    return False
-                if p[self._join[i][j]] != (p[i] | p[j]):
-                    return False
-        return True
-
     # -- misc -----------------------------------------------------------
 
     def __repr__(self):
@@ -420,33 +396,11 @@ def open_set_name(o) -> str:
     return "{" + ",".join(str(p) for p in sorted(o)) + "}"
 
 
-# Spec-facing wrappers. These accept element names or indexes and return
-# indexes; the Frame methods are the real implementation.
-
 def build_frame(spec) -> Frame:
+    """The frame of a FrameSpec or a TopologySpec."""
     if isinstance(spec, TopologySpec):
         return Frame.from_topology(spec)
     return Frame.build(spec)
-
-
-def heyting(frame: Frame, u, h) -> int:
-    return frame.heyting(frame.el(u), frame.el(h))
-
-
-def pseudo_complement(frame: Frame, u) -> int:
-    return frame.neg(frame.el(u))
-
-
-def is_regular(frame: Frame) -> bool:
-    return frame.regular
-
-
-def is_boolean(frame: Frame) -> bool:
-    return frame.boolean
-
-
-def points(frame: Frame) -> list:
-    return frame.points()
 
 
 # -- JSON loading -------------------------------------------------------

@@ -60,10 +60,6 @@ class Iv:
     def is_empty(self) -> bool:
         return self.lo == self.hi and not (self.lo_in and self.hi_in)
 
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi and self.lo_in and self.hi_in
-
     def contains(self, x: Fraction) -> bool:
         if self.lo < x < self.hi:
             return True
@@ -231,10 +227,6 @@ def complement(u: FinUnion) -> FinUnion:
     return normalize(out)
 
 
-def minus(u: FinUnion, v: FinUnion) -> FinUnion:
-    return intersect(u, complement(v))
-
-
 def interior(u: FinUnion) -> FinUnion:
     # canonical pieces are separated, so the interior works piecewise;
     # inclusion survives only at the ambient boundary
@@ -295,22 +287,9 @@ def heyting_ro(u: RatOpen, h: RatOpen) -> RatOpen:
     return RatOpen(interior(union(complement(u.fin), h.fin)))
 
 
-def pseudo_complement_ro(u: RatOpen) -> RatOpen:
-    return heyting_ro(u, EMPTY_RO)
-
-
-def closure_ro(u: RatOpen) -> FinUnion:
-    return closure(u.fin)
-
-
-def regularize(u: RatOpen) -> RatOpen:
-    """Interior of the closure: the regularization."""
-    return RatOpen(interior(closure(u.fin)))
-
-
 def is_dense(u: RatOpen) -> bool:
-    """Dense in [0,1]: the complement has empty interior."""
-    return interior(complement(u.fin)).is_empty
+    """Dense in [0,1]: the pseudo-complement is empty."""
+    return heyting_ro(u, EMPTY_RO).is_empty
 
 
 # -- parsing ------------------------------------------------------------------

@@ -51,10 +51,14 @@ from locale_lab.morphisms import (
     atoms,
     compose,
     enumerate_morphisms,
+    factors_through,
     image,
     is_embedding,
     preimage,
     right_adjoint,
+    sublocale_embedding,
+    sum_frame,
+    validate_morphism,
 )
 from locale_lab.presented import (
     RATIONALS,
@@ -78,9 +82,12 @@ from locale_lab.sublocales import (
     interior,
     is_boolean_sublocale,
     is_dense,
+    is_subsublocale,
     open_sublocale,
     subspace_sublocale,
+    union_all,
     validate_nucleus,
+    whole,
 )
 
 __all__ = [
@@ -928,11 +935,12 @@ def _layer_decomposition(L):
 @_declare(LATTICE_LAWS, "boolean-combination-distributivity",
           "H n (A u B) = (H n A) u (H n B) for H a boolean combination of opens")
 def _boolean_combination_distributivity(L):
-    cell_idx = [c.points for c in atoms(L.frame)]
+    cell_parts = atoms(L.frame)
+    cell_idx = [c.points for c in cell_parts]
     cells, k = len(cell_idx), len(L.subs)
     bad = []
     if cell_idx:
-        if L.union_fold(cell_idx) != L.whole_idx:
+        if union_all(L.frame, cell_parts).points != L.whole_idx:
             bad.append({"form": "cells do not cover"})
         for i, j in itertools.combinations(range(cells), 2):
             if cell_idx[i] & cell_idx[j] != L.empty_idx:
@@ -982,7 +990,14 @@ def _adjunction(m):
 @_declare(MAP_LAWS, "embedding-three-ways",
           "surjectivity of fstar, injectivity of the adjoint, and the section law agree")
 def _embedding_three_ways(m):
-    return _once(isinstance(is_embedding(m.f), bool))
+    f, n = m.f, m.f.target.n
+    adj = right_adjoint(f)
+    flags = {
+        "surjective": is_embedding(f),
+        "adjoint injective": len(set(adj)) == n,
+        "section": all(f.fstar[adj[u]] == u for u in range(n)),
+    }
+    return _once(len(set(flags.values())) == 1, {k: str(v) for k, v in flags.items()})
 
 
 @_declare(MAP_LAWS, "preimage-open-closed",
@@ -1058,6 +1073,68 @@ def _composition(ctx):
                 for y in AL.subs:
                     if preimage(h, y) != preimage(g, preimage(f, y)):
                         bad.append({"path": f"{an}->{bn}->{cn}", "y": AL.label(y.points)})
+    return checked, bad
+
+
+@_declare(COMPOSITION_LAWS, "embedding-factorization",
+          "f factors through the embedding of X iff its image lies in X, as g after the embedding")
+def _embedding_factorization(ctx):
+    """One case per map f: a -> b and part X of a. The embedding of each
+    part has that part as its image."""
+    small, lats = ctx
+    maps = {
+        (an, bn): enumerate_morphisms(a, b)
+        for (an, a), (bn, b) in itertools.product(small, repeat=2)
+    }
+    checked, bad = 0, []
+    for an, a in small:
+        for x in lats[an].subs:
+            i, omega, _ = sublocale_embedding(x)
+            label = f"{an}/{lats[an].label(x.points)}"
+            if image(i, whole(omega)) != x:
+                bad.append({"x": label, "form": "image of the embedding"})
+            for bn, b in small:
+                for mi, f in enumerate(maps[an, bn]):
+                    checked += 1
+                    where = {"x": label, "f": f"{an}->{bn}#{mi}"}
+                    inside = is_subsublocale(image(f, whole(b)), x)
+                    try:
+                        ok, g = factors_through(f, i)
+                    except FrameError as exc:
+                        bad.append({**where, "error": str(exc)})
+                        continue
+                    if ok != inside or (ok and compose(g, i).fstar != f.fstar):
+                        bad.append({**where, "factors": str(ok), "image inside": str(inside)})
+    return checked, bad
+
+
+@_declare(COMPOSITION_LAWS, "sum-injections",
+          "the injections of a + b are frame maps, v -> (p*(v), q*(v)) is a bijection "
+          "onto a x b, and the order is componentwise")
+def _sum_injections(ctx):
+    """One case per ordered pair of elements of each sum."""
+    small, _ = ctx
+    checked, bad = 0, []
+    for (an, a), (bn, b) in itertools.product(small, repeat=2):
+        path = f"{an}+{bn}"
+        try:
+            s, (p, q) = sum_frame([a, b])
+        except FrameError as exc:
+            bad.append({"sum": path, "error": str(exc)})
+            continue
+        for side, inj in (("p", p), ("q", q)):
+            try:
+                validate_morphism(s, inj.target, inj.fstar)
+            except FrameError as exc:
+                bad.append({"sum": path, "injection": side, "error": str(exc)})
+        pairs = list(zip(p.fstar, q.fstar))
+        if not len(set(pairs)) == s.n == a.n * b.n:
+            bad.append({"sum": path, "form": "not a bijection"})
+        checked += s.n * s.n
+        for v, (pv, qv) in enumerate(pairs):
+            for w, (pw, qw) in enumerate(pairs):
+                if s.leq(v, w) != (a.leq(pv, pw) and b.leq(qv, qw)):
+                    bad.append({"sum": path, "v": str(s.name(v)), "w": str(s.name(w))})
     return checked, bad
 
 

@@ -29,8 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from locale_lab import intervals as ivs
-from locale_lab.frames import Frame, FrameError
-from locale_lab.intervals import EMPTY_RO, FULL_RO, FinUnion, Iv, RatOpen, frac
+from locale_lab.frames import Frame, FrameError, FrameSpec, build_frame
+from locale_lab.intervals import EMPTY_RO, FULL_RO, FinUnion, Iv, RatOpen, frac, parse_fin
+from locale_lab.morphisms import validate_morphism
 from locale_lab.presented import (
     Closed,
     CoCountable,
@@ -136,10 +137,6 @@ def validate_valuation(frame: Frame, table) -> FiniteValuation:
     return FiniteValuation(frame, mu)
 
 
-def measure_open(val: FiniteValuation, v) -> Fraction:
-    return val.mu[val.frame.el(v)]
-
-
 def vstar(x: Sublocale) -> int:
     """The smallest open neighborhood: the meet of all V with e_X(V) = top.
     Those V are the ones above kappa(p) for each point p of X: their join."""
@@ -235,9 +232,6 @@ def reduced_algebra(val: FiniteValuation) -> ReducedAlgebra:
     support points, and V -> [V] meet support is the quotient. A support
     point q below a point p leaves no reduced part above {q} and {p}.
     """
-    from locale_lab.frames import FrameSpec, build_frame
-    from locale_lab.morphisms import validate_morphism
-
     frame = val.frame
     masks = [0]  # the sets of support points, ending with the whole support
     for i, (p, m) in enumerate(zip(frame.primes, val.mass)):
@@ -369,10 +363,10 @@ def point_mass(d: Measure, q) -> Fraction:
 def null_open(d: Measure) -> RatOpen:
     """The largest open of measure zero: the exterior of the support, the
     closure of the regions' nondegenerate pieces and of the atoms."""
-    support = ivs.normalize(itertools.chain(
-        (Iv(p.lo, p.hi, True, True) for r in d.regions for p in r.pieces if p.lo < p.hi),
+    support = ivs.closure(ivs.normalize(itertools.chain(
+        (p for r in d.regions for p in r.pieces if p.lo < p.hi),
         (Iv(q, q, True, True) for q, _ in d.atoms),
-    ))
+    )))
     return RatOpen(ivs.interior(ivs.complement(support)))
 
 
@@ -746,78 +740,8 @@ def _small_stage(x, d, tol) -> RatOpen:
 
 
 # ---------------------------------------------------------------------------
-# loading
+# parsing
 # ---------------------------------------------------------------------------
-
-
-def _json_rational(v, where: str) -> Fraction:
-    """An integer or a rational string such as '1/10'; a JSON float or
-    boolean is refused rather than read as the binary fraction it holds."""
-    from locale_lab.frames import SpecError
-
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise SpecError(f"{v!r} is not an integer or a rational string such as '1/10'", where)
-    try:
-        return frac(v)
-    except ivs.InvalidInterval:
-        raise SpecError(f"bad rational {v!r}", where) from None
-
-
-def valuation_from_json(frame: Frame, obj, where: str = "$") -> FiniteValuation:
-    from locale_lab.frames import SpecError
-
-    if not isinstance(obj, dict):
-        raise SpecError("valuation must be an object", where)
-    extra = set(obj) - {"frame", "mu"}
-    if extra:
-        raise SpecError(f"unknown keys {sorted(extra)}", where)
-    mu = obj.get("mu")
-    if not isinstance(mu, dict):
-        raise SpecError("mu must map element names to rationals", f"{where}.mu")
-    table = {}
-    for k, v in mu.items():
-        if k not in frame.index:
-            raise SpecError(f"unknown element {k!r}", f"{where}.mu")
-        table[k] = _json_rational(v, f"{where}.mu.{k}")
-    return validate_valuation(frame, table)
-
-
-def descriptor_from_json(obj, where: str = "$"):
-    from locale_lab.frames import SpecError
-    from locale_lab.intervals import InvalidInterval, parse_fin
-
-    if obj == "lebesgue":
-        return Lebesgue()
-    if isinstance(obj, dict) and set(obj) == {"restrict"}:
-        region = obj["restrict"]
-        if not isinstance(region, str):
-            raise SpecError("restrict must be a union of intervals such as '[0,1/2]'",
-                            f"{where}.restrict")
-        try:
-            return LebesgueRestrictedTo(parse_fin(region))
-        except InvalidInterval as exc:
-            raise SpecError(str(exc), f"{where}.restrict") from None
-    if isinstance(obj, dict) and set(obj) == {"atoms"}:
-        pairs = obj["atoms"]
-        if not isinstance(pairs, list):
-            raise SpecError("atoms must be a list of [point, weight]", f"{where}.atoms")
-        atoms = []
-        for i, pair in enumerate(pairs):
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise SpecError("an atom must be [point, weight]", f"{where}.atoms[{i}]")
-            atoms.append(tuple(_json_rational(v, f"{where}.atoms[{i}]") for v in pair))
-        try:
-            return atomic(atoms)
-        except UnsupportedDescriptor as exc:
-            raise SpecError(str(exc), f"{where}.atoms") from None
-    if isinstance(obj, dict) and set(obj) == {"mix"}:
-        parts = obj["mix"]
-        if not isinstance(parts, list) or not parts:
-            raise SpecError("mix must be a nonempty list", f"{where}.mix")
-        return Mixture(tuple(
-            descriptor_from_json(p, f"{where}.mix[{i}]") for i, p in enumerate(parts)
-        ))
-    raise SpecError(f"unrecognized descriptor {obj!r}", where)
 
 
 def parse_descriptor(text: str):
@@ -828,8 +752,6 @@ def parse_descriptor(text: str):
         atoms 1/2:1,3/4:1/3
         mix lebesgue + atoms 1/2:1
     """
-    from locale_lab.intervals import parse_fin
-
     text = text.strip()
     if text == "lebesgue":
         return Lebesgue()

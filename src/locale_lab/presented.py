@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from locale_lab import intervals as ivs
-from locale_lab.intervals import EMPTY_RO, FinUnion, Iv, RatOpen, frac
+from locale_lab.intervals import EMPTY_RO, Iv, RatOpen, frac
 
 
 class UnsupportedConstructor(ValueError):
@@ -151,7 +151,9 @@ def lazy_cover(points: Enumerator, eps) -> LazyOpen:
 
     Point i gets the interval (q_i - r, q_i + r) with r = eps / 2**(i+3),
     clipped to [0,1], and arrives at stage i+1; the pieces past stage n
-    sum to at most eps / 2**(n+1).
+    sum to at most eps / 2**(n+1). Each piece is canonical by
+    construction: r > 0, and an end is closed only where it is clipped to
+    0 or 1.
     """
     eps = frac(eps)
     if eps <= 0:
@@ -164,7 +166,7 @@ def lazy_cover(points: Enumerator, eps) -> LazyOpen:
         r = eps / 2 ** (n + 2)
         lo, hi = q - r, q + r
         piece = Iv(lo if lo > 0 else Fraction(0), hi if hi < 1 else Fraction(1), lo < 0, hi > 1)
-        return RatOpen(FinUnion((piece,)))
+        return RatOpen(ivs._trusted((piece,)))
 
     return LazyOpen(grow, lambda n: eps / 2 ** (n + 1), lambda x: True)
 
@@ -274,10 +276,6 @@ class IntersectWithOpen(PresentedSublocale):
 class IntersectWithClosed(PresentedSublocale):
     part: PresentedSublocale
     of_open: RatOpen  # meet with the closed complement of this open
-
-
-def point_sublocale(q) -> Closed:
-    return Closed(full_minus_points([q]))
 
 
 def closed_neighborhood(u: RatOpen, k: int) -> RatOpen:

@@ -84,10 +84,6 @@ class Sublocale:
         return self.nucleus[h]
 
     @property
-    def is_whole(self) -> bool:
-        return self.points == _all_points(self.frame)
-
-    @property
     def is_empty(self) -> bool:
         return self.points == 0
 
@@ -244,10 +240,6 @@ def interior(x: Sublocale) -> int:
     """The largest open u with [u] contained in x: the meet of the points
     outside x."""
     return exterior(complement_c(x))
-
-
-def boundary(x: Sublocale) -> Sublocale:
-    return intersect(closure(x), closed_sublocale(x.frame, interior(x)))
 
 
 def is_dense(x: Sublocale) -> bool:

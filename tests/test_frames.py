@@ -14,12 +14,7 @@ from locale_lab.frames import (
     SpecError,
     TopologySpec,
     build_frame,
-    heyting,
-    is_boolean,
-    is_regular,
     open_set_name,
-    points,
-    pseudo_complement,
 )
 
 
@@ -183,7 +178,7 @@ def test_heyting_matches_brute_force(make):
     f = make()
     for u in range(f.n):
         for h in range(f.n):
-            assert heyting(f, u, h) == brute_heyting(f, u, h)
+            assert f.heyting(u, h) == brute_heyting(f, u, h)
 
 
 @pytest.mark.parametrize("make", [chain3, diamond, lambda: powerset("abc")])
@@ -199,34 +194,34 @@ def test_heyting_adjunction(make):
 
 def test_pseudo_complement_chain():
     f = chain3()
-    assert f.name(pseudo_complement(f, "0")) == "1"
-    assert f.name(pseudo_complement(f, "u")) == "0"
-    assert f.name(pseudo_complement(f, "1")) == "0"
+    assert f.name(f.neg(f.el("0"))) == "1"
+    assert f.name(f.neg(f.el("u"))) == "0"
+    assert f.name(f.neg(f.el("1"))) == "0"
 
 
 def test_pseudo_complement_powerset_is_set_complement():
     f = powerset("ab")
-    assert f.name(pseudo_complement(f, "{a}")) == "{b}"
-    assert f.name(pseudo_complement(f, "{}")) == "{a,b}"
+    assert f.name(f.neg(f.el("{a}"))) == "{b}"
+    assert f.name(f.neg(f.el("{}"))) == "{a,b}"
 
 
 # ------------------------------------------------------- predicates
 
 def test_boolean_and_regular():
-    assert is_boolean(powerset("ab"))
-    assert is_regular(powerset("abc"))
+    assert powerset("ab").boolean
+    assert powerset("abc").regular
     c = chain3()
-    assert not is_boolean(c)
-    assert not is_regular(c)
+    assert not c.boolean
+    assert not c.regular
     # 2-chain is Boolean (degenerately)
-    assert is_boolean(chain(2))
+    assert chain(2).boolean
 
 
 def test_finite_regular_iff_boolean():
     # checked on a small zoo; the equivalence is a finite-lattice fact
     for make in (chain3, diamond, lambda: powerset("abc"), lambda: chain(5)):
         f = make()
-        assert is_regular(f) == is_boolean(f)
+        assert f.regular == f.boolean
 
 
 # ----------------------------------------------------------- points
@@ -252,18 +247,20 @@ def brute_points(f):
     "make", [chain3, diamond, lambda: powerset("abc"), lambda: chain(5)]
 )
 def test_points_match_brute_force(make):
+    # each prime q is the point x -> [x not below q]
     f = make()
-    assert sorted(points(f)) == sorted(brute_points(f))
+    points = [tuple(0 if f.leq(x, q) else 1 for x in range(f.n)) for q in f.primes]
+    assert sorted(points) == sorted(brute_points(f))
 
 
 def test_powerset_points_count():
     # spatial case: one point per point of the underlying set
-    assert len(points(powerset("abc"))) == 3
+    assert len(powerset("abc").primes) == 3
 
 
 def test_chain_has_exactly_n_minus_one_points():
     for n in range(2, 6):
-        assert len(points(chain(n))) == n - 1
+        assert len(chain(n).primes) == n - 1
 
 
 # ------------------------------------------------------- topologies
@@ -310,6 +307,6 @@ def test_open_set_names():
 def test_indiscrete_two_points():
     f = Frame.from_topology(TopologySpec.make("xy", [[], ["x", "y"]]))
     assert f.n == 2
-    assert is_boolean(f)
+    assert f.boolean
     # no prime element separates x from y: a single point
-    assert len(points(f)) == 1
+    assert len(f.primes) == 1

@@ -16,7 +16,6 @@ from locale_lab.intervals import (
     RatOpen,
     add,
     closure,
-    closure_ro,
     complement,
     heyting_ro,
     interior,
@@ -25,12 +24,9 @@ from locale_lab.intervals import (
     iv,
     join,
     meet,
-    minus,
     normalize,
     parse_fin,
     parse_ratopen,
-    pseudo_complement_ro,
-    regularize,
     union,
 )
 
@@ -106,7 +102,7 @@ def test_nested_and_overlapping_pieces_merge():
 
 def test_empty_pieces_dropped():
     assert normalize([Iv(F(1, 2), F(1, 2), False, False)]) == EMPTY
-    assert normalize([Iv(F(1, 2), F(1, 2), True, True)]).pieces[0].is_point
+    assert normalize([Iv(F(1, 2), F(1, 2), True, True)]) == parse_fin("[1/2,1/2]")
 
 
 @given(fin_unions())
@@ -197,7 +193,7 @@ def test_ambient_enforced():
 
 @given(fin_unions(), fin_unions())
 def test_union_intersect_minus_by_membership(u, v):
-    w_union, w_meet, w_minus = union(u, v), intersect(u, v), minus(u, v)
+    w_union, w_meet, w_minus = union(u, v), intersect(u, v), intersect(u, complement(v))
     for x in grid(u, v, w_union, w_meet, w_minus):
         inu, inv = u.contains(x), v.contains(x)
         assert w_union.contains(x) == (inu or inv)
@@ -256,6 +252,11 @@ def test_interior_at_ambient_boundary():
     assert interior(FULL) == FULL
 
 
+def regularize(u):
+    """Interior of the closure: the regularization."""
+    return RatOpen(interior(closure(u.fin)))
+
+
 def test_regularize_heals_a_missing_point():
     u = parse_ratopen("(0,1/2)|(1/2,1)")
     assert regularize(u) == FULL_RO
@@ -270,7 +271,7 @@ def test_regularize_keeps_genuine_gaps():
 
 
 def test_pseudo_complement_pinned():
-    assert pseudo_complement_ro(parse_ratopen("(0,1/2)")) == parse_ratopen("(1/2,1]")
+    assert heyting_ro(parse_ratopen("(0,1/2)"), EMPTY_RO) == parse_ratopen("(1/2,1]")
 
 
 # ------------------------------------------------------------------ heyting
@@ -323,7 +324,7 @@ def test_density():
 
 
 def test_closure_ro_of_dense_is_full():
-    assert closure_ro(parse_ratopen("(0,1/2)|(1/2,1)")) == FULL
+    assert closure(parse_fin("(0,1/2)|(1/2,1)")) == FULL
 
 
 # ------------------------------------------------------------------- parsing

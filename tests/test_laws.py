@@ -1,5 +1,6 @@
 import json
 import shutil
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,7 +17,8 @@ from locale_lab.laws import (
     run_sublocale_suite,
     run_suite,
 )
-from locale_lab.sublocales import enumerate_sublocales, intersect, is_subsublocale, union
+from locale_lab.morphisms import identity_morphism, right_adjoint
+from locale_lab.sublocales import enumerate_sublocales, intersect, is_subsublocale, union, whole
 
 
 def test_frame_suite_green(frame_report):
@@ -85,8 +87,20 @@ def test_each_law_is_declared_once():
     registries = [v for k, v in vars(laws).items() if k.endswith("_LAWS")]
     declared = [law for reg in registries for law in reg]
     assert len(registries) == 10
-    assert len({law.name for law in declared}) == len(declared) == 71
+    assert len({law.name for law in declared}) == len(declared) == 73
     assert all(law.identity and callable(law.check) for law in declared)
+
+
+def test_embedding_three_ways_reports_a_planted_adjoint_fault():
+    law = next(law for law in laws.MAP_LAWS if law.name == "embedding-three-ways")
+    m = SimpleNamespace(f=identity_morphism(build_frame(chain_spec(3))))
+    assert law.check(m) == (1, [])
+    adj = list(right_adjoint(m.f))
+    adj[0] = adj[1]
+    m.f._adjoint = tuple(adj)
+    assert law.check(m) == (
+        1, [{"surjective": "True", "adjoint injective": "False", "section": "False"}]
+    )
 
 
 def test_run_suite_dispatch():
@@ -134,7 +148,7 @@ def test_part_lattice_scales_past_the_corpus():
     L = SubLattice(chain12)
     assert len(L.subs) == 2048
     assert L.whole_idx == 2047
-    assert L.subs[L.whole_idx].is_whole
+    assert L.subs[L.whole_idx] == whole(chain12)
 
 
 def test_size_cap_skips_with_note(tmp_path):

@@ -12,7 +12,6 @@ from locale_lab.frames import (
     Frame,
     FrameError,
     FrameSpec,
-    SpecError,
     TopologySpec,
     build_frame,
 )
@@ -42,11 +41,9 @@ from locale_lab.measure import (
     ValuationError,
     UnsupportedDescriptor,
     atomic,
-    descriptor_from_json,
     measure_bounds,
     measure_closed_exact,
     measure_fin,
-    measure_open,
     measure_ro,
     mu_reduce,
     mu_reduce_interval,
@@ -65,7 +62,6 @@ from locale_lab.measure import (
     strict_additivity_interval,
     total_measure,
     validate_valuation,
-    valuation_from_json,
     vstar,
 )
 from locale_lab.measure import _stages, _stream_bounds
@@ -159,7 +155,6 @@ def test_validate_valuation_accepts_sequences_and_dicts():
     f = chain3()
     v = validate_valuation(f, ["0", "1/2", "1"])
     assert v("u") == F(1, 2)
-    assert measure_open(val_chain3(), "u") == F(1, 2)
 
 
 def test_not_zero_at_bottom():
@@ -829,62 +824,6 @@ def test_null_partner_refuses_fat_shapes_without_structure():
     x = IntersectWithOpen(CoCountable(RATIONALS), parse_ratopen("(0,1)"))
     with pytest.raises((UnsupportedCombination, TolNotReached)):
         null_partner_interval(x, Lebesgue(), TOL)
-
-
-# ----------------------------------------------------------- loading
-
-def test_valuation_from_json():
-    f = chain3()
-    v = valuation_from_json(f, {"mu": {"0": "0", "u": "1/2", "1": "1"}})
-    assert v("u") == F(1, 2)
-    with pytest.raises(SpecError):
-        valuation_from_json(f, {"mu": {"0": "0", "u": "1/2", "1": "1"}, "x": 1})
-    with pytest.raises(SpecError):
-        valuation_from_json(f, {"mu": {"0": "0", "w": "1/2", "1": "1"}})
-    with pytest.raises(SpecError):
-        valuation_from_json(f, {"mu": {"0": "0", "u": "a/b", "1": "1"}})
-    assert valuation_from_json(f, {"mu": {"0": 0, "u": "1/10", "1": 1}})("u") == F(1, 10)
-    # a JSON float is a binary fraction and a boolean is not a number: both
-    # are refused at their path, not read as rationals
-    for mu, where in [({"0": "0", "u": 0.1, "1": True}, "$.mu.u"),
-                      ({"0": "0", "u": "1/2", "1": True}, "$.mu.1")]:
-        with pytest.raises(SpecError) as e:
-            valuation_from_json(f, {"mu": mu})
-        assert e.value.where == where
-
-
-def test_descriptor_from_json():
-    assert descriptor_from_json("lebesgue") == Lebesgue()
-    d = descriptor_from_json({"restrict": "[0,1/2]"})
-    assert d == LebesgueRestrictedTo(parse_fin("[0,1/2]"))
-    a = descriptor_from_json({"atoms": [["1/2", "1"]]})
-    assert a == atomic([("1/2", "1")])
-    m = descriptor_from_json({"mix": ["lebesgue", {"atoms": [["1/2", "1"]]}]})
-    assert m == Mixture((Lebesgue(), a))
-    with pytest.raises(SpecError):
-        descriptor_from_json({"volume": 3})
-
-
-@pytest.mark.parametrize("obj, where", [
-    ({"atoms": [[1]]}, "$.atoms[0]"),
-    ({"atoms": ["1/2:1"]}, "$.atoms[0]"),
-    ({"restrict": 5}, "$.restrict"),
-    ({"atoms": [["a", "1"]]}, "$.atoms[0]"),
-    ({"atoms": [[float("inf"), "1"]]}, "$.atoms[0]"),
-    ({"mix": [{"atoms": [[1]]}]}, "$.mix[0].atoms[0]"),
-    ({"mix": ["lebesgue", {"atoms": [["1/2", "1"], [1]]}]}, "$.mix[1].atoms[1]"),
-    ({"restrict": "[0,2]"}, "$.restrict"),
-    ({"atoms": [["1/2", "0"]]}, "$.atoms"),
-    ({"atoms": [[0.1, True]]}, "$.atoms[0]"),
-    ({"atoms": [["1/2", True]]}, "$.atoms[0]"),
-    ({"atoms": [["1/2", 1.0]]}, "$.atoms[0]"),
-    ({"mix": ["lebesgue", {"atoms": [[0.5, "1"]]}]}, "$.mix[1].atoms[0]"),
-])
-def test_descriptor_from_json_names_the_bad_path(obj, where):
-    with pytest.raises(SpecError) as e:
-        descriptor_from_json(obj)
-    assert e.value.where == where
-    assert str(e.value).startswith(f"{where}: ")
 
 
 def test_parse_descriptor_grammar():

@@ -131,7 +131,7 @@ def test_morphisms_to_two_chain_are_points():
     for make in (lambda: chain(3), diamond, lambda: powerset("ab")):
         f = make()
         ms = enumerate_morphisms(f, chain(2))
-        assert len(ms) == len(f.points())
+        assert len(ms) == len(f.primes)
 
 
 def test_self_map_counts_past_the_corpus():

@@ -28,7 +28,6 @@ from locale_lab.presented import (
     lazy_meet_open,
     lazy_puncture,
     neighborhood,
-    point_sublocale,
     point_sublocale_meets_generic,
     structural_union_is_whole,
 )
@@ -168,8 +167,24 @@ def test_lazy_cover_certified_bound_is_strict():
 def test_lazy_cover_tail_really_bounds_the_rest():
     cov = lazy_cover(DYADICS, F(1, 4))
     for n in range(0, 9):
-        extra = ivs.minus(cov.stage(n + 5).fin, cov.stage(n).fin).length()
+        extra = ivs.intersect(cov.stage(n + 5).fin, ivs.complement(cov.stage(n).fin)).length()
         assert extra <= cov.tail(n)
+
+
+@pytest.mark.parametrize("points", [RATIONALS, DYADICS])
+@pytest.mark.parametrize("k", [1, 5, 20])
+def test_lazy_cover_grows_what_the_checked_constructors_build(points, k):
+    # each grow is built unchecked; it must be the canonical piece of the
+    # points of [0,1] closer than r to q, which is closed at 0 exactly
+    # when 0 is closer than r, and at 1 likewise
+    eps = F(1, 2**k)
+    cov = lazy_cover(points, eps)
+    for n in range(1, 201):
+        q, r = points.point(n - 1), eps / 2 ** (n + 2)
+        want = RatOpen(FinUnion((Iv(max(q - r, 0), min(q + r, 1), q < r, 1 - q < r),)))
+        got = cov.grow(n)
+        assert RatOpen(FinUnion(got.fin.pieces)) == want, (n, str(got))
+        assert got.length() == want.length()
 
 
 def test_lazy_cover_rejects_bad_eps():
@@ -220,7 +235,8 @@ def rebuilt_meet(a, u):
 
 def ratopen_minus_points(u, pts):
     """u minus points the long way: normalise the points, complement, meet."""
-    return RatOpen(ivs.minus(u.fin, normalize(Iv(F(p), F(p), True, True) for p in pts)))
+    points = normalize(Iv(F(p), F(p), True, True) for p in pts)
+    return RatOpen(ivs.intersect(u.fin, ivs.complement(points)))
 
 
 def rebuilt_puncture(a, pts):
@@ -444,8 +460,7 @@ def test_structural_union_certificates():
 # ------------------------------------------------------------------ points
 
 def test_point_sublocale():
-    p = point_sublocale(F(1, 2))
-    assert isinstance(p, Closed)
+    p = Closed(full_minus_points([F(1, 2)]))
     assert not p.of_open.contains(F(1, 2))
     assert p.of_open.length() == 1
 

@@ -12,7 +12,6 @@ from locale_lab.sublocales import (
     NotMeetPreserving,
     NucleusError,
     Sublocale,
-    boundary,
     closed_sublocale,
     closure,
     complement_c,
@@ -235,7 +234,8 @@ def test_chain3_topology_of_generic():
     assert exterior(g) == f.bottom
     assert closure(g) == whole(f)
     assert f.name(interior(g)) == "u"
-    assert boundary(g) == closed_sublocale(f, "u")
+    # the boundary: the closure less the interior
+    assert intersect(closure(g), closed_sublocale(f, interior(g))) == closed_sublocale(f, "u")
 
 
 def test_closure_is_smallest_closed_cover():

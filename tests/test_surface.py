@@ -1,0 +1,105 @@
+"""The public surface of locale_lab: every public top-level function has a
+use in the package, and no check is a bare `assert`, which `python -O`
+drops."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import locale_lab
+
+SRC = Path(locale_lab.__file__).resolve().parent
+PACKAGE = "locale_lab"
+
+# Public names kept for a reader outside the package.
+ALLOWED_UNUSED = {
+    # the benchmark's self-test builds its identity map through it
+    "morphisms.identity_morphism",
+    # the round-trip partner that proves report_to_json is canonical
+    "laws.report_from_json",
+}
+
+
+def _modules():
+    return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+
+
+def _is_law(fn: ast.FunctionDef) -> bool:
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "_declare"
+        for d in fn.decorator_list
+    )
+
+
+def _free_names(node, bound=frozenset()):
+    """The names `node` loads that no function around them binds."""
+    if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+        bound = bound | {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)} | {
+            n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+        }
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
+        yield node.id
+    for child in ast.iter_child_nodes(node):
+        yield from _free_names(child, bound)
+
+
+def _uses(trees) -> set:
+    """Every `module.name` that some module of the package uses."""
+    used = set()
+    for mod, tree in trees.items():
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == PACKAGE:
+                for a in node.names:
+                    aliases[a.asname or a.name] = a.name
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith(PACKAGE + "."):
+                src = node.module.split(".", 1)[1]
+                used.update(f"{src}.{a.name}" for a in node.names)
+        for top in tree.body:
+            # a function calling itself is not a use
+            own = {top.name} if isinstance(top, ast.FunctionDef) else set()
+            used.update(f"{mod}.{name}" for name in _free_names(top, own))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+            ):
+                used.add(f"{aliases[node.value.id]}.{node.attr}")
+    return used
+
+
+def test_no_assert_in_src():
+    found = [
+        f"{mod}.py:{node.lineno}"
+        for mod, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_every_public_function_has_a_use_in_src():
+    trees = _modules()
+    used = _uses(trees)
+    unused = {
+        f"{mod}.{fn.name}"
+        for mod, tree in trees.items()
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        and not fn.name.startswith("_")
+        and not _is_law(fn)
+    } - used
+    assert unused == ALLOWED_UNUSED
+
+
+def test_the_scan_sees_each_kind_of_use():
+    trees = {
+        "a": ast.parse("def f(): pass\ndef g(): pass\ndef h(): pass\nk = h\n"),
+        "b": ast.parse("from locale_lab.a import f\nfrom locale_lab import a as m\nm.g()\n"),
+    }
+    assert {"a.f", "a.g", "a.h"} <= _uses(trees)
+    # neither a recursive call nor a local of the same name is a use
+    lone = ast.parse("def h(n): return h(n - 1)\ndef g(h): return h\nk = lambda h: h\n")
+    assert "a.h" not in _uses({"a": lone})
