@@ -216,8 +216,8 @@ def _demo_generic() -> None:
     print("on [0,1] the same part has no points at all:")
     for q in RATIONALS.prefix(5):
         print(f"  meets the single point {q}: {point_sublocale_meets_generic(q)}")
-    nb = neighborhood(Generic(), 5)
-    hits = all(nb.may_contain(q) for q in RATIONALS.prefix(32))
+    stage = neighborhood(Generic(), 5).stage(32)  # listed point i arrives at stage i + 1
+    hits = all(stage.contains(q) for q in RATIONALS.prefix(32))
     print(f"yet every neighborhood of it contains every rational probed: {hits}")
     b = measure_bounds(Generic(), Lebesgue(), Fraction(1, 1000))
     print(f"and its outer measure is pinned under length: [{b.lower}, {b.upper}]")

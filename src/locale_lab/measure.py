@@ -16,9 +16,12 @@ in the Lebesgue decomposition. Lebesgue measure is length on [0,1], a
 restriction meets each region, and a mixture lists its parts' regions
 side by side and adds the weights of atoms at one point. A Measure
 measures RatOpens exactly; presented sublocales get MeasureBounds whose
-width the caller caps with tol. Upper bounds come from neighborhood
-streams, punctured at atoms the sublocale provably avoids, each grow of a
-stream read once; lower bounds come from a partner whose union with the
+width the caller caps with tol. Outer measure adds up over the summands
+of a measure, because the opens around a sublocale form a filter: an
+atom weighs in exactly when the sublocale holds its point, decided by
+shape, and the length on the regions is bounded by streams that carry
+nothing else. Upper bounds come from neighborhood streams, each grow
+read once; lower bounds come from a partner whose union with the
 sublocale is structurally all of [0,1], or are an honest zero.
 """
 
@@ -43,8 +46,8 @@ from locale_lab.presented import (
     PresentedSublocale,
     Union,
     UnsupportedConstructor,
-    avoids_point,
-    lazy_puncture,
+    full_minus_points,
+    holds_point,
     neighborhood,
     structural_union_is_whole,
 )
@@ -418,7 +421,7 @@ def mu_reduce_interval(d, a: PresentedSublocale | None = None) -> PresentedSublo
     """
     if a is None:
         return Closed(mu_reduce_open(d, EMPTY_RO))
-    if isinstance(a, Open) and isinstance(a.part, RatOpen):
+    if isinstance(a, Open):
         if a.part == FULL_RO:
             return Closed(mu_reduce_open(d, EMPTY_RO))
         inner = restrict_to_open(d, a.part)
@@ -476,30 +479,24 @@ def _budgets(tol: Fraction) -> tuple:
     return k, 2 * k
 
 
-def _stages(d: Measure, lazy: LazyOpen):
-    """(measure of stage n, bound on the measure of the rest) for n = 0, 1, ...
+def _stages(regions, lazy: LazyOpen):
+    """(length of stage n on the regions, bound on that of the rest) for n = 0, 1, ...
 
     Each grow(n) is read once. A region keeps a running union of the grows
     met with it: meet distributes over finite unions, so that is stage(n)
     met with the region, and its carried length is the stage's measure
-    there. An atom counts from the first grow that holds it; until then its
-    weight is in the rest whenever the limit may hold it.
+    there.
     """
-    seen = [ivs.EMPTY] * len(d.regions)
-    reached, waiting = Fraction(0), d.atoms
+    seen = [ivs.EMPTY] * len(regions)
     for n in itertools.count():
         new = lazy.grow(n).fin
-        seen = [ivs.add(s, ivs.intersect(new, r)) for s, r in zip(seen, d.regions)]
-        if waiting:
-            reached += sum((w for q, w in waiting if new.contains(q)), Fraction(0))
-            waiting = tuple((q, w) for q, w in waiting if not new.contains(q))
-        rest = sum((w for q, w in waiting if lazy.may_contain(q)), len(d.regions) * lazy.tail(n))
-        yield sum((s.length() for s in seen), reached), rest
+        seen = [ivs.add(s, ivs.intersect(new, r)) for s, r in zip(seen, regions)]
+        yield sum((s.length() for s in seen), Fraction(0)), len(regions) * lazy.tail(n)
 
 
-def _lazy_upper(d: Measure, lazy: LazyOpen, inner_tol: Fraction, max_stage: int) -> Fraction:
+def _lazy_upper(regions, lazy: LazyOpen, inner_tol: Fraction, max_stage: int) -> Fraction:
     best = None
-    for m, rest in itertools.islice(_stages(d, lazy), max_stage + 1):
+    for m, rest in itertools.islice(_stages(regions, lazy), max_stage + 1):
         cand = m + rest
         if best is None or cand < best:
             best = cand
@@ -513,48 +510,70 @@ def _partner_of(x: PresentedSublocale):
         return CoCountable(x.points)
     if isinstance(x, CoCountable):
         return CountablePoints(x.points)
-    if isinstance(x, Open) and isinstance(x.part, RatOpen):
+    if isinstance(x, Open):
         return Closed(x.part)
     if isinstance(x, Closed):
         return Open(x.of_open)
     return None
 
 
-def _punctured_neighborhood(x, d, k) -> LazyOpen:
-    nb = neighborhood(x, k)
-    pts = [q for q, _ in d.atoms if avoids_point(x, q)]
-    return lazy_puncture(nb, pts) if pts else nb
+def _held(x: PresentedSublocale, d: Measure) -> Fraction:
+    """The weight of the atoms of d whose points x holds."""
+    return sum((w for q, w in d.atoms if holds_point(x, q)), Fraction(0))
 
 
 def measure_bounds(x: PresentedSublocale, d: Measure, tol) -> MeasureBounds:
     """Certified bounds on the outer measure of x, of width at most tol.
 
-    Opens, closed sets and unions of opens are measured exactly; anything
-    else goes to the stream (see _stream_bounds).
+    Opens, closed sets and unions of opens are measured exactly. Anything
+    else is measured by summand: the atoms x holds weigh in exactly, by
+    shape, and the length on the regions goes to the stream (see
+    _stream_bounds).
     """
     tol = frac(tol)
-    if isinstance(x, Open) and isinstance(x.part, RatOpen):
+    if isinstance(x, Open):
         m = measure_ro(d, x.part)
         return MeasureBounds(m, m, ("exact-open",))
     if isinstance(x, Closed):
         m = measure_closed_exact(d, x.of_open)
         return MeasureBounds(m, m, ("exact-closed",))
-    if isinstance(x, Union) and all(
-        isinstance(p, Open) and isinstance(p.part, RatOpen) for p in x.parts
-    ):
+    if isinstance(x, Union) and all(isinstance(p, Open) for p in x.parts):
         m = measure_ro(d, ivs.join(*(p.part for p in x.parts)))
         return MeasureBounds(m, m, ("exact-open",))
-    return _stream_bounds(x, d, tol)
+    held = _held(x, d)
+    if not d.regions:
+        return MeasureBounds(held, held, ("atoms-by-shape",))
+    try:
+        b = _stream_bounds(x, d.regions, tol)
+    except TolNotReached as exc:
+        if not held:
+            raise
+        raise _stalled(exc.side, exc.lower + held, exc.upper + held, tol) from None
+    return MeasureBounds(b.lower + held, b.upper + held, b.certificates + ("atoms-by-shape",))
 
 
-def _stream_bounds(x: PresentedSublocale, d: Measure, tol: Fraction) -> MeasureBounds:
-    """Bounds from the neighbourhood streams of x and of its partner.
+def _stalled(side: str, lower: Fraction, upper: Fraction, tol: Fraction) -> TolNotReached:
+    max_k, max_stage = _budgets(tol)
+    stalled = side if side == "no lower route" else f"{side} stalled"
+    return TolNotReached(
+        f"{stalled}: bounds stuck at [{lower}, {upper}] after {max_k} "
+        f"neighborhoods of up to {max_stage} stages",
+        lower=lower,
+        upper=upper,
+        side=side,
+    )
+
+
+def _stream_bounds(x: PresentedSublocale, regions: tuple, tol: Fraction) -> MeasureBounds:
+    """Bounds on the outer measure of x under length on the regions, from
+    the neighbourhood streams of x and of its partner.
 
     A union with two parts that are structurally all of [0,1] is the
     total. The number of neighbourhoods and stages tried follows from
     tol; past them the TolNotReached raised says which side stalled.
     """
-    total = total_measure(d)
+    length = Measure(regions)
+    total = total_measure(length)
     if isinstance(x, Union):
         for i, p in enumerate(x.parts):
             for q in x.parts[i + 1:]:
@@ -573,7 +592,7 @@ def _stream_bounds(x: PresentedSublocale, d: Measure, tol: Fraction) -> MeasureB
     if isinstance(x, Union):
         # any part sits inside x, so its lower bound transfers
         for p in x.parts:
-            sub = measure_bounds(p, d, tol)
+            sub = measure_bounds(p, length, tol)
             if sub.lower > lower:
                 lower = sub.lower
         certs.append("monotone-from-parts")
@@ -583,18 +602,17 @@ def _stream_bounds(x: PresentedSublocale, d: Measure, tol: Fraction) -> MeasureB
     max_k, max_stage = _budgets(tol)
     for k in range(1, max_k + 1):
         last_upper = upper
-        nb = _punctured_neighborhood(x, d, k)
         try:
-            upper = min(upper, _lazy_upper(d, nb, inner, max_stage))
+            upper = min(upper, _lazy_upper(regions, neighborhood(x, k), inner, max_stage))
             upper_cut = False
         except TolNotReached as exc:
             upper_cut = True
             if exc.upper is not None:
                 upper = min(upper, exc.upper)
         if partner is not None:
-            pnb = _punctured_neighborhood(partner, d, k)
             try:
-                lower = max(lower, total - _lazy_upper(d, pnb, inner, max_stage))
+                lower = max(lower, total - _lazy_upper(regions, neighborhood(partner, k),
+                                                       inner, max_stage))
             except TolNotReached as exc:
                 if exc.upper is not None:
                     lower = max(lower, total - exc.upper)
@@ -610,14 +628,7 @@ def _stream_bounds(x: PresentedSublocale, d: Measure, tol: Fraction) -> MeasureB
         side = "lower from parts"
     else:
         side = "no lower route"
-    stalled = side if side == "no lower route" else f"{side} stalled"
-    raise TolNotReached(
-        f"{stalled}: bounds stuck at [{lower}, {upper}] after {max_k} "
-        f"neighborhoods of up to {max_stage} stages",
-        lower=lower,
-        upper=upper,
-        side=side,
-    )
+    raise _stalled(side, lower, upper, tol)
 
 
 @dataclass(frozen=True)
@@ -649,8 +660,7 @@ def strict_additivity_interval(x, y, d, tol) -> ResidualBounds:
         bx = measure_bounds(x, d, tol)
         by = measure_bounds(y, d, tol)
         bu = measure_bounds(Union((x, y)), d, tol)
-        if isinstance(x, Open) and isinstance(y, Open) and \
-                isinstance(x.part, RatOpen) and isinstance(y.part, RatOpen):
+        if isinstance(x, Open) and isinstance(y, Open):
             m = measure_ro(d, ivs.meet(x.part, y.part))
             bi = MeasureBounds(m, m, ("exact-open",))
         else:
@@ -680,7 +690,7 @@ def null_partner_interval(x: PresentedSublocale, d, tol):
     """
     tol = frac(tol)
     total = total_measure(d)
-    if isinstance(x, Open) and isinstance(x.part, RatOpen):
+    if isinstance(x, Open):
         # [U] u c(U) is everything and [U] n c(U) is empty, whatever the
         # boundary weighs
         u = x.part
@@ -723,14 +733,18 @@ def null_partner_interval(x: PresentedSublocale, d, tol):
 
 
 def _small_stage(x, d, tol) -> RatOpen:
-    """A neighborhood stage of x with descriptor measure at most 2*tol."""
+    """A neighborhood stage of x, less the atoms x does not hold, of
+    measure at most 2*tol: its length on the regions and the held atoms
+    stay within that."""
+    held = _held(x, d)
     max_k, max_stage = _budgets(tol)
     for k in range(1, max_k + 1):
-        nb = _punctured_neighborhood(x, d, k)
-        for n, (m, rest) in enumerate(itertools.islice(_stages(d, nb), max_stage + 1)):
+        nb = neighborhood(x, k)
+        for n, (m, rest) in enumerate(itertools.islice(_stages(d.regions, nb), max_stage + 1)):
             if rest <= tol:
-                if m <= 2 * tol:
-                    return nb.stage(n)
+                if m + held <= 2 * tol:
+                    missed = full_minus_points(q for q, _ in d.atoms if not holds_point(x, q))
+                    return ivs.meet(nb.stage(n), missed)
                 break
     raise TolNotReached(
         f"upper stream stalled: no stage of measure at most {2 * tol} after "

@@ -5,15 +5,16 @@ given symbolically: opens, closed complements, countable point sets and
 their complements, the smallest dense sublocale, and unions/meets of
 those. Each presentation has a neighborhood stream: `neighborhood(x, k)`
 is an open containing x, and its measures converge down to the outer
-measure.
+measure. Whether x holds a point is decided by its shape alone (see
+holds_point), so point masses never ride in a neighborhood stream.
 
 Countable point sets are listings read off binary trees of rationals by
 descent (see Enumerator): they keep no state and find points without scans.
 
-Opens are an exact RatOpen, or a LazyOpen whose stages grow forever with
-a certified length bound on the unseen rest. Stage n is stage n-1 with
-the pieces that arrive at n inserted (see LazyOpen): the same set, hence
-the same canonical tuple, as a rebuild from the whole prefix.
+A neighborhood is a LazyOpen whose stages grow forever with a certified
+length bound on the unseen rest. Stage n is stage n-1 with the pieces
+that arrive at n inserted (see LazyOpen): the same set, hence the same
+canonical tuple, as a rebuild from the whole prefix.
 """
 
 from __future__ import annotations
@@ -113,16 +114,14 @@ class LazyOpen:
 
     grow(n) is the open that arrives at stage n; stage(n) is the union of
     grow(0..n), built once from stage(n-1) and kept. tail(n) bounds the
-    total length of limit-minus-stage(n). may_contain is a conservative
-    membership test: False only when the point is provably outside the
-    limit. Stages only grow, so a stream derived from this one by a
-    finite-union-preserving operation can apply it to grow alone.
+    total length of limit-minus-stage(n). Stages only grow, so a stream
+    derived from this one by a finite-union-preserving operation can
+    apply it to grow alone.
     """
 
-    def __init__(self, grow, tail_fn, may_fn):
+    def __init__(self, grow, tail_fn):
         self.grow = grow
         self._tail_fn = tail_fn
-        self._may_fn = may_fn
         self._stages = []
 
     def stage(self, n: int) -> RatOpen:
@@ -138,12 +137,9 @@ class LazyOpen:
     def tail(self, n: int) -> Fraction:
         return self._tail_fn(n)
 
-    def may_contain(self, x) -> bool:
-        return self._may_fn(frac(x))
-
 
 def as_lazy(u: RatOpen) -> LazyOpen:
-    return LazyOpen(lambda n: EMPTY_RO if n else u, lambda n: Fraction(0), u.contains)
+    return LazyOpen(lambda n: EMPTY_RO if n else u, lambda n: Fraction(0))
 
 
 def lazy_cover(points: Enumerator, eps) -> LazyOpen:
@@ -168,34 +164,18 @@ def lazy_cover(points: Enumerator, eps) -> LazyOpen:
         piece = Iv(lo if lo > 0 else Fraction(0), hi if hi < 1 else Fraction(1), lo < 0, hi > 1)
         return RatOpen(ivs._trusted((piece,)))
 
-    return LazyOpen(grow, lambda n: eps / 2 ** (n + 1), lambda x: True)
+    return LazyOpen(grow, lambda n: eps / 2 ** (n + 1))
 
 
 def lazy_join(a: LazyOpen, b: LazyOpen) -> LazyOpen:
     return LazyOpen(
         lambda n: ivs.join(a.grow(n), b.grow(n)),
         lambda n: a.tail(n) + b.tail(n),
-        lambda x: a.may_contain(x) or b.may_contain(x),
     )
 
 
 def lazy_meet_open(a: LazyOpen, u: RatOpen) -> LazyOpen:
-    return LazyOpen(
-        lambda n: ivs.meet(a.grow(n), u),
-        a.tail,
-        lambda x: a.may_contain(x) and u.contains(x),
-    )
-
-
-def lazy_puncture(a: LazyOpen, pts) -> LazyOpen:
-    """Remove finitely many points from the limit open."""
-    pts = tuple(frac(p) for p in pts)
-    rest = full_minus_points(pts).fin
-    return LazyOpen(
-        lambda n: RatOpen(ivs.intersect(a.grow(n).fin, rest)),
-        a.tail,
-        lambda x: a.may_contain(x) and x not in pts,
-    )
+    return LazyOpen(lambda n: ivs.meet(a.grow(n), u), a.tail)
 
 
 def full_minus_points(pts) -> RatOpen:
@@ -230,7 +210,13 @@ class PresentedSublocale:
 
 @dataclass(frozen=True)
 class Open(PresentedSublocale):
-    part: object  # RatOpen or LazyOpen
+    part: RatOpen
+
+    def __post_init__(self):
+        if not isinstance(self.part, RatOpen):
+            raise UnsupportedConstructor(
+                f"an open part is a RatOpen, not a {type(self.part).__name__}"
+            )
 
 
 @dataclass(frozen=True)
@@ -297,7 +283,7 @@ def closed_neighborhood(u: RatOpen, k: int) -> RatOpen:
 def neighborhood(x: PresentedSublocale, k: int) -> LazyOpen:
     """The k-th open neighborhood of x; measures converge down along k."""
     if isinstance(x, Open):
-        return x.part if isinstance(x.part, LazyOpen) else as_lazy(x.part)
+        return as_lazy(x.part)
     if isinstance(x, Closed):
         return as_lazy(closed_neighborhood(x.of_open, k))
     if isinstance(x, CountablePoints):
@@ -320,34 +306,36 @@ def neighborhood(x: PresentedSublocale, k: int) -> LazyOpen:
     raise UnsupportedConstructor(f"no neighborhood stream for {type(x).__name__}")
 
 
-def avoids_point(x: PresentedSublocale, a) -> bool:
-    """Is x provably disjoint from the point a?
+def holds_point(x: PresentedSublocale, q) -> bool:
+    """Does every open around x hold the point q? Exact for every constructor.
 
-    True licenses removing a from every neighborhood of x. False means
-    unknown, not membership.
+    This is the outer measure of x under a unit mass at q. It holds
+    exactly when q lies in x, because where x misses q some open around
+    x misses q too: [0,1] minus q around a point set, a closed part or
+    the generic part; U around Open(U) or a meet with U; an open around
+    the part of a meet that misses q; the join of such opens around a
+    union.
     """
-    a = frac(a)
+    q = frac(q)
     if isinstance(x, Open):
-        if isinstance(x.part, RatOpen):
-            return not x.part.contains(a)
-        return not x.part.may_contain(a)
+        return x.part.contains(q)
     if isinstance(x, Closed):
-        return x.of_open.contains(a)
+        return not x.of_open.contains(q)
     if isinstance(x, CountablePoints):
-        return not x.points.contains(a)
+        return x.points.contains(q)
     if isinstance(x, CoCountable):
-        return x.points.contains(a)
+        return not x.points.contains(q)
     if isinstance(x, Generic):
         # the smallest dense sublocale misses every point: a dense open
         # stays dense with a point removed
-        return True
+        return False
     if isinstance(x, Union):
-        return all(avoids_point(p, a) for p in x.parts)
+        return any(holds_point(p, q) for p in x.parts)
     if isinstance(x, IntersectWithOpen):
-        return avoids_point(x.part, a) or not x.open_.contains(a)
+        return holds_point(x.part, q) and x.open_.contains(q)
     if isinstance(x, IntersectWithClosed):
-        return avoids_point(x.part, a) or x.of_open.contains(a)
-    return False
+        return holds_point(x.part, q) and not x.of_open.contains(q)
+    raise UnsupportedConstructor(f"no point test for {type(x).__name__}")
 
 
 def structural_union_is_whole(a: PresentedSublocale, b: PresentedSublocale) -> bool:
@@ -360,12 +348,7 @@ def structural_union_is_whole(a: PresentedSublocale, b: PresentedSublocale) -> b
             and x.points.name == y.points.name
         ):
             return True
-        if (
-            isinstance(x, Open)
-            and isinstance(x.part, RatOpen)
-            and isinstance(y, Closed)
-            and x.part == y.of_open
-        ):
+        if isinstance(x, Open) and isinstance(y, Closed) and x.part == y.of_open:
             return True
     return False
 

@@ -225,9 +225,9 @@ def test_c10_footnote_counterexample():
         for q in probes:
             assert not point_sublocale_meets_generic(q)
         # the generic part is nevertheless nonempty: its canonical
-        # neighborhoods are dense (they may contain every probed rational),
-        # unlike the neighborhoods of the genuinely empty part
-        nb = neighborhood(Generic(), 6)
-        assert all(nb.may_contain(q) for q in probes)
-        empty_nb = neighborhood(Open(EMPTY_RO), 6)
-        assert not any(empty_nb.may_contain(q) for q in probes)
+        # neighborhoods are dense (listed point i is covered from stage
+        # i + 1 on), unlike the neighborhoods of the genuinely empty part
+        stage = neighborhood(Generic(), 6).stage(len(probes))
+        assert all(stage.contains(q) for q in probes)
+        empty_stage = neighborhood(Open(EMPTY_RO), 6).stage(len(probes))
+        assert not any(empty_stage.contains(q) for q in probes)

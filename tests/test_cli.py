@@ -97,6 +97,32 @@ def test_measure_failure_names_the_stalled_side(capsys):
     ]
 
 
+def test_measure_failure_counts_the_held_atoms_on_both_sides(capsys):
+    # the length stalls at [0, 1/2] as above, and the held atom at 1/4
+    # weighs in on both sides: the true value is 1 + 1/2
+    part = "meet-open(union(irrationals; (1/8,3/8)); (0,1/2))"
+    assert main(["measure", "mix lebesgue + atoms 1/4:1", part]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "tolerance 1/1000 not reached: no lower route: bounds stuck at [1, 3/2] "
+        "after 40 neighborhoods of up to 80 stages"
+    ]
+
+
+@pytest.mark.parametrize("part,exact", [
+    # the atom lies outside the open part, so only the rationals hold it
+    ("union(rationals; (1/2,3/4))", Fraction(3, 4)),
+    # the rationals are null for length, and the open keeps the atom
+    ("meet-open(rationals; (1/4,5/12))", Fraction(1, 2)),
+])
+def test_measure_adds_the_held_atoms_to_the_length(part, exact, capsys):
+    assert main(["measure", "mix lebesgue + atoms 1/3:1/2", part]) == 0
+    out = capsys.readouterr().out.strip()
+    assert out.startswith("mu in [") and out.endswith("]")
+    lo, hi = (Fraction(v) for v in out[len("mu in ["):-1].split(","))
+    assert lo <= exact <= hi
+    assert hi - lo <= Fraction(1, 1000)
+
+
 def test_measure_closed_restricted(capsys):
     assert main(["measure", "restrict [0,1/2]", "closed (1/2,1]"]) == 0
     assert capsys.readouterr().out.strip() == "mu = 1/2 (exact)"

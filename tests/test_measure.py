@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from locale_lab import intervals as ivs
 from locale_lab.corpus import boolean_spec, chain_spec, iter_corpus_frames
@@ -64,7 +64,7 @@ from locale_lab.measure import (
     validate_valuation,
     vstar,
 )
-from locale_lab.measure import _stages, _stream_bounds
+from locale_lab.measure import _budgets, _small_stage, _stages, _stream_bounds
 from locale_lab.morphisms import validate_morphism
 from locale_lab.presented import (
     DYADICS,
@@ -73,13 +73,17 @@ from locale_lab.presented import (
     CoCountable,
     CountablePoints,
     Generic,
+    IntersectWithClosed,
     IntersectWithOpen,
     LazyOpen,
     Open,
     Union,
     UnsupportedConstructor,
+    closed_neighborhood,
     full_minus_points,
+    holds_point,
     neighborhood,
+    structural_union_is_whole,
 )
 from locale_lab.sublocales import (
     closed_sublocale,
@@ -609,7 +613,7 @@ def test_stream_bounds_bracket_the_exact_values():
     from locale_lab.intervals import iv, normalize
 
     rng = random.Random(20260822)
-    d = Mixture((Lebesgue(), atomic([("1/3", "1/2")])))
+    d = Mixture((Lebesgue(), LebesgueRestrictedTo(parse_fin("[1/3,2/3]"))))
     for _ in range(25):
         ends = sorted(F(rng.randrange(0, 25), 24) for _ in range(4))
         if ends[0] == ends[1] and ends[2] == ends[3]:
@@ -620,7 +624,7 @@ def test_stream_bounds_bracket_the_exact_values():
             (Open(u), measure_ro(d, u)),
             (Closed(u), measure_closed_exact(d, u)),
         ]:
-            b = _stream_bounds(x, d, TOL)
+            b = _stream_bounds(x, d.regions, TOL)
             assert b.lower <= exact <= b.upper
             assert b.width <= TOL
 
@@ -657,8 +661,8 @@ def test_stream_bounds_are_monotone_and_within_tol(kind, v, w):
     d = DESCRIPTOR_KINDS[kind]
     u = meet(v, w)
     for small, large in [(Open(u), Open(v)), (Closed(v), Closed(u))]:
-        bs = _stream_bounds(small, d, TOL)
-        bl = _stream_bounds(large, d, TOL)
+        bs = _stream_bounds(small, d.regions, TOL)
+        bl = _stream_bounds(large, d.regions, TOL)
         assert bs.lower <= bl.upper
         assert bs.width <= TOL and bl.width <= TOL
 
@@ -685,9 +689,9 @@ def test_stage_measures_match_measure_fin(name, x):
     ]
     for k in (1, 5, 20):
         for d in descriptors:
-            nb = neighborhood(x, k)
-            got = [m for m, _ in itertools.islice(_stages(d, nb), 61)]
-            assert got == [measure_fin(d, nb.stage(n).fin) for n in range(61)], (name, k, d)
+            nb, length = neighborhood(x, k), Measure(d.regions)
+            got = [m for m, _ in itertools.islice(_stages(d.regions, nb), 61)]
+            assert got == [measure_fin(length, nb.stage(n).fin) for n in range(61)], (name, k, d)
 
 
 def test_rational_points_are_lebesgue_null():
@@ -710,9 +714,10 @@ def test_generic_is_null_for_every_descriptor():
 
 
 def test_generic_avoids_atoms_exactly():
-    # with a purely atomic descriptor the punctured covers weigh nothing
+    # a purely atomic measure is weighed by shape alone, with no stream
     b = measure_bounds(Generic(), atomic([("1/2", "1")]), TOL)
     assert b.lower == b.upper == 0
+    assert b.certificates == ("atoms-by-shape",)
 
 
 def test_cocountable_complement_of_rationals():
@@ -820,6 +825,24 @@ def test_null_partner_for_the_generic_sublocale():
     assert certs["intersection"].upper <= TOL
 
 
+def test_null_partner_stage_leaves_unheld_atoms_to_the_partner():
+    # the generic part holds no atom, so its small stage drops them all,
+    # even the one at 0, which stage 1 covers
+    d = Mixture((Lebesgue(), atomic([("0", "1"), ("1/2", "1")])))
+    b, certs = null_partner_interval(Generic(), d, TOL)
+    assert isinstance(b, Closed)
+    assert not b.of_open.contains(F(0)) and not b.of_open.contains(F(1, 2))
+    assert certs["union"].lower >= total_measure(d) - 2 * TOL
+
+
+def test_small_stage_counts_held_atoms_from_the_start():
+    # the dyadics hold the atom at 0, so the stage's length gets only the
+    # tol the atom leaves of the 2*tol
+    d = Mixture((Lebesgue(), atomic([("0", "1/1000")])))
+    w = _small_stage(CountablePoints(DYADICS), d, TOL)
+    assert measure_ro(d, w) <= 2 * TOL
+
+
 def test_null_partner_refuses_fat_shapes_without_structure():
     x = IntersectWithOpen(CoCountable(RATIONALS), parse_ratopen("(0,1)"))
     with pytest.raises((UnsupportedCombination, TolNotReached)):
@@ -911,13 +934,20 @@ def tree_restrict(t, fin):
     return TreeMix(tuple(tree_restrict(p, fin) for p in t.parts))
 
 
+def tree_without_atoms(t):
+    if isinstance(t, TreeAtoms):
+        return TreeAtoms(())
+    if isinstance(t, TreeMix):
+        return TreeMix(tuple(tree_without_atoms(p) for p in t.parts))
+    return t
+
+
 def tree_rest_bound(t, lazy, n):
+    """The length left unseen after stage n, on a tree without atoms."""
     if isinstance(t, (TreeLebesgue, TreeRestricted)):
         return lazy.tail(n)
     if isinstance(t, TreeAtoms):
-        stage = lazy.stage(n)
-        return sum((w for q, w in t.atoms if not stage.contains(q) and lazy.may_contain(q)),
-                   F(0))
+        return F(0)
     return sum((tree_rest_bound(p, lazy, n) for p in t.parts), F(0))
 
 
@@ -1002,22 +1032,23 @@ def _agrees_with_the_tree(t, fins, u):
 @settings(max_examples=12, deadline=None)
 def test_stages_agree_with_the_tree(tree, k):
     for t in (tree, TreeMix((tree, tree))):
-        d = from_tree(t)
+        d, length = from_tree(t), tree_without_atoms(t)
         for name, x in STAGE_STREAMS:
             nb = neighborhood(x, k)
-            got = list(itertools.islice(_stages(d, nb), 61))
-            want = zip(tree_stage_measures(t, nb), (tree_rest_bound(t, nb, n) for n in range(61)))
+            got = list(itertools.islice(_stages(d.regions, nb), 61))
+            want = zip(tree_stage_measures(length, nb),
+                       (tree_rest_bound(length, nb, n) for n in range(61)))
             assert got == list(want), name
 
 
 @pytest.mark.parametrize("desc", ["mix lebesgue + restrict [0,1/2]",
                                   "mix lebesgue + restrict [0,1/2] + atoms 1/2:1"])
 def test_a_mixture_reads_each_grow_once(desc):
-    # length, restricted length and atoms all read the same grow(n)
+    # length and restricted length both read the same grow(n)
     nb = neighborhood(CoCountable(RATIONALS), 3)
     calls = []
-    lazy = LazyOpen(lambda n: calls.append(n) or nb.grow(n), nb.tail, nb.may_contain)
-    list(itertools.islice(_stages(parse_descriptor(desc), lazy), 50))
+    lazy = LazyOpen(lambda n: calls.append(n) or nb.grow(n), nb.tail)
+    list(itertools.islice(_stages(parse_descriptor(desc).regions, lazy), 50))
     assert calls == list(range(50))
 
 
@@ -1046,3 +1077,170 @@ def test_pinned_streamed_answers(capsys, desc, part, digits, answer):
 
     assert main(["measure", desc, part, "--tol", f"1/{10 ** digits}"]) == 0
     assert capsys.readouterr().out.strip() == answer
+
+
+# ----------------------------------------------------------- the punctured-stream reference
+#
+# Before outer measure was split by summand, every atom rode in every
+# neighbourhood stream: the stream was punctured at the atoms the shape
+# provably avoids, and an atom not yet reached was weighed in the rest
+# whenever a conservative test said the limit may hold it. That path is
+# kept here as the reference for holds_point and for the split.
+
+
+def ref_avoids_point(x, a):
+    """Is x provably disjoint from the point a? False means unknown."""
+    if isinstance(x, Open):
+        return not x.part.contains(a)
+    if isinstance(x, Closed):
+        return x.of_open.contains(a)
+    if isinstance(x, CountablePoints):
+        return not x.points.contains(a)
+    if isinstance(x, CoCountable):
+        return x.points.contains(a)
+    if isinstance(x, Generic):
+        return True
+    if isinstance(x, Union):
+        return all(ref_avoids_point(p, a) for p in x.parts)
+    if isinstance(x, IntersectWithOpen):
+        return ref_avoids_point(x.part, a) or not x.open_.contains(a)
+    return ref_avoids_point(x.part, a) or x.of_open.contains(a)
+
+
+def ref_may_contain(x, k, q):
+    """False only where q is provably outside the limit of neighborhood(x, k)."""
+    if isinstance(x, Open):
+        return x.part.contains(q)
+    if isinstance(x, Closed):
+        return closed_neighborhood(x.of_open, k).contains(q)
+    if isinstance(x, CoCountable):
+        return full_minus_points(x.points.prefix(k)).contains(q)
+    if isinstance(x, (CountablePoints, Generic)):
+        return True  # a cover may hold any point
+    if isinstance(x, Union):
+        return any(ref_may_contain(p, k, q) for p in x.parts)
+    if isinstance(x, IntersectWithOpen):
+        return ref_may_contain(x.part, k, q) and x.open_.contains(q)
+    return ref_may_contain(x.part, k, q) and closed_neighborhood(x.of_open, k).contains(q)
+
+
+def lazy_puncture(a, pts):
+    """Remove finitely many points from the limit open."""
+    rest = full_minus_points(pts).fin
+    return LazyOpen(lambda n: RatOpen(ivs.intersect(a.grow(n).fin, rest)), a.tail)
+
+
+def ref_stages(d, lazy, may):
+    """(measure of stage n, bound on the rest), atoms included: an atom
+    counts from the first grow that holds it, and until then its weight is
+    in the rest whenever may says the limit may hold it."""
+    seen = [ivs.EMPTY] * len(d.regions)
+    reached, waiting = F(0), d.atoms
+    for n in itertools.count():
+        new = lazy.grow(n).fin
+        seen = [ivs.add(s, ivs.intersect(new, r)) for s, r in zip(seen, d.regions)]
+        reached += sum((w for q, w in waiting if new.contains(q)), F(0))
+        waiting = tuple((q, w) for q, w in waiting if not new.contains(q))
+        rest = sum((w for q, w in waiting if may(q)), len(d.regions) * lazy.tail(n))
+        yield sum((s.length() for s in seen), reached), rest
+
+
+def ref_upper(x, d, k, inner, max_stage):
+    """The least stage bound of x's k-th punctured neighbourhood."""
+    pts = [q for q, _ in d.atoms if ref_avoids_point(x, q)]
+    nb = lazy_puncture(neighborhood(x, k), pts)
+    may = lambda q: q not in pts and ref_may_contain(x, k, q)  # noqa: E731
+    best = None
+    for m, rest in itertools.islice(ref_stages(d, nb, may), max_stage + 1):
+        best = m + rest if best is None else min(best, m + rest)
+        if rest <= inner:
+            break
+    return best
+
+
+def ref_bounds(x, d, tol):
+    """The bounds measure_bounds gave with atoms in the streams, or None
+    where it raised TolNotReached."""
+    if isinstance(x, Open):
+        m = measure_ro(d, x.part)
+        return MeasureBounds(m, m, ())
+    if isinstance(x, Closed):
+        m = measure_closed_exact(d, x.of_open)
+        return MeasureBounds(m, m, ())
+    if isinstance(x, Union) and all(isinstance(p, Open) for p in x.parts):
+        m = measure_ro(d, ivs.join(*(p.part for p in x.parts)))
+        return MeasureBounds(m, m, ())
+    total = total_measure(d)
+    if isinstance(x, Union) and any(
+        structural_union_is_whole(p, q) for p, q in itertools.combinations(x.parts, 2)
+    ):
+        return MeasureBounds(total, total, ())
+    partner = {CountablePoints: CoCountable, CoCountable: CountablePoints}.get(type(x))
+    lower = F(0)
+    if isinstance(x, Union):
+        for p in x.parts:
+            sub = ref_bounds(p, d, tol)
+            if sub is None:
+                return None
+            lower = max(lower, sub.lower)
+    upper = total
+    max_k, max_stage = _budgets(tol)
+    for k in range(1, max_k + 1):
+        upper = min(upper, ref_upper(x, d, k, tol / 4, max_stage))
+        if partner is not None:
+            lower = max(lower, total - ref_upper(partner(x.points), d, k, tol / 4, max_stage))
+        if upper - lower <= tol:
+            return MeasureBounds(lower, upper, ())
+    return None
+
+
+listings = st.sampled_from([RATIONALS, DYADICS])
+base_shapes = st.one_of(
+    listings.map(CountablePoints),
+    listings.map(CoCountable),
+    st.just(Generic()),
+    coarse_opens().map(Open),
+    coarse_opens().map(Closed),
+)
+
+
+def nested_shapes(depth=2):
+    """Unions, meet-opens and meet-closeds of the base shapes, to depth."""
+    shapes = base_shapes
+    for _ in range(depth):
+        shapes = st.one_of(
+            shapes,
+            st.tuples(shapes, shapes).map(Union),
+            st.builds(IntersectWithOpen, shapes, coarse_opens()),
+            st.builds(IntersectWithClosed, shapes, coarse_opens()),
+        )
+    return shapes
+
+
+HALF_OPEN = parse_ratopen("(0,1/2)")
+
+
+@given(nested_shapes(), st.one_of(eighths, st.just(F(1, 3))))
+@settings(max_examples=100, deadline=None)
+@example(Union((CountablePoints(DYADICS), Open(HALF_OPEN))), F(3, 4))
+@example(IntersectWithClosed(CountablePoints(DYADICS), HALF_OPEN), F(1, 4))
+@example(IntersectWithClosed(CoCountable(RATIONALS), HALF_OPEN), F(3, 4))
+def test_holds_point_within_the_punctured_stream_bounds(x, q):
+    # a unit atom at q measures x as 1 exactly when x holds q
+    ref = ref_bounds(x, atomic([(q, 1)]), TOL)
+    if ref is not None:
+        assert ref.contains(int(holds_point(x, q))), (x, q, ref)
+
+
+@pytest.mark.parametrize("kind", sorted(DESCRIPTOR_KINDS))
+@given(nested_shapes())
+@settings(max_examples=30, deadline=None)
+def test_split_bounds_overlap_the_punctured_stream_bounds(kind, x):
+    d = DESCRIPTOR_KINDS[kind]
+    ref = ref_bounds(x, d, TOL)
+    try:
+        new = measure_bounds(x, d, TOL)
+    except TolNotReached:
+        return
+    if ref is not None:
+        assert max(new.lower, ref.lower) <= min(new.upper, ref.upper), (x, new, ref)

@@ -20,13 +20,12 @@ from locale_lab.presented import (
     Union,
     UnsupportedConstructor,
     as_lazy,
-    avoids_point,
     closed_neighborhood,
     full_minus_points,
+    holds_point,
     lazy_cover,
     lazy_join,
     lazy_meet_open,
-    lazy_puncture,
     neighborhood,
     point_sublocale_meets_generic,
     structural_union_is_whole,
@@ -200,17 +199,12 @@ def test_lazy_ops():
     assert j.tail(3) == cov.tail(3)
     m = lazy_meet_open(cov, parse_ratopen("(1/3,1)"))
     assert m.stage(4) == ivs.meet(cov.stage(4), parse_ratopen("(1/3,1)"))
-    assert not m.may_contain(F(1, 4))
-    p = lazy_puncture(cov, [F(1, 2)])
-    assert not p.stage(5).contains(F(1, 2))
-    assert not p.may_contain(F(1, 2))
-    assert p.tail(5) == cov.tail(5)
 
 
 # ------------------------------------- incremental stages against rebuilds
 
 # The reference streams rebuild every stage from nothing: normalize over
-# all pieces through stage n, then the join, meet or point removal.
+# all pieces through stage n, then the join or meet.
 
 def rebuilt_cover(points, eps):
     def stage(n):
@@ -239,12 +233,7 @@ def ratopen_minus_points(u, pts):
     return RatOpen(ivs.intersect(u.fin, ivs.complement(points)))
 
 
-def rebuilt_puncture(a, pts):
-    return lambda n: ratopen_minus_points(a(n), pts)
-
-
 U = parse_ratopen("(1/5,2/3)|(3/4,1]")
-PTS = [F(0), F(1, 3), F(1, 2), F(5, 8), F(1)]
 
 
 def stream_pairs(k):
@@ -253,15 +242,14 @@ def stream_pairs(k):
     closed = closed_neighborhood(U, k)
     rat, dy = lazy_cover(RATIONALS, eps), lazy_cover(DYADICS, eps)
     s_rat, s_dy = rebuilt_cover(RATIONALS, eps), rebuilt_cover(DYADICS, eps)
-    nested = lazy_puncture(lazy_join(lazy_meet_open(rat, U), dy), PTS)
-    s_nested = rebuilt_puncture(rebuilt_join(rebuilt_meet(s_rat, U), s_dy), PTS)
+    nested = lazy_join(lazy_meet_open(rat, U), dy)
+    s_nested = rebuilt_join(rebuilt_meet(s_rat, U), s_dy)
     return [
         ("cover rationals", rat, s_rat),
         ("cover dyadics", dy, s_dy),
         ("join", lazy_join(rat, dy), rebuilt_join(s_rat, s_dy)),
         ("join exact", lazy_join(as_lazy(U), dy), rebuilt_join(lambda n: U, s_dy)),
         ("meet open", lazy_meet_open(rat, U), rebuilt_meet(s_rat, U)),
-        ("puncture", lazy_puncture(dy, PTS), rebuilt_puncture(s_dy, PTS)),
         ("closed nb", as_lazy(closed), lambda n: closed),
         ("meet closed nb", lazy_meet_open(dy, closed), rebuilt_meet(s_dy, closed)),
         ("nested", nested, s_nested),
@@ -308,11 +296,9 @@ def test_neighborhood_stages_match_rebuilt_builds(k):
 def test_every_stage_is_canonical_with_its_carried_length(k):
     # stages skip the canonical check and carry their length, so re-check
     # both on every stream shape the measure ladder builds
-    atoms = [F(1, 3), F(3, 4)]
     streams = [(name, lazy) for name, lazy, _ in stream_pairs(k)]
     for x in (Generic(), CoCountable(RATIONALS), CountablePoints(DYADICS)):
         streams.append((f"{x} nb", neighborhood(x, k)))
-        streams.append((f"{x} nb punctured", lazy_puncture(neighborhood(x, k), atoms)))
     for name, lazy in streams:
         for n in range(61):
             fin = lazy.stage(n).fin
@@ -418,30 +404,52 @@ def test_union_of_nothing_rejected():
         Union(())
 
 
-# ----------------------------------------------------------------- avoidance
-
-def test_avoids_point():
-    assert avoids_point(Generic(), F(1, 2))
-    assert avoids_point(Generic(), F(0))
-    assert avoids_point(CountablePoints(DYADICS), F(1, 3))
-    assert not avoids_point(CountablePoints(DYADICS), F(3, 8))
-    assert avoids_point(CoCountable(DYADICS), F(3, 8))
-    assert not avoids_point(CoCountable(DYADICS), F(1, 3))
-    u = parse_ratopen("(1/4,1/2)")
-    assert avoids_point(Open(u), F(3, 4))
-    assert not avoids_point(Open(u), F(1, 3))
-    assert avoids_point(Closed(u), F(1, 3))
-    assert not avoids_point(Closed(u), F(1, 4))
-    assert avoids_point(Union((Generic(), CountablePoints(DYADICS))), F(1, 3))
-    assert not avoids_point(Union((Generic(), CountablePoints(DYADICS))), F(1, 2))
-    assert avoids_point(IntersectWithOpen(CoCountable(RATIONALS), u), F(2, 3))
-    assert avoids_point(IntersectWithClosed(CoCountable(RATIONALS), u), F(1, 3))
+@pytest.mark.parametrize("part", [
+    lazy_cover(DYADICS, F(1, 4)),
+    LazyOpen(lambda n: EMPTY_RO, lambda n: F(0)),
+    parse_ratopen("(0,1/2)").fin,
+    "(0,1/2)",
+    None,
+])
+def test_open_refuses_a_part_that_is_not_a_ratopen(part):
+    with pytest.raises(UnsupportedConstructor) as exc:
+        Open(part)
+    assert len(str(exc.value).splitlines()) == 1
+    assert "RatOpen" in str(exc.value)
 
 
-def test_avoids_point_on_lazy_open():
-    cov = lazy_cover(DYADICS, F(1, 4))
-    assert not avoids_point(Open(cov), F(1, 3))  # unknown, so not provable
-    assert avoids_point(Open(lazy_puncture(cov, [F(1, 3)])), F(1, 3))
+# ------------------------------------------------------------ point masses
+
+V = parse_ratopen("(1/4,1/2)")
+HOLDS_POINT = [
+    # (shape, a point it holds, a point it misses)
+    (Open(V), F(1, 3), F(1, 4)),
+    (Closed(V), F(1, 4), F(1, 3)),
+    (CountablePoints(DYADICS), F(3, 8), F(1, 3)),
+    (CountablePoints(RATIONALS), F(1, 3), None),
+    (CoCountable(DYADICS), F(1, 3), F(3, 8)),
+    (CoCountable(RATIONALS), None, F(0)),
+    (Generic(), None, F(1, 2)),
+    (Generic(), None, F(0)),
+    # a union holds what any part holds, and only that
+    (Union((Generic(), CountablePoints(DYADICS))), F(1, 2), F(1, 3)),
+    (Union((CountablePoints(DYADICS), Open(V))), F(1, 3), F(2, 3)),
+    # a meet holds what its part holds on its open or closed side
+    (IntersectWithOpen(CoCountable(DYADICS), V), F(1, 3), F(2, 3)),
+    (IntersectWithOpen(CountablePoints(DYADICS), V), F(3, 8), F(3, 4)),
+    (IntersectWithClosed(CoCountable(DYADICS), V), F(2, 3), F(1, 3)),
+    (IntersectWithClosed(CountablePoints(DYADICS), V), F(3, 4), F(3, 8)),
+    (IntersectWithClosed(Open(parse_ratopen("(0,1)")), V), F(1, 2), F(1, 3)),
+]
+
+
+@pytest.mark.parametrize("x,held,missed", HOLDS_POINT,
+                         ids=[f"{type(x).__name__}-{i}" for i, (x, _, _) in enumerate(HOLDS_POINT)])
+def test_holds_point(x, held, missed):
+    if held is not None:
+        assert holds_point(x, held) is True
+    if missed is not None:
+        assert holds_point(x, missed) is False
 
 
 # ------------------------------------------------------------- certificates
