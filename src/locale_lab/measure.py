@@ -27,6 +27,7 @@ sublocale is structurally all of [0,1], or are an honest zero.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -510,10 +511,6 @@ def _partner_of(x: PresentedSublocale):
         return CoCountable(x.points)
     if isinstance(x, CoCountable):
         return CountablePoints(x.points)
-    if isinstance(x, Open):
-        return Closed(x.part)
-    if isinstance(x, Closed):
-        return Open(x.of_open)
     return None
 
 
@@ -564,13 +561,37 @@ def _stalled(side: str, lower: Fraction, upper: Fraction, tol: Fraction) -> TolN
     )
 
 
+def _first_closing(closes, max_k: int):
+    """The least k in 1..max_k with closes(k), found by doubling k and
+    bisecting back, or None when no k tried closes.
+
+    The least one when closing is monotone in k; wherever the search
+    stops, the k it returns closes.
+    """
+    below, k = 0, 1
+    while not closes(k):
+        if k == max_k:
+            return None
+        below, k = k, min(2 * k, max_k)
+    while k - below > 1:
+        mid = (below + k) // 2
+        if closes(mid):
+            k = mid
+        else:
+            below = mid
+    return k
+
+
 def _stream_bounds(x: PresentedSublocale, regions: tuple, tol: Fraction) -> MeasureBounds:
     """Bounds on the outer measure of x under length on the regions, from
     the neighbourhood streams of x and of its partner.
 
     A union with two parts that are structurally all of [0,1] is the
-    total. The number of neighbourhoods and stages tried follows from
-    tol; past them the TolNotReached raised says which side stalled.
+    total. The budgets follow from tol, and the neighbourhood used is
+    found by doubling and bisection (see _first_closing): the bounds at
+    every k are certified. When no k closes, every k is walked, keeping
+    the best bound on each side, and the TolNotReached raised says which
+    side stalled.
     """
     length = Measure(regions)
     total = total_measure(length)
@@ -581,7 +602,7 @@ def _stream_bounds(x: PresentedSublocale, regions: tuple, tol: Fraction) -> Meas
                     return MeasureBounds(total, total, ("structural-whole",))
 
     certs = ["stream-upper"]
-    lower = Fraction(0)
+    from_parts = Fraction(0)
     partner = _partner_of(x)
     if partner is not None and structural_union_is_whole(x, partner):
         certs.append("partner-lower")
@@ -590,34 +611,47 @@ def _stream_bounds(x: PresentedSublocale, regions: tuple, tol: Fraction) -> Meas
     if isinstance(x, Generic):
         certs.append("lower-zero")
     if isinstance(x, Union):
-        # any part sits inside x, so its lower bound transfers
+        # any part sits inside x, so its lower bound transfers, also from a
+        # part whose own bounds stalled
         for p in x.parts:
-            sub = measure_bounds(p, length, tol)
-            if sub.lower > lower:
-                lower = sub.lower
+            try:
+                sub = measure_bounds(p, length, tol).lower
+            except TolNotReached as exc:
+                sub = exc.lower
+            from_parts = max(from_parts, sub)
         certs.append("monotone-from-parts")
+    certs = tuple(certs)
 
     inner = tol / 4
-    upper = total
     max_k, max_stage = _budgets(tol)
-    for k in range(1, max_k + 1):
-        last_upper = upper
+
+    @functools.cache
+    def at(k):
+        """(lower, upper, whether the upper stream was cut) from the k-th
+        neighbourhoods of x and of its partner."""
         try:
-            upper = min(upper, _lazy_upper(regions, neighborhood(x, k), inner, max_stage))
-            upper_cut = False
+            upper, cut = _lazy_upper(regions, neighborhood(x, k), inner, max_stage), False
         except TolNotReached as exc:
-            upper_cut = True
-            if exc.upper is not None:
-                upper = min(upper, exc.upper)
+            upper, cut = exc.upper, True
+        low = from_parts
         if partner is not None:
             try:
-                lower = max(lower, total - _lazy_upper(regions, neighborhood(partner, k),
-                                                       inner, max_stage))
+                low = max(low, total - _lazy_upper(regions, neighborhood(partner, k),
+                                                   inner, max_stage))
             except TolNotReached as exc:
-                if exc.upper is not None:
-                    lower = max(lower, total - exc.upper)
+                low = max(low, total - exc.upper)
+        return low, min(upper, total), cut
+
+    k = _first_closing(lambda k: at(k)[1] - at(k)[0] <= tol, max_k)
+    if k is not None:
+        return MeasureBounds(*at(k)[:2], certs)
+    lower, upper = from_parts, total
+    for k in range(1, max_k + 1):
+        last_upper = upper
+        low, up, upper_cut = at(k)
+        lower, upper = max(lower, low), min(upper, up)
         if upper - lower <= tol:
-            return MeasureBounds(lower, upper, tuple(certs))
+            return MeasureBounds(lower, upper, certs)
     # the upper stream converges to the outer measure, so a gap that its
     # last step could not have closed belongs to the lower side
     if upper_cut or last_upper - upper >= upper - lower - tol:
@@ -735,22 +769,28 @@ def null_partner_interval(x: PresentedSublocale, d, tol):
 def _small_stage(x, d, tol) -> RatOpen:
     """A neighborhood stage of x, less the atoms x does not hold, of
     measure at most 2*tol: its length on the regions and the held atoms
-    stay within that."""
+    stay within that. The k-th neighbourhood offers its first stage with
+    a rest within tol, and k is found as in _stream_bounds."""
     held = _held(x, d)
     max_k, max_stage = _budgets(tol)
-    for k in range(1, max_k + 1):
+
+    @functools.cache
+    def small(k):
         nb = neighborhood(x, k)
         for n, (m, rest) in enumerate(itertools.islice(_stages(d.regions, nb), max_stage + 1)):
             if rest <= tol:
-                if m + held <= 2 * tol:
-                    missed = full_minus_points(q for q, _ in d.atoms if not holds_point(x, q))
-                    return ivs.meet(nb.stage(n), missed)
-                break
-    raise TolNotReached(
-        f"upper stream stalled: no stage of measure at most {2 * tol} after "
-        f"{max_k} neighborhoods of up to {max_stage} stages",
-        side="upper stream",
-    )
+                return nb.stage(n) if m + held <= 2 * tol else None
+        return None
+
+    k = _first_closing(lambda k: small(k) is not None, max_k)
+    if k is None:
+        raise TolNotReached(
+            f"upper stream stalled: no stage of measure at most {2 * tol} after "
+            f"{max_k} neighborhoods of up to {max_stage} stages",
+            side="upper stream",
+        )
+    missed = full_minus_points(q for q, _ in d.atoms if not holds_point(x, q))
+    return ivs.meet(small(k), missed)
 
 
 # ---------------------------------------------------------------------------

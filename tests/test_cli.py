@@ -108,6 +108,19 @@ def test_measure_failure_counts_the_held_atoms_on_both_sides(capsys):
     ]
 
 
+def test_measure_union_stall_keeps_the_union_upper(capsys):
+    # the first part stalls at [0, 1/4] and the open part weighs 1/4 exactly;
+    # the union weighs 1/2, so its own upper stream must report 1/2
+    part = "union(meet-open(irrationals; (0,1/4)); (1/2,3/4))"
+    assert main(["measure", "lebesgue", part]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "tolerance 1/1000 not reached: lower from parts stalled: bounds stuck at "
+        "[1/4, 1/2] after 40 neighborhoods of up to 80 stages"
+    ]
+
+
 @pytest.mark.parametrize("part,exact", [
     # the atom lies outside the open part, so only the rationals hold it
     ("union(rationals; (1/2,3/4))", Fraction(3, 4)),
