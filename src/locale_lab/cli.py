@@ -20,13 +20,14 @@ from locale_lab.frames import FrameError, build_frame, spec_from_json
 from locale_lab.intervals import InvalidInterval, parse_ratopen
 from locale_lab.laws import SUITES, format_text, report_to_json, reports_to_json, run_suite
 from locale_lab.measure import (
-    MIN_TOL,
+    BadTolerance,
     Lebesgue,
     NoResidualBound,
     TolNotReached,
     UnsupportedCombination,
     UnsupportedDescriptor,
     atomic,
+    checked_tol,
     measure_bounds,
     mu_reduce,
     mu_reduce_interval,
@@ -307,17 +308,12 @@ def cmd_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _positive_rational(text: str) -> Fraction:
-    """The --tol type: a rational above zero, refused here rather than
-    left to spin in the measure loop."""
+    """The --tol type: the measure entry points' own check, refused at
+    parse time as an argument error."""
     try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        value = None
-    if value is None or value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive rational, got {text!r}")
-    if value < MIN_TOL:
-        raise argparse.ArgumentTypeError(f"tolerance {text!r} is below 2^-100")
-    return value
+        return checked_tol(text)
+    except BadTolerance as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _positive_int(text: str) -> int:

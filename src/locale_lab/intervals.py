@@ -1,27 +1,36 @@
 """Exact finite unions of rational intervals inside the ambient [0,1].
 
 Everything is a FinUnion: a canonical, sorted, pairwise-separated tuple of
-Iv pieces with Fraction endpoints. Canonical means no empty pieces and no
-two pieces whose union is again an interval, so set equality is tuple
-equality. RatOpen restricts to the relatively open sets of [0,1]: pieces
-may only include an endpoint at the ambient boundary.
+Iv pieces. Canonical means no empty pieces and no two pieces whose union is
+again an interval, so set equality is tuple equality. RatOpen restricts to
+the relatively open sets of [0,1]: pieces may only include an endpoint at
+the ambient boundary.
 
 All interior/closure talk is relative to [0,1]; [0,1/4) is open here.
 
+An endpoint is an integer pair, numerator and denominator > 0 in lowest
+terms, so equal rationals are equal pairs. Two ends compare by
+cross-multiplication and a computed end is reduced by one gcd, the
+standard method for exact rational arithmetic (Knuth, *TAOCP* vol. 2,
+4.5.1). A carried length is an integer pair too. Fraction stays at the
+edges: Iv.lo and Iv.hi, FinUnion.length(), the public Iv and FinUnion
+constructors and parse_fin take or give Fractions, and a printed end
+reads as the Fraction's str.
+
 The canonical check runs at the edges: the public FinUnion and Iv
 constructors and parse_fin (which the JSON and command-line paths use).
-normalize, add, intersect and presented's gap builders make canonical
-output by construction and skip it through _trusted; add also carries the
-length along, so a union sums its pieces at most once.
+normalize, add, intersect, complement and presented's gap builders make
+canonical output by construction and skip it through _trusted; add also
+carries the length along, so a union sums its pieces at most once.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter
+from functools import cmp_to_key
+from math import gcd
 
 
 class InvalidInterval(ValueError):
@@ -41,66 +50,135 @@ def frac(x) -> Fraction:
         raise InvalidInterval(f"bad rational {x!r}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class Iv:
-    lo: Fraction
-    hi: Fraction
-    lo_in: bool
-    hi_in: bool
+def _pair(x) -> tuple:
+    """A rational as its integer pair in lowest terms."""
+    x = frac(x)
+    return x.numerator, x.denominator
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", frac(self.lo))
-        object.__setattr__(self, "hi", frac(self.hi))
-        if self.lo > self.hi:
+
+def _reduced(n: int, d: int) -> tuple:
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _show(n: int, d: int) -> str:
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+class Iv:
+    """The piece of [0,1] from lo to hi, each end included or not.
+
+    lo is ln/ld and hi is hn/hd, integer pairs in lowest terms. Iv(lo, hi,
+    lo_in, hi_in) takes rationals and checks them; the arena makes its
+    pieces through _piece, unchecked. A piece is a value: nothing assigns
+    to it once it is made.
+    """
+
+    __slots__ = ("ln", "ld", "hn", "hd", "lo_in", "hi_in")
+
+    def __init__(self, lo, hi, lo_in, hi_in):
+        lo, hi = frac(lo), frac(hi)
+        self.ln, self.ld = lo.numerator, lo.denominator
+        self.hn, self.hd = hi.numerator, hi.denominator
+        self.lo_in, self.hi_in = bool(lo_in), bool(hi_in)
+        if lo > hi:
             raise InvalidInterval(f"endpoints out of order: {self}")
-        if self.lo < 0 or self.hi > 1:
+        if lo < 0 or hi > 1:
             raise OutOfAmbient(f"{self} leaves [0,1]")
 
     @property
-    def is_empty(self) -> bool:
-        return self.lo == self.hi and not (self.lo_in and self.hi_in)
+    def lo(self) -> Fraction:
+        return Fraction(self.ln, self.ld)
 
-    def contains(self, x: Fraction) -> bool:
-        if self.lo < x < self.hi:
-            return True
-        return (x == self.lo and self.lo_in) or (x == self.hi and self.hi_in)
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.hn, self.hd)
+
+    @property
+    def is_empty(self) -> bool:
+        return self.ln == self.hn and self.ld == self.hd and not (self.lo_in and self.hi_in)
+
+    def contains(self, x) -> bool:
+        return _holds(self, *_pair(x))
+
+    def _key(self) -> tuple:
+        return self.ln, self.ld, self.hn, self.hd, self.lo_in, self.hi_in
+
+    def __eq__(self, other):
+        if type(other) is not Iv:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"Iv(lo={self.lo!r}, hi={self.hi!r}, lo_in={self.lo_in!r}, hi_in={self.hi_in!r})"
 
     def __str__(self):
         lb = "[" if self.lo_in else "("
         rb = "]" if self.hi_in else ")"
-        return f"{lb}{self.lo},{self.hi}{rb}"
+        return f"{lb}{_show(self.ln, self.ld)},{_show(self.hn, self.hd)}{rb}"
+
+
+_new = object.__new__
+
+
+def _piece(ln: int, ld: int, hn: int, hd: int, lo_in: bool, hi_in: bool) -> Iv:
+    """An Iv from ends already in lowest terms, unchecked."""
+    p = _new(Iv)
+    p.ln = ln
+    p.ld = ld
+    p.hn = hn
+    p.hd = hd
+    p.lo_in = lo_in
+    p.hi_in = hi_in
+    return p
 
 
 def iv(lo, hi, lo_in=False, hi_in=False) -> Iv:
-    return Iv(frac(lo), frac(hi), lo_in, hi_in)
+    return Iv(lo, hi, lo_in, hi_in)
 
 
-def _start_key(p: Iv):
-    return (p.lo, not p.lo_in)
+def _holds(p: Iv, xn: int, xd: int) -> bool:
+    """Does p hold xn/xd?"""
+    a, b = p.ln * xd, xn * p.ld
+    if a > b or (a == b and not p.lo_in):
+        return False
+    a, b = xn * p.hd, p.hn * xd
+    return a < b or (a == b and p.hi_in)
 
 
-def _end_key(p: Iv):
-    return (p.hi, 1 if p.hi_in else 0)
+def _starts_before(a: Iv, b: Iv) -> bool:
+    """Does a start strictly before b? At one end, an included end first."""
+    x, y = a.ln * b.ld, b.ln * a.ld
+    return x < y or (x == y and a.lo_in and not b.lo_in)
+
+
+def _start_cmp(a: Iv, b: Iv) -> int:
+    return -1 if _starts_before(a, b) else 1 if _starts_before(b, a) else 0
+
+
+_START = cmp_to_key(_start_cmp)
 
 
 def _mergeable(a: Iv, b: Iv) -> bool:
     # b starts at or after a; their union is one interval iff they overlap
     # or touch at a point at least one of them includes
-    return b.lo < a.hi or (b.lo == a.hi and (a.hi_in or b.lo_in))
+    x, y = b.ln * a.hd, a.hn * b.ld
+    return x < y or (x == y and (a.hi_in or b.lo_in))
 
 
 def _merged(a: Iv, b: Iv) -> Iv:
     # b starts at or after a and merges with it
-    if _end_key(b) > _end_key(a):
-        return Iv(a.lo, b.hi, a.lo_in, b.hi_in)
+    x, y = b.hn * a.hd, a.hn * b.hd
+    if x > y or (x == y and b.hi_in and not a.hi_in):
+        return _piece(a.ln, a.ld, b.hn, b.hd, a.lo_in, b.hi_in)
     return a
 
 
 def normalize(pieces) -> "FinUnion":
-    live = sorted(
-        (p for p in pieces if not p.is_empty),
-        key=_start_key,
-    )
+    live = sorted((p for p in pieces if not p.is_empty), key=_START)
     out: list[Iv] = []
     for p in live:
         if out and _mergeable(out[-1], p):
@@ -113,7 +191,8 @@ def normalize(pieces) -> "FinUnion":
 @dataclass(frozen=True)
 class FinUnion:
     pieces: tuple
-    _length: Fraction | None = field(default=None, init=False, repr=False, compare=False)
+    # the length as an integer pair in lowest terms, once known
+    _length: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for i, p in enumerate(self.pieces):
@@ -121,25 +200,38 @@ class FinUnion:
                 raise InvalidInterval(f"piece {i} is empty; not canonical")
             if i and _mergeable(self.pieces[i - 1], p):
                 raise InvalidInterval(f"pieces {i - 1},{i} merge; not canonical")
-            if i and p.lo < self.pieces[i - 1].lo:
+            if i and p.ln * self.pieces[i - 1].ld < self.pieces[i - 1].ln * p.ld:
                 raise InvalidInterval("pieces out of order; not canonical")
 
     @property
     def is_empty(self) -> bool:
         return not self.pieces
 
-    def length(self) -> Fraction:
+    def _length_pair(self) -> tuple:
         if self._length is None:
-            total = sum((p.hi - p.lo for p in self.pieces), Fraction(0))
-            object.__setattr__(self, "_length", total)
+            n, d = 0, 1
+            for p in self.pieces:
+                pd = p.hd * p.ld
+                n, d = _reduced(n * pd + (p.hn * p.ld - p.ln * p.hd) * d, d * pd)
+            object.__setattr__(self, "_length", (n, d))
         return self._length
+
+    def length(self) -> Fraction:
+        return Fraction(*self._length_pair())
 
     def contains(self, x) -> bool:
         # starts strictly increase and pieces are separated, so only the
         # last piece starting at or before x can hold it
-        x = frac(x)
-        i = bisect_right(self.pieces, x, key=attrgetter("lo"))
-        return i > 0 and self.pieces[i - 1].contains(x)
+        xn, xd = _pair(x)
+        ps = self.pieces
+        lo, hi = 0, len(ps)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if xn * ps[mid].ld < ps[mid].ln * xd:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo > 0 and _holds(ps[lo - 1], xn, xd)
 
     def __str__(self):
         if not self.pieces:
@@ -147,16 +239,17 @@ class FinUnion:
         return "|".join(str(p) for p in self.pieces)
 
 
-def _trusted(pieces: tuple, length: Fraction | None = None) -> FinUnion:
-    """A FinUnion of pieces canonical by construction, unchecked."""
-    u = object.__new__(FinUnion)
+def _trusted(pieces: tuple, length: tuple | None = None) -> FinUnion:
+    """A FinUnion of pieces canonical by construction, unchecked; length,
+    when known, is its length as an integer pair in lowest terms."""
+    u = _new(FinUnion)
     object.__setattr__(u, "pieces", pieces)
     object.__setattr__(u, "_length", length)
     return u
 
 
 EMPTY = FinUnion(())
-FULL = FinUnion((Iv(Fraction(0), Fraction(1), True, True),))
+FULL = FinUnion((Iv(0, 1, True, True),))
 
 
 def union(*us) -> FinUnion:
@@ -170,14 +263,23 @@ def add(u: FinUnion, v: FinUnion) -> FinUnion:
     the neighbours it merges with, so u is not sorted again. The result is
     canonical by construction and is not checked again; its length is u's,
     less the swallowed pieces, plus the pieces that replace them. An empty
-    u gives v itself.
+    u gives v itself, and an empty v gives u.
     """
     if not u.pieces:
         return v
+    if not v.pieces:
+        return u
     out = list(u.pieces)
-    length = u.length()
+    n, d = u._length_pair()
     for p in v.pieces:
-        i = bisect_left(out, _start_key(p), key=_start_key)
+        # the first piece of out that p does not start after
+        i, hi = 0, len(out)
+        while i < hi:
+            mid = (i + hi) // 2
+            if _starts_before(out[mid], p):
+                i = mid + 1
+            else:
+                hi = mid
         if i and _mergeable(out[i - 1], p):
             i -= 1
             p = _merged(out[i], p)
@@ -185,9 +287,14 @@ def add(u: FinUnion, v: FinUnion) -> FinUnion:
         while j < len(out) and _mergeable(p, out[j]):
             p = _merged(p, out[j])
             j += 1
-        length += p.hi - p.lo - sum((q.hi - q.lo for q in out[i:j]), Fraction(0))
+        pd = p.hd * p.ld
+        n, d = n * pd + (p.hn * p.ld - p.ln * p.hd) * d, d * pd
+        for q in out[i:j]:
+            qd = q.hd * q.ld
+            n, d = n * qd - (q.hn * q.ld - q.ln * q.hd) * d, d * qd
+        n, d = _reduced(n, d)
         out[i:j] = [p]
-    return _trusted(tuple(out), length)
+    return _trusted(tuple(out), (n, d))
 
 
 def intersect(*us) -> FinUnion:
@@ -197,16 +304,20 @@ def intersect(*us) -> FinUnion:
         got = []
         for a in acc.pieces:
             for b in other.pieces:
-                if a.lo > b.lo or (a.lo == b.lo and not a.lo_in):
-                    lo, lo_in = a.lo, a.lo_in and (b.lo < a.lo or b.lo_in)
+                # the later start and the earlier end
+                x, y = a.ln * b.ld, b.ln * a.ld
+                if x > y or (x == y and not a.lo_in):
+                    ln, ld, lo_in = a.ln, a.ld, a.lo_in and (x > y or b.lo_in)
                 else:
-                    lo, lo_in = b.lo, b.lo_in and (a.lo < b.lo or a.lo_in)
-                if a.hi < b.hi or (a.hi == b.hi and not a.hi_in):
-                    hi, hi_in = a.hi, a.hi_in and (b.hi > a.hi or b.hi_in)
+                    ln, ld, lo_in = b.ln, b.ld, b.lo_in and (x < y or a.lo_in)
+                x, y = a.hn * b.hd, b.hn * a.hd
+                if x < y or (x == y and not a.hi_in):
+                    hn, hd, hi_in = a.hn, a.hd, a.hi_in and (x < y or b.hi_in)
                 else:
-                    hi, hi_in = b.hi, b.hi_in and (a.hi > b.hi or a.hi_in)
-                if lo < hi or (lo == hi and lo_in and hi_in):
-                    got.append(Iv(lo, hi, lo_in, hi_in))
+                    hn, hd, hi_in = b.hn, b.hd, b.hi_in and (x > y or a.hi_in)
+                x, y = ln * hd, hn * ld
+                if x < y or (x == y and lo_in and hi_in):
+                    got.append(_piece(ln, ld, hn, hd, lo_in, hi_in))
         # meets inside one piece of acc are sorted and separated like the
         # pieces of other, and those of later pieces of acc come after them
         acc = _trusted(tuple(got))
@@ -214,17 +325,22 @@ def intersect(*us) -> FinUnion:
 
 
 def complement(u: FinUnion) -> FinUnion:
-    """Set complement inside [0,1]."""
+    """Set complement inside [0,1].
+
+    The gaps between u's pieces come in order, and a nonempty piece of u
+    separates each from the next, so the result is canonical by
+    construction.
+    """
     out = []
-    cur, cur_in = Fraction(0), True
+    cn, cd, cur_in = 0, 1, True
     for p in u.pieces:
-        cand = (cur, p.lo, cur_in, not p.lo_in)
-        if cand[0] < cand[1] or (cand[0] == cand[1] and cand[2] and cand[3]):
-            out.append(Iv(*cand))
-        cur, cur_in = p.hi, not p.hi_in
-    if cur < 1 or (cur == 1 and cur_in):
-        out.append(Iv(cur, Fraction(1), cur_in, True))
-    return normalize(out)
+        x, y = cn * p.ld, p.ln * cd
+        if x < y or (x == y and cur_in and not p.lo_in):
+            out.append(_piece(cn, cd, p.ln, p.ld, cur_in, not p.lo_in))
+        cn, cd, cur_in = p.hn, p.hd, not p.hi_in
+    if cn < cd or cur_in:
+        out.append(_piece(cn, cd, 1, 1, cur_in, True))
+    return _trusted(tuple(out))
 
 
 def interior(u: FinUnion) -> FinUnion:
@@ -232,14 +348,14 @@ def interior(u: FinUnion) -> FinUnion:
     # inclusion survives only at the ambient boundary
     out = []
     for p in u.pieces:
-        q = Iv(p.lo, p.hi, p.lo_in and p.lo == 0, p.hi_in and p.hi == 1)
+        q = _piece(p.ln, p.ld, p.hn, p.hd, p.lo_in and p.ln == 0, p.hi_in and p.hn == p.hd)
         if not q.is_empty:
             out.append(q)
     return normalize(out)
 
 
 def closure(u: FinUnion) -> FinUnion:
-    return normalize(Iv(p.lo, p.hi, True, True) for p in u.pieces)
+    return normalize(_piece(p.ln, p.ld, p.hn, p.hd, True, True) for p in u.pieces)
 
 
 # -- the relatively open sets -----------------------------------------------
@@ -251,9 +367,9 @@ class RatOpen:
 
     def __post_init__(self):
         for p in self.fin.pieces:
-            if p.lo_in and p.lo != 0:
+            if p.lo_in and p.ln != 0:
                 raise InvalidInterval(f"{p} includes an interior left endpoint")
-            if p.hi_in and p.hi != 1:
+            if p.hi_in and p.hn != p.hd:
                 raise InvalidInterval(f"{p} includes an interior right endpoint")
 
     @property
@@ -268,6 +384,13 @@ class RatOpen:
 
     def __str__(self):
         return str(self.fin)
+
+
+def _trusted_open(fin: FinUnion) -> RatOpen:
+    """A RatOpen of a FinUnion open in [0,1] by construction, unchecked."""
+    u = _new(RatOpen)
+    object.__setattr__(u, "fin", fin)
+    return u
 
 
 EMPTY_RO = RatOpen(EMPTY)

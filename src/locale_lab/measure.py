@@ -444,6 +444,25 @@ def mu_reduce_interval(d, a: PresentedSublocale | None = None) -> PresentedSublo
 MIN_TOL = Fraction(1, 2 ** 100)
 
 
+class BadTolerance(ValueError):
+    pass
+
+
+def checked_tol(tol) -> Fraction:
+    """tol as a Fraction, refused with a one-line BadTolerance unless it is
+    a rational of at least MIN_TOL: zero would divide by zero in the
+    budgets, and a negative tol would walk every neighbourhood."""
+    try:
+        value = Fraction(tol)
+    except (ValueError, ZeroDivisionError, TypeError):
+        value = None
+    if value is None or value <= 0:
+        raise BadTolerance(f"expected a positive rational, got {tol!r}")
+    if value < MIN_TOL:
+        raise BadTolerance(f"tolerance {tol!r} is below 2^-100")
+    return value
+
+
 @dataclass(frozen=True)
 class MeasureBounds:
     lower: Fraction
@@ -481,7 +500,8 @@ def _budgets(tol: Fraction) -> tuple:
 
 
 def _stages(regions, lazy: LazyOpen):
-    """(length of stage n on the regions, bound on that of the rest) for n = 0, 1, ...
+    """(length of stage n on the regions, bound on that of the rest) for n =
+    0, 1, ..., each an integer pair (numerator, denominator > 0).
 
     Each grow(n) is read once. A region keeps a running union of the grows
     met with it: meet distributes over finite unions, so that is stage(n)
@@ -492,18 +512,25 @@ def _stages(regions, lazy: LazyOpen):
     for n in itertools.count():
         new = lazy.grow(n).fin
         seen = [ivs.add(s, ivs.intersect(new, r)) for s, r in zip(seen, regions)]
-        yield sum((s.length() for s in seen), Fraction(0)), len(regions) * lazy.tail(n)
+        mn, md = 0, 1
+        for s in seen:
+            sn, sd = s._length_pair()
+            mn, md = mn * sd + sn * md, md * sd
+        tn, td = lazy._tail(n)
+        yield (mn, md), (len(regions) * tn, td)
 
 
 def _lazy_upper(regions, lazy: LazyOpen, inner_tol: Fraction, max_stage: int) -> Fraction:
-    best = None
-    for m, rest in itertools.islice(_stages(regions, lazy), max_stage + 1):
-        cand = m + rest
-        if best is None or cand < best:
-            best = cand
-        if rest <= inner_tol:
-            return best
-    raise TolNotReached("stage bound did not tighten enough", upper=best)
+    """The least stage bound m + rest of the stream, once rest <= inner_tol."""
+    tn, td = inner_tol.numerator, inner_tol.denominator
+    bn = bd = None
+    for (mn, md), (rn, rd) in itertools.islice(_stages(regions, lazy), max_stage + 1):
+        cn, cd = mn * rd + rn * md, md * rd
+        if bn is None or cn * bd < bn * cd:
+            bn, bd = cn, cd
+        if rn * td <= tn * rd:
+            return Fraction(bn, bd)
+    raise TolNotReached("stage bound did not tighten enough", upper=Fraction(bn, bd))
 
 
 def _partner_of(x: PresentedSublocale):
@@ -527,7 +554,7 @@ def measure_bounds(x: PresentedSublocale, d: Measure, tol) -> MeasureBounds:
     shape, and the length on the regions goes to the stream (see
     _stream_bounds).
     """
-    tol = frac(tol)
+    tol = checked_tol(tol)
     if isinstance(x, Open):
         m = measure_ro(d, x.part)
         return MeasureBounds(m, m, ("exact-open",))
@@ -689,7 +716,7 @@ def strict_additivity_interval(x, y, d, tol) -> ResidualBounds:
     space structurally); the intersection is bounded by monotonicity, or
     exactly when both arguments are plain opens.
     """
-    tol = frac(tol)
+    tol = checked_tol(tol)
     try:
         bx = measure_bounds(x, d, tol)
         by = measure_bounds(y, d, tol)
@@ -722,7 +749,7 @@ def null_partner_interval(x: PresentedSublocale, d, tol):
     gets the closed complement of a small neighborhood stage; a shape
     that is neither paired nor null has no partner here.
     """
-    tol = frac(tol)
+    tol = checked_tol(tol)
     total = total_measure(d)
     if isinstance(x, Open):
         # [U] u c(U) is everything and [U] n c(U) is empty, whatever the
@@ -777,9 +804,9 @@ def _small_stage(x, d, tol) -> RatOpen:
     @functools.cache
     def small(k):
         nb = neighborhood(x, k)
-        for n, (m, rest) in enumerate(itertools.islice(_stages(d.regions, nb), max_stage + 1)):
-            if rest <= tol:
-                return nb.stage(n) if m + held <= 2 * tol else None
+        for n, (m, (rn, rd)) in enumerate(itertools.islice(_stages(d.regions, nb), max_stage + 1)):
+            if rn * tol.denominator <= tol.numerator * rd:
+                return nb.stage(n) if Fraction(*m) + held <= 2 * tol else None
         return None
 
     k = _first_closing(lambda k: small(k) is not None, max_k)

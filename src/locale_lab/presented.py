@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from locale_lab import intervals as ivs
-from locale_lab.intervals import EMPTY_RO, Iv, RatOpen, frac
+from locale_lab.intervals import EMPTY_RO, RatOpen, frac
 
 
 class UnsupportedConstructor(ValueError):
@@ -59,8 +59,14 @@ class Enumerator:
 
     def point(self, i: int) -> Fraction:
         """The i-th point of the listing."""
+        return Fraction(*self._point(i))
+
+    def _point(self, i: int) -> tuple:
+        """The i-th point as an integer pair in lowest terms: a mediant of
+        Stern-Brocot neighbours is in lowest terms, and so is a dyadic
+        midpoint, whose numerator is odd."""
         if i < 2:
-            return Fraction(i)
+            return i, 1
         ln, ld, hn, hd = 0, 1, 1, 1
         for bit in bin(i - 1)[3:]:
             n, d = self.split(ln, ld, hn, hd)
@@ -68,7 +74,27 @@ class Enumerator:
                 ln, ld = n, d
             else:
                 hn, hd = n, d
-        return Fraction(*self.split(ln, ld, hn, hd))
+        return self.split(ln, ld, hn, hd)
+
+    def _in_order(self, k: int):
+        """The first k listed points as integer pairs, in increasing order.
+
+        Position i >= 2 is node i - 1 of the tree numbered as a heap (root
+        1, children 2h and 2h + 1), and the tree is sorted in order, so an
+        in-order walk of the nodes below k - 1 lists them sorted.
+        """
+        def walk(h, ln, ld, hn, hd):
+            if h < k - 1:
+                n, d = self.split(ln, ld, hn, hd)
+                yield from walk(2 * h, ln, ld, n, d)
+                yield n, d
+                yield from walk(2 * h + 1, n, d, hn, hd)
+
+        if k > 0:
+            yield 0, 1
+        yield from walk(1, 0, 1, 1, 1)
+        if k > 1:
+            yield 1, 1
 
     def first_in(self, a, b) -> int:
         """The position of the first listed point strictly inside (a, b) in [0,1]."""
@@ -116,12 +142,13 @@ class LazyOpen:
     grow(0..n), built once from stage(n-1) and kept. tail(n) bounds the
     total length of limit-minus-stage(n). Stages only grow, so a stream
     derived from this one by a finite-union-preserving operation can
-    apply it to grow alone.
+    apply it to grow alone. The streams read the tail as an integer pair,
+    _tail(n); tail_fn and tail(n) are rational.
     """
 
     def __init__(self, grow, tail_fn):
         self.grow = grow
-        self._tail_fn = tail_fn
+        self._tail = lambda n: ivs._pair(tail_fn(n))
         self._stages = []
 
     def stage(self, n: int) -> RatOpen:
@@ -130,16 +157,23 @@ class LazyOpen:
             new = self.grow(len(stages))
             if stages:
                 prev = stages[-1]
-                new = prev if new.is_empty else RatOpen(ivs.add(prev.fin, new.fin))
+                new = prev if new.is_empty else ivs._trusted_open(ivs.add(prev.fin, new.fin))
             stages.append(new)
         return stages[n]
 
     def tail(self, n: int) -> Fraction:
-        return self._tail_fn(n)
+        return Fraction(*self._tail(n))
+
+
+def _lazy(grow, tail) -> LazyOpen:
+    """A LazyOpen whose tail(n) is an integer pair (numerator, denominator > 0)."""
+    z = object.__new__(LazyOpen)
+    z.grow, z._tail, z._stages = grow, tail, []
+    return z
 
 
 def as_lazy(u: RatOpen) -> LazyOpen:
-    return LazyOpen(lambda n: EMPTY_RO if n else u, lambda n: Fraction(0))
+    return _lazy(lambda n: EMPTY_RO if n else u, lambda n: (0, 1))
 
 
 def lazy_cover(points: Enumerator, eps) -> LazyOpen:
@@ -154,51 +188,57 @@ def lazy_cover(points: Enumerator, eps) -> LazyOpen:
     eps = frac(eps)
     if eps <= 0:
         raise UnsupportedConstructor("cover needs a positive eps")
+    en, ed = eps.numerator, eps.denominator
 
     def grow(n):
         if n == 0:
             return EMPTY_RO
-        q = points.point(n - 1)
-        r = eps / 2 ** (n + 2)
-        lo, hi = q - r, q + r
-        piece = Iv(lo if lo > 0 else Fraction(0), hi if hi < 1 else Fraction(1), lo < 0, hi > 1)
-        return RatOpen(ivs._trusted((piece,)))
+        qn, qd = points._point(n - 1)
+        # q - r and q + r over the common denominator d, with r = en / rd
+        rd = ed << (n + 2)
+        d, mid, r = qd * rd, qn * rd, en * qd
+        lo, hi = mid - r, mid + r
+        ln, ld = ivs._reduced(lo, d) if lo > 0 else (0, 1)
+        hn, hd = ivs._reduced(hi, d) if hi < d else (1, 1)
+        piece = ivs._piece(ln, ld, hn, hd, lo < 0, hi > d)
+        return ivs._trusted_open(ivs._trusted((piece,)))
 
-    return LazyOpen(grow, lambda n: eps / 2 ** (n + 1))
+    return _lazy(grow, lambda n: (en, ed << (n + 1)))
 
 
 def lazy_join(a: LazyOpen, b: LazyOpen) -> LazyOpen:
-    return LazyOpen(
-        lambda n: ivs.join(a.grow(n), b.grow(n)),
-        lambda n: a.tail(n) + b.tail(n),
-    )
+    def tail(n):
+        (an, ad), (bn, bd) = a._tail(n), b._tail(n)
+        return an * bd + bn * ad, ad * bd
+
+    return _lazy(lambda n: ivs._trusted_open(ivs.add(a.grow(n).fin, b.grow(n).fin)), tail)
 
 
 def lazy_meet_open(a: LazyOpen, u: RatOpen) -> LazyOpen:
-    return LazyOpen(lambda n: ivs.meet(a.grow(n), u), a.tail)
+    return _lazy(lambda n: ivs._trusted_open(ivs.intersect(a.grow(n).fin, u.fin)), a._tail)
 
 
 def full_minus_points(pts) -> RatOpen:
     """[0,1] minus finitely many points: the gaps between them, in one pass."""
-    return _gaps((q, q) for q in sorted(frac(p) for p in pts))
+    return _gaps((q.numerator, q.denominator) * 2 for q in sorted(frac(p) for p in pts))
 
 
 def _gaps(cores) -> RatOpen:
-    """[0,1] minus closed cores [a, b], given in order, each one equal to
-    the last or after it.
+    """[0,1] minus closed cores [a, b], given in order as integer pairs
+    (an, ad, bn, bd), each one equal to the last or after it.
 
     A gap is kept only when it is nonempty, which drops repeated cores and
     the gap before a core at 0; the gaps are separated by the cores, so the
     result is canonical by construction.
     """
-    out, lo, lo_in = [], Fraction(0), True
-    for a, b in cores:
-        if lo < a:
-            out.append(Iv(lo, a, lo_in, False))
-        lo, lo_in = b, False
-    if lo < 1:
-        out.append(Iv(lo, Fraction(1), lo_in, True))
-    return RatOpen(ivs._trusted(tuple(out)))
+    out, ln, ld, lo_in = [], 0, 1, True
+    for an, ad, bn, bd in cores:
+        if ln * ad < an * ld:
+            out.append(ivs._piece(ln, ld, an, ad, lo_in, False))
+        ln, ld, lo_in = bn, bd, False
+    if ln < ld:
+        out.append(ivs._piece(ln, ld, 1, 1, lo_in, True))
+    return ivs._trusted_open(ivs._trusted(tuple(out)))
 
 
 # -- presentations --------------------------------------------------------------
@@ -274,8 +314,11 @@ def closed_neighborhood(u: RatOpen, k: int) -> RatOpen:
     """
     def cores():
         for p in u.fin.pieces:
-            d = (p.hi - p.lo) / 2 ** (k + 2)
-            yield (p.lo if p.lo_in else p.lo + d, p.hi if p.hi_in else p.hi - d)
+            # an open end moves in by d = (hi - lo) / 2**(k+2) = dn / dd
+            dn, dd = p.hn * p.ld - p.ln * p.hd, (p.hd * p.ld) << (k + 2)
+            a = (p.ln, p.ld) if p.lo_in else ivs._reduced(p.ln * dd + dn * p.ld, p.ld * dd)
+            b = (p.hn, p.hd) if p.hi_in else ivs._reduced(p.hn * dd - dn * p.hd, p.hd * dd)
+            yield a + b
 
     return _gaps(cores())
 
@@ -289,7 +332,7 @@ def neighborhood(x: PresentedSublocale, k: int) -> LazyOpen:
     if isinstance(x, CountablePoints):
         return lazy_cover(x.points, Fraction(1, 2 ** k))
     if isinstance(x, CoCountable):
-        return as_lazy(full_minus_points(x.points.prefix(k)))
+        return as_lazy(_gaps(q * 2 for q in x.points._in_order(k)))
     if isinstance(x, Generic):
         return lazy_cover(RATIONALS, Fraction(1, 2 ** k))
     if isinstance(x, Union):

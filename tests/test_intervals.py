@@ -29,6 +29,16 @@ from locale_lab.intervals import (
     parse_ratopen,
     union,
 )
+from locale_lab.presented import (
+    DYADICS,
+    RATIONALS,
+    CoCountable,
+    closed_neighborhood,
+    full_minus_points,
+    neighborhood,
+)
+
+import fraction_arena as fa
 
 F = Fraction
 
@@ -187,6 +197,61 @@ def test_ambient_enforced():
         iv("-1/2", "1/2")
     with pytest.raises(InvalidInterval):
         iv("1/2", "1/4")
+
+
+# ------------------------------------------- against the Fraction arena
+
+@st.composite
+def piece_lists(draw):
+    """Pieces on the eighths: they touch, shrink to points [a,a] and have
+    closed ends at 0 and 1."""
+    pieces = []
+    for _ in range(draw(st.integers(0, 6))):
+        a, b = sorted((draw(eighths), draw(eighths)))
+        if draw(st.booleans()):
+            b = a
+        pieces.append(Iv(a, b, draw(st.booleans()), draw(st.booleans())))
+    return pieces
+
+
+def ref(u):
+    return tuple(fa.of(p) for p in u.pieces)
+
+
+@given(piece_lists(), piece_lists())
+@settings(max_examples=400)
+# equal starts, the included one first: the tie-break of add's bisection
+@example([Iv(F(1, 4), F(1, 2), True, True)], [Iv(F(1, 4), F(3, 4), False, False)])
+@example([Iv(F(0), F(0), True, True), Iv(F(1, 2), F(1), False, True)],
+         [Iv(F(0), F(1, 2), False, True), Iv(F(1), F(1), True, True)])
+def test_integer_arena_matches_the_fraction_arena(ps, qs):
+    u, v = normalize(ps), normalize(qs)
+    assert ref(u) == fa.normalize(fa.of(p) for p in ps)
+    ru, rv = ref(u), ref(v)
+    assert u.length() == fa.length(ru)
+    for x in SIXTEENTHS:
+        assert u.contains(x) == fa.contains(ru, x), x
+    for got, want in [(add(u, v), fa.add(ru, rv)), (intersect(u, v), fa.intersect(ru, rv)),
+                      (complement(u), fa.complement(ru))]:
+        assert ref(got) == want
+        assert got.length() == fa.length(want)
+        assert FinUnion(got.pieces) == got
+
+
+@given(piece_lists(), st.integers(0, 6), st.lists(eighths, max_size=6))
+@settings(max_examples=200)
+def test_gaps_match_the_fraction_arena(ps, k, pts):
+    u = RatOpen(interior(normalize(ps)))
+    want = fa.gaps(fa.closed_cores(ref(u.fin), k))
+    assert ref(closed_neighborhood(u, k).fin) == want
+    assert ref(full_minus_points(pts).fin) == fa.gaps((q, q) for q in sorted(pts))
+
+
+@pytest.mark.parametrize("points", [RATIONALS, DYADICS])
+def test_cocountable_gaps_match_the_fraction_arena(points):
+    for k in range(40):
+        got = neighborhood(CoCountable(points), k).stage(0)
+        assert ref(got.fin) == fa.gaps((q, q) for q in sorted(points.prefix(k))), k
 
 
 # ------------------------------------------------------------- set algebra

@@ -27,6 +27,7 @@ from locale_lab.intervals import (
     parse_ratopen,
 )
 from locale_lab.measure import (
+    BadTolerance,
     Lebesgue,
     LebesgueRestrictedTo,
     Measure,
@@ -693,6 +694,12 @@ STAGE_STREAMS = [
 ]
 
 
+def stage_fractions(regions, lazy):
+    """_stages with its integer pairs read as Fractions."""
+    for m, rest in _stages(regions, lazy):
+        yield F(*m), F(*rest)
+
+
 @pytest.mark.parametrize("name,x", STAGE_STREAMS, ids=[n for n, _ in STAGE_STREAMS])
 def test_stage_measures_match_measure_fin(name, x):
     # restricted parts keep a running union of each stage's new pieces met
@@ -707,7 +714,7 @@ def test_stage_measures_match_measure_fin(name, x):
     for k in (1, 5, 20):
         for d in descriptors:
             nb, length = neighborhood(x, k), Measure(d.regions)
-            got = [m for m, _ in itertools.islice(_stages(d.regions, nb), 61)]
+            got = [m for m, _ in itertools.islice(stage_fractions(d.regions, nb), 61)]
             assert got == [measure_fin(length, nb.stage(n).fin) for n in range(61)], (name, k, d)
 
 
@@ -1052,7 +1059,7 @@ def test_stages_agree_with_the_tree(tree, k):
         d, length = from_tree(t), tree_without_atoms(t)
         for name, x in STAGE_STREAMS:
             nb = neighborhood(x, k)
-            got = list(itertools.islice(_stages(d.regions, nb), 61))
+            got = list(itertools.islice(stage_fractions(d.regions, nb), 61))
             want = zip(tree_stage_measures(length, nb),
                        (tree_rest_bound(length, nb, n) for n in range(61)))
             assert got == list(want), name
@@ -1084,6 +1091,8 @@ PINNED_ANSWERS = [
     ("restrict [0,1/4]|[1/2,1]|[3/8,3/8]", "rationals", 9, "mu in [0, 5/8589934592]"),
     ("mix atoms 1/3:1/3 + atoms 1/3:1,1/2:1", "irrationals", 9, "mu = 0 (exact)"),
     ("lebesgue", "union(rationals; (0,1/4))", 12, "mu in [1/4, 1099511627779/4398046511104]"),
+    # through intersect and the gaps of a closed neighbourhood
+    ("restrict [0,1/2]", "meet-closed(generic; (1/4,1/2))", 12, "mu in [0, 7/8796093022208]"),
 ]
 
 
@@ -1094,6 +1103,45 @@ def test_pinned_streamed_answers(capsys, desc, part, digits, answer):
 
     assert main(["measure", desc, part, "--tol", f"1/{10 ** digits}"]) == 0
     assert capsys.readouterr().out.strip() == answer
+
+
+def test_pinned_stalled_answer(capsys):
+    from locale_lab.cli import main
+
+    part = "meet-closed(union(rationals; (0,1/8)); (1/4,1/2))"
+    assert main(["measure", "restrict [0,1/2]", part, "--tol", f"1/{10 ** 12}"]) == 1
+    assert capsys.readouterr().err.strip() == (
+        f"tolerance 1/{10 ** 12} not reached: no lower route: bounds stuck at "
+        "[0, 295147905179352825857/2361183241434822606848] after 70 neighborhoods "
+        "of up to 140 stages"
+    )
+
+
+def test_pinned_certificates():
+    rats, tol = CountablePoints(RATIONALS), F(1, 10 ** 12)
+    res = strict_additivity_interval(rats, CoCountable(RATIONALS), Lebesgue(), tol)
+    assert (res.lo, res.hi) == (F(-5, 8796093022208), F(5, 4398046511104))
+    partner, certs = null_partner_interval(rats, Lebesgue(), tol)
+    assert partner == CoCountable(RATIONALS)
+    assert str(certs["partner"]) == "[8796093022203/8796093022208, 1]"
+    assert str(certs["intersection"]) == "[0, 5/8796093022208]"
+
+
+BAD_TOLS = [0, -1, F(1, 2 ** 101)]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS, ids=["0", "-1", "2^-101"])
+@pytest.mark.parametrize("entry", [
+    lambda tol: measure_bounds(CountablePoints(RATIONALS), Lebesgue(), tol),
+    lambda tol: strict_additivity_interval(
+        CountablePoints(RATIONALS), CoCountable(RATIONALS), Lebesgue(), tol),
+    lambda tol: null_partner_interval(CountablePoints(RATIONALS), Lebesgue(), tol),
+], ids=["measure_bounds", "strict_additivity_interval", "null_partner_interval"])
+def test_entry_points_refuse_a_bad_tolerance(entry, tol):
+    with pytest.raises(BadTolerance) as exc:
+        entry(tol)
+    assert len(str(exc.value).splitlines()) == 1
+    assert ("below 2^-100" in str(exc.value)) == (tol > 0)
 
 
 # ----------------------------------------------------------- the punctured-stream reference
@@ -1342,7 +1390,8 @@ def walk_small_stage(x, d, tol):
     max_k, max_stage = _budgets(tol)
     for k in range(1, max_k + 1):
         nb = neighborhood(x, k)
-        for n, (m, rest) in enumerate(itertools.islice(_stages(d.regions, nb), max_stage + 1)):
+        for n, (m, rest) in enumerate(itertools.islice(stage_fractions(d.regions, nb),
+                                                        max_stage + 1)):
             if rest <= tol:
                 if m + held <= 2 * tol:
                     missed = full_minus_points(q for q, _ in d.atoms if not holds_point(x, q))
