@@ -361,6 +361,16 @@ class Frame:
         )
 
     @cached_property
+    def up_bytes(self) -> tuple:
+        """up_bytes[i] has byte j set to 1 iff i <= j, padded with zero
+        bytes to 256: a `bytes.translate` table (for frames of at most 256
+        elements) that tests i <= x for a whole row of elements x at once."""
+        return tuple(
+            bytes(self.up[i] >> j & 1 for j in range(self.n)).ljust(256, b"\0")
+            for i in range(self.n)
+        )
+
+    @cached_property
     def least_not_below(self) -> tuple:
         """least_not_below[i] is kappa(primes[i]): the meet of the elements
         not below it, which are closed under meets as primes[i] is prime."""

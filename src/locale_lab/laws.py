@@ -9,6 +9,16 @@ runner turns those into a RunReport: how many instances were checked,
 which failed (with witnesses), timing, and honest notes about phenomena
 the corpus is too small to exhibit. No violations is the pass signal the
 CLI turns into exit code 0.
+
+The largest laws on part lattices and maps are checked by byte kernels:
+their operands are packed one case per byte (`SubLattice`), so a few
+operations on long integers or `bytes.translate` calls compare every
+equation of the law, byte by byte, and the case count is the count of
+equations compared. When a kernel finds a mismatch, the law's scalar loop
+runs and names the witnesses; it also runs alone on lattices above 256
+parts and on tables with a value above 255, since an index must fit in a
+byte. A kernel mismatch the scalar loop does not confirm is reported as a
+violation, never dropped (`_settle`).
 """
 
 from __future__ import annotations
@@ -274,6 +284,14 @@ class SubLattice:
     the meet and the inclusion of parts i and j are `i | j`, `i & j` and
     `i & j == i`, and the exhaustive law checks reduce to integer
     arithmetic.
+
+    The byte kernels of the laws read the index bytes of pairs and
+    triples of parts, derived once per lattice: `ordered_pairs` for the
+    `bytes.translate` gathers of a map's tables, `unordered_pairs` and
+    `unordered_triples` packed into integers one case per byte. A kernel
+    still compares every equation of its law, byte by byte. A part index
+    is a byte only up to 256 parts; above that these are None and the laws
+    run their scalar loops.
     """
 
     def __init__(self, frame: Frame):
@@ -307,6 +325,38 @@ class SubLattice:
             for c in itertools.combinations(pts, r)
         }
 
+    @cached_property
+    def ordered_pairs(self):
+        """For every ordered pair (i, j) of parts, i the major index, the
+        bytes of i, of j, of i | j and of i & j; None above 256 parts."""
+        k = len(self.subs)
+        if k > 256:
+            return None
+        ks = range(k)
+        return (
+            bytes(i for i in ks for _ in ks),
+            bytes(ks) * k,
+            bytes(i | j for i in ks for j in ks),
+            bytes(i & j for i in ks for j in ks),
+        )
+
+    @cached_property
+    def unordered_pairs(self):
+        """The pairs i < j of parts in `combinations` order, packed as
+        (i's, j's, (i & j)'s, ones) by `_packed`; None above 256 parts."""
+        if len(self.subs) > 256:
+            return None
+        return _packed(((i, j, i & j) for i, j in itertools.combinations(range(len(self.subs)), 2)), 3)
+
+    @cached_property
+    def unordered_triples(self):
+        """The triples i < j < h of parts in `combinations` order, packed as
+        (i's, j's, h's, (i & j & h)'s, ones); None above 256 parts."""
+        if len(self.subs) > 256:
+            return None
+        rows = ((i, j, h, i & j & h) for i, j, h in itertools.combinations(range(len(self.subs)), 3))
+        return _packed(rows, 4)
+
     def label(self, i: int) -> str:
         fixed = [str(self.frame.elements[h]) for h in self.subs[i].fixpoints]
         return "fix(" + ",".join(fixed) + ")"
@@ -322,6 +372,39 @@ class SubLattice:
         for i in idxs:
             out |= i
         return out
+
+
+def _packed(rows, width: int) -> tuple:
+    """Column c of `rows` as one integer with row r in byte r, for each c
+    below `width`, then `ones`, which has a 1 in every byte: x * ones puts
+    the byte x in every row, and `|` and `&` on packed integers act on
+    each byte alone."""
+    flat = bytes(itertools.chain.from_iterable(rows))
+    cols = [flat[c::width] for c in range(width)] + [b"\1" * (len(flat) // width)]
+    return tuple(int.from_bytes(col, "big") for col in cols)
+
+
+def _gather(L: SubLattice, table):
+    """`table` read at i, j, i | j and i & j over every ordered pair of
+    L's parts (`SubLattice.ordered_pairs`), each column one integer, a
+    byte per pair; None when a part index or a value is not a byte."""
+    if L.ordered_pairs is None or max(table) > 255:
+        return None
+    t = bytes(table).ljust(256, b"\0")
+    return [int.from_bytes(col.translate(t), "big") for col in L.ordered_pairs]
+
+
+def _settle(cases: int, ok, scan):
+    """The result of a law with a byte kernel. `ok` is the kernel's verdict
+    on every case, or None where it cannot run. Unless it passed, the
+    scalar loop `scan()` runs and names the witnesses; a kernel mismatch
+    the scalar loop does not confirm is still a violation."""
+    if ok:
+        return cases, []
+    bad = scan()
+    if ok is False and not bad:
+        bad = [{"form": "byte kernel mismatch the scalar loop did not confirm"}]
+    return cases, bad
 
 
 # ---------------------------------------------------------------------------
@@ -644,15 +727,26 @@ def _union_lub_intersect_glb(L):
           "A u (B1 n B2 n ...) = (A u B1) n (A u B2) n ... over pairs and triples")
 def _join_over_meet(L):
     k = len(L.subs)
-    bad = []
-    for a in range(k):
-        for i, j in itertools.combinations(range(k), 2):
-            if a | (i & j) != (a | i) & (a | j):
-                bad.append({"a": L.label(a), "b1": L.label(i), "b2": L.label(j)})
-        for i, j, h in itertools.combinations(range(k), 3):
-            if a | (i & j & h) != (a | i) & (a | j) & (a | h):
-                bad.append({"a": L.label(a), "b1": L.label(i), "b2": L.label(j), "b3": L.label(h)})
-    return k * (comb(k, 2) + comb(k, 3)), bad
+    ok = None
+    if L.unordered_pairs is not None:
+        i2, j2, m2, ones2 = L.unordered_pairs
+        i3, j3, h3, m3, ones3 = L.unordered_triples
+        ok = all(r | m2 == (r | i2) & (r | j2) for r in (a * ones2 for a in range(k))) and all(
+            r | m3 == (r | i3) & (r | j3) & (r | h3) for r in (a * ones3 for a in range(k))
+        )
+
+    def scan():
+        bad = []
+        for a in range(k):
+            for i, j in itertools.combinations(range(k), 2):
+                if a | (i & j) != (a | i) & (a | j):
+                    bad.append({"a": L.label(a), "b1": L.label(i), "b2": L.label(j)})
+            for i, j, h in itertools.combinations(range(k), 3):
+                if a | (i & j & h) != (a | i) & (a | j) & (a | h):
+                    bad.append({"a": L.label(a), "b1": L.label(i), "b2": L.label(j), "b3": L.label(h)})
+        return bad
+
+    return _settle(k * (comb(k, 2) + comb(k, 3)), ok, scan)
 
 
 @_declare(PART_LAWS, "closure-interior-extremal",
@@ -964,27 +1058,50 @@ def _boolean_combination_distributivity(L):
 @_declare(LATTICE_LAWS, "meets-join-product",
           "(meet of As) u (meet of Bs) = meet over pairs of (Ai u Bj)")
 def _meets_join_product(L):
+    """The b-pairs are packed once; each a-pair checks all of them at once."""
     pairs = list(itertools.combinations(range(len(L.subs)), 2))
-    bad = []
-    for a1, a2 in pairs:
-        for b1, b2 in pairs:
-            if (a1 & a2) | (b1 & b2) != (a1 | b1) & (a1 | b2) & (a2 | b1) & (a2 | b2):
-                bad.append(
-                    {"a1": L.label(a1), "a2": L.label(a2), "b1": L.label(b1), "b2": L.label(b2)}
-                )
-    return len(pairs) ** 2, bad
+    ok = None
+    if L.unordered_pairs is not None:
+        b1, b2, bm, ones = L.unordered_pairs
+        spread = [x * ones for x in range(len(L.subs))]
+        ok = all(
+            spread[a1 & a2] | bm
+            == (spread[a1] | b1) & (spread[a1] | b2) & (spread[a2] | b1) & (spread[a2] | b2)
+            for a1, a2 in pairs
+        )
+
+    def scan():
+        bad = []
+        for a1, a2 in pairs:
+            for b1, b2 in pairs:
+                if (a1 & a2) | (b1 & b2) != (a1 | b1) & (a1 | b2) & (a2 | b1) & (a2 | b2):
+                    bad.append(
+                        {"a1": L.label(a1), "a2": L.label(a2), "b1": L.label(b1), "b2": L.label(b2)}
+                    )
+        return bad
+
+    return _settle(len(pairs) ** 2, ok, scan)
 
 
 @_declare(MAP_LAWS, "adjunction", "fstar(V) <= U iff V <= fstar-adjoint(U)")
 def _adjunction(m):
+    """Per v, the adjoint row read through v's up-set is fstar(v)'s up-row."""
     src, tgt, fstar = m.f.source, m.f.target, m.f.fstar
     adj = right_adjoint(m.f)
-    bad = []
-    for v in range(src.n):
-        for u in range(tgt.n):
-            if tgt.leq(fstar[v], u) != src.leq(v, adj[u]):
-                bad.append({"v": src.name(v), "u": tgt.name(u)})
-    return src.n * tgt.n, bad
+    ok = None
+    if src.n <= 256 and max(adj) <= 255:
+        row, n = bytes(adj), tgt.n
+        ok = all(row.translate(src.up_bytes[v]) == tgt.up_bytes[fstar[v]][:n] for v in range(src.n))
+
+    def scan():
+        bad = []
+        for v in range(src.n):
+            for u in range(tgt.n):
+                if tgt.leq(fstar[v], u) != src.leq(v, adj[u]):
+                    bad.append({"v": src.name(v), "u": tgt.name(u)})
+        return bad
+
+    return _settle(src.n * tgt.n, ok, scan)
 
 
 @_declare(MAP_LAWS, "embedding-three-ways",
@@ -1003,13 +1120,13 @@ def _embedding_three_ways(m):
 @_declare(MAP_LAWS, "preimage-open-closed",
           "pullback of [V] is [fstar V]; pullback of c(V) is c(fstar V)")
 def _preimage_open_closed(m):
-    f, EL = m.f, m.EL
+    f, FL, EL, pre = m.f, m.FL, m.EL, m.pre
     src = f.source
     bad = []
     for v in range(src.n):
-        if preimage(f, open_sublocale(src, v)).points != EL.open_idx[f.fstar[v]]:
+        if pre[FL.open_idx[v]] != EL.open_idx[f.fstar[v]]:
             bad.append({"v": src.name(v), "side": "open"})
-        if preimage(f, closed_sublocale(src, v)).points != EL.closed_idx[f.fstar[v]]:
+        if pre[FL.closed_idx[v]] != EL.closed_idx[f.fstar[v]]:
             bad.append({"v": src.name(v), "side": "closed"})
     return 2 * src.n, bad
 
@@ -1017,29 +1134,41 @@ def _preimage_open_closed(m):
 @_declare(MAP_LAWS, "preimage-union-meet",
           "pullback commutes with binary unions and meets of parts")
 def _preimage_union_meet(m):
-    FL, EL, pre = m.FL, m.EL, m.pre
+    FL, pre = m.FL, m.pre
     kf = len(FL.subs)
-    bad = []
-    for i in range(kf):
-        pi = pre[i]
-        for j in range(kf):
-            if pre[i | j] != pi | pre[j]:
-                bad.append({"a": FL.label(i), "b": FL.label(j), "side": "union"})
-            if pre[i & j] != pi & pre[j]:
-                bad.append({"a": FL.label(i), "b": FL.label(j), "side": "meet"})
-    return 2 * kf * kf, bad
+    g = _gather(FL, pre)
+    ok = None if g is None else g[2] == g[0] | g[1] and g[3] == g[0] & g[1]
+
+    def scan():
+        bad = []
+        for i in range(kf):
+            pi = pre[i]
+            for j in range(kf):
+                if pre[i | j] != pi | pre[j]:
+                    bad.append({"a": FL.label(i), "b": FL.label(j), "side": "union"})
+                if pre[i & j] != pi & pre[j]:
+                    bad.append({"a": FL.label(i), "b": FL.label(j), "side": "meet"})
+        return bad
+
+    return _settle(2 * kf * kf, ok, scan)
 
 
 @_declare(MAP_LAWS, "image-union", "the image of a union is the union of the images")
 def _image_union(m):
-    FL, EL, img = m.FL, m.EL, m.img
+    EL, img = m.EL, m.img
     ke = len(EL.subs)
-    bad = []
-    for i in range(ke):
-        for j in range(ke):
-            if img[i | j] != img[i] | img[j]:
-                bad.append({"x": EL.label(i), "y": EL.label(j)})
-    return ke * ke, bad
+    g = _gather(EL, img)
+    ok = None if g is None else g[2] == g[0] | g[1]
+
+    def scan():
+        bad = []
+        for i in range(ke):
+            for j in range(ke):
+                if img[i | j] != img[i] | img[j]:
+                    bad.append({"x": EL.label(i), "y": EL.label(j)})
+        return bad
+
+    return _settle(ke * ke, ok, scan)
 
 
 @_declare(MAP_LAWS, "image-preimage-galois",

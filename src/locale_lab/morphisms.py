@@ -1,12 +1,16 @@
 """Frame morphisms and the pieces of locale-map calculus built on them.
 
-A FrameMorphism stores fstar, the frame homomorphism from `source` to
-`target`; read as a map of locales it points the other way, from the
-locale of `target` to the locale of `source`. Adjoints are phrased in
-terms of fstar alone. The right adjoint f_* sends each point (prime) of
-the target to a point of the source, and images and preimages of parts,
-which are sets of points, move forward and back along that point map.
-Maps are enumerated as monotone maps of points, with fstar derived.
+A FrameMorphism is a frame homomorphism fstar from `source` to `target`;
+read as a map of locales it points the other way, from the locale of
+`target` to the locale of `source`. A map has one representation, its
+point map: the right adjoint f_* sends each point (prime) of the target
+to a point of the source (Birkhoff duality; Picado & Pultr, *Frames and
+Locales*). fstar and f_* are both derived from it: fstar(a) is the meet
+of the target primes whose point lies above a, and f_*(u) the meet of
+the points of the target primes above u. Images and preimages of parts,
+which are sets of points, move forward and back along the point map.
+Maps are enumerated as monotone maps of points; a map given by its fstar
+finds its points with one join per target prime.
 """
 
 from __future__ import annotations
@@ -128,14 +132,20 @@ def compose(g: FrameMorphism, f: FrameMorphism) -> FrameMorphism:
 
 
 def right_adjoint(f: FrameMorphism) -> tuple:
-    """f_* : target -> source, largest V with fstar(V) below the argument."""
+    """f_* : target -> source, largest V with fstar(V) below the argument.
+
+    Every element u is the meet of the primes above it and f_* preserves
+    meets, so f_*(u) is the meet of the points f_*(q) over the target
+    primes q above u, read off the point map."""
     if f._adjoint is None:
-        src, tgt = f.source, f.target
+        bits = [1 << i for i in _point_map(f)]
         adj = []
-        for u in range(tgt.n):
-            adj.append(
-                src.join_all(v for v in range(src.n) if tgt.leq(f.fstar[v], u))
-            )
+        for above in f.target.primes_above:
+            mask = 0
+            for j, bit in enumerate(bits):
+                if above >> j & 1:
+                    mask |= bit
+            adj.append(f.source.meet_of_primes(mask))
         f._adjoint = tuple(adj)
     return f._adjoint
 
@@ -161,11 +171,15 @@ def sublocale_embedding(x: Sublocale):
 def _point_map(f: FrameMorphism) -> tuple:
     """Entry j is the index in `f.source.primes` of f_*(q) for the target
     prime q = f.target.primes[j]: a frame map's right adjoint sends
-    primes to primes, so a locale map moves points to points. Maps given
-    by their fstar derive it here."""
+    primes to primes, so a locale map moves points to points. A map given
+    by its fstar evaluates f_*(q), the join of the V with fstar(V) <= q,
+    at the primes alone."""
     if f._points is None:
-        adj = right_adjoint(f)
-        f._points = tuple(f.source.primes.index(adj[q]) for q in f.target.primes)
+        src, tgt, fstar = f.source, f.target, f.fstar
+        f._points = tuple(
+            src.primes.index(src.join_all(v for v in range(src.n) if tgt.leq(fstar[v], q)))
+            for q in tgt.primes
+        )
     return f._points
 
 

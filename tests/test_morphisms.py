@@ -33,6 +33,7 @@ from locale_lab.sublocales import (
     validate_nucleus,
     whole,
 )
+from scalar_laws import right_adjoint_by_definition
 
 
 def chain(n):
@@ -269,6 +270,35 @@ def test_right_adjoint_is_an_adjoint(src, tgt):
         for v in range(src.n):
             for u in range(tgt.n):
                 assert tgt.leq(m.fstar[v], u) == src.leq(v, adj[u])
+
+
+def _points_by_definition(f):
+    adj = right_adjoint_by_definition(f)
+    return tuple(f.source.primes.index(adj[q]) for q in f.target.primes)
+
+
+def test_right_adjoint_from_points_matches_its_definition():
+    reps, _ = _iso_reps([(nm, fr) for nm, fr in iter_corpus_frames() if fr.n <= 8])
+    checked = 0
+    for (_, a), (_, b) in itertools.product(reps, repeat=2):
+        for f in enumerate_morphisms(a, b):
+            # the same map given by its fstar, so its points are derived
+            g = FrameMorphism(a, b, f.fstar)
+            assert right_adjoint(f) == right_adjoint(g) == right_adjoint_by_definition(f)
+            assert _point_map(g) == f._points
+            checked += 1
+    assert checked == 1490
+    small = [fr for _, fr in reps if fr.n <= 4]
+    for a, b in itertools.product(small, repeat=2):
+        _, injections = sum_frame([a, b])
+        for f in injections:
+            assert right_adjoint(f) == right_adjoint_by_definition(f)
+            assert _point_map(f) == _points_by_definition(f)
+    for fr in small:
+        for x in enumerate_sublocales(fr):
+            f, _, _ = sublocale_embedding(x)
+            assert right_adjoint(f) == right_adjoint_by_definition(f)
+            assert _point_map(f) == _points_by_definition(f)
 
 
 def test_embedding_of_closed_sublocale():
