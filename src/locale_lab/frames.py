@@ -64,11 +64,10 @@ class FrameSpec:
 
     elements: tuple
     leq: tuple
-    labels: dict | None = None
 
     @staticmethod
-    def make(elements, leq, labels=None) -> "FrameSpec":
-        return FrameSpec(tuple(elements), tuple((a, b) for a, b in leq), labels)
+    def make(elements, leq) -> "FrameSpec":
+        return FrameSpec(tuple(elements), tuple((a, b) for a, b in leq))
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,6 @@ class Frame:
             for j in _bits(self.up[i]):
                 down[j] |= 1 << i
         self.down = tuple(down)
-        self._full_mask = full
 
         bottom = [i for i in range(self.n) if self.up[i] == full]
         top = [i for i in range(self.n) if self.down[i] == full]
@@ -265,6 +263,32 @@ class Frame:
     def name(self, i: int):
         return self.elements[i]
 
+    def table(self, mapping, value, what: str) -> tuple:
+        """A value for every element, read from a dict keyed by element name
+        or index, or from a list or tuple in element order; `value` parses
+        each entry. Anything else, an element given twice, and any entry
+        that does not parse raise a one-line FrameError that names the
+        table as `what`."""
+        if isinstance(mapping, dict):
+            entries = [(self.el(k), v) for k, v in mapping.items()]
+        elif isinstance(mapping, (list, tuple)):
+            if len(mapping) != self.n:
+                raise FrameError(f"{what} has {len(mapping)} entries for {self.n} elements")
+            entries = enumerate(mapping)
+        else:
+            raise FrameError(f"{what} must be a dict or a list, not {type(mapping).__name__}")
+        out = [None] * self.n
+        for i, v in entries:
+            if out[i] is not None:
+                raise FrameError(f"{what} has two entries for {self.elements[i]!r}")
+            try:
+                out[i] = value(v)
+            except (ValueError, TypeError) as exc:
+                raise FrameError(f"{what} at {self.elements[i]!r}: {exc}") from None
+        if None in out:
+            raise FrameError(f"{what} is undefined on {self.elements[out.index(None)]!r}")
+        return tuple(out)
+
     def leq(self, i: int, j: int) -> bool:
         return (self.up[i] >> j) & 1 == 1
 
@@ -415,7 +439,7 @@ def build_frame(spec) -> Frame:
 
 # -- JSON loading -------------------------------------------------------
 
-FRAME_KEYS = {"elements", "leq", "labels"}
+FRAME_KEYS = {"elements", "leq"}
 TOPOLOGY_KEYS = {"points", "opens"}
 
 
@@ -443,10 +467,7 @@ def frame_spec_from_json(obj, where="$") -> FrameSpec:
         if len(pair) != 2 or not all(isinstance(x, str) for x in pair):
             raise SpecError("expected a pair of element names", pw)
         leq.append((pair[0], pair[1]))
-    labels = obj.get("labels")
-    if labels is not None and not isinstance(labels, dict):
-        raise SpecError("labels must be an object", f"{where}.labels")
-    return FrameSpec.make(elements, leq, labels)
+    return FrameSpec.make(elements, leq)
 
 
 def topology_spec_from_json(obj, where="$") -> TopologySpec:

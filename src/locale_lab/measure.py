@@ -114,20 +114,10 @@ class FiniteValuation:
 
 
 def validate_valuation(frame: Frame, table) -> FiniteValuation:
-    if isinstance(table, dict):
-        mu = [None] * frame.n
-        for k, v in table.items():
-            mu[frame.el(k)] = frac(v)
-        missing = [i for i, v in enumerate(mu) if v is None]
-        if missing:
-            raise ValuationError(
-                f"no measure for {frame.elements[missing[0]]!r}"
-            )
-    else:
-        mu = [frac(v) for v in table]
-        if len(mu) != frame.n:
-            raise ValuationError(f"{len(mu)} values for {frame.n} elements")
-    mu = tuple(mu)
+    try:
+        mu = frame.table(table, frac, "valuation")
+    except FrameError as exc:
+        raise ValuationError(str(exc)) from None
     if mu[frame.bottom] != 0:
         raise NotZeroAtBottom(mu[frame.bottom])
     for a in range(frame.n):

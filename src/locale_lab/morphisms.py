@@ -2,15 +2,19 @@
 
 A FrameMorphism is a frame homomorphism fstar from `source` to `target`;
 read as a map of locales it points the other way, from the locale of
-`target` to the locale of `source`. A map has one representation, its
-point map: the right adjoint f_* sends each point (prime) of the target
-to a point of the source (Birkhoff duality; Picado & Pultr, *Frames and
-Locales*). fstar and f_* are both derived from it: fstar(a) is the meet
-of the target primes whose point lies above a, and f_*(u) the meet of
-the points of the target primes above u. Images and preimages of parts,
-which are sets of points, move forward and back along the point map.
-Maps are enumerated as monotone maps of points; a map given by its fstar
-finds its points with one join per target prime.
+`target` to the locale of `source`. A map is stored as its point map
+only: the right adjoint f_* sends each point (prime) of the target to a
+point of the source (Birkhoff duality; Picado & Pultr, *Frames and
+Locales*). Two lifts of point sets give every other view. Pushing target
+points forward gives the image of a part, and f_*(u) is the meet of the
+points pushed forward from c(u). Pulling source points back gives the
+preimage of a part, and fstar(a) is the meet of the points pulled back
+from c(a), which is the `preimage-open-closed` identity.
+
+Maps are enumerated as monotone maps of points. An fstar table from
+outside enters through `validate_morphism`, which finds its points with
+one join per target prime; the injections of a sum and the embedding of
+a part are built from their points directly.
 """
 
 from __future__ import annotations
@@ -40,23 +44,48 @@ class NotAFrameMorphism(FrameError):
 
 
 class FrameMorphism:
-    """A validated frame homomorphism fstar: source -> target, given by
-    fstar or by its point map (see `_point_map`); the other is derived
-    when first asked for."""
+    """A frame homomorphism fstar: source -> target, stored as its point
+    map: entry j is the index in `source.primes` of f_*(q) for the target
+    prime q = target.primes[j]. The constructor trusts the map; use
+    `validate_morphism` for an fstar table from outside.
 
-    __slots__ = ("source", "target", "_fstar", "_adjoint", "_points")
+    Every view is derived from the point map by two lifts of point sets:
+    `_push` moves a set of target points forward and `_pull` takes a set
+    of source points back. fstar(a) is the meet of the target points
+    pulled back from c(a), the source points above a, and is kept once
+    asked for.
+    """
 
-    def __init__(self, source: Frame, target: Frame, fstar=None, points=None):
+    __slots__ = ("source", "target", "_points", "_fstar", "_adjoint")
+
+    def __init__(self, source: Frame, target: Frame, points: tuple):
         self.source = source
         self.target = target
-        self._fstar = fstar
-        self._adjoint = None
         self._points = points
+        self._fstar = None
+        self._adjoint = None
+
+    def _push(self, mask: int) -> int:
+        """The source points that the target points in `mask` go to."""
+        out = 0
+        for j, i in enumerate(self._points):
+            if mask >> j & 1:
+                out |= 1 << i
+        return out
+
+    def _pull(self, mask: int) -> int:
+        """The target points that go to source points in `mask`."""
+        out = 0
+        for j, i in enumerate(self._points):
+            if mask >> i & 1:
+                out |= 1 << j
+        return out
 
     @property
     def fstar(self) -> tuple:
         if self._fstar is None:
-            self._fstar = _star_at(self.source, self.target, self._points, range(self.source.n))
+            meet = self.target.meet_of_primes
+            self._fstar = tuple(meet(self._pull(above)) for above in self.source.primes_above)
         return self._fstar
 
     def __call__(self, v) -> int:
@@ -68,11 +97,11 @@ class FrameMorphism:
         return (
             self.source is other.source
             and self.target is other.target
-            and self.fstar == other.fstar
+            and self._points == other._points
         )
 
     def __hash__(self):
-        return hash((id(self.source), id(self.target), self.fstar))
+        return hash((id(self.source), id(self.target), self._points))
 
     def __repr__(self):
         pairs = ", ".join(
@@ -82,27 +111,11 @@ class FrameMorphism:
         return f"FrameMorphism({pairs})"
 
 
-def _as_fstar(source: Frame, target: Frame, mapping) -> tuple:
-    if isinstance(mapping, dict):
-        out = [None] * source.n
-        for k, v in mapping.items():
-            out[source.el(k)] = target.el(v)
-        missing = [i for i, v in enumerate(out) if v is None]
-        if missing:
-            raise FrameError(
-                f"fstar is undefined on {source.elements[missing[0]]!r}"
-            )
-        return tuple(out)
-    mapping = tuple(target.el(x) for x in mapping)
-    if len(mapping) != source.n:
-        raise FrameError(
-            f"fstar has {len(mapping)} entries, source has {source.n}"
-        )
-    return mapping
-
-
 def validate_morphism(source: Frame, target: Frame, mapping) -> FrameMorphism:
-    f = _as_fstar(source, target, mapping)
+    """The map with this fstar table, checked to be a frame homomorphism.
+    Its points are found with one join per target prime q: f_*(q) is the
+    join of the V with fstar(V) <= q. The table is kept as fstar."""
+    f = source.table(mapping, target.el, "fstar")
     if f[source.bottom] != target.bottom:
         raise NotAFrameMorphism("bottom", source.elements[source.bottom])
     if f[source.top] != target.top:
@@ -114,39 +127,34 @@ def validate_morphism(source: Frame, target: Frame, mapping) -> FrameMorphism:
                 raise NotAFrameMorphism("meet", w)
             if f[source.join(a, b)] != target.join(f[a], f[b]):
                 raise NotAFrameMorphism("join", w)
-    return FrameMorphism(source, target, f)
+    m = FrameMorphism(source, target, tuple(
+        source.primes.index(source.join_all(v for v in range(source.n) if target.leq(f[v], q)))
+        for q in target.primes
+    ))
+    m._fstar = f
+    return m
 
 
 def identity_morphism(frame: Frame) -> FrameMorphism:
-    return FrameMorphism(frame, frame, points=tuple(range(len(frame.primes))))
+    return FrameMorphism(frame, frame, tuple(range(len(frame.primes))))
 
 
 def compose(g: FrameMorphism, f: FrameMorphism) -> FrameMorphism:
     """(g after f) on the star maps, built from its point map: f's after g's."""
     if f.target is not g.source:
         raise MixedFrames()
-    f_points = _point_map(f)
-    return FrameMorphism(
-        f.source, g.target, points=tuple(f_points[i] for i in _point_map(g))
-    )
+    return FrameMorphism(f.source, g.target, tuple(f._points[i] for i in g._points))
 
 
 def right_adjoint(f: FrameMorphism) -> tuple:
     """f_* : target -> source, largest V with fstar(V) below the argument.
 
     Every element u is the meet of the primes above it and f_* preserves
-    meets, so f_*(u) is the meet of the points f_*(q) over the target
-    primes q above u, read off the point map."""
+    meets, so f_*(u) is the meet of the source points pushed forward from
+    c(u), the target points above u."""
     if f._adjoint is None:
-        bits = [1 << i for i in _point_map(f)]
-        adj = []
-        for above in f.target.primes_above:
-            mask = 0
-            for j, bit in enumerate(bits):
-                if above >> j & 1:
-                    mask |= bit
-            adj.append(f.source.meet_of_primes(mask))
-        f._adjoint = tuple(adj)
+        meet = f.source.meet_of_primes
+        f._adjoint = tuple(meet(f._push(above)) for above in f.target.primes_above)
     return f._adjoint
 
 
@@ -160,39 +168,20 @@ def sublocale_embedding(x: Sublocale):
     """The embedding of a sublocale: its fixpoint frame mapped in by e.
 
     Returns (morphism, fixpoint_frame, fix) with fstar(v) = e(v) read in
-    the fixpoint frame.
+    the fixpoint frame. f_* is the inclusion of the fixpoints, so each
+    point of the fixpoint frame goes to itself in the ambient frame.
     """
     omega, fix = fixpoint_frame(x)
-    to_om = {amb: k for k, amb in enumerate(fix)}
-    fstar = tuple(to_om[x.nucleus[v]] for v in range(x.frame.n))
-    return FrameMorphism(x.frame, omega, fstar), omega, fix
-
-
-def _point_map(f: FrameMorphism) -> tuple:
-    """Entry j is the index in `f.source.primes` of f_*(q) for the target
-    prime q = f.target.primes[j]: a frame map's right adjoint sends
-    primes to primes, so a locale map moves points to points. A map given
-    by its fstar evaluates f_*(q), the join of the V with fstar(V) <= q,
-    at the primes alone."""
-    if f._points is None:
-        src, tgt, fstar = f.source, f.target, f.fstar
-        f._points = tuple(
-            src.primes.index(src.join_all(v for v in range(src.n) if tgt.leq(fstar[v], q)))
-            for q in tgt.primes
-        )
-    return f._points
+    points = tuple(x.frame.primes.index(fix[q]) for q in omega.primes)
+    return FrameMorphism(x.frame, omega, points), omega, fix
 
 
 def image(f: FrameMorphism, x: Sublocale) -> Sublocale:
-    """Forward image of a sublocale of the target locale: its points moved
+    """Forward image of a sublocale of the target locale: its points pushed
     along the point map. Its nucleus is V -> f_*(e_x(fstar(V)))."""
     if x.frame is not f.target:
         raise MixedFrames()
-    points = 0
-    for j, i in enumerate(_point_map(f)):
-        if x.points >> j & 1:
-            points |= 1 << i
-    return Sublocale(f.source, points)
+    return Sublocale(f.source, f._push(x.points))
 
 
 def preimage(f: FrameMorphism, y: Sublocale) -> Sublocale:
@@ -201,11 +190,7 @@ def preimage(f: FrameMorphism, y: Sublocale) -> Sublocale:
     c(fstar(e_y(V)))."""
     if y.frame is not f.source:
         raise MixedFrames()
-    points = 0
-    for j, i in enumerate(_point_map(f)):
-        if y.points >> i & 1:
-            points |= 1 << j
-    return Sublocale(f.target, points)
+    return Sublocale(f.target, f._pull(y.points))
 
 
 def factors_through(f: FrameMorphism, i: FrameMorphism):
@@ -249,9 +234,15 @@ def sum_frame(frames):
             if all(f.leq(a[k], b[k]) for k, f in enumerate(frames)):
                 leq.append((names[ia], names[ib]))
     s = build_frame(FrameSpec.make(names, leq))
-    # build_frame keeps element order, so sum element i is combos[i]
+
+    # The injection onto component k is the projection, so f_*(q) for a
+    # prime q of that component is q there and top everywhere else.
+    def point(k, q):
+        name = tuple(f.elements[q if m == k else f.top] for m, f in enumerate(frames))
+        return s.primes.index(s.index[name])
+
     injections = [
-        FrameMorphism(s, f, tuple(c[k] for c in combos))
+        FrameMorphism(s, f, tuple(point(k, q) for q in f.primes))
         for k, f in enumerate(frames)
     ]
     return s, injections
@@ -307,7 +298,7 @@ def enumerate_morphisms(source: Frame, target: Frame) -> list:
 
     def place(pos):
         if pos == len(order):
-            out.append(FrameMorphism(source, target, points=tuple(point)))
+            out.append(FrameMorphism(source, target, tuple(point)))
             return
         allowed = (1 << len(above)) - 1
         for k in below[pos]:
@@ -346,13 +337,3 @@ def enumerate_morphisms(source: Frame, target: Frame) -> list:
     out.sort(key=key)
     return out
 
-
-def _star_at(source: Frame, target: Frame, points: tuple, elements) -> tuple:
-    """fstar at each of `elements` for the map with this point map: the
-    meet of the target primes whose image lies above the element."""
-    return tuple(
-        target.meet_of_primes(
-            sum(1 << j for j, i in enumerate(points) if source.primes_above[a] >> i & 1)
-        )
-        for a in elements
-    )

@@ -139,16 +139,16 @@ class LazyOpen:
     """An open given by increasing stages plus a length bound on the rest.
 
     grow(n) is the open that arrives at stage n; stage(n) is the union of
-    grow(0..n), built once from stage(n-1) and kept. tail(n) bounds the
-    total length of limit-minus-stage(n). Stages only grow, so a stream
-    derived from this one by a finite-union-preserving operation can
-    apply it to grow alone. The streams read the tail as an integer pair,
-    _tail(n); tail_fn and tail(n) are rational.
+    grow(0..n), built once from stage(n-1) and kept. _tail(n) bounds the
+    total length of limit-minus-stage(n), as an integer pair (numerator,
+    denominator > 0); tail(n) is the same bound as a Fraction. Stages only
+    grow, so a stream derived from this one by a finite-union-preserving
+    operation can apply it to grow alone.
     """
 
-    def __init__(self, grow, tail_fn):
+    def __init__(self, grow, tail):
         self.grow = grow
-        self._tail = lambda n: ivs._pair(tail_fn(n))
+        self._tail = tail
         self._stages = []
 
     def stage(self, n: int) -> RatOpen:
@@ -165,15 +165,8 @@ class LazyOpen:
         return Fraction(*self._tail(n))
 
 
-def _lazy(grow, tail) -> LazyOpen:
-    """A LazyOpen whose tail(n) is an integer pair (numerator, denominator > 0)."""
-    z = object.__new__(LazyOpen)
-    z.grow, z._tail, z._stages = grow, tail, []
-    return z
-
-
 def as_lazy(u: RatOpen) -> LazyOpen:
-    return _lazy(lambda n: EMPTY_RO if n else u, lambda n: (0, 1))
+    return LazyOpen(lambda n: EMPTY_RO if n else u, lambda n: (0, 1))
 
 
 def lazy_cover(points: Enumerator, eps) -> LazyOpen:
@@ -203,7 +196,7 @@ def lazy_cover(points: Enumerator, eps) -> LazyOpen:
         piece = ivs._piece(ln, ld, hn, hd, lo < 0, hi > d)
         return ivs._trusted_open(ivs._trusted((piece,)))
 
-    return _lazy(grow, lambda n: (en, ed << (n + 1)))
+    return LazyOpen(grow, lambda n: (en, ed << (n + 1)))
 
 
 def lazy_join(a: LazyOpen, b: LazyOpen) -> LazyOpen:
@@ -211,11 +204,11 @@ def lazy_join(a: LazyOpen, b: LazyOpen) -> LazyOpen:
         (an, ad), (bn, bd) = a._tail(n), b._tail(n)
         return an * bd + bn * ad, ad * bd
 
-    return _lazy(lambda n: ivs._trusted_open(ivs.add(a.grow(n).fin, b.grow(n).fin)), tail)
+    return LazyOpen(lambda n: ivs._trusted_open(ivs.add(a.grow(n).fin, b.grow(n).fin)), tail)
 
 
 def lazy_meet_open(a: LazyOpen, u: RatOpen) -> LazyOpen:
-    return _lazy(lambda n: ivs._trusted_open(ivs.intersect(a.grow(n).fin, u.fin)), a._tail)
+    return LazyOpen(lambda n: ivs._trusted_open(ivs.intersect(a.grow(n).fin, u.fin)), a._tail)
 
 
 def full_minus_points(pts) -> RatOpen:

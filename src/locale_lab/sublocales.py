@@ -10,8 +10,9 @@ nucleus is a derived view: e(a) is the meet of the part's points above a.
 The frame derives each part's nucleus once (`Frame.nucleus_of`) and keeps
 it, so the many `Sublocale` objects of one part share a single tuple.
 
-Validation happens at the edges: `validate_nucleus` checks a mapping
-supplied from outside and returns the part made of the primes it fixes.
+Validation happens at the edges: `validate_nucleus` reads a nucleus
+table supplied from outside with `Frame.table`, checks it, and returns
+the part made of the primes it fixes.
 The library's own constructors build `Sublocale` directly; the tests keep
 the nucleus algorithms as a differential oracle.
 """
@@ -104,23 +105,8 @@ def _all_points(frame: Frame) -> int:
     return (1 << len(frame.primes)) - 1
 
 
-def _as_map(frame: Frame, mapping) -> tuple:
-    if isinstance(mapping, dict):
-        out = [None] * frame.n
-        for k, v in mapping.items():
-            out[frame.el(k)] = frame.el(v)
-        missing = [i for i, v in enumerate(out) if v is None]
-        if missing:
-            raise FrameError(f"nucleus is undefined on {frame.elements[missing[0]]!r}")
-        return tuple(out)
-    mapping = tuple(frame.el(x) for x in mapping)
-    if len(mapping) != frame.n:
-        raise FrameError(f"nucleus map has {len(mapping)} entries, frame has {frame.n}")
-    return mapping
-
-
 def validate_nucleus(frame: Frame, mapping) -> Sublocale:
-    e = _as_map(frame, mapping)
+    e = frame.table(mapping, frame.el, "nucleus")
     names = frame.elements
     for x in range(frame.n):
         if not frame.leq(x, e[x]):

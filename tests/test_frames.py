@@ -15,7 +15,11 @@ from locale_lab.frames import (
     TopologySpec,
     build_frame,
     open_set_name,
+    spec_from_json,
 )
+from locale_lab.measure import ValuationError, validate_valuation
+from locale_lab.morphisms import validate_morphism
+from locale_lab.sublocales import validate_nucleus
 
 
 def chain(n):
@@ -310,3 +314,56 @@ def test_indiscrete_two_points():
     assert f.boolean
     # no prime element separates x from y: a single point
     assert len(f.primes) == 1
+
+
+# -------------------------------------------------------- element tables
+
+def _table_cases():
+    """(entry point, error class, table, expected message) on the 3-chain
+    0 < u < 1: each malformed table, for each entry point that reads one."""
+    c3 = chain3()
+    entries = {
+        "nucleus": (lambda t: validate_nucleus(c3, t), FrameError, "u", None),
+        "fstar": (lambda t: validate_morphism(c3, c3, t), FrameError, "u", None),
+        "valuation": (lambda t: validate_valuation(c3, t), ValuationError, "1/2", "x"),
+    }
+    for what, (check, cls, good, bad) in entries.items():
+        shapes = [
+            ("missing entry", {"0": "0", "u": good}, f"{what} is undefined on '1'"),
+            ("unknown name", {"0": "0", "x": good, "1": "1"}, "unknown element 'x'"),
+            ("two entries", {"0": "0", "u": good, 1: good, "1": "1"}, f"{what} has two entries for 'u'"),
+            ("wrong length", ["0", "1"], f"{what} has 2 entries for 3 elements"),
+            ("not a table: None", None, f"{what} must be a dict or a list, not NoneType"),
+            ("not a table: 5", 5, f"{what} must be a dict or a list, not int"),
+            ("not a table: 'abc'", "abc", f"{what} must be a dict or a list, not str"),
+        ]
+        if what == "valuation":
+            shapes += [
+                ("index out of range", {0: 0, 1: good, 7: 1}, "element index 7 out of range"),
+                ("bad value", ["0", bad, "1"], f"{what} at 'u': bad rational 'x'"),
+            ]
+        else:
+            shapes += [
+                ("index out of range", ["0", 7, "1"], f"{what} at 'u': element index 7 out of range"),
+                ("bad value", {"0": "0", "u": bad, "1": "1"}, f"{what} at 'u': unknown element None"),
+            ]
+        for shape, table, message in shapes:
+            yield pytest.param(check, cls, table, message, id=f"{what}-{shape}")
+
+
+@pytest.mark.parametrize("check,cls,table,message", list(_table_cases()))
+def test_malformed_tables_raise_the_entry_points_error(check, cls, table, message):
+    # a value that is not a dict or a list, or an entry that does not
+    # parse, is refused with the entry point's own class and one line
+    with pytest.raises(FrameError) as exc:
+        check(table)
+    assert type(exc.value) is cls
+    text = str(exc.value)
+    assert "\n" not in text and text.startswith(message)
+
+
+def test_spec_with_labels_is_refused():
+    # a "labels" key is an unknown key like any other
+    with pytest.raises(SpecError) as exc:
+        spec_from_json({"elements": ["0", "1"], "leq": [["0", "1"]], "labels": {}})
+    assert str(exc.value) == "$: unknown key 'labels'"

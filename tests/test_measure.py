@@ -1071,7 +1071,7 @@ def test_a_mixture_reads_each_grow_once(desc):
     # length and restricted length both read the same grow(n)
     nb = neighborhood(CoCountable(RATIONALS), 3)
     calls = []
-    lazy = LazyOpen(lambda n: calls.append(n) or nb.grow(n), nb.tail)
+    lazy = LazyOpen(lambda n: calls.append(n) or nb.grow(n), nb._tail)
     list(itertools.islice(_stages(parse_descriptor(desc).regions, lazy), 50))
     assert calls == list(range(50))
 
@@ -1192,7 +1192,7 @@ def ref_may_contain(x, k, q):
 def lazy_puncture(a, pts):
     """Remove finitely many points from the limit open."""
     rest = full_minus_points(pts).fin
-    return LazyOpen(lambda n: RatOpen(ivs.intersect(a.grow(n).fin, rest)), a.tail)
+    return LazyOpen(lambda n: RatOpen(ivs.intersect(a.grow(n).fin, rest)), a._tail)
 
 
 def ref_stages(d, lazy, may):

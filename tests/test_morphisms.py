@@ -6,7 +6,6 @@ from locale_lab.corpus import boolean_spec, chain_spec, iter_corpus_frames
 from locale_lab.frames import Frame, FrameError, FrameSpec, TopologySpec, build_frame
 from locale_lab.laws import _iso_reps
 from locale_lab.morphisms import (
-    FrameMorphism,
     NotAFrameMorphism,
     atoms,
     compose,
@@ -21,7 +20,6 @@ from locale_lab.morphisms import (
     sum_frame,
     validate_morphism,
 )
-from locale_lab.morphisms import _point_map, _star_at
 from locale_lab.sublocales import (
     closed_sublocale,
     empty,
@@ -197,7 +195,7 @@ def test_enumeration_matches_generate_and_test():
         maps = enumerate_morphisms(src, tgt)
         assert [m.fstar for m in maps] == generate_and_test(src, tgt)
         for m in maps:
-            assert m._points == _point_map(FrameMorphism(src, tgt, m.fstar))
+            assert m._points == validate_morphism(src, tgt, m.fstar)._points
         total += len(maps)
     assert total == 1490
 
@@ -211,7 +209,7 @@ def test_maps_built_from_points_compose():
             for g in enumerate_morphisms(b, c):
                 h = compose(g, f)
                 assert h.fstar == tuple(g.fstar[f.fstar[v]] for v in range(a.n))
-                assert h._points == _point_map(FrameMorphism(a, c, h.fstar))
+                assert h._points == validate_morphism(a, c, h.fstar)._points
     for f in reps:
         assert identity_morphism(f).fstar == tuple(range(f.n))
 
@@ -278,27 +276,48 @@ def _points_by_definition(f):
 
 
 def test_right_adjoint_from_points_matches_its_definition():
+    # fstar and f_* are both derived from the point map; each must match
+    # its oracle: fstar by star_at, f_* by its definition, and for sums
+    # and embeddings fstar also by the projection and the nucleus
     reps, _ = _iso_reps([(nm, fr) for nm, fr in iter_corpus_frames() if fr.n <= 8])
     checked = 0
     for (_, a), (_, b) in itertools.product(reps, repeat=2):
         for f in enumerate_morphisms(a, b):
-            # the same map given by its fstar, so its points are derived
-            g = FrameMorphism(a, b, f.fstar)
+            # the same map given by its fstar, so its points are searched for
+            g = validate_morphism(a, b, f.fstar)
             assert right_adjoint(f) == right_adjoint(g) == right_adjoint_by_definition(f)
-            assert _point_map(g) == f._points
+            assert g._points == f._points
+            assert f.fstar == star_at(a, b, f._points, range(a.n))
             checked += 1
     assert checked == 1490
     small = [fr for _, fr in reps if fr.n <= 4]
     for a, b in itertools.product(small, repeat=2):
-        _, injections = sum_frame([a, b])
-        for f in injections:
+        s, injections = sum_frame([a, b])
+        for k, f in enumerate(injections):
             assert right_adjoint(f) == right_adjoint_by_definition(f)
-            assert _point_map(f) == _points_by_definition(f)
+            assert f._points == _points_by_definition(f)
+            projection = tuple(f.target.index[name[k]] for name in s.elements)
+            assert f.fstar == projection == star_at(s, f.target, f._points, range(s.n))
     for fr in small:
         for x in enumerate_sublocales(fr):
-            f, _, _ = sublocale_embedding(x)
+            f, _, fix = sublocale_embedding(x)
             assert right_adjoint(f) == right_adjoint_by_definition(f)
-            assert _point_map(f) == _points_by_definition(f)
+            assert f._points == _points_by_definition(f)
+            e = tuple(fix.index(x.nucleus[v]) for v in range(fr.n))
+            assert f.fstar == e == star_at(fr, f.target, f._points, range(fr.n))
+
+
+def test_validated_fstar_is_the_enumerated_map():
+    # a map given by its fstar table and the same map enumerated from its
+    # points are one map: equal, with equal hashes
+    reps, _ = _iso_reps([(nm, fr) for nm, fr in iter_corpus_frames() if fr.n <= 8])
+    checked = 0
+    for (_, a), (_, b) in itertools.product(reps, repeat=2):
+        for f in enumerate_morphisms(a, b):
+            g = validate_morphism(a, b, f.fstar)
+            assert g == f and hash(g) == hash(f)
+            checked += 1
+    assert checked == 1490
 
 
 def test_embedding_of_closed_sublocale():
@@ -324,12 +343,23 @@ def test_embeddings_of_all_sublocales():
             assert omega.n == len(s.fixpoints)
 
 
+def star_at(source, target, points, elements):
+    """fstar at each of `elements` for the map with this point map: the
+    meet of the target primes whose point lies above the element."""
+    return tuple(
+        target.meet_of_primes(
+            sum(1 << j for j, i in enumerate(points) if source.primes_above[a] >> i & 1)
+        )
+        for a in elements
+    )
+
+
 def star_order(src, tgt, maps):
     """The maps sorted by fstar at the source's join-irreducibles, smallest
-    down-set first, each computed by _star_at: the order before the keys
-    were read from a table."""
+    down-set first, each computed by star_at: the order that
+    enumerate_morphisms reads from its bit table."""
     irr = sorted(src.join_irreducibles, key=lambda p: bin(src.down[p]).count("1"))
-    return sorted(maps, key=lambda f: _star_at(src, tgt, f._points, irr))
+    return sorted(maps, key=lambda f: star_at(src, tgt, f._points, irr))
 
 
 def test_enumeration_order_matches_the_star_key():

@@ -406,7 +406,7 @@ def test_union_of_nothing_rejected():
 
 @pytest.mark.parametrize("part", [
     lazy_cover(DYADICS, F(1, 4)),
-    LazyOpen(lambda n: EMPTY_RO, lambda n: F(0)),
+    LazyOpen(lambda n: EMPTY_RO, lambda n: (0, 1)),
     parse_ratopen("(0,1/2)").fin,
     "(0,1/2)",
     None,
