@@ -270,7 +270,10 @@ class Frame:
         that does not parse raise a one-line FrameError that names the
         table as `what`."""
         if isinstance(mapping, dict):
-            entries = [(self.el(k), v) for k, v in mapping.items()]
+            try:
+                entries = [(self.el(k), v) for k, v in mapping.items()]
+            except FrameError as exc:
+                raise FrameError(f"{what}: {exc}") from None
         elif isinstance(mapping, (list, tuple)):
             if len(mapping) != self.n:
                 raise FrameError(f"{what} has {len(mapping)} entries for {self.n} elements")

@@ -1251,11 +1251,15 @@ def _sum_injections(ctx):
         except FrameError as exc:
             bad.append({"sum": path, "error": str(exc)})
             continue
-        for side, inj in (("p", p), ("q", q)):
+        for k, (side, inj) in enumerate((("p", p), ("q", q))):
             try:
                 validate_morphism(s, inj.target, inj.fstar)
             except FrameError as exc:
                 bad.append({"sum": path, "injection": side, "error": str(exc)})
+            # fstar is derived from the point map, so compare it with the
+            # projection read off the pair names as well
+            if inj.fstar != tuple(inj.target.index[name[k]] for name in s.elements):
+                bad.append({"sum": path, "injection": side, "form": "not the projection"})
         pairs = list(zip(p.fstar, q.fstar))
         if not len(set(pairs)) == s.n == a.n * b.n:
             bad.append({"sum": path, "form": "not a bijection"})

@@ -330,7 +330,7 @@ def _table_cases():
     for what, (check, cls, good, bad) in entries.items():
         shapes = [
             ("missing entry", {"0": "0", "u": good}, f"{what} is undefined on '1'"),
-            ("unknown name", {"0": "0", "x": good, "1": "1"}, "unknown element 'x'"),
+            ("unknown name", {"0": "0", "x": good, "1": "1"}, f"{what}: unknown element 'x'"),
             ("two entries", {"0": "0", "u": good, 1: good, "1": "1"}, f"{what} has two entries for 'u'"),
             ("wrong length", ["0", "1"], f"{what} has 2 entries for 3 elements"),
             ("not a table: None", None, f"{what} must be a dict or a list, not NoneType"),
@@ -339,7 +339,7 @@ def _table_cases():
         ]
         if what == "valuation":
             shapes += [
-                ("index out of range", {0: 0, 1: good, 7: 1}, "element index 7 out of range"),
+                ("index out of range", {0: 0, 1: good, 7: 1}, f"{what}: element index 7 out of range"),
                 ("bad value", ["0", bad, "1"], f"{what} at 'u': bad rational 'x'"),
             ]
         else:
