@@ -123,7 +123,6 @@ class Frame:
         self._meet = self._binary_table(self.down, "meet")
         self._join = self._binary_table(self.up, "join")
         self._check_distributive()
-        self._heyting = None
         self._prime_meets = {}
         self._nuclei = {}
 
@@ -314,19 +313,9 @@ class Frame:
         return acc
 
     def heyting(self, u: int, h: int) -> int:
-        """Largest W with W meet U <= H (right adjoint of meet by U)."""
-        if self._heyting is None:
-            self._heyting = [[None] * self.n for _ in range(self.n)]
-        cached = self._heyting[u][h]
-        if cached is not None:
-            return cached
-        best = self.join_all(
-            w for w in range(self.n) if self.leq(self._meet[w][u], h)
-        )
-        # The join of all admissible W must itself be admissible; that is
-        # exactly frame distributivity, already validated.
-        self._heyting[u][h] = best
-        return best
+        """Largest W with W meet U <= H (right adjoint of meet by U): the
+        meet of the points above H and not above U."""
+        return self.meet_of_primes(self.primes_above[h] & ~self.primes_above[u])
 
     def neg(self, u: int) -> int:
         return self.heyting(u, self.bottom)
@@ -352,16 +341,8 @@ class Frame:
 
     @cached_property
     def join_irreducibles(self) -> tuple:
-        out = []
-        for x in range(self.n):
-            if x == self.bottom:
-                continue
-            below = self.join_all(
-                y for y in _bits(self.down[x]) if y != x
-            )
-            if below != x:
-                out.append(x)
-        return tuple(out)
+        """In index order; kappa maps the primes onto them one to one."""
+        return tuple(sorted(self.least_not_below))
 
     @cached_property
     def primes(self) -> tuple:

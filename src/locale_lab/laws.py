@@ -38,6 +38,7 @@ from locale_lab.corpus import CorpusError, corpus_files, iter_corpus_frames, ite
 from locale_lab.frames import Frame, FrameError, build_frame
 from locale_lab.intervals import RatOpen, frac, iv, normalize, parse_fin, parse_ratopen
 from locale_lab.measure import (
+    FiniteValuation,
     Lebesgue,
     LebesgueRestrictedTo,
     Mixture,
@@ -1286,7 +1287,7 @@ def _boolean_valuations(fr: Frame):
     ats = fr.join_irreducibles
     k = len(ats)
     if k == 0:
-        return [validate_valuation(fr, (Fraction(0),) * fr.n)]
+        return [FiniteValuation(fr, ())]
     rows = []
     if k == 1:
         rows = [(Fraction(1),), (Fraction(1, 2),), (Fraction(0),)]
@@ -1295,16 +1296,9 @@ def _boolean_valuations(fr: Frame):
         t = k * (k + 1) // 2
         rows.append(tuple(Fraction(i + 1, t) for i in range(k)))
         rows.append((Fraction(0),) + tuple(Fraction(1, k - 1) for _ in range(k - 1)))
-    out, seen = [], set()
-    for w in rows:
-        mu = tuple(
-            sum((w[i] for i in range(k) if fr.leq(ats[i], x)), Fraction(0))
-            for x in range(fr.n)
-        )
-        if mu not in seen:
-            seen.add(mu)
-            out.append(validate_valuation(fr, mu))
-    return out
+    # w[i] weighs ats[i]; the point p carries the weight of kappa(p)
+    masses = dict.fromkeys(tuple(w[ats.index(j)] for j in fr.least_not_below) for w in rows)
+    return [FiniteValuation(fr, mass) for mass in masses]
 
 
 def run_measure_suite(root=None, max_size=None, tol=None) -> RunReport:

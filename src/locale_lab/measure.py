@@ -1,10 +1,12 @@
 """Measures on frames: exact finite valuations, and certified bounds on
 the rational opens of [0,1].
 
-Finite half. A FiniteValuation assigns a rational to every element, zero
-at bottom, monotone, modular: a sum of non-negative masses on the points
-(Birkhoff, *Lattice Theory* ch. X; Geissinger 1973), mu(V) being the mass
-of [V]. The outer measure of a part X is the least mu(V) over the V with
+Finite half. A valuation, zero at bottom, monotone and modular, is a sum
+of non-negative masses on the points (Birkhoff, *Lattice Theory* ch. X;
+Geissinger 1973), and a FiniteValuation stores just those masses; its
+table mu(V), the mass of [V], is derived. validate_valuation reads a
+table from outside, checking it along the covers of the frame. The
+outer measure of a part X is the least mu(V) over the V with
 e_X(V) = top, attained as those V form a filter. The parts of X carrying
 its full measure are closed upwards, so X reduces to the points whose
 removal loses measure. The reduced parts form a Boolean algebra, that of
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from locale_lab import intervals as ivs
-from locale_lab.frames import Frame, FrameError, FrameSpec, build_frame
+from locale_lab.frames import Frame, FrameError, FrameSpec, _bits, build_frame
 from locale_lab.intervals import EMPTY_RO, FULL_RO, FinUnion, Iv, RatOpen, frac, parse_fin
 from locale_lab.morphisms import validate_morphism
 from locale_lab.presented import (
@@ -90,18 +92,19 @@ class NotModular(ValuationError):
 
 
 class FiniteValuation:
-    __slots__ = ("frame", "mu")
+    """A valuation stored as its point masses: mass[i] is what the point
+    primes[i] carries, trusted as given. mu, derived once, is the table:
+    mu[V] is the mass of the points of [V], those not above V."""
 
-    def __init__(self, frame: Frame, mu: tuple):
+    __slots__ = ("frame", "mass", "mu")
+
+    def __init__(self, frame: Frame, mass: tuple):
         self.frame = frame
-        self.mu = mu
-
-    @property
-    def mass(self) -> tuple:
-        """mass[i] is what p = primes[i] carries: mu(k) - mu(k meet p), with k
-        the least element not below p. A derived view; mu is stored."""
-        fr, mu = self.frame, self.mu
-        return tuple(mu[k] - mu[fr.meet(k, p)] for k, p in zip(fr.least_not_below, fr.primes))
+        self.mass = mass
+        self.mu = tuple(
+            sum((m for i, m in enumerate(mass) if not above >> i & 1), Fraction(0))
+            for above in frame.primes_above
+        )
 
     def __call__(self, v) -> Fraction:
         return self.mu[self.frame.el(v)]
@@ -114,21 +117,37 @@ class FiniteValuation:
 
 
 def validate_valuation(frame: Frame, table) -> FiniteValuation:
+    """The valuation behind a table of values, one per element.
+
+    Monotone along every cover means monotone. Modular at the first two
+    lower covers a, c of each b that has two or more means modular: the
+    lowest element where the masses mu(k) - mu(k meet p), k = kappa(p),
+    fail to rebuild the table is no join-irreducible, whose mass fits by
+    definition, so it has two lower covers that rebuild exactly.
+    """
     try:
         mu = frame.table(table, frac, "valuation")
     except FrameError as exc:
         raise ValuationError(str(exc)) from None
     if mu[frame.bottom] != 0:
         raise NotZeroAtBottom(mu[frame.bottom])
-    for a in range(frame.n):
-        for b in range(frame.n):
-            if frame.leq(a, b) and mu[a] > mu[b]:
-                raise NotMonotone(frame.elements[a], frame.elements[b])
-    for a in range(frame.n):
-        for b in range(a, frame.n):
-            if mu[frame.join(a, b)] + mu[frame.meet(a, b)] != mu[a] + mu[b]:
-                raise NotModular(frame.elements[a], frame.elements[b])
-    return FiniteValuation(frame, mu)
+    e = frame.elements
+    lower = []  # lower[b]: the elements b covers, in index order
+    for b, down in enumerate(frame.down):
+        below = down & ~(1 << b)
+        lower.append([a for a in _bits(below) if frame.up[a] & below == 1 << a])
+    for b, covers in enumerate(lower):
+        for a in covers:
+            if mu[a] > mu[b]:
+                raise NotMonotone(e[a], e[b])
+    for b, covers in enumerate(lower):
+        if len(covers) > 1:
+            a, c = covers[:2]
+            if mu[b] + mu[frame.meet(a, c)] != mu[a] + mu[c]:
+                raise NotModular(e[a], e[c])
+    return FiniteValuation(frame, tuple(
+        mu[k] - mu[frame.meet(k, p)] for k, p in zip(frame.least_not_below, frame.primes)
+    ))
 
 
 def vstar(x: Sublocale) -> int:
@@ -243,7 +262,10 @@ def reduced_algebra(val: FiniteValuation) -> ReducedAlgebra:
     index = {r.points: i for i, r in enumerate(reps)}
     fstar = tuple(index[open_sublocale(frame, v).points & masks[-1]] for v in range(frame.n))
     quotient = validate_morphism(frame, red, fstar)
-    nu = validate_valuation(red, tuple(outer_measure_finite(val, r) for r in reps))
+    # a point of red is the support less one point q, and carries q's mass
+    nu = FiniteValuation(red, tuple(
+        val.mass[(masks[-1] & ~reps[p].points).bit_length() - 1] for p in red.primes
+    ))
     return ReducedAlgebra(red, tuple(reps), quotient, nu)
 
 

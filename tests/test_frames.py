@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from locale_lab.corpus import iter_corpus_frames
 from locale_lab.frames import (
     Frame,
     FrameError,
@@ -56,6 +57,8 @@ N5 = FrameSpec.make(
     ["0", "a", "b", "c", "1"],
     [("0", "a"), ("0", "c"), ("a", "b"), ("b", "1"), ("c", "1")],
 )
+
+CORPUS = list(iter_corpus_frames())
 
 
 # ---------------------------------------------------------------- building
@@ -177,7 +180,9 @@ def brute_heyting(f, u, h):
     return best[0]
 
 
-@pytest.mark.parametrize("make", [chain3, diamond, lambda: powerset("abc"), lambda: chain(5)])
+@pytest.mark.parametrize("make", [chain3, diamond, lambda: powerset("abc"), lambda: chain(5)] + [
+    pytest.param(lambda f=f: f, id=f"corpus-{name}") for name, f in CORPUS
+])
 def test_heyting_matches_brute_force(make):
     f = make()
     for u in range(f.n):
@@ -194,6 +199,21 @@ def test_heyting_adjunction(make):
             uh = f.heyting(u, h)
             for w in range(f.n):
                 assert f.leq(w, uh) == f.leq(f.meet(w, u), h)
+
+
+def oracle_join_irreducibles(f):
+    """The elements other than bottom that are not the join of the
+    elements strictly below them, in index order."""
+    return tuple(
+        x for x in range(f.n)
+        if x != f.bottom and f.join_all(y for y in range(f.n) if y != x and f.leq(y, x)) != x
+    )
+
+
+def test_join_irreducibles_match_their_definition():
+    frames = [chain3(), diamond(), powerset("abc"), chain(5)] + [f for _, f in CORPUS]
+    for f in frames:
+        assert f.join_irreducibles == oracle_join_irreducibles(f), f
 
 
 def test_pseudo_complement_chain():

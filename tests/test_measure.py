@@ -183,10 +183,73 @@ def test_not_monotone():
 
 def test_not_modular():
     # measures the two atoms and the top inconsistently
-    with pytest.raises(NotModular):
+    with pytest.raises(NotModular) as exc:
         validate_valuation(
             diamond(), {"0": 0, "a": F(1, 2), "b": F(1, 2), "1": F(3, 4)}
         )
+    assert exc.value.witness == ("a", "b")
+
+
+def test_monotonicity_is_checked_before_the_masses():
+    # both point masses mu(kappa p) - mu(kappa p meet p) are 1/2, yet the
+    # top measures less than either atom
+    with pytest.raises(NotMonotone) as exc:
+        validate_valuation(
+            diamond(), {"0": 0, "a": F(1, 2), "b": F(1, 2), "1": F(1, 4)}
+        )
+    assert exc.value.witness == ("a", "1")
+
+
+def pairwise_verdict(frame, mu):
+    """The class validate_valuation must raise on the table mu, or None,
+    from the definitions over all pairs of elements."""
+    if mu[frame.bottom] != 0:
+        return NotZeroAtBottom
+    for a in range(frame.n):
+        for b in range(frame.n):
+            if frame.leq(a, b) and mu[a] > mu[b]:
+                return NotMonotone
+    for a in range(frame.n):
+        for b in range(a, frame.n):
+            if mu[frame.join(a, b)] + mu[frame.meet(a, b)] != mu[a] + mu[b]:
+                return NotModular
+    return None
+
+
+def seeded_tables(name, frame, count=120):
+    """Tables rebuilt from point masses in {-1, 0, 1, 2, 3}/{1, 2}, every
+    other one then moved at one element."""
+    rng = random.Random(name)
+    for t in range(count):
+        masses = [F(rng.choice((-1, 0, 1, 2, 3)), rng.choice((1, 2))) for _ in frame.primes]
+        table = [sum((m for i, m in enumerate(masses) if not above >> i & 1), F(0))
+                 for above in frame.primes_above]
+        if t % 2:
+            table[rng.randrange(frame.n)] += F(rng.choice((-1, 1)), rng.choice((1, 2, 3)))
+        yield tuple(table)
+
+
+def test_validation_matches_the_pairwise_verdict_on_corpus():
+    verdicts = {None: 0, NotZeroAtBottom: 0, NotMonotone: 0, NotModular: 0}
+    for name, fr in iter_corpus_frames():
+        for table in seeded_tables(name, fr):
+            want = pairwise_verdict(fr, table)
+            try:
+                val = validate_valuation(fr, table)
+            except ValuationError as exc:
+                assert type(exc) is want, (name, table, exc)
+                if want is not NotZeroAtBottom:
+                    a, b = (fr.el(x) for x in exc.witness)
+                    if want is NotMonotone:
+                        assert fr.leq(a, b) and table[a] > table[b], (name, table)
+                    else:
+                        lhs = table[fr.join(a, b)] + table[fr.meet(a, b)]
+                        assert lhs != table[a] + table[b], (name, table)
+            else:
+                assert want is None, (name, table)
+                assert val.mu == table, (name, table)
+            verdicts[want] += 1
+    assert all(verdicts.values()), verdicts
 
 
 def test_missing_element_rejected():
