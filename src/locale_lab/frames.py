@@ -95,8 +95,9 @@ class Frame:
     `up[i]` / `down[i]` are bitmasks of the elements above / below i, so the
     order tests used by the law suites are single AND operations. Values
     read off sets of primes are derived once per frame and kept as long as
-    the frame lives: the meet of each set of primes (`meet_of_primes`) and
-    the nucleus of each part (`nucleus_of`), at most one entry per part.
+    the frame lives: the meet of each set of primes (`meet_of_primes`), the
+    nucleus of each part (`nucleus_of`) and the fixpoint frame of each part
+    (`sublocales.fixpoint_frame`), at most one entry per part.
     """
 
     def __init__(self, elements, up, *, opens=None, point_names=None):
@@ -125,6 +126,7 @@ class Frame:
         self._check_distributive()
         self._prime_meets = {}
         self._nuclei = {}
+        self._fixpoint_frames = {}
 
         # Only set when the frame came from a TopologySpec: the open set
         # behind each element, aligned with `elements`.

@@ -31,7 +31,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, lcm
 
 from locale_lab import intervals as ivs
 from locale_lab.corpus import CorpusError, corpus_files, iter_corpus_frames, iter_negative_specs, load
@@ -50,13 +50,13 @@ from locale_lab.measure import (
     mu_reduce_open,
     null_partner,
     null_partner_interval,
-    outer_measure_finite,
     reduced_algebra,
     restrict_valuation,
     strict_additivity_check,
     strict_additivity_interval,
     total_measure,
     validate_valuation,
+    vstar,
 )
 from locale_lab.morphisms import (
     atoms,
@@ -1370,24 +1370,46 @@ def _valuation_count(ctx):
 
 
 class _Valued:
-    """A valuation on a frame's part lattice, with the outer measure and
-    the reduction of every part."""
+    """A valuation on a frame's part lattice, as one table of integers.
+
+    den is the least common denominator of the valuation's table and
+    mu[v] is den * val(v). Multiplying by a positive integer keeps every
+    = and <, so the laws compare these integers, and a witness that shows
+    a value x shows Fraction(x, den). out[i] = mu[vstar(part i)] is the
+    outer measure of part i and top the total mass, scaled alike; red[i]
+    is the reduction of part i. The Fraction bodies these laws replace are
+    the reference in tests/scalar_laws.py.
+    """
 
     def __init__(self, L: SubLattice, val):
         self.L, self.val = L, val
-        self.out = [outer_measure_finite(val, x) for x in L.subs]
-        self.top = val(L.frame.top)
+        self.den = lcm(*(q.denominator for q in val.mu))
+        self.mu = _scaled(val.mu, self.den)
+        self.out = [self.mu[vstar(x)] for x in L.subs]
+        self.top = self.mu[L.frame.top]
         self.red = [mu_reduce(val, x).points for x in L.subs]
         self.reduced = sorted(set(self.red))
+
+
+def _scaled(values, den: int) -> list:
+    """den * q for each rational q of values, as ints. Raises when den does
+    not clear a denominator, rather than truncate."""
+    out = []
+    for q in values:
+        n, r = divmod(q.numerator * den, q.denominator)
+        if r:
+            raise ValueError(f"{q} is not a multiple of 1/{den}")
+        out.append(n)
+    return out
 
 
 @_declare(FINITE_MEASURE_LAWS, "outer-extends",
           "the outer measure of [V] is the valuation of V")
 def _outer_extends(m):
-    L, out, fr = m.L, m.out, m.L.frame
+    L, out, mu, fr = m.L, m.out, m.mu, m.L.frame
     bad = []
     for v in range(fr.n):
-        if out[L.open_idx[v]] != m.val(v):
+        if out[L.open_idx[v]] != mu[v]:
             bad.append({"v": fr.name(v)})
     return fr.n, bad
 
@@ -1411,13 +1433,8 @@ def _strict_additivity(m):
     for i in range(k):
         for j in range(k):
             if out[i | j] + out[i & j] != out[i] + out[j]:
-                bad.append(
-                    {
-                        "x": L.label(i),
-                        "y": L.label(j),
-                        "residual": str(out[i | j] + out[i & j] - out[i] - out[j]),
-                    }
-                )
+                residual = Fraction(out[i | j] + out[i & j] - out[i] - out[j], m.den)
+                bad.append({"x": L.label(i), "y": L.label(j), "residual": str(residual)})
     return k * k, bad
 
 
@@ -1467,16 +1484,19 @@ def _open_split(m):
           "through any part A, opens stay modular and filtered joins reach the sup")
 def _relative_modularity(m):
     L, out, fr = m.L, m.out, m.L.frame
-    n, nm = fr.n, fr.name
+    n, nm, ns = fr.n, fr.name, range(fr.n)
+    joins = [[fr.join(u, v) for v in ns] for u in ns]
+    meets = [[fr.meet(u, v) for v in ns] for u in ns]
     bad = []
     for i in range(len(L.subs)):
-        for u in range(n):
-            for v in range(n):
-                iu, iv = out[i & L.open_idx[u]], out[i & L.open_idx[v]]
-                lhs = out[i & L.open_idx[fr.join(u, v)]]
-                if lhs != iu + iv - out[i & L.open_idx[fr.meet(u, v)]]:
+        row = [out[i & o] for o in L.open_idx]  # row[u]: the measure of A n [u]
+        for u in ns:
+            ru, join_u, meet_u = row[u], joins[u], meets[u]
+            for v in ns:
+                lhs, rv = row[join_u[v]], row[v]
+                if lhs != ru + rv - row[meet_u[v]]:
                     bad.append({"x": L.label(i), "u": nm(u), "v": nm(v), "form": "relative modularity"})
-                if lhs != max(iu, iv, lhs):
+                if lhs < ru or lhs < rv:
                     bad.append({"x": L.label(i), "u": nm(u), "v": nm(v), "form": "filtered sup"})
     return 2 * len(L.subs) * n * n, bad
 
@@ -1484,14 +1504,12 @@ def _relative_modularity(m):
 @_declare(FINITE_MEASURE_LAWS, "decreasing-meet-inf",
           "downward filtered families reach the inf at their meet")
 def _decreasing_meet_inf(m):
-    L, out, val, fr = m.L, m.out, m.val, m.L.frame
+    L, out, mu, fr = m.L, m.out, m.mu, m.L.frame
     n, k = fr.n, len(L.subs)
     bad = []
     for u in range(n):
         for v in range(n):
-            if out[L.open_idx[u] & L.open_idx[v]] != min(
-                val(u), val(v), val(fr.meet(u, v))
-            ):
+            if out[L.open_idx[u] & L.open_idx[v]] != min(mu[u], mu[v], mu[fr.meet(u, v)]):
                 bad.append({"u": fr.name(u), "v": fr.name(v)})
     for i in range(k):
         for j in range(k):
@@ -1538,14 +1556,14 @@ def _reduced_parts_algebra(m):
 @_declare(FINITE_MEASURE_LAWS, "null-partner",
           "the partner restores the total mass while meeting X in measure zero")
 def _null_partner(m):
-    L = m.L
+    L, out = m.L, m.out
     bad = []
     for i in range(len(L.subs)):
-        b, certs = null_partner(m.val, L.subs[i])
-        if certs["union"] != m.top:
-            bad.append({"x": L.label(i), "form": "union short of total", "got": str(certs["union"])})
-        if certs["intersection"] != 0:
-            bad.append({"x": L.label(i), "form": "meet not null", "got": str(certs["intersection"])})
+        b = null_partner(m.val, L.subs[i])[0].points
+        if out[i | b] != m.top:
+            bad.append({"x": L.label(i), "form": "union short of total", "got": str(Fraction(out[i | b], m.den))})
+        if out[i & b] != 0:
+            bad.append({"x": L.label(i), "form": "meet not null", "got": str(Fraction(out[i & b], m.den))})
     return 2 * len(L.subs), bad
 
 
@@ -1567,10 +1585,9 @@ def _restriction_valid(m):
 def _reduced_algebra(m):
     ra = reduced_algebra(m.val)
     ok = ra.frame.boolean and ra.frame.n == len(m.reduced)
-    ok = ok and all(
-        outer_measure_finite(m.val, ra.reps[i]) == ra.valuation(i)
-        for i in range(ra.frame.n)
-    )
+    if ok:
+        nu = _scaled(ra.valuation.mu, m.den)
+        ok = all(m.out[r.points] == nu[i] for i, r in enumerate(ra.reps))
     return _once(ok, {"size": str(ra.frame.n)})
 
 

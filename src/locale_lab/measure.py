@@ -17,14 +17,15 @@ on each region plus point masses, a density part and an atomic part as
 in the Lebesgue decomposition. Lebesgue measure is length on [0,1], a
 restriction meets each region, and a mixture lists its parts' regions
 side by side and adds the weights of atoms at one point. A Measure
-measures RatOpens exactly; presented sublocales get MeasureBounds whose
-width the caller caps with tol. Outer measure adds up over the summands
-of a measure, because the opens around a sublocale form a filter: an
-atom weighs in exactly when the sublocale holds its point, decided by
-shape, and the length on the regions is bounded by streams that carry
-nothing else. Upper bounds come from neighborhood streams, each grow
-read once; lower bounds come from a partner whose union with the
-sublocale is structurally all of [0,1], or are an honest zero.
+measures RatOpens exactly, adding region lengths and atom weights as
+integer pairs into one Fraction; presented sublocales get MeasureBounds
+whose width the caller caps with tol. Outer measure adds up over the
+summands of a measure, because the opens around a sublocale form a
+filter: an atom weighs in exactly when the sublocale holds its point,
+decided by shape, and the length on the regions is bounded by streams
+that carry nothing else. Upper bounds come from neighborhood streams,
+each grow read once; lower bounds come from a partner whose union with
+the sublocale is structurally all of [0,1], or are an honest zero.
 """
 
 from __future__ import annotations
@@ -349,9 +350,20 @@ def Mixture(parts) -> Measure:
     return Measure(tuple(r for p in parts for r in p.regions), tuple(sorted(weights.items())))
 
 
+def _pair_sum(pairs) -> Fraction:
+    """The sum of rationals given as integer pairs (numerator,
+    denominator > 0), built as one Fraction."""
+    n, d = 0, 1
+    for pn, pd in pairs:
+        n, d = n * pd + pn * d, d * pd
+    return Fraction(n, d)
+
+
 def measure_fin(d: Measure, fin: FinUnion) -> Fraction:
-    lengths = sum((ivs.intersect(fin, r).length() for r in d.regions), Fraction(0))
-    return lengths + sum((w for q, w in d.atoms if fin.contains(q)), Fraction(0))
+    return _pair_sum(itertools.chain(
+        (ivs.intersect(fin, r)._length_pair() for r in d.regions),
+        ((w.numerator, w.denominator) for q, w in d.atoms if fin.contains(q)),
+    ))
 
 
 def measure_ro(d: Measure, u: RatOpen) -> Fraction:
@@ -359,7 +371,10 @@ def measure_ro(d: Measure, u: RatOpen) -> Fraction:
 
 
 def total_measure(d: Measure) -> Fraction:
-    return sum((r.length() for r in d.regions), Fraction(0)) + sum(w for _, w in d.atoms)
+    return _pair_sum(itertools.chain(
+        (r._length_pair() for r in d.regions),
+        ((w.numerator, w.denominator) for _, w in d.atoms),
+    ))
 
 
 def measure_closed_exact(d: Measure, u: RatOpen) -> Fraction:

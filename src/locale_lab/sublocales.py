@@ -259,9 +259,14 @@ def fixpoint_frame(x: Sublocale):
 
     Meets agree with the ambient frame; joins are e(ambient join), which
     the order-theoretic rebuild produces automatically. Returns (frame,
-    fix) where fix[k] is the ambient index of element k.
+    fix) where fix[k] is the ambient index of element k. Both are built
+    once per part and kept on the ambient frame, so equal parts share them.
     """
     amb = x.frame
+    try:
+        return amb._fixpoint_frames[x.points]
+    except KeyError:
+        pass
     fix = x.fixpoints
     names = [amb.elements[i] for i in fix]
     leq = [
@@ -270,8 +275,9 @@ def fixpoint_frame(x: Sublocale):
         for b in fix
         if amb.leq(a, b)
     ]
-    omega = build_frame(FrameSpec.make(names, leq))
-    return omega, fix
+    out = build_frame(FrameSpec.make(names, leq)), fix
+    amb._fixpoint_frames[x.points] = out
+    return out
 
 
 def is_boolean_sublocale(b: Sublocale) -> bool:

@@ -4,7 +4,9 @@ integer-pair arena in locale_lab.intervals is checked against.
 A piece is an FIv with Fraction ends and a union is a tuple of FIvs, in
 the canonical form of locale_lab.intervals. Each operation is the one the
 package used before its ends became integer pairs: sorting by Fraction
-keys, bisect with key=, and lengths summed as Fractions.
+keys, bisect with key=, and lengths summed as Fractions. `measure_fin`
+and `total_measure` are the measures of locale_lab.measure summed the
+same way, over its Measure's regions and atoms.
 """
 
 from __future__ import annotations
@@ -139,3 +141,16 @@ def closed_cores(u: tuple, k: int):
     for p in u:
         d = (p.hi - p.lo) / 2 ** (k + 2)
         yield (p.lo if p.lo_in else p.lo + d, p.hi if p.hi_in else p.hi - d)
+
+
+def measure_fin(d, fin) -> Fraction:
+    """The length of fin on each region of the Measure d, plus the weights
+    of d's atoms in fin, summed as Fractions."""
+    u = tuple(map(of, fin.pieces))
+    lengths = sum((length(intersect(u, tuple(map(of, r.pieces)))) for r in d.regions), Fraction(0))
+    return lengths + sum((w for q, w in d.atoms if contains(u, q)), Fraction(0))
+
+
+def total_measure(d) -> Fraction:
+    lengths = sum((length(tuple(map(of, r.pieces))) for r in d.regions), Fraction(0))
+    return lengths + sum((w for _, w in d.atoms), Fraction(0))

@@ -1,11 +1,20 @@
 """The laws that locale_lab.laws checks with byte kernels, as scalar
-loops: the reference the kernels are compared with.
+loops, and the finite-measure laws, in Fraction arithmetic: the
+references the fast bodies are compared with.
 
 Each function is the law's check as it was before its kernel: it takes
 the same context (a `SubLattice`, or a map with its `pre`/`img` tables)
 and returns (cases checked, failure witnesses) in the same order. The
 right adjoint is given by its definition, the join of the V with
 fstar(V) below u.
+
+The finite-measure bodies read a `Valued`, whose table `out` holds each
+part's outer measure as a Fraction (`outer_measure_finite`), where the
+suite reads integers scaled by a common denominator. null-partner and
+reduced-algebra read the outer measures of the partner's union and meet
+and of the reduced parts off that table too: the numbers the
+certificates of `null_partner` and `outer_measure_finite` give, so a
+fault planted in the table reaches both bodies alike.
 """
 
 from __future__ import annotations
@@ -13,6 +22,8 @@ from __future__ import annotations
 import itertools
 from math import comb
 
+from locale_lab.laws import _reduced_parts_algebra, _restriction_valid
+from locale_lab.measure import mu_reduce, null_partner, outer_measure_finite, reduced_algebra
 from locale_lab.morphisms import preimage, right_adjoint
 from locale_lab.sublocales import closed_sublocale, open_sublocale
 
@@ -105,3 +116,178 @@ def right_adjoint_by_definition(f) -> tuple:
     return tuple(
         src.join_all(v for v in range(src.n) if tgt.leq(f.fstar[v], u)) for u in range(tgt.n)
     )
+
+
+class Valued:
+    """A valuation on a frame's part lattice, with the outer measure and
+    the reduction of every part."""
+
+    def __init__(self, L, val):
+        self.L, self.val = L, val
+        self.out = [outer_measure_finite(val, x) for x in L.subs]
+        self.top = val(L.frame.top)
+        self.red = [mu_reduce(val, x).points for x in L.subs]
+        self.reduced = sorted(set(self.red))
+
+
+def outer_extends(m):
+    L, out, fr = m.L, m.out, m.L.frame
+    bad = []
+    for v in range(fr.n):
+        if out[L.open_idx[v]] != m.val(v):
+            bad.append({"v": fr.name(v)})
+    return fr.n, bad
+
+
+def outer_monotone(m):
+    L, out, k = m.L, m.out, len(m.L.subs)
+    bad = []
+    for i in range(k):
+        for j in range(k):
+            if i & j == i and out[i] > out[j]:
+                bad.append({"x": L.label(i), "y": L.label(j)})
+    return k * k, bad
+
+
+def strict_additivity(m):
+    L, out, k = m.L, m.out, len(m.L.subs)
+    bad = []
+    for i in range(k):
+        for j in range(k):
+            if out[i | j] + out[i & j] != out[i] + out[j]:
+                bad.append(
+                    {
+                        "x": L.label(i),
+                        "y": L.label(j),
+                        "residual": str(out[i | j] + out[i & j] - out[i] - out[j]),
+                    }
+                )
+    return k * k, bad
+
+
+def increasing_union_sup(m):
+    L, out, k = m.L, m.out, len(m.L.subs)
+    checked, bad = 0, []
+    for i in range(k):
+        for j in range(k):
+            if i & j != i:
+                continue
+            checked += 1
+            if out[i | j] != max(out[i], out[j]):
+                bad.append({"x": L.label(i), "y": L.label(j)})
+            for h in range(k):
+                if j & h != j:
+                    continue
+                checked += 1
+                if out[i | j | h] != max(out[i], out[j], out[h]):
+                    bad.append({"x": L.label(i), "y": L.label(j), "z": L.label(h)})
+    return checked, bad
+
+
+def closed_complement(m):
+    L, out, fr = m.L, m.out, m.L.frame
+    bad = []
+    for v in range(fr.n):
+        if out[L.open_idx[v]] + out[L.closed_idx[v]] != m.top:
+            bad.append({"v": fr.name(v)})
+    return fr.n, bad
+
+
+def open_split(m):
+    L, out, fr = m.L, m.out, m.L.frame
+    bad = []
+    for i in range(len(L.subs)):
+        for v in range(fr.n):
+            if out[i & L.open_idx[v]] + out[i & L.closed_idx[v]] != out[i]:
+                bad.append({"x": L.label(i), "v": fr.name(v)})
+    return len(L.subs) * fr.n, bad
+
+
+def relative_modularity(m):
+    L, out, fr = m.L, m.out, m.L.frame
+    n, nm = fr.n, fr.name
+    bad = []
+    for i in range(len(L.subs)):
+        for u in range(n):
+            for v in range(n):
+                iu, iv = out[i & L.open_idx[u]], out[i & L.open_idx[v]]
+                lhs = out[i & L.open_idx[fr.join(u, v)]]
+                if lhs != iu + iv - out[i & L.open_idx[fr.meet(u, v)]]:
+                    bad.append({"x": L.label(i), "u": nm(u), "v": nm(v), "form": "relative modularity"})
+                if lhs != max(iu, iv, lhs):
+                    bad.append({"x": L.label(i), "u": nm(u), "v": nm(v), "form": "filtered sup"})
+    return 2 * len(L.subs) * n * n, bad
+
+
+def decreasing_meet_inf(m):
+    L, out, val, fr = m.L, m.out, m.val, m.L.frame
+    n, k = fr.n, len(L.subs)
+    bad = []
+    for u in range(n):
+        for v in range(n):
+            if out[L.open_idx[u] & L.open_idx[v]] != min(
+                val(u), val(v), val(fr.meet(u, v))
+            ):
+                bad.append({"u": fr.name(u), "v": fr.name(v)})
+    for i in range(k):
+        for j in range(k):
+            if out[i & j] != min(out[i], out[j], out[i & j]):
+                bad.append({"x": L.label(i), "y": L.label(j)})
+    return n * n + k * k, bad
+
+
+def reduction(m):
+    L, out, red, k = m.L, m.out, m.red, len(m.L.subs)
+    bad = []
+    for i in range(k):
+        r = red[i]
+        if r & i != r or out[r] != out[i]:
+            bad.append({"x": L.label(i), "form": "reduction keeps measure inside"})
+        if red[r] != r:
+            bad.append({"x": L.label(i), "form": "idempotent"})
+        for z in range(k):
+            if z & i == z and out[z] == out[i] and r & z != r:
+                bad.append({"x": L.label(i), "z": L.label(z), "form": "least full-measure part"})
+    return k * (3 + k), bad
+
+
+def null_partner_law(m):
+    L, out = m.L, m.out
+    bad = []
+    for i in range(len(L.subs)):
+        b = null_partner(m.val, L.subs[i])[0].points
+        union, meet = out[i | b], out[i & b]
+        if union != m.top:
+            bad.append({"x": L.label(i), "form": "union short of total", "got": str(union)})
+        if meet != 0:
+            bad.append({"x": L.label(i), "form": "meet not null", "got": str(meet)})
+    return 2 * len(L.subs), bad
+
+
+def reduced_algebra_law(m):
+    ra = reduced_algebra(m.val)
+    ok = ra.frame.boolean and ra.frame.n == len(m.reduced)
+    ok = ok and all(
+        m.out[ra.reps[i].points] == ra.valuation(i)
+        for i in range(ra.frame.n)
+    )
+    return 1, [] if ok else [{"size": str(ra.frame.n)}]
+
+
+# reduced-parts-algebra and restriction-valid read no measure values: the
+# suite's own bodies serve on either context
+MEASURE_ORACLES = {
+    "outer-extends": outer_extends,
+    "outer-monotone": outer_monotone,
+    "strict-additivity": strict_additivity,
+    "increasing-union-sup": increasing_union_sup,
+    "closed-complement": closed_complement,
+    "open-split": open_split,
+    "relative-modularity": relative_modularity,
+    "decreasing-meet-inf": decreasing_meet_inf,
+    "reduction": reduction,
+    "reduced-parts-algebra": _reduced_parts_algebra,
+    "null-partner": null_partner_law,
+    "restriction-valid": _restriction_valid,
+    "reduced-algebra": reduced_algebra_law,
+}

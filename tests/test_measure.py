@@ -26,6 +26,7 @@ from locale_lab.intervals import (
     parse_fin,
     parse_ratopen,
 )
+from locale_lab.laws import _Arena, _interval_descriptors, _random_ratopen
 from locale_lab.measure import (
     BadTolerance,
     Lebesgue,
@@ -105,6 +106,8 @@ from locale_lab.sublocales import (
     union,
     whole,
 )
+
+import fraction_arena as fa
 
 TOL = F(1, 1000)
 
@@ -586,6 +589,26 @@ def test_measure_fin_per_descriptor():
     mix = Mixture((Lebesgue(), d))
     assert measure_fin(mix, u) == F(1, 2) + F(2, 3)
     assert total_measure(mix) == 2
+
+
+def test_interval_sums_match_the_fraction_sums():
+    """measure_fin and total_measure add integer pairs; the reference adds
+    Fractions, on the arena's 100 seeded opens and every arena measure,
+    one listing a region twice and one with overlapping regions and atoms."""
+    rng = _Arena(TOL).rng
+    opens = [_random_ratopen(rng) for _ in range(100)]
+    half = parse_fin("[0,1/2]")
+    twice = Measure((half, half))
+    overlapping = Measure(
+        (half, parse_fin("(1/3,3/4)"), parse_fin("[1/4,1]")),
+        ((F(1, 3), F(1, 5)), (F(1, 2), F(2, 7)), (F(3, 4), F(1, 9))),
+    )
+    assert total_measure(twice) == 1
+    assert measure_fin(twice, parse_fin("[1/4,1]")) == F(1, 2)
+    for d in [d for _, d in _interval_descriptors()] + [twice, overlapping]:
+        assert total_measure(d) == fa.total_measure(d)
+        for u in opens + [FULL_RO, EMPTY_RO]:
+            assert measure_fin(d, u.fin) == fa.measure_fin(d, u.fin), (d, u)
 
 
 def test_point_mass_and_atoms_validation():
