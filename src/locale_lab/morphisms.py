@@ -5,11 +5,12 @@ read as a map of locales it points the other way, from the locale of
 `target` to the locale of `source`. A map is stored as its point map
 only: the right adjoint f_* sends each point (prime) of the target to a
 point of the source (Birkhoff duality; Picado & Pultr, *Frames and
-Locales*). Two lifts of point sets give every other view. Pushing target
-points forward gives the image of a part, and f_*(u) is the meet of the
-points pushed forward from c(u). Pulling source points back gives the
-preimage of a part, and fstar(a) is the meet of the points pulled back
-from c(a), which is the `preimage-open-closed` identity.
+Locales*). Two lifts of point sets, tables built once per map, give
+every other view. Pushing target points forward gives the image of a
+part, and f_*(u) is the meet of the points pushed forward from c(u).
+Pulling source points back gives the preimage of a part, and fstar(a) is
+the meet of the points pulled back from c(a), which is the
+`preimage-open-closed` identity.
 
 Maps are enumerated as monotone maps of points. An fstar table from
 outside enters through `validate_morphism`, which finds its points with
@@ -43,49 +44,56 @@ class NotAFrameMorphism(FrameError):
         self.witness = witness
 
 
+def _lift(cols) -> tuple:
+    """The union of cols[k] over the bits k of m, at every mask m, one `|`
+    an entry: t[b | m] = t[m] | cols[k] for m < b = 1 << k."""
+    t = [0]
+    for c in cols:
+        t += [m | c for m in t]
+    return tuple(t)
+
+
 class FrameMorphism:
     """A frame homomorphism fstar: source -> target, stored as its point
     map: entry j is the index in `source.primes` of f_*(q) for the target
     prime q = target.primes[j]. The constructor trusts the map; use
     `validate_morphism` for an fstar table from outside.
 
-    Every view is derived from the point map by two lifts of point sets:
-    `_push` moves a set of target points forward and `_pull` takes a set
-    of source points back. fstar(a) is the meet of the target points
-    pulled back from c(a), the source points above a, and is kept once
-    asked for.
+    Every view is read off two lifts of point sets, tables over every
+    mask built when first asked for and kept, 2^p + 2^q entries between
+    frames with p and q points: `pulls` takes source points back and
+    `pushes` moves target points forward. fstar(a) is the meet of the
+    target points pulled back from c(a), the source points above a.
     """
 
-    __slots__ = ("source", "target", "_points", "_fstar", "_adjoint")
+    __slots__ = ("source", "target", "_points", "_fstar", "_adjoint", "_back", "_forward")
 
     def __init__(self, source: Frame, target: Frame, points: tuple):
-        self.source = source
-        self.target = target
-        self._points = points
-        self._fstar = None
-        self._adjoint = None
+        self.source, self.target, self._points = source, target, points
+        self._fstar = self._adjoint = self._back = self._forward = None
 
-    def _push(self, mask: int) -> int:
-        """The source points that the target points in `mask` go to."""
-        out = 0
-        for j, i in enumerate(self._points):
-            if mask >> j & 1:
-                out |= 1 << i
-        return out
+    @property
+    def pulls(self) -> tuple:
+        """Source-point mask -> the target points that go into it."""
+        if self._back is None:
+            cols = [0] * len(self.source.primes)
+            for j, i in enumerate(self._points):
+                cols[i] |= 1 << j
+            self._back = _lift(cols)
+        return self._back
 
-    def _pull(self, mask: int) -> int:
-        """The target points that go to source points in `mask`."""
-        out = 0
-        for j, i in enumerate(self._points):
-            if mask >> i & 1:
-                out |= 1 << j
-        return out
+    @property
+    def pushes(self) -> tuple:
+        """Target-point mask -> the source points it goes to."""
+        if self._forward is None:
+            self._forward = _lift([1 << i for i in self._points])
+        return self._forward
 
     @property
     def fstar(self) -> tuple:
         if self._fstar is None:
-            meet = self.target.meet_of_primes
-            self._fstar = tuple(meet(self._pull(above)) for above in self.source.primes_above)
+            meet, pulls = self.target.meet_of_primes, self.pulls
+            self._fstar = tuple(meet(pulls[above]) for above in self.source.primes_above)
         return self._fstar
 
     def __call__(self, v) -> int:
@@ -153,8 +161,8 @@ def right_adjoint(f: FrameMorphism) -> tuple:
     meets, so f_*(u) is the meet of the source points pushed forward from
     c(u), the target points above u."""
     if f._adjoint is None:
-        meet = f.source.meet_of_primes
-        f._adjoint = tuple(meet(f._push(above)) for above in f.target.primes_above)
+        meet, pushes = f.source.meet_of_primes, f.pushes
+        f._adjoint = tuple(meet(pushes[above]) for above in f.target.primes_above)
     return f._adjoint
 
 
@@ -178,19 +186,20 @@ def sublocale_embedding(x: Sublocale):
 
 def image(f: FrameMorphism, x: Sublocale) -> Sublocale:
     """Forward image of a sublocale of the target locale: its points pushed
-    along the point map. Its nucleus is V -> f_*(e_x(fstar(V)))."""
+    along the point map, one read of `pushes`. Its nucleus is
+    V -> f_*(e_x(fstar(V)))."""
     if x.frame is not f.target:
         raise MixedFrames()
-    return Sublocale(f.source, f._push(x.points))
+    return Sublocale(f.source, f.pushes[x.points])
 
 
 def preimage(f: FrameMorphism, y: Sublocale) -> Sublocale:
-    """Inverse image: the target points the point map sends into y. Its
-    nucleus is the meet over V of the layers [fstar(V)] union
-    c(fstar(e_y(V)))."""
+    """Inverse image: the target points the point map sends into y, one
+    read of `pulls`. Its nucleus is the meet over V of the layers
+    [fstar(V)] union c(fstar(e_y(V)))."""
     if y.frame is not f.source:
         raise MixedFrames()
-    return Sublocale(f.target, f._pull(y.points))
+    return Sublocale(f.target, f.pulls[y.points])
 
 
 def factors_through(f: FrameMorphism, i: FrameMorphism):

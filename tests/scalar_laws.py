@@ -8,6 +8,12 @@ and returns (cases checked, failure witnesses) in the same order. The
 right adjoint is given by its definition, the join of the V with
 fstar(V) below u.
 
+`push` and `pull` lift one set of points along a map's point map by a
+loop over the points: the references for the map's `pushes` and `pulls`
+tables. The composition law's oracle enumerates the maps of every triple
+anew and lifts each part through them, where the suite reads the tables
+of maps it enumerated once.
+
 The finite-measure bodies read a `Valued`, whose table `out` holds each
 part's outer measure as a Fraction (`outer_measure_finite`), where the
 suite reads integers scaled by a common denominator. null-partner and
@@ -24,7 +30,7 @@ from math import comb
 
 from locale_lab.laws import _reduced_parts_algebra, _restriction_valid
 from locale_lab.measure import mu_reduce, null_partner, outer_measure_finite, reduced_algebra
-from locale_lab.morphisms import preimage, right_adjoint
+from locale_lab.morphisms import compose, enumerate_morphisms, right_adjoint
 from locale_lab.sublocales import closed_sublocale, open_sublocale
 
 
@@ -53,6 +59,24 @@ def meets_join_product(L):
     return len(pairs) ** 2, bad
 
 
+def push(f, mask: int) -> int:
+    """The source points that the target points in `mask` go to."""
+    out = 0
+    for j, i in enumerate(f._points):
+        if mask >> j & 1:
+            out |= 1 << i
+    return out
+
+
+def pull(f, mask: int) -> int:
+    """The target points that go to source points in `mask`."""
+    out = 0
+    for j, i in enumerate(f._points):
+        if mask >> i & 1:
+            out |= 1 << j
+    return out
+
+
 def adjunction(m):
     src, tgt, fstar = m.f.source, m.f.target, m.f.fstar
     adj = right_adjoint(m.f)
@@ -69,9 +93,9 @@ def preimage_open_closed(m):
     src = f.source
     bad = []
     for v in range(src.n):
-        if preimage(f, open_sublocale(src, v)).points != EL.open_idx[f.fstar[v]]:
+        if pull(f, open_sublocale(src, v).points) != EL.open_idx[f.fstar[v]]:
             bad.append({"v": src.name(v), "side": "open"})
-        if preimage(f, closed_sublocale(src, v)).points != EL.closed_idx[f.fstar[v]]:
+        if pull(f, closed_sublocale(src, v).points) != EL.closed_idx[f.fstar[v]]:
             bad.append({"v": src.name(v), "side": "closed"})
     return 2 * src.n, bad
 
@@ -101,6 +125,24 @@ def image_union(m):
     return ke * ke, bad
 
 
+def composition(ctx):
+    small, lats = ctx[0], ctx[1]
+    checked, bad = 0, []
+    for (an, a), (bn, b), (cn, c) in itertools.product(small, repeat=3):
+        AL, CL = lats[an], lats[cn]
+        for f in enumerate_morphisms(a, b):
+            for g in enumerate_morphisms(b, c):
+                h = compose(g, f)
+                checked += len(CL.subs) + len(AL.subs)
+                for x in range(len(CL.subs)):
+                    if push(h, x) != push(f, push(g, x)):
+                        bad.append({"path": f"{an}->{bn}->{cn}", "x": CL.label(x)})
+                for y in range(len(AL.subs)):
+                    if pull(h, y) != pull(g, pull(f, y)):
+                        bad.append({"path": f"{an}->{bn}->{cn}", "y": AL.label(y)})
+    return checked, bad
+
+
 LATTICE_ORACLES = {"join-over-meet": join_over_meet, "meets-join-product": meets_join_product}
 MAP_ORACLES = {
     "adjunction": adjunction,
@@ -108,6 +150,7 @@ MAP_ORACLES = {
     "preimage-union-meet": preimage_union_meet,
     "image-union": image_union,
 }
+COMPOSITION_ORACLES = {"composition": composition}
 
 
 def right_adjoint_by_definition(f) -> tuple:

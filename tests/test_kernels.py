@@ -4,7 +4,8 @@ order, on every corpus map and lattice, with intact tables, with one
 planted flipped bit, and past 256 parts, where the laws fall back to
 their scalar loops. Likewise the finite-measure laws on integer tables
 against their Fraction bodies, with intact tables and with one planted
-entry."""
+entry, and the composition law on maps enumerated once against its body
+that enumerates every triple anew, intact and with one planted composite."""
 
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from locale_lab.corpus import boolean_spec, chain_spec, iter_corpus_frames
 from locale_lab.frames import build_frame
 from locale_lab.laws import SubLattice, _boolean_valuations, _iso_reps, _Mapped, _scaled, _Valued
 from locale_lab.measure import FiniteValuation, ValuationError
-from locale_lab.morphisms import enumerate_morphisms, identity_morphism, right_adjoint
+from locale_lab.morphisms import FrameMorphism, enumerate_morphisms, identity_morphism, right_adjoint
 
 UNCONFIRMED = [{"form": "byte kernel mismatch the scalar loop did not confirm"}]
 MAP_LAWS = {law.name: law for law in laws.MAP_LAWS if law.name in scalar_laws.MAP_ORACLES}
@@ -48,6 +49,20 @@ def corpus_maps():
     ]
 
 
+@pytest.fixture(scope="module")
+def small_ctx():
+    """The composition laws' context: the representatives with at most 4
+    elements, their lattices, and every map between them."""
+    reps, _ = _iso_reps([(nm, fr) for nm, fr in iter_corpus_frames() if fr.n <= 8])
+    small = [(nm, fr) for nm, fr in reps if fr.n <= 4]
+    lats = {nm: SubLattice(fr) for nm, fr in small}
+    maps = {
+        (an, bn): enumerate_morphisms(a, b)
+        for (an, a), (bn, b) in itertools.product(small, repeat=2)
+    }
+    return small, lats, maps
+
+
 def flip(m, table: str, pos: int, bit: int):
     """Flip one bit of m's pre, img or adjoint table; returns the undo."""
     if table == "adj":
@@ -65,6 +80,7 @@ def flip(m, table: str, pos: int, bit: int):
 
 def test_the_oracles_cover_every_kernel():
     assert set(MAP_LAWS) == set(scalar_laws.MAP_ORACLES)
+    assert {law.name for law in laws.COMPOSITION_LAWS} >= set(scalar_laws.COMPOSITION_ORACLES)
     assert set(LATTICE_LAWS) == set(scalar_laws.LATTICE_ORACLES)
     assert [law.name for law in laws.FINITE_MEASURE_LAWS] == list(scalar_laws.MEASURE_ORACLES)
 
@@ -74,6 +90,14 @@ def test_map_kernels_match_the_scalar_loops(corpus_maps):
     for m in corpus_maps:
         for name, law in MAP_LAWS.items():
             assert law.check(m) == scalar_laws.MAP_ORACLES[name](m), name
+
+
+def test_map_tables_are_the_maps_own_read_only_lifts(corpus_maps):
+    for m in corpus_maps:
+        assert m.pre is m.f.pulls and m.img is m.f.pushes
+        assert type(m.pre) is tuple and type(m.img) is tuple
+    with pytest.raises(TypeError):
+        corpus_maps[0].pre[0] = 1
 
 
 def test_map_kernels_match_the_scalar_loops_on_a_planted_fault(corpus_maps):
@@ -210,3 +234,40 @@ def test_the_integer_table_is_never_truncated():
     without_last = lcm(*(q.denominator for q in val.mass[:-1]))
     with pytest.raises(ValueError, match="not a multiple of 1/2"):
         _scaled(val.mu, without_last)
+
+
+COMPOSITION = next(law for law in laws.COMPOSITION_LAWS if law.name == "composition")
+
+
+def test_composition_matches_its_oracle(small_ctx):
+    got = COMPOSITION.check(small_ctx)
+    assert got == scalar_laws.COMPOSITION_ORACLES["composition"](small_ctx)
+    assert got[0] > 0 and got[1] == []
+
+
+def test_composition_matches_its_oracle_on_a_planted_composite(monkeypatch, small_ctx):
+    small, _, maps = small_ctx
+    # a composite a -> b -> c whose point map gets one wrong entry
+    an, bn, cn = next(
+        (an, bn, cn)
+        for (an, a), (bn, _), (cn, c) in itertools.product(small, repeat=3)
+        if len(a.primes) >= 2 and c.primes and maps[an, bn] and maps[bn, cn]
+    )
+    f0, g0 = maps[an, bn][-1], maps[bn, cn][0]
+    real = laws.compose
+
+    def planted(g, f):
+        h = real(g, f)
+        if f != f0 or g != g0:
+            return h
+        points = list(h._points)
+        points[0] = (points[0] + 1) % len(h.source.primes)
+        return FrameMorphism(h.source, h.target, tuple(points))
+
+    cases = COMPOSITION.check(small_ctx)[0]
+    monkeypatch.setattr(laws, "compose", planted)
+    monkeypatch.setattr(scalar_laws, "compose", planted)
+    got = COMPOSITION.check(small_ctx)
+    assert got == scalar_laws.COMPOSITION_ORACLES["composition"](small_ctx)
+    assert got[0] == cases and got[1]
+    assert {w["path"] for w in got[1]} == {f"{an}->{bn}->{cn}"}

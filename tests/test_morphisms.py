@@ -31,7 +31,7 @@ from locale_lab.sublocales import (
     validate_nucleus,
     whole,
 )
-from scalar_laws import right_adjoint_by_definition
+from scalar_laws import pull, push, right_adjoint_by_definition
 
 
 def chain(n):
@@ -306,6 +306,44 @@ def test_right_adjoint_from_points_matches_its_definition():
             assert f._points == _points_by_definition(f)
             e = tuple(fix.index(x.nucleus[v]) for v in range(fr.n))
             assert f.fstar == e == star_at(fr, f.target, f._points, range(fr.n))
+
+
+def lifts_match_the_loops(f) -> bool:
+    """f's `pulls` and `pushes` tables, read-only, against the loops over
+    its points at every mask."""
+    p, q = len(f.source.primes), len(f.target.primes)
+    return (
+        type(f.pulls) is tuple
+        and type(f.pushes) is tuple
+        and list(f.pulls) == [pull(f, m) for m in range(1 << p)]
+        and list(f.pushes) == [push(f, m) for m in range(1 << q)]
+    )
+
+
+def test_lift_tables_match_the_loops():
+    reps = small_reps()
+    maps = {
+        (a, b): enumerate_morphisms(a, b)
+        for (_, a), (_, b) in itertools.product(reps, repeat=2)
+    }
+    assert sum(map(len, maps.values())) == 1490
+    assert all(lifts_match_the_loops(f) for fs in maps.values() for f in fs)
+    small = [fr for _, fr in reps if fr.n <= 4]
+    checked = 0
+    for a, b, c in itertools.product(small, repeat=3):
+        for f in maps[a, b]:
+            for g in maps[b, c]:
+                assert lifts_match_the_loops(compose(g, f))
+                checked += 1
+    assert checked > 0
+    for a, b in itertools.product(small, repeat=2):
+        assert all(map(lifts_match_the_loops, sum_frame([a, b])[1]))
+    for _, fr in reps:
+        for x in enumerate_sublocales(fr):
+            assert lifts_match_the_loops(sublocale_embedding(x)[0])
+    big = identity_morphism(build_frame(chain_spec(10)))
+    assert len(big.pulls) == len(big.pushes) == 512
+    assert lifts_match_the_loops(big)
 
 
 def test_embedding_of_closed_sublocale():
