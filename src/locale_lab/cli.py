@@ -324,8 +324,13 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line without the usage; subparsers inherit it
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="locale-lab",
         description="finite frames, parts of spaces, and measure on [0,1]",
     )

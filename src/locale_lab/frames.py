@@ -1,9 +1,9 @@
 """Finite frames: complete distributive lattices with validated axioms.
 
 Elements are integer indexes into a label tuple; after construction every
-lattice operation is a table lookup. Validation is eager and total, so a
-Frame that exists has already survived the partial-order, bound, lattice
-and distributivity checks and downstream law suites never re-prove them.
+lattice operation is a table lookup. A Frame takes a partial order
+(`Frame.build` checks one read from outside) and passes the bound, lattice
+and distributivity checks on construction; law suites never re-prove them.
 """
 
 from __future__ import annotations
@@ -186,17 +186,10 @@ class Frame:
             if b not in index:
                 raise SpecError(f"unknown element {b!r}", "$.leq")
             up[index[a]] |= 1 << index[b]
-        # reflexive-transitive closure
-        changed = True
-        while changed:
-            changed = False
+        for k in range(n):  # reflexive-transitive closure, Warshall's order
             for i in range(n):
-                acc = up[i]
-                for j in _bits(up[i]):
-                    acc |= up[j]
-                if acc != up[i]:
-                    up[i] = acc
-                    changed = True
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
         for i in range(n):
             for j in _bits(up[i]):
                 if j != i and (up[j] >> i) & 1:
@@ -208,6 +201,9 @@ class Frame:
         pts = list(tspec.points)
         if len(set(pts)) != len(pts):
             raise SpecError("duplicate point", "$.points")
+        for i, p in enumerate(pts):  # open_set_name joins point names with ","
+            if str(p) == "" or "," in str(p):
+                raise SpecError(f"point name {p!r} is empty or has a ','", f"$.points[{i}]")
         pset = set(pts)
         opens = []
         for o in tspec.opens:
@@ -225,28 +221,14 @@ class Frame:
             raise InvalidTopology("the full point set is not open", pts)
         for a in opens:
             for b in opens:
-                if a | b not in family:
-                    raise InvalidTopology(
-                        f"not closed under union: {sorted(a)} | {sorted(b)}",
-                        (sorted(a), sorted(b)),
-                    )
-                if a & b not in family:
-                    raise InvalidTopology(
-                        f"not closed under intersection: {sorted(a)} & {sorted(b)}",
-                        (sorted(a), sorted(b)),
-                    )
+                for law, op, c in (("union", "|", a | b), ("intersection", "&", a & b)):
+                    if c not in family:
+                        w = (sorted(a), sorted(b))
+                        raise InvalidTopology(f"not closed under {law}: {w[0]} {op} {w[1]}", w)
         ordered = sorted(family, key=lambda o: (len(o), tuple(sorted(o))))
-        names = [open_set_name(o) for o in ordered]
-        leq = [
-            (names[i], names[j])
-            for i in range(len(ordered))
-            for j in range(len(ordered))
-            if ordered[i] <= ordered[j]
-        ]
-        frame = cls.build(FrameSpec.make(names, leq))
-        frame.opens = tuple(ordered)
-        frame.point_names = tuple(pts)
-        return frame
+        up = [sum(1 << j for j, b in enumerate(ordered) if a <= b) for a in ordered]
+        return cls([open_set_name(o) for o in ordered], up,
+                   opens=tuple(ordered), point_names=tuple(pts))
 
     # -- lattice operations --------------------------------------------
 

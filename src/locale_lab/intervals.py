@@ -27,6 +27,7 @@ carries the length along, so a union sums its pieces at most once.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
@@ -41,9 +42,30 @@ class OutOfAmbient(InvalidInterval):
     pass
 
 
+_EXPONENT = re.compile(r"\s*[-+]?(?=\.?\d)([\d_]*)(?:\.([\d_]*))?[eE]([-+]?\d[\d_]*)\s*")
+
+
+def too_long(text: str) -> bool:
+    """Would the literal, as its digits times a power of ten, have a numerator
+    or denominator longer than `sys.get_int_max_str_digits()`? Read off the
+    digits and exponent before Fraction builds the power; without an
+    exponent a literal that long does not parse at all."""
+    m, limit = _EXPONENT.fullmatch(text), sys.get_int_max_str_digits()
+    if m is None or not limit:
+        return False
+    whole, part, exp = (g.replace("_", "") for g in m.groups(""))
+    if len(exp.lstrip("+-0")) > len(str(limit)):
+        return True
+    digits = (whole + part).lstrip("0")
+    shift = int(exp) - len(part) + len(digits) - len(digits.rstrip("0"))
+    return len(digits.rstrip("0")) + shift > limit or -shift >= limit
+
+
 def frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, str) and too_long(x):
+        raise InvalidInterval(f"bad rational {x!r}: more than {sys.get_int_max_str_digits()} digits")
     try:
         return Fraction(x)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:

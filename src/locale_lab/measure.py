@@ -32,13 +32,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from locale_lab import intervals as ivs
-from locale_lab.frames import Frame, FrameError, FrameSpec, _bits, build_frame
+from locale_lab.frames import Frame, FrameError, _bits
 from locale_lab.intervals import EMPTY_RO, FULL_RO, FinUnion, Iv, RatOpen, frac, parse_fin
-from locale_lab.morphisms import validate_morphism
+from locale_lab.morphisms import FrameMorphism
 from locale_lab.presented import (
     Closed,
     CoCountable,
@@ -244,7 +245,9 @@ def reduced_algebra(val: FiniteValuation) -> ReducedAlgebra:
     When every point of positive mass (the support) is maximal, a part
     reduces to its support points: the reduced parts are the sets of
     support points, and V -> [V] meet support is the quotient. A support
-    point q below a point p leaves no reduced part above {q} and {p}.
+    point q below a point p leaves no reduced part above {q} and {p}. The
+    frame is built from the inclusion order, the quotient from its point
+    map: the support less q goes to q, and carries q's mass.
     """
     frame = val.frame
     masks = [0]  # the sets of support points, ending with the whole support
@@ -256,18 +259,11 @@ def reduced_algebra(val: FiniteValuation) -> ReducedAlgebra:
             masks += [s | 1 << i for s in masks]
     reps = [Sublocale(frame, s) for s in masks]
     reps.sort(key=lambda r: (len(r.fixpoints), r.nucleus))
-    labels = [f"r{i}" for i in range(len(reps))]
-    leq = [(labels[i], labels[j]) for i, x in enumerate(reps)
-           for j, y in enumerate(reps) if is_subsublocale(x, y)]
-    red = build_frame(FrameSpec.make(labels, leq))
-    index = {r.points: i for i, r in enumerate(reps)}
-    fstar = tuple(index[open_sublocale(frame, v).points & masks[-1]] for v in range(frame.n))
-    quotient = validate_morphism(frame, red, fstar)
-    # a point of red is the support less one point q, and carries q's mass
-    nu = FiniteValuation(red, tuple(
-        val.mass[(masks[-1] & ~reps[p].points).bit_length() - 1] for p in red.primes
-    ))
-    return ReducedAlgebra(red, tuple(reps), quotient, nu)
+    up = [sum(1 << j for j, y in enumerate(reps) if is_subsublocale(x, y)) for x in reps]
+    red = Frame([f"r{i}" for i in range(len(reps))], up)
+    points = tuple((masks[-1] & ~reps[p].points).bit_length() - 1 for p in red.primes)
+    nu = FiniteValuation(red, tuple(val.mass[q] for q in points))
+    return ReducedAlgebra(red, tuple(reps), FrameMorphism(frame, red, points), nu)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +474,10 @@ class BadTolerance(ValueError):
 def checked_tol(tol) -> Fraction:
     """tol as a Fraction, refused with a one-line BadTolerance unless it is
     a rational of at least MIN_TOL: zero would divide by zero in the
-    budgets, and a negative tol would walk every neighbourhood."""
+    budgets, a negative tol would walk every neighbourhood, and a literal
+    too long to print is refused before it is built."""
+    if isinstance(tol, str) and ivs.too_long(tol):
+        raise BadTolerance(f"tolerance {tol!r} has more than {sys.get_int_max_str_digits()} digits")
     try:
         value = Fraction(tol)
     except (ValueError, ZeroDivisionError, TypeError):

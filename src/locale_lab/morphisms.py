@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from operator import getitem
 
-from locale_lab.frames import Frame, FrameError, FrameSpec, build_frame
+from locale_lab.frames import Frame, FrameError
 # union and whole are not used here but stay importable from this module
 from locale_lab.sublocales import (
     MixedFrames,
@@ -237,12 +237,9 @@ def sum_frame(frames):
         raise FrameError("sum of no frames")
     combos = list(itertools.product(*(range(f.n) for f in frames)))
     names = [tuple(f.elements[c[k]] for k, f in enumerate(frames)) for c in combos]
-    leq = []
-    for ia, a in enumerate(combos):
-        for ib, b in enumerate(combos):
-            if all(f.leq(a[k], b[k]) for k, f in enumerate(frames)):
-                leq.append((names[ia], names[ib]))
-    s = build_frame(FrameSpec.make(names, leq))
+    up = [sum(1 << j for j, b in enumerate(combos) if all(map(Frame.leq, frames, a, b)))
+          for a in combos]
+    s = Frame(names, up)
 
     # The injection onto component k is the projection, so f_*(q) for a
     # prime q of that component is q there and top everywhere else.

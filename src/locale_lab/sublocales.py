@@ -19,7 +19,7 @@ the nucleus algorithms as a differential oracle.
 
 from __future__ import annotations
 
-from locale_lab.frames import Frame, FrameError, FrameSpec, build_frame
+from locale_lab.frames import Frame, FrameError
 
 
 class NucleusError(FrameError):
@@ -257,10 +257,10 @@ def entanglement(a: Sublocale, b: Sublocale) -> Sublocale:
 def fixpoint_frame(x: Sublocale):
     """The frame of fixpoints of x's nucleus, with its ambient embedding.
 
-    Meets agree with the ambient frame; joins are e(ambient join), which
-    the order-theoretic rebuild produces automatically. Returns (frame,
-    fix) where fix[k] is the ambient index of element k. Both are built
-    once per part and kept on the ambient frame, so equal parts share them.
+    Built from the ambient order on the fixpoints: meets agree with the
+    ambient frame and joins are e(ambient join). Returns (frame, fix) where
+    fix[k] is the ambient index of element k. Both are built once per part
+    and kept on the ambient frame, so equal parts share them.
     """
     amb = x.frame
     try:
@@ -268,14 +268,8 @@ def fixpoint_frame(x: Sublocale):
     except KeyError:
         pass
     fix = x.fixpoints
-    names = [amb.elements[i] for i in fix]
-    leq = [
-        (amb.elements[a], amb.elements[b])
-        for a in fix
-        for b in fix
-        if amb.leq(a, b)
-    ]
-    out = build_frame(FrameSpec.make(names, leq)), fix
+    up = [sum(1 << k for k, b in enumerate(fix) if amb.leq(a, b)) for a in fix]
+    out = Frame([amb.elements[i] for i in fix], up), fix
     amb._fixpoint_frames[x.points] = out
     return out
 

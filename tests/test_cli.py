@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -257,6 +258,52 @@ def test_tolerance_below_the_floor_is_an_argument_error(argv, tol, capsys):
     assert "Traceback" not in err
     assert err.splitlines()[-1].endswith(f"--tol: tolerance {tol!r} is below 2^-100")
     assert _positive_rational(f"1/{2 ** 100}") == Fraction(1, 2 ** 100)
+
+
+def test_a_tolerance_too_long_to_build_is_refused_at_once(capsys):
+    # Fraction would spend seconds on 10**10000000 before the floor check
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as e:
+        main(["measure", "lebesgue", "(0,1/2)", "--tol", "1e-10000000"])
+    assert time.perf_counter() - start < 1
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"locale-lab measure: error: argument --tol: tolerance '1e-10000000' "
+        f"has more than {sys.get_int_max_str_digits()} digits"
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "lebesgue", "(0,1e-5000)"],
+    ["measure", "lebesgue", "closed (0,1e-5000)"],
+    ["measure", "lebesgue", "union(rationals; (0,1e-5000))"],
+    ["measure", "atoms 1/2:1e-5000", "(0,1)"],
+])
+def test_a_literal_too_long_to_print_is_refused_in_one_line(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"bad rational '1e-5000': more than {sys.get_int_max_str_digits()} digits"
+    ]
+
+
+@pytest.mark.parametrize("spec", [
+    {"points": ["a,b", "a", "b"], "opens": [[], ["a,b"], ["a", "b"], ["a,b", "a", "b"]]},
+    {"points": [""], "opens": [[], [""]]},
+], ids=["comma", "empty"])
+def test_frame_check_refuses_a_point_name_that_names_two_opens_alike(spec, tmp_path, capsys):
+    # "{a,b}" would name the open of the point "a,b" and the open of "a" and
+    # "b" alike; "{}" the empty open and the open of the point ""
+    f = tmp_path / "clash.json"
+    f.write_text(json.dumps(spec))
+    assert main(["frame-check", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"invalid: $.points[0]: point name {spec['points'][0]!r} is empty or has a ','"
+    ]
 
 
 def test_parse_part_shapes():

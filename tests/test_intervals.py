@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from locale_lab.intervals import (
     add,
     closure,
     complement,
+    frac,
     heyting_ro,
     interior,
     intersect,
@@ -27,6 +29,7 @@ from locale_lab.intervals import (
     normalize,
     parse_fin,
     parse_ratopen,
+    too_long,
     union,
 )
 from locale_lab.presented import (
@@ -435,3 +438,34 @@ def test_join_meet_are_ratopen_closed():
 @settings(max_examples=60)
 def test_open_distributivity(u, v, w):
     assert meet(u, join(v, w)) == join(meet(u, v), meet(u, w))
+
+
+LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("text, refused", [
+    (f"1e-{LIMIT - 1}", False),  # a denominator of exactly LIMIT digits
+    (f"1e-{LIMIT}", True),
+    (f"1e{LIMIT - 1}", False),
+    (f"1e{LIMIT}", True),
+    (f"10e-{LIMIT}", False),  # trailing zeros move into the exponent
+    (f"0.01e-{LIMIT - 3}", False),
+    (f"0.01e-{LIMIT - 2}", True),
+    (f"12.5E+{LIMIT - 2}", False),
+    (f"12.5E+{LIMIT - 1}", True),
+    (f"1_0e-{LIMIT}", False),
+    ("1e-1_0000_0000", True),
+    ("0e-10000000", True),  # zero, but 10**10000000 as written
+    ("1e-" + "9" * (LIMIT + 1), True),
+    ("1/3", False),
+    ("0.5", False),
+    ("e-10000000", False),  # no digits: not a literal at all
+])
+def test_literal_size_is_read_off_digits_and_exponent(text, refused):
+    assert too_long(text) == refused
+    if refused:
+        with pytest.raises(InvalidInterval, match=f"more than {LIMIT} digits"):
+            frac(text)
+    elif text[0].isdigit():
+        x = frac(text)
+        assert len(str(x.numerator)) <= LIMIT and len(str(x.denominator)) <= LIMIT

@@ -469,7 +469,9 @@ def oracle_mu_reduce(val, a, all_subs):
 
 def oracle_reduced_algebra(val):
     """Reduce every part, order the distinct reductions by inclusion and
-    rebuild them as a frame; V -> reduce([V]) must be a frame morphism."""
+    rebuild them as a frame from every leq pair by name; V -> reduce([V])
+    must be a frame morphism, and `validate_morphism` finds its points
+    from that fstar table."""
     frame = val.frame
     subs = enumerate_sublocales(frame)
     seen = {}
@@ -541,6 +543,9 @@ def test_point_mass_reduction_matches_enumerating_oracle_on_corpus():
                 continue
             alg = reduced_algebra(val)
             assert alg.reps == tuple(reps), (name, val)
+            red = quotient.target
+            assert (alg.frame.elements, alg.frame.up) == (red.elements, red.up), (name, val)
+            assert alg.quotient._points == quotient._points, (name, val)
             assert alg.quotient.fstar == quotient.fstar, (name, val)
             assert alg.valuation.mu == nu.mu, (name, val)
             seen["algebra"] += 1
