@@ -35,6 +35,7 @@ from locale_lab.measure import (
     null_partner_interval,
     outer_measure_finite,
     parse_descriptor,
+    stream_bounds,
     strict_additivity_check,
     strict_additivity_interval,
     validate_valuation,
@@ -220,9 +221,9 @@ def _demo_generic() -> None:
     stage = neighborhood(Generic(), 5).stage(32)  # listed point i arrives at stage i + 1
     hits = all(stage.contains(q) for q in RATIONALS.prefix(32))
     print(f"yet every neighborhood of it contains every rational probed: {hits}")
-    b = measure_bounds(Generic(), Lebesgue(), Fraction(1, 1000))
+    b = stream_bounds(Generic(), Lebesgue(), Fraction(1, 1000))
     print(f"and its outer measure is pinned under length: [{b.lower}, {b.upper}]")
-    b2 = measure_bounds(Generic(), atomic([(Fraction(1, 2), Fraction(1))]), Fraction(1, 1000))
+    b2 = stream_bounds(Generic(), atomic([(Fraction(1, 2), Fraction(1))]), Fraction(1, 1000))
     print(f"under a single atom at 1/2 it is exactly null: [{b2.lower}, {b2.upper}]")
 
 
@@ -231,8 +232,8 @@ def _demo_rationals() -> None:
     d = Lebesgue()
     rats = CountablePoints(RATIONALS)
     irr = CoCountable(RATIONALS)
-    bq = measure_bounds(rats, d, tol)
-    bi = measure_bounds(irr, d, tol)
+    bq = stream_bounds(rats, d, tol)
+    bi = stream_bounds(irr, d, tol)
     print(f"the rational points of [0,1], all of them: mu in [{bq.lower}, {bq.upper}]")
     print(f"the interval minus the rationals:          mu in [{bi.lower}, {bi.upper}]")
     res = strict_additivity_interval(rats, irr, d, tol)

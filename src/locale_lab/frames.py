@@ -1,9 +1,10 @@
 """Finite frames: complete distributive lattices with validated axioms.
 
 Elements are integer indexes into a label tuple; after construction every
-lattice operation is a table lookup. A Frame takes a partial order
-(`Frame.build` checks one read from outside) and passes the bound, lattice
-and distributivity checks on construction; law suites never re-prove them.
+lattice operation is a table lookup. A Frame checks on construction that
+its names are distinct, that `up` is a partial order (`Frame.build` closes
+one read from outside) and the bound, lattice and distributivity laws;
+law suites never re-prove them.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ class SpecError(FrameError):
 
 
 class NotAPartialOrder(FrameError):
-    def __init__(self, a, b):
-        super().__init__(f"antisymmetry fails after closure: {a!r} <= {b!r} <= {a!r}")
-        self.witness = (a, b)
+    def __init__(self, message: str, witness: tuple):
+        super().__init__(message)
+        self.witness = witness
 
 
 class MissingBound(FrameError):
@@ -101,15 +102,27 @@ class Frame:
     """
 
     def __init__(self, elements, up, *, opens=None, point_names=None):
-        self.elements = tuple(elements)
-        self.n = len(self.elements)
-        self.index = {name: i for i, name in enumerate(self.elements)}
+        self.elements = e = tuple(elements)
+        self.n = len(e)
+        self.index = {name: i for i, name in enumerate(e)}
+        if len(self.index) != self.n:
+            dup = next(x for i, x in enumerate(e) if self.index[x] != i)
+            raise SpecError(f"duplicate element {dup!r}", "$.elements")
         self.up = tuple(up)
         full = (1 << self.n) - 1
         down = [0] * self.n
-        for i in range(self.n):
-            for j in _bits(self.up[i]):
+        for i, above in enumerate(self.up):  # a partial order, by bitmasks
+            if not above >> i & 1:
+                raise NotAPartialOrder(f"reflexivity fails: {e[i]!r} is not <= itself", (e[i],))
+            for j in _bits(above):
                 down[j] |= 1 << i
+                if self.up[j] & ~above:
+                    k = e[(self.up[j] & ~above).bit_length() - 1]
+                    raise NotAPartialOrder(f"transitivity fails: {e[i]!r} <= {e[j]!r} <= {k!r} "
+                                           f"but not {e[i]!r} <= {k!r}", (e[i], e[j], k))
+                if j != i and self.up[j] >> i & 1:
+                    raise NotAPartialOrder(f"antisymmetry fails: {e[i]!r} <= {e[j]!r} <= {e[i]!r}",
+                                           (e[i], e[j]))
         self.down = tuple(down)
 
         bottom = [i for i in range(self.n) if self.up[i] == full]
@@ -172,9 +185,6 @@ class Frame:
     @classmethod
     def build(cls, spec: FrameSpec) -> "Frame":
         names = list(spec.elements)
-        if len(set(names)) != len(names):
-            dup = next(x for x in names if names.count(x) > 1)
-            raise SpecError(f"duplicate element {dup!r}", "$.elements")
         if not names:
             raise SpecError("empty element list", "$.elements")
         index = {name: i for i, name in enumerate(names)}
@@ -190,10 +200,6 @@ class Frame:
             for i in range(n):
                 if up[i] >> k & 1:
                     up[i] |= up[k]
-        for i in range(n):
-            for j in _bits(up[i]):
-                if j != i and (up[j] >> i) & 1:
-                    raise NotAPartialOrder(names[i], names[j])
         return cls(names, up)
 
     @classmethod

@@ -45,13 +45,19 @@ class OutOfAmbient(InvalidInterval):
 _EXPONENT = re.compile(r"\s*[-+]?(?=\.?\d)([\d_]*)(?:\.([\d_]*))?[eE]([-+]?\d[\d_]*)\s*")
 
 
+def digit_limit() -> int:
+    """The interpreter's limit on the digits of an int read from text, or
+    its default limit where the limit is off (0)."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
 def too_long(text: str) -> bool:
     """Would the literal, as its digits times a power of ten, have a numerator
-    or denominator longer than `sys.get_int_max_str_digits()`? Read off the
-    digits and exponent before Fraction builds the power; without an
-    exponent a literal that long does not parse at all."""
-    m, limit = _EXPONENT.fullmatch(text), sys.get_int_max_str_digits()
-    if m is None or not limit:
+    or denominator longer than digit_limit()? Read off the digits and
+    exponent before Fraction builds the power; without an exponent a
+    literal that long does not parse at all, unless the limit is off."""
+    m, limit = _EXPONENT.fullmatch(text), digit_limit()
+    if m is None:
         return False
     whole, part, exp = (g.replace("_", "") for g in m.groups(""))
     if len(exp.lstrip("+-0")) > len(str(limit)):
@@ -65,7 +71,7 @@ def frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str) and too_long(x):
-        raise InvalidInterval(f"bad rational {x!r}: more than {sys.get_int_max_str_digits()} digits")
+        raise InvalidInterval(f"bad rational {x!r}: more than {digit_limit()} digits")
     try:
         return Fraction(x)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:

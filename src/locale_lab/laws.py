@@ -52,6 +52,7 @@ from locale_lab.measure import (
     null_partner_interval,
     reduced_algebra,
     restrict_valuation,
+    stream_bounds,
     strict_additivity_check,
     strict_additivity_interval,
     total_measure,
@@ -1680,14 +1681,14 @@ def _closed_complement_interval(a):
 @_declare(INTERVAL_LAWS, "countable-dense-null",
           "the rational-points part has outer measure at most the tolerance")
 def _countable_dense_null(a):
-    bq = measure_bounds(a.rats, Lebesgue(), a.tol)
+    bq = stream_bounds(a.rats, Lebesgue(), a.tol)
     return _once(Fraction(0) <= bq.lower <= bq.upper <= a.tol, {"bounds": str(bq)})
 
 
 @_declare(INTERVAL_LAWS, "cocountable-full",
           "removing countably many points keeps full measure within tolerance")
 def _cocountable_full(a):
-    bi = measure_bounds(a.irr, Lebesgue(), a.tol)
+    bi = stream_bounds(a.irr, Lebesgue(), a.tol)
     return _once(1 - a.tol <= bi.lower <= bi.upper <= 1, {"bounds": str(bi)})
 
 
@@ -1696,7 +1697,7 @@ def _cocountable_full(a):
 def _generic_null(a):
     bad = []
     for dn, dd in a.descriptors:
-        bg = measure_bounds(Generic(), dd, a.tol)
+        bg = stream_bounds(Generic(), dd, a.tol)
         if not bg.upper <= a.tol:
             bad.append({"descriptor": dn, "bounds": str(bg)})
     return len(a.descriptors), bad

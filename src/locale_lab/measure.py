@@ -18,21 +18,20 @@ in the Lebesgue decomposition. Lebesgue measure is length on [0,1], a
 restriction meets each region, and a mixture lists its parts' regions
 side by side and adds the weights of atoms at one point. A Measure
 measures RatOpens exactly, adding region lengths and atom weights as
-integer pairs into one Fraction; presented sublocales get MeasureBounds
-whose width the caller caps with tol. Outer measure adds up over the
+integer pairs into one Fraction. Outer measure adds up over the
 summands of a measure, because the opens around a sublocale form a
 filter: an atom weighs in exactly when the sublocale holds its point,
-decided by shape, and the length on the regions is bounded by streams
-that carry nothing else. Upper bounds come from neighborhood streams,
-each grow read once; lower bounds come from a partner whose union with
-the sublocale is structurally all of [0,1], or are an honest zero.
+decided by shape. measure_bounds reads the length off the normal form,
+exactly; stream_bounds certifies it within tol from streams that carry
+only length: upper bounds from the sublocale's neighborhood streams,
+each grow read once, lower bounds from the one partner its normal form
+gives, or an honest zero.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,10 +40,11 @@ from locale_lab.frames import Frame, FrameError, _bits
 from locale_lab.intervals import EMPTY_RO, FULL_RO, FinUnion, Iv, RatOpen, frac, parse_fin
 from locale_lab.morphisms import FrameMorphism
 from locale_lab.presented import (
+    RATIONALS,
+    WHOLE,
     Closed,
     CoCountable,
     CountablePoints,
-    Generic,
     IntersectWithOpen,
     LazyOpen,
     Open,
@@ -54,6 +54,7 @@ from locale_lab.presented import (
     full_minus_points,
     holds_point,
     neighborhood,
+    normal_form,
     structural_union_is_whole,
 )
 from locale_lab.sublocales import (
@@ -283,9 +284,8 @@ class TolNotReached(RuntimeError):
     """Bounds left wider than tol once the budgets ran out.
 
     side names what stalled: "upper stream" (the neighbourhood stages
-    were still falling, or never reached their tail tolerance),
-    "partner lower" or "lower from parts" (a lower route exists but
-    stopped short), or "no lower route".
+    were still falling, or never reached their tail tolerance) or
+    "partner lower" (the partner's streams stopped short).
     """
 
     def __init__(self, msg, lower=None, upper=None, side=None):
@@ -477,7 +477,7 @@ def checked_tol(tol) -> Fraction:
     budgets, a negative tol would walk every neighbourhood, and a literal
     too long to print is refused before it is built."""
     if isinstance(tol, str) and ivs.too_long(tol):
-        raise BadTolerance(f"tolerance {tol!r} has more than {sys.get_int_max_str_digits()} digits")
+        raise BadTolerance(f"tolerance {tol!r} has more than {ivs.digit_limit()} digits")
     try:
         value = Fraction(tol)
     except (ValueError, ZeroDivisionError, TypeError):
@@ -559,26 +559,69 @@ def _lazy_upper(regions, lazy: LazyOpen, inner_tol: Fraction, max_stage: int) ->
     raise TolNotReached("stage bound did not tighten enough", upper=Fraction(bn, bd))
 
 
-def _partner_of(x: PresentedSublocale):
-    if isinstance(x, CountablePoints):
-        return CoCountable(x.points)
-    if isinstance(x, CoCountable):
-        return CountablePoints(x.points)
-    return None
-
-
 def _held(x: PresentedSublocale, d: Measure) -> Fraction:
     """The weight of the atoms of d whose points x holds."""
     return sum((w for q, w in d.atoms if holds_point(x, q)), Fraction(0))
 
 
+def _big(form: dict) -> FinUnion:
+    """S_big: the union of the sets of the whole and co-listing terms."""
+    return functools.reduce(ivs.add, (s for leaf, s in form.items()
+                                      if leaf is WHOLE or isinstance(leaf, CoCountable)), ivs.EMPTY)
+
+
 def measure_bounds(x: PresentedSublocale, d: Measure, tol) -> MeasureBounds:
-    """Certified bounds on the outer measure of x, of width at most tol.
+    """The outer measure of x, exactly, read off its normal form with no
+    stream: v = the length of S_big on the regions plus the atoms x holds.
+
+    The opens around x form a filter, so its outer measure adds up over
+    the summands of d, and an atom weighs in exactly when x holds its
+    point (_held). Outer measure is the infimum over the open
+    neighbourhoods (Simpson, "Measure, randomness and sublocales", APAL
+    2012). For the length, with x the join of L meet S_L (normal_form):
+    - upper: the whole and co-listing terms lie in the part of S_big, the
+      listings in covers of their points and generic in every dense
+      open, so the opens around S_big joined with small covers of the
+      rationals, less the atoms x does not hold, are neighbourhoods of x
+      whose length falls to that of S_big;
+    - lower: x lies above y = irrationals meet o(int S_big), as each
+      whole or co-listing term lies above irrationals meet o(int S_L),
+      and int S_big is the union of the int S_L but for finitely many
+      rational ends, which the irrationals miss. The partner rationals
+      join c(int S_big) joins y to the whole, as a join distributes over
+      meets in a coframe and rationals join irrationals and o(U) join
+      c(U) are whole. So the outer length of x is at least the total
+      less the partner's, the length of S_big.
+
+    tol is only checked; stream_bounds certifies v from the streams.
+    """
+    checked_tol(tol)
+    form = normal_form(x)
+    big = _big(form)
+    v = _pair_sum(itertools.chain(
+        (ivs.intersect(big, r)._length_pair() for r in d.regions),
+        ((w.numerator, w.denominator) for q, w in d.atoms if holds_point(x, q)),
+    ))
+    return MeasureBounds(v, v, (_route(form),))
+
+
+def _route(form: dict) -> str:
+    """The certificate: what kind of part the normal form shows x to be."""
+    if any(s.pieces for leaf, s in form.items() if leaf is not WHOLE):
+        return "normal-form"
+    ps = form.get(WHOLE, ivs.EMPTY).pieces
+    if all((p.ln == 0 or not p.lo_in) and (p.hn == p.hd or not p.hi_in) for p in ps):
+        return "exact-open"
+    return "exact-closed" if all(p.lo_in and p.hi_in for p in ps) else "exact-locally-closed"
+
+
+def stream_bounds(x: PresentedSublocale, d: Measure, tol) -> MeasureBounds:
+    """Certified bounds on the outer measure of x, of width at most tol:
+    the paper's construction, and the certificate of measure_bounds.
 
     Opens, closed sets and unions of opens are measured exactly. Anything
     else is measured by summand: the atoms x holds weigh in exactly, by
-    shape, and the length on the regions goes to the stream (see
-    _stream_bounds).
+    shape, and the length on the regions by the streams (_stream_bounds).
     """
     tol = checked_tol(tol)
     if isinstance(x, Open):
@@ -604,9 +647,8 @@ def measure_bounds(x: PresentedSublocale, d: Measure, tol) -> MeasureBounds:
 
 def _stalled(side: str, lower: Fraction, upper: Fraction, tol: Fraction) -> TolNotReached:
     max_k, max_stage = _budgets(tol)
-    stalled = side if side == "no lower route" else f"{side} stalled"
     return TolNotReached(
-        f"{stalled}: bounds stuck at [{lower}, {upper}] after {max_k} "
+        f"{side} stalled: bounds stuck at [{lower}, {upper}] after {max_k} "
         f"neighborhoods of up to {max_stage} stages",
         lower=lower,
         upper=upper,
@@ -635,9 +677,20 @@ def _first_closing(closes, max_k: int):
     return k
 
 
+def _partner(x: PresentedSublocale):
+    """rationals join c(int S_big), which joins x to the whole (see
+    measure_bounds), or None where int S_big is empty and the lower is 0."""
+    inner = RatOpen(ivs.interior(_big(normal_form(x))))
+    if inner.is_empty:
+        return None
+    rationals = CountablePoints(RATIONALS)
+    return rationals if inner == FULL_RO else Union((rationals, Closed(inner)))
+
+
 def _stream_bounds(x: PresentedSublocale, regions: tuple, tol: Fraction) -> MeasureBounds:
-    """Bounds on the outer measure of x under length on the regions, from
-    the neighbourhood streams of x and of its partner.
+    """Bounds on the outer measure of x under length on the regions: the
+    upper from the neighbourhood streams of x, the lower from those of
+    its partner.
 
     A union with two parts that are structurally all of [0,1] is the
     total. The budgets follow from tol, and the neighbourhood used is
@@ -646,35 +699,15 @@ def _stream_bounds(x: PresentedSublocale, regions: tuple, tol: Fraction) -> Meas
     the best bound on each side, and the TolNotReached raised says which
     side stalled.
     """
-    length = Measure(regions)
-    total = total_measure(length)
+    total = total_measure(Measure(regions))
     if isinstance(x, Union):
         for i, p in enumerate(x.parts):
             for q in x.parts[i + 1:]:
                 if structural_union_is_whole(p, q):
                     return MeasureBounds(total, total, ("structural-whole",))
 
-    certs = ["stream-upper"]
-    from_parts = Fraction(0)
-    partner = _partner_of(x)
-    if partner is not None and structural_union_is_whole(x, partner):
-        certs.append("partner-lower")
-    else:
-        partner = None
-    if isinstance(x, Generic):
-        certs.append("lower-zero")
-    if isinstance(x, Union):
-        # any part sits inside x, so its lower bound transfers, also from a
-        # part whose own bounds stalled
-        for p in x.parts:
-            try:
-                sub = measure_bounds(p, length, tol).lower
-            except TolNotReached as exc:
-                sub = exc.lower
-            from_parts = max(from_parts, sub)
-        certs.append("monotone-from-parts")
-    certs = tuple(certs)
-
+    partner = _partner(x)
+    certs = ("stream-upper", "lower-zero" if partner is None else "partner-lower")
     inner = tol / 4
     max_k, max_stage = _budgets(tol)
 
@@ -686,35 +719,31 @@ def _stream_bounds(x: PresentedSublocale, regions: tuple, tol: Fraction) -> Meas
             upper, cut = _lazy_upper(regions, neighborhood(x, k), inner, max_stage), False
         except TolNotReached as exc:
             upper, cut = exc.upper, True
-        low = from_parts
+        low = Fraction(0)
         if partner is not None:
             try:
-                low = max(low, total - _lazy_upper(regions, neighborhood(partner, k),
-                                                   inner, max_stage))
+                rest = _lazy_upper(regions, neighborhood(partner, k), inner, max_stage)
             except TolNotReached as exc:
-                low = max(low, total - exc.upper)
+                rest = exc.upper
+            low = max(low, total - rest)
         return low, min(upper, total), cut
 
     k = _first_closing(lambda k: at(k)[1] - at(k)[0] <= tol, max_k)
     if k is not None:
         return MeasureBounds(*at(k)[:2], certs)
-    lower, upper = from_parts, total
+    lower, upper = Fraction(0), total
     for k in range(1, max_k + 1):
         last_upper = upper
         low, up, upper_cut = at(k)
         lower, upper = max(lower, low), min(upper, up)
         if upper - lower <= tol:
             return MeasureBounds(lower, upper, certs)
-    # the upper stream converges to the outer measure, so a gap that its
-    # last step could not have closed belongs to the lower side
-    if upper_cut or last_upper - upper >= upper - lower - tol:
+    # with no partner the lower bound 0 is exact; otherwise a gap that the
+    # upper stream's last step could not have closed belongs to the partner
+    if partner is None or upper_cut or last_upper - upper >= upper - lower - tol:
         side = "upper stream"
-    elif partner is not None:
-        side = "partner lower"
-    elif isinstance(x, Union):
-        side = "lower from parts"
     else:
-        side = "no lower route"
+        side = "partner lower"
     raise _stalled(side, lower, upper, tol)
 
 
@@ -744,9 +773,9 @@ def strict_additivity_interval(x, y, d, tol) -> ResidualBounds:
     """
     tol = checked_tol(tol)
     try:
-        bx = measure_bounds(x, d, tol)
-        by = measure_bounds(y, d, tol)
-        bu = measure_bounds(Union((x, y)), d, tol)
+        bx = stream_bounds(x, d, tol)
+        by = stream_bounds(y, d, tol)
+        bu = stream_bounds(Union((x, y)), d, tol)
         if isinstance(x, Open) and isinstance(y, Open):
             m = measure_ro(d, ivs.meet(x.part, y.part))
             bi = MeasureBounds(m, m, ("exact-open",))
@@ -795,16 +824,16 @@ def null_partner_interval(x: PresentedSublocale, d, tol):
             "partner": MeasureBounds(m, m, ("exact-open",)),
         }
     if isinstance(x, (CountablePoints, CoCountable)):
-        b = _partner_of(x)
-        bx = measure_bounds(x, d, tol)
-        bb = measure_bounds(b, d, tol)
+        b = CoCountable(x.points) if isinstance(x, CountablePoints) else CountablePoints(x.points)
+        bx = stream_bounds(x, d, tol)
+        bb = stream_bounds(b, d, tol)
         inter_hi = max(Fraction(0), bx.upper + bb.upper - total)
         return b, {
             "union": MeasureBounds(total, total, ("structural-whole",)),
             "intersection": MeasureBounds(Fraction(0), inter_hi, ("additivity-accounting",)),
             "partner": bb,
         }
-    bx = measure_bounds(x, d, tol)
+    bx = stream_bounds(x, d, tol)
     if bx.upper > tol:
         raise UnsupportedCombination(
             f"{type(x).__name__} is not certified null (upper {bx.upper}) "

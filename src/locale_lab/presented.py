@@ -297,6 +297,42 @@ class IntersectWithClosed(PresentedSublocale):
     of_open: RatOpen  # meet with the closed complement of this open
 
 
+WHOLE = Open(ivs.FULL_RO)
+
+
+def normal_form(x: PresentedSublocale) -> dict:
+    """x as a join of L meet S_L, one term per leaf kind L: {L: S_L}.
+
+    L is WHOLE, a CountablePoints or CoCountable leaf, or Generic(); S_L
+    is a FinUnion, and WHOLE meet S is the part of the set S. The parts
+    form a coframe (Picado and Pultr, *Frames and Locales*, 2012, ch. III
+    and VI), so the complemented o(U) and c(U) distribute over the joins
+    of a union: (L meet S) meet o(U) is L meet (S cap U), and with c(U)
+    it is L meet (S minus U). The sets are exact: the Boolean
+    combinations of opens form, as parts and as sets, the Boolean
+    algebra the opens generate.
+    """
+    if isinstance(x, Open):
+        return {WHOLE: x.part.fin}
+    if isinstance(x, Closed):
+        return {WHOLE: ivs.complement(x.of_open.fin)}
+    if isinstance(x, (CountablePoints, CoCountable, Generic)):
+        return {x: ivs.FULL}
+    if isinstance(x, Union):
+        out = {}
+        for part in x.parts:
+            for leaf, s in normal_form(part).items():
+                out[leaf] = ivs.add(out[leaf], s) if leaf in out else s
+        return out
+    if isinstance(x, IntersectWithOpen):
+        cut = x.open_.fin
+    elif isinstance(x, IntersectWithClosed):
+        cut = ivs.complement(x.of_open.fin)
+    else:
+        raise UnsupportedConstructor(f"no normal form for {type(x).__name__}")
+    return {leaf: ivs.intersect(s, cut) for leaf, s in normal_form(x.part).items()}
+
+
 def closed_neighborhood(u: RatOpen, k: int) -> RatOpen:
     """An open around the closed complement of u, shrinking as k grows.
 

@@ -10,9 +10,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from locale_lab import cli
 from locale_lab.cli import _positive_rational, build_parser, main, parse_part
 from locale_lab.corpus import generate
 from locale_lab.laws import report_from_json, report_to_json
+from locale_lab.measure import stream_bounds
 from locale_lab.presented import (
     Closed,
     CoCountable,
@@ -73,52 +75,54 @@ def test_measure_atom_generic_exact_zero(capsys):
 
 
 def test_measure_rationals_within_tolerance(capsys):
+    # the normal form answers exactly, with no stream
     assert main(["measure", "lebesgue", "rationals", "--tol", "1e-3"]) == 0
-    out = capsys.readouterr().out.strip()
-    assert out.startswith("mu in [0, ")
-    upper = Fraction(out[len("mu in [0, "):-1])
-    assert upper <= Fraction(1, 1000)
+    assert capsys.readouterr().out.strip() == "mu = 0 (exact)"
 
 
 def test_measure_rationals_past_1e_12(capsys):
     assert main(["measure", "lebesgue", "rationals", "--tol", "1/1000000000000000"]) == 0
-    out = capsys.readouterr().out.strip()
-    upper = Fraction(out[len("mu in [0, "):-1])
-    assert upper <= Fraction(1, 10 ** 15)
+    assert capsys.readouterr().out.strip() == "mu = 0 (exact)"
 
 
-def test_measure_failure_names_the_stalled_side(capsys):
-    # a known gap: the true value is 1/2, but no route gives a lower bound
+@pytest.fixture
+def streamed(monkeypatch, stuck_partners):
+    """`measure` answering through stream_bounds, whose partners never
+    close: the one way left to reach its one-line stall message."""
+    monkeypatch.setattr(cli, "measure_bounds", stream_bounds)
+
+
+def test_measure_failure_names_the_stalled_side(capsys, streamed):
+    # the true value is 1/2; the partner never closes, so the lower side stalls
     assert main(["measure", "lebesgue", "meet-open(irrationals; (0,1/2))"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "tolerance 1/1000 not reached: no lower route: bounds stuck at [0, 1/2] "
+        "tolerance 1/1000 not reached: partner lower stalled: bounds stuck at [0, 1/2] "
         "after 40 neighborhoods of up to 80 stages"
     ]
 
 
-def test_measure_failure_counts_the_held_atoms_on_both_sides(capsys):
+def test_measure_failure_counts_the_held_atoms_on_both_sides(capsys, streamed):
     # the length stalls at [0, 1/2] as above, and the held atom at 1/4
     # weighs in on both sides: the true value is 1 + 1/2
     part = "meet-open(union(irrationals; (1/8,3/8)); (0,1/2))"
     assert main(["measure", "mix lebesgue + atoms 1/4:1", part]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        "tolerance 1/1000 not reached: no lower route: bounds stuck at [1, 3/2] "
+        "tolerance 1/1000 not reached: partner lower stalled: bounds stuck at [1, 3/2] "
         "after 40 neighborhoods of up to 80 stages"
     ]
 
 
-def test_measure_union_stall_keeps_the_union_upper(capsys):
-    # the first part stalls at [0, 1/4] and the open part weighs 1/4 exactly;
+def test_measure_union_stall_keeps_the_union_upper(capsys, streamed):
     # the union weighs 1/2, so its own upper stream must report 1/2
     part = "union(meet-open(irrationals; (0,1/4)); (1/2,3/4))"
     assert main(["measure", "lebesgue", part]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "tolerance 1/1000 not reached: lower from parts stalled: bounds stuck at "
-        "[1/4, 1/2] after 40 neighborhoods of up to 80 stages"
+        "tolerance 1/1000 not reached: partner lower stalled: bounds stuck at "
+        "[0, 1/2] after 40 neighborhoods of up to 80 stages"
     ]
 
 
@@ -130,11 +134,7 @@ def test_measure_union_stall_keeps_the_union_upper(capsys):
 ])
 def test_measure_adds_the_held_atoms_to_the_length(part, exact, capsys):
     assert main(["measure", "mix lebesgue + atoms 1/3:1/2", part]) == 0
-    out = capsys.readouterr().out.strip()
-    assert out.startswith("mu in [") and out.endswith("]")
-    lo, hi = (Fraction(v) for v in out[len("mu in ["):-1].split(","))
-    assert lo <= exact <= hi
-    assert hi - lo <= Fraction(1, 1000)
+    assert capsys.readouterr().out.strip() == f"mu = {exact} (exact)"
 
 
 def test_measure_closed_restricted(capsys):
@@ -271,6 +271,32 @@ def test_a_tolerance_too_long_to_build_is_refused_at_once(capsys):
     assert err.splitlines() == [
         f"locale-lab measure: error: argument --tol: tolerance '1e-10000000' "
         f"has more than {sys.get_int_max_str_digits()} digits"
+    ]
+
+
+@pytest.fixture
+def no_digit_limit():
+    """The interpreter as `python -X int_max_str_digits=0` starts it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_a_tolerance_too_long_is_refused_with_the_digit_limit_off(capsys, no_digit_limit):
+    # the interpreter would build 10**10000000; the default limit still applies
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as e:
+        main(["measure", "lebesgue", "(0,1/2)", "--tol", "1e-10000000"])
+    assert time.perf_counter() - start < 1
+    assert e.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"locale-lab measure: error: argument --tol: tolerance '1e-10000000' "
+        f"has more than {sys.int_info.default_max_str_digits} digits"
+    ]
+    assert main(["measure", "lebesgue", "(0,1e-10000000)"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"bad rational '1e-10000000': more than {sys.int_info.default_max_str_digits} digits"
     ]
 
 

@@ -85,6 +85,22 @@ def test_antisymmetry_violation_rejected():
         build_frame(spec)
 
 
+def test_frame_refuses_duplicate_names():
+    with pytest.raises(SpecError, match="duplicate element 'x'"):
+        Frame(["x", "x"], [0b11, 0b10])
+
+
+@pytest.mark.parametrize("law,names,up,witness", [
+    ("reflexivity", ["a", "b"], [0b10, 0b10], ("a",)),
+    ("antisymmetry", ["a", "b"], [0b11, 0b11], ("a", "b")),
+    ("transitivity", ["a", "b", "c"], [0b011, 0b110, 0b100], ("a", "b", "c")),
+], ids=["reflexivity", "antisymmetry", "transitivity"])
+def test_frame_refuses_an_order_that_is_not_partial(law, names, up, witness):
+    with pytest.raises(NotAPartialOrder, match=f"^{law} fails") as exc:
+        Frame(names, up)
+    assert exc.value.witness == witness
+
+
 def test_missing_bottom():
     # two minimal elements, no common lower bound
     spec = FrameSpec.make(["a", "b", "1"], [("a", "1"), ("b", "1")])

@@ -60,6 +60,7 @@ from locale_lab.measure import (
     restrict_to_closed,
     restrict_to_open,
     restrict_valuation,
+    stream_bounds,
     strict_additivity_check,
     strict_additivity_interval,
     total_measure,
@@ -69,7 +70,7 @@ from locale_lab.measure import (
 from locale_lab.measure import (
     _budgets,
     _lazy_upper,
-    _partner_of,
+    _partner,
     _small_stage,
     _stages,
     _stalled,
@@ -79,6 +80,7 @@ from locale_lab.morphisms import validate_morphism
 from locale_lab.presented import (
     DYADICS,
     RATIONALS,
+    WHOLE,
     Closed,
     CoCountable,
     CountablePoints,
@@ -93,6 +95,7 @@ from locale_lab.presented import (
     full_minus_points,
     holds_point,
     neighborhood,
+    normal_form,
     structural_union_is_whole,
 )
 from locale_lab.sublocales import (
@@ -810,10 +813,13 @@ def test_stage_measures_match_measure_fin(name, x):
 
 
 def test_rational_points_are_lebesgue_null():
-    b = measure_bounds(CountablePoints(RATIONALS), Lebesgue(), TOL)
+    assert measure_bounds(CountablePoints(RATIONALS), Lebesgue(), TOL) == MeasureBounds(
+        0, 0, ("normal-form",))
+    # no open lies inside the rationals, so the lower bound needs no partner
+    b = stream_bounds(CountablePoints(RATIONALS), Lebesgue(), TOL)
     assert b.upper <= TOL
     assert b.lower == 0
-    assert "partner-lower" in b.certificates
+    assert "lower-zero" in b.certificates
 
 
 def test_generic_is_null_for_every_descriptor():
@@ -823,20 +829,22 @@ def test_generic_is_null_for_every_descriptor():
         atomic([("1/2", "1")]),
         Mixture((Lebesgue(), atomic([("1/3", "2")]))),
     ]:
-        b = measure_bounds(Generic(), d, TOL)
+        assert measure_bounds(Generic(), d, TOL).upper == 0
+        b = stream_bounds(Generic(), d, TOL)
         assert b.lower == 0
         assert b.upper <= TOL
 
 
 def test_generic_avoids_atoms_exactly():
     # a purely atomic measure is weighed by shape alone, with no stream
-    b = measure_bounds(Generic(), atomic([("1/2", "1")]), TOL)
+    b = stream_bounds(Generic(), atomic([("1/2", "1")]), TOL)
     assert b.lower == b.upper == 0
     assert b.certificates == ("atoms-by-shape",)
 
 
 def test_cocountable_complement_of_rationals():
-    b = measure_bounds(CoCountable(RATIONALS), Lebesgue(), TOL)
+    assert measure_bounds(CoCountable(RATIONALS), Lebesgue(), TOL).lower == 1
+    b = stream_bounds(CoCountable(RATIONALS), Lebesgue(), TOL)
     assert b.upper == 1
     assert b.lower >= 1 - TOL
 
@@ -855,22 +863,146 @@ def test_atoms_see_the_points_that_carry_them():
 def test_union_bounds_use_structure_and_parts():
     d = Lebesgue()
     u = Union((CountablePoints(RATIONALS), CoCountable(RATIONALS)))
-    b = measure_bounds(u, d, TOL)
+    b = stream_bounds(u, d, TOL)
     assert b.lower == b.upper == 1
     assert "structural-whole" in b.certificates
+    assert measure_bounds(u, d, TOL).lower == 1
     v = Union((Open(parse_ratopen("(0,1/2)")), CountablePoints(RATIONALS)))
-    bv = measure_bounds(v, d, TOL)
-    assert bv.lower >= F(1, 2)
-    assert bv.upper <= F(1, 2) + TOL
+    assert measure_bounds(v, d, TOL) == MeasureBounds(F(1, 2), F(1, 2), ("normal-form",))
+    bv = stream_bounds(v, d, TOL)
+    assert bv.contains(F(1, 2)) and bv.width <= TOL
 
 
-def test_bounds_honestly_fail_when_no_lower_route_exists():
+def test_bounds_honestly_fail_when_no_lower_route_exists(stuck_partners):
     x = IntersectWithOpen(CoCountable(RATIONALS), parse_ratopen("(0,1)"))
+    assert measure_bounds(x, Lebesgue(), TOL).lower == 1
     with pytest.raises(TolNotReached) as exc:
-        measure_bounds(x, Lebesgue(), TOL)
+        stream_bounds(x, Lebesgue(), TOL)
     assert exc.value.lower == 0
     assert exc.value.upper == 1
-    assert exc.value.side == "no lower route"
+    assert exc.value.side == "partner lower"
+
+
+def test_a_part_with_no_partner_stalls_on_its_upper_stream(monkeypatch):
+    # the generic part's lower bound 0 is exact, so only its upper stream
+    # can stall: planted here to stay at the whole interval
+    never = LazyOpen(lambda n: FULL_RO if n == 0 else EMPTY_RO, lambda n: (1, 1))
+    monkeypatch.setattr(measure_module, "neighborhood", lambda x, k: never)
+    with pytest.raises(TolNotReached) as exc:
+        stream_bounds(Generic(), Lebesgue(), TOL)
+    assert (exc.value.lower, exc.value.upper, exc.value.side) == (0, 1, "upper stream")
+
+
+# ----------------------------------------------------------- the normal form against the streams
+#
+# The census: eight base parts, then growth steps that take every union
+# of two parts (a part with itself included) and the meet of each part
+# with the open and the closed part of each census open.
+
+CENSUS_OPENS = [parse_ratopen("(0,1/2)"), parse_ratopen("(1/4,3/4)")]
+CENSUS_BASE = [
+    CountablePoints(RATIONALS), CoCountable(RATIONALS), CoCountable(DYADICS), Generic(),
+    *map(Open, CENSUS_OPENS), *map(Closed, CENSUS_OPENS),
+]
+
+
+def census_step(parts):
+    unions = [Union(pair) for pair in itertools.combinations_with_replacement(parts, 2)]
+    meets = [meet(p, u) for p in parts for u in CENSUS_OPENS
+             for meet in (IntersectWithOpen, IntersectWithClosed)]
+    return unions + meets
+
+
+CENSUS_DEPTH1 = census_step(CENSUS_BASE)
+CENSUS_DEPTH2 = census_step(CENSUS_BASE + CENSUS_DEPTH1)
+LADDER_TOLS = [F(1, 10 ** k) for k in (3, 6, 9, 12)]
+EIGHTHS = [ivs.FinUnion((Iv(F(i, 8), F(i + 1, 8), False, False),)) for i in range(8)]
+
+
+def fat(x, t) -> bool:
+    """Does the set picture of x hold t, a point of no census end? The
+    listings and generic weigh nothing, co-listings everything."""
+    if isinstance(x, Open):
+        return x.part.contains(t)
+    if isinstance(x, Closed):
+        return not x.of_open.contains(t)
+    if isinstance(x, (CountablePoints, CoCountable, Generic)):
+        return isinstance(x, CoCountable)
+    if isinstance(x, Union):
+        return any(fat(p, t) for p in x.parts)
+    if isinstance(x, IntersectWithOpen):
+        return fat(x.part, t) and x.open_.contains(t)
+    return fat(x.part, t) and not x.of_open.contains(t)
+
+
+def set_picture(x, d):
+    """The length of x's set picture on the regions plus the atoms x
+    holds. The census ends and the regions of DESCRIPTOR_KINDS lie on the
+    quarters, so the picture is whole or empty inside each eighth."""
+    length = Measure(d.regions)
+    fill = sum((measure_fin(length, c) for i, c in enumerate(EIGHTHS) if fat(x, F(2 * i + 1, 16))), F(0))
+    return fill + sum((w for q, w in d.atoms if holds_point(x, q)), F(0))
+
+
+def test_the_census_has_its_counts():
+    assert (len(CENSUS_DEPTH1), len(CENSUS_DEPTH2)) == (68, 3230)
+
+
+def test_normal_forms_by_hand():
+    rats, half = CountablePoints(RATIONALS), parse_ratopen("(0,1/2)")
+    x = IntersectWithClosed(Union((rats, Open(parse_ratopen("(0,1/8)")))), parse_ratopen("(1/4,1/2)"))
+    assert normal_form(x) == {rats: parse_fin("[0,1/4]|[1/2,1]"), WHOLE: parse_fin("(0,1/8)")}
+    y = Union((IntersectWithOpen(CoCountable(DYADICS), half), Closed(half), Generic()))
+    assert normal_form(y) == {CoCountable(DYADICS): half.fin, WHOLE: parse_fin("[0,0]|[1/2,1]"),
+                              Generic(): ivs.FULL}
+    # the partner is built on the interior (1/2,1] of S_big = [0,0]|[1/2,1]
+    assert _partner(Union((Closed(half), Generic()))) == Union(
+        (rats, Closed(parse_ratopen("(1/2,1]"))))
+    assert _partner(Generic()) is None and _partner(CoCountable(DYADICS)) == rats
+
+
+@pytest.mark.parametrize("part,route", [
+    ("(0,1/2)", "exact-open"),
+    ("union((0,1/4); (1/2,1))", "exact-open"),
+    ("meet-open((0,1/2); (1/4,3/4))", "exact-open"),
+    ("closed (0,1/2)", "exact-closed"),
+    ("meet-closed((0,1/2); (1/4,3/4))", "exact-locally-closed"),
+    ("meet-open(rationals; empty)", "exact-open"),
+    ("meet-open(irrationals; (0,1/2))", "normal-form"),
+])
+def test_the_route_names_the_kind_of_part(part, route):
+    from locale_lab.cli import parse_part
+
+    assert measure_bounds(parse_part(part), Lebesgue(), TOL).certificates == (route,)
+
+
+@pytest.mark.parametrize("i,kind", enumerate(sorted(DESCRIPTOR_KINDS)))
+def test_the_census_answers_its_set_picture_exactly(i, kind):
+    # every depth-1 shape under each kind, every depth-2 shape under one
+    d = DESCRIPTOR_KINDS[kind]
+    for x in CENSUS_BASE + CENSUS_DEPTH1 + CENSUS_DEPTH2[i::4]:
+        b = measure_bounds(x, d, TOL)
+        assert b.lower == b.upper == set_picture(x, d), x
+
+
+@pytest.mark.parametrize("tol", LADDER_TOLS, ids=["1e-3", "1e-6", "1e-9", "1e-12"])
+@pytest.mark.parametrize("kind", sorted(DESCRIPTOR_KINDS))
+def test_the_streams_certify_the_depth1_census(kind, tol):
+    d = DESCRIPTOR_KINDS[kind]
+    for x in CENSUS_DEPTH1:
+        v = measure_bounds(x, d, tol).lower
+        b = stream_bounds(x, d, tol)
+        assert b.contains(v) and b.width <= tol, (x, v, b)
+
+
+@given(st.sampled_from(CENSUS_DEPTH2), st.sampled_from(sorted(DESCRIPTOR_KINDS)),
+       st.sampled_from(LADDER_TOLS))
+@settings(max_examples=40, deadline=None)
+def test_the_streams_certify_the_depth2_census(x, kind, tol):
+    d = DESCRIPTOR_KINDS[kind]
+    v = measure_bounds(x, d, tol).lower
+    b = stream_bounds(x, d, tol)
+    assert b.contains(v) and b.width <= tol, (x, v, b)
 
 
 # ----------------------------------------------------------- interval additivity
@@ -902,7 +1034,7 @@ def test_strict_additivity_open_against_its_complement():
     assert r.inter.upper == 0
 
 
-def test_no_residual_bound_when_a_side_is_unboundable():
+def test_no_residual_bound_when_a_side_is_unboundable(stuck_partners):
     x = IntersectWithOpen(CoCountable(RATIONALS), parse_ratopen("(0,1)"))
     with pytest.raises(NoResidualBound):
         strict_additivity_interval(x, Generic(), Lebesgue(), TOL)
@@ -1167,8 +1299,9 @@ def test_a_mixture_reads_each_grow_once(desc):
     assert calls == list(range(50))
 
 
-# Exact printed answers of streamed queries: a change that moves any of
-# them changes what the command certifies.
+# Exact answers of streamed queries, as the command printed them when it
+# streamed: a change that moves any of them changes what the streams
+# certify.
 PINNED_ANSWERS = [
     ("lebesgue", "irrationals", 12, "mu in [8796093022203/8796093022208, 1]"),
     ("mix lebesgue + restrict [0,1/2]", "irrationals", 12,
@@ -1178,10 +1311,12 @@ PINNED_ANSWERS = [
      "mu in [1/2, 4398046511109/8796093022208]"),
     ("lebesgue", "generic", 9, "mu in [0, 5/8589934592]"),
     ("mix restrict [1/4,3/4] + atoms 1/2:1 + lebesgue", "union(generic; (1/8,1/4))", 9,
-     "mu in [1/8, 1073741831/8589934592]"),
+     "mu in [2147483643/17179869184, 2147483655/17179869184]"),
     ("restrict [0,1/4]|[1/2,1]|[3/8,3/8]", "rationals", 9, "mu in [0, 5/8589934592]"),
     ("mix atoms 1/3:1/3 + atoms 1/3:1,1/2:1", "irrationals", 9, "mu = 0 (exact)"),
-    ("lebesgue", "union(rationals; (0,1/4))", 12, "mu in [1/4, 1099511627779/4398046511104]"),
+    # the unions' lower bounds come from the partner, no longer from their parts
+    ("lebesgue", "union(rationals; (0,1/4))", 12,
+     "mu in [2199023255547/8796093022208, 2199023255555/8796093022208]"),
     # through intersect and the gaps of a closed neighbourhood
     ("restrict [0,1/2]", "meet-closed(generic; (1/4,1/2))", 12, "mu in [0, 7/8796093022208]"),
 ]
@@ -1189,20 +1324,25 @@ PINNED_ANSWERS = [
 
 @pytest.mark.parametrize("desc,part,digits,answer", PINNED_ANSWERS,
                          ids=[f"{d} | {p} | 1e-{k}" for d, p, k, _ in PINNED_ANSWERS])
-def test_pinned_streamed_answers(capsys, desc, part, digits, answer):
-    from locale_lab.cli import main
+def test_pinned_streamed_answers(desc, part, digits, answer):
+    from locale_lab.cli import parse_part
 
-    assert main(["measure", desc, part, "--tol", f"1/{10 ** digits}"]) == 0
-    assert capsys.readouterr().out.strip() == answer
+    x, d, tol = parse_part(part), parse_descriptor(desc), F(1, 10 ** digits)
+    b = stream_bounds(x, d, tol)
+    assert (f"mu = {b.lower} (exact)" if b.is_exact else f"mu in [{b.lower}, {b.upper}]") == answer
+    assert b.contains(measure_bounds(x, d, tol).lower)
 
 
-def test_pinned_stalled_answer(capsys):
-    from locale_lab.cli import main
+def test_pinned_stalled_answer(capsys, monkeypatch, stuck_partners):
+    from locale_lab import cli
 
+    # the upper stream is x's own, so its bound is the one it stalled at
+    # when there was no partner to stream
+    monkeypatch.setattr(cli, "measure_bounds", stream_bounds)
     part = "meet-closed(union(rationals; (0,1/8)); (1/4,1/2))"
-    assert main(["measure", "restrict [0,1/2]", part, "--tol", f"1/{10 ** 12}"]) == 1
+    assert cli.main(["measure", "restrict [0,1/2]", part, "--tol", f"1/{10 ** 12}"]) == 1
     assert capsys.readouterr().err.strip() == (
-        f"tolerance 1/{10 ** 12} not reached: no lower route: bounds stuck at "
+        f"tolerance 1/{10 ** 12} not reached: partner lower stalled: bounds stuck at "
         "[0, 295147905179352825857/2361183241434822606848] after 70 neighborhoods "
         "of up to 140 stages"
     )
@@ -1224,10 +1364,11 @@ BAD_TOLS = [0, -1, F(1, 2 ** 101)]
 @pytest.mark.parametrize("tol", BAD_TOLS, ids=["0", "-1", "2^-101"])
 @pytest.mark.parametrize("entry", [
     lambda tol: measure_bounds(CountablePoints(RATIONALS), Lebesgue(), tol),
+    lambda tol: stream_bounds(CountablePoints(RATIONALS), Lebesgue(), tol),
     lambda tol: strict_additivity_interval(
         CountablePoints(RATIONALS), CoCountable(RATIONALS), Lebesgue(), tol),
     lambda tol: null_partner_interval(CountablePoints(RATIONALS), Lebesgue(), tol),
-], ids=["measure_bounds", "strict_additivity_interval", "null_partner_interval"])
+], ids=["measure_bounds", "stream_bounds", "strict_additivity_interval", "null_partner_interval"])
 def test_entry_points_refuse_a_bad_tolerance(entry, tol):
     with pytest.raises(BadTolerance) as exc:
         entry(tol)
@@ -1394,10 +1535,7 @@ def test_holds_point_within_the_punctured_stream_bounds(x, q):
 def test_split_bounds_overlap_the_punctured_stream_bounds(kind, x):
     d = DESCRIPTOR_KINDS[kind]
     ref = ref_bounds(x, d, TOL)
-    try:
-        new = measure_bounds(x, d, TOL)
-    except TolNotReached:
-        return
+    new = measure_bounds(x, d, TOL)
     if ref is not None:
         assert max(new.lower, ref.lower) <= min(new.upper, ref.upper), (x, new, ref)
 
@@ -1410,68 +1548,39 @@ def test_split_bounds_overlap_the_punctured_stream_bounds(kind, x):
 # monotone in k, which holds on every case tried but has no proof.
 
 
-def walk_part_lower(p, regions, tol):
-    """The lower bound measure_bounds gives a part of a union under length
-    on the regions, with its streams walked."""
-    length = Measure(regions)
-    if isinstance(p, Open):
-        return measure_ro(length, p.part)
-    if isinstance(p, Closed):
-        return measure_closed_exact(length, p.of_open)
-    if isinstance(p, Union) and all(isinstance(q, Open) for q in p.parts):
-        return measure_ro(length, ivs.join(*(q.part for q in p.parts)))
-    try:
-        return walk_stream_bounds(p, regions, tol).lower
-    except TolNotReached as exc:
-        return exc.lower
-
-
 def walk_stream_bounds(x, regions, tol):
     """_stream_bounds with k walked from 1 up, the best bound on each side
-    kept, until the two close."""
+    kept, until the two close. It reads the partner and the streams
+    through the module, so a planted stall reaches it too."""
     total = total_measure(Measure(regions))
     if isinstance(x, Union) and any(
         structural_union_is_whole(p, q) for p, q in itertools.combinations(x.parts, 2)
     ):
         return MeasureBounds(total, total, ("structural-whole",))
-    certs = ["stream-upper"]
-    partner = _partner_of(x)
-    if partner is not None and structural_union_is_whole(x, partner):
-        certs.append("partner-lower")
-    else:
-        partner = None
-    if isinstance(x, Generic):
-        certs.append("lower-zero")
-    lower = F(0)
-    if isinstance(x, Union):
-        lower = max(walk_part_lower(p, regions, tol) for p in x.parts)
-        certs.append("monotone-from-parts")
+    partner = measure_module._partner(x)
+    certs = ("stream-upper", "lower-zero" if partner is None else "partner-lower")
+    lower, upper = F(0), total
     inner = tol / 4
-    upper = total
     max_k, max_stage = _budgets(tol)
     for k in range(1, max_k + 1):
         last_upper = upper
         try:
-            upper = min(upper, _lazy_upper(regions, neighborhood(x, k), inner, max_stage))
+            upper = min(upper, _lazy_upper(regions, measure_module.neighborhood(x, k), inner, max_stage))
             upper_cut = False
         except TolNotReached as exc:
             upper, upper_cut = min(upper, exc.upper), True
         if partner is not None:
             try:
-                lower = max(lower, total - _lazy_upper(regions, neighborhood(partner, k),
-                                                       inner, max_stage))
+                lower = max(lower, total - _lazy_upper(
+                    regions, measure_module.neighborhood(partner, k), inner, max_stage))
             except TolNotReached as exc:
                 lower = max(lower, total - exc.upper)
         if upper - lower <= tol:
-            return MeasureBounds(lower, upper, tuple(certs))
-    if upper_cut or last_upper - upper >= upper - lower - tol:
+            return MeasureBounds(lower, upper, certs)
+    if partner is None or upper_cut or last_upper - upper >= upper - lower - tol:
         side = "upper stream"
-    elif partner is not None:
-        side = "partner lower"
-    elif isinstance(x, Union):
-        side = "lower from parts"
     else:
-        side = "no lower route"
+        side = "partner lower"
     raise _stalled(side, lower, upper, tol)
 
 
@@ -1514,9 +1623,19 @@ def test_the_search_finds_what_the_walk_finds(x, kind, tol):
     assert outcome(_small_stage, x, d, tol) == outcome(walk_small_stage, x, d, tol)
 
 
+def test_the_search_finds_what_the_walk_finds_on_a_stall(stuck_partners):
+    # the walk oracle's stall, the shape its planted example once stalled on
+    x = Union((CountablePoints(RATIONALS), IntersectWithOpen(CoCountable(RATIONALS), HALF_OPEN)))
+    got = outcome(_stream_bounds, x, (ivs.FULL,), TOL)
+    assert got == outcome(walk_stream_bounds, x, (ivs.FULL,), TOL)
+    _, lower, upper, side = got
+    assert (lower, side) == (0, "partner lower") and F(1, 2) <= upper <= F(1, 2) + TOL
+
+
 def test_the_search_streams_few_neighbourhoods(monkeypatch):
-    # the walk streams k = 1..39 for the rationals and for their partner,
-    # 78 in all, and the small k, which never close, cost the most
+    # the walk streams k = 1..39 for the irrationals and for their
+    # partner, the rationals, 78 in all, and the small k, which never
+    # close, cost the most
     ks = []
 
     def counted(x, k):
@@ -1525,6 +1644,6 @@ def test_the_search_streams_few_neighbourhoods(monkeypatch):
 
     monkeypatch.setattr(measure_module, "neighborhood", counted)
     tol = F(1, 10 ** 12)
-    b = measure_bounds(CountablePoints(RATIONALS), Lebesgue(), tol)
-    assert b.lower == 0 and b.upper <= tol
+    b = stream_bounds(CoCountable(RATIONALS), Lebesgue(), tol)
+    assert b.upper == 1 and b.lower >= 1 - tol
     assert len(ks) <= 30, ks
