@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -22,7 +23,6 @@ from locale_lab.laws import SUITES, format_text, report_to_json, reports_to_json
 from locale_lab.measure import (
     BadTolerance,
     Lebesgue,
-    NoResidualBound,
     TolNotReached,
     UnsupportedCombination,
     UnsupportedDescriptor,
@@ -69,7 +69,6 @@ USAGE_ERRORS = (
     UnsupportedDescriptor,
     UnsupportedCombination,
     InvalidInterval,
-    NoResidualBound,
 )
 
 
@@ -365,7 +364,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush
+        # at exit cannot fail again, and exit 1 (the idiom of the signal
+        # module's docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

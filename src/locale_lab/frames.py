@@ -110,6 +110,11 @@ class Frame:
             raise SpecError(f"duplicate element {dup!r}", "$.elements")
         self.up = tuple(up)
         full = (1 << self.n) - 1
+        if len(self.up) != self.n:
+            raise SpecError(f"{len(self.up)} up-sets for {self.n} elements", "$.up")
+        for name, above in zip(e, self.up):
+            if above & ~full:
+                raise SpecError(f"the up-set of {name!r} names an element past the last", "$.up")
         down = [0] * self.n
         for i, above in enumerate(self.up):  # a partial order, by bitmasks
             if not above >> i & 1:

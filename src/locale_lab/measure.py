@@ -22,10 +22,11 @@ integer pairs into one Fraction. Outer measure adds up over the
 summands of a measure, because the opens around a sublocale form a
 filter: an atom weighs in exactly when the sublocale holds its point,
 decided by shape. measure_bounds reads the length off the normal form,
-exactly; stream_bounds certifies it within tol from streams that carry
-only length: upper bounds from the sublocale's neighborhood streams,
-each grow read once, lower bounds from the one partner its normal form
-gives, or an honest zero.
+exactly, and the residual and partner certificates measure through it.
+stream_bounds is the paper's construction, kept as its certificate: it
+bounds the length within tol from streams alone, upper bounds from the
+sublocale's neighborhood streams, each grow read once, lower bounds from
+the one partner its normal form gives, or an honest zero.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from locale_lab.presented import (
     holds_point,
     neighborhood,
     normal_form,
-    structural_union_is_whole,
 )
 from locale_lab.sublocales import (
     Sublocale,
@@ -295,10 +295,6 @@ class TolNotReached(RuntimeError):
         self.side = side
 
 
-class NoResidualBound(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class Measure:
     """Length on each of the regions plus point masses at the atoms.
@@ -371,15 +367,6 @@ def total_measure(d: Measure) -> Fraction:
         (r._length_pair() for r in d.regions),
         ((w.numerator, w.denominator) for _, w in d.atoms),
     ))
-
-
-def measure_closed_exact(d: Measure, u: RatOpen) -> Fraction:
-    """Outer measure of the closed complement of u: total minus mu(u).
-
-    Exact for every measure: the shrinking neighborhoods converge to it
-    from above, and subadditivity pins it from below.
-    """
-    return total_measure(d) - measure_ro(d, u)
 
 
 def point_mass(d: Measure, q) -> Fraction:
@@ -619,20 +606,11 @@ def stream_bounds(x: PresentedSublocale, d: Measure, tol) -> MeasureBounds:
     """Certified bounds on the outer measure of x, of width at most tol:
     the paper's construction, and the certificate of measure_bounds.
 
-    Opens, closed sets and unions of opens are measured exactly. Anything
-    else is measured by summand: the atoms x holds weigh in exactly, by
-    shape, and the length on the regions by the streams (_stream_bounds).
+    Every x is measured by summand, with no formula for any shape: the
+    atoms x holds weigh in exactly, by shape, and the length on the
+    regions comes from the neighbourhood streams (_stream_bounds).
     """
     tol = checked_tol(tol)
-    if isinstance(x, Open):
-        m = measure_ro(d, x.part)
-        return MeasureBounds(m, m, ("exact-open",))
-    if isinstance(x, Closed):
-        m = measure_closed_exact(d, x.of_open)
-        return MeasureBounds(m, m, ("exact-closed",))
-    if isinstance(x, Union) and all(isinstance(p, Open) for p in x.parts):
-        m = measure_ro(d, ivs.join(*(p.part for p in x.parts)))
-        return MeasureBounds(m, m, ("exact-open",))
     held = _held(x, d)
     if not d.regions:
         return MeasureBounds(held, held, ("atoms-by-shape",))
@@ -692,20 +670,13 @@ def _stream_bounds(x: PresentedSublocale, regions: tuple, tol: Fraction) -> Meas
     upper from the neighbourhood streams of x, the lower from those of
     its partner.
 
-    A union with two parts that are structurally all of [0,1] is the
-    total. The budgets follow from tol, and the neighbourhood used is
-    found by doubling and bisection (see _first_closing): the bounds at
-    every k are certified. When no k closes, every k is walked, keeping
-    the best bound on each side, and the TolNotReached raised says which
-    side stalled.
+    The budgets follow from tol, and the neighbourhood used is found by
+    doubling and bisection (see _first_closing): the bounds at every k
+    are certified. When no k closes, every k is walked, keeping the best
+    bound on each side, and the TolNotReached raised says which side
+    stalled.
     """
     total = total_measure(Measure(regions))
-    if isinstance(x, Union):
-        for i, p in enumerate(x.parts):
-            for q in x.parts[i + 1:]:
-                if structural_union_is_whole(p, q):
-                    return MeasureBounds(total, total, ("structural-whole",))
-
     partner = _partner(x)
     certs = ("stream-upper", "lower-zero" if partner is None else "partner-lower")
     inner = tol / 4
@@ -767,24 +738,16 @@ class ResidualBounds:
 def strict_additivity_interval(x, y, d, tol) -> ResidualBounds:
     """Interval arithmetic on mu(XuY) + mu(XnY) - mu(X) - mu(Y).
 
-    The union is measured as a presentation (or recognized as the whole
-    space structurally); the intersection is bounded by monotonicity, or
-    exactly when both arguments are plain opens.
+    X, Y and their union are measured exactly (measure_bounds); the
+    intersection is bounded by monotonicity, or measured exactly when
+    both arguments are plain opens.
     """
     tol = checked_tol(tol)
-    try:
-        bx = stream_bounds(x, d, tol)
-        by = stream_bounds(y, d, tol)
-        bu = stream_bounds(Union((x, y)), d, tol)
-        if isinstance(x, Open) and isinstance(y, Open):
-            m = measure_ro(d, ivs.meet(x.part, y.part))
-            bi = MeasureBounds(m, m, ("exact-open",))
-        else:
-            cap = min(bx.upper, by.upper, bx.upper + by.upper - bu.lower)
-            cap = max(cap, Fraction(0))
-            bi = MeasureBounds(Fraction(0), cap, ("monotone-intersection",))
-    except TolNotReached as exc:
-        raise NoResidualBound(str(exc)) from exc
+    bx, by, bu = (measure_bounds(p, d, tol) for p in (x, y, Union((x, y))))
+    if isinstance(x, Open) and isinstance(y, Open):
+        bi = measure_bounds(IntersectWithOpen(x, y.part), d, tol)
+    else:
+        bi = _meet_cap(bx, by, bu)
     return ResidualBounds(
         lo=bu.lower + bi.lower - bx.upper - by.upper,
         hi=bu.upper + bi.upper - bx.lower - by.lower,
@@ -795,57 +758,47 @@ def strict_additivity_interval(x, y, d, tol) -> ResidualBounds:
     )
 
 
+def _meet_cap(bx: MeasureBounds, by: MeasureBounds, bu: MeasureBounds) -> MeasureBounds:
+    """Bounds on mu(XnY) from those on X, Y and XuY: at most either
+    part, and at most what the parts carry beyond their union."""
+    cap = min(bx.upper, by.upper, bx.upper + by.upper - bu.lower)
+    return MeasureBounds(Fraction(0), max(cap, Fraction(0)), ("monotone-intersection",))
+
+
+# Each shape and its complement shape: their union is all of [0,1].
+_COMPLEMENTS = {
+    Open: lambda x: Closed(x.part),
+    Closed: lambda x: Open(x.of_open),
+    CountablePoints: lambda x: CoCountable(x.points),
+    CoCountable: lambda x: CountablePoints(x.points),
+}
+
+
 def null_partner_interval(x: PresentedSublocale, d, tol):
     """A partner b whose union with x carries full measure while the meet
     stays null, with certificates.
 
-    Opens pair with their closed complement and countable-point shapes
-    with their co-shape, exactly. Any other x certified null within tol
-    gets the closed complement of a small neighborhood stage; a shape
-    that is neither paired nor null has no partner here.
+    Opens, closed sets and the listings pair with their complement shape
+    (_COMPLEMENTS). Any other x measured null within tol gets the closed
+    complement of a small neighborhood stage; a shape that is neither
+    paired nor null has no partner here. The partner and the union are
+    measured exactly (measure_bounds), and the meet is capped as in
+    strict_additivity_interval.
     """
     tol = checked_tol(tol)
-    total = total_measure(d)
-    if isinstance(x, Open):
-        # [U] u c(U) is everything and [U] n c(U) is empty, whatever the
-        # boundary weighs
-        u = x.part
-        m = measure_ro(d, u)
-        return Closed(u), {
-            "union": MeasureBounds(total, total, ("structural-whole",)),
-            "intersection": MeasureBounds(Fraction(0), Fraction(0), ("open-closed-disjoint",)),
-            "partner": MeasureBounds(total - m, total - m, ("exact-closed",)),
-        }
-    if isinstance(x, Closed):
-        m = measure_ro(d, x.of_open)
-        return Open(x.of_open), {
-            "union": MeasureBounds(total, total, ("structural-whole",)),
-            "intersection": MeasureBounds(Fraction(0), Fraction(0), ("open-closed-disjoint",)),
-            "partner": MeasureBounds(m, m, ("exact-open",)),
-        }
-    if isinstance(x, (CountablePoints, CoCountable)):
-        b = CoCountable(x.points) if isinstance(x, CountablePoints) else CountablePoints(x.points)
-        bx = stream_bounds(x, d, tol)
-        bb = stream_bounds(b, d, tol)
-        inter_hi = max(Fraction(0), bx.upper + bb.upper - total)
-        return b, {
-            "union": MeasureBounds(total, total, ("structural-whole",)),
-            "intersection": MeasureBounds(Fraction(0), inter_hi, ("additivity-accounting",)),
-            "partner": bb,
-        }
-    bx = stream_bounds(x, d, tol)
-    if bx.upper > tol:
+    complement = _COMPLEMENTS.get(type(x))
+    bx = measure_bounds(x, d, tol)
+    if complement is not None:
+        b = complement(x)
+    elif bx.upper > tol:
         raise UnsupportedCombination(
             f"{type(x).__name__} is not certified null (upper {bx.upper}) "
             "and has no structural partner"
         )
-    w = _small_stage(x, d, tol)
-    m = measure_closed_exact(d, w)
-    return Closed(w), {
-        "union": MeasureBounds(m, total, ("closed-part-lower",)),
-        "intersection": MeasureBounds(Fraction(0), bx.upper, ("monotone-intersection",)),
-        "partner": MeasureBounds(m, m, ("exact-closed",)),
-    }
+    else:
+        b = Closed(_small_stage(x, d, tol))
+    bb, bu = measure_bounds(b, d, tol), measure_bounds(Union((x, b)), d, tol)
+    return b, {"union": bu, "intersection": _meet_cap(bx, bb, bu), "partner": bb}
 
 
 def _small_stage(x, d, tol) -> RatOpen:

@@ -410,6 +410,51 @@ def test_demos_run_clean(capsys):
     assert "(0,1)" in out
 
 
+PINNED_DEMOS = {
+    "rationals": """\
+the rational points of [0,1], all of them: mu in [0, 5/8192]
+the interval minus the rationals:          mu in [8187/8192, 1]
+additivity residual of the split: [0, 0] (contains zero: True)
+the two shapes cover the interval structurally: True
+so length splits exactly across a countable set and its complement,
+even though neither side is an open set.
+""",
+    "hidden-intersections": """\
+as sets, the rationals and the irrationals partition [0,1] and
+their intersection is empty. as parts of the locale it is not:
+both are dense, and any two dense parts meet in a dense part.
+  union carries full measure: 1
+  the meet is only *measure* null: upper bound 0
+  additivity residual brackets zero: [0, 0]
+
+a finite shadow of the same effect, on the chain 0 < u < 1:
+  residual of the generic part against c(u): -1/2
+  a naive additive reading loses mass there; the ledger only
+  balances once hidden intersections are measured, not assumed empty.
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DEMOS))
+def test_pinned_demo_output(name, capsys):
+    # the stream bounds of each half, then the exact residual and partner
+    assert main(["demo", name]) == 0
+    assert capsys.readouterr().out == PINNED_DEMOS[name]
+
+
+def test_a_closed_stdout_ends_without_a_traceback():
+    # the reader is gone before the first line is written
+    with subprocess.Popen(
+        [sys.executable, "-m", "locale_lab.cli", "demo", "hidden-intersections"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as p:
+        p.stdout.close()
+        err = p.stderr.read()
+        assert p.wait(timeout=60) == 1
+    assert err == b""
+
+
 def test_console_script_is_wired():
     exe = shutil.which("locale-lab")
     if exe is None:

@@ -101,6 +101,17 @@ def test_frame_refuses_an_order_that_is_not_partial(law, names, up, witness):
     assert exc.value.witness == witness
 
 
+@pytest.mark.parametrize("names,up,message", [
+    (["a"], [0b11], "the up-set of 'a' names an element past the last"),
+    (["a", "b"], [0b11], "1 up-sets for 2 elements"),
+    (["a"], [1, 1], "2 up-sets for 1 elements"),
+], ids=["bit-past-the-last", "too-few", "too-many"])
+def test_frame_refuses_up_sets_that_do_not_fit_the_elements(names, up, message):
+    with pytest.raises(SpecError) as exc:
+        Frame(names, up)
+    assert str(exc.value) == f"$.up: {message}"
+
+
 def test_missing_bottom():
     # two minimal elements, no common lower bound
     spec = FrameSpec.make(["a", "b", "1"], [("a", "1"), ("b", "1")])
