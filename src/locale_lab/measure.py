@@ -736,11 +736,11 @@ class ResidualBounds:
 
 
 def strict_additivity_interval(x, y, d, tol) -> ResidualBounds:
-    """Interval arithmetic on mu(XuY) + mu(XnY) - mu(X) - mu(Y).
+    """Bounds on mu(XuY) + mu(XnY) - mu(X) - mu(Y).
 
-    X, Y and their union are measured exactly (measure_bounds); the
-    intersection is bounded by monotonicity, or measured exactly when
-    both arguments are plain opens.
+    X, Y and their union are measured exactly (measure_bounds), so the
+    residual is that exact sum plus the intersection's bounds: the cap of
+    _meet_cap, or its exact measure when both arguments are plain opens.
     """
     tol = checked_tol(tol)
     bx, by, bu = (measure_bounds(p, d, tol) for p in (x, y, Union((x, y))))
@@ -748,9 +748,10 @@ def strict_additivity_interval(x, y, d, tol) -> ResidualBounds:
         bi = measure_bounds(IntersectWithOpen(x, y.part), d, tol)
     else:
         bi = _meet_cap(bx, by, bu)
+    base = bu.lower - bx.lower - by.lower
     return ResidualBounds(
-        lo=bu.lower + bi.lower - bx.upper - by.upper,
-        hi=bu.upper + bi.upper - bx.lower - by.lower,
+        lo=base + bi.lower,
+        hi=base + bi.upper,
         union=bu,
         inter=bi,
         x=bx,
@@ -759,10 +760,10 @@ def strict_additivity_interval(x, y, d, tol) -> ResidualBounds:
 
 
 def _meet_cap(bx: MeasureBounds, by: MeasureBounds, bu: MeasureBounds) -> MeasureBounds:
-    """Bounds on mu(XnY) from those on X, Y and XuY: at most either
-    part, and at most what the parts carry beyond their union."""
-    cap = min(bx.upper, by.upper, bx.upper + by.upper - bu.lower)
-    return MeasureBounds(Fraction(0), max(cap, Fraction(0)), ("monotone-intersection",))
+    """Bounds on mu(XnY) from the exact measures of X, Y and XuY: at most
+    either part, and at most what the parts carry beyond their union."""
+    x, y, u = bx.lower, by.lower, bu.lower
+    return MeasureBounds(Fraction(0), max(min(x, y, x + y - u), Fraction(0)), ("monotone-intersection",))
 
 
 # Each shape and its complement shape: their union is all of [0,1].

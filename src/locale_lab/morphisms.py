@@ -21,7 +21,6 @@ a part are built from their points directly.
 from __future__ import annotations
 
 import itertools
-from operator import getitem
 
 from locale_lab.frames import Frame, FrameError
 # union and whole are not used here but stay importable from this module
@@ -287,8 +286,10 @@ def enumerate_morphisms(source: Frame, target: Frame) -> list:
     the target's primes to the source's primes, q -> f_*(q). Place the
     target primes by down-set size, each on a source prime above the
     images of those below it; each complete placement is a map whose
-    fstar is derived on demand. Sorted by the images of the source's
-    join-irreducibles, smallest down-set first.
+    fstar is derived on demand. The maps come in the order the search
+    places them: lexicographic in the point map, with the target primes
+    taken by down-set size and each tried on the source primes in index
+    order.
     """
     order = sorted(
         range(len(target.primes)),
@@ -319,27 +320,5 @@ def enumerate_morphisms(source: Frame, target: Frame) -> list:
     # cycle, so `out` is freed when the caller drops it, not at the next
     # full collection
     del place
-    # The key is fstar at each join-irreducible a: the meet of the target
-    # primes j whose point lies above a. spread[j][i] holds bit j in field
-    # k (of `width` bits) when source prime i lies above irr[k], so one sum
-    # over a map's points gives every field's mask at once.
-    irr = sorted(source.join_irreducibles, key=lambda p: bin(source.down[p]).count("1"))
-    width = len(target.primes)
-    spread = [
-        [
-            sum((source.primes_above[a] >> i & 1) << (k * width + j) for k, a in enumerate(irr))
-            for i in range(len(source.primes))
-        ]
-        for j in range(width)
-    ]
-    field = (1 << width) - 1
-    shifts = [k * width for k in range(len(irr))]
-    meet = target.meet_of_primes
-
-    def key(f):
-        masks = sum(map(getitem, spread, f._points))
-        return tuple([meet(masks >> s & field) for s in shifts])
-
-    out.sort(key=key)
     return out
 

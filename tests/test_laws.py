@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 from types import SimpleNamespace
@@ -14,10 +15,11 @@ from locale_lab.laws import (
     report_to_json,
     reports_to_json,
     run_frame_suite,
+    run_morphism_suite,
     run_sublocale_suite,
     run_suite,
 )
-from locale_lab.morphisms import identity_morphism, right_adjoint
+from locale_lab.morphisms import enumerate_morphisms, identity_morphism, right_adjoint
 from locale_lab.sublocales import enumerate_sublocales, intersect, is_subsublocale, union, whole
 
 
@@ -44,6 +46,14 @@ def test_morphism_suite_green(morphism_report):
     assert morphism_report.cases >= 2_201_853
     joined = " ".join(morphism_report.notes)
     assert "up to isomorphism" in joined
+
+
+def test_the_morphism_report_does_not_depend_on_map_order(morphism_report, monkeypatch):
+    # the suite reads each list of maps as a set: listed backwards, the
+    # maps give the same report
+    monkeypatch.setattr(laws, "enumerate_morphisms", lambda a, b: enumerate_morphisms(a, b)[::-1])
+    backwards = run_morphism_suite()
+    assert dataclasses.replace(backwards, seconds=0) == dataclasses.replace(morphism_report, seconds=0)
 
 
 def test_measure_suite_green(measure_report):

@@ -1168,19 +1168,6 @@ def test_the_residual_lies_inside_the_streamed_residual(kind):
 
 
 @pytest.mark.parametrize("kind", sorted(DESCRIPTOR_KINDS))
-def test_the_residual_of_streamed_bounds_is_the_streamed_residual(kind, monkeypatch):
-    # fed the streams' bounds, which have width, in place of the exact
-    # ones, the interval arithmetic is the streamed route's; two opens
-    # would stream their meet, which the streamed route took exactly
-    d = DESCRIPTOR_KINDS[kind]
-    monkeypatch.setattr(measure_module, "measure_bounds", stream_bounds)
-    for x, y in CENSUS_PAIRS:
-        if not (isinstance(x, Open) and isinstance(y, Open)):
-            new, old = strict_additivity_interval(x, y, d, TOL), stream_residual(x, y, d, TOL)
-            assert (new.lo, new.hi) == (old.lo, old.hi), (x, y)
-
-
-@pytest.mark.parametrize("kind", sorted(DESCRIPTOR_KINDS))
 def test_the_partner_certificates_lie_inside_the_streamed_ones(kind):
     d = DESCRIPTOR_KINDS[kind]
 
