@@ -20,9 +20,9 @@ side by side and adds the weights of atoms at one point. A Measure
 measures RatOpens exactly, adding region lengths and atom weights as
 integer pairs into one Fraction. Outer measure adds up over the
 summands of a measure, because the opens around a sublocale form a
-filter: an atom weighs in exactly when the sublocale holds its point,
-decided by shape. measure_bounds reads the length off the normal form,
-exactly, and the residual and partner certificates measure through it.
+filter: an atom weighs in exactly when the sublocale holds its point.
+measure_bounds reads that, and the length, off the normal form, exactly,
+and the residual and partner certificates measure through it.
 stream_bounds is the paper's construction, kept as its certificate: it
 bounds the length within tol from streams alone, upper bounds from the
 sublocale's neighborhood streams, each grow read once, lower bounds from
@@ -53,7 +53,7 @@ from locale_lab.presented import (
     Union,
     UnsupportedConstructor,
     full_minus_points,
-    holds_point,
+    held_by,
     neighborhood,
     normal_form,
 )
@@ -326,8 +326,19 @@ def LebesgueRestrictedTo(region: FinUnion) -> Measure:
     return Measure((region,))
 
 
+def _summed_atoms(pairs) -> tuple:
+    """Atoms (point, weight) by increasing point, the weights at one point
+    added; each checked first, as a sum could hide one that is not positive."""
+    weights = {}
+    for q, w in pairs:
+        if w <= 0:
+            raise UnsupportedDescriptor(f"atom {q} has weight {w}")
+        weights[q] = weights.get(q, 0) + w
+    return tuple(sorted(weights.items()))
+
+
 def atomic(pairs) -> Measure:
-    return Measure(atoms=tuple(sorted((frac(q), frac(w)) for q, w in pairs)))
+    return Measure(atoms=_summed_atoms((frac(q), frac(w)) for q, w in pairs))
 
 
 def Mixture(parts) -> Measure:
@@ -335,11 +346,8 @@ def Mixture(parts) -> Measure:
     atoms at one point added."""
     if not parts:
         raise UnsupportedDescriptor("empty mixture")
-    weights = {}
-    for p in parts:
-        for q, w in p.atoms:
-            weights[q] = weights.get(q, 0) + w
-    return Measure(tuple(r for p in parts for r in p.regions), tuple(sorted(weights.items())))
+    return Measure(tuple(r for p in parts for r in p.regions),
+                   _summed_atoms(a for p in parts for a in p.atoms))
 
 
 def _pair_sum(pairs) -> Fraction:
@@ -546,9 +554,9 @@ def _lazy_upper(regions, lazy: LazyOpen, inner_tol: Fraction, max_stage: int) ->
     raise TolNotReached("stage bound did not tighten enough", upper=Fraction(bn, bd))
 
 
-def _held(x: PresentedSublocale, d: Measure) -> Fraction:
-    """The weight of the atoms of d whose points x holds."""
-    return sum((w for q, w in d.atoms if holds_point(x, q)), Fraction(0))
+def _held(form: dict, d: Measure) -> Fraction:
+    """The weight of the atoms of d held by the part of this normal form."""
+    return sum((w for q, w in d.atoms if held_by(form, q)), Fraction(0))
 
 
 def _big(form: dict) -> FinUnion:
@@ -563,7 +571,7 @@ def measure_bounds(x: PresentedSublocale, d: Measure, tol) -> MeasureBounds:
 
     The opens around x form a filter, so its outer measure adds up over
     the summands of d, and an atom weighs in exactly when x holds its
-    point (_held). Outer measure is the infimum over the open
+    point (held_by). Outer measure is the infimum over the open
     neighbourhoods (Simpson, "Measure, randomness and sublocales", APAL
     2012). For the length, with x the join of L meet S_L (normal_form):
     - upper: the whole and co-listing terms lie in the part of S_big, the
@@ -587,7 +595,7 @@ def measure_bounds(x: PresentedSublocale, d: Measure, tol) -> MeasureBounds:
     big = _big(form)
     v = _pair_sum(itertools.chain(
         (ivs.intersect(big, r)._length_pair() for r in d.regions),
-        ((w.numerator, w.denominator) for q, w in d.atoms if holds_point(x, q)),
+        ((w.numerator, w.denominator) for q, w in d.atoms if held_by(form, q)),
     ))
     return MeasureBounds(v, v, (_route(form),))
 
@@ -607,11 +615,11 @@ def stream_bounds(x: PresentedSublocale, d: Measure, tol) -> MeasureBounds:
     the paper's construction, and the certificate of measure_bounds.
 
     Every x is measured by summand, with no formula for any shape: the
-    atoms x holds weigh in exactly, by shape, and the length on the
-    regions comes from the neighbourhood streams (_stream_bounds).
+    atoms x holds weigh in exactly, off its normal form, and the length on
+    the regions comes from the neighbourhood streams (_stream_bounds).
     """
     tol = checked_tol(tol)
-    held = _held(x, d)
+    held = _held(normal_form(x), d)
     if not d.regions:
         return MeasureBounds(held, held, ("atoms-by-shape",))
     try:
@@ -807,7 +815,8 @@ def _small_stage(x, d, tol) -> RatOpen:
     measure at most 2*tol: its length on the regions and the held atoms
     stay within that. The k-th neighbourhood offers its first stage with
     a rest within tol, and k is found as in _stream_bounds."""
-    held = _held(x, d)
+    form = normal_form(x)
+    held = _held(form, d)
     max_k, max_stage = _budgets(tol)
 
     @functools.cache
@@ -825,7 +834,7 @@ def _small_stage(x, d, tol) -> RatOpen:
             f"{max_k} neighborhoods of up to {max_stage} stages",
             side="upper stream",
         )
-    missed = full_minus_points(q for q, _ in d.atoms if not holds_point(x, q))
+    missed = full_minus_points(q for q, _ in d.atoms if not held_by(form, q))
     return ivs.meet(small(k), missed)
 
 

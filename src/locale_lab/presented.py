@@ -5,8 +5,8 @@ given symbolically: opens, closed complements, countable point sets and
 their complements, the smallest dense sublocale, and unions/meets of
 those. Each presentation has a neighborhood stream: `neighborhood(x, k)`
 is an open containing x, and its measures converge down to the outer
-measure. Whether x holds a point is decided by its shape alone (see
-holds_point), so point masses never ride in a neighborhood stream.
+measure. Whether x holds a point is read off its normal form (see
+held_by), so point masses never ride in a neighborhood stream.
 
 Countable point sets are listings read off binary trees of rationals by
 descent (see Enumerator): they keep no state and find points without scans.
@@ -378,51 +378,39 @@ def neighborhood(x: PresentedSublocale, k: int) -> LazyOpen:
     raise UnsupportedConstructor(f"no neighborhood stream for {type(x).__name__}")
 
 
-def holds_point(x: PresentedSublocale, q) -> bool:
-    """Does every open around x hold the point q? Exact for every constructor.
-
-    This is the outer measure of x under a unit mass at q. It holds
-    exactly when q lies in x, because where x misses q some open around
-    x misses q too: [0,1] minus q around a point set, a closed part or
-    the generic part; U around Open(U) or a meet with U; an open around
-    the part of a meet that misses q; the join of such opens around a
-    union.
+def held_by(form: dict, q) -> bool:
+    """Does the part of this normal form hold the point q? Exact: it is the
+    outer measure under a unit mass at q. A term L meet S holds q exactly
+    when q is in S and L holds q: the whole holds every point, a listing
+    its listed points, a co-listing the others, and generic none, as a
+    dense open stays dense less a point. Where every term misses q, [0,1]
+    minus q lies around L or around the part of S for each term.
     """
     q = frac(q)
-    if isinstance(x, Open):
-        return x.part.contains(q)
-    if isinstance(x, Closed):
-        return not x.of_open.contains(q)
-    if isinstance(x, CountablePoints):
-        return x.points.contains(q)
-    if isinstance(x, CoCountable):
-        return not x.points.contains(q)
-    if isinstance(x, Generic):
-        # the smallest dense sublocale misses every point: a dense open
-        # stays dense with a point removed
-        return False
-    if isinstance(x, Union):
-        return any(holds_point(p, q) for p in x.parts)
-    if isinstance(x, IntersectWithOpen):
-        return holds_point(x.part, q) and x.open_.contains(q)
-    if isinstance(x, IntersectWithClosed):
-        return holds_point(x.part, q) and not x.of_open.contains(q)
-    raise UnsupportedConstructor(f"no point test for {type(x).__name__}")
+    return any(
+        s.contains(q) and (
+            leaf is WHOLE
+            or isinstance(leaf, CountablePoints) and leaf.points.contains(q)
+            or isinstance(leaf, CoCountable) and not leaf.points.contains(q)
+        )
+        for leaf, s in form.items()
+    )
 
 
 def structural_union_is_whole(a: PresentedSublocale, b: PresentedSublocale) -> bool:
-    """Certificate that a union b is all of [0,1], by shape alone."""
-    pair = (a, b)
-    for x, y in (pair, pair[::-1]):
-        if (
-            isinstance(x, CountablePoints)
-            and isinstance(y, CoCountable)
-            and x.points.name == y.points.name
-        ):
-            return True
-        if isinstance(x, Open) and isinstance(y, Closed) and x.part == y.of_open:
-            return True
-    return False
+    """Certificate that a union b is all of [0,1], off its normal form: the
+    whole term's set, joined with each set where a listing and its own
+    co-listing both sit, is [0,1], as each S_L is complemented and so
+    (listing meet S) join (co-listing meet S) is whole meet S. Sound, not
+    complete: no listed point counts alone, so (0,1) with the rationals,
+    whole by the ends 0 and 1, is not certified.
+    """
+    form = normal_form(Union((a, b)))
+    cover = form.get(WHOLE, ivs.EMPTY)
+    for leaf, s in form.items():
+        if isinstance(leaf, CountablePoints):
+            cover = ivs.add(cover, ivs.intersect(s, form.get(CoCountable(leaf.points), ivs.EMPTY)))
+    return cover == ivs.FULL
 
 
 def point_sublocale_meets_generic(q) -> bool:

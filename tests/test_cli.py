@@ -137,6 +137,14 @@ def test_measure_adds_the_held_atoms_to_the_length(part, exact, capsys):
     assert capsys.readouterr().out.strip() == f"mu = {exact} (exact)"
 
 
+@pytest.mark.parametrize("descriptor", [
+    "atoms 1/2:2", "atoms 1/2:1,1/2:1", "atoms 1/2:1,2/4:1", "mix atoms 1/2:1 + atoms 1/2:1",
+])
+def test_measure_adds_the_weights_given_at_one_point(descriptor, capsys):
+    assert main(["measure", descriptor, "(0,1)"]) == 0
+    assert capsys.readouterr().out == "mu = 2 (exact)\n"
+
+
 def test_measure_closed_restricted(capsys):
     assert main(["measure", "restrict [0,1/2]", "closed (1/2,1]"]) == 0
     assert capsys.readouterr().out.strip() == "mu = 1/2 (exact)"
@@ -411,6 +419,21 @@ def test_demos_run_clean(capsys):
 
 
 PINNED_DEMOS = {
+    "generic": """\
+the three-element chain 0 < u < 1 has exactly 4 parts (sublocales).
+one of them is the least dense part: it sends H to not-not-H.
+dense parts: 2; the least dense part is contained in every one of them: True
+
+on [0,1] the same part has no points at all:
+  meets the single point 0: False
+  meets the single point 1: False
+  meets the single point 1/2: False
+  meets the single point 1/3: False
+  meets the single point 2/3: False
+yet every neighborhood of it contains every rational probed: True
+and its outer measure is pinned under length: [0, 5/8192]
+under a single atom at 1/2 it is exactly null: [0, 0]
+""",
     "rationals": """\
 the rational points of [0,1], all of them: mu in [0, 5/8192]
 the interval minus the rationals:          mu in [8187/8192, 1]
@@ -432,12 +455,24 @@ a finite shadow of the same effect, on the chain 0 < u < 1:
   a naive additive reading loses mass there; the ledger only
   balances once hidden intersections are measured, not assumed empty.
 """,
+    "reduction": """\
+chain 0 < u < 1 with mu(u) = 1/2, mu(1) = 1:
+  outer measure of the whole space: 1
+  the reduction keeps only what carries mass: ['1', 'u'] (outer measure 1)
+  it equals c(u): True
+
+on [0,1]:
+  lebesgue on (0,1/2)|(1/2,1) reduces to (0,1) -- a massless missing point disappears
+  a unit atom at 1/2 reduces the space to closed [0,1/2)|(1/2,1] -- everything but the atom disappears
+""",
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_DEMOS))
 def test_pinned_demo_output(name, capsys):
-    # the stream bounds of each half, then the exact residual and partner
+    # byte for byte: the generic demo weighs a unit atom through
+    # stream_bounds, the rationals demo streams each half and reads the
+    # exact residual and partner
     assert main(["demo", name]) == 0
     assert capsys.readouterr().out == PINNED_DEMOS[name]
 

@@ -92,7 +92,7 @@ from locale_lab.presented import (
     UnsupportedConstructor,
     closed_neighborhood,
     full_minus_points,
-    holds_point,
+    held_by,
     neighborhood,
     normal_form,
     structural_union_is_whole,
@@ -944,17 +944,62 @@ def fat(x, t) -> bool:
     return fat(x.part, t) and not x.of_open.contains(t)
 
 
+def walk_holds_point(x, q) -> bool:
+    """Does x hold the point q? The constructor walk that held_by, read
+    off the normal form, replaced: kept as its oracle."""
+    if isinstance(x, Open):
+        return x.part.contains(q)
+    if isinstance(x, Closed):
+        return not x.of_open.contains(q)
+    if isinstance(x, CountablePoints):
+        return x.points.contains(q)
+    if isinstance(x, CoCountable):
+        return not x.points.contains(q)
+    if isinstance(x, Generic):
+        return False
+    if isinstance(x, Union):
+        return any(walk_holds_point(p, q) for p in x.parts)
+    if isinstance(x, IntersectWithOpen):
+        return walk_holds_point(x.part, q) and x.open_.contains(q)
+    return walk_holds_point(x.part, q) and not x.of_open.contains(q)
+
+
 def set_picture(x, d):
     """The length of x's set picture on the regions plus the atoms x
     holds. The census ends and the regions of DESCRIPTOR_KINDS lie on the
     quarters, so the picture is whole or empty inside each eighth."""
     length = Measure(d.regions)
     fill = sum((measure_fin(length, c) for i, c in enumerate(EIGHTHS) if fat(x, F(2 * i + 1, 16))), F(0))
-    return fill + sum((w for q, w in d.atoms if holds_point(x, q)), F(0))
+    return fill + sum((w for q, w in d.atoms if walk_holds_point(x, q)), F(0))
 
 
 def test_the_census_has_its_counts():
     assert (len(CENSUS_DEPTH1), len(CENSUS_DEPTH2)) == (68, 3230)
+
+
+# every census end, and points between them
+CENSUS_POINTS = sorted({p.lo for u in CENSUS_OPENS for p in u.fin.pieces}
+                       | {p.hi for u in CENSUS_OPENS for p in u.fin.pieces}
+                       | {F(0), F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(3, 4), F(1)})
+
+
+def test_the_normal_form_holds_the_points_the_walk_holds():
+    for x in CENSUS_BASE + CENSUS_DEPTH1:
+        form = normal_form(x)
+        for q in CENSUS_POINTS:
+            assert held_by(form, q) is walk_holds_point(x, q), (x, q)
+
+
+def test_every_certified_cover_of_the_census_carries_full_measure():
+    # ordered pairs, as the certificate reads the union's form either way
+    shapes = CENSUS_BASE + CENSUS_DEPTH1
+    certified = [(a, b) for a in shapes for b in shapes if structural_union_is_whole(a, b)]
+    assert len(certified) == 919
+    for d in DESCRIPTOR_KINDS.values():
+        total = total_measure(d)
+        for a, b in certified:
+            got = measure_bounds(Union((a, b)), d, TOL)
+            assert got.lower == got.upper == total, (a, b, d, got)
 
 
 def test_normal_forms_by_hand():
@@ -1203,6 +1248,19 @@ def test_parse_descriptor_grammar():
         parse_descriptor("uniform")
     with pytest.raises(UnsupportedDescriptor):
         parse_descriptor("atoms 1/2")
+
+
+def test_atoms_at_one_point_add_up():
+    # atomic sorts its pairs, so a point given twice is a sum, not an order
+    want = Measure(atoms=((F(1, 2), F(2)),))
+    for text in ("atoms 1/2:1,1/2:1", "atoms 1/2:1,2/4:1", "mix atoms 1/2:1 + atoms 1/2:1"):
+        assert parse_descriptor(text) == want, text
+    assert atomic([("1/2", "1"), ("1/2", "1")]) == want
+    # each weight is checked before the sum, which would hide a negative one
+    with pytest.raises(UnsupportedDescriptor, match="has weight -1"):
+        atomic([("1/2", "-1"), ("1/2", "2")])
+    with pytest.raises(UnsupportedDescriptor, match="not strictly increasing"):
+        Measure(atoms=((F(1, 2), F(1)), (F(1, 2), F(1))))
 
 
 # ----------------------------------------------------------- one form against the tree
@@ -1475,7 +1533,7 @@ def test_entry_points_refuse_a_bad_tolerance(entry, tol):
 # neighbourhood stream: the stream was punctured at the atoms the shape
 # provably avoids, and an atom not yet reached was weighed in the rest
 # whenever a conservative test said the limit may hold it. That path is
-# kept here as the reference for holds_point and for the split.
+# kept here as the reference for held_by and for the split.
 
 
 def ref_avoids_point(x, a):
@@ -1619,7 +1677,7 @@ def test_holds_point_within_the_punctured_stream_bounds(x, q):
     # a unit atom at q measures x as 1 exactly when x holds q
     ref = ref_bounds(x, atomic([(q, 1)]), TOL)
     if ref is not None:
-        assert ref.contains(int(holds_point(x, q))), (x, q, ref)
+        assert ref.contains(int(held_by(normal_form(x), q))), (x, q, ref)
 
 
 @pytest.mark.parametrize("kind", sorted(DESCRIPTOR_KINDS))
@@ -1675,7 +1733,7 @@ def walk_stream_bounds(x, regions, tol):
 
 def walk_small_stage(x, d, tol):
     """_small_stage with k walked from 1 up."""
-    held = sum((w for q, w in d.atoms if holds_point(x, q)), F(0))
+    held = sum((w for q, w in d.atoms if walk_holds_point(x, q)), F(0))
     max_k, max_stage = _budgets(tol)
     for k in range(1, max_k + 1):
         nb = neighborhood(x, k)
@@ -1683,7 +1741,7 @@ def walk_small_stage(x, d, tol):
                                                         max_stage + 1)):
             if rest <= tol:
                 if m + held <= 2 * tol:
-                    missed = full_minus_points(q for q, _ in d.atoms if not holds_point(x, q))
+                    missed = full_minus_points(q for q, _ in d.atoms if not walk_holds_point(x, q))
                     return ivs.meet(nb.stage(n), missed)
                 break
     raise TolNotReached(

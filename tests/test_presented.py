@@ -22,11 +22,12 @@ from locale_lab.presented import (
     as_lazy,
     closed_neighborhood,
     full_minus_points,
-    holds_point,
+    held_by,
     lazy_cover,
     lazy_join,
     lazy_meet_open,
     neighborhood,
+    normal_form,
     point_sublocale_meets_generic,
     structural_union_is_whole,
 )
@@ -446,10 +447,11 @@ HOLDS_POINT = [
 @pytest.mark.parametrize("x,held,missed", HOLDS_POINT,
                          ids=[f"{type(x).__name__}-{i}" for i, (x, _, _) in enumerate(HOLDS_POINT)])
 def test_holds_point(x, held, missed):
+    form = normal_form(x)
     if held is not None:
-        assert holds_point(x, held) is True
+        assert held_by(form, held) is True
     if missed is not None:
-        assert holds_point(x, missed) is False
+        assert held_by(form, missed) is False
 
 
 # ------------------------------------------------------------- certificates
@@ -463,6 +465,15 @@ def test_structural_union_certificates():
     assert structural_union_is_whole(Closed(u), Open(u))
     assert not structural_union_is_whole(Open(u), Closed(parse_ratopen("(0,1/2)")))
     assert not structural_union_is_whole(Generic(), CoCountable(RATIONALS))
+    # the whole term's set joined with the sets a listing and its co-listing share
+    half, quarter = parse_ratopen("(0,1/2)"), parse_ratopen("(0,1/4)")
+    assert structural_union_is_whole(Open(half), Closed(quarter))
+    rats_or_half = Union((CountablePoints(RATIONALS), Open(half)))
+    assert structural_union_is_whole(rats_or_half, CoCountable(RATIONALS))
+    assert not structural_union_is_whole(rats_or_half, IntersectWithOpen(CoCountable(RATIONALS), half))
+    # sound, not complete: no listed point counts alone, so the ends 0 and 1
+    # that the rationals add to (0,1) go unseen
+    assert not structural_union_is_whole(Open(parse_ratopen("(0,1)")), CountablePoints(RATIONALS))
 
 
 # ------------------------------------------------------------------ points
