@@ -5,11 +5,16 @@ laws replays the law suites over the corpus, measure evaluates measure
 bounds for a descriptor against a part of [0,1], and demo walks through
 the scripted examples. Exit codes: 0 clean, 1 a violation or an
 unsupported/invalid input, 2 argument or parse trouble.
+
+`main` builds one argument parser per process, on its first call, and
+reuses it: it may be called any number of times in one process, and each
+call answers as a fresh `locale-lab` process would.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -329,7 +334,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call.
+
+    Sharing it is safe as long as parsing leaves it unchanged: parse_args
+    returns a fresh Namespace and runs string defaults such as --tol's
+    through their type on every parse, and no command may change it.
+    """
     p = _Parser(
         prog="locale-lab",
         description="finite frames, parts of spaces, and measure on [0,1]",

@@ -619,11 +619,12 @@ def stream_bounds(x: PresentedSublocale, d: Measure, tol) -> MeasureBounds:
     the regions comes from the neighbourhood streams (_stream_bounds).
     """
     tol = checked_tol(tol)
-    held = _held(normal_form(x), d)
+    form = normal_form(x)
+    held = _held(form, d)
     if not d.regions:
         return MeasureBounds(held, held, ("atoms-by-shape",))
     try:
-        b = _stream_bounds(x, d.regions, tol)
+        b = _stream_bounds(x, d.regions, tol, form)
     except TolNotReached as exc:
         if not held:
             raise
@@ -663,20 +664,22 @@ def _first_closing(closes, max_k: int):
     return k
 
 
-def _partner(x: PresentedSublocale):
-    """rationals join c(int S_big), which joins x to the whole (see
-    measure_bounds), or None where int S_big is empty and the lower is 0."""
-    inner = RatOpen(ivs.interior(_big(normal_form(x))))
+def _partner(form: dict):
+    """rationals join c(int S_big), which joins the part of this normal
+    form to the whole (see measure_bounds), or None where int S_big is
+    empty and the lower is 0."""
+    inner = RatOpen(ivs.interior(_big(form)))
     if inner.is_empty:
         return None
     rationals = CountablePoints(RATIONALS)
     return rationals if inner == FULL_RO else Union((rationals, Closed(inner)))
 
 
-def _stream_bounds(x: PresentedSublocale, regions: tuple, tol: Fraction) -> MeasureBounds:
+def _stream_bounds(x: PresentedSublocale, regions: tuple, tol: Fraction,
+                   form: dict | None = None) -> MeasureBounds:
     """Bounds on the outer measure of x under length on the regions: the
     upper from the neighbourhood streams of x, the lower from those of
-    its partner.
+    its partner, read off form, x's normal form (built here if not given).
 
     The budgets follow from tol, and the neighbourhood used is found by
     doubling and bisection (see _first_closing): the bounds at every k
@@ -685,7 +688,7 @@ def _stream_bounds(x: PresentedSublocale, regions: tuple, tol: Fraction) -> Meas
     stalled.
     """
     total = total_measure(Measure(regions))
-    partner = _partner(x)
+    partner = _partner(normal_form(x) if form is None else form)
     certs = ("stream-upper", "lower-zero" if partner is None else "partner-lower")
     inner = tol / 4
     max_k, max_stage = _budgets(tol)

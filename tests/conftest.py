@@ -44,6 +44,7 @@ def stuck_partners(monkeypatch):
     stalls on its lower side. No part of the grammar stalls otherwise."""
     stuck, never = object(), LazyOpen(lambda n: EMPTY_RO, lambda n: (1, 1))
     partner = measure._partner
-    monkeypatch.setattr(measure, "_partner", lambda x: None if partner(x) is None else stuck)
+    monkeypatch.setattr(measure, "_partner",
+                        lambda form: None if partner(form) is None else stuck)
     monkeypatch.setattr(measure, "neighborhood",
                         lambda x, k: never if x is stuck else neighborhood(x, k))

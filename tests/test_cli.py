@@ -213,16 +213,24 @@ PARTS = st.recursive(LEAVES, lambda inner: st.one_of(
 ), max_leaves=4)
 
 
-@given(DESCRIPTORS, PARTS)
-@settings(max_examples=150, deadline=None)
-def test_measure_answers_any_arguments_in_one_line(descriptor, part):
+def answer(argv):
+    """(exit code, stdout, stderr) of one in-process call, less the
+    seconds line of a law report, the one line that differs between runs."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            rc = main(["measure", descriptor, part])
+            code = main(argv)
         except SystemExit as exc:
-            rc = exc.code
-    out, err = out.getvalue(), err.getvalue()
+            code = exc.code
+    untimed = [ln for ln in out.getvalue().splitlines(keepends=True)
+               if not ln.lstrip().startswith(("seconds:", '"seconds":'))]
+    return code, "".join(untimed), err.getvalue()
+
+
+@given(DESCRIPTORS, PARTS)
+@settings(max_examples=150, deadline=None)
+def test_measure_answers_any_arguments_in_one_line(descriptor, part):
+    rc, out, err = answer(["measure", descriptor, part])
     assert rc in (0, 1, 2)
     assert "Traceback" not in err
     assert len(err.splitlines()) <= 1
@@ -511,3 +519,51 @@ def test_module_entry_point():
     )
     assert r.returncode == 0
     assert r.stdout.strip() == "mu = 1/4 (exact)"
+
+
+# main reuses one parser for the whole process; each call must still
+# answer as a fresh process would. The sequence pairs a call that could
+# leave state behind in the parser with one that would read it.
+REUSE_SEQUENCE = [
+    ["measure", "lebesgue", "union(rationals; (0,1/2))", "--tol", "1/10"],
+    ["measure", "lebesgue", "union(rationals; (0,1/2))"],
+    ["laws", "frame", "--max-size", "3", "--format", "json"],
+    ["laws", "frame"],
+    ["measure", "lebesgue"],
+    ["measure", "lebesgue", "(0,1/2)"],
+    ["measure", "--help"],
+    ["measure", "lebesgue", "closed (1/4,3/4)"],
+    ["measure", "lebesgue", "rationals", "--tol", "1e-300"],
+    ["measure", "lebesgue", "rationals"],
+]
+
+
+def test_one_parser_answers_each_call_as_a_fresh_one(monkeypatch):
+    # measure_bounds is exact whatever the tolerance, so measure answers
+    # through stream_bounds here, whose bounds show the tolerance used
+    monkeypatch.setattr(cli, "measure_bounds", stream_bounds)
+    fresh = []
+    for argv in REUSE_SEQUENCE:
+        build_parser.cache_clear()
+        fresh.append(answer(argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 0, 0, 0, 2, 0]
+    assert fresh[0][1] != fresh[1][1] and fresh[2][1] != fresh[3][1]
+    build_parser.cache_clear()
+    assert [answer(argv) for argv in REUSE_SEQUENCE] == fresh
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    built, init = [], cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    build_parser.cache_clear()
+    assert main(["measure", "lebesgue", "(0,1/2)"]) == 0
+    # the parser and its four subparsers
+    assert len(built) == 5
+    for argv in REUSE_SEQUENCE:
+        answer(argv)
+    assert len(built) == 5

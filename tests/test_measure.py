@@ -882,6 +882,20 @@ def test_union_bounds_use_structure_and_parts():
     assert bv.contains(F(1, 2)) and bv.width <= TOL
 
 
+def test_stream_bounds_builds_one_normal_form(monkeypatch):
+    # the held atoms and the partner read the same form
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return normal_form(x)
+
+    monkeypatch.setattr(measure_module, "normal_form", counted)
+    x = Union((CountablePoints(RATIONALS), Open(parse_ratopen("(0,1/2)"))))
+    b = stream_bounds(x, Lebesgue(), TOL)
+    assert b.contains(F(1, 2)) and calls == [x]
+
+
 def test_bounds_honestly_fail_when_no_lower_route_exists(stuck_partners):
     x = IntersectWithOpen(CoCountable(RATIONALS), parse_ratopen("(0,1)"))
     assert measure_bounds(x, Lebesgue(), TOL).lower == 1
@@ -1010,9 +1024,10 @@ def test_normal_forms_by_hand():
     assert normal_form(y) == {CoCountable(DYADICS): half.fin, WHOLE: parse_fin("[0,0]|[1/2,1]"),
                               Generic(): ivs.FULL}
     # the partner is built on the interior (1/2,1] of S_big = [0,0]|[1/2,1]
-    assert _partner(Union((Closed(half), Generic()))) == Union(
+    assert _partner(normal_form(Union((Closed(half), Generic())))) == Union(
         (rats, Closed(parse_ratopen("(1/2,1]"))))
-    assert _partner(Generic()) is None and _partner(CoCountable(DYADICS)) == rats
+    assert _partner(normal_form(Generic())) is None
+    assert _partner(normal_form(CoCountable(DYADICS))) == rats
 
 
 @pytest.mark.parametrize("part,route", [
@@ -1704,7 +1719,7 @@ def walk_stream_bounds(x, regions, tol):
     kept, until the two close. It reads the partner and the streams
     through the module, so a planted stall reaches it too."""
     total = total_measure(Measure(regions))
-    partner = measure_module._partner(x)
+    partner = measure_module._partner(normal_form(x))
     certs = ("stream-upper", "lower-zero" if partner is None else "partner-lower")
     lower, upper = F(0), total
     inner = tol / 4
