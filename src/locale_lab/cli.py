@@ -28,7 +28,6 @@ from locale_lab.laws import SUITES, format_text, report_to_json, reports_to_json
 from locale_lab.measure import (
     BadTolerance,
     Lebesgue,
-    TolNotReached,
     UnsupportedCombination,
     UnsupportedDescriptor,
     atomic,
@@ -51,8 +50,7 @@ from locale_lab.presented import (
     CoCountable,
     CountablePoints,
     Generic,
-    IntersectWithClosed,
-    IntersectWithOpen,
+    Meet,
     Open,
     Union,
     UnsupportedConstructor,
@@ -163,22 +161,19 @@ def parse_part(text: str):
         return Generic()
     if low.startswith("closed "):
         return Closed(parse_ratopen(t[len("closed "):]))
-    for head in ("union", "meet-open", "meet-closed"):
+    for head in ("union", "meet", "meet-open", "meet-closed"):
         if low.startswith(head + "(") and t.endswith(")"):
             inner = _split_top(t[len(head) + 1:-1])
             if any(not p.strip() for p in inner):
                 raise UnsupportedConstructor(f"{head}() has a blank argument")
-            if head == "union":
-                return Union(tuple(parse_part(p) for p in inner))
+            if head in ("union", "meet"):
+                return (Union if head == "union" else Meet)(tuple(parse_part(p) for p in inner))
             if len(inner) != 2:
                 raise UnsupportedConstructor(
                     f"{head} takes exactly two arguments separated by ';'"
                 )
-            part = parse_part(inner[0])
-            u = parse_ratopen(inner[1].strip())
-            if head == "meet-open":
-                return IntersectWithOpen(part, u)
-            return IntersectWithClosed(part, u)
+            part, u = parse_part(inner[0]), parse_ratopen(inner[1].strip())
+            return Meet((part, Open(u) if head == "meet-open" else Closed(u)))
     return Open(parse_ratopen(t))
 
 
@@ -190,16 +185,10 @@ def cmd_measure(args) -> int:
     except USAGE_ERRORS as exc:
         _err(str(exc))
         return 1
-    except TolNotReached as exc:
-        _err(f"tolerance {args.tol} not reached: {exc}")
-        return 1
     except RecursionError:
         _err("part is nested too deeply")
         return 1
-    if b.is_exact:
-        print(f"mu = {b.lower} (exact)")
-    else:
-        print(f"mu in [{b.lower}, {b.upper}]")
+    print(f"mu = {b.lower} (exact)")
     return 0
 
 
@@ -365,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     ms = sub.add_parser("measure", help="bound the measure of a part of [0,1]")
     ms.add_argument("descriptor", help="e.g. 'lebesgue', 'atoms 1/2:1', 'restrict [0,1/2]'")
     ms.add_argument("part", help="e.g. '(0,1/2)', 'closed (0,1/2)', 'rationals', 'union(rationals; (0,1/4))'")
-    ms.add_argument("--tol", type=_positive_rational, default="1/1000")
+    ms.add_argument("--tol", type=_positive_rational, default="1/1000",
+                    help="checked only: the answer is exact")
     ms.set_defaults(fn=cmd_measure)
 
     dm = sub.add_parser("demo", help="walk through a scripted example")

@@ -78,7 +78,9 @@ from locale_lab.presented import (
     CoCountable,
     CountablePoints,
     Generic,
+    Meet,
     Open,
+    Union,
     closed_neighborhood,
     neighborhood,
     point_sublocale_meets_generic,
@@ -1706,10 +1708,14 @@ def _generic_null(a):
 @_declare(INTERVAL_LAWS, "additivity-residual",
           "the additivity residual of the rational/irrational split brackets zero tightly")
 def _additivity_residual(a):
+    # 0 by construction off the forms: each exact value must lie in its streams
     res = strict_additivity_interval(a.rats, a.irr, Lebesgue(), a.tol)
+    parts = (a.rats, a.irr, Union((a.rats, a.irr)), Meet((a.rats, a.irr)))
+    outside = [str(p) for p, b in zip(parts, (res.x, res.y, res.union, res.inter))
+               if not stream_bounds(p, Lebesgue(), a.tol).contains(b.lower)]
     return _once(
-        res.contains_zero() and res.width <= 4 * a.tol,
-        {"lo": str(res.lo), "hi": str(res.hi)},
+        res.contains_zero() and res.width <= 4 * a.tol and not outside,
+        {"lo": str(res.lo), "hi": str(res.hi), "outside-its-streams": outside},
     )
 
 
@@ -1773,11 +1779,13 @@ def _dense_probes(a):
           "never by structural disjointness")
 def _hidden_intersection(a):
     partner, certs = null_partner_interval(a.rats, Lebesgue(), a.tol)
+    streamed = stream_bounds(Meet((a.rats, partner)), Lebesgue(), a.tol)
     return _once(
         structural_union_is_whole(a.rats, a.irr)
         and certs["union"].lower == certs["union"].upper == 1
-        and certs["intersection"].upper <= 2 * a.tol,
-        {"intersection-upper": str(certs["intersection"].upper)},
+        and certs["intersection"].upper <= 2 * a.tol
+        and streamed.contains(0) and streamed.upper <= 2 * a.tol,
+        {"intersection-upper": str(certs["intersection"].upper), "streamed": str(streamed)},
     )
 
 

@@ -21,8 +21,9 @@ measures RatOpens exactly, adding region lengths and atom weights as
 integer pairs into one Fraction. Outer measure adds up over the
 summands of a measure, because the opens around a sublocale form a
 filter: an atom weighs in exactly when the sublocale holds its point.
-measure_bounds reads that, and the length, off the normal form, exactly,
-and the residual and partner certificates measure through it.
+measure_bounds reads that, and the length, off the normal form exactly,
+and the residual and partner certificates off the forms of unions and
+meets derived from their operands' forms.
 stream_bounds is the paper's construction, kept as its certificate: it
 bounds the length within tol from streams alone, upper bounds from the
 sublocale's neighborhood streams, each grow read once, lower bounds from
@@ -42,18 +43,19 @@ from locale_lab.intervals import EMPTY_RO, FULL_RO, FinUnion, Iv, RatOpen, frac,
 from locale_lab.morphisms import FrameMorphism
 from locale_lab.presented import (
     RATIONALS,
-    WHOLE,
     Closed,
     CoCountable,
     CountablePoints,
-    IntersectWithOpen,
     LazyOpen,
+    Meet,
     Open,
     PresentedSublocale,
     Union,
     UnsupportedConstructor,
     full_minus_points,
     held_by,
+    join_forms,
+    meet_forms,
     neighborhood,
     normal_form,
 )
@@ -438,13 +440,11 @@ def mu_reduce_interval(d, a: PresentedSublocale | None = None) -> PresentedSublo
     Supported for a = None (all of [0,1]), opens, and closed complements;
     anything else raises UnsupportedConstructor.
     """
-    if a is None:
+    if a is None or a == Open(FULL_RO):
         return Closed(mu_reduce_open(d, EMPTY_RO))
     if isinstance(a, Open):
-        if a.part == FULL_RO:
-            return Closed(mu_reduce_open(d, EMPTY_RO))
         inner = restrict_to_open(d, a.part)
-        return IntersectWithOpen(Closed(mu_reduce_open(inner, EMPTY_RO)), a.part)
+        return Meet((Closed(mu_reduce_open(inner, EMPTY_RO)), a))
     if isinstance(a, Closed):
         inner = restrict_to_closed(d, a.of_open)
         hull = mu_reduce_open(inner, EMPTY_RO)
@@ -560,9 +560,10 @@ def _held(form: dict, d: Measure) -> Fraction:
 
 
 def _big(form: dict) -> FinUnion:
-    """S_big: the union of the sets of the whole and co-listing terms."""
-    return functools.reduce(ivs.add, (s for leaf, s in form.items()
-                                      if leaf is WHOLE or isinstance(leaf, CoCountable)), ivs.EMPTY)
+    """S_big: the union of the sets of the terms whose keys are made of
+    co-listings alone, the whole (the empty key) included."""
+    return functools.reduce(ivs.add, (s for key, s in form.items()
+                                      if all(isinstance(leaf, CoCountable) for leaf in key)), ivs.EMPTY)
 
 
 def measure_bounds(x: PresentedSublocale, d: Measure, tol) -> MeasureBounds:
@@ -573,16 +574,17 @@ def measure_bounds(x: PresentedSublocale, d: Measure, tol) -> MeasureBounds:
     the summands of d, and an atom weighs in exactly when x holds its
     point (held_by). Outer measure is the infimum over the open
     neighbourhoods (Simpson, "Measure, randomness and sublocales", APAL
-    2012). For the length, with x the join of L meet S_L (normal_form):
-    - upper: the whole and co-listing terms lie in the part of S_big, the
-      listings in covers of their points and generic in every dense
-      open, so the opens around S_big joined with small covers of the
-      rationals, less the atoms x does not hold, are neighbourhoods of x
-      whose length falls to that of S_big;
+    2012). For the length, with x the join of K meet S_K (normal_form):
+    - upper: the terms of S_big lie in its part, a key with a listing in
+      covers of its points and one with generic in every dense open, so
+      the opens around S_big joined with small covers of the rationals,
+      less the atoms x does not hold, are neighbourhoods of x whose
+      length falls to that of S_big;
     - lower: x lies above y = irrationals meet o(int S_big), as each
-      whole or co-listing term lies above irrationals meet o(int S_L),
-      and int S_big is the union of the int S_L but for finitely many
-      rational ends, which the irrationals miss. The partner rationals
+      term of S_big lies above irrationals meet o(int S_K), every
+      co-listing being above the irrationals, and int S_big is the union
+      of the int S_K but for finitely many rational ends, which the
+      irrationals miss. The partner rationals
       join c(int S_big) joins y to the whole, as a join distributes over
       meets in a coframe and rationals join irrationals and o(U) join
       c(U) are whole. So the outer length of x is at least the total
@@ -591,7 +593,11 @@ def measure_bounds(x: PresentedSublocale, d: Measure, tol) -> MeasureBounds:
     tol is only checked; stream_bounds certifies v from the streams.
     """
     checked_tol(tol)
-    form = normal_form(x)
+    return _exact(normal_form(x), d)
+
+
+def _exact(form: dict, d: Measure) -> MeasureBounds:
+    """measure_bounds, on the part of this normal form."""
     big = _big(form)
     v = _pair_sum(itertools.chain(
         (ivs.intersect(big, r)._length_pair() for r in d.regions),
@@ -602,9 +608,9 @@ def measure_bounds(x: PresentedSublocale, d: Measure, tol) -> MeasureBounds:
 
 def _route(form: dict) -> str:
     """The certificate: what kind of part the normal form shows x to be."""
-    if any(s.pieces for leaf, s in form.items() if leaf is not WHOLE):
+    if any(s.pieces for key, s in form.items() if key):
         return "normal-form"
-    ps = form.get(WHOLE, ivs.EMPTY).pieces
+    ps = form.get(frozenset(), ivs.EMPTY).pieces
     if all((p.ln == 0 or not p.lo_in) and (p.hn == p.hd or not p.hi_in) for p in ps):
         return "exact-open"
     return "exact-closed" if all(p.lo_in and p.hi_in for p in ps) else "exact-locally-closed"
@@ -747,34 +753,21 @@ class ResidualBounds:
 
 
 def strict_additivity_interval(x, y, d, tol) -> ResidualBounds:
-    """Bounds on mu(XuY) + mu(XnY) - mu(X) - mu(Y).
+    """mu(XuY) + mu(XnY) - mu(X) - mu(Y), exactly: zero on every pair.
 
-    X, Y and their union are measured exactly (measure_bounds), so the
-    residual is that exact sum plus the intersection's bounds: the cap of
-    _meet_cap, or its exact measure when both arguments are plain opens.
+    The four parts are measured as measure_bounds measures them, off the
+    normal forms of X and Y, built once, and the forms of the union and
+    the meet derived from those (join_forms, meet_forms). S_big of the
+    union is B(X) cup B(Y), that of the meet B(X) cap B(Y) (B as in
+    _big), and the meet holds a point exactly when X and Y both do; so
+    length and atoms add up, as Simpson proves for sublocales ("Measure,
+    randomness and sublocales", APAL 2012).
     """
-    tol = checked_tol(tol)
-    bx, by, bu = (measure_bounds(p, d, tol) for p in (x, y, Union((x, y))))
-    if isinstance(x, Open) and isinstance(y, Open):
-        bi = measure_bounds(IntersectWithOpen(x, y.part), d, tol)
-    else:
-        bi = _meet_cap(bx, by, bu)
-    base = bu.lower - bx.lower - by.lower
-    return ResidualBounds(
-        lo=base + bi.lower,
-        hi=base + bi.upper,
-        union=bu,
-        inter=bi,
-        x=bx,
-        y=by,
-    )
-
-
-def _meet_cap(bx: MeasureBounds, by: MeasureBounds, bu: MeasureBounds) -> MeasureBounds:
-    """Bounds on mu(XnY) from the exact measures of X, Y and XuY: at most
-    either part, and at most what the parts carry beyond their union."""
-    x, y, u = bx.lower, by.lower, bu.lower
-    return MeasureBounds(Fraction(0), max(min(x, y, x + y - u), Fraction(0)), ("monotone-intersection",))
+    checked_tol(tol)
+    fx, fy = normal_form(x), normal_form(y)
+    bx, by, bu, bi = (_exact(f, d) for f in (fx, fy, join_forms(fx, fy), meet_forms(fx, fy)))
+    r = bu.lower + bi.lower - bx.lower - by.lower
+    return ResidualBounds(lo=r, hi=r, union=bu, inter=bi, x=bx, y=by)
 
 
 # Each shape and its complement shape: their union is all of [0,1].
@@ -793,13 +786,14 @@ def null_partner_interval(x: PresentedSublocale, d, tol):
     Opens, closed sets and the listings pair with their complement shape
     (_COMPLEMENTS). Any other x measured null within tol gets the closed
     complement of a small neighborhood stage; a shape that is neither
-    paired nor null has no partner here. The partner and the union are
-    measured exactly (measure_bounds), and the meet is capped as in
+    paired nor null has no partner here. The partner, the union and the
+    meet are measured exactly, off the normal forms of x and of b, as in
     strict_additivity_interval.
     """
     tol = checked_tol(tol)
     complement = _COMPLEMENTS.get(type(x))
-    bx = measure_bounds(x, d, tol)
+    fx = normal_form(x)
+    bx = _exact(fx, d)
     if complement is not None:
         b = complement(x)
     elif bx.upper > tol:
@@ -808,17 +802,18 @@ def null_partner_interval(x: PresentedSublocale, d, tol):
             "and has no structural partner"
         )
     else:
-        b = Closed(_small_stage(x, d, tol))
-    bb, bu = measure_bounds(b, d, tol), measure_bounds(Union((x, b)), d, tol)
-    return b, {"union": bu, "intersection": _meet_cap(bx, bb, bu), "partner": bb}
+        b = Closed(_small_stage(x, d, tol, fx))
+    fb = normal_form(b)
+    return b, {"union": _exact(join_forms(fx, fb), d), "intersection": _exact(meet_forms(fx, fb), d),
+               "partner": _exact(fb, d)}
 
 
-def _small_stage(x, d, tol) -> RatOpen:
-    """A neighborhood stage of x, less the atoms x does not hold, of
-    measure at most 2*tol: its length on the regions and the held atoms
-    stay within that. The k-th neighbourhood offers its first stage with
-    a rest within tol, and k is found as in _stream_bounds."""
-    form = normal_form(x)
+def _small_stage(x, d, tol, form: dict) -> RatOpen:
+    """A neighborhood stage of x, less the atoms x does not hold (read off
+    form, x's normal form), of measure at most 2*tol: its length on the
+    regions and the held atoms stay within that. The k-th neighbourhood
+    offers its first stage with a rest within tol, and k is found as in
+    _stream_bounds."""
     held = _held(form, d)
     max_k, max_stage = _budgets(tol)
 

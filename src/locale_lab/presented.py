@@ -2,7 +2,7 @@
 
 The frame here is the rational-endpoint opens of [0,1], so sublocales are
 given symbolically: opens, closed complements, countable point sets and
-their complements, the smallest dense sublocale, and unions/meets of
+their complements, the smallest dense sublocale, and unions and meets of
 those. Each presentation has a neighborhood stream: `neighborhood(x, k)`
 is an open containing x, and its measures converge down to the outer
 measure. Whether x holds a point is read off its normal form (see
@@ -19,6 +19,7 @@ canonical tuple, as a rebuild from the whole prefix.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -207,8 +208,18 @@ def lazy_join(a: LazyOpen, b: LazyOpen) -> LazyOpen:
     return LazyOpen(lambda n: ivs._trusted_open(ivs.add(a.grow(n).fin, b.grow(n).fin)), tail)
 
 
-def lazy_meet_open(a: LazyOpen, u: RatOpen) -> LazyOpen:
-    return LazyOpen(lambda n: ivs._trusted_open(ivs.intersect(a.grow(n).fin, u.fin)), a._tail)
+def lazy_meet(a: LazyOpen, b: LazyOpen) -> LazyOpen:
+    """Stage n is the meet of the two stages n: what arrives at n is
+    a.grow(n) met with b.stage(n), and a.stage(n) met with b.grow(n). The
+    rest lies in one of the two rests, so it has the join's tail."""
+    def grow(n):
+        gb = b.grow(n)
+        new = ivs.intersect(a.grow(n).fin, b.stage(n).fin)
+        if not gb.is_empty:
+            new = ivs.add(new, ivs.intersect(a.stage(n).fin, gb.fin))
+        return ivs._trusted_open(new)
+
+    return LazyOpen(grow, lazy_join(a, b)._tail)
 
 
 def full_minus_points(pts) -> RatOpen:
@@ -277,60 +288,62 @@ class Generic(PresentedSublocale):
 
 
 @dataclass(frozen=True)
-class Union(PresentedSublocale):
+class _Combination(PresentedSublocale):
     parts: tuple
 
     def __post_init__(self):
         if not self.parts:
-            raise UnsupportedConstructor("union of nothing")
+            raise UnsupportedConstructor(f"{type(self).__name__.lower()} of nothing")
 
 
-@dataclass(frozen=True)
-class IntersectWithOpen(PresentedSublocale):
-    part: PresentedSublocale
-    open_: RatOpen
+class Union(_Combination):
+    """The join of the parts."""
 
 
-@dataclass(frozen=True)
-class IntersectWithClosed(PresentedSublocale):
-    part: PresentedSublocale
-    of_open: RatOpen  # meet with the closed complement of this open
-
-
-WHOLE = Open(ivs.FULL_RO)
+class Meet(_Combination):
+    """The meet of the parts."""
 
 
 def normal_form(x: PresentedSublocale) -> dict:
-    """x as a join of L meet S_L, one term per leaf kind L: {L: S_L}.
+    """x as a join of K meet S_K, one term per key K: {K: S_K}.
 
-    L is WHOLE, a CountablePoints or CoCountable leaf, or Generic(); S_L
-    is a FinUnion, and WHOLE meet S is the part of the set S. The parts
-    form a coframe (Picado and Pultr, *Frames and Locales*, 2012, ch. III
-    and VI), so the complemented o(U) and c(U) distribute over the joins
-    of a union: (L meet S) meet o(U) is L meet (S cap U), and with c(U)
-    it is L meet (S minus U). The sets are exact: the Boolean
-    combinations of opens form, as parts and as sets, the Boolean
-    algebra the opens generate.
+    A key is a frozenset of leaves (CountablePoints, CoCountable,
+    Generic()) that stands for their meet, the empty key for the whole,
+    and S_K is a FinUnion. The parts form a coframe (Picado and Pultr,
+    *Frames and Locales*, 2012, ch. III and VI), so meets distribute over
+    the joins of terms (meet_forms), and o(U) and c(U) meet a term in its
+    set. The sets are exact: the Boolean combinations of opens form, as
+    parts and as sets, the Boolean algebra the opens generate.
     """
     if isinstance(x, Open):
-        return {WHOLE: x.part.fin}
+        return {frozenset(): x.part.fin}
     if isinstance(x, Closed):
-        return {WHOLE: ivs.complement(x.of_open.fin)}
+        return {frozenset(): ivs.complement(x.of_open.fin)}
     if isinstance(x, (CountablePoints, CoCountable, Generic)):
-        return {x: ivs.FULL}
+        return {frozenset((x,)): ivs.FULL}
     if isinstance(x, Union):
-        out = {}
-        for part in x.parts:
-            for leaf, s in normal_form(part).items():
-                out[leaf] = ivs.add(out[leaf], s) if leaf in out else s
-        return out
-    if isinstance(x, IntersectWithOpen):
-        cut = x.open_.fin
-    elif isinstance(x, IntersectWithClosed):
-        cut = ivs.complement(x.of_open.fin)
-    else:
-        raise UnsupportedConstructor(f"no normal form for {type(x).__name__}")
-    return {leaf: ivs.intersect(s, cut) for leaf, s in normal_form(x.part).items()}
+        return join_forms(*map(normal_form, x.parts))
+    if isinstance(x, Meet):
+        return meet_forms(*map(normal_form, x.parts))
+    raise UnsupportedConstructor(f"no normal form for {type(x).__name__}")
+
+
+def join_forms(*forms) -> dict:
+    """The normal form of the join of the parts of these forms: the sets
+    of one key joined."""
+    out = {}
+    for form in forms:
+        for key, s in form.items():
+            out[key] = ivs.add(out[key], s) if key in out else s
+    return out
+
+
+def meet_forms(*forms) -> dict:
+    """The normal form of the meet of the parts of these forms: the join
+    of (K1 meet K2) meet (S1 cap S2) over every pair of terms."""
+    return functools.reduce(lambda f, g: join_forms(*(
+        {k1 | k2: ivs.intersect(s1, s2)} for k1, s1 in f.items() for k2, s2 in g.items()
+    )), forms)
 
 
 def closed_neighborhood(u: RatOpen, k: int) -> RatOpen:
@@ -365,51 +378,45 @@ def neighborhood(x: PresentedSublocale, k: int) -> LazyOpen:
     if isinstance(x, Generic):
         return lazy_cover(RATIONALS, Fraction(1, 2 ** k))
     if isinstance(x, Union):
-        acc = neighborhood(x.parts[0], k)
-        for part in x.parts[1:]:
-            acc = lazy_join(acc, neighborhood(part, k))
-        return acc
-    if isinstance(x, IntersectWithOpen):
-        return lazy_meet_open(neighborhood(x.part, k), x.open_)
-    if isinstance(x, IntersectWithClosed):
-        return lazy_meet_open(
-            neighborhood(x.part, k), closed_neighborhood(x.of_open, k)
-        )
+        return functools.reduce(lazy_join, (neighborhood(part, k) for part in x.parts))
+    if isinstance(x, Meet):
+        return functools.reduce(lazy_meet, (neighborhood(part, k) for part in x.parts))
     raise UnsupportedConstructor(f"no neighborhood stream for {type(x).__name__}")
 
 
 def held_by(form: dict, q) -> bool:
     """Does the part of this normal form hold the point q? Exact: it is the
-    outer measure under a unit mass at q. A term L meet S holds q exactly
-    when q is in S and L holds q: the whole holds every point, a listing
-    its listed points, a co-listing the others, and generic none, as a
-    dense open stays dense less a point. Where every term misses q, [0,1]
-    minus q lies around L or around the part of S for each term.
+    outer measure under a unit mass at q. A point is an atom of the parts,
+    so a term K meet S holds q exactly when q is in S and each leaf of K
+    does: a listing its listed points, a co-listing the others, generic
+    none, as a dense open stays dense less a point. Where every term misses
+    q, [0,1] minus q lies around a leaf of K or the part of S for each term.
     """
     q = frac(q)
     return any(
-        s.contains(q) and (
-            leaf is WHOLE
-            or isinstance(leaf, CountablePoints) and leaf.points.contains(q)
+        s.contains(q) and all(
+            isinstance(leaf, CountablePoints) and leaf.points.contains(q)
             or isinstance(leaf, CoCountable) and not leaf.points.contains(q)
+            for leaf in key
         )
-        for leaf, s in form.items()
+        for key, s in form.items()
     )
 
 
 def structural_union_is_whole(a: PresentedSublocale, b: PresentedSublocale) -> bool:
     """Certificate that a union b is all of [0,1], off its normal form: the
     whole term's set, joined with each set where a listing and its own
-    co-listing both sit, is [0,1], as each S_L is complemented and so
-    (listing meet S) join (co-listing meet S) is whole meet S. Sound, not
-    complete: no listed point counts alone, so (0,1) with the rationals,
-    whole by the ends 0 and 1, is not certified.
+    co-listing both sit alone as keys, is [0,1], as each S_K is complemented
+    and so (listing meet S) join (co-listing meet S) is whole meet S. Sound,
+    not complete: no listed point counts alone, so (0,1) with the
+    rationals, whole by the ends 0 and 1, is not certified.
     """
     form = normal_form(Union((a, b)))
-    cover = form.get(WHOLE, ivs.EMPTY)
-    for leaf, s in form.items():
+    alone = {leaf: s for key, s in form.items() if len(key) == 1 for leaf in key}
+    cover = form.get(frozenset(), ivs.EMPTY)
+    for leaf, s in alone.items():
         if isinstance(leaf, CountablePoints):
-            cover = ivs.add(cover, ivs.intersect(s, form.get(CoCountable(leaf.points), ivs.EMPTY)))
+            cover = ivs.add(cover, ivs.intersect(s, alone.get(CoCountable(leaf.points), ivs.EMPTY)))
     return cover == ivs.FULL
 
 

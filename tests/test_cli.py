@@ -13,15 +13,16 @@ from hypothesis import given, settings, strategies as st
 from locale_lab import cli
 from locale_lab.cli import _positive_rational, build_parser, main, parse_part
 from locale_lab.corpus import generate
+from locale_lab.intervals import parse_ratopen
 from locale_lab.laws import report_from_json, report_to_json
-from locale_lab.measure import stream_bounds
+from locale_lab.measure import TolNotReached, parse_descriptor, stream_bounds
 from locale_lab.presented import (
+    RATIONALS,
     Closed,
     CoCountable,
     CountablePoints,
     Generic,
-    IntersectWithClosed,
-    IntersectWithOpen,
+    Meet,
     Open,
     Union,
     UnsupportedConstructor,
@@ -85,45 +86,47 @@ def test_measure_rationals_past_1e_12(capsys):
     assert capsys.readouterr().out.strip() == "mu = 0 (exact)"
 
 
-@pytest.fixture
-def streamed(monkeypatch, stuck_partners):
-    """`measure` answering through stream_bounds, whose partners never
-    close: the one way left to reach its one-line stall message."""
-    monkeypatch.setattr(cli, "measure_bounds", stream_bounds)
+def stalled(descriptor, part):
+    """The lines of the TolNotReached that stream_bounds raises at tol
+    1/1000, its partners planted never to close (stuck_partners). measure
+    answers exactly and streams nothing, so it cannot stall."""
+    with pytest.raises(TolNotReached) as exc:
+        stream_bounds(parse_part(part), parse_descriptor(descriptor), Fraction(1, 1000))
+    return str(exc.value).splitlines()
 
 
-def test_measure_failure_names_the_stalled_side(capsys, streamed):
+def test_measure_failure_names_the_stalled_side(stuck_partners):
     # the true value is 1/2; the partner never closes, so the lower side stalls
-    assert main(["measure", "lebesgue", "meet-open(irrationals; (0,1/2))"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        "tolerance 1/1000 not reached: partner lower stalled: bounds stuck at [0, 1/2] "
-        "after 40 neighborhoods of up to 80 stages"
+    assert stalled("lebesgue", "meet-open(irrationals; (0,1/2))") == [
+        "partner lower stalled: bounds stuck at [0, 1/2] after 40 neighborhoods of up to 80 stages"
     ]
 
 
-def test_measure_failure_counts_the_held_atoms_on_both_sides(capsys, streamed):
+def test_measure_failure_counts_the_held_atoms_on_both_sides(stuck_partners):
     # the length stalls at [0, 1/2] as above, and the held atom at 1/4
     # weighs in on both sides: the true value is 1 + 1/2
     part = "meet-open(union(irrationals; (1/8,3/8)); (0,1/2))"
-    assert main(["measure", "mix lebesgue + atoms 1/4:1", part]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        "tolerance 1/1000 not reached: partner lower stalled: bounds stuck at [1, 3/2] "
-        "after 40 neighborhoods of up to 80 stages"
+    assert stalled("mix lebesgue + atoms 1/4:1", part) == [
+        "partner lower stalled: bounds stuck at [1, 3/2] after 40 neighborhoods of up to 80 stages"
     ]
 
 
-def test_measure_union_stall_keeps_the_union_upper(capsys, streamed):
+def test_measure_union_stall_keeps_the_union_upper(stuck_partners):
     # the union weighs 1/2, so its own upper stream must report 1/2
     part = "union(meet-open(irrationals; (0,1/4)); (1/2,3/4))"
-    assert main(["measure", "lebesgue", part]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        "tolerance 1/1000 not reached: partner lower stalled: bounds stuck at "
-        "[0, 1/2] after 40 neighborhoods of up to 80 stages"
+    assert stalled("lebesgue", part) == [
+        "partner lower stalled: bounds stuck at [0, 1/2] after 40 neighborhoods of up to 80 stages"
     ]
+
+
+def test_measure_meets_any_parts_exactly(capsys):
+    # the rationals and the irrationals meet in a part that is not empty
+    # as a locale, yet holds no point and has no length
+    assert main(["measure", "lebesgue", "meet(rationals; irrationals)"]) == 0
+    assert capsys.readouterr().out == "mu = 0 (exact)\n"
+    part = "meet(union(rationals; (0,1/2)); irrationals; closed (0,1/4))"
+    assert main(["measure", "mix lebesgue + atoms 1/3:1/2", part]) == 0
+    assert capsys.readouterr().out == "mu = 1/4 (exact)\n"
 
 
 @pytest.mark.parametrize("part,exact", [
@@ -172,7 +175,8 @@ def test_measure_outside_the_unit_interval(argv, capsys):
     assert len(err.splitlines()) == 1 and "leaves [0,1]" in err
 
 
-@pytest.mark.parametrize("part", ["", "union()", "union(rationals; )", "meet-open(generic; )"])
+@pytest.mark.parametrize("part", ["", "union()", "union(rationals; )", "meet-open(generic; )",
+                                  "meet()", "meet(generic; )"])
 def test_measure_refuses_blank_parts(part, capsys):
     assert main(["measure", "lebesgue", part]) == 1
     err = capsys.readouterr().err
@@ -203,11 +207,12 @@ LEAVES = st.sampled_from([
     "rationals", "irrationals", "generic", "empty", "(0,1/2)", "[0,1/4)|(1/2,1]",
     "closed (1/4,3/4)", " Rationals ",
     "", "bogus", "(0,2)", "(1/2,1/4)", "[1/4,1/2)", "closed", "closed rationals",
-    "(0;1)", "union()", "union(rationals", "meet-open(generic)",
+    "(0;1)", "union()", "union(rationals", "meet-open(generic)", "meet()",
 ])
 OPENS = st.sampled_from(["(0,1/2)", "(1/4,1]", "empty", "(1/2,3/2)", "[1/3,1/2)", "rationals", ""])
 PARTS = st.recursive(LEAVES, lambda inner: st.one_of(
     st.lists(inner, min_size=1, max_size=3).map(lambda ps: f"union({'; '.join(ps)})"),
+    st.lists(inner, min_size=1, max_size=3).map(lambda ps: f"meet({'; '.join(ps)})"),
     st.tuples(inner, OPENS).map(lambda t: f"meet-open({t[0]}; {t[1]})"),
     st.tuples(inner, OPENS).map(lambda t: f"meet-closed({t[0]}; {t[1]})"),
 ), max_leaves=4)
@@ -358,9 +363,11 @@ def test_parse_part_shapes():
     u = parse_part("union(rationals; (0,1/4); generic)")
     assert isinstance(u, Union) and len(u.parts) == 3
     m = parse_part("meet-open(union(rationals; generic); (0,1/2))")
-    assert isinstance(m, IntersectWithOpen) and isinstance(m.part, Union)
-    mc = parse_part("meet-closed(generic; (0,1/2))")
-    assert isinstance(mc, IntersectWithClosed)
+    assert isinstance(m, Meet) and isinstance(m.parts[0], Union)
+    assert m.parts[1] == Open(parse_ratopen("(0,1/2)"))
+    assert parse_part("meet-closed(generic; (0,1/2))") == Meet((Generic(), Closed(parse_ratopen("(0,1/2)"))))
+    assert parse_part("meet(rationals; irrationals; generic)") == Meet(
+        (CountablePoints(RATIONALS), CoCountable(RATIONALS), Generic()))
     with pytest.raises(UnsupportedConstructor):
         parse_part("meet-open(generic; (0,1); (0,1/2))")
 
@@ -540,7 +547,7 @@ REUSE_SEQUENCE = [
 
 def test_one_parser_answers_each_call_as_a_fresh_one(monkeypatch):
     # measure_bounds is exact whatever the tolerance, so measure answers
-    # through stream_bounds here, whose bounds show the tolerance used
+    # through stream_bounds here, whose lower bound shows the tolerance used
     monkeypatch.setattr(cli, "measure_bounds", stream_bounds)
     fresh = []
     for argv in REUSE_SEQUENCE:

@@ -79,14 +79,12 @@ from locale_lab.morphisms import validate_morphism
 from locale_lab.presented import (
     DYADICS,
     RATIONALS,
-    WHOLE,
     Closed,
     CoCountable,
     CountablePoints,
     Generic,
-    IntersectWithClosed,
-    IntersectWithOpen,
     LazyOpen,
+    Meet,
     Open,
     Union,
     UnsupportedConstructor,
@@ -697,7 +695,7 @@ def test_reduce_whole_line_pinned_examples():
 
 def test_reduce_of_open_and_closed_pieces():
     r = mu_reduce_interval(Lebesgue(), Open(parse_ratopen("(0,1/2)")))
-    assert r == IntersectWithOpen(Closed(parse_ratopen("(1/2,1]")), parse_ratopen("(0,1/2)"))
+    assert r == Meet((Closed(parse_ratopen("(1/2,1]")), Open(parse_ratopen("(0,1/2)"))))
     # an isolated limit point of the closed piece is null, so it drops out
     r2 = mu_reduce_interval(Lebesgue(), Closed(parse_ratopen("(1/2,1)")))
     assert r2 == Closed(parse_ratopen("(1/2,1]"))
@@ -791,7 +789,7 @@ STAGE_STREAMS = [
     ("rationals", CountablePoints(DYADICS)),
     ("closed", Closed(parse_ratopen("[0,1/8)|(1/4,3/8)|(5/8,1]"))),
     ("union", Union((CountablePoints(RATIONALS), Open(parse_ratopen("(1/2,3/4)"))))),
-    ("meet", IntersectWithOpen(CountablePoints(RATIONALS), parse_ratopen("(1/3,1]"))),
+    ("meet", Meet((CountablePoints(RATIONALS), Open(parse_ratopen("(1/3,1]"))))),
 ]
 
 
@@ -897,7 +895,7 @@ def test_stream_bounds_builds_one_normal_form(monkeypatch):
 
 
 def test_bounds_honestly_fail_when_no_lower_route_exists(stuck_partners):
-    x = IntersectWithOpen(CoCountable(RATIONALS), parse_ratopen("(0,1)"))
+    x = Meet((CoCountable(RATIONALS), Open(parse_ratopen("(0,1)"))))
     assert measure_bounds(x, Lebesgue(), TOL).lower == 1
     with pytest.raises(TolNotReached) as exc:
         stream_bounds(x, Lebesgue(), TOL)
@@ -931,8 +929,7 @@ CENSUS_BASE = [
 
 def census_step(parts):
     unions = [Union(pair) for pair in itertools.combinations_with_replacement(parts, 2)]
-    meets = [meet(p, u) for p in parts for u in CENSUS_OPENS
-             for meet in (IntersectWithOpen, IntersectWithClosed)]
+    meets = [Meet((p, side(u))) for p in parts for u in CENSUS_OPENS for side in (Open, Closed)]
     return unions + meets
 
 
@@ -953,9 +950,7 @@ def fat(x, t) -> bool:
         return isinstance(x, CoCountable)
     if isinstance(x, Union):
         return any(fat(p, t) for p in x.parts)
-    if isinstance(x, IntersectWithOpen):
-        return fat(x.part, t) and x.open_.contains(t)
-    return fat(x.part, t) and not x.of_open.contains(t)
+    return all(fat(p, t) for p in x.parts)
 
 
 def walk_holds_point(x, q) -> bool:
@@ -973,9 +968,7 @@ def walk_holds_point(x, q) -> bool:
         return False
     if isinstance(x, Union):
         return any(walk_holds_point(p, q) for p in x.parts)
-    if isinstance(x, IntersectWithOpen):
-        return walk_holds_point(x.part, q) and x.open_.contains(q)
-    return walk_holds_point(x.part, q) and not x.of_open.contains(q)
+    return all(walk_holds_point(p, q) for p in x.parts)
 
 
 def set_picture(x, d):
@@ -1018,11 +1011,18 @@ def test_every_certified_cover_of_the_census_carries_full_measure():
 
 def test_normal_forms_by_hand():
     rats, half = CountablePoints(RATIONALS), parse_ratopen("(0,1/2)")
-    x = IntersectWithClosed(Union((rats, Open(parse_ratopen("(0,1/8)")))), parse_ratopen("(1/4,1/2)"))
-    assert normal_form(x) == {rats: parse_fin("[0,1/4]|[1/2,1]"), WHOLE: parse_fin("(0,1/8)")}
-    y = Union((IntersectWithOpen(CoCountable(DYADICS), half), Closed(half), Generic()))
-    assert normal_form(y) == {CoCountable(DYADICS): half.fin, WHOLE: parse_fin("[0,0]|[1/2,1]"),
-                              Generic(): ivs.FULL}
+    key = lambda *leaves: frozenset(leaves)  # noqa: E731
+    x = Meet((Union((rats, Open(parse_ratopen("(0,1/8)")))), Closed(parse_ratopen("(1/4,1/2)"))))
+    assert normal_form(x) == {key(rats): parse_fin("[0,1/4]|[1/2,1]"), key(): parse_fin("(0,1/8)")}
+    y = Union((Meet((CoCountable(DYADICS), Open(half))), Closed(half), Generic()))
+    assert normal_form(y) == {key(CoCountable(DYADICS)): half.fin, key(): parse_fin("[0,0]|[1/2,1]"),
+                              key(Generic()): ivs.FULL}
+    # the rationals meet the irrationals in one term, of no point and no length
+    irr = CoCountable(RATIONALS)
+    assert normal_form(Meet((rats, irr))) == {key(rats, irr): ivs.FULL}
+    z = Meet((Union((rats, Open(half))), Union((irr, Closed(parse_ratopen("(0,1/4)"))))))
+    assert normal_form(z) == {key(rats, irr): ivs.FULL, key(rats): parse_fin("[0,0]|[1/4,1]"),
+                              key(irr): half.fin, key(): parse_fin("[1/4,1/2)")}
     # the partner is built on the interior (1/2,1] of S_big = [0,0]|[1/2,1]
     assert _partner(normal_form(Union((Closed(half), Generic())))) == Union(
         (rats, Closed(parse_ratopen("(1/2,1]"))))
@@ -1038,6 +1038,7 @@ def test_normal_forms_by_hand():
     ("meet-closed((0,1/2); (1/4,3/4))", "exact-locally-closed"),
     ("meet-open(rationals; empty)", "exact-open"),
     ("meet-open(irrationals; (0,1/2))", "normal-form"),
+    ("meet(rationals; irrationals)", "normal-form"),
 ])
 def test_the_route_names_the_kind_of_part(part, route):
     from locale_lab.cli import parse_part
@@ -1107,7 +1108,7 @@ def test_strict_additivity_open_against_its_complement():
 def test_the_residual_answers_when_a_side_is_unboundable(stuck_partners):
     # the streams cannot bound x from below, but the residual reads the
     # normal form and needs no stream
-    x = IntersectWithOpen(CoCountable(RATIONALS), parse_ratopen("(0,1)"))
+    x = Meet((CoCountable(RATIONALS), Open(parse_ratopen("(0,1)"))))
     with pytest.raises(TolNotReached):
         stream_bounds(x, Lebesgue(), TOL)
     r = strict_additivity_interval(x, Generic(), Lebesgue(), TOL)
@@ -1161,12 +1162,12 @@ def test_small_stage_counts_held_atoms_from_the_start():
     # the dyadics hold the atom at 0, so the stage's length gets only the
     # tol the atom leaves of the 2*tol
     d = Mixture((Lebesgue(), atomic([("0", "1/1000")])))
-    w = _small_stage(CountablePoints(DYADICS), d, TOL)
+    w = _small_stage(CountablePoints(DYADICS), d, TOL, normal_form(CountablePoints(DYADICS)))
     assert measure_ro(d, w) <= 2 * TOL
 
 
 def test_null_partner_refuses_fat_shapes_without_structure():
-    x = IntersectWithOpen(CoCountable(RATIONALS), parse_ratopen("(0,1)"))
+    x = Meet((CoCountable(RATIONALS), Open(parse_ratopen("(0,1)"))))
     with pytest.raises((UnsupportedCombination, TolNotReached)):
         null_partner_interval(x, Lebesgue(), TOL)
 
@@ -1213,7 +1214,7 @@ def stream_partner(x, d, tol):
     bx = stream_bounds(x, d, tol)
     if bx.upper > tol:
         raise UnsupportedCombination(f"{x} is not null")
-    w = _small_stage(x, d, tol)
+    w = _small_stage(x, d, tol, normal_form(x))
     m = closed_mass(d, w)
     return Closed(w), {"union": MeasureBounds(m, total, ()), "partner": MeasureBounds(m, m, ()),
                        "intersection": MeasureBounds(0, bx.upper, ())}
@@ -1244,9 +1245,64 @@ def test_the_partner_certificates_lie_inside_the_streamed_ones(kind):
             continue
         (b, certs), (old_b, old_certs) = new, old
         assert b == old_b, x
+        assert certs["intersection"].is_exact, x
         for name, want in old_certs.items():
             got = certs[name]
             assert want.lower <= got.lower <= got.upper <= want.upper, (x, name, got, want)
+
+
+# ----------------------------------------------------------- meets of any two parts
+#
+# Every base and depth-1 shape met with every other and with itself.
+
+CENSUS_SHAPES = CENSUS_BASE + CENSUS_DEPTH1
+CENSUS_MEETS = list(itertools.combinations_with_replacement(CENSUS_SHAPES, 2))
+
+
+def test_the_census_meets_have_their_counts():
+    assert (len(CENSUS_SHAPES), len(CENSUS_MEETS)) == (76, 2926)
+
+
+@pytest.mark.parametrize("kind", sorted(DESCRIPTOR_KINDS))
+def test_the_residual_is_exactly_zero_on_every_census_pair(kind):
+    # the meet's value is also checked against its set picture, which
+    # fat and walk_holds_point read off the constructors
+    d = DESCRIPTOR_KINDS[kind]
+    for x, y in CENSUS_MEETS:
+        r = strict_additivity_interval(x, y, d, TOL)
+        assert r.lo == r.hi == 0, (x, y, r)
+        assert r.inter.lower == r.inter.upper == set_picture(Meet((x, y)), d), (x, y, r.inter)
+
+
+def test_the_certificates_build_each_operand_form_once(monkeypatch):
+    # the union's and the meet's forms derive from the operands' forms
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return normal_form(x)
+
+    monkeypatch.setattr(measure_module, "normal_form", counted)
+    rats, irr = CountablePoints(RATIONALS), CoCountable(RATIONALS)
+    strict_additivity_interval(rats, irr, Lebesgue(), TOL)
+    assert calls == [rats, irr]
+    calls.clear()
+    null_partner_interval(rats, Lebesgue(), TOL)
+    assert calls == [rats, irr]
+
+
+MEET_SAMPLE = random.Random(2926).sample(CENSUS_MEETS, 50)
+
+
+@pytest.mark.parametrize("tol", [F(1, 10 ** 3), F(1, 10 ** 6)], ids=["1e-3", "1e-6"])
+@pytest.mark.parametrize("kind", ["lebesgue", "mix"])
+def test_the_streams_certify_sampled_census_meets(kind, tol):
+    d = DESCRIPTOR_KINDS[kind]
+    for x, y in MEET_SAMPLE:
+        m = Meet((x, y))
+        v = measure_bounds(m, d, tol).lower
+        b = stream_bounds(m, d, tol)
+        assert b.contains(v) and b.width <= tol, (m, v, b)
 
 
 def test_parse_descriptor_grammar():
@@ -1499,16 +1555,16 @@ def test_pinned_streamed_answers(desc, part, digits, answer):
     assert b.contains(measure_bounds(x, d, tol).lower)
 
 
-def test_pinned_stalled_answer(capsys, monkeypatch, stuck_partners):
-    from locale_lab import cli
+def test_pinned_stalled_answer(stuck_partners):
+    from locale_lab.cli import parse_part
 
     # the upper stream is x's own, so its bound is the one it stalled at
     # when there was no partner to stream
-    monkeypatch.setattr(cli, "measure_bounds", stream_bounds)
-    part = "meet-closed(union(rationals; (0,1/8)); (1/4,1/2))"
-    assert cli.main(["measure", "restrict [0,1/2]", part, "--tol", f"1/{10 ** 12}"]) == 1
-    assert capsys.readouterr().err.strip() == (
-        f"tolerance 1/{10 ** 12} not reached: partner lower stalled: bounds stuck at "
+    x = parse_part("meet-closed(union(rationals; (0,1/8)); (1/4,1/2))")
+    with pytest.raises(TolNotReached) as exc:
+        stream_bounds(x, parse_descriptor("restrict [0,1/2]"), F(1, 10 ** 12))
+    assert str(exc.value) == (
+        "partner lower stalled: bounds stuck at "
         "[0, 295147905179352825857/2361183241434822606848] after 70 neighborhoods "
         "of up to 140 stages"
     )
@@ -1565,9 +1621,7 @@ def ref_avoids_point(x, a):
         return True
     if isinstance(x, Union):
         return all(ref_avoids_point(p, a) for p in x.parts)
-    if isinstance(x, IntersectWithOpen):
-        return ref_avoids_point(x.part, a) or not x.open_.contains(a)
-    return ref_avoids_point(x.part, a) or x.of_open.contains(a)
+    return any(ref_avoids_point(p, a) for p in x.parts)
 
 
 def ref_may_contain(x, k, q):
@@ -1582,9 +1636,7 @@ def ref_may_contain(x, k, q):
         return True  # a cover may hold any point
     if isinstance(x, Union):
         return any(ref_may_contain(p, k, q) for p in x.parts)
-    if isinstance(x, IntersectWithOpen):
-        return ref_may_contain(x.part, k, q) and x.open_.contains(q)
-    return ref_may_contain(x.part, k, q) and closed_neighborhood(x.of_open, k).contains(q)
+    return all(ref_may_contain(p, k, q) for p in x.parts)
 
 
 def lazy_puncture(a, pts):
@@ -1668,14 +1720,15 @@ base_shapes = st.one_of(
 
 
 def nested_shapes(depth=2):
-    """Unions, meet-opens and meet-closeds of the base shapes, to depth."""
+    """Unions, meets, meet-opens and meet-closeds of the base shapes, to depth."""
     shapes = base_shapes
     for _ in range(depth):
         shapes = st.one_of(
             shapes,
             st.tuples(shapes, shapes).map(Union),
-            st.builds(IntersectWithOpen, shapes, coarse_opens()),
-            st.builds(IntersectWithClosed, shapes, coarse_opens()),
+            st.tuples(shapes, shapes).map(Meet),
+            st.tuples(shapes, coarse_opens().map(Open)).map(Meet),
+            st.tuples(shapes, coarse_opens().map(Closed)).map(Meet),
         )
     return shapes
 
@@ -1686,8 +1739,8 @@ HALF_OPEN = parse_ratopen("(0,1/2)")
 @given(nested_shapes(), st.one_of(eighths, st.just(F(1, 3))))
 @settings(max_examples=100, deadline=None)
 @example(Union((CountablePoints(DYADICS), Open(HALF_OPEN))), F(3, 4))
-@example(IntersectWithClosed(CountablePoints(DYADICS), HALF_OPEN), F(1, 4))
-@example(IntersectWithClosed(CoCountable(RATIONALS), HALF_OPEN), F(3, 4))
+@example(Meet((CountablePoints(DYADICS), Closed(HALF_OPEN))), F(1, 4))
+@example(Meet((CoCountable(RATIONALS), Closed(HALF_OPEN))), F(3, 4))
 def test_holds_point_within_the_punctured_stream_bounds(x, q):
     # a unit atom at q measures x as 1 exactly when x holds q
     ref = ref_bounds(x, atomic([(q, 1)]), TOL)
@@ -1777,17 +1830,17 @@ def outcome(f, *args):
 @given(nested_shapes(), st.sampled_from(sorted(DESCRIPTOR_KINDS)),
        st.sampled_from([F(1, 10 ** 3), F(1, 10 ** 6)]))
 @settings(max_examples=40, deadline=None)
-@example(Union((CountablePoints(RATIONALS), IntersectWithOpen(CoCountable(RATIONALS), HALF_OPEN))),
+@example(Union((CountablePoints(RATIONALS), Meet((CoCountable(RATIONALS), Open(HALF_OPEN))))),
          "lebesgue", TOL)
 def test_the_search_finds_what_the_walk_finds(x, kind, tol):
     d = DESCRIPTOR_KINDS[kind]
     assert outcome(_stream_bounds, x, d.regions, tol) == outcome(walk_stream_bounds, x, d.regions, tol)
-    assert outcome(_small_stage, x, d, tol) == outcome(walk_small_stage, x, d, tol)
+    assert outcome(_small_stage, x, d, tol, normal_form(x)) == outcome(walk_small_stage, x, d, tol)
 
 
 def test_the_search_finds_what_the_walk_finds_on_a_stall(stuck_partners):
     # the walk oracle's stall, the shape its planted example once stalled on
-    x = Union((CountablePoints(RATIONALS), IntersectWithOpen(CoCountable(RATIONALS), HALF_OPEN)))
+    x = Union((CountablePoints(RATIONALS), Meet((CoCountable(RATIONALS), Open(HALF_OPEN)))))
     got = outcome(_stream_bounds, x, (ivs.FULL,), TOL)
     assert got == outcome(walk_stream_bounds, x, (ivs.FULL,), TOL)
     _, lower, upper, side = got

@@ -13,9 +13,8 @@ from locale_lab.presented import (
     CoCountable,
     CountablePoints,
     Generic,
-    IntersectWithClosed,
-    IntersectWithOpen,
     LazyOpen,
+    Meet,
     Open,
     Union,
     UnsupportedConstructor,
@@ -25,7 +24,7 @@ from locale_lab.presented import (
     held_by,
     lazy_cover,
     lazy_join,
-    lazy_meet_open,
+    lazy_meet,
     neighborhood,
     normal_form,
     point_sublocale_meets_generic,
@@ -198,8 +197,9 @@ def test_lazy_ops():
     j = lazy_join(u, cov)
     assert j.stage(3) == ivs.join(u.stage(3), cov.stage(3))
     assert j.tail(3) == cov.tail(3)
-    m = lazy_meet_open(cov, parse_ratopen("(1/3,1)"))
+    m = lazy_meet(cov, as_lazy(parse_ratopen("(1/3,1)")))
     assert m.stage(4) == ivs.meet(cov.stage(4), parse_ratopen("(1/3,1)"))
+    assert m.tail(4) == cov.tail(4)
 
 
 # ------------------------------------- incremental stages against rebuilds
@@ -224,8 +224,8 @@ def rebuilt_join(a, b):
     return lambda n: ivs.join(a(n), b(n))
 
 
-def rebuilt_meet(a, u):
-    return lambda n: ivs.meet(a(n), u)
+def rebuilt_meet(a, b):
+    return lambda n: ivs.meet(a(n), b(n))
 
 
 def ratopen_minus_points(u, pts):
@@ -243,16 +243,19 @@ def stream_pairs(k):
     closed = closed_neighborhood(U, k)
     rat, dy = lazy_cover(RATIONALS, eps), lazy_cover(DYADICS, eps)
     s_rat, s_dy = rebuilt_cover(RATIONALS, eps), rebuilt_cover(DYADICS, eps)
-    nested = lazy_join(lazy_meet_open(rat, U), dy)
-    s_nested = rebuilt_join(rebuilt_meet(s_rat, U), s_dy)
+    nested = lazy_join(lazy_meet(rat, as_lazy(U)), dy)
+    s_nested = rebuilt_join(rebuilt_meet(s_rat, lambda n: U), s_dy)
     return [
         ("cover rationals", rat, s_rat),
         ("cover dyadics", dy, s_dy),
         ("join", lazy_join(rat, dy), rebuilt_join(s_rat, s_dy)),
         ("join exact", lazy_join(as_lazy(U), dy), rebuilt_join(lambda n: U, s_dy)),
-        ("meet open", lazy_meet_open(rat, U), rebuilt_meet(s_rat, U)),
+        ("meet open", lazy_meet(rat, as_lazy(U)), rebuilt_meet(s_rat, lambda n: U)),
         ("closed nb", as_lazy(closed), lambda n: closed),
-        ("meet closed nb", lazy_meet_open(dy, closed), rebuilt_meet(s_dy, closed)),
+        ("meet closed nb", lazy_meet(dy, as_lazy(closed)), rebuilt_meet(s_dy, lambda n: closed)),
+        # two growing streams: a piece of either may arrive inside the other's stage
+        ("meet growing", lazy_meet(rat, dy), rebuilt_meet(s_rat, s_dy)),
+        ("meet growing swapped", lazy_meet(dy, rat), rebuilt_meet(s_dy, s_rat)),
         ("nested", nested, s_nested),
     ]
 
@@ -280,10 +283,14 @@ def test_neighborhood_stages_match_rebuilt_builds(k):
             Union((CountablePoints(DYADICS), Open(U))),
             rebuilt_join(rebuilt_cover(DYADICS, eps), lambda n: U),
         ),
-        (IntersectWithOpen(Generic(), U), rebuilt_meet(rebuilt_cover(RATIONALS, eps), U)),
+        (Meet((Generic(), Open(U))), rebuilt_meet(rebuilt_cover(RATIONALS, eps), lambda n: U)),
         (
-            IntersectWithClosed(CountablePoints(DYADICS), U),
-            rebuilt_meet(rebuilt_cover(DYADICS, eps), closed),
+            Meet((CountablePoints(DYADICS), Closed(U))),
+            rebuilt_meet(rebuilt_cover(DYADICS, eps), lambda n: closed),
+        ),
+        (
+            Meet((Generic(), CountablePoints(DYADICS))),
+            rebuilt_meet(rebuilt_cover(RATIONALS, eps), rebuilt_cover(DYADICS, eps)),
         ),
         (CoCountable(RATIONALS), lambda n: ratopen_minus_points(FULL_RO, RATIONALS.prefix(k))),
     ]
@@ -394,9 +401,9 @@ def test_neighborhood_of_union_and_meets():
     nb = neighborhood(x, 4)
     assert nb.stage(3).contains(F(1, 4))
     assert nb.stage(5).contains(F(3, 4))  # fifth dyadic, covered from stage 5
-    y = IntersectWithOpen(Generic(), u)
+    y = Meet((Generic(), Open(u)))
     assert ivs.meet(neighborhood(y, 4).stage(5), u) == neighborhood(y, 4).stage(5)
-    z = IntersectWithClosed(Generic(), u)
+    z = Meet((Generic(), Closed(u)))
     assert not neighborhood(z, 8).stage(5).contains(F(1, 6))
 
 
@@ -436,11 +443,16 @@ HOLDS_POINT = [
     (Union((Generic(), CountablePoints(DYADICS))), F(1, 2), F(1, 3)),
     (Union((CountablePoints(DYADICS), Open(V))), F(1, 3), F(2, 3)),
     # a meet holds what its part holds on its open or closed side
-    (IntersectWithOpen(CoCountable(DYADICS), V), F(1, 3), F(2, 3)),
-    (IntersectWithOpen(CountablePoints(DYADICS), V), F(3, 8), F(3, 4)),
-    (IntersectWithClosed(CoCountable(DYADICS), V), F(2, 3), F(1, 3)),
-    (IntersectWithClosed(CountablePoints(DYADICS), V), F(3, 4), F(3, 8)),
-    (IntersectWithClosed(Open(parse_ratopen("(0,1)")), V), F(1, 2), F(1, 3)),
+    (Meet((CoCountable(DYADICS), Open(V))), F(1, 3), F(2, 3)),
+    (Meet((CountablePoints(DYADICS), Open(V))), F(3, 8), F(3, 4)),
+    (Meet((CoCountable(DYADICS), Closed(V))), F(2, 3), F(1, 3)),
+    (Meet((CountablePoints(DYADICS), Closed(V))), F(3, 4), F(3, 8)),
+    (Meet((Open(parse_ratopen("(0,1)")), Closed(V))), F(1, 2), F(1, 3)),
+    # a meet of leaves holds only what every leaf holds: no point is both
+    # rational and irrational
+    (Meet((CountablePoints(RATIONALS), CoCountable(RATIONALS))), None, F(1, 3)),
+    (Meet((CountablePoints(RATIONALS), CoCountable(DYADICS))), F(1, 3), F(1, 2)),
+    (Meet((CoCountable(DYADICS), Union((CountablePoints(DYADICS), Open(V))))), F(1, 3), F(3, 8)),
 ]
 
 
@@ -470,7 +482,7 @@ def test_structural_union_certificates():
     assert structural_union_is_whole(Open(half), Closed(quarter))
     rats_or_half = Union((CountablePoints(RATIONALS), Open(half)))
     assert structural_union_is_whole(rats_or_half, CoCountable(RATIONALS))
-    assert not structural_union_is_whole(rats_or_half, IntersectWithOpen(CoCountable(RATIONALS), half))
+    assert not structural_union_is_whole(rats_or_half, Meet((CoCountable(RATIONALS), Open(half))))
     # sound, not complete: no listed point counts alone, so the ends 0 and 1
     # that the rationals add to (0,1) go unseen
     assert not structural_union_is_whole(Open(parse_ratopen("(0,1)")), CountablePoints(RATIONALS))
