@@ -96,9 +96,11 @@ class Frame:
     `up[i]` / `down[i]` are bitmasks of the elements above / below i, so the
     order tests used by the law suites are single AND operations. Values
     read off sets of primes are derived once per frame and kept as long as
-    the frame lives: the meet of each set of primes (`meet_of_primes`), the
-    nucleus of each part (`nucleus_of`) and the fixpoint frame of each part
-    (`sublocales.fixpoint_frame`), at most one entry per part.
+    the frame lives, at most one entry per set: the meet of each set of
+    primes (`meet_of_primes`) and the one `Sublocale` of each set
+    (`_parts`), which carries its nucleus and, once asked for, its fixpoint
+    frame. A part refers back to its frame, so a frame with parts is a
+    reference cycle, freed by the cycle collector.
     """
 
     def __init__(self, elements, up, *, opens=None, point_names=None):
@@ -143,8 +145,7 @@ class Frame:
         self._join = self._binary_table(self.up, "join")
         self._check_distributive()
         self._prime_meets = {}
-        self._nuclei = {}
-        self._fixpoint_frames = {}
+        self._parts = {}
 
         # Only set when the frame came from a TopologySpec: the open set
         # behind each element, aligned with `elements`.
@@ -391,13 +392,9 @@ class Frame:
 
     def nucleus_of(self, mask: int) -> tuple:
         """The nucleus of the part whose points are the primes set in `mask`:
-        e(a) is the meet of those points above a."""
-        try:
-            return self._nuclei[mask]
-        except KeyError:
-            out = tuple(self.meet_of_primes(mask & above) for above in self.primes_above)
-            self._nuclei[mask] = out
-            return out
+        e(a) is the meet of those points above a. Derived anew on every
+        call; `Sublocale` calls it once per part and keeps the result."""
+        return tuple(self.meet_of_primes(mask & above) for above in self.primes_above)
 
     # -- misc -----------------------------------------------------------
 

@@ -140,22 +140,25 @@ class LazyOpen:
     """An open given by increasing stages plus a length bound on the rest.
 
     grow(n) is the open that arrives at stage n; stage(n) is the union of
-    grow(0..n), built once from stage(n-1) and kept. _tail(n) bounds the
-    total length of limit-minus-stage(n), as an integer pair (numerator,
-    denominator > 0); tail(n) is the same bound as a Fraction. Stages only
-    grow, so a stream derived from this one by a finite-union-preserving
-    operation can apply it to grow alone.
+    grow(0..n), built once from stage(n-1) and kept, as is each grow(n)
+    that went into it. _tail(n) bounds the total length of
+    limit-minus-stage(n), as an integer pair (numerator, denominator > 0);
+    tail(n) is the same bound as a Fraction. Stages only grow, so a stream
+    derived from this one by a finite-union-preserving operation can apply
+    it to grow alone.
     """
 
     def __init__(self, grow, tail):
         self.grow = grow
         self._tail = tail
+        self._grows = []
         self._stages = []
 
     def stage(self, n: int) -> RatOpen:
         stages = self._stages
         while len(stages) <= n:
             new = self.grow(len(stages))
+            self._grows.append(new)
             if stages:
                 prev = stages[-1]
                 new = prev if new.is_empty else ivs._trusted_open(ivs.add(prev.fin, new.fin))
@@ -211,12 +214,15 @@ def lazy_join(a: LazyOpen, b: LazyOpen) -> LazyOpen:
 def lazy_meet(a: LazyOpen, b: LazyOpen) -> LazyOpen:
     """Stage n is the meet of the two stages n: what arrives at n is
     a.grow(n) met with b.stage(n), and a.stage(n) met with b.grow(n). The
-    rest lies in one of the two rests, so it has the join's tail."""
+    grows are the ones the operands' stages kept, so each operand grows
+    once per stage. The rest lies in one of the two rests, so it has the
+    join's tail."""
     def grow(n):
-        gb = b.grow(n)
-        new = ivs.intersect(a.grow(n).fin, b.stage(n).fin)
+        sa, sb = a.stage(n), b.stage(n)
+        gb = b._grows[n]
+        new = ivs.intersect(a._grows[n].fin, sb.fin)
         if not gb.is_empty:
-            new = ivs.add(new, ivs.intersect(a.stage(n).fin, gb.fin))
+            new = ivs.add(new, ivs.intersect(sa.fin, gb.fin))
         return ivs._trusted_open(new)
 
     return LazyOpen(grow, lazy_join(a, b)._tail)

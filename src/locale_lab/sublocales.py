@@ -7,8 +7,12 @@ points, the primes in `Frame.primes`. A sublocale stores that set as a
 bitmask; union, intersection and inclusion are `|`, `&` and a subset
 test, and the part lattice is the Boolean algebra of point sets. The
 nucleus is a derived view: e(a) is the meet of the part's points above a.
-The frame derives each part's nucleus once (`Frame.nucleus_of`) and keeps
-it, so the many `Sublocale` objects of one part share a single tuple.
+A frame holds one `Sublocale` per set of points (`Frame._parts`), built
+the first time a constructor asks for it, with its nucleus derived then
+(`Frame.nucleus_of`); every later union, image or enumeration that lands
+on the same set returns that object. The frame keeps its parts and each
+part refers to its frame, so the two form a reference cycle, which the
+cycle collector frees once neither is reachable.
 
 Validation happens at the edges: `validate_nucleus` reads a nucleus
 table supplied from outside with `Frame.table`, checks it, and returns
@@ -55,26 +59,35 @@ class FrameTooLarge(FrameError):
 
 
 class Sublocale:
-    """A part of a finite frame: a set of its points. Immutable; hashable.
+    """A part of a finite frame: a set of its points. Immutable.
 
     `points` is a bitmask over `frame.primes` (bit i for primes[i]). Every
     finite frame is spatial and every finite T0 space is T_D, so the parts
     correspond exactly to these sets. The nucleus is derived from them:
     e(a) is the meet of the points in the part that lie above a.
 
-    The constructor trusts its argument; use `validate_nucleus` for a
-    mapping that does not come from the library's own constructors.
+    Each frame hands out one object per set of points: `Sublocale(frame,
+    points)` returns the frame's part for that set, built on first use
+    with its nucleus, so equal parts are the same object and equality and
+    hashing are by identity. The constructor trusts its argument; use
+    `validate_nucleus` for a mapping that does not come from the
+    library's own constructors.
     """
 
-    __slots__ = ("frame", "points")
+    __slots__ = ("frame", "points", "nucleus", "_fixpoint_frame")
 
-    def __init__(self, frame: Frame, points: int):
-        self.frame = frame
-        self.points = points
-
-    @property
-    def nucleus(self) -> tuple:
-        return self.frame.nucleus_of(self.points)
+    def __new__(cls, frame: Frame, points: int):
+        try:
+            return frame._parts[points]
+        except KeyError:
+            pass
+        part = object.__new__(cls)
+        part.frame = frame
+        part.points = points
+        part.nucleus = frame.nucleus_of(points)
+        part._fixpoint_frame = None
+        frame._parts[points] = part
+        return part
 
     @property
     def fixpoints(self) -> tuple:
@@ -87,14 +100,6 @@ class Sublocale:
     @property
     def is_empty(self) -> bool:
         return self.points == 0
-
-    def __eq__(self, other):
-        if not isinstance(other, Sublocale):
-            return NotImplemented
-        return self.frame is other.frame and self.points == other.points
-
-    def __hash__(self):
-        return hash((id(self.frame), self.points))
 
     def __repr__(self):
         names = ",".join(str(self.frame.elements[i]) for i in self.fixpoints)
@@ -191,17 +196,11 @@ def intersect(*subs) -> Sublocale:
 
 
 def union_all(frame: Frame, subs) -> Sublocale:
-    subs = list(subs)
-    if not subs:
-        return empty(frame)
-    return union(*subs)
+    return union(empty(frame), *subs)
 
 
 def intersect_all(frame: Frame, subs) -> Sublocale:
-    subs = list(subs)
-    if not subs:
-        return whole(frame)
-    return intersect(*subs)
+    return intersect(whole(frame), *subs)
 
 
 def is_subsublocale(x: Sublocale, y: Sublocale) -> bool:
@@ -260,18 +259,13 @@ def fixpoint_frame(x: Sublocale):
     Built from the ambient order on the fixpoints: meets agree with the
     ambient frame and joins are e(ambient join). Returns (frame, fix) where
     fix[k] is the ambient index of element k. Both are built once per part
-    and kept on the ambient frame, so equal parts share them.
+    and kept on it.
     """
-    amb = x.frame
-    try:
-        return amb._fixpoint_frames[x.points]
-    except KeyError:
-        pass
-    fix = x.fixpoints
-    up = [sum(1 << k for k, b in enumerate(fix) if amb.leq(a, b)) for a in fix]
-    out = Frame([amb.elements[i] for i in fix], up), fix
-    amb._fixpoint_frames[x.points] = out
-    return out
+    if x._fixpoint_frame is None:
+        amb, fix = x.frame, x.fixpoints
+        up = [sum(1 << k for k, b in enumerate(fix) if amb.leq(a, b)) for a in fix]
+        x._fixpoint_frame = Frame([amb.elements[i] for i in fix], up), fix
+    return x._fixpoint_frame
 
 
 def is_boolean_sublocale(b: Sublocale) -> bool:

@@ -273,6 +273,19 @@ def test_stages_read_out_of_order_match_rebuilt_builds():
             assert lazy.stage(n) == rebuilt(n), (name, n)
 
 
+def test_a_meet_grows_each_operand_once_per_stage():
+    calls = []
+
+    def counted(name, lazy):
+        return LazyOpen(lambda n: calls.append(name) or lazy.grow(n), lazy._tail)
+
+    eps = F(1, 32)
+    m = lazy_meet(counted("rat", lazy_cover(RATIONALS, eps)), counted("dy", lazy_cover(DYADICS, eps)))
+    want = rebuilt_meet(rebuilt_cover(RATIONALS, eps), rebuilt_cover(DYADICS, eps))
+    assert m.stage(79) == want(79)
+    assert (calls.count("rat"), calls.count("dy")) == (80, 80)
+
+
 @pytest.mark.parametrize("k", [1, 5, 20])
 def test_neighborhood_stages_match_rebuilt_builds(k):
     eps = F(1, 2 ** k)

@@ -1,9 +1,11 @@
 import itertools
+import operator
 
 import pytest
 
 from locale_lab.corpus import boolean_spec, chain_spec, iter_corpus_frames
 from locale_lab.frames import Frame, FrameError, FrameSpec, TopologySpec, build_frame
+from locale_lab.morphisms import enumerate_morphisms, image, preimage
 from locale_lab.sublocales import (
     FrameTooLarge,
     MixedFrames,
@@ -111,6 +113,11 @@ def test_mixed_frames_rejected_at_every_position():
         is_subsublocale(c, a)
     with pytest.raises(MixedFrames):
         entanglement(a, c)
+    # the folds check their own frame too, also against a single part
+    for fold in (union_all, intersect_all):
+        for parts in ([c], [a, c], [c, a]):
+            with pytest.raises(MixedFrames):
+                fold(f, parts)
 
 
 def test_union_and_intersect_of_no_parts_point_to_the_folds():
@@ -470,8 +477,10 @@ def test_nucleus_of_matches_the_direct_meets():
     frames += [build_frame(chain_spec(12)), build_frame(boolean_spec(5))]
     for f in frames:
         for mask in range(1 << len(f.primes)):
-            assert f.nucleus_of(mask) == nucleus_by_meets(f, mask), (f, mask)
-            assert Sublocale(f, mask).nucleus is f.nucleus_of(mask)
+            part = Sublocale(f, mask)
+            assert part.nucleus == nucleus_by_meets(f, mask), (f, mask)
+            assert part.nucleus == f.nucleus_of(mask)
+            assert Sublocale(f, mask) is part and part.frame is f
 
 
 def test_nucleus_memo_holds_one_entry_per_part():
@@ -482,4 +491,48 @@ def test_nucleus_memo_holds_one_entry_per_part():
         for b in subs:
             assert index[union(a, b).nucleus] == a.points | b.points
             assert index[intersect(a, b).nucleus] == a.points & b.points
-    assert len(f._nuclei) <= 1 << len(f.primes)
+    assert len(f._parts) == 1 << len(f.primes)
+
+
+# ------------------------------------------------------ one object per part
+
+def test_every_constructor_returns_the_frames_one_part():
+    frames = [chain3(), diamond(), powerset("ab"), build_frame(boolean_spec(3))]
+    frames += [f for _, f in iter_corpus_frames() if f.n <= 7]
+    for f in frames:
+        subs = enumerate_sublocales(f)
+        assert all(map(operator.is_, enumerate_sublocales(f), subs))
+        built = [whole(f), empty(f), generic(f)]
+        built += [open_sublocale(f, v) for v in range(f.n)]
+        built += [closed_sublocale(f, v) for v in range(f.n)]
+        built += [complement_c(a) for a in subs]
+        built += [validate_nucleus(f, a.nucleus) for a in subs]
+        for a, b in itertools.product(subs, repeat=2):
+            built += [union(a, b), intersect(a, b)]
+        if f.opens is not None:
+            for r in range(len(f.point_names) + 1):
+                built += [subspace_sublocale(f, pts)
+                          for pts in itertools.combinations(f.point_names, r)]
+        for x in built:
+            assert x is subs[x.points], (f, x)
+    for g, f in itertools.product(frames[:4], repeat=2):
+        at_g, at_f = enumerate_sublocales(g), enumerate_sublocales(f)
+        for m in enumerate_morphisms(g, f):
+            for x in at_f:
+                assert image(m, x) is at_g[image(m, x).points]
+            for y in at_g:
+                assert preimage(m, y) is at_f[preimage(m, y).points]
+
+
+def test_two_frames_never_share_a_part():
+    # one frame's parts, with their nuclei and fixpoint frames, are never
+    # handed to another frame, also not to an equal one or for the same mask
+    frames = [chain3(), chain3(), diamond(), powerset("ab")]
+    for f, g in itertools.combinations(frames, 2):
+        for mask in range(1 << min(len(f.primes), len(g.primes))):
+            a, b = Sublocale(f, mask), Sublocale(g, mask)
+            assert a is not b and a != b
+            assert a.frame is f and b.frame is g
+            assert a.nucleus == nucleus_by_meets(f, mask)
+            assert b.nucleus == nucleus_by_meets(g, mask)
+            assert fixpoint_frame(a)[0] is not fixpoint_frame(b)[0]
