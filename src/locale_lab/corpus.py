@@ -62,6 +62,8 @@ def all_topologies(k: int) -> list:
 
 
 def chain_spec(n: int) -> FrameSpec:
+    if n < 1:
+        raise ValueError(f"a chain has at least one element, not n = {n}")
     if n == 3:
         names = ["0", "u", "1"]
     elif n == 1:

@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from locale_lab import intervals as ivs
 from locale_lab.frames import Frame, FrameError, _bits
-from locale_lab.intervals import EMPTY_RO, FULL_RO, FinUnion, Iv, RatOpen, frac, parse_fin
+from locale_lab.intervals import FULL_RO, FinUnion, Iv, RatOpen, frac, parse_fin
 from locale_lab.morphisms import FrameMorphism
 from locale_lab.presented import (
     RATIONALS,
@@ -51,7 +51,6 @@ from locale_lab.presented import (
     Open,
     PresentedSublocale,
     Union,
-    UnsupportedConstructor,
     full_minus_points,
     held_by,
     join_forms,
@@ -385,29 +384,18 @@ def point_mass(d: Measure, q) -> Fraction:
 
 
 def null_open(d: Measure) -> RatOpen:
-    """The largest open of measure zero: the exterior of the support, the
-    closure of the regions' nondegenerate pieces and of the atoms."""
+    """The largest open of measure zero: the exterior of the support."""
+    return _null_open({frozenset(): ivs.FULL}, d)
+
+
+def _null_open(form: dict, d: Measure) -> RatOpen:
+    """N of mu_reduce_interval, for the part of this normal form."""
+    big = _big(form)
     support = ivs.closure(ivs.normalize(itertools.chain(
-        (p for r in d.regions for p in r.pieces if p.lo < p.hi),
-        (Iv(q, q, True, True) for q, _ in d.atoms),
+        (p for r in d.regions for p in ivs.interior(ivs.intersect(big, r)).pieces),
+        (Iv(q, q, True, True) for q, _ in d.atoms if held_by(form, q)),
     )))
     return RatOpen(ivs.interior(ivs.complement(support)))
-
-
-def restrict_to_open(d: Measure, u: RatOpen) -> Measure:
-    return _restrict_fin(d, u.fin)
-
-
-def restrict_to_closed(d: Measure, u: RatOpen) -> Measure:
-    """Restrict to the closed complement of u."""
-    return _restrict_fin(d, ivs.complement(u.fin))
-
-
-def _restrict_fin(d: Measure, fin: FinUnion) -> Measure:
-    return Measure(
-        tuple(ivs.intersect(r, fin) for r in d.regions),
-        tuple((q, w) for q, w in d.atoms if fin.contains(q)),
-    )
 
 
 # -- reduction ----------------------------------------------------------------
@@ -429,29 +417,29 @@ def _absorb_null_gaps(d, u: RatOpen) -> RatOpen:
 
 
 def mu_reduce_open(d, u: RatOpen) -> RatOpen:
-    """The largest open with the same measure as u: join the exterior of
-    the support, then absorb massless single-point gaps."""
+    """The largest open above u of u's measure that holds an ambient end 0 or
+    1 only where u or the exterior of the support does: (0,1) stays (0,1)."""
     return _absorb_null_gaps(d, ivs.join(u, null_open(d)))
 
 
 def mu_reduce_interval(d, a: PresentedSublocale | None = None) -> PresentedSublocale:
-    """The reduction of a as a presented sublocale (its closed hull shape).
-
-    Supported for a = None (all of [0,1]), opens, and closed complements;
-    anything else raises UnsupportedConstructor.
+    """The reduction of a (all of [0,1] when a is None): a meet c(N), N the
+    largest open with mu*(a meet o(N)) = 0, read off a's normal form.
+    mu*(a meet o(V)) is the length of S_big meet V on the regions plus the
+    atoms a holds in V (measure_bounds), and an open meets a set in positive
+    length exactly when it meets its interior; so N is the exterior of the
+    closure of the int(S_big meet r), r a region, and the atoms a holds. As
+    a = (a meet o(N)) join (a meet c(N)), a meet c(N) keeps a's measure, and
+    by additivity it is the least a meet c(V), V open, that does. Written
+    Closed(N) for the whole, Closed(U join N) for c(U), else Meet((Closed(N), a)).
     """
-    if a is None or a == Open(FULL_RO):
-        return Closed(mu_reduce_open(d, EMPTY_RO))
-    if isinstance(a, Open):
-        inner = restrict_to_open(d, a.part)
-        return Meet((Closed(mu_reduce_open(inner, EMPTY_RO)), a))
+    a = Open(FULL_RO) if a is None else a
+    n = _null_open(normal_form(a), d)
+    if a == Open(FULL_RO):
+        return Closed(n)
     if isinstance(a, Closed):
-        inner = restrict_to_closed(d, a.of_open)
-        hull = mu_reduce_open(inner, EMPTY_RO)
-        return Closed(ivs.join(a.of_open, hull))
-    raise UnsupportedConstructor(
-        f"reduction not supported for {type(a).__name__}"
-    )
+        return Closed(ivs.join(a.of_open, n))
+    return Meet((Closed(n), a))
 
 
 # -- certified bounds -----------------------------------------------------------

@@ -229,8 +229,12 @@ def lazy_meet(a: LazyOpen, b: LazyOpen) -> LazyOpen:
 
 
 def full_minus_points(pts) -> RatOpen:
-    """[0,1] minus finitely many points: the gaps between them, in one pass."""
-    return _gaps((q.numerator, q.denominator) * 2 for q in sorted(frac(p) for p in pts))
+    """[0,1] minus finitely many points of [0,1]: the gaps between them, in
+    one pass. A point outside [0,1] is refused with OutOfAmbient."""
+    qs = sorted(frac(p) for p in pts)
+    if qs and (qs[0] < 0 or qs[-1] > 1):
+        raise ivs.OutOfAmbient(f"point {qs[0] if qs[0] < 0 else qs[-1]} lies outside [0,1]")
+    return _gaps((q.numerator, q.denominator) * 2 for q in qs)
 
 
 def _gaps(cores) -> RatOpen:
@@ -430,7 +434,8 @@ def point_sublocale_meets_generic(q) -> bool:
     """Whether the point's sublocale meets the smallest dense sublocale.
 
     The meet is empty exactly when the point's open complement is dense,
-    which holds for every point of [0,1].
+    which holds for every point of [0,1]; a point outside [0,1] is refused
+    with OutOfAmbient.
     """
     w = full_minus_points([q])
     return not ivs.is_dense(w)

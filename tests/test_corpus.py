@@ -6,6 +6,7 @@ from locale_lab.corpus import (
     ENV_VAR,
     all_topologies,
     boolean_spec,
+    chain_spec,
     corpus_root,
     generate,
     iter_corpus_frames,
@@ -21,6 +22,13 @@ def test_topology_counts():
 def test_boolean_spec_keeps_every_point():
     fr = build_frame(boolean_spec(4))
     assert fr.n == 16 and fr.boolean
+
+
+def test_chain_spec_refuses_fewer_than_one_element():
+    assert [build_frame(chain_spec(n)).n for n in (1, 2, 3, 4)] == [1, 2, 3, 4]
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"n = {n}$"):
+            chain_spec(n)
 
 
 def test_shipped_corpus_is_fresh(tmp_path):

@@ -56,8 +56,6 @@ from locale_lab.measure import (
     parse_descriptor,
     point_mass,
     reduced_algebra,
-    restrict_to_closed,
-    restrict_to_open,
     restrict_valuation,
     stream_bounds,
     strict_additivity_check,
@@ -69,6 +67,7 @@ from locale_lab.measure import (
 from locale_lab.measure import (
     _budgets,
     _lazy_upper,
+    _null_open,
     _partner,
     _small_stage,
     _stages,
@@ -87,7 +86,6 @@ from locale_lab.presented import (
     Meet,
     Open,
     Union,
-    UnsupportedConstructor,
     closed_neighborhood,
     full_minus_points,
     held_by,
@@ -639,16 +637,6 @@ def test_null_open_per_descriptor():
     assert null_open(mix) == parse_ratopen("(1/2,1]")
 
 
-def test_restriction_of_descriptors():
-    u = parse_ratopen("(0,1/2)")
-    r = restrict_to_open(Lebesgue(), u)
-    assert r == LebesgueRestrictedTo(u.fin)
-    assert measure_fin(r, parse_fin("[0,1]")) == F(1, 2)
-    a = atomic([("1/4", "1"), ("3/4", "2")])
-    assert restrict_to_open(a, u) == atomic([("1/4", "1")])
-    assert restrict_to_closed(a, u) == atomic([("3/4", "2")])
-
-
 def closed_mass(d, u):
     """The outer measure of the closed complement of u: total minus mu(u).
     The shrinking neighbourhoods converge to it from above, and
@@ -699,8 +687,25 @@ def test_reduce_of_open_and_closed_pieces():
     # an isolated limit point of the closed piece is null, so it drops out
     r2 = mu_reduce_interval(Lebesgue(), Closed(parse_ratopen("(1/2,1)")))
     assert r2 == Closed(parse_ratopen("(1/2,1]"))
-    with pytest.raises(UnsupportedConstructor):
-        mu_reduce_interval(Lebesgue(), CountablePoints(RATIONALS))
+
+
+@pytest.mark.parametrize("x,under_lebesgue,under_atoms", [
+    (CountablePoints(RATIONALS), "[0,1]", "[0,1/4)|(1/4,1/2)|(1/2,1]"),
+    (CoCountable(RATIONALS), "empty", "[0,1]"),
+    (Generic(), "[0,1]", "[0,1]"),
+    (Union((CountablePoints(RATIONALS), Open(parse_ratopen("(0,1/2)")))),
+     "(1/2,1]", "[0,1/4)|(1/4,1/2)|(1/2,1]"),
+    (Meet((CoCountable(DYADICS), Closed(parse_ratopen("(1/4,3/4)")))), "(1/4,3/4)", "[0,1]"),
+    (Union((Generic(), Closed(parse_ratopen("(1/4,3/4)")))), "(1/4,3/4)", "[0,1/4)|(1/4,1]"),
+])
+def test_reduce_of_parts_that_are_not_open_or_closed(x, under_lebesgue, under_atoms):
+    # the rationals weigh nothing under length and hold both atoms; the
+    # irrationals weigh everything under length and hold neither, and so
+    # do the co-dyadics; generic weighs nothing and holds no point
+    for d, n in [(Lebesgue(), under_lebesgue), (DESCRIPTOR_KINDS["atoms"], under_atoms)]:
+        assert mu_reduce_interval(d, x) == Meet((Closed(parse_ratopen(n)), x))
+    assert mu_reduce_interval(Lebesgue(), CountablePoints(RATIONALS)) == Meet(
+        (Closed(FULL_RO), CountablePoints(RATIONALS)))
 
 
 # ----------------------------------------------------------- certified bounds
@@ -1334,6 +1339,30 @@ def test_atoms_at_one_point_add_up():
         Measure(atoms=((F(1, 2), F(1)), (F(1, 2), F(1))))
 
 
+def eighths_grid_opens():
+    """The opens of [0,1] that are one interval with ends on the eighths."""
+    return [RatOpen(ivs.FinUnion((Iv(F(i, 8), F(j, 8), i == 0, j == 8),)))
+            for i in range(8) for j in range(i + 1, 9)]
+
+
+@pytest.mark.parametrize("kind", sorted(DESCRIPTOR_KINDS))
+def test_every_census_part_reduces_to_its_full_measure(kind):
+    # N is the largest open whose meet with x is null: reducing keeps the
+    # measure and N, and an interval V is null on x exactly when V lies in N
+    d = DESCRIPTOR_KINDS[kind]
+    mu = lambda x: measure_bounds(x, d, TOL).lower  # noqa: E731
+    grid = eighths_grid_opens()
+    assert len(grid) == 36
+    for x in CENSUS_BASE + CENSUS_DEPTH1:
+        n = _null_open(normal_form(x), d)
+        r = mu_reduce_interval(d, x)
+        assert mu(r) == mu(x), (x, r)
+        assert _null_open(normal_form(r), d) == n, (x, r)
+        assert mu(Meet((x, Open(n)))) == 0, (x, n)
+        for v in grid:
+            assert (ivs.join(v, n) == n) is (mu(Meet((x, Open(v)))) == 0), (x, v, n)
+
+
 # ----------------------------------------------------------- one form against the tree
 #
 # Measures were once a tree of four descriptor classes, each operation a
@@ -1391,16 +1420,6 @@ def tree_null_open(t):
     for p in t.parts:
         acc = meet(acc, tree_null_open(p))
     return acc
-
-
-def tree_restrict(t, fin):
-    if isinstance(t, TreeLebesgue):
-        return TreeRestricted(fin)
-    if isinstance(t, TreeRestricted):
-        return TreeRestricted(ivs.intersect(t.region, fin))
-    if isinstance(t, TreeAtoms):
-        return TreeAtoms(tuple((q, w) for q, w in t.atoms if fin.contains(q)))
-    return TreeMix(tuple(tree_restrict(p, fin) for p in t.parts))
 
 
 def tree_without_atoms(t):
@@ -1475,15 +1494,15 @@ trees = st.one_of(
 )
 
 
-@given(trees, st.lists(coarse_unions(), min_size=1, max_size=3), coarse_opens())
+@given(trees, st.lists(coarse_unions(), min_size=1, max_size=3))
 @settings(max_examples=60, deadline=None)
-def test_one_form_agrees_with_the_tree(tree, fins, u):
+def test_one_form_agrees_with_the_tree(tree, fins):
     # the tree beside itself repeats every atom across parts
     for t in (tree, TreeMix((tree, tree))):
-        _agrees_with_the_tree(t, fins, u)
+        _agrees_with_the_tree(t, fins)
 
 
-def _agrees_with_the_tree(t, fins, u):
+def _agrees_with_the_tree(t, fins):
     d = from_tree(t)
     assert total_measure(d) == tree_measure_fin(t, ivs.FULL)
     for fin in fins:
@@ -1491,10 +1510,33 @@ def _agrees_with_the_tree(t, fins, u):
     for q in {F(i, 8) for i in range(9)} | set(ATOM_POINTS):
         assert point_mass(d, q) == tree_point_mass(t, q)
     assert null_open(d) == tree_null_open(t)
-    for got, want in [(restrict_to_open(d, u), tree_restrict(t, u.fin)),
-                      (restrict_to_closed(d, u), tree_restrict(t, ivs.complement(u.fin)))]:
-        for fin in [ivs.FULL, *fins]:
-            assert measure_fin(got, fin) == tree_measure_fin(want, fin)
+
+
+def three_branch_reduce(d, a=None):
+    """The reduction as it was written before it read the normal form: a
+    branch per shape, each through d restricted to the part's set, and no
+    answer on other shapes. Kept as the oracle of mu_reduce_interval."""
+    def restricted(fin):
+        return Measure(tuple(ivs.intersect(r, fin) for r in d.regions),
+                       tuple((q, w) for q, w in d.atoms if fin.contains(q)))
+
+    if a is None or a == Open(FULL_RO):
+        return Closed(mu_reduce_open(d, EMPTY_RO))
+    if isinstance(a, Open):
+        return Meet((Closed(mu_reduce_open(restricted(a.part.fin), EMPTY_RO)), a))
+    hull = mu_reduce_open(restricted(ivs.complement(a.of_open.fin)), EMPTY_RO)
+    return Closed(ivs.join(a.of_open, hull))
+
+
+@given(trees, coarse_opens())
+@example(TreeLebesgue(), parse_ratopen("(0,1/2)|(1/2,1)"))  # c(u) has an isolated point
+@example(TreeAtoms(((F(1, 2), F(1)),)), parse_ratopen("(0,1/2)|(1/2,1)"))
+@settings(max_examples=60, deadline=None)
+def test_reduction_agrees_with_the_three_branches(tree, u):
+    for t in (tree, TreeMix((tree, tree))):
+        d = from_tree(t)
+        for a in (None, Open(FULL_RO), Closed(EMPTY_RO), Open(u), Closed(u)):
+            assert mu_reduce_interval(d, a) == three_branch_reduce(d, a), (t, a)
 
 
 @given(trees, st.sampled_from([1, 4]))

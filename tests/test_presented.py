@@ -5,7 +5,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from locale_lab import intervals as ivs
-from locale_lab.intervals import EMPTY_RO, FULL_RO, FinUnion, Iv, RatOpen, normalize, parse_ratopen
+from locale_lab.intervals import (
+    EMPTY_RO,
+    FULL_RO,
+    FinUnion,
+    Iv,
+    OutOfAmbient,
+    RatOpen,
+    normalize,
+    parse_ratopen,
+)
 from locale_lab.presented import (
     DYADICS,
     RATIONALS,
@@ -514,6 +523,15 @@ def test_no_point_meets_the_generic_sublocale():
         assert point_sublocale_meets_generic(q) is False
     assert point_sublocale_meets_generic(F(0)) is False
     assert point_sublocale_meets_generic(F(1)) is False
+
+
+def test_points_outside_the_interval_are_refused():
+    # [0,2) and (-1,1] were once returned as opens of [0,1]
+    for q in (F(2), F(-1), F(11, 10)):
+        with pytest.raises(OutOfAmbient, match="outside"):
+            full_minus_points([F(1, 2), q])
+        with pytest.raises(OutOfAmbient, match="outside"):
+            point_sublocale_meets_generic(q)
 
 
 def test_full_minus_points():
