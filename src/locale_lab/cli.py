@@ -28,7 +28,6 @@ from locale_lab.laws import SUITES, format_text, report_to_json, reports_to_json
 from locale_lab.measure import (
     BadTolerance,
     Lebesgue,
-    UnsupportedCombination,
     UnsupportedDescriptor,
     atomic,
     checked_tol,
@@ -70,7 +69,6 @@ from locale_lab.sublocales import (
 USAGE_ERRORS = (
     UnsupportedConstructor,
     UnsupportedDescriptor,
-    UnsupportedCombination,
     InvalidInterval,
 )
 

@@ -429,10 +429,6 @@ def join(*us) -> RatOpen:
     return RatOpen(union(*(u.fin for u in us)))
 
 
-def meet(*us) -> RatOpen:
-    return RatOpen(intersect(*(u.fin for u in us)))
-
-
 def heyting_ro(u: RatOpen, h: RatOpen) -> RatOpen:
     """Largest open W with W meet u inside h."""
     return RatOpen(interior(union(complement(u.fin), h.fin)))

@@ -988,7 +988,7 @@ COMPOSITION_LAWS: list = []
 def run_morphism_suite(root=None, max_size=None, tol=None) -> RunReport:
     max_size = 8 if max_size is None else max_size
     run = _Run("morphism")
-    frames = [(nm, fr) for nm, fr in iter_corpus_frames(root) if fr.n <= max_size]
+    frames = list(run.within(iter_corpus_frames(root), max_size))
     reps, skipped = _iso_reps(frames)
     run.note(
         f"{len(frames)} corpus frames of size <= {max_size} collapse to "
@@ -1663,10 +1663,11 @@ def _closed_complement_interval(a):
             if not (bo.is_exact and bc.is_exact and bo.upper + bc.upper == total):
                 bad.append({"u": str(u), "descriptor": dn})
         # the closed complement's mass is genuinely the inf over
-        # neighborhood stages, not just a formula
+        # neighborhood stages, not just a formula; stage kk leaves at most
+        # 2**-(kk+1) of length, so one within tol comes by kk = bits of 1/tol
         exact = total_measure(Lebesgue()) - measure_ro(Lebesgue(), u)
         good = False
-        for kk in range(60):
+        for kk in range((a.tol.denominator // a.tol.numerator).bit_length() + 1):
             m = measure_ro(Lebesgue(), closed_neighborhood(u, kk))
             checked += 1
             if m < exact:

@@ -23,7 +23,8 @@ summands of a measure, because the opens around a sublocale form a
 filter: an atom weighs in exactly when the sublocale holds its point.
 measure_bounds reads that, and the length, off the normal form exactly,
 and the residual and partner certificates off the forms of unions and
-meets derived from their operands' forms.
+meets derived from their operands' forms; a part's null partner is its
+dual (_dual), one construction for every part and every measure.
 stream_bounds is the paper's construction, kept as its certificate: it
 bounds the length within tol from streams alone, upper bounds from the
 sublocale's neighborhood streams, each grow read once, lower bounds from
@@ -39,19 +40,19 @@ from fractions import Fraction
 
 from locale_lab import intervals as ivs
 from locale_lab.frames import Frame, FrameError, _bits
-from locale_lab.intervals import FULL_RO, FinUnion, Iv, RatOpen, frac, parse_fin
+from locale_lab.intervals import EMPTY_RO, FULL_RO, FinUnion, Iv, RatOpen, frac, parse_fin
 from locale_lab.morphisms import FrameMorphism
 from locale_lab.presented import (
     RATIONALS,
     Closed,
     CoCountable,
     CountablePoints,
+    Generic,
     LazyOpen,
     Meet,
     Open,
     PresentedSublocale,
     Union,
-    full_minus_points,
     held_by,
     join_forms,
     meet_forms,
@@ -277,10 +278,6 @@ class UnsupportedDescriptor(ValueError):
     pass
 
 
-class UnsupportedCombination(ValueError):
-    pass
-
-
 class TolNotReached(RuntimeError):
     """Bounds left wider than tol once the budgets ran out.
 
@@ -430,16 +427,17 @@ def mu_reduce_interval(d, a: PresentedSublocale | None = None) -> PresentedSublo
     length exactly when it meets its interior; so N is the exterior of the
     closure of the int(S_big meet r), r a region, and the atoms a holds. As
     a = (a meet o(N)) join (a meet c(N)), a meet c(N) keeps a's measure, and
-    by additivity it is the least a meet c(V), V open, that does. Written
-    Closed(N) for the whole, Closed(U join N) for c(U), else Meet((Closed(N), a)).
+    by additivity it is the least a meet c(V), V open, that does. Read a as
+    the meet of its parts (of one, if lone): c(N) and its parts c(U_i) fold
+    into Closed(N join U_1 join ...), whole parts drop and the rest stay,
+    so reducing a reduction gives it back.
     """
     a = Open(FULL_RO) if a is None else a
     n = _null_open(normal_form(a), d)
-    if a == Open(FULL_RO):
-        return Closed(n)
-    if isinstance(a, Closed):
-        return Closed(ivs.join(a.of_open, n))
-    return Meet((Closed(n), a))
+    parts = a.parts if isinstance(a, Meet) else (a,)
+    closed = Closed(ivs.join(n, *(p.of_open for p in parts if isinstance(p, Closed))))
+    rest = tuple(p for p in parts if not isinstance(p, Closed) and p != Open(FULL_RO))
+    return Meet((closed, *rest)) if rest else closed
 
 
 # -- certified bounds -----------------------------------------------------------
@@ -758,70 +756,41 @@ def strict_additivity_interval(x, y, d, tol) -> ResidualBounds:
     return ResidualBounds(lo=r, hi=r, union=bu, inter=bi, x=bx, y=by)
 
 
-# Each shape and its complement shape: their union is all of [0,1].
-_COMPLEMENTS = {
-    Open: lambda x: Closed(x.part),
-    Closed: lambda x: Open(x.of_open),
-    CountablePoints: lambda x: CoCountable(x.points),
-    CoCountable: lambda x: CountablePoints(x.points),
-}
+def _dual(x: PresentedSublocale) -> PresentedSublocale:
+    """o(U) and c(U) swap, as do a listing and its co-listing; generic goes
+    to the whole, a union to the meet of the duals, a meet to their union."""
+    if isinstance(x, Open):
+        return Closed(x.part)
+    if isinstance(x, Closed):
+        return Open(x.of_open)
+    if isinstance(x, CountablePoints):
+        return CoCountable(x.points)
+    if isinstance(x, CoCountable):
+        return CountablePoints(x.points)
+    if isinstance(x, Generic):
+        return Closed(EMPTY_RO)
+    if isinstance(x, Union):
+        return Meet(tuple(map(_dual, x.parts)))
+    return Union(tuple(map(_dual, x.parts)))
 
 
 def null_partner_interval(x: PresentedSublocale, d, tol):
-    """A partner b whose union with x carries full measure while the meet
-    stays null, with certificates.
+    """A partner b = _dual(x), which depends on no measure, whose union
+    with x carries full measure while the meet is null, with certificates.
 
-    Opens, closed sets and the listings pair with their complement shape
-    (_COMPLEMENTS). Any other x measured null within tol gets the closed
-    complement of a small neighborhood stage; a shape that is neither
-    paired nor null has no partner here. The partner, the union and the
-    meet are measured exactly, off the normal forms of x and of b, as in
-    strict_additivity_interval.
+    x join b is whole, by induction on x: o(U) join c(U) and a listing
+    join its co-listing are whole, and joins distribute over meets in the
+    coframe of parts. Read as a set of points (held_by), or as a set up to
+    length (S_big, see measure_bounds), b is the complement of x with
+    generic read as empty, so x meet b holds no point and has no length.
+    So under every Measure the union measures the total, the meet 0 and b
+    the total less mu*(x), each exactly, off the normal forms of x and b.
     """
-    tol = checked_tol(tol)
-    complement = _COMPLEMENTS.get(type(x))
-    fx = normal_form(x)
-    bx = _exact(fx, d)
-    if complement is not None:
-        b = complement(x)
-    elif bx.upper > tol:
-        raise UnsupportedCombination(
-            f"{type(x).__name__} is not certified null (upper {bx.upper}) "
-            "and has no structural partner"
-        )
-    else:
-        b = Closed(_small_stage(x, d, tol, fx))
-    fb = normal_form(b)
+    checked_tol(tol)
+    b = _dual(x)
+    fx, fb = normal_form(x), normal_form(b)
     return b, {"union": _exact(join_forms(fx, fb), d), "intersection": _exact(meet_forms(fx, fb), d),
                "partner": _exact(fb, d)}
-
-
-def _small_stage(x, d, tol, form: dict) -> RatOpen:
-    """A neighborhood stage of x, less the atoms x does not hold (read off
-    form, x's normal form), of measure at most 2*tol: its length on the
-    regions and the held atoms stay within that. The k-th neighbourhood
-    offers its first stage with a rest within tol, and k is found as in
-    _stream_bounds."""
-    held = _held(form, d)
-    max_k, max_stage = _budgets(tol)
-
-    @functools.cache
-    def small(k):
-        nb = neighborhood(x, k)
-        for n, (m, (rn, rd)) in enumerate(itertools.islice(_stages(d.regions, nb), max_stage + 1)):
-            if rn * tol.denominator <= tol.numerator * rd:
-                return nb.stage(n) if Fraction(*m) + held <= 2 * tol else None
-        return None
-
-    k = _first_closing(lambda k: small(k) is not None, max_k)
-    if k is None:
-        raise TolNotReached(
-            f"upper stream stalled: no stage of measure at most {2 * tol} after "
-            f"{max_k} neighborhoods of up to {max_stage} stages",
-            side="upper stream",
-        )
-    missed = full_minus_points(q for q, _ in d.atoms if not held_by(form, q))
-    return ivs.meet(small(k), missed)
 
 
 # ---------------------------------------------------------------------------

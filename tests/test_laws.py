@@ -1,12 +1,13 @@
 import dataclasses
 import json
 import shutil
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from locale_lab import laws
-from locale_lab.corpus import boolean_spec, chain_spec, corpus_root, generate
+from locale_lab.corpus import boolean_spec, chain_spec, corpus_root, generate, iter_corpus_frames
 from locale_lab.frames import build_frame, frame_spec_from_json
 from locale_lab.laws import (
     SubLattice,
@@ -15,6 +16,7 @@ from locale_lab.laws import (
     report_to_json,
     reports_to_json,
     run_frame_suite,
+    run_measure_suite,
     run_morphism_suite,
     run_sublocale_suite,
     run_suite,
@@ -166,3 +168,17 @@ def test_size_cap_skips_with_note(tmp_path):
     rep = run_sublocale_suite(root=tmp_path, max_size=2)
     assert rep.ok
     assert any("size cap" in n for n in rep.notes)
+
+
+def test_the_capped_morphism_report_names_each_skipped_frame():
+    rep = run_morphism_suite(max_size=4)
+    over = [nm for nm, fr in iter_corpus_frames() if fr.n > 4]
+    assert len(over) == 16
+    for nm in over:
+        assert any(n.startswith(f"{nm} skipped:") and "size cap 4" in n for n in rep.notes), nm
+
+
+def test_the_measure_suite_holds_at_the_least_tolerance():
+    # the closed-complement law's stage budget follows the tolerance
+    rep = run_measure_suite(tol=Fraction(1, 2 ** 100))
+    assert (rep.cases, rep.violations) == (26_678, [])

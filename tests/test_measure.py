@@ -21,7 +21,6 @@ from locale_lab.intervals import (
     Iv,
     RatOpen,
     interior,
-    meet,
     normalize,
     parse_fin,
     parse_ratopen,
@@ -39,7 +38,6 @@ from locale_lab.measure import (
     NotZeroAtBottom,
     ResidualBounds,
     TolNotReached,
-    UnsupportedCombination,
     ValuationError,
     UnsupportedDescriptor,
     atomic,
@@ -69,7 +67,6 @@ from locale_lab.measure import (
     _lazy_upper,
     _null_open,
     _partner,
-    _small_stage,
     _stages,
     _stalled,
     _stream_bounds,
@@ -701,9 +698,11 @@ def test_reduce_of_open_and_closed_pieces():
 def test_reduce_of_parts_that_are_not_open_or_closed(x, under_lebesgue, under_atoms):
     # the rationals weigh nothing under length and hold both atoms; the
     # irrationals weigh everything under length and hold neither, and so
-    # do the co-dyadics; generic weighs nothing and holds no point
+    # do the co-dyadics; generic weighs nothing and holds no point. A
+    # meet's closed part folds into the closed part of the reduction.
+    kept = {Meet((CoCountable(DYADICS), Closed(parse_ratopen("(1/4,3/4)")))): (CoCountable(DYADICS),)}
     for d, n in [(Lebesgue(), under_lebesgue), (DESCRIPTOR_KINDS["atoms"], under_atoms)]:
-        assert mu_reduce_interval(d, x) == Meet((Closed(parse_ratopen(n)), x))
+        assert mu_reduce_interval(d, x) == Meet((Closed(parse_ratopen(n)), *kept.get(x, (x,))))
     assert mu_reduce_interval(Lebesgue(), CountablePoints(RATIONALS)) == Meet(
         (Closed(FULL_RO), CountablePoints(RATIONALS)))
 
@@ -776,7 +775,7 @@ def test_stream_bounds_are_monotone_and_within_tol(kind, v, w):
     # larger part's upper bound
     d = DESCRIPTOR_KINDS[kind]
     length = Measure(d.regions)
-    u = meet(v, w)
+    u = RatOpen(ivs.intersect(v.fin, w.fin))
     with_rationals = lambda part: Union((CountablePoints(RATIONALS), part))  # noqa: E731
     for small, large, exact_small, exact_large in [
         (Open(u), Open(v), measure_ro(length, u), measure_ro(length, v)),
@@ -1138,50 +1137,50 @@ def test_null_partner_for_a_closed():
     assert certs["partner"].lower == F(1, 3)
 
 
+def exact_values(certs) -> tuple:
+    """(union, intersection, partner), each checked exact."""
+    assert all(c.is_exact for c in certs.values()), certs
+    return tuple(certs[name].lower for name in ("union", "intersection", "partner"))
+
+
 def test_null_partner_for_countable_points():
     b, certs = null_partner_interval(CountablePoints(RATIONALS), Lebesgue(), TOL)
     assert b == CoCountable(RATIONALS)
-    assert certs["union"].lower == 1
-    assert certs["intersection"].upper <= 2 * TOL
-    assert certs["partner"].lower >= 1 - TOL
+    assert exact_values(certs) == (1, 0, 1)
+    b, certs = null_partner_interval(CoCountable(DYADICS), Lebesgue(), TOL)
+    assert b == CountablePoints(DYADICS)
+    assert exact_values(certs) == (1, 0, 0)
 
 
 def test_null_partner_for_the_generic_sublocale():
     b, certs = null_partner_interval(Generic(), Lebesgue(), TOL)
-    assert isinstance(b, Closed)
-    assert certs["partner"].lower >= 1 - 2 * TOL
-    assert certs["intersection"].upper <= TOL
+    assert b == Closed(EMPTY_RO)
+    assert exact_values(certs) == (1, 0, 1)
 
 
-def test_null_partner_stage_leaves_unheld_atoms_to_the_partner():
-    # the generic part holds no atom, so its small stage drops them all,
-    # even the one at 0, which stage 1 covers
+def test_the_generic_partner_is_the_whole_and_holds_every_atom():
+    # the generic part holds no atom, the whole every one, even at 0
     d = Mixture((Lebesgue(), atomic([("0", "1"), ("1/2", "1")])))
     b, certs = null_partner_interval(Generic(), d, TOL)
-    assert isinstance(b, Closed)
-    assert not b.of_open.contains(F(0)) and not b.of_open.contains(F(1, 2))
-    assert certs["union"].lower >= total_measure(d) - 2 * TOL
+    assert b == Closed(EMPTY_RO)
+    assert exact_values(certs) == (3, 0, 3)
 
 
-def test_small_stage_counts_held_atoms_from_the_start():
-    # the dyadics hold the atom at 0, so the stage's length gets only the
-    # tol the atom leaves of the 2*tol
-    d = Mixture((Lebesgue(), atomic([("0", "1/1000")])))
-    w = _small_stage(CountablePoints(DYADICS), d, TOL, normal_form(CountablePoints(DYADICS)))
-    assert measure_ro(d, w) <= 2 * TOL
-
-
-def test_null_partner_refuses_fat_shapes_without_structure():
+def test_null_partner_of_a_fat_part_with_no_paired_shape_is_its_dual():
+    # the irrationals within (0,1) weigh everything, and their dual is
+    # the rationals joined with the two ends
     x = Meet((CoCountable(RATIONALS), Open(parse_ratopen("(0,1)"))))
-    with pytest.raises((UnsupportedCombination, TolNotReached)):
-        null_partner_interval(x, Lebesgue(), TOL)
+    b, certs = null_partner_interval(x, Lebesgue(), TOL)
+    assert b == Union((CountablePoints(RATIONALS), Closed(parse_ratopen("(0,1)"))))
+    assert exact_values(certs) == (1, 0, 0)
 
 
 # ----------------------------------------------------------- the streamed certificates
 #
-# The residual and partner certificates measured through the streams
-# until they read the normal form. That route is kept here as their
-# oracle: each exact certificate must lie inside its streamed one.
+# The residual certificates measured through the streams until they read
+# the normal form. That route is kept here as their oracle, and the
+# streams of each part bound the partner certificates: each exact
+# certificate must lie inside its streamed one.
 
 CENSUS_PAIRS = list(itertools.combinations_with_replacement(CENSUS_BASE, 2))  # the depth-1 unions
 
@@ -1191,38 +1190,13 @@ def stream_residual(x, y, d, tol):
     for two opens, the monotone cap otherwise."""
     bx, by, bu = (stream_bounds(p, d, tol) for p in (x, y, Union((x, y))))
     if isinstance(x, Open) and isinstance(y, Open):
-        m = measure_ro(d, meet(x.part, y.part))
+        m = measure_fin(d, ivs.intersect(x.part.fin, y.part.fin))
         bi = MeasureBounds(m, m, ("exact-open",))
     else:
         cap = max(min(bx.upper, by.upper, bx.upper + by.upper - bu.lower), F(0))
         bi = MeasureBounds(F(0), cap, ("monotone-intersection",))
     return ResidualBounds(bu.lower + bi.lower - bx.upper - by.upper,
                           bu.upper + bi.upper - bx.lower - by.lower, bu, bi, bx, by)
-
-
-def stream_partner(x, d, tol):
-    """null_partner_interval as it read stream_bounds: an open and its
-    closed complement are disjoint, a listing's meet with its co-listing
-    is bounded by accounting, and a null x gets the closed complement of
-    a small stage."""
-    total = total_measure(d)
-    whole = MeasureBounds(total, total, ())
-    if isinstance(x, (Open, Closed)):
-        b = Closed(x.part) if isinstance(x, Open) else Open(x.of_open)
-        return b, {"union": whole, "intersection": MeasureBounds(0, 0, ()),
-                   "partner": stream_bounds(b, d, tol)}
-    if isinstance(x, (CountablePoints, CoCountable)):
-        b = CoCountable(x.points) if isinstance(x, CountablePoints) else CountablePoints(x.points)
-        bx, bb = stream_bounds(x, d, tol), stream_bounds(b, d, tol)
-        return b, {"union": whole, "partner": bb,
-                   "intersection": MeasureBounds(0, max(F(0), bx.upper + bb.upper - total), ())}
-    bx = stream_bounds(x, d, tol)
-    if bx.upper > tol:
-        raise UnsupportedCombination(f"{x} is not null")
-    w = _small_stage(x, d, tol, normal_form(x))
-    m = closed_mass(d, w)
-    return Closed(w), {"union": MeasureBounds(m, total, ()), "partner": MeasureBounds(m, m, ()),
-                       "intersection": MeasureBounds(0, bx.upper, ())}
 
 
 @pytest.mark.parametrize("kind", sorted(DESCRIPTOR_KINDS))
@@ -1235,25 +1209,17 @@ def test_the_residual_lies_inside_the_streamed_residual(kind):
 
 @pytest.mark.parametrize("kind", sorted(DESCRIPTOR_KINDS))
 def test_the_partner_certificates_lie_inside_the_streamed_ones(kind):
+    # every census part gets its dual: the union weighs the total, the
+    # meet nothing and the partner the rest, each as its set picture says
     d = DESCRIPTOR_KINDS[kind]
-
-    def answer(f, x):
-        try:
-            return f(x, d, TOL)
-        except (UnsupportedCombination, TolNotReached) as exc:
-            return type(exc)
-
+    total = total_measure(d)
     for x in CENSUS_BASE + CENSUS_DEPTH1:
-        new, old = answer(null_partner_interval, x), answer(stream_partner, x)
-        if isinstance(old, type):
-            assert new is old, (x, new)
-            continue
-        (b, certs), (old_b, old_certs) = new, old
-        assert b == old_b, x
-        assert certs["intersection"].is_exact, x
-        for name, want in old_certs.items():
-            got = certs[name]
-            assert want.lower <= got.lower <= got.upper <= want.upper, (x, name, got, want)
+        b, certs = null_partner_interval(x, d, TOL)
+        want = (total, F(0), total - measure_bounds(x, d, TOL).lower)
+        assert exact_values(certs) == want, (x, b, certs)
+        for part, v in zip((Union((x, b)), Meet((x, b)), b), want):
+            assert set_picture(part, d) == v, (x, part)
+            assert stream_bounds(part, d, TOL).contains(v), (x, part)
 
 
 # ----------------------------------------------------------- meets of any two parts
@@ -1363,6 +1329,14 @@ def test_every_census_part_reduces_to_its_full_measure(kind):
             assert (ivs.join(v, n) == n) is (mu(Meet((x, Open(v)))) == 0), (x, v, n)
 
 
+@pytest.mark.parametrize("kind", sorted(DESCRIPTOR_KINDS))
+def test_reducing_a_reduction_gives_it_back(kind):
+    d = DESCRIPTOR_KINDS[kind]
+    for x in CENSUS_BASE + CENSUS_DEPTH1:
+        r = mu_reduce_interval(d, x)
+        assert mu_reduce_interval(d, r) == r, (x, r)
+
+
 # ----------------------------------------------------------- one form against the tree
 #
 # Measures were once a tree of four descriptor classes, each operation a
@@ -1416,10 +1390,7 @@ def tree_null_open(t):
         return RatOpen(interior(ivs.complement(ivs.closure(fat))))
     if isinstance(t, TreeAtoms):
         return full_minus_points(q for q, _ in t.atoms)
-    acc = FULL_RO
-    for p in t.parts:
-        acc = meet(acc, tree_null_open(p))
-    return acc
+    return RatOpen(ivs.intersect(*(tree_null_open(p).fin for p in t.parts)))
 
 
 def tree_without_atoms(t):
@@ -1803,10 +1774,10 @@ def test_split_bounds_overlap_the_punctured_stream_bounds(kind, x):
 
 # ----------------------------------------------------------- the k-walk reference
 #
-# _stream_bounds and _small_stage find their neighbourhood by doubling k
-# and bisecting back. The walk over k = 1, 2, ... that they replaced is
-# kept here as the reference. The two agree exactly when closing is
-# monotone in k, which holds on every case tried but has no proof.
+# _stream_bounds finds its neighbourhood by doubling k and bisecting
+# back. The walk over k = 1, 2, ... that it replaced is kept here as the
+# reference. The two agree exactly when closing is monotone in k, which
+# holds on every case tried but has no proof.
 
 
 def walk_stream_bounds(x, regions, tol):
@@ -1841,26 +1812,6 @@ def walk_stream_bounds(x, regions, tol):
     raise _stalled(side, lower, upper, tol)
 
 
-def walk_small_stage(x, d, tol):
-    """_small_stage with k walked from 1 up."""
-    held = sum((w for q, w in d.atoms if walk_holds_point(x, q)), F(0))
-    max_k, max_stage = _budgets(tol)
-    for k in range(1, max_k + 1):
-        nb = neighborhood(x, k)
-        for n, (m, rest) in enumerate(itertools.islice(stage_fractions(d.regions, nb),
-                                                        max_stage + 1)):
-            if rest <= tol:
-                if m + held <= 2 * tol:
-                    missed = full_minus_points(q for q, _ in d.atoms if not walk_holds_point(x, q))
-                    return ivs.meet(nb.stage(n), missed)
-                break
-    raise TolNotReached(
-        f"upper stream stalled: no stage of measure at most {2 * tol} after "
-        f"{max_k} neighborhoods of up to {max_stage} stages",
-        side="upper stream",
-    )
-
-
 def outcome(f, *args):
     """What f returns, or the message and bounds of its TolNotReached."""
     try:
@@ -1877,7 +1828,6 @@ def outcome(f, *args):
 def test_the_search_finds_what_the_walk_finds(x, kind, tol):
     d = DESCRIPTOR_KINDS[kind]
     assert outcome(_stream_bounds, x, d.regions, tol) == outcome(walk_stream_bounds, x, d.regions, tol)
-    assert outcome(_small_stage, x, d, tol, normal_form(x)) == outcome(walk_small_stage, x, d, tol)
 
 
 def test_the_search_finds_what_the_walk_finds_on_a_stall(stuck_partners):

@@ -155,7 +155,7 @@ def test_lazy_cover_stages_grow_and_cover():
     cov = lazy_cover(RATIONALS, F(1, 2))
     for n in range(1, 8):
         st, nxt = cov.stage(n), cov.stage(n + 1)
-        assert ivs.meet(st, nxt) == st  # increasing
+        assert ivs.intersect(st.fin, nxt.fin) == st.fin  # increasing
         for q in RATIONALS.prefix(n):
             assert st.contains(q)
 
@@ -207,7 +207,7 @@ def test_lazy_ops():
     assert j.stage(3) == ivs.join(u.stage(3), cov.stage(3))
     assert j.tail(3) == cov.tail(3)
     m = lazy_meet(cov, as_lazy(parse_ratopen("(1/3,1)")))
-    assert m.stage(4) == ivs.meet(cov.stage(4), parse_ratopen("(1/3,1)"))
+    assert m.stage(4).fin == ivs.intersect(cov.stage(4).fin, parse_ratopen("(1/3,1)").fin)
     assert m.tail(4) == cov.tail(4)
 
 
@@ -234,7 +234,7 @@ def rebuilt_join(a, b):
 
 
 def rebuilt_meet(a, b):
-    return lambda n: ivs.meet(a(n), b(n))
+    return lambda n: ivs.RatOpen(ivs.intersect(a(n).fin, b(n).fin))
 
 
 def ratopen_minus_points(u, pts):
@@ -348,7 +348,7 @@ def test_closed_neighborhood_shrinks_to_complement():
         for x in (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)):
             assert w.contains(x)
         if prev is not None:
-            assert ivs.meet(w, prev) == w
+            assert ivs.intersect(w.fin, prev.fin) == w.fin
         prev = w
     assert closed_neighborhood(u, 20).length() - comp_len == F(2, 4) / 2 ** 22
 
@@ -424,7 +424,8 @@ def test_neighborhood_of_union_and_meets():
     assert nb.stage(3).contains(F(1, 4))
     assert nb.stage(5).contains(F(3, 4))  # fifth dyadic, covered from stage 5
     y = Meet((Generic(), Open(u)))
-    assert ivs.meet(neighborhood(y, 4).stage(5), u) == neighborhood(y, 4).stage(5)
+    w = neighborhood(y, 4).stage(5)
+    assert ivs.intersect(w.fin, u.fin) == w.fin
     z = Meet((Generic(), Closed(u)))
     assert not neighborhood(z, 8).stage(5).contains(F(1, 6))
 
