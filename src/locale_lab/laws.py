@@ -1784,9 +1784,9 @@ def _hidden_intersection(a):
     return _once(
         structural_union_is_whole(a.rats, a.irr)
         and certs["union"].lower == certs["union"].upper == 1
-        and certs["intersection"].upper <= 2 * a.tol
+        and certs["intersection"].lower == certs["intersection"].upper == 0
         and streamed.contains(0) and streamed.upper <= 2 * a.tol,
-        {"intersection-upper": str(certs["intersection"].upper), "streamed": str(streamed)},
+        {"intersection": str(certs["intersection"]), "streamed": str(streamed)},
     )
 
 

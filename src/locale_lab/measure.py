@@ -21,21 +21,23 @@ measures RatOpens exactly, adding region lengths and atom weights as
 integer pairs into one Fraction. Outer measure adds up over the
 summands of a measure, because the opens around a sublocale form a
 filter: an atom weighs in exactly when the sublocale holds its point.
-measure_bounds reads that, and the length, off the normal form exactly,
-and the residual and partner certificates off the forms of unions and
-meets derived from their operands' forms; a part's null partner is its
-dual (_dual), one construction for every part and every measure.
-stream_bounds is the paper's construction, kept as its certificate: it
-bounds the length within tol from streams alone, upper bounds from the
-sublocale's neighborhood streams, each grow read once, lower bounds from
-the one partner its normal form gives, or an honest zero.
+So d restricts to a part x as one Measure d|x (restricted), read off the
+normal form: x's outer measure is its total, and x's reduction is x
+meet c(null_open(d|x)). The residual and partner certificates measure
+the forms of unions and meets derived from their operands' forms; a
+part's null partner is its dual (_dual), one construction for every part
+and every measure. stream_bounds is the paper's construction, kept as
+its certificate: it bounds the length within tol from streams alone,
+upper bounds from the sublocale's neighborhood streams, each grow read
+once, lower bounds from those of its dual, or an honest zero where the
+dual is the whole.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from locale_lab import intervals as ivs
@@ -43,7 +45,6 @@ from locale_lab.frames import Frame, FrameError, _bits
 from locale_lab.intervals import EMPTY_RO, FULL_RO, FinUnion, Iv, RatOpen, frac, parse_fin
 from locale_lab.morphisms import FrameMorphism
 from locale_lab.presented import (
-    RATIONALS,
     Closed,
     CoCountable,
     CountablePoints,
@@ -298,14 +299,20 @@ class Measure:
     """Length on each of the regions plus point masses at the atoms.
 
     A region listed twice counts twice. atoms is ((point, weight), ...)
-    with strictly increasing points in [0,1] and positive weights.
+    with strictly increasing points in [0,1] and positive weights. total,
+    derived once in the pass that checks the atoms, is the whole mass.
     """
 
     regions: tuple = ()
     atoms: tuple = ()
+    total: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         last = None
+        n, d = 0, 1
+        for r in self.regions:
+            rn, rd = r._length_pair()
+            n, d = n * rd + rn * d, d * rd
         for q, w in self.atoms:
             if not (0 <= q <= 1):
                 raise UnsupportedDescriptor(f"atom {q} outside [0,1]")
@@ -314,6 +321,8 @@ class Measure:
             if last is not None and q <= last:
                 raise UnsupportedDescriptor("atoms not strictly increasing")
             last = q
+            n, d = n * w.denominator + w.numerator * d, d * w.denominator
+        object.__setattr__(self, "total", Fraction(n, d))
 
 
 def Lebesgue() -> Measure:
@@ -369,10 +378,7 @@ def measure_ro(d: Measure, u: RatOpen) -> Fraction:
 
 
 def total_measure(d: Measure) -> Fraction:
-    return _pair_sum(itertools.chain(
-        (r._length_pair() for r in d.regions),
-        ((w.numerator, w.denominator) for _, w in d.atoms),
-    ))
+    return d.total
 
 
 def point_mass(d: Measure, q) -> Fraction:
@@ -381,18 +387,35 @@ def point_mass(d: Measure, q) -> Fraction:
 
 
 def null_open(d: Measure) -> RatOpen:
-    """The largest open of measure zero: the exterior of the support."""
-    return _null_open({frozenset(): ivs.FULL}, d)
-
-
-def _null_open(form: dict, d: Measure) -> RatOpen:
-    """N of mu_reduce_interval, for the part of this normal form."""
-    big = _big(form)
+    """The largest open of measure zero: the exterior of the support, the
+    closure of the atoms and of the interiors of the regions, as an open
+    meets a region in positive length exactly when it meets its interior."""
     support = ivs.closure(ivs.normalize(itertools.chain(
-        (p for r in d.regions for p in ivs.interior(ivs.intersect(big, r)).pieces),
-        (Iv(q, q, True, True) for q, _ in d.atoms if held_by(form, q)),
+        (p for r in d.regions for p in ivs.interior(r).pieces),
+        (Iv(q, q, True, True) for q, _ in d.atoms),
     )))
     return RatOpen(ivs.interior(ivs.complement(support)))
+
+
+def restricted(d: Measure, x: PresentedSublocale) -> Measure:
+    """d|x, the twin of restrict_valuation: an open V measures
+    mu*(x meet o(V)) under it (see _restricted)."""
+    return _restricted(normal_form(x), d)
+
+
+def _restricted(form: dict, d: Measure) -> Measure:
+    """d|x for the part x of this normal form: length on S_big meet each
+    region of d, and the atoms of d that x holds. S_big is the union of
+    the sets of the terms whose keys are made of co-listings alone, the
+    whole (the empty key) included. The opens around x form a filter, so
+    mu*(x meet o(V)) adds up over the summands of d: the length of S_big
+    meet V on each region (see measure_bounds) plus the atoms x holds in V."""
+    big = ivs.EMPTY
+    for key, s in form.items():
+        if all(isinstance(leaf, CoCountable) for leaf in key):
+            big = ivs.add(big, s)
+    return Measure(tuple([ivs.intersect(big, r) for r in d.regions]),
+                   tuple([a for a in d.atoms if held_by(form, a[0])]))
 
 
 # -- reduction ----------------------------------------------------------------
@@ -421,19 +444,15 @@ def mu_reduce_open(d, u: RatOpen) -> RatOpen:
 
 def mu_reduce_interval(d, a: PresentedSublocale | None = None) -> PresentedSublocale:
     """The reduction of a (all of [0,1] when a is None): a meet c(N), N the
-    largest open with mu*(a meet o(N)) = 0, read off a's normal form.
-    mu*(a meet o(V)) is the length of S_big meet V on the regions plus the
-    atoms a holds in V (measure_bounds), and an open meets a set in positive
-    length exactly when it meets its interior; so N is the exterior of the
-    closure of the int(S_big meet r), r a region, and the atoms a holds. As
-    a = (a meet o(N)) join (a meet c(N)), a meet c(N) keeps a's measure, and
-    by additivity it is the least a meet c(V), V open, that does. Read a as
-    the meet of its parts (of one, if lone): c(N) and its parts c(U_i) fold
-    into Closed(N join U_1 join ...), whole parts drop and the rest stay,
-    so reducing a reduction gives it back.
+    largest open with mu*(a meet o(N)) = 0, that is N = null_open(d|a)
+    (restricted). As a = (a meet o(N)) join (a meet c(N)), a meet c(N)
+    keeps a's measure, and by additivity it is the least a meet c(V), V
+    open, that does. Read a as the meet of its parts (of one, if lone):
+    c(N) and its parts c(U_i) fold into Closed(N join U_1 join ...), whole
+    parts drop and the rest stay, so reducing a reduction gives it back.
     """
     a = Open(FULL_RO) if a is None else a
-    n = _null_open(normal_form(a), d)
+    n = null_open(restricted(d, a))
     parts = a.parts if isinstance(a, Meet) else (a,)
     closed = Closed(ivs.join(n, *(p.of_open for p in parts if isinstance(p, Closed))))
     rest = tuple(p for p in parts if not isinstance(p, Closed) and p != Open(FULL_RO))
@@ -540,21 +559,10 @@ def _lazy_upper(regions, lazy: LazyOpen, inner_tol: Fraction, max_stage: int) ->
     raise TolNotReached("stage bound did not tighten enough", upper=Fraction(bn, bd))
 
 
-def _held(form: dict, d: Measure) -> Fraction:
-    """The weight of the atoms of d held by the part of this normal form."""
-    return sum((w for q, w in d.atoms if held_by(form, q)), Fraction(0))
-
-
-def _big(form: dict) -> FinUnion:
-    """S_big: the union of the sets of the terms whose keys are made of
-    co-listings alone, the whole (the empty key) included."""
-    return functools.reduce(ivs.add, (s for key, s in form.items()
-                                      if all(isinstance(leaf, CoCountable) for leaf in key)), ivs.EMPTY)
-
-
 def measure_bounds(x: PresentedSublocale, d: Measure, tol) -> MeasureBounds:
     """The outer measure of x, exactly, read off its normal form with no
-    stream: v = the length of S_big on the regions plus the atoms x holds.
+    stream: v = the total of d|x (restricted), the length of S_big on the
+    regions plus the atoms x holds.
 
     The opens around x form a filter, so its outer measure adds up over
     the summands of d, and an atom weighs in exactly when x holds its
@@ -570,13 +578,15 @@ def measure_bounds(x: PresentedSublocale, d: Measure, tol) -> MeasureBounds:
       term of S_big lies above irrationals meet o(int S_K), every
       co-listing being above the irrationals, and int S_big is the union
       of the int S_K but for finitely many rational ends, which the
-      irrationals miss. The partner rationals
-      join c(int S_big) joins y to the whole, as a join distributes over
-      meets in a coframe and rationals join irrationals and o(U) join
-      c(U) are whole. So the outer length of x is at least the total
-      less the partner's, the length of S_big.
+      irrationals miss. rationals join c(int S_big) joins y to the whole,
+      as a join distributes over meets in a coframe and rationals join
+      irrationals and o(U) join c(U) are whole. So the outer length of x
+      is at least the total less that of rationals join c(int S_big), the
+      length of S_big. This is the proof that v is exact; no stream reads
+      this part.
 
-    tol is only checked; stream_bounds certifies v from the streams.
+    tol is only checked; stream_bounds certifies v from the streams, its
+    lower bound from those of the dual.
     """
     checked_tol(tol)
     return _exact(normal_form(x), d)
@@ -584,11 +594,7 @@ def measure_bounds(x: PresentedSublocale, d: Measure, tol) -> MeasureBounds:
 
 def _exact(form: dict, d: Measure) -> MeasureBounds:
     """measure_bounds, on the part of this normal form."""
-    big = _big(form)
-    v = _pair_sum(itertools.chain(
-        (ivs.intersect(big, r)._length_pair() for r in d.regions),
-        ((w.numerator, w.denominator) for q, w in d.atoms if held_by(form, q)),
-    ))
+    v = total_measure(_restricted(form, d))
     return MeasureBounds(v, v, (_route(form),))
 
 
@@ -607,16 +613,15 @@ def stream_bounds(x: PresentedSublocale, d: Measure, tol) -> MeasureBounds:
     the paper's construction, and the certificate of measure_bounds.
 
     Every x is measured by summand, with no formula for any shape: the
-    atoms x holds weigh in exactly, off its normal form, and the length on
-    the regions comes from the neighbourhood streams (_stream_bounds).
+    atoms of d|x (restricted) weigh in exactly, and the length on the
+    regions comes from the neighbourhood streams (_stream_bounds).
     """
     tol = checked_tol(tol)
-    form = normal_form(x)
-    held = _held(form, d)
+    held = sum((w for _, w in restricted(d, x).atoms), Fraction(0))
     if not d.regions:
         return MeasureBounds(held, held, ("atoms-by-shape",))
     try:
-        b = _stream_bounds(x, d.regions, tol, form)
+        b = _stream_bounds(x, d.regions, tol)
     except TolNotReached as exc:
         if not held:
             raise
@@ -656,22 +661,12 @@ def _first_closing(closes, max_k: int):
     return k
 
 
-def _partner(form: dict):
-    """rationals join c(int S_big), which joins the part of this normal
-    form to the whole (see measure_bounds), or None where int S_big is
-    empty and the lower is 0."""
-    inner = RatOpen(ivs.interior(_big(form)))
-    if inner.is_empty:
-        return None
-    rationals = CountablePoints(RATIONALS)
-    return rationals if inner == FULL_RO else Union((rationals, Closed(inner)))
-
-
-def _stream_bounds(x: PresentedSublocale, regions: tuple, tol: Fraction,
-                   form: dict | None = None) -> MeasureBounds:
+def _stream_bounds(x: PresentedSublocale, regions: tuple, tol: Fraction) -> MeasureBounds:
     """Bounds on the outer measure of x under length on the regions: the
-    upper from the neighbourhood streams of x, the lower from those of
-    its partner, read off form, x's normal form (built here if not given).
+    upper from the neighbourhood streams of x, the lower from those of its
+    partner, its dual: x join dual(x) is whole (see null_partner_interval),
+    so mu*(x) >= total - mu*(dual(x)). Where the dual is the whole, for x
+    generic, there is no partner and the lower bound 0 is exact.
 
     The budgets follow from tol, and the neighbourhood used is found by
     doubling and bisection (see _first_closing): the bounds at every k
@@ -680,7 +675,9 @@ def _stream_bounds(x: PresentedSublocale, regions: tuple, tol: Fraction,
     stalled.
     """
     total = total_measure(Measure(regions))
-    partner = _partner(normal_form(x) if form is None else form)
+    partner = _dual(x)
+    if partner == Closed(EMPTY_RO):
+        partner = None
     certs = ("stream-upper", "lower-zero" if partner is None else "partner-lower")
     inner = tol / 4
     max_k, max_stage = _budgets(tol)
@@ -745,7 +742,7 @@ def strict_additivity_interval(x, y, d, tol) -> ResidualBounds:
     normal forms of X and Y, built once, and the forms of the union and
     the meet derived from those (join_forms, meet_forms). S_big of the
     union is B(X) cup B(Y), that of the meet B(X) cap B(Y) (B as in
-    _big), and the meet holds a point exactly when X and Y both do; so
+    _restricted), and the meet holds a point exactly when X and Y both do; so
     length and atoms add up, as Simpson proves for sublocales ("Measure,
     randomness and sublocales", APAL 2012).
     """

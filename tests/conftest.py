@@ -14,7 +14,7 @@ from locale_lab.laws import (
     run_morphism_suite,
     run_sublocale_suite,
 )
-from locale_lab.presented import LazyOpen, neighborhood
+from locale_lab.presented import Closed, LazyOpen, neighborhood
 
 
 @pytest.fixture(scope="session")
@@ -39,12 +39,12 @@ def measure_report():
 
 @pytest.fixture
 def stuck_partners(monkeypatch):
-    """Every part that has a partner gets one whose neighbourhoods never
-    close: each stage is empty and its rest stays 1, so stream_bounds
-    stalls on its lower side. No part of the grammar stalls otherwise."""
+    """Every part whose dual is not the whole gets a partner whose
+    neighbourhoods never close: each stage is empty and its rest stays 1,
+    so stream_bounds stalls on its lower side. No part of the grammar
+    stalls otherwise."""
     stuck, never = object(), LazyOpen(lambda n: EMPTY_RO, lambda n: (1, 1))
-    partner = measure._partner
-    monkeypatch.setattr(measure, "_partner",
-                        lambda form: None if partner(form) is None else stuck)
+    dual, whole = measure._dual, Closed(EMPTY_RO)
+    monkeypatch.setattr(measure, "_dual", lambda x: whole if dual(x) == whole else stuck)
     monkeypatch.setattr(measure, "neighborhood",
                         lambda x, k: never if x is stuck else neighborhood(x, k))

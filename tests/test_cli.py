@@ -1,11 +1,13 @@
 import contextlib
 import io
 import json
+import shlex
 import shutil
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,6 +70,27 @@ def test_frame_check_invalid_frame(tmp_path, capsys):
 def test_measure_exact_open(capsys):
     assert main(["measure", "lebesgue", "(0,1/2)"]) == 0
     assert capsys.readouterr().out.strip() == "mu = 1/2 (exact)"
+
+
+# the README's example queries, each written `locale-lab measure ... # mu = ...`
+README_MEASURES = [
+    (shlex.split(command)[1:], answer.strip())
+    for command, _, answer in (
+        line.partition("  # ")
+        for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+        if line.startswith("locale-lab measure ") and "# mu = " in line
+    )
+]
+
+
+def test_the_readme_has_its_measure_examples():
+    assert len(README_MEASURES) == 6
+
+
+@pytest.mark.parametrize("argv,answer", README_MEASURES, ids=[" ".join(a) for a, _ in README_MEASURES])
+def test_the_readme_measure_examples_answer_as_written(argv, answer, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"{answer}\n"
 
 
 def test_measure_atom_generic_exact_zero(capsys):

@@ -55,6 +55,7 @@ from locale_lab.measure import (
     point_mass,
     reduced_algebra,
     restrict_valuation,
+    restricted,
     stream_bounds,
     strict_additivity_check,
     strict_additivity_interval,
@@ -65,8 +66,6 @@ from locale_lab.measure import (
 from locale_lab.measure import (
     _budgets,
     _lazy_upper,
-    _null_open,
-    _partner,
     _stages,
     _stalled,
     _stream_bounds,
@@ -824,11 +823,11 @@ def test_stage_measures_match_measure_fin(name, x):
 def test_rational_points_are_lebesgue_null():
     assert measure_bounds(CountablePoints(RATIONALS), Lebesgue(), TOL) == MeasureBounds(
         0, 0, ("normal-form",))
-    # no open lies inside the rationals, so the lower bound needs no partner
+    # the partner, the irrationals, streams to the whole: the lower bound is 0
     b = stream_bounds(CountablePoints(RATIONALS), Lebesgue(), TOL)
     assert b.upper <= TOL
     assert b.lower == 0
-    assert "lower-zero" in b.certificates
+    assert "partner-lower" in b.certificates
 
 
 def test_generic_is_null_for_every_descriptor():
@@ -842,6 +841,8 @@ def test_generic_is_null_for_every_descriptor():
         b = stream_bounds(Generic(), d, TOL)
         assert b.lower == 0
         assert b.upper <= TOL
+        # generic's dual is the whole: no partner, and the lower bound 0 is exact
+        assert ("lower-zero" in b.certificates) is bool(d.regions)
 
 
 def test_generic_avoids_atoms_exactly():
@@ -885,7 +886,7 @@ def test_union_bounds_use_structure_and_parts():
 
 
 def test_stream_bounds_builds_one_normal_form(monkeypatch):
-    # the held atoms and the partner read the same form
+    # d|x gives the held atoms off one form; the partner, the dual, reads none
     calls = []
 
     def counted(x):
@@ -1027,11 +1028,11 @@ def test_normal_forms_by_hand():
     z = Meet((Union((rats, Open(half))), Union((irr, Closed(parse_ratopen("(0,1/4)"))))))
     assert normal_form(z) == {key(rats, irr): ivs.FULL, key(rats): parse_fin("[0,0]|[1/4,1]"),
                               key(irr): half.fin, key(): parse_fin("[1/4,1/2)")}
-    # the partner is built on the interior (1/2,1] of S_big = [0,0]|[1/2,1]
-    assert _partner(normal_form(Union((Closed(half), Generic())))) == Union(
-        (rats, Closed(parse_ratopen("(1/2,1]"))))
-    assert _partner(normal_form(Generic())) is None
-    assert _partner(normal_form(CoCountable(DYADICS))) == rats
+    # d|w lies on S_big = [0,0]|[1/2,1] and keeps the atoms w holds
+    d = Mixture((Lebesgue(), atomic([("0", "1"), ("1/4", "1"), ("1/2", "1")])))
+    w = Union((Closed(half), Generic()))
+    assert restricted(d, w) == Measure((parse_fin("[0,0]|[1/2,1]"),), ((F(0), F(1)), (F(1, 2), F(1))))
+    assert restricted(d, Generic()) == Measure((ivs.EMPTY,))
 
 
 @pytest.mark.parametrize("part,route", [
@@ -1313,20 +1314,39 @@ def eighths_grid_opens():
 
 @pytest.mark.parametrize("kind", sorted(DESCRIPTOR_KINDS))
 def test_every_census_part_reduces_to_its_full_measure(kind):
-    # N is the largest open whose meet with x is null: reducing keeps the
-    # measure and N, and an interval V is null on x exactly when V lies in N
+    # N = null_open(d|x) is the largest open whose meet with x is null:
+    # reducing keeps the measure and N, and an interval V is null on x
+    # exactly when V lies in N. d|x weighs mu*(x), and d|x and d|dual(x)
+    # add up to d, as each atom is held by one of the two and their
+    # S_big differ by finitely many points
     d = DESCRIPTOR_KINDS[kind]
     mu = lambda x: measure_bounds(x, d, TOL).lower  # noqa: E731
     grid = eighths_grid_opens()
     assert len(grid) == 36
     for x in CENSUS_BASE + CENSUS_DEPTH1:
-        n = _null_open(normal_form(x), d)
+        dx = restricted(d, x)
+        n = null_open(dx)
         r = mu_reduce_interval(d, x)
+        assert total_measure(dx) == mu(x), (x, dx)
         assert mu(r) == mu(x), (x, r)
-        assert _null_open(normal_form(r), d) == n, (x, r)
+        assert null_open(restricted(d, r)) == n, (x, r)
         assert mu(Meet((x, Open(n)))) == 0, (x, n)
+        split = Mixture((dx, restricted(d, measure_module._dual(x))))
         for v in grid:
             assert (ivs.join(v, n) == n) is (mu(Meet((x, Open(v)))) == 0), (x, v, n)
+            assert measure_ro(split, v) == measure_ro(d, v), (x, v)
+
+
+@pytest.mark.parametrize("kind", sorted(DESCRIPTOR_KINDS))
+def test_restricting_twice_restricts_to_the_meet(kind):
+    # (d|x)|y = d|(x meet y), compared by total and by null_open
+    d = DESCRIPTOR_KINDS[kind]
+    for x in CENSUS_SHAPES[:20]:
+        dx = restricted(d, x)
+        for y in CENSUS_SHAPES[:20]:
+            twice, once = restricted(dx, y), restricted(d, Meet((x, y)))
+            assert total_measure(twice) == total_measure(once), (x, y)
+            assert null_open(twice) == null_open(once), (x, y)
 
 
 @pytest.mark.parametrize("kind", sorted(DESCRIPTOR_KINDS))
@@ -1546,12 +1566,12 @@ PINNED_ANSWERS = [
      "mu in [1/2, 4398046511109/8796093022208]"),
     ("lebesgue", "generic", 9, "mu in [0, 5/8589934592]"),
     ("mix restrict [1/4,3/4] + atoms 1/2:1 + lebesgue", "union(generic; (1/8,1/4))", 9,
-     "mu in [2147483643/17179869184, 2147483655/17179869184]"),
+     "mu in [1073741823/8589934592, 1073741831/8589934592]"),
     ("restrict [0,1/4]|[1/2,1]|[3/8,3/8]", "rationals", 9, "mu in [0, 5/8589934592]"),
     ("mix atoms 1/3:1/3 + atoms 1/3:1,1/2:1", "irrationals", 9, "mu = 0 (exact)"),
-    # the unions' lower bounds come from the partner, no longer from their parts
+    # the unions' lower bounds come from the dual, no longer from their parts
     ("lebesgue", "union(rationals; (0,1/4))", 12,
-     "mu in [2199023255547/8796093022208, 2199023255555/8796093022208]"),
+     "mu in [1099511627775/4398046511104, 2199023255555/8796093022208]"),
     # through intersect and the gaps of a closed neighbourhood
     ("restrict [0,1/2]", "meet-closed(generic; (1/4,1/2))", 12, "mu in [0, 7/8796093022208]"),
 ]
@@ -1785,7 +1805,8 @@ def walk_stream_bounds(x, regions, tol):
     kept, until the two close. It reads the partner and the streams
     through the module, so a planted stall reaches it too."""
     total = total_measure(Measure(regions))
-    partner = measure_module._partner(normal_form(x))
+    partner = measure_module._dual(x)
+    partner = None if partner == Closed(EMPTY_RO) else partner
     certs = ("stream-upper", "lower-zero" if partner is None else "partner-lower")
     lower, upper = F(0), total
     inner = tol / 4
