@@ -4,7 +4,9 @@ Elements are integer indexes into a label tuple; after construction every
 lattice operation is a table lookup. A Frame checks on construction that
 its names are distinct, that `up` is a partial order (`Frame.build` closes
 one read from outside) and the bound, lattice and distributivity laws;
-law suites never re-prove them.
+law suites never re-prove them. A frame's parts (`Sublocale`) are
+defined here, next to the part table that builds them; the `sublocales`
+module holds what is done with them.
 """
 
 from __future__ import annotations
@@ -97,10 +99,14 @@ class Frame:
     order tests used by the law suites are single AND operations. Values
     read off sets of primes are derived once per frame and kept as long as
     the frame lives, at most one entry per set: the meet of each set of
-    primes (`meet_of_primes`) and the one `Sublocale` of each set
-    (`_parts`), which carries its nucleus and, once asked for, its fixpoint
-    frame. A part refers back to its frame, so a frame with parts is a
-    reference cycle, freed by the cycle collector.
+    primes (`meet_of_primes`) and the one `Sublocale` of each set.
+
+    `_parts` is the part table, the one way a part is built or found: a
+    dict from point mask to part whose `__missing__` builds the part on
+    first use, with its nucleus (`nucleus_of`), so a part that exists
+    costs one subscription, `frame._parts[mask]`. Nothing is built before
+    it is asked for. The table and every part refer back to the frame, so
+    a frame is a reference cycle, freed by the cycle collector.
     """
 
     def __init__(self, elements, up, *, opens=None, point_names=None):
@@ -145,7 +151,7 @@ class Frame:
         self._join = self._binary_table(self.up, "join")
         self._check_distributive()
         self._prime_meets = {}
-        self._parts = {}
+        self._parts = _Parts(self)
 
         # Only set when the frame came from a TopologySpec: the open set
         # behind each element, aligned with `elements`.
@@ -393,13 +399,71 @@ class Frame:
     def nucleus_of(self, mask: int) -> tuple:
         """The nucleus of the part whose points are the primes set in `mask`:
         e(a) is the meet of those points above a. Derived anew on every
-        call; `Sublocale` calls it once per part and keeps the result."""
+        call; the part table calls it once per part and keeps the result."""
         return tuple(self.meet_of_primes(mask & above) for above in self.primes_above)
 
     # -- misc -----------------------------------------------------------
 
     def __repr__(self):
         return f"Frame({self.n} elements, bottom={self.elements[self.bottom]!r}, top={self.elements[self.top]!r})"
+
+
+class Sublocale:
+    """A part of a finite frame: a set of its points. Immutable.
+
+    `points` is a bitmask over `frame.primes` (bit i for primes[i]). Every
+    finite frame is spatial and every finite T0 space is T_D, so the parts
+    correspond exactly to these sets. The nucleus is derived from them:
+    e(a) is the meet of the points in the part that lie above a.
+
+    A frame hands out one object per set of points, from its part table:
+    `frame._parts[points]`, or the public spelling `Sublocale(frame,
+    points)`, returns the frame's part for that set, built on the first
+    miss with its nucleus, so equal parts are the same object and
+    equality and hashing are by identity. Both trust the mask; use
+    `sublocales.validate_nucleus` for a mapping that does not come from
+    the library's own constructors.
+    """
+
+    __slots__ = ("frame", "points", "nucleus", "_fixpoint_frame")
+
+    def __new__(cls, frame: Frame, points: int):
+        return frame._parts[points]
+
+    @property
+    def fixpoints(self) -> tuple:
+        e = self.nucleus
+        return tuple(i for i in range(self.frame.n) if e[i] == i)
+
+    def fix(self, h: int) -> int:
+        return self.nucleus[h]
+
+    @property
+    def is_empty(self) -> bool:
+        return self.points == 0
+
+    def __repr__(self):
+        names = ",".join(str(self.frame.elements[i]) for i in self.fixpoints)
+        return f"Sublocale[{names}]"
+
+
+class _Parts(dict):
+    """A frame's part table: point mask -> its one `Sublocale`, the part
+    built on the first miss."""
+
+    __slots__ = ("frame",)
+
+    def __init__(self, frame: Frame):
+        self.frame = frame
+
+    def __missing__(self, points: int) -> Sublocale:
+        part = object.__new__(Sublocale)
+        part.frame = self.frame
+        part.points = points
+        part.nucleus = self.frame.nucleus_of(points)
+        part._fixpoint_frame = None
+        self[points] = part
+        return part
 
 
 def open_set_name(o) -> str:

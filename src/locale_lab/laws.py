@@ -1785,7 +1785,7 @@ def _hidden_intersection(a):
         structural_union_is_whole(a.rats, a.irr)
         and certs["union"].lower == certs["union"].upper == 1
         and certs["intersection"].lower == certs["intersection"].upper == 0
-        and streamed.contains(0) and streamed.upper <= 2 * a.tol,
+        and streamed.contains(0) and streamed.upper <= a.tol,
         {"intersection": str(certs["intersection"]), "streamed": str(streamed)},
     )
 

@@ -209,11 +209,12 @@ def mu_reduce(val: FiniteValuation, a: Sublocale | None = None) -> Sublocale:
     if a is None:
         a = whole(frame)
     target = outer_measure_finite(val, a)
-    r = Sublocale(frame, sum(
+    parts = frame._parts
+    r = parts[sum(
         1 << i for i in range(len(frame.primes))
         if a.points >> i & 1
-        and outer_measure_finite(val, Sublocale(frame, a.points & ~(1 << i))) < target
-    ))
+        and outer_measure_finite(val, parts[a.points & ~(1 << i)]) < target
+    )]
     if outer_measure_finite(val, r) != target:
         raise ValuationError(
             "the full-measure sublocales of this piece have no least member"
@@ -261,7 +262,7 @@ def reduced_algebra(val: FiniteValuation) -> ReducedAlgebra:
                 raise ValuationError(f"point {frame.elements[p]!r} carries mass "
                                      "below another point: no reduced algebra")
             masks += [s | 1 << i for s in masks]
-    reps = [Sublocale(frame, s) for s in masks]
+    reps = [frame._parts[s] for s in masks]
     reps.sort(key=lambda r: (len(r.fixpoints), r.nucleus))
     up = [sum(1 << j for j, y in enumerate(reps) if is_subsublocale(x, y)) for x in reps]
     red = Frame([f"r{i}" for i in range(len(reps))], up)
@@ -665,8 +666,9 @@ def _stream_bounds(x: PresentedSublocale, regions: tuple, tol: Fraction) -> Meas
     """Bounds on the outer measure of x under length on the regions: the
     upper from the neighbourhood streams of x, the lower from those of its
     partner, its dual: x join dual(x) is whole (see null_partner_interval),
-    so mu*(x) >= total - mu*(dual(x)). Where the dual is the whole, for x
-    generic, there is no partner and the lower bound 0 is exact.
+    so mu*(x) >= total - mu*(dual(x)). Where the dual's normal form is
+    the whole's, for x generic however it is written, there is no partner
+    and the lower bound 0 is exact.
 
     The budgets follow from tol, and the neighbourhood used is found by
     doubling and bisection (see _first_closing): the bounds at every k
@@ -676,7 +678,7 @@ def _stream_bounds(x: PresentedSublocale, regions: tuple, tol: Fraction) -> Meas
     """
     total = total_measure(Measure(regions))
     partner = _dual(x)
-    if partner == Closed(EMPTY_RO):
+    if normal_form(partner) == {frozenset(): ivs.FULL}:  # the whole
         partner = None
     certs = ("stream-upper", "lower-zero" if partner is None else "partner-lower")
     inner = tol / 4

@@ -189,7 +189,7 @@ def image(f: FrameMorphism, x: Sublocale) -> Sublocale:
     V -> f_*(e_x(fstar(V)))."""
     if x.frame is not f.target:
         raise MixedFrames()
-    return Sublocale(f.source, f.pushes[x.points])
+    return f.source._parts[f.pushes[x.points]]
 
 
 def preimage(f: FrameMorphism, y: Sublocale) -> Sublocale:
@@ -198,7 +198,7 @@ def preimage(f: FrameMorphism, y: Sublocale) -> Sublocale:
     [fstar(V)] union c(fstar(e_y(V)))."""
     if y.frame is not f.source:
         raise MixedFrames()
-    return Sublocale(f.target, f.pulls[y.points])
+    return f.target._parts[f.pulls[y.points]]
 
 
 def factors_through(f: FrameMorphism, i: FrameMorphism):
@@ -310,10 +310,11 @@ def enumerate_morphisms(source: Frame, target: Frame) -> list:
         allowed = (1 << len(above)) - 1
         for k in below[pos]:
             allowed &= above[point[k]]
-        for i in range(len(above)):
-            if allowed >> i & 1:
-                point[order[pos]] = i
-                place(pos + 1)
+        while allowed:  # the allowed source primes, in index order
+            low = allowed & -allowed
+            point[order[pos]] = low.bit_length() - 1
+            place(pos + 1)
+            allowed ^= low
 
     place(0)
     # place refers to itself through its closure; unbinding it breaks that

@@ -7,23 +7,30 @@ points, the primes in `Frame.primes`. A sublocale stores that set as a
 bitmask; union, intersection and inclusion are `|`, `&` and a subset
 test, and the part lattice is the Boolean algebra of point sets. The
 nucleus is a derived view: e(a) is the meet of the part's points above a.
-A frame holds one `Sublocale` per set of points (`Frame._parts`), built
-the first time a constructor asks for it, with its nucleus derived then
-(`Frame.nucleus_of`); every later union, image or enumeration that lands
-on the same set returns that object. The frame keeps its parts and each
-part refers to its frame, so the two form a reference cycle, which the
-cycle collector frees once neither is reachable.
+
+A frame's part table (`Frame._parts`, mask -> part) is the one way a part
+is built or found. It builds a part on a miss, with its nucleus derived
+then (`Frame.nucleus_of`), and every later union, image or enumeration
+that lands on the same set finds that object with one subscription.
+`Sublocale` lives in `frames`, next to the table, and is imported here;
+`Sublocale(frame, mask)` is the same lookup. The table and its parts
+refer to their frame, so the three form a reference cycle, which the
+cycle collector frees once none is reachable.
+
+`union` and `intersect` are the binary join and meet, one `|` or `&` of
+two parts of one frame; `union_all` and `intersect_all` fold any number
+of parts, none included.
 
 Validation happens at the edges: `validate_nucleus` reads a nucleus
 table supplied from outside with `Frame.table`, checks it, and returns
 the part made of the primes it fixes.
-The library's own constructors build `Sublocale` directly; the tests keep
-the nucleus algorithms as a differential oracle.
+The library's own constructors read the part table directly; the tests
+keep the nucleus algorithms as a differential oracle.
 """
 
 from __future__ import annotations
 
-from locale_lab.frames import Frame, FrameError
+from locale_lab.frames import Frame, FrameError, Sublocale
 
 
 class NucleusError(FrameError):
@@ -58,54 +65,6 @@ class FrameTooLarge(FrameError):
         super().__init__(f"frame has {n} elements; enumeration is capped at {bound}")
 
 
-class Sublocale:
-    """A part of a finite frame: a set of its points. Immutable.
-
-    `points` is a bitmask over `frame.primes` (bit i for primes[i]). Every
-    finite frame is spatial and every finite T0 space is T_D, so the parts
-    correspond exactly to these sets. The nucleus is derived from them:
-    e(a) is the meet of the points in the part that lie above a.
-
-    Each frame hands out one object per set of points: `Sublocale(frame,
-    points)` returns the frame's part for that set, built on first use
-    with its nucleus, so equal parts are the same object and equality and
-    hashing are by identity. The constructor trusts its argument; use
-    `validate_nucleus` for a mapping that does not come from the
-    library's own constructors.
-    """
-
-    __slots__ = ("frame", "points", "nucleus", "_fixpoint_frame")
-
-    def __new__(cls, frame: Frame, points: int):
-        try:
-            return frame._parts[points]
-        except KeyError:
-            pass
-        part = object.__new__(cls)
-        part.frame = frame
-        part.points = points
-        part.nucleus = frame.nucleus_of(points)
-        part._fixpoint_frame = None
-        frame._parts[points] = part
-        return part
-
-    @property
-    def fixpoints(self) -> tuple:
-        e = self.nucleus
-        return tuple(i for i in range(self.frame.n) if e[i] == i)
-
-    def fix(self, h: int) -> int:
-        return self.nucleus[h]
-
-    @property
-    def is_empty(self) -> bool:
-        return self.points == 0
-
-    def __repr__(self):
-        names = ",".join(str(self.frame.elements[i]) for i in self.fixpoints)
-        return f"Sublocale[{names}]"
-
-
 def _all_points(frame: Frame) -> int:
     return (1 << len(frame.primes)) - 1
 
@@ -123,36 +82,34 @@ def validate_nucleus(frame: Frame, mapping) -> Sublocale:
         for y in range(x, frame.n):
             if e[frame.meet(x, y)] != frame.meet(e[x], e[y]):
                 raise NotMeetPreserving(names[x], names[y])
-    return Sublocale(
-        frame, sum(1 << i for i, p in enumerate(frame.primes) if e[p] == p)
-    )
+    return frame._parts[sum(1 << i for i, p in enumerate(frame.primes) if e[p] == p)]
 
 
 # -- basic constructors ---------------------------------------------------
 
 def whole(frame: Frame) -> Sublocale:
-    return Sublocale(frame, _all_points(frame))
+    return frame._parts[_all_points(frame)]
 
 
 def empty(frame: Frame) -> Sublocale:
-    return Sublocale(frame, 0)
+    return frame._parts[0]
 
 
 def open_sublocale(frame: Frame, u) -> Sublocale:
     """[u]: the points not above u."""
     u = frame.el(u)
-    return Sublocale(frame, _all_points(frame) & ~frame.primes_above[u])
+    return frame._parts[_all_points(frame) & ~frame.primes_above[u]]
 
 
 def closed_sublocale(frame: Frame, v) -> Sublocale:
     """c(v): the points above v."""
     v = frame.el(v)
-    return Sublocale(frame, frame.primes_above[v])
+    return frame._parts[frame.primes_above[v]]
 
 
 def generic(frame: Frame) -> Sublocale:
     """The smallest dense sublocale: the points fixed by double negation."""
-    return Sublocale(frame, _generic_points(frame, frame.bottom))
+    return frame._parts[_generic_points(frame, frame.bottom)]
 
 
 def _generic_points(frame: Frame, a: int) -> int:
@@ -169,38 +126,40 @@ def _generic_points(frame: Frame, a: int) -> int:
 
 # -- lattice of sublocales -------------------------------------------------
 
-def union(*subs) -> Sublocale:
+def union(x: Sublocale, y: Sublocale) -> Sublocale:
     """Join in the sublocale lattice: the union of the point sets."""
-    if not subs:
-        raise FrameError("union of no parts: use union_all(frame, parts)")
-    frame = subs[0].frame
+    frame = x.frame
+    if y.frame is not frame:
+        raise MixedFrames()
+    return frame._parts[x.points | y.points]
+
+
+def intersect(x: Sublocale, y: Sublocale) -> Sublocale:
+    """Meet in the sublocale lattice: the common points."""
+    frame = x.frame
+    if y.frame is not frame:
+        raise MixedFrames()
+    return frame._parts[x.points & y.points]
+
+
+def union_all(frame: Frame, subs) -> Sublocale:
+    """The join of any number of parts of `frame`; the empty part for none."""
     points = 0
     for s in subs:
         if s.frame is not frame:
             raise MixedFrames()
         points |= s.points
-    return Sublocale(frame, points)
+    return frame._parts[points]
 
 
-def intersect(*subs) -> Sublocale:
-    """Meet in the sublocale lattice: the common points."""
-    if not subs:
-        raise FrameError("intersection of no parts: use intersect_all(frame, parts)")
-    frame = subs[0].frame
-    points = subs[0].points
+def intersect_all(frame: Frame, subs) -> Sublocale:
+    """The meet of any number of parts of `frame`; the whole for none."""
+    points = _all_points(frame)
     for s in subs:
         if s.frame is not frame:
             raise MixedFrames()
         points &= s.points
-    return Sublocale(frame, points)
-
-
-def union_all(frame: Frame, subs) -> Sublocale:
-    return union(empty(frame), *subs)
-
-
-def intersect_all(frame: Frame, subs) -> Sublocale:
-    return intersect(whole(frame), *subs)
+    return frame._parts[points]
 
 
 def is_subsublocale(x: Sublocale, y: Sublocale) -> bool:
@@ -238,12 +197,13 @@ def enumerate_sublocales(frame: Frame, max_size: int = 10) -> list:
     part at position m has `points == m`."""
     if frame.n > max_size:
         raise FrameTooLarge(frame.n, max_size)
-    return [Sublocale(frame, m) for m in range(1 << len(frame.primes))]
+    parts = frame._parts
+    return [parts[m] for m in range(1 << len(frame.primes))]
 
 
 def complement_c(x: Sublocale) -> Sublocale:
     """Smallest y with x union y = whole: the points outside x."""
-    return Sublocale(x.frame, _all_points(x.frame) & ~x.points)
+    return x.frame._parts[_all_points(x.frame) & ~x.points]
 
 
 def entanglement(a: Sublocale, b: Sublocale) -> Sublocale:
@@ -290,4 +250,4 @@ def subspace_sublocale(frame: Frame, pts) -> Sublocale:
     for x in pts:
         missing = frame.join_all(w for w in range(frame.n) if x not in frame.opens[w])
         points |= 1 << frame.primes.index(missing)
-    return Sublocale(frame, points)
+    return frame._parts[points]

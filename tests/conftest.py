@@ -14,7 +14,7 @@ from locale_lab.laws import (
     run_morphism_suite,
     run_sublocale_suite,
 )
-from locale_lab.presented import Closed, LazyOpen, neighborhood
+from locale_lab.presented import Closed, LazyOpen, Open, neighborhood, normal_form
 
 
 @pytest.fixture(scope="session")
@@ -39,12 +39,14 @@ def measure_report():
 
 @pytest.fixture
 def stuck_partners(monkeypatch):
-    """Every part whose dual is not the whole gets a partner whose
-    neighbourhoods never close: each stage is empty and its rest stays 1,
-    so stream_bounds stalls on its lower side. No part of the grammar
-    stalls otherwise."""
-    stuck, never = object(), LazyOpen(lambda n: EMPTY_RO, lambda n: (1, 1))
-    dual, whole = measure._dual, Closed(EMPTY_RO)
-    monkeypatch.setattr(measure, "_dual", lambda x: whole if dual(x) == whole else stuck)
+    """Every part whose dual is not the whole (by normal form) gets a
+    partner whose neighbourhoods never close: each stage is empty and its
+    rest stays 1, so stream_bounds stalls on its lower side. No part of
+    the grammar stalls otherwise. The partner is an empty open of its own,
+    so its normal form is never the whole's."""
+    stuck, never = Open(EMPTY_RO), LazyOpen(lambda n: EMPTY_RO, lambda n: (1, 1))
+    dual, whole = measure._dual, normal_form(Closed(EMPTY_RO))
+    monkeypatch.setattr(measure, "_dual",
+                        lambda x: dual(x) if normal_form(dual(x)) == whole else stuck)
     monkeypatch.setattr(measure, "neighborhood",
                         lambda x, k: never if x is stuck else neighborhood(x, k))

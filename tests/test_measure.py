@@ -831,17 +831,19 @@ def test_rational_points_are_lebesgue_null():
 
 
 def test_generic_is_null_for_every_descriptor():
-    for d in [
+    generics = [Generic(), Union((Generic(), Generic())), Meet((Generic(), Open(FULL_RO)))]
+    for x, d in itertools.product(generics, [
         Lebesgue(),
         LebesgueRestrictedTo(parse_fin("[0,1/2]")),
         atomic([("1/2", "1")]),
         Mixture((Lebesgue(), atomic([("1/3", "2")]))),
-    ]:
-        assert measure_bounds(Generic(), d, TOL).upper == 0
-        b = stream_bounds(Generic(), d, TOL)
+    ]):
+        assert measure_bounds(x, d, TOL).upper == 0
+        b = stream_bounds(x, d, TOL)
         assert b.lower == 0
         assert b.upper <= TOL
-        # generic's dual is the whole: no partner, and the lower bound 0 is exact
+        # generic's dual is the whole, also written another way: no
+        # partner, and the lower bound 0 is exact
         assert ("lower-zero" in b.certificates) is bool(d.regions)
 
 
@@ -886,7 +888,8 @@ def test_union_bounds_use_structure_and_parts():
 
 
 def test_stream_bounds_builds_one_normal_form(monkeypatch):
-    # d|x gives the held atoms off one form; the partner, the dual, reads none
+    # d|x gives the held atoms off one form, and the partner, the dual, one
+    # more to tell whether it is the whole; the streams read none
     calls = []
 
     def counted(x):
@@ -896,7 +899,7 @@ def test_stream_bounds_builds_one_normal_form(monkeypatch):
     monkeypatch.setattr(measure_module, "normal_form", counted)
     x = Union((CountablePoints(RATIONALS), Open(parse_ratopen("(0,1/2)"))))
     b = stream_bounds(x, Lebesgue(), TOL)
-    assert b.contains(F(1, 2)) and calls == [x]
+    assert b.contains(F(1, 2)) and calls == [x, measure_module._dual(x)]
 
 
 def test_bounds_honestly_fail_when_no_lower_route_exists(stuck_partners):
@@ -1806,7 +1809,7 @@ def walk_stream_bounds(x, regions, tol):
     through the module, so a planted stall reaches it too."""
     total = total_measure(Measure(regions))
     partner = measure_module._dual(x)
-    partner = None if partner == Closed(EMPTY_RO) else partner
+    partner = None if normal_form(partner) == normal_form(Closed(EMPTY_RO)) else partner
     certs = ("stream-upper", "lower-zero" if partner is None else "partner-lower")
     lower, upper = F(0), total
     inner = tol / 4
