@@ -14,11 +14,13 @@ The largest laws on part lattices and maps are checked by byte kernels:
 their operands are packed one case per byte (`SubLattice`), so a few
 operations on long integers or `bytes.translate` calls compare every
 equation of the law, byte by byte, and the case count is the count of
-equations compared. When a kernel finds a mismatch, the law's scalar loop
-runs and names the witnesses; it also runs alone on lattices above 256
-parts and on tables with a value above 255, since an index must fit in a
-byte. A kernel mismatch the scalar loop does not confirm is reported as a
-violation, never dropped (`_settle`).
+equations compared. A map law's kernel reads every map from frame a to
+frame b at once, with the maps' own tables side by side (`_Maps`). When a
+kernel finds a mismatch, the law's scalar loop runs, map by map for a map
+law, and names the witnesses, a map's under its label `a->b#i`; it also
+runs alone where a part index, a table value or an element index is not a
+byte (above 256 parts). A kernel mismatch the scalar loop does not
+confirm is reported as a violation, never dropped (`_settle`).
 """
 
 from __future__ import annotations
@@ -30,13 +32,13 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import comb, lcm
 
 from locale_lab import intervals as ivs
 from locale_lab.corpus import CorpusError, corpus_files, iter_corpus_frames, iter_negative_specs, load
 from locale_lab.frames import Frame, FrameError, build_frame
 from locale_lab.intervals import RatOpen, frac, iv, normalize, parse_fin, parse_ratopen
+from locale_lab.lattice import SubLattice
 from locale_lab.measure import (
     FiniteValuation,
     Lebesgue,
@@ -90,15 +92,10 @@ from locale_lab.sublocales import (
     closed_sublocale,
     complement_c,
     entanglement,
-    enumerate_sublocales,
-    exterior,
     generic,
-    interior,
     is_boolean_sublocale,
     is_dense,
     is_subsublocale,
-    open_sublocale,
-    subspace_sublocale,
     union_all,
     validate_nucleus,
     whole,
@@ -254,6 +251,15 @@ class _Run:
             for w in bad:
                 self.violations.append(Violation(law.name, law.identity, label, dict(w)))
 
+    def apply_maps(self, laws, label, maps):
+        """`apply` for the map laws: a failure of map i goes under `label#i`."""
+        for law in laws:
+            cases, bad = law.check(maps)
+            self.cases += cases
+            for mi, w in bad:
+                where = label if mi is None else f"{label}#{mi}"
+                self.violations.append(Violation(law.name, law.identity, where, dict(w)))
+
     def note(self, text):
         self.notes.append(text)
 
@@ -277,137 +283,19 @@ class _Run:
         )
 
 
-# ---------------------------------------------------------------------------
-# the sublocale lattice of a finite frame, as point sets
-# ---------------------------------------------------------------------------
-
-class SubLattice:
-    """Every sublocale of a finite frame, indexed by its set of points.
-
-    `subs[m]` is the part whose points are the bitmask m, so the union,
-    the meet and the inclusion of parts i and j are `i | j`, `i & j` and
-    `i & j == i`, and the exhaustive law checks reduce to integer
-    arithmetic.
-
-    The byte kernels of the laws read the index bytes of pairs and
-    triples of parts, derived once per lattice: `ordered_pairs` for the
-    `bytes.translate` gathers of a map's tables, `unordered_pairs` and
-    `unordered_triples` packed into integers one case per byte. A kernel
-    still compares every equation of its law, byte by byte. A part index
-    is a byte only up to 256 parts; above that these are None and the laws
-    run their scalar loops.
-    """
-
-    def __init__(self, frame: Frame):
-        self.frame = frame
-        self.subs = enumerate_sublocales(frame, max(10, frame.n))
-        self.open_idx = [open_sublocale(frame, v).points for v in range(frame.n)]
-        self.closed_idx = [closed_sublocale(frame, v).points for v in range(frame.n)]
-        self.whole_idx = self.open_idx[frame.top]
-        self.empty_idx = self.open_idx[frame.bottom]
-        # derived per-sublocale data
-        self.ext = [exterior(s) for s in self.subs]
-        self.closure_idx = [self.closed_idx[e] for e in self.ext]
-        self.int_el = [interior(s) for s in self.subs]
-        self.dense = [e == frame.bottom for e in self.ext]
-
-    @cached_property
-    def closed_parts(self) -> list:
-        return sorted(set(self.closed_idx))
-
-    @cached_property
-    def generic_idx(self) -> int:
-        return generic(self.frame).points
-
-    @cached_property
-    def subspace_idx(self) -> dict:
-        """Point subset -> index of its subspace part (topology frames only)."""
-        pts = self.frame.point_names
-        return {
-            frozenset(c): subspace_sublocale(self.frame, c).points
-            for r in range(len(pts) + 1)
-            for c in itertools.combinations(pts, r)
-        }
-
-    @cached_property
-    def ordered_pairs(self):
-        """For every ordered pair (i, j) of parts, i the major index, the
-        bytes of i, of j, of i | j and of i & j; None above 256 parts."""
-        k = len(self.subs)
-        if k > 256:
-            return None
-        ks = range(k)
-        return (
-            bytes(i for i in ks for _ in ks),
-            bytes(ks) * k,
-            bytes(i | j for i in ks for j in ks),
-            bytes(i & j for i in ks for j in ks),
-        )
-
-    @cached_property
-    def unordered_pairs(self):
-        """The pairs i < j of parts in `combinations` order, packed as
-        (i's, j's, (i & j)'s, ones) by `_packed`; None above 256 parts."""
-        if len(self.subs) > 256:
-            return None
-        return _packed(((i, j, i & j) for i, j in itertools.combinations(range(len(self.subs)), 2)), 3)
-
-    @cached_property
-    def unordered_triples(self):
-        """The triples i < j < h of parts in `combinations` order, packed as
-        (i's, j's, h's, (i & j & h)'s, ones); None above 256 parts."""
-        if len(self.subs) > 256:
-            return None
-        rows = ((i, j, h, i & j & h) for i, j, h in itertools.combinations(range(len(self.subs)), 3))
-        return _packed(rows, 4)
-
-    def label(self, i: int) -> str:
-        fixed = [str(self.frame.elements[h]) for h in self.subs[i].fixpoints]
-        return "fix(" + ",".join(fixed) + ")"
-
-    def meet_fold(self, idxs) -> int:
-        out = self.whole_idx
-        for i in idxs:
-            out &= i
-        return out
-
-    def union_fold(self, idxs) -> int:
-        out = self.empty_idx
-        for i in idxs:
-            out |= i
-        return out
+_UNCONFIRMED = {"form": "byte kernel mismatch the scalar loop did not confirm"}
 
 
-def _packed(rows, width: int) -> tuple:
-    """Column c of `rows` as one integer with row r in byte r, for each c
-    below `width`, then `ones`, which has a 1 in every byte: x * ones puts
-    the byte x in every row, and `|` and `&` on packed integers act on
-    each byte alone."""
-    flat = bytes(itertools.chain.from_iterable(rows))
-    cols = [flat[c::width] for c in range(width)] + [b"\1" * (len(flat) // width)]
-    return tuple(int.from_bytes(col, "big") for col in cols)
-
-
-def _gather(L: SubLattice, table):
-    """`table` read at i, j, i | j and i & j over every ordered pair of
-    L's parts (`SubLattice.ordered_pairs`), each column one integer, a
-    byte per pair; None when a part index or a value is not a byte."""
-    if L.ordered_pairs is None or max(table) > 255:
-        return None
-    t = bytes(table).ljust(256, b"\0")
-    return [int.from_bytes(col.translate(t), "big") for col in L.ordered_pairs]
-
-
-def _settle(cases: int, ok, scan):
+def _settle(cases: int, ok, scan, unconfirmed=_UNCONFIRMED):
     """The result of a law with a byte kernel. `ok` is the kernel's verdict
     on every case, or None where it cannot run. Unless it passed, the
     scalar loop `scan()` runs and names the witnesses; a kernel mismatch
-    the scalar loop does not confirm is still a violation."""
+    the scalar loop does not confirm is still a violation, `unconfirmed`."""
     if ok:
         return cases, []
     bad = scan()
     if ok is False and not bad:
-        bad = [{"form": "byte kernel mismatch the scalar loop did not confirm"}]
+        bad = [unconfirmed]
     return cases, bad
 
 
@@ -1003,8 +891,7 @@ def run_morphism_suite(root=None, max_size=None, tol=None) -> RunReport:
     maps = {}
     for (an, a), (bn, b) in itertools.product(reps, repeat=2):
         fs = enumerate_morphisms(a, b)
-        for mi, f in enumerate(fs):
-            run.apply(MAP_LAWS, f"{an}->{bn}#{mi}", _Mapped(f, lats[an], lats[bn]))
+        run.apply_maps(MAP_LAWS, f"{an}->{bn}", _Maps(fs, lats[an], lats[bn]))
         if a.n <= 4 and b.n <= 4:
             maps[an, bn] = fs
     run.note(
@@ -1015,14 +902,54 @@ def run_morphism_suite(root=None, max_size=None, tol=None) -> RunReport:
     return run.report()
 
 
-class _Mapped:
-    """A map with the pullback of every part of its source lattice and
-    the image of every part of its target lattice: the map's own lift
-    tables `pulls` and `pushes`, read by part index."""
+class _Maps:
+    """The maps `fs` from frame a to frame b, with the part lattices FL of
+    a and EL of b, and the maps' own tables side by side for the pair
+    kernels, one per map in map order: `pulls` and `pushes` as
+    `bytes.translate` tables, `fstar` and `adjoint` (`right_adjoint`) as
+    rows. They are there when `bytewise`: not above 256 parts, where a part
+    index is not a byte (an element index is one below, as a frame has at
+    most as many elements as parts), nor when a table holds a value that
+    is not an index of what it names; there the laws run their scalar
+    loops."""
 
-    def __init__(self, f, FL: SubLattice, EL: SubLattice):
-        self.f, self.FL, self.EL = f, FL, EL
-        self.pre, self.img = f.pulls, f.pushes
+    def __init__(self, fs, FL, EL):
+        self.fs, self.FL, self.EL = fs, FL, EL
+        self.pulls = self.pushes = self.fstar = self.adjoint = None
+        views = (
+            [f.pulls for f in fs],
+            [f.pushes for f in fs],
+            [f.fstar for f in fs],
+            [right_adjoint(f) for f in fs],
+        )
+        limits = len(EL.subs), len(FL.subs), EL.frame.n, FL.frame.n
+        try:
+            rows = [list(map(bytes, v)) for v in views]
+        except ValueError:  # a value above 255
+            rows = None
+        # deleting every index from a table's bytes leaves the values past them
+        self.bytewise = rows is not None and max(limits[:2]) <= 256 and not any(
+            b"".join(r).translate(None, bytes(range(n))) for r, n in zip(rows, limits)
+        )
+        if self.bytewise:
+            pulls, pushes, self.fstar, self.adjoint = rows
+            self.pulls, self.pushes = ([row.ljust(256, b"\0") for row in t] for t in (pulls, pushes))
+
+
+def _each_map(maps, cases, ok, scan):
+    """`_settle` for a map law, `cases` per map: `scan(f)` names the
+    witnesses of each map, paired with its index, and a kernel mismatch no
+    map's loop confirms is the pair's, index None."""
+    def scan_all():
+        return [(mi, w) for mi, f in enumerate(maps.fs) for w in scan(f)]
+
+    return _settle(cases * len(maps.fs), ok, scan_all, (None, _UNCONFIRMED))
+
+
+def _gather(cols, tables):
+    """Each column of part indices read through every table, the maps side
+    by side: one integer per column, a byte per map and case."""
+    return [int.from_bytes(b"".join(map(col.translate, tables)), "big") for col in cols]
 
 
 @_declare(LATTICE_LAWS, "layer-decomposition", "every part is the meet over V of [V] u c(e(V))")
@@ -1048,20 +975,22 @@ def _boolean_combination_distributivity(L):
         for i, j in itertools.combinations(range(cells), 2):
             if cell_idx[i] & cell_idx[j] != L.empty_idx:
                 bad.append({"form": "cells overlap", "i": str(i), "j": str(j)})
-    combos = sorted(
-        {
-            L.union_fold([cell_idx[i] for i in picked])
-            for r in range(cells + 1)
-            for picked in itertools.combinations(range(cells), r)
-        }
-    )
-    for h in combos:
-        for x in range(k):
-            for y in range(k):
-                if h & (x | y) != (h & x) | (h & y):
-                    bad.append({"h": L.label(h), "a": L.label(x), "b": L.label(y)})
-    cover_cases = 1 + comb(cells, 2) if cells else 0
-    return cover_cases + len(combos) * k * k, bad
+    combos = {L.empty_idx}  # the unions of sets of cells
+    for c in cell_idx:
+        combos |= {h | c for h in combos}
+    combos = sorted(combos)
+    ok = None
+    if L.ordered_pairs is not None:
+        x, y, u, _ = (int.from_bytes(col, "big") for col in L.ordered_pairs)
+        ones = int.from_bytes(b"\1" * k * k, "big")
+        ok = all(h & u == (h & x) | (h & y) for h in (c * ones for c in combos))
+
+    def scan():
+        return [{"h": L.label(h), "a": L.label(x), "b": L.label(y)}
+                for h in combos for x in range(k) for y in range(k) if h & (x | y) != (h & x) | (h & y)]
+
+    cases, spread = _settle(len(combos) * k * k, ok, scan)
+    return (1 + comb(cells, 2) if cells else 0) + cases, bad + spread
 
 
 @_declare(LATTICE_LAWS, "meets-join-product",
@@ -1093,105 +1022,135 @@ def _meets_join_product(L):
 
 
 @_declare(MAP_LAWS, "adjunction", "fstar(V) <= U iff V <= fstar-adjoint(U)")
-def _adjunction(m):
-    """Per v, the adjoint row read through v's up-set is fstar(v)'s up-row."""
-    src, tgt, fstar = m.f.source, m.f.target, m.f.fstar
-    adj = right_adjoint(m.f)
+def _adjunction(maps):
+    """The pair kernel reads, for each v, map and u in turn, the up-set of
+    fstar(v) at u and the up-set of v at the adjoint of u."""
+    src, tgt = maps.FL.frame, maps.EL.frame
     ok = None
-    if src.n <= 256 and max(adj) <= 255:
-        row, n = bytes(adj), tgt.n
-        ok = all(row.translate(src.up_bytes[v]) == tgt.up_bytes[fstar[v]][:n] for v in range(src.n))
+    if maps.bytewise:
+        rows = [up[: tgt.n] for up in tgt.up_bytes]
+        by_v = bytes(itertools.chain.from_iterable(zip(*maps.fstar)))
+        adjoints = b"".join(maps.adjoint)
+        ok = b"".join(map(rows.__getitem__, by_v)) == b"".join(
+            [adjoints.translate(up) for up in src.up_bytes]
+        )
 
-    def scan():
-        bad = []
-        for v in range(src.n):
-            for u in range(tgt.n):
-                if tgt.leq(fstar[v], u) != src.leq(v, adj[u]):
-                    bad.append({"v": src.name(v), "u": tgt.name(u)})
-        return bad
+    def scan(f):
+        fstar, adj = f.fstar, right_adjoint(f)
+        return [{"v": src.name(v), "u": tgt.name(u)} for v in range(src.n) for u in range(tgt.n)
+                if tgt.leq(fstar[v], u) != src.leq(v, adj[u])]
 
-    return _settle(src.n * tgt.n, ok, scan)
+    return _each_map(maps, src.n * tgt.n, ok, scan)
 
 
 @_declare(MAP_LAWS, "embedding-three-ways",
           "surjectivity of fstar, injectivity of the adjoint, and the section law agree")
-def _embedding_three_ways(m):
-    f, n = m.f, m.f.target.n
-    adj = right_adjoint(f)
-    flags = {
-        "surjective": is_embedding(f),
-        "adjoint injective": len(set(adj)) == n,
-        "section": all(f.fstar[adj[u]] == u for u in range(n)),
-    }
-    return _once(len(set(flags.values())) == 1, {k: str(v) for k, v in flags.items()})
+def _embedding_three_ways(maps):
+    """The pair kernel reads each flag as a byte per map: `is_embedding`,
+    the adjoint's values counted, and the adjoint read through fstar."""
+    n = maps.EL.frame.n
+    ok = None
+    if maps.bytewise:
+        fstar = [row.ljust(256, b"\0") for row in maps.fstar]
+        ok = (
+            bytes(map(is_embedding, maps.fs))
+            == bytes(map(n.__eq__, map(len, map(set, maps.adjoint))))
+            == bytes(map(bytes(range(n)).__eq__, map(bytes.translate, maps.adjoint, fstar)))
+        )
+
+    def scan(f):
+        adj = right_adjoint(f)
+        flags = {
+            "surjective": is_embedding(f),
+            "adjoint injective": len(set(adj)) == n,
+            "section": all(f.fstar[adj[u]] == u for u in range(n)),
+        }
+        return [] if len(set(flags.values())) == 1 else [{k: str(v) for k, v in flags.items()}]
+
+    return _each_map(maps, 1, ok, scan)
 
 
 @_declare(MAP_LAWS, "preimage-open-closed",
           "pullback of [V] is [fstar V]; pullback of c(V) is c(fstar V)")
-def _preimage_open_closed(m):
-    f, FL, EL, pre = m.f, m.FL, m.EL, m.pre
-    src = f.source
-    bad = []
-    for v in range(src.n):
-        if pre[FL.open_idx[v]] != EL.open_idx[f.fstar[v]]:
-            bad.append({"v": src.name(v), "side": "open"})
-        if pre[FL.closed_idx[v]] != EL.closed_idx[f.fstar[v]]:
-            bad.append({"v": src.name(v), "side": "closed"})
-    return 2 * src.n, bad
+def _preimage_open_closed(maps):
+    """The pair kernel reads each map's pullback of the open and the closed
+    part of every v against the parts of fstar(v), read off fstar."""
+    FL, EL = maps.FL, maps.EL
+    src = FL.frame
+    sides = (("open", FL.open_idx, EL.open_idx), ("closed", FL.closed_idx, EL.closed_idx))
+    ok = None
+    if maps.bytewise:
+        fstar = b"".join(maps.fstar)
+        ok = all(
+            b"".join(map(bytes(parts).translate, maps.pulls))
+            == fstar.translate(bytes(images).ljust(256, b"\0"))
+            for _, parts, images in sides
+        )
+
+    def scan(f):
+        return [{"v": src.name(v), "side": side} for v in range(src.n) for side, parts, images in sides
+                if f.pulls[parts[v]] != images[f.fstar[v]]]
+
+    return _each_map(maps, 2 * src.n, ok, scan)
 
 
 @_declare(MAP_LAWS, "preimage-union-meet",
           "pullback commutes with binary unions and meets of parts")
-def _preimage_union_meet(m):
-    FL, pre = m.FL, m.pre
-    kf = len(FL.subs)
-    g = _gather(FL, pre)
-    ok = None if g is None else g[2] == g[0] | g[1] and g[3] == g[0] & g[1]
+def _preimage_union_meet(maps):
+    FL, ks = maps.FL, range(len(maps.FL.subs))
+    ok = None
+    if maps.bytewise:
+        a, b, union, meet = _gather(FL.ordered_pairs, maps.pulls)
+        ok = union == a | b and meet == a & b
 
-    def scan():
-        bad = []
-        for i in range(kf):
-            pi = pre[i]
-            for j in range(kf):
-                if pre[i | j] != pi | pre[j]:
-                    bad.append({"a": FL.label(i), "b": FL.label(j), "side": "union"})
-                if pre[i & j] != pi & pre[j]:
-                    bad.append({"a": FL.label(i), "b": FL.label(j), "side": "meet"})
+    def scan(f):
+        pre, bad = f.pulls, []
+        for i, j in itertools.product(ks, ks):
+            if pre[i | j] != pre[i] | pre[j]:
+                bad.append({"a": FL.label(i), "b": FL.label(j), "side": "union"})
+            if pre[i & j] != pre[i] & pre[j]:
+                bad.append({"a": FL.label(i), "b": FL.label(j), "side": "meet"})
         return bad
 
-    return _settle(2 * kf * kf, ok, scan)
+    return _each_map(maps, 2 * len(ks) ** 2, ok, scan)
 
 
 @_declare(MAP_LAWS, "image-union", "the image of a union is the union of the images")
-def _image_union(m):
-    EL, img = m.EL, m.img
-    ke = len(EL.subs)
-    g = _gather(EL, img)
-    ok = None if g is None else g[2] == g[0] | g[1]
+def _image_union(maps):
+    EL, ks = maps.EL, range(len(maps.EL.subs))
+    ok = None
+    if maps.bytewise:
+        a, b, union = _gather(EL.ordered_pairs[:3], maps.pushes)
+        ok = union == a | b
 
-    def scan():
-        bad = []
-        for i in range(ke):
-            for j in range(ke):
-                if img[i | j] != img[i] | img[j]:
-                    bad.append({"x": EL.label(i), "y": EL.label(j)})
-        return bad
+    def scan(f):
+        img = f.pushes
+        return [{"x": EL.label(i), "y": EL.label(j)} for i, j in itertools.product(ks, ks)
+                if img[i | j] != img[i] | img[j]]
 
-    return _settle(ke * ke, ok, scan)
+    return _each_map(maps, len(ks) ** 2, ok, scan)
 
 
 @_declare(MAP_LAWS, "image-preimage-galois",
           "image(pullback(Y)) inside Y and X inside pullback(image(X))")
-def _image_preimage_galois(m):
-    FL, EL, pre, img = m.FL, m.EL, m.pre, m.img
-    bad = []
-    for i in range(len(FL.subs)):
-        if img[pre[i]] & i != img[pre[i]]:
-            bad.append({"y": FL.label(i), "side": "image of pullback"})
-    for j in range(len(EL.subs)):
-        if j & pre[img[j]] != j:
-            bad.append({"x": EL.label(j), "side": "pullback of image"})
-    return len(FL.subs) + len(EL.subs), bad
+def _image_preimage_galois(maps):
+    """The pair kernel reads each map's pullback table through its image
+    table, and its image table through its pullback table."""
+    FL, EL = maps.FL, maps.EL
+    ys, xs = range(len(FL.subs)), range(len(EL.subs))
+    ok = None
+    if maps.bytewise:
+        (there,) = _gather([bytes(ys)], map(bytes.translate, maps.pulls, maps.pushes))
+        (back,) = _gather([bytes(xs)], map(bytes.translate, maps.pushes, maps.pulls))
+        y, x = (int.from_bytes(bytes(ids) * len(maps.fs), "big") for ids in (ys, xs))
+        ok = there & y == there and x & back == x
+
+    def scan(f):
+        pre, img = f.pulls, f.pushes
+        bad = [{"y": FL.label(i), "side": "image of pullback"} for i in ys if img[pre[i]] & i != img[pre[i]]]
+        return bad + [{"x": EL.label(j), "side": "pullback of image"} for j in xs if j & pre[img[j]] != j]
+
+    return _each_map(maps, len(ys) + len(xs), ok, scan)
 
 
 @_declare(COMPOSITION_LAWS, "composition",

@@ -3,10 +3,12 @@ loops, and the finite-measure laws, in Fraction arithmetic: the
 references the fast bodies are compared with.
 
 Each function is the law's check as it was before its kernel: it takes
-the same context (a `SubLattice`, or a map with its `pre`/`img` tables)
-and returns (cases checked, failure witnesses) in the same order. The
-right adjoint is given by its definition, the join of the V with
-fstar(V) below u.
+the same context (a `SubLattice`) and returns (cases checked, failure
+witnesses) in the same order. A map law's oracle takes one map f with
+the part lattices FL of its source and EL of its target, and reads the
+map's own tables; the suite checks every map from one frame to another
+at once. The right adjoint is given by its definition, the join of the
+V with fstar(V) below u.
 
 `push` and `pull` lift one set of points along a map's point map by a
 loop over the points: the references for the map's `pushes` and `pulls`
@@ -30,8 +32,8 @@ from math import comb
 
 from locale_lab.laws import _reduced_parts_algebra, _restriction_valid
 from locale_lab.measure import mu_reduce, null_partner, outer_measure_finite, reduced_algebra
-from locale_lab.morphisms import compose, enumerate_morphisms, right_adjoint
-from locale_lab.sublocales import closed_sublocale, open_sublocale
+from locale_lab.morphisms import atoms, compose, enumerate_morphisms, right_adjoint
+from locale_lab.sublocales import closed_sublocale, open_sublocale, union_all
 
 
 def join_over_meet(L):
@@ -77,9 +79,9 @@ def pull(f, mask: int) -> int:
     return out
 
 
-def adjunction(m):
-    src, tgt, fstar = m.f.source, m.f.target, m.f.fstar
-    adj = right_adjoint(m.f)
+def adjunction(f, FL, EL):
+    src, tgt, fstar = f.source, f.target, f.fstar
+    adj = right_adjoint(f)
     bad = []
     for v in range(src.n):
         for u in range(tgt.n):
@@ -88,20 +90,30 @@ def adjunction(m):
     return src.n * tgt.n, bad
 
 
-def preimage_open_closed(m):
-    f, EL = m.f, m.EL
+def embedding_three_ways(f, FL, EL):
+    n = f.target.n
+    adj = right_adjoint(f)
+    flags = {
+        "surjective": len(set(f.fstar)) == n,
+        "adjoint injective": len(set(adj)) == n,
+        "section": all(f.fstar[adj[u]] == u for u in range(n)),
+    }
+    return 1, [] if len(set(flags.values())) == 1 else [{k: str(v) for k, v in flags.items()}]
+
+
+def preimage_open_closed(f, FL, EL):
     src = f.source
     bad = []
     for v in range(src.n):
-        if pull(f, open_sublocale(src, v).points) != EL.open_idx[f.fstar[v]]:
+        if f.pulls[open_sublocale(src, v).points] != EL.open_idx[f.fstar[v]]:
             bad.append({"v": src.name(v), "side": "open"})
-        if pull(f, closed_sublocale(src, v).points) != EL.closed_idx[f.fstar[v]]:
+        if f.pulls[closed_sublocale(src, v).points] != EL.closed_idx[f.fstar[v]]:
             bad.append({"v": src.name(v), "side": "closed"})
     return 2 * src.n, bad
 
 
-def preimage_union_meet(m):
-    FL, pre = m.FL, m.pre
+def preimage_union_meet(f, FL, EL):
+    pre = f.pulls
     kf = len(FL.subs)
     bad = []
     for i in range(kf):
@@ -114,8 +126,8 @@ def preimage_union_meet(m):
     return 2 * kf * kf, bad
 
 
-def image_union(m):
-    EL, img = m.EL, m.img
+def image_union(f, FL, EL):
+    img = f.pushes
     ke = len(EL.subs)
     bad = []
     for i in range(ke):
@@ -123,6 +135,18 @@ def image_union(m):
             if img[i | j] != img[i] | img[j]:
                 bad.append({"x": EL.label(i), "y": EL.label(j)})
     return ke * ke, bad
+
+
+def image_preimage_galois(f, FL, EL):
+    pre, img = f.pulls, f.pushes
+    bad = []
+    for i in range(len(FL.subs)):
+        if img[pre[i]] & i != img[pre[i]]:
+            bad.append({"y": FL.label(i), "side": "image of pullback"})
+    for j in range(len(EL.subs)):
+        if j & pre[img[j]] != j:
+            bad.append({"x": EL.label(j), "side": "pullback of image"})
+    return len(FL.subs) + len(EL.subs), bad
 
 
 def composition(ctx):
@@ -143,12 +167,45 @@ def composition(ctx):
     return checked, bad
 
 
-LATTICE_ORACLES = {"join-over-meet": join_over_meet, "meets-join-product": meets_join_product}
+def boolean_combination_distributivity(L):
+    cell_parts = atoms(L.frame)
+    cell_idx = [c.points for c in cell_parts]
+    cells, k = len(cell_idx), len(L.subs)
+    bad = []
+    if cell_idx:
+        if union_all(L.frame, cell_parts).points != L.whole_idx:
+            bad.append({"form": "cells do not cover"})
+        for i, j in itertools.combinations(range(cells), 2):
+            if cell_idx[i] & cell_idx[j] != L.empty_idx:
+                bad.append({"form": "cells overlap", "i": str(i), "j": str(j)})
+    combos = set()
+    for r in range(cells + 1):
+        for picked in itertools.combinations(cell_idx, r):
+            h = L.empty_idx
+            for c in picked:
+                h |= c
+            combos.add(h)
+    for h in sorted(combos):
+        for x in range(k):
+            for y in range(k):
+                if h & (x | y) != (h & x) | (h & y):
+                    bad.append({"h": L.label(h), "a": L.label(x), "b": L.label(y)})
+    cover_cases = 1 + comb(cells, 2) if cells else 0
+    return cover_cases + len(combos) * k * k, bad
+
+
+LATTICE_ORACLES = {
+    "join-over-meet": join_over_meet,
+    "meets-join-product": meets_join_product,
+    "boolean-combination-distributivity": boolean_combination_distributivity,
+}
 MAP_ORACLES = {
     "adjunction": adjunction,
+    "embedding-three-ways": embedding_three_ways,
     "preimage-open-closed": preimage_open_closed,
     "preimage-union-meet": preimage_union_meet,
     "image-union": image_union,
+    "image-preimage-galois": image_preimage_galois,
 }
 COMPOSITION_ORACLES = {"composition": composition}
 

@@ -1,11 +1,13 @@
 """The byte kernels of the law suites against the scalar loops they
 replace (tests/scalar_laws.py): the same (cases, witnesses), in the same
-order, on every corpus map and lattice, with intact tables, with one
-planted flipped bit, and past 256 parts, where the laws fall back to
-their scalar loops. Likewise the finite-measure laws on integer tables
-against their Fraction bodies, with intact tables and with one planted
-entry, and the composition law on maps enumerated once against its body
-that enumerates every triple anew, intact and with one planted composite."""
+order, on every corpus lattice and on every map, the maps of each pair of
+frames checked at once against their oracles map by map, with intact
+tables, with one planted flipped bit in each map in turn, and past 256
+parts, where the laws fall back to their scalar loops. Likewise the
+finite-measure laws on integer tables against their Fraction bodies, with
+intact tables and with one planted entry, and the composition law on maps
+enumerated once against its body that enumerates every triple anew,
+intact and with one planted composite."""
 
 from __future__ import annotations
 
@@ -21,32 +23,41 @@ import scalar_laws
 from locale_lab import laws
 from locale_lab.corpus import boolean_spec, chain_spec, iter_corpus_frames
 from locale_lab.frames import build_frame
-from locale_lab.laws import SubLattice, _boolean_valuations, _iso_reps, _Mapped, _scaled, _Valued
+from locale_lab.laws import SubLattice, _boolean_valuations, _iso_reps, _Maps, _scaled, _Valued
 from locale_lab.measure import FiniteValuation, ValuationError
 from locale_lab.morphisms import FrameMorphism, enumerate_morphisms, identity_morphism, right_adjoint
 
-UNCONFIRMED = [{"form": "byte kernel mismatch the scalar loop did not confirm"}]
-MAP_LAWS = {law.name: law for law in laws.MAP_LAWS if law.name in scalar_laws.MAP_ORACLES}
+UNCONFIRMED = {"form": "byte kernel mismatch the scalar loop did not confirm"}
+MAP_LAWS = {law.name: law for law in laws.MAP_LAWS}
 LATTICE_LAWS = {
     law.name: law
     for law in laws.LATTICE_LAWS + laws.PART_LAWS
     if law.name in scalar_laws.LATTICE_ORACLES
 }
-# which law reads each table a fault is planted in
-PLANTED = {"pre": "preimage-union-meet", "img": "image-union", "adj": "adjunction"}
+# the laws that read each table a fault is planted in, by its slot on the
+# map; the first is the one that must catch a fault past 256 parts
+PLANTED = {
+    "_back": ("preimage-union-meet", "preimage-open-closed", "image-preimage-galois"),
+    "_forward": ("image-union", "image-preimage-galois"),
+    "_fstar": ("adjunction", "embedding-three-ways", "preimage-open-closed"),
+    "_adjoint": ("adjunction", "embedding-three-ways"),
+}
 
 
 @pytest.fixture(scope="module")
-def corpus_maps():
-    """Every map between the morphism suite's representatives, with its
-    source and target lattices."""
+def corpus_pairs():
+    """For every ordered pair of the morphism suite's representatives, the
+    maps between them with their source and target lattices, every table
+    of every map built."""
     reps, _ = _iso_reps([(nm, fr) for nm, fr in iter_corpus_frames() if fr.n <= 8])
     lats = {nm: SubLattice(fr) for nm, fr in reps}
-    return [
-        _Mapped(f, lats[an], lats[bn])
-        for (an, a), (bn, b) in itertools.product(reps, repeat=2)
-        for f in enumerate_morphisms(a, b)
-    ]
+    pairs = []
+    for (an, a), (bn, b) in itertools.product(reps, repeat=2):
+        fs = enumerate_morphisms(a, b)
+        for f in fs:
+            f.pulls, f.pushes, f.fstar, right_adjoint(f)
+        pairs.append((f"{an}->{bn}", fs, lats[an], lats[bn]))
+    return pairs
 
 
 @pytest.fixture(scope="module")
@@ -63,19 +74,33 @@ def small_ctx():
     return small, lats, maps
 
 
-def flip(m, table: str, pos: int, bit: int):
-    """Flip one bit of m's pre, img or adjoint table; returns the undo."""
-    if table == "adj":
-        old = right_adjoint(m.f)
-        planted = list(old)
-        planted[pos % len(planted)] ^= 1 << bit
-        m.f._adjoint = tuple(planted)
-        return lambda: setattr(m.f, "_adjoint", old)
-    old = getattr(m, table)
+def by_oracle(name, fs, FL, EL):
+    """The oracle of map law `name` on each map in turn: the cases summed,
+    and each witness with its map's index, as the pair kernels give them."""
+    cases, bad = 0, []
+    for mi, f in enumerate(fs):
+        c, b = scalar_laws.MAP_ORACLES[name](f, FL, EL)
+        cases += c
+        bad += [(mi, w) for w in b]
+    return cases, bad
+
+
+def map_outcome(check, *args):
+    """(cases, witnesses), or the IndexError raised, by type: a table
+    value planted out of range is read as an index by both sides."""
+    try:
+        return check(*args)
+    except IndexError as exc:
+        return type(exc).__name__
+
+
+def flip(f, slot: str, pos: int, bit: int):
+    """Flip one bit of the table f keeps in `slot`; returns the undo."""
+    old = getattr(f, slot)
     planted = list(old)
     planted[pos % len(planted)] ^= 1 << bit
-    setattr(m, table, planted)
-    return lambda: setattr(m, table, old)
+    setattr(f, slot, tuple(planted))
+    return lambda: setattr(f, slot, old)
 
 
 def test_the_oracles_cover_every_kernel():
@@ -85,37 +110,83 @@ def test_the_oracles_cover_every_kernel():
     assert [law.name for law in laws.FINITE_MEASURE_LAWS] == list(scalar_laws.MEASURE_ORACLES)
 
 
-def test_map_kernels_match_the_scalar_loops(corpus_maps):
-    assert len(corpus_maps) == 1490
-    for m in corpus_maps:
+def test_map_kernels_match_the_scalar_loops(corpus_pairs):
+    assert len(corpus_pairs) == 121
+    assert sum(len(fs) for _, fs, _, _ in corpus_pairs) == 1490
+    # a frame with more points than another has no map onto it
+    assert sum(not fs for _, fs, _, _ in corpus_pairs) > 0
+    for label, fs, FL, EL in corpus_pairs:
+        maps = _Maps(fs, FL, EL)
         for name, law in MAP_LAWS.items():
-            assert law.check(m) == scalar_laws.MAP_ORACLES[name](m), name
+            assert law.check(maps) == by_oracle(name, fs, FL, EL), (label, name)
+            if not fs:
+                assert law.check(maps) == (0, [])
 
 
-def test_map_tables_are_the_maps_own_read_only_lifts(corpus_maps):
-    for m in corpus_maps:
-        assert m.pre is m.f.pulls and m.img is m.f.pushes
-        assert type(m.pre) is tuple and type(m.img) is tuple
+def test_map_tables_are_the_maps_own_read_only_lifts(corpus_pairs):
+    for _, fs, FL, EL in corpus_pairs:
+        maps = _Maps(fs, FL, EL)
+        for mi, f in enumerate(fs):
+            assert type(f.pulls) is tuple and type(f.pushes) is tuple
+            assert maps.pulls[mi] == bytes(f.pulls).ljust(256, b"\0")
+            assert maps.pushes[mi] == bytes(f.pushes).ljust(256, b"\0")
+            assert maps.fstar[mi] == bytes(f.fstar)
+            assert maps.adjoint[mi] == bytes(right_adjoint(f))
     with pytest.raises(TypeError):
-        corpus_maps[0].pre[0] = 1
+        corpus_pairs[0][1][0].pulls[0] = 1
 
 
-def test_map_kernels_match_the_scalar_loops_on_a_planted_fault(corpus_maps):
-    # bits 0-8: most flips stay within a byte and reach the kernel; bit 8
-    # pushes the value past 255, where the scalar loop runs alone
+def spliced(per_map, mi, f, name, FL, EL):
+    """The oracle of map law `name` on a pair whose map `mi`, f, is
+    planted: the intact maps' results `per_map`, with map mi's read anew."""
+    per_map = per_map[:mi] + [scalar_laws.MAP_ORACLES[name](f, FL, EL)] + per_map[mi + 1:]
+    return sum(c for c, _ in per_map), [(i, w) for i, (_, b) in enumerate(per_map) for w in b]
+
+
+def test_map_kernels_match_the_scalar_loops_on_a_planted_fault(corpus_pairs):
+    # every map of every pair gets one flipped bit in each of its tables in
+    # turn, at most one bit past the last index the table may hold: most
+    # flips stay in range and reach the pair kernel. One plant of each pair
+    # flips bit 8 instead, a value past 255, where the scalar loops run alone
     rng = random.Random(15)
-    found = 0
-    for m in corpus_maps:
-        for table, name in PLANTED.items():
-            undo = flip(m, table, rng.randrange(256), rng.randrange(9))
-            try:
-                got = MAP_LAWS[name].check(m)
-                assert got == scalar_laws.MAP_ORACLES[name](m), (table, name)
-                found += bool(got[1])
-            finally:
-                undo()
-    # most planted faults break their law
-    assert found > len(corpus_maps)
+    checks = found = reached = tables = wide = 0
+    for label, fs, FL, EL in corpus_pairs:
+        if not fs:
+            continue
+        intact = {
+            name: [scalar_laws.MAP_ORACLES[name](f, FL, EL) for f in fs]
+            for name in MAP_LAWS
+        }
+        limits = {
+            "_back": len(EL.subs), "_forward": len(FL.subs), "_fstar": EL.frame.n, "_adjoint": FL.frame.n
+        }
+        past = (rng.randrange(len(fs)), rng.choice(list(PLANTED)))
+        for mi, f in enumerate(fs):
+            for slot, names in PLANTED.items():
+                bit = 8 if (mi, slot) == past else rng.randrange((limits[slot] - 1).bit_length() + 1)
+                undo = flip(f, slot, rng.randrange(256), bit)
+                try:
+                    wide += max(getattr(f, slot)) > 255
+                    maps = _Maps(fs, FL, EL)
+                    tables += 1
+                    reached += maps.bytewise
+                    for name in names:
+                        got = map_outcome(MAP_LAWS[name].check, maps)
+                        want = map_outcome(spliced, intact[name], mi, f, name, FL, EL)
+                        assert got == want, (label, mi, slot, name)
+                        if isinstance(got, tuple):
+                            # the other maps are intact: each witness names the planted one
+                            assert {i for i, _ in got[1]} <= {mi}, (label, slot, name)
+                            found += bool(got[1])
+                        checks += 1
+                finally:
+                    undo()
+    # every map of the 126-map chain6 -> chain6 pair among them
+    assert max(len(fs) for _, fs, _, _ in corpus_pairs) == 126
+    assert tables == 4 * 1490 and wide >= 111
+    # most planted faults reach the kernels, and most break their law
+    assert reached > tables // 2
+    assert found > checks // 2
 
 
 def test_lattice_kernels_match_the_scalar_loops():
@@ -130,36 +201,54 @@ def test_above_256_parts_the_scalar_loops_run():
     L = SubLattice(f.source)
     assert len(L.subs) == 512
     assert L.ordered_pairs is None and L.unordered_pairs is None
-    m = _Mapped(f, L, L)
+    f.pulls, f.pushes, f.fstar, right_adjoint(f)
+    maps = _Maps([f], L, L)
+    assert (maps.pulls, maps.pushes, maps.fstar, maps.adjoint) == (None,) * 4
     for name, law in MAP_LAWS.items():
-        assert law.check(m) == scalar_laws.MAP_ORACLES[name](m) == (law.check(m)[0], [])
-    for table, name in PLANTED.items():
-        undo = flip(m, table, 37, 2)
+        assert law.check(maps) == by_oracle(name, [f], L, L) == (law.check(maps)[0], [])
+    for slot, names in PLANTED.items():
+        undo = flip(f, slot, 37, 2)
         try:
-            got = MAP_LAWS[name].check(m)
-            assert got == scalar_laws.MAP_ORACLES[name](m)
-            assert got[1], (table, name)
+            for name in names:
+                got = MAP_LAWS[name].check(_Maps([f], L, L))
+                assert got == by_oracle(name, [f], L, L)
+            # the first law that reads the planted table catches its fault
+            assert MAP_LAWS[names[0]].check(_Maps([f], L, L))[1], slot
         finally:
             undo()
 
 
-def test_an_unconfirmed_kernel_mismatch_is_a_violation(monkeypatch, corpus_maps):
-    m = next(m for m in reversed(corpus_maps) if m.f.source is not m.f.target)
-    cases = {name: law.check(m)[0] for name, law in MAP_LAWS.items()}
-    # a gather that reads i | j as 1 everywhere: the scalar loop finds nothing
-    monkeypatch.setattr(laws, "_gather", lambda L, table: [0, 0, 1, 0])
+def test_an_unconfirmed_kernel_mismatch_is_a_violation(monkeypatch, corpus_pairs):
+    # chain6 to itself: 126 maps, the identity among them; each kernel is
+    # fed a layout the maps' own tables do not have, so no scalar loop
+    # confirms its mismatch
+    _, fs, FL, EL = max(corpus_pairs, key=lambda p: len(p[1]))
+    maps = _Maps(fs, FL, EL)
+    cases = {name: law.check(maps)[0] for name, law in MAP_LAWS.items()}
+    unconfirmed = {name: (cases[name], [(None, UNCONFIRMED)]) for name in MAP_LAWS}
+    # a gather that reads i | j as 1 everywhere
+    monkeypatch.setattr(laws, "_gather", lambda cols, tables: [0, 0, 1, 0][: len(cols)])
     for name in ("preimage-union-meet", "image-union"):
-        assert MAP_LAWS[name].check(m) == (cases[name], UNCONFIRMED)
-    monkeypatch.setattr(m.f.source, "up_bytes", [bytes(256)] * m.f.source.n)
-    assert MAP_LAWS["adjunction"].check(m) == (cases["adjunction"], UNCONFIRMED)
+        assert MAP_LAWS[name].check(maps) == unconfirmed[name]
+    # an order read as equality: v <= x only for x = v
+    monkeypatch.setattr(FL.frame, "up_bytes", [bytes(x == y for y in range(256)) for x in range(FL.frame.n)])
+    assert MAP_LAWS["adjunction"].check(maps) == unconfirmed["adjunction"]
+    # fstar read as bottom everywhere, the adjoint as bottom, images as empty
+    maps.fstar = [bytes(len(row)) for row in maps.fstar]
+    maps.adjoint = [bytes(len(row)) for row in maps.adjoint]
+    maps.pushes = [bytes(256)] * len(fs)
+    for name in ("preimage-open-closed", "embedding-three-ways", "image-preimage-galois"):
+        assert MAP_LAWS[name].check(maps) == unconfirmed[name]
 
     L = SubLattice(build_frame(chain_spec(4)))
     intact = {name: law.check(L) for name, law in LATTICE_LAWS.items()}
     assert all(bad == [] for _, bad in intact.values())
     b1, b2, bm, ones = L.unordered_pairs
     L.unordered_pairs = (b1, b2, bm ^ 1, ones)
+    i, j, union, meet = L.ordered_pairs
+    L.ordered_pairs = (i, j, bytes([union[0] ^ 1]) + union[1:], meet)
     for name, law in LATTICE_LAWS.items():
-        assert law.check(L) == (intact[name][0], UNCONFIRMED)
+        assert law.check(L) == (intact[name][0], [UNCONFIRMED])
 
 
 @pytest.fixture(scope="module")

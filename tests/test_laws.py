@@ -2,7 +2,6 @@ import dataclasses
 import json
 import shutil
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +10,7 @@ from locale_lab.corpus import boolean_spec, chain_spec, corpus_root, generate, i
 from locale_lab.frames import build_frame, frame_spec_from_json
 from locale_lab.laws import (
     SubLattice,
+    _Maps,
     format_text,
     report_from_json,
     report_to_json,
@@ -105,13 +105,14 @@ def test_each_law_is_declared_once():
 
 def test_embedding_three_ways_reports_a_planted_adjoint_fault():
     law = next(law for law in laws.MAP_LAWS if law.name == "embedding-three-ways")
-    m = SimpleNamespace(f=identity_morphism(build_frame(chain_spec(3))))
-    assert law.check(m) == (1, [])
-    adj = list(right_adjoint(m.f))
+    f = identity_morphism(build_frame(chain_spec(3)))
+    L = SubLattice(f.source)
+    assert law.check(_Maps([f], L, L)) == (1, [])
+    adj = list(right_adjoint(f))
     adj[0] = adj[1]
-    m.f._adjoint = tuple(adj)
-    assert law.check(m) == (
-        1, [{"surjective": "True", "adjoint injective": "False", "section": "False"}]
+    f._adjoint = tuple(adj)
+    assert law.check(_Maps([f], L, L)) == (
+        1, [(0, {"surjective": "True", "adjoint injective": "False", "section": "False"})]
     )
 
 

@@ -1,0 +1,84 @@
+"""Planted faults in the views of a map, each caught by the morphism suite.
+
+Each fault is one wrong entry in a table every law reads through the
+library: the last entry of `pulls` with its bit 0 cleared, the last entry
+of `pushes` with its bit 0 flipped, and the last entry of `fstar` or of
+`right_adjoint` replaced by its first. A fault is applied by monkeypatch
+to every binding (`laws` imports `right_adjoint` by name) and the suite
+runs capped at frames of 4 elements. Its case count and the violations
+of each law are pinned, so the pair kernels must read each map's own
+tables, and where a kernel fails the per-map scalar loops must name every
+witness.
+
+The `pushes` fault leaves a map out of a source without points, where a
+bit 0 names no point: there `right_adjoint` reads a point that does not
+exist and the suite raises IndexError before any map law runs.
+"""
+
+from collections import Counter
+
+import pytest
+
+from locale_lab import laws, morphisms
+from locale_lab.laws import run_morphism_suite
+from locale_lab.morphisms import FrameMorphism
+
+
+def _view(monkeypatch, name, fault):
+    real = getattr(FrameMorphism, name).fget
+    monkeypatch.setattr(FrameMorphism, name, property(lambda f: fault(f, real(f))))
+
+
+def pulls(monkeypatch):
+    _view(monkeypatch, "pulls", lambda f, t: t[:-1] + (t[-1] & ~1,))
+
+
+def pushes(monkeypatch):
+    _view(monkeypatch, "pushes", lambda f, t: t[:-1] + (t[-1] ^ 1 if f.source.primes else t[-1],))
+
+
+def fstar(monkeypatch):
+    _view(monkeypatch, "fstar", lambda f, t: t[:-1] + t[:1])
+
+
+def adjoint(monkeypatch):
+    real = morphisms.right_adjoint
+    for module in (morphisms, laws):
+        monkeypatch.setattr(module, "right_adjoint", lambda f: real(f)[:-1] + real(f)[:1])
+
+
+# (cases, violations by law) of each fault
+CAUGHT = {
+    pulls: (74_052, {
+        "adjunction": 393, "embedding-three-ways": 92, "preimage-open-closed": 496,
+        "image-preimage-galois": 146, "preimage-union-meet": 1158, "composition": 7072,
+        "embedding-factorization": 394, "sum-injections": 1745,
+    }),
+    pushes: (21_664, {
+        "adjunction": 88, "embedding-three-ways": 17, "image-union": 420,
+        "image-preimage-galois": 72, "composition": 631, "embedding-factorization": 261,
+    }),
+    fstar: (3_474_672, {
+        "adjunction": 6183, "embedding-three-ways": 639, "preimage-open-closed": 4986,
+        "embedding-factorization": 8631, "sum-injections": 16142,
+    }),
+    adjoint: (21_664, {"adjunction": 115, "embedding-three-ways": 15, "embedding-factorization": 179}),
+}
+
+
+def test_the_capped_suite_is_clean_without_a_fault():
+    rep = run_morphism_suite(max_size=4)
+    assert (rep.cases, rep.violations) == (21_664, [])
+
+
+@pytest.mark.parametrize("fault", CAUGHT, ids=lambda fault: fault.__name__)
+def test_each_fault_is_caught_with_its_counts(monkeypatch, fault):
+    fault(monkeypatch)
+    rep = run_morphism_suite(max_size=4)
+    assert (rep.cases, Counter(v.law for v in rep.violations)) == CAUGHT[fault]
+
+
+def test_a_pushes_fault_on_a_source_without_points_stops_the_suite(monkeypatch):
+    _view(monkeypatch, "pushes", lambda f, t: t[:-1] + (t[-1] ^ 1,))
+    with pytest.raises(IndexError):
+        run_morphism_suite(max_size=4)
