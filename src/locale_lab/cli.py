@@ -229,7 +229,7 @@ def _demo_rationals() -> None:
     print(f"the interval minus the rationals:          mu in [{bi.lower}, {bi.upper}]")
     res = strict_additivity_interval(rats, irr, d, tol)
     print(f"additivity residual of the split: [{res.lo}, {res.hi}] "
-          f"(contains zero: {res.contains_zero()})")
+          f"(contains zero: {res.lo <= 0 <= res.hi})")
     print("the two shapes cover the interval structurally: "
           f"{structural_union_is_whole(rats, irr)}")
     print("so length splits exactly across a countable set and its complement,")

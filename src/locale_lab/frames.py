@@ -371,16 +371,6 @@ class Frame:
         )
 
     @cached_property
-    def up_bytes(self) -> tuple:
-        """up_bytes[i] has byte j set to 1 iff i <= j, padded with zero
-        bytes to 256: a `bytes.translate` table (for frames of at most 256
-        elements) that tests i <= x for a whole row of elements x at once."""
-        return tuple(
-            bytes(self.up[i] >> j & 1 for j in range(self.n)).ljust(256, b"\0")
-            for i in range(self.n)
-        )
-
-    @cached_property
     def least_not_below(self) -> tuple:
         """least_not_below[i] is kappa(primes[i]): the meet of the elements
         not below it, which are closed under meets as primes[i] is prime."""
@@ -435,9 +425,6 @@ class Sublocale:
         e = self.nucleus
         return tuple(i for i in range(self.frame.n) if e[i] == i)
 
-    def fix(self, h: int) -> int:
-        return self.nucleus[h]
-
     @property
     def is_empty(self) -> bool:
         return self.points == 0
@@ -489,20 +476,20 @@ def _expect_list(obj, where):
     return obj
 
 
-def frame_spec_from_json(obj, where="$") -> FrameSpec:
+def frame_spec_from_json(obj) -> FrameSpec:
     if not isinstance(obj, dict):
-        raise SpecError("expected an object", where)
+        raise SpecError("expected an object")
     unknown = set(obj) - FRAME_KEYS
     if unknown:
-        raise SpecError(f"unknown key {sorted(unknown)[0]!r}", where)
-    elements = _expect_list(obj.get("elements"), f"{where}.elements")
+        raise SpecError(f"unknown key {sorted(unknown)[0]!r}")
+    elements = _expect_list(obj.get("elements"), "$.elements")
     for i, e in enumerate(elements):
         if not isinstance(e, str):
-            raise SpecError("element names must be strings", f"{where}.elements[{i}]")
-    leq_raw = _expect_list(obj.get("leq"), f"{where}.leq")
+            raise SpecError("element names must be strings", f"$.elements[{i}]")
+    leq_raw = _expect_list(obj.get("leq"), "$.leq")
     leq = []
     for i, pair in enumerate(leq_raw):
-        pw = f"{where}.leq[{i}]"
+        pw = f"$.leq[{i}]"
         pair = _expect_list(pair, pw)
         if len(pair) != 2 or not all(isinstance(x, str) for x in pair):
             raise SpecError("expected a pair of element names", pw)
@@ -510,20 +497,20 @@ def frame_spec_from_json(obj, where="$") -> FrameSpec:
     return FrameSpec.make(elements, leq)
 
 
-def topology_spec_from_json(obj, where="$") -> TopologySpec:
+def topology_spec_from_json(obj) -> TopologySpec:
     if not isinstance(obj, dict):
-        raise SpecError("expected an object", where)
+        raise SpecError("expected an object")
     unknown = set(obj) - TOPOLOGY_KEYS
     if unknown:
-        raise SpecError(f"unknown key {sorted(unknown)[0]!r}", where)
-    pts = _expect_list(obj.get("points"), f"{where}.points")
+        raise SpecError(f"unknown key {sorted(unknown)[0]!r}")
+    pts = _expect_list(obj.get("points"), "$.points")
     for i, p in enumerate(pts):
         if not isinstance(p, str):
-            raise SpecError("point names must be strings", f"{where}.points[{i}]")
-    opens_raw = _expect_list(obj.get("opens"), f"{where}.opens")
+            raise SpecError("point names must be strings", f"$.points[{i}]")
+    opens_raw = _expect_list(obj.get("opens"), "$.opens")
     opens = []
     for i, o in enumerate(opens_raw):
-        ow = f"{where}.opens[{i}]"
+        ow = f"$.opens[{i}]"
         o = _expect_list(o, ow)
         for j, p in enumerate(o):
             if not isinstance(p, str):

@@ -1,7 +1,13 @@
-"""The sublocale lattice of a finite frame, as point sets, for the law
-suites: every part indexed by its set of points, the parts derived from
-each, and the index bytes of pairs and triples of parts that the byte
-kernels of the laws read.
+"""The byte layout the law kernels read: the sublocale lattice of a finite
+frame as point sets, and the maps between two frames side by side.
+
+A kernel reads a part index, an element index or a table value as one
+byte, so it runs only below `BYTE` of each, and a table it reads through
+`bytes.translate` is padded to `BYTE` bytes (`_table`). Every byte table a
+kernel reads is built here: per part lattice (`SubLattice`), the index
+bytes of pairs and triples of parts and the up-set of each element; per
+pair of frames (`_Maps`), the maps' own tables. Past a byte the laws run
+their scalar loops.
 """
 
 from __future__ import annotations
@@ -10,6 +16,7 @@ import itertools
 from functools import cached_property
 
 from locale_lab.frames import Frame
+from locale_lab.morphisms import right_adjoint
 from locale_lab.sublocales import (
     closed_sublocale,
     enumerate_sublocales,
@@ -19,6 +26,14 @@ from locale_lab.sublocales import (
     open_sublocale,
     subspace_sublocale,
 )
+
+BYTE = 256  # the values of one byte
+
+
+def _table(row) -> bytes:
+    """`row`, byte values, as a `bytes.translate` table: zero bytes pad it
+    to BYTE."""
+    return bytes(row).ljust(BYTE, b"\0")
 
 
 class SubLattice:
@@ -34,13 +49,14 @@ class SubLattice:
     `bytes.translate` gathers of maps' tables, `unordered_pairs` and
     `unordered_triples` packed into integers one case per byte. A kernel
     still compares every equation of its law, byte by byte. A part index
-    is a byte only up to 256 parts; above that these are None and the laws
-    run their scalar loops.
+    is a byte only up to BYTE parts: the lattice is `bytewise`, and its
+    byte tables are read only then.
     """
 
     def __init__(self, frame: Frame):
         self.frame = frame
         self.subs = enumerate_sublocales(frame, max(10, frame.n))
+        self.bytewise = len(self.subs) <= BYTE
         self.open_idx = [open_sublocale(frame, v).points for v in range(frame.n)]
         self.closed_idx = [closed_sublocale(frame, v).points for v in range(frame.n)]
         self.whole_idx = self.open_idx[frame.top]
@@ -72,14 +88,11 @@ class SubLattice:
     @cached_property
     def ordered_pairs(self):
         """For every ordered pair (i, j) of parts, i the major index, the
-        bytes of i, of j, of i | j and of i & j; None above 256 parts."""
-        k = len(self.subs)
-        if k > 256:
-            return None
-        ks = range(k)
+        bytes of i, of j, of i | j and of i & j."""
+        ks = range(len(self.subs))
         return (
             bytes(i for i in ks for _ in ks),
-            bytes(ks) * k,
+            bytes(ks) * len(ks),
             bytes(i | j for i in ks for j in ks),
             bytes(i & j for i in ks for j in ks),
         )
@@ -87,19 +100,30 @@ class SubLattice:
     @cached_property
     def unordered_pairs(self):
         """The pairs i < j of parts in `combinations` order, packed as
-        (i's, j's, (i & j)'s, ones) by `_packed`; None above 256 parts."""
-        if len(self.subs) > 256:
-            return None
+        (i's, j's, (i & j)'s, ones) by `_packed`."""
         return _packed(((i, j, i & j) for i, j in itertools.combinations(range(len(self.subs)), 2)), 3)
 
     @cached_property
     def unordered_triples(self):
         """The triples i < j < h of parts in `combinations` order, packed as
-        (i's, j's, h's, (i & j & h)'s, ones); None above 256 parts."""
-        if len(self.subs) > 256:
-            return None
+        (i's, j's, h's, (i & j & h)'s, ones)."""
         rows = ((i, j, h, i & j & h) for i, j, h in itertools.combinations(range(len(self.subs)), 3))
         return _packed(rows, 4)
+
+    @cached_property
+    def side_tables(self) -> tuple:
+        """The index of the open and of the closed part of each element, as
+        two translate tables."""
+        return _table(self.open_idx), _table(self.closed_idx)
+
+    @cached_property
+    def up_rows(self) -> list:
+        """up_rows[v] has byte x set to 1 iff v <= x: a translate table that
+        tests v <= x for a whole row of elements x at once. An element index
+        is a byte when the lattice is bytewise, as a frame has at most as
+        many elements as parts."""
+        fr = self.frame
+        return [_table(fr.up[v] >> x & 1 for x in range(fr.n)) for v in range(fr.n)]
 
     def label(self, i: int) -> str:
         fixed = [str(self.frame.elements[h]) for h in self.subs[i].fixpoints]
@@ -120,3 +144,46 @@ def _packed(rows, width: int) -> tuple:
     flat = bytes(itertools.chain.from_iterable(rows))
     cols = [flat[c::width] for c in range(width)] + [b"\1" * (len(flat) // width)]
     return tuple(int.from_bytes(col, "big") for col in cols)
+
+
+class _Maps:
+    """The maps `fs` from frame a to frame b, with the part lattices FL of
+    a and EL of b, and the maps' own tables side by side for the pair
+    kernels, one per map in map order: `pulls` and `pushes` as translate
+    tables, `fstar` and `adjoint` (`right_adjoint`) as rows. They are
+    there when `bytewise`: both lattices are, and every table holds an
+    index of what it names; else they are None and the laws run their
+    scalar loops."""
+
+    def __init__(self, fs, FL, EL):
+        self.fs, self.FL, self.EL = fs, FL, EL
+        self.pulls = self.pushes = self.fstar = self.adjoint = None
+        views = (
+            [f.pulls for f in fs],
+            [f.pushes for f in fs],
+            [f.fstar for f in fs],
+            [right_adjoint(f) for f in fs],
+        )
+        limits = len(EL.subs), len(FL.subs), EL.frame.n, FL.frame.n
+        try:
+            rows = [list(map(bytes, v)) for v in views]
+        except ValueError:  # a value past a byte
+            rows = None
+        # deleting every index from a table's bytes leaves the values past them
+        self.bytewise = rows is not None and FL.bytewise and EL.bytewise and not any(
+            b"".join(r).translate(None, bytes(range(n))) for r, n in zip(rows, limits)
+        )
+        if self.bytewise:
+            pulls, pushes, self.fstar, self.adjoint = rows
+            self.pulls, self.pushes = (list(map(_table, t)) for t in (pulls, pushes))
+
+    @cached_property
+    def fstar_tables(self) -> list:
+        """`fstar` of each map as a translate table, when bytewise."""
+        return list(map(_table, self.fstar))
+
+
+def _gather(cols, tables):
+    """Each column of part indices read through every table, the maps side
+    by side: one integer per column, a byte per map and case."""
+    return [int.from_bytes(b"".join(map(col.translate, tables)), "big") for col in cols]

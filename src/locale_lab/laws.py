@@ -11,16 +11,20 @@ the corpus is too small to exhibit. No violations is the pass signal the
 CLI turns into exit code 0.
 
 The largest laws on part lattices and maps are checked by byte kernels:
-their operands are packed one case per byte (`SubLattice`), so a few
-operations on long integers or `bytes.translate` calls compare every
-equation of the law, byte by byte, and the case count is the count of
-equations compared. A map law's kernel reads every map from frame a to
-frame b at once, with the maps' own tables side by side (`_Maps`). When a
-kernel finds a mismatch, the law's scalar loop runs, map by map for a map
-law, and names the witnesses, a map's under its label `a->b#i`; it also
-runs alone where a part index, a table value or an element index is not a
-byte (above 256 parts). A kernel mismatch the scalar loop does not
-confirm is reported as a violation, never dropped (`_settle`).
+their operands are packed one case per byte, so a few operations on long
+integers or `bytes.translate` calls compare every equation of the law,
+byte by byte, and the case count is the count of equations compared.
+Every byte table a kernel reads comes from `lattice`: a part lattice's
+(`SubLattice`), and for a map law the tables of every map from frame a to
+frame b side by side (`_Maps`). When a kernel finds a mismatch, the law's
+scalar loop runs, map by map for a map law, and names the witnesses, a
+map's under its label `a->b#i`; it also runs alone where a part index, a
+table value or an element index is not a byte (`lattice.BYTE`). A kernel
+mismatch the scalar loop does not confirm is reported as a violation,
+never dropped (`_settle`).
+
+A suite's report is its `RunReport`, filled in as its laws run; the JSON
+form is the dataclass's fields.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import json
 import random
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import comb, lcm
 
@@ -38,7 +42,7 @@ from locale_lab import intervals as ivs
 from locale_lab.corpus import CorpusError, corpus_files, iter_corpus_frames, iter_negative_specs, load
 from locale_lab.frames import Frame, FrameError, build_frame
 from locale_lab.intervals import RatOpen, frac, iv, normalize, parse_fin, parse_ratopen
-from locale_lab.lattice import SubLattice
+from locale_lab.lattice import SubLattice, _gather, _Maps
 from locale_lab.measure import (
     FiniteValuation,
     Lebesgue,
@@ -146,44 +150,19 @@ class RunReport:
 
 
 def report_to_json(report: RunReport) -> str:
-    """Canonical serialization; parsing and re-dumping is byte-identical."""
-    obj = {
-        "suite": report.suite,
-        "cases": report.cases,
-        "violations": [
-            {
-                "law": v.law,
-                "identity": v.identity,
-                "frame": v.frame,
-                "witness": v.witness,
-            }
-            for v in report.violations
-        ],
-        "seconds": report.seconds,
-        "tolerance": report.tolerance,
-        "notes": list(report.notes),
-    }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical serialization, the report's fields by name; parsing and
+    re-dumping is byte-identical."""
+    return json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
+
+
+def reports_to_json(reports) -> str:
+    return json.dumps([asdict(r) for r in reports], indent=2, sort_keys=True) + "\n"
 
 
 def report_from_json(text: str) -> RunReport:
     obj = json.loads(text)
-    return RunReport(
-        suite=obj["suite"],
-        cases=obj["cases"],
-        violations=[
-            Violation(v["law"], v["identity"], v["frame"], dict(v["witness"]))
-            for v in obj["violations"]
-        ],
-        seconds=obj["seconds"],
-        tolerance=obj["tolerance"],
-        notes=list(obj["notes"]),
-    )
-
-
-def reports_to_json(reports) -> str:
-    parts = [json.loads(report_to_json(r)) for r in reports]
-    return json.dumps(parts, indent=2, sort_keys=True) + "\n"
+    obj["violations"] = [Violation(**v) for v in obj["violations"]]
+    return RunReport(**obj)
 
 
 def format_text(report: RunReport) -> str:
@@ -233,35 +212,31 @@ def _once(ok: bool, witness=None):
 
 
 class _Run:
-    """One suite run: case counts, violations, notes and timing."""
+    """One suite run: its report, filled in as the laws run, and a clock."""
 
     def __init__(self, name: str, tol=None):
-        self.name = name
-        self.tol = tol
-        self.cases = 0
-        self.violations = []
-        self.notes = []
+        self.report = RunReport(name, 0, [], 0.0, None if tol is None else str(tol))
         self._t0 = time.perf_counter()
 
     def apply(self, laws, label: str, ctx):
         """Check every law in `laws` on `ctx`, reporting failures under `label`."""
         for law in laws:
             cases, bad = law.check(ctx)
-            self.cases += cases
+            self.report.cases += cases
             for w in bad:
-                self.violations.append(Violation(law.name, law.identity, label, dict(w)))
+                self.report.violations.append(Violation(law.name, law.identity, label, dict(w)))
 
     def apply_maps(self, laws, label, maps):
         """`apply` for the map laws: a failure of map i goes under `label#i`."""
         for law in laws:
             cases, bad = law.check(maps)
-            self.cases += cases
+            self.report.cases += cases
             for mi, w in bad:
                 where = label if mi is None else f"{label}#{mi}"
-                self.violations.append(Violation(law.name, law.identity, where, dict(w)))
+                self.report.violations.append(Violation(law.name, law.identity, where, dict(w)))
 
     def note(self, text):
-        self.notes.append(text)
+        self.report.notes.append(text)
 
     def within(self, named_frames, max_size: int):
         """The frames under the size cap; each one over it becomes a note."""
@@ -271,16 +246,10 @@ class _Run:
             else:
                 yield name, fr
 
-    def report(self) -> RunReport:
-        tol = None if self.tol is None else str(self.tol)
-        return RunReport(
-            self.name,
-            self.cases,
-            self.violations,
-            round(time.perf_counter() - self._t0, 3),
-            tol,
-            self.notes,
-        )
+    def done(self) -> RunReport:
+        """The report, timed."""
+        self.report.seconds = round(time.perf_counter() - self._t0, 3)
+        return self.report
 
 
 _UNCONFIRMED = {"form": "byte kernel mismatch the scalar loop did not confirm"}
@@ -342,7 +311,7 @@ def run_frame_suite(root=None, max_size=None, tol=None) -> RunReport:
     frames = [(stem, fr) for stem, fr in entries if isinstance(fr, Frame)]
     for stem, fr in run.within(frames, max_size):
         run.apply(FRAME_LAWS, stem, fr)
-    return run.report()
+    return run.done()
 
 
 def _load_entry(path):
@@ -450,7 +419,7 @@ def run_sublocale_suite(root=None, max_size=None, tol=None) -> RunReport:
         L = SubLattice(fr)
         run.apply(PART_LAWS, name, L)
         lossy = lossy or _lossy_note(name, L)
-    if not any(v.law == "meet-over-union-search" for v in run.violations):
+    if not any(v.law == "meet-over-union-search" for v in run.report.violations):
         run.note(
             "meet over arbitrary union: no violation found; every finite "
             "assembly of sublocales is a distributive lattice, so the corpus "
@@ -458,7 +427,7 @@ def run_sublocale_suite(root=None, max_size=None, tol=None) -> RunReport:
         )
     if lossy:
         run.note(lossy)
-    return run.report()
+    return run.done()
 
 
 @_declare(PART_LAWS, "nucleus-valid",
@@ -620,7 +589,7 @@ def _union_lub_intersect_glb(L):
 def _join_over_meet(L):
     k = len(L.subs)
     ok = None
-    if L.unordered_pairs is not None:
+    if L.bytewise:
         i2, j2, m2, ones2 = L.unordered_pairs
         i3, j3, h3, m3, ones3 = L.unordered_triples
         ok = all(r | m2 == (r | i2) & (r | j2) for r in (a * ones2 for a in range(k))) and all(
@@ -899,41 +868,7 @@ def run_morphism_suite(root=None, max_size=None, tol=None) -> RunReport:
         "elements: " + ", ".join(nm for nm, _ in small)
     )
     run.apply(COMPOSITION_LAWS, "small representatives", (small, lats, maps))
-    return run.report()
-
-
-class _Maps:
-    """The maps `fs` from frame a to frame b, with the part lattices FL of
-    a and EL of b, and the maps' own tables side by side for the pair
-    kernels, one per map in map order: `pulls` and `pushes` as
-    `bytes.translate` tables, `fstar` and `adjoint` (`right_adjoint`) as
-    rows. They are there when `bytewise`: not above 256 parts, where a part
-    index is not a byte (an element index is one below, as a frame has at
-    most as many elements as parts), nor when a table holds a value that
-    is not an index of what it names; there the laws run their scalar
-    loops."""
-
-    def __init__(self, fs, FL, EL):
-        self.fs, self.FL, self.EL = fs, FL, EL
-        self.pulls = self.pushes = self.fstar = self.adjoint = None
-        views = (
-            [f.pulls for f in fs],
-            [f.pushes for f in fs],
-            [f.fstar for f in fs],
-            [right_adjoint(f) for f in fs],
-        )
-        limits = len(EL.subs), len(FL.subs), EL.frame.n, FL.frame.n
-        try:
-            rows = [list(map(bytes, v)) for v in views]
-        except ValueError:  # a value above 255
-            rows = None
-        # deleting every index from a table's bytes leaves the values past them
-        self.bytewise = rows is not None and max(limits[:2]) <= 256 and not any(
-            b"".join(r).translate(None, bytes(range(n))) for r, n in zip(rows, limits)
-        )
-        if self.bytewise:
-            pulls, pushes, self.fstar, self.adjoint = rows
-            self.pulls, self.pushes = ([row.ljust(256, b"\0") for row in t] for t in (pulls, pushes))
+    return run.done()
 
 
 def _each_map(maps, cases, ok, scan):
@@ -944,12 +879,6 @@ def _each_map(maps, cases, ok, scan):
         return [(mi, w) for mi, f in enumerate(maps.fs) for w in scan(f)]
 
     return _settle(cases * len(maps.fs), ok, scan_all, (None, _UNCONFIRMED))
-
-
-def _gather(cols, tables):
-    """Each column of part indices read through every table, the maps side
-    by side: one integer per column, a byte per map and case."""
-    return [int.from_bytes(b"".join(map(col.translate, tables)), "big") for col in cols]
 
 
 @_declare(LATTICE_LAWS, "layer-decomposition", "every part is the meet over V of [V] u c(e(V))")
@@ -980,7 +909,7 @@ def _boolean_combination_distributivity(L):
         combos |= {h | c for h in combos}
     combos = sorted(combos)
     ok = None
-    if L.ordered_pairs is not None:
+    if L.bytewise:
         x, y, u, _ = (int.from_bytes(col, "big") for col in L.ordered_pairs)
         ones = int.from_bytes(b"\1" * k * k, "big")
         ok = all(h & u == (h & x) | (h & y) for h in (c * ones for c in combos))
@@ -999,7 +928,7 @@ def _meets_join_product(L):
     """The b-pairs are packed once; each a-pair checks all of them at once."""
     pairs = list(itertools.combinations(range(len(L.subs)), 2))
     ok = None
-    if L.unordered_pairs is not None:
+    if L.bytewise:
         b1, b2, bm, ones = L.unordered_pairs
         spread = [x * ones for x in range(len(L.subs))]
         ok = all(
@@ -1028,11 +957,11 @@ def _adjunction(maps):
     src, tgt = maps.FL.frame, maps.EL.frame
     ok = None
     if maps.bytewise:
-        rows = [up[: tgt.n] for up in tgt.up_bytes]
+        rows = [up[: tgt.n] for up in maps.EL.up_rows]
         by_v = bytes(itertools.chain.from_iterable(zip(*maps.fstar)))
         adjoints = b"".join(maps.adjoint)
         ok = b"".join(map(rows.__getitem__, by_v)) == b"".join(
-            [adjoints.translate(up) for up in src.up_bytes]
+            [adjoints.translate(up) for up in maps.FL.up_rows]
         )
 
     def scan(f):
@@ -1051,11 +980,10 @@ def _embedding_three_ways(maps):
     n = maps.EL.frame.n
     ok = None
     if maps.bytewise:
-        fstar = [row.ljust(256, b"\0") for row in maps.fstar]
         ok = (
             bytes(map(is_embedding, maps.fs))
             == bytes(map(n.__eq__, map(len, map(set, maps.adjoint))))
-            == bytes(map(bytes(range(n)).__eq__, map(bytes.translate, maps.adjoint, fstar)))
+            == bytes(map(bytes(range(n)).__eq__, map(bytes.translate, maps.adjoint, maps.fstar_tables)))
         )
 
     def scan(f):
@@ -1082,9 +1010,8 @@ def _preimage_open_closed(maps):
     if maps.bytewise:
         fstar = b"".join(maps.fstar)
         ok = all(
-            b"".join(map(bytes(parts).translate, maps.pulls))
-            == fstar.translate(bytes(images).ljust(256, b"\0"))
-            for _, parts, images in sides
+            b"".join(map(bytes(parts).translate, maps.pulls)) == fstar.translate(images)
+            for (_, parts, _), images in zip(sides, maps.EL.side_tables)
         )
 
     def scan(f):
@@ -1313,7 +1240,7 @@ def run_measure_suite(root=None, max_size=None, tol=None) -> RunReport:
         "the generic part meets every single point emptily, yet meets "
         "their dense union in all of itself"
     )
-    return run.report()
+    return run.done()
 
 
 @_declare(MEASURE_FRAME_LAWS, "regularity-gate",
@@ -1666,7 +1593,7 @@ def _generic_null(a):
 
 
 @_declare(INTERVAL_LAWS, "additivity-residual",
-          "the additivity residual of the rational/irrational split brackets zero tightly")
+          "the additivity residual of the rational/irrational split is exactly zero")
 def _additivity_residual(a):
     # 0 by construction off the forms: each exact value must lie in its streams
     res = strict_additivity_interval(a.rats, a.irr, Lebesgue(), a.tol)
@@ -1674,7 +1601,7 @@ def _additivity_residual(a):
     outside = [str(p) for p, b in zip(parts, (res.x, res.y, res.union, res.inter))
                if not stream_bounds(p, Lebesgue(), a.tol).contains(b.lower)]
     return _once(
-        res.contains_zero() and res.width <= 4 * a.tol and not outside,
+        res.lo == res.hi == 0 and not outside,
         {"lo": str(res.lo), "hi": str(res.hi), "outside-its-streams": outside},
     )
 

@@ -729,13 +729,6 @@ class ResidualBounds:
     x: MeasureBounds
     y: MeasureBounds
 
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
 
 def strict_additivity_interval(x, y, d, tol) -> ResidualBounds:
     """mu(XuY) + mu(XnY) - mu(X) - mu(Y), exactly: zero on every pair.

@@ -255,26 +255,23 @@ def sum_frame(frames):
 
 # -- boolean combinations -------------------------------------------------
 
-def atoms(frame: Frame, gens=None) -> list:
+def atoms(frame: Frame) -> list:
     """Atoms of the boolean algebra of sublocales the opens generate.
 
-    For each choice of side per generator, intersect the open or its
-    closed complement; drop the empty cells. The nonempty cells partition
-    the whole frame and every open/closed combination is a union of them.
+    A nonempty cell, the meet of the open or the closed part of each
+    element, holds exactly one point: of two distinct points p and q, q
+    not below p, the open [q] holds p and not q. So the cells are one per
+    point p, the meet over every element v of [v] where p is in it (v not
+    below p) and c(v) where it is not. They partition the whole frame and
+    every open/closed combination is a union of them.
     """
-    if gens is None:
-        gens = range(frame.n)
-    gens = [frame.el(g) for g in gens]
-    out = []
-    for sides in itertools.product((True, False), repeat=len(gens)):
-        parts = [
-            open_sublocale(frame, g) if keep else closed_sublocale(frame, g)
-            for g, keep in zip(gens, sides)
-        ]
-        cell = intersect_all(frame, parts)
-        if not cell.is_empty and cell not in out:
-            out.append(cell)
-    return out
+    return [
+        intersect_all(frame, [
+            closed_sublocale(frame, v) if frame.leq(v, p) else open_sublocale(frame, v)
+            for v in range(frame.n)
+        ])
+        for p in frame.primes
+    ]
 
 
 # -- enumeration ----------------------------------------------------------

@@ -23,7 +23,8 @@ import scalar_laws
 from locale_lab import laws
 from locale_lab.corpus import boolean_spec, chain_spec, iter_corpus_frames
 from locale_lab.frames import build_frame
-from locale_lab.laws import SubLattice, _boolean_valuations, _iso_reps, _Maps, _scaled, _Valued
+from locale_lab.lattice import SubLattice, _Maps
+from locale_lab.laws import _boolean_valuations, _iso_reps, _scaled, _Valued
 from locale_lab.measure import FiniteValuation, ValuationError
 from locale_lab.morphisms import FrameMorphism, enumerate_morphisms, identity_morphism, right_adjoint
 
@@ -131,6 +132,7 @@ def test_map_tables_are_the_maps_own_read_only_lifts(corpus_pairs):
             assert maps.pulls[mi] == bytes(f.pulls).ljust(256, b"\0")
             assert maps.pushes[mi] == bytes(f.pushes).ljust(256, b"\0")
             assert maps.fstar[mi] == bytes(f.fstar)
+            assert maps.fstar_tables[mi] == bytes(f.fstar).ljust(256, b"\0")
             assert maps.adjoint[mi] == bytes(right_adjoint(f))
     with pytest.raises(TypeError):
         corpus_pairs[0][1][0].pulls[0] = 1
@@ -200,9 +202,10 @@ def test_above_256_parts_the_scalar_loops_run():
     f = identity_morphism(build_frame(chain_spec(10)))
     L = SubLattice(f.source)
     assert len(L.subs) == 512
-    assert L.ordered_pairs is None and L.unordered_pairs is None
+    assert not L.bytewise
     f.pulls, f.pushes, f.fstar, right_adjoint(f)
     maps = _Maps([f], L, L)
+    assert not maps.bytewise
     assert (maps.pulls, maps.pushes, maps.fstar, maps.adjoint) == (None,) * 4
     for name, law in MAP_LAWS.items():
         assert law.check(maps) == by_oracle(name, [f], L, L) == (law.check(maps)[0], [])
@@ -231,10 +234,11 @@ def test_an_unconfirmed_kernel_mismatch_is_a_violation(monkeypatch, corpus_pairs
     for name in ("preimage-union-meet", "image-union"):
         assert MAP_LAWS[name].check(maps) == unconfirmed[name]
     # an order read as equality: v <= x only for x = v
-    monkeypatch.setattr(FL.frame, "up_bytes", [bytes(x == y for y in range(256)) for x in range(FL.frame.n)])
+    monkeypatch.setattr(FL, "up_rows", [bytes(x == y for y in range(256)) for x in range(FL.frame.n)])
     assert MAP_LAWS["adjunction"].check(maps) == unconfirmed["adjunction"]
     # fstar read as bottom everywhere, the adjoint as bottom, images as empty
     maps.fstar = [bytes(len(row)) for row in maps.fstar]
+    maps.fstar_tables = [bytes(256)] * len(fs)
     maps.adjoint = [bytes(len(row)) for row in maps.adjoint]
     maps.pushes = [bytes(256)] * len(fs)
     for name in ("preimage-open-closed", "embedding-three-ways", "image-preimage-galois"):

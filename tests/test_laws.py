@@ -2,6 +2,7 @@ import dataclasses
 import json
 import shutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +11,6 @@ from locale_lab.corpus import boolean_spec, chain_spec, corpus_root, generate, i
 from locale_lab.frames import build_frame, frame_spec_from_json
 from locale_lab.laws import (
     SubLattice,
-    _Maps,
     format_text,
     report_from_json,
     report_to_json,
@@ -21,6 +21,7 @@ from locale_lab.laws import (
     run_sublocale_suite,
     run_suite,
 )
+from locale_lab.lattice import _Maps
 from locale_lab.morphisms import enumerate_morphisms, identity_morphism, right_adjoint
 from locale_lab.sublocales import enumerate_sublocales, intersect, is_subsublocale, union, whole
 
@@ -87,6 +88,18 @@ def test_report_json_round_trip(frame_report, measure_report):
 def test_reports_to_json_is_a_list(frame_report):
     obj = json.loads(reports_to_json([frame_report, frame_report]))
     assert isinstance(obj, list) and len(obj) == 2
+
+
+# `locale-lab laws all --format json | grep -v '"seconds"'`, the one line
+# of a report that differs between runs
+LAWS_ALL = Path(__file__).with_name("laws_all.json")
+
+
+def test_the_laws_all_report_is_pinned(frame_report, sublocale_report, morphism_report, measure_report):
+    # the whole report, notes, layout and witnesses as well as counts
+    text = reports_to_json([frame_report, sublocale_report, morphism_report, measure_report])
+    untimed = "".join(ln for ln in text.splitlines(keepends=True) if not ln.lstrip().startswith('"seconds":'))
+    assert untimed == LAWS_ALL.read_text()
 
 
 def test_format_text_layout(frame_report):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 
@@ -529,6 +530,17 @@ def test_atoms_partition_and_generate():
             s = open_sublocale(f, u)
             inside = [a for a in cells if is_subsublocale(a, s)]
             assert union_all(f, inside) == s
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_atoms_of_a_boolean_frame_are_its_points_at_once(k):
+    # one cell per point, not one per choice of side over all 2^k
+    # elements: 2^32 meets for 2^5
+    f = build_frame(boolean_spec(k))
+    start = time.perf_counter()
+    cells = atoms(f)
+    assert time.perf_counter() - start < 0.5
+    assert sorted(c.points for c in cells) == [1 << i for i in range(k)]
 
 
 # ------------------------------------------- oracle for trusted results

@@ -4,11 +4,11 @@ Each fault is one wrong entry in a table every law reads through the
 library: the last entry of `pulls` with its bit 0 cleared, the last entry
 of `pushes` with its bit 0 flipped, and the last entry of `fstar` or of
 `right_adjoint` replaced by its first. A fault is applied by monkeypatch
-to every binding (`laws` imports `right_adjoint` by name) and the suite
-runs capped at frames of 4 elements. Its case count and the violations
-of each law are pinned, so the pair kernels must read each map's own
-tables, and where a kernel fails the per-map scalar loops must name every
-witness.
+to every binding (`lattice` imports `right_adjoint` by name for the maps'
+tables, `laws` for the scalar loops) and the suite runs capped at frames
+of 4 elements. Its case count and the violations of each law are
+pinned, so the pair kernels must read each map's own tables, and where a
+kernel fails the per-map scalar loops must name every witness.
 
 The `pushes` fault leaves a map out of a source without points, where a
 bit 0 names no point: there `right_adjoint` reads a point that does not
@@ -19,7 +19,7 @@ from collections import Counter
 
 import pytest
 
-from locale_lab import laws, morphisms
+from locale_lab import lattice, laws, morphisms
 from locale_lab.laws import run_morphism_suite
 from locale_lab.morphisms import FrameMorphism
 
@@ -43,7 +43,7 @@ def fstar(monkeypatch):
 
 def adjoint(monkeypatch):
     real = morphisms.right_adjoint
-    for module in (morphisms, laws):
+    for module in (morphisms, lattice, laws):
         monkeypatch.setattr(module, "right_adjoint", lambda f: real(f)[:-1] + real(f)[:1])
 
 
