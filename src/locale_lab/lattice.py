@@ -5,9 +5,10 @@ A kernel reads a part index, an element index or a table value as one
 byte, so it runs only below `BYTE` of each, and a table it reads through
 `bytes.translate` is padded to `BYTE` bytes (`_table`). Every byte table a
 kernel reads is built here: per part lattice (`SubLattice`), the index
-bytes of pairs and triples of parts and the up-set of each element; per
-pair of frames (`_Maps`), the maps' own tables. Past a byte the laws run
-their scalar loops.
+bytes of pairs and triples of parts, the up-set, Heyting row and join
+row of each element and the nucleus of each part; per pair of frames
+(`_Maps`), the maps' own tables. Past a byte the laws run their scalar
+loops.
 """
 
 from __future__ import annotations
@@ -45,12 +46,16 @@ class SubLattice:
     arithmetic.
 
     The byte kernels of the laws read the index bytes of pairs and
-    triples of parts, derived once per lattice: `ordered_pairs` for the
-    `bytes.translate` gathers of maps' tables, `unordered_pairs` and
-    `unordered_triples` packed into integers one case per byte. A kernel
-    still compares every equation of its law, byte by byte. A part index
-    is a byte only up to BYTE parts: the lattice is `bytewise`, and its
-    byte tables are read only then.
+    triples of parts, derived once per lattice: `packed_pairs`,
+    `unordered_pairs` and `unordered_triples` packed into integers one
+    case per byte, and `ordered_pairs`, the same ordered pairs as bytes,
+    for the gathers of maps' tables and of nucleus rows. The part laws
+    read the nucleus of each part (`nucleus_rows`) and the Heyting arrow
+    and join of each element (`heyting_rows`, `join_rows`) as rows. A
+    kernel still compares every equation of its law, byte by byte. A part
+    index is a byte only up to BYTE parts: the lattice is `bytewise`, and
+    its byte tables are read only then. `dense_masks` and `closed_inside`
+    are bit masks, not byte tables, and hold at any size.
     """
 
     def __init__(self, frame: Frame):
@@ -86,16 +91,22 @@ class SubLattice:
         }
 
     @cached_property
+    def packed_pairs(self):
+        """Every ordered pair (i, j) of parts, i the major index, packed one
+        case per byte in `_packed`'s layout, as (i's, j's, (i | j)'s,
+        (i & j)'s, ones): the union and meet columns are one `|` and one
+        `&` of the first two."""
+        k = len(self.subs)
+        cols = (b"".join(bytes([i]) * k for i in range(k)), bytes(range(k)) * k, b"\1" * k * k)
+        i, j, ones = (int.from_bytes(col, "big") for col in cols)
+        return i, j, i | j, i & j, ones
+
+    @cached_property
     def ordered_pairs(self):
-        """For every ordered pair (i, j) of parts, i the major index, the
-        bytes of i, of j, of i | j and of i & j."""
-        ks = range(len(self.subs))
-        return (
-            bytes(i for i in ks for _ in ks),
-            bytes(ks) * len(ks),
-            bytes(i | j for i in ks for j in ks),
-            bytes(i & j for i in ks for j in ks),
-        )
+        """The columns of `packed_pairs` as bytes: i's, j's, (i | j)'s and
+        (i & j)'s."""
+        size = len(self.subs) ** 2
+        return tuple(col.to_bytes(size, "big") for col in self.packed_pairs[:4])
 
     @cached_property
     def unordered_pairs(self):
@@ -124,6 +135,41 @@ class SubLattice:
         many elements as parts."""
         fr = self.frame
         return [_table(fr.up[v] >> x & 1 for x in range(fr.n)) for v in range(fr.n)]
+
+    @cached_property
+    def nucleus_rows(self) -> list:
+        """The nucleus of each part as a row, byte h its value at h."""
+        return [bytes(s.nucleus) for s in self.subs]
+
+    @cached_property
+    def nucleus_tables(self) -> list:
+        """`nucleus_rows` as translate tables."""
+        return list(map(_table, self.nucleus_rows))
+
+    @cached_property
+    def heyting_rows(self) -> list:
+        """heyting_rows[v] maps y to v => y, `Frame.heyting`, as a translate
+        table."""
+        fr = self.frame
+        return [_table(fr.heyting(v, y) for y in range(fr.n)) for v in range(fr.n)]
+
+    @cached_property
+    def join_rows(self) -> list:
+        """join_rows[v] has byte h set to h v v."""
+        fr = self.frame
+        return [bytes(fr.join(h, v) for h in range(fr.n)) for v in range(fr.n)]
+
+    @cached_property
+    def dense_masks(self) -> list:
+        """dense_masks[a] has bit g set for each closed part g that part a
+        is dense in: the closure of a n g is g."""
+        cl = self.closure_idx
+        return [sum(1 << g for g in self.closed_parts if cl[a & g] == g) for a in range(len(self.subs))]
+
+    @cached_property
+    def closed_inside(self) -> list:
+        """closed_inside[p] has bit g set for each closed part g inside part p."""
+        return [sum(1 << g for g in self.closed_parts if g & p == g) for p in range(len(self.subs))]
 
     def label(self, i: int) -> str:
         fixed = [str(self.frame.elements[h]) for h in self.subs[i].fixpoints]

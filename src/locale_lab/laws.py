@@ -268,6 +268,15 @@ def _settle(cases: int, ok, scan, unconfirmed=_UNCONFIRMED):
     return cases, bad
 
 
+def _meets_distribute(L, parts):
+    """The row form of R n (X u Y) = (R n X) u (R n Y) for every R in
+    `parts` and every ordered pair X, Y of parts, one comparison per R; None
+    where the lattice is not bytewise."""
+    if L.bytewise:
+        x, y, u, _, ones = L.packed_pairs
+        return all(r & u == (r & x) | (r & y) for r in map(ones.__mul__, parts))
+
+
 # ---------------------------------------------------------------------------
 # frame isomorphism (to avoid re-running identical suites on relabeled
 # copies; the corpus keeps the copies so loading stays honest)
@@ -529,22 +538,38 @@ def _complement_characterizations(L):
 @_declare(PART_LAWS, "meet-nucleus-form",
           "([V] n X) maps H to V => e_X(H); (c(V) n X) maps H to e_X(H u V)")
 def _meet_nucleus_form(L):
+    """Per v the row form reads the rows of [V] n X for every X, read off
+    the meet column, against every row read through V's Heyting row, and
+    the rows of c(V) n X against V's join row read through every row."""
     fr, k = L.frame, len(L.subs)
     nm = fr.name
-    bad = []
-    nuclei = [s.nucleus for s in L.subs]
-    for v in range(fr.n):
-        ov, cv = L.open_idx[v], L.closed_idx[v]
-        for x in range(k):
-            ex = nuclei[x]
-            open_meet = nuclei[ov & x]
-            closed_meet = nuclei[cv & x]
-            for h in range(fr.n):
-                if open_meet[h] != fr.heyting(v, ex[h]):
-                    bad.append({"v": nm(v), "x": L.label(x), "h": nm(h), "side": "open"})
-                if closed_meet[h] != ex[fr.join(h, v)]:
-                    bad.append({"v": nm(v), "x": L.label(x), "h": nm(h), "side": "closed"})
-    return 2 * fr.n * k * fr.n, bad
+    ok = None
+    if L.bytewise:
+        rows, meets = L.nucleus_rows, L.ordered_pairs[3]
+        every, tables = b"".join(rows), L.nucleus_tables
+        ok = all(
+            b"".join(map(rows.__getitem__, meets[ov * k:ov * k + k])) == every.translate(hv)
+            and b"".join(map(rows.__getitem__, meets[cv * k:cv * k + k])) == b"".join(map(jv.translate, tables))
+            for ov, cv, hv, jv in zip(L.open_idx, L.closed_idx, L.heyting_rows, L.join_rows)
+        )
+
+    def scan():
+        bad = []
+        nuclei = [s.nucleus for s in L.subs]
+        for v in range(fr.n):
+            ov, cv = L.open_idx[v], L.closed_idx[v]
+            for x in range(k):
+                ex = nuclei[x]
+                open_meet = nuclei[ov & x]
+                closed_meet = nuclei[cv & x]
+                for h in range(fr.n):
+                    if open_meet[h] != fr.heyting(v, ex[h]):
+                        bad.append({"v": nm(v), "x": L.label(x), "h": nm(h), "side": "open"})
+                    if closed_meet[h] != ex[fr.join(h, v)]:
+                        bad.append({"v": nm(v), "x": L.label(x), "h": nm(h), "side": "closed"})
+        return bad
+
+    return _settle(2 * fr.n * k * fr.n, ok, scan)
 
 
 # opens and closeds distribute over finite unions of sublocales
@@ -552,20 +577,40 @@ def _meet_nucleus_form(L):
           "L n (X u Y) = (L n X) u (L n Y) for L open or closed")
 def _side_distributivity(L):
     fr, k = L.frame, len(L.subs)
-    bad = []
-    for v in range(fr.n):
-        for li in (L.open_idx[v], L.closed_idx[v]):
-            for x in range(k):
-                for y in range(k):
-                    if li & (x | y) != (li & x) | (li & y):
-                        bad.append({"v": fr.name(v), "x": L.label(x), "y": L.label(y)})
-    return 2 * fr.n * k * k, bad
+
+    def scan():
+        bad = []
+        for v in range(fr.n):
+            for li in (L.open_idx[v], L.closed_idx[v]):
+                for x in range(k):
+                    for y in range(k):
+                        if li & (x | y) != (li & x) | (li & y):
+                            bad.append({"v": fr.name(v), "x": L.label(x), "y": L.label(y)})
+        return bad
+
+    return _settle(2 * fr.n * k * k, _meets_distribute(L, L.open_idx + L.closed_idx), scan)
 
 
 @_declare(PART_LAWS, "union-lub-intersect-glb",
           "union is the least upper bound and intersection the greatest lower bound")
 def _union_lub_intersect_glb(L):
+    """The row form checks the bounds of every pair at once, then per z
+    every pair's union outside z against its parts outside z, and z outside
+    the meet against z outside its parts: where the bounds hold, a byte
+    differs for some z exactly when the union is not least or the meet not
+    greatest."""
     k = len(L.subs)
+    ok = None
+    if L.bytewise:
+        x, y, u, m, ones = L.packed_pairs
+        cx, cy, cm = ~x, ~y, ~m
+        ok = x & u == x and y & u == y and m & x == m and m & y == m and all(
+            u & ~z == (x & ~z) | (y & ~z) and z & cm == (z & cx) | (z & cy)
+            for z in map(ones.__mul__, range(k))
+        )
+    if ok:
+        return 2 * k * k * (1 + k), []
+    # a pair whose bounds fail has no z cases, so the loop counts too
     checked, bad = 0, []
     for i in range(k):
         for j in range(k):
@@ -580,7 +625,7 @@ def _union_lub_intersect_glb(L):
                     bad.append({"x": L.label(i), "y": L.label(j), "z": L.label(z), "form": "union not least"})
                 if z & i == z and z & j == z and z & m != z:
                     bad.append({"x": L.label(i), "y": L.label(j), "z": L.label(z), "form": "meet not greatest"})
-    return checked, bad
+    return _settle(checked, ok, lambda: bad)
 
 
 # finite unions distribute over meets (pairs and triples)
@@ -740,21 +785,22 @@ def _boolean_opens(L):
 @_declare(PART_LAWS, "entanglement-zone",
           "closure(A n B) is the largest closed F with A n F and B n F dense in F")
 def _entanglement_zone(L):
-    k = len(L.subs)
+    """The closed parts a and b are both dense in are the bits of
+    `dense_masks[a] & dense_masks[b]`. eps, a closure, is a closed part,
+    so the zone is dense in itself iff its bit is set."""
+    k, dense, inside = len(L.subs), L.dense_masks, L.closed_inside
     bad = []
     for a in range(k):
         for b in range(k):
             eps = L.closure_idx[a & b]
             if entanglement(L.subs[a], L.subs[b]).points != eps:
                 bad.append({"a": L.label(a), "b": L.label(b), "form": "closure of the meet"})
-
-            def dense_in(g):
-                return L.closure_idx[a & g] == g and L.closure_idx[b & g] == g
-
-            if not dense_in(eps):
+            both = dense[a] & dense[b]
+            if not both >> eps & 1:
                 bad.append({"a": L.label(a), "b": L.label(b), "form": "zone not dense in itself"})
-            for g in L.closed_parts:
-                if dense_in(g) and g & eps != g:
+            wider = both & ~inside[eps]
+            for g in L.closed_parts if wider else ():
+                if wider >> g & 1:
                     bad.append({"a": L.label(a), "b": L.label(b), "g": L.label(g), "form": "not largest"})
     return k * k * (2 + len(L.closed_parts)), bad
 
@@ -765,13 +811,12 @@ def _entanglement_zone(L):
           "search for a finite failure of X n (Y u Z) = (X n Y) u (X n Z)")
 def _meet_over_union_search(L):
     k = len(L.subs)
-    bad = []
-    for x in range(k):
-        for y in range(k):
-            for z in range(k):
-                if x & (y | z) != (x & y) | (x & z):
-                    bad.append({"x": L.label(x), "y": L.label(y), "z": L.label(z)})
-    return k ** 3, bad
+
+    def scan():
+        return [{"x": L.label(x), "y": L.label(y), "z": L.label(z)}
+                for x in range(k) for y in range(k) for z in range(k) if x & (y | z) != (x & y) | (x & z)]
+
+    return _settle(k ** 3, _meets_distribute(L, range(k)), scan)
 
 
 @_declare(PART_LAWS, "subspace-laws",
@@ -908,17 +953,12 @@ def _boolean_combination_distributivity(L):
     for c in cell_idx:
         combos |= {h | c for h in combos}
     combos = sorted(combos)
-    ok = None
-    if L.bytewise:
-        x, y, u, _ = (int.from_bytes(col, "big") for col in L.ordered_pairs)
-        ones = int.from_bytes(b"\1" * k * k, "big")
-        ok = all(h & u == (h & x) | (h & y) for h in (c * ones for c in combos))
 
     def scan():
         return [{"h": L.label(h), "a": L.label(x), "b": L.label(y)}
                 for h in combos for x in range(k) for y in range(k) if h & (x | y) != (h & x) | (h & y)]
 
-    cases, spread = _settle(len(combos) * k * k, ok, scan)
+    cases, spread = _settle(len(combos) * k * k, _meets_distribute(L, combos), scan)
     return (1 + comb(cells, 2) if cells else 0) + cases, bad + spread
 
 
@@ -1086,17 +1126,17 @@ def _composition(ctx):
     small, lats, maps = ctx
     checked, bad = 0, []
     for (an, a), (bn, b), (cn, c) in itertools.product(small, repeat=3):
-        AL, CL = lats[an], lats[cn]
+        AL, CL, path = lats[an], lats[cn], f"{an}->{bn}->{cn}"
         for f in maps[an, bn]:
             for g in maps[bn, cn]:
                 h = compose(g, f)
                 checked += len(CL.subs) + len(AL.subs)
                 for x in CL.subs:
                     if image(h, x) != image(f, image(g, x)):
-                        bad.append({"path": f"{an}->{bn}->{cn}", "x": CL.label(x.points)})
+                        bad.append({"path": path, "x": CL.label(x.points)})
                 for y in AL.subs:
                     if preimage(h, y) != preimage(g, preimage(f, y)):
-                        bad.append({"path": f"{an}->{bn}->{cn}", "y": AL.label(y.points)})
+                        bad.append({"path": path, "y": AL.label(y.points)})
     return checked, bad
 
 

@@ -4,7 +4,9 @@ references the fast bodies are compared with.
 
 Each function is the law's check as it was before its kernel: it takes
 the same context (a `SubLattice`) and returns (cases checked, failure
-witnesses) in the same order. A map law's oracle takes one map f with
+witnesses) in the same order. The part laws' oracles read each nucleus,
+Heyting arrow, join and entanglement through the library, case by case,
+where the row forms read them off the lattice's tables and bit masks. A map law's oracle takes one map f with
 the part lattices FL of its source and EL of its target, and reads the
 map's own tables; the suite checks every map from one frame to another
 at once. The right adjoint is given by its definition, the join of the
@@ -33,7 +35,7 @@ from math import comb
 from locale_lab.laws import _reduced_parts_algebra, _restriction_valid
 from locale_lab.measure import mu_reduce, null_partner, outer_measure_finite, reduced_algebra
 from locale_lab.morphisms import atoms, compose, enumerate_morphisms, right_adjoint
-from locale_lab.sublocales import closed_sublocale, open_sublocale, union_all
+from locale_lab.sublocales import closed_sublocale, entanglement, open_sublocale, union_all
 
 
 def join_over_meet(L):
@@ -194,10 +196,96 @@ def boolean_combination_distributivity(L):
     return cover_cases + len(combos) * k * k, bad
 
 
+def meet_nucleus_form(L):
+    fr, k = L.frame, len(L.subs)
+    nm = fr.name
+    bad = []
+    nuclei = [s.nucleus for s in L.subs]
+    for v in range(fr.n):
+        ov, cv = L.open_idx[v], L.closed_idx[v]
+        for x in range(k):
+            ex = nuclei[x]
+            open_meet = nuclei[ov & x]
+            closed_meet = nuclei[cv & x]
+            for h in range(fr.n):
+                if open_meet[h] != fr.heyting(v, ex[h]):
+                    bad.append({"v": nm(v), "x": L.label(x), "h": nm(h), "side": "open"})
+                if closed_meet[h] != ex[fr.join(h, v)]:
+                    bad.append({"v": nm(v), "x": L.label(x), "h": nm(h), "side": "closed"})
+    return 2 * fr.n * k * fr.n, bad
+
+
+def side_distributivity(L):
+    fr, k = L.frame, len(L.subs)
+    bad = []
+    for v in range(fr.n):
+        for li in (L.open_idx[v], L.closed_idx[v]):
+            for x in range(k):
+                for y in range(k):
+                    if li & (x | y) != (li & x) | (li & y):
+                        bad.append({"v": fr.name(v), "x": L.label(x), "y": L.label(y)})
+    return 2 * fr.n * k * k, bad
+
+
+def union_lub_intersect_glb(L):
+    k = len(L.subs)
+    checked, bad = 0, []
+    for i in range(k):
+        for j in range(k):
+            u, m = i | j, i & j
+            checked += 2
+            if not (i & u == i and j & u == j) or not (m & i == m and m & j == m):
+                bad.append({"x": L.label(i), "y": L.label(j), "form": "bounds"})
+                continue
+            checked += 2 * k
+            for z in range(k):
+                if i & z == i and j & z == j and u & z != u:
+                    bad.append({"x": L.label(i), "y": L.label(j), "z": L.label(z), "form": "union not least"})
+                if z & i == z and z & j == z and z & m != z:
+                    bad.append({"x": L.label(i), "y": L.label(j), "z": L.label(z), "form": "meet not greatest"})
+    return checked, bad
+
+
+def entanglement_zone(L):
+    k = len(L.subs)
+    bad = []
+    for a in range(k):
+        for b in range(k):
+            eps = L.closure_idx[a & b]
+            if entanglement(L.subs[a], L.subs[b]).points != eps:
+                bad.append({"a": L.label(a), "b": L.label(b), "form": "closure of the meet"})
+
+            def dense_in(g):
+                return L.closure_idx[a & g] == g and L.closure_idx[b & g] == g
+
+            if not dense_in(eps):
+                bad.append({"a": L.label(a), "b": L.label(b), "form": "zone not dense in itself"})
+            for g in L.closed_parts:
+                if dense_in(g) and g & eps != g:
+                    bad.append({"a": L.label(a), "b": L.label(b), "g": L.label(g), "form": "not largest"})
+    return k * k * (2 + len(L.closed_parts)), bad
+
+
+def meet_over_union_search(L):
+    k = len(L.subs)
+    bad = []
+    for x in range(k):
+        for y in range(k):
+            for z in range(k):
+                if x & (y | z) != (x & y) | (x & z):
+                    bad.append({"x": L.label(x), "y": L.label(y), "z": L.label(z)})
+    return k ** 3, bad
+
+
 LATTICE_ORACLES = {
     "join-over-meet": join_over_meet,
     "meets-join-product": meets_join_product,
     "boolean-combination-distributivity": boolean_combination_distributivity,
+    "meet-nucleus-form": meet_nucleus_form,
+    "side-distributivity": side_distributivity,
+    "union-lub-intersect-glb": union_lub_intersect_glb,
+    "entanglement-zone": entanglement_zone,
+    "meet-over-union-search": meet_over_union_search,
 }
 MAP_ORACLES = {
     "adjunction": adjunction,

@@ -3,11 +3,14 @@ replace (tests/scalar_laws.py): the same (cases, witnesses), in the same
 order, on every corpus lattice and on every map, the maps of each pair of
 frames checked at once against their oracles map by map, with intact
 tables, with one planted flipped bit in each map in turn, and past 256
-parts, where the laws fall back to their scalar loops. Likewise the
-finite-measure laws on integer tables against their Fraction bodies, with
-intact tables and with one planted entry, and the composition law on maps
-enumerated once against its body that enumerates every triple anew,
-intact and with one planted composite."""
+parts, where the laws fall back to their scalar loops. The lattice laws
+likewise with `bytewise` forced off, with the library's Heyting arrow
+faulted, and with one byte planted in each table they read, a mismatch
+no scalar loop confirms. Likewise the finite-measure laws on integer
+tables against their Fraction bodies, with intact tables and with one
+planted entry, and the composition law on maps enumerated once against
+its body that enumerates every triple anew, intact and with one planted
+composite."""
 
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ from math import lcm
 import pytest
 
 import scalar_laws
+from test_mutants import heyting as heyting_fault
 from locale_lab import laws
 from locale_lab.corpus import boolean_spec, chain_spec, iter_corpus_frames
 from locale_lab.frames import build_frame
@@ -108,6 +112,8 @@ def test_the_oracles_cover_every_kernel():
     assert set(MAP_LAWS) == set(scalar_laws.MAP_ORACLES)
     assert {law.name for law in laws.COMPOSITION_LAWS} >= set(scalar_laws.COMPOSITION_ORACLES)
     assert set(LATTICE_LAWS) == set(scalar_laws.LATTICE_ORACLES)
+    planted = {name for names in LATTICE_PLANTS.values() for name in names}
+    assert planted == set(LATTICE_LAWS) - {"entanglement-zone"}
     assert [law.name for law in laws.FINITE_MEASURE_LAWS] == list(scalar_laws.MEASURE_ORACLES)
 
 
@@ -244,15 +250,141 @@ def test_an_unconfirmed_kernel_mismatch_is_a_violation(monkeypatch, corpus_pairs
     for name in ("preimage-open-closed", "embedding-three-ways", "image-preimage-galois"):
         assert MAP_LAWS[name].check(maps) == unconfirmed[name]
 
-    L = SubLattice(build_frame(chain_spec(4)))
-    intact = {name: law.check(L) for name, law in LATTICE_LAWS.items()}
-    assert all(bad == [] for _, bad in intact.values())
+
+def _set_byte(row: bytes, pos: int, value: int) -> bytes:
+    return row[:pos] + bytes([value]) + row[pos + 1:]
+
+
+def _plant_pairs(L):
+    # the meet of the last pair i < j read one bit off
     b1, b2, bm, ones = L.unordered_pairs
     L.unordered_pairs = (b1, b2, bm ^ 1, ones)
+
+
+def _plant_ordered(L):
+    # the union of the first ordered pair and the meet of the last, each
+    # read one bit off
     i, j, union, meet = L.ordered_pairs
-    L.ordered_pairs = (i, j, bytes([union[0] ^ 1]) + union[1:], meet)
+    L.ordered_pairs = (i, j, _set_byte(union, 0, union[0] ^ 1), _set_byte(meet, len(meet) - 1, meet[-1] ^ 1))
+
+
+def _plant_packed(L):
+    # the union of the last ordered pair, the whole with itself, read one bit off
+    i, j, union, meet, ones = L.packed_pairs
+    L.packed_pairs = (i, j, union ^ 1, meet, ones)
+
+
+def _plant_union_inside_bounds(L):
+    # the union of the empty part with itself read as part 1: its bounds
+    # hold, so only the least-upper-bound rows catch it
+    i, j, union, meet, ones = L.packed_pairs
+    L.packed_pairs = (i, j, union | 1 << 8 * (len(L.subs) ** 2 - 1), meet, ones)
+
+
+def _plant_meet_inside_bounds(L):
+    # the meet of the whole with itself read one point short: its bounds
+    # hold, so only the greatest-lower-bound rows catch it
+    i, j, union, meet, ones = L.packed_pairs
+    L.packed_pairs = (i, j, union, meet ^ 1, ones)
+
+
+def _plant_nucleus(L):
+    # the nucleus of the empty part read as bottom at the top
+    fr = L.frame
+    L.nucleus_rows = [_set_byte(L.nucleus_rows[0], fr.top, fr.bottom), *L.nucleus_rows[1:]]
+
+
+def _plant_heyting(L):
+    # top => top read as bottom
+    fr = L.frame
+    rows = list(L.heyting_rows)
+    rows[fr.top] = _set_byte(rows[fr.top], fr.top, fr.bottom)
+    L.heyting_rows = rows
+
+
+def _plant_join(L):
+    # top v bottom read as bottom
+    fr = L.frame
+    rows = list(L.join_rows)
+    rows[fr.bottom] = _set_byte(rows[fr.bottom], fr.top, fr.bottom)
+    L.join_rows = rows
+
+
+# a byte planted in each table the lattice kernels read, and the laws that
+# read it; entanglement-zone has no byte kernel: it reads bit masks that
+# hold at any size, and the library's entanglement of every pair
+LATTICE_PLANTS = {
+    _plant_pairs: ("join-over-meet", "meets-join-product"),
+    _plant_ordered: ("meet-nucleus-form",),
+    _plant_packed: (
+        "boolean-combination-distributivity", "side-distributivity",
+        "union-lub-intersect-glb", "meet-over-union-search",
+    ),
+    _plant_union_inside_bounds: (
+        "boolean-combination-distributivity", "side-distributivity",
+        "union-lub-intersect-glb", "meet-over-union-search",
+    ),
+    _plant_meet_inside_bounds: ("union-lub-intersect-glb", "meet-nucleus-form"),
+    _plant_nucleus: ("meet-nucleus-form",),
+    _plant_heyting: ("meet-nucleus-form",),
+    _plant_join: ("meet-nucleus-form",),
+}
+
+
+@pytest.mark.parametrize("plant", LATTICE_PLANTS, ids=lambda plant: plant.__name__)
+def test_an_unconfirmed_lattice_kernel_mismatch_is_a_violation(plant):
+    # each plant goes into a fresh lattice, so tables derived from the
+    # planted one on first read are derived from the plant; the scalar
+    # loops read the library, not the tables, and confirm nothing
+    fr = build_frame(chain_spec(4))
+    intact = {name: law.check(SubLattice(fr)) for name, law in LATTICE_LAWS.items()}
+    assert all(bad == [] for _, bad in intact.values())
+    L = SubLattice(fr)
+    plant(L)
     for name, law in LATTICE_LAWS.items():
-        assert law.check(L) == (intact[name][0], [UNCONFIRMED])
+        want = (intact[name][0], [UNCONFIRMED]) if name in LATTICE_PLANTS[plant] else intact[name]
+        assert law.check(L) == want, name
+
+
+def test_entanglement_zone_matches_its_oracle_on_a_planted_closure():
+    # the closure of each part in turn read as each other closed part: its
+    # bit masks are derived from the planted closures, as the oracle reads them
+    fr = build_frame(chain_spec(4))
+    intact = SubLattice(fr)
+    forms = set()
+    for x, g in itertools.product(range(len(intact.subs)), intact.closed_parts):
+        if g == intact.closure_idx[x]:
+            continue
+        L = SubLattice(fr)
+        L.closure_idx = [g if i == x else c for i, c in enumerate(L.closure_idx)]
+        got = LATTICE_LAWS["entanglement-zone"].check(L)
+        assert got == scalar_laws.LATTICE_ORACLES["entanglement-zone"](L), (x, g)
+        forms |= {w["form"] for w in got[1]}
+    assert forms == {"closure of the meet", "zone not dense in itself", "not largest"}
+
+
+@pytest.mark.parametrize(
+    "bytewise, fault", [(False, None), (True, heyting_fault), (False, heyting_fault)],
+    ids=["scalar", "bytewise-heyting", "scalar-heyting"],
+)
+def test_lattice_laws_match_the_scalar_loops_forced_scalar_and_faulted(monkeypatch, bytewise, fault):
+    # bytewise forced off runs the laws' own scalar loops on lattices a
+    # byte holds; with the library's Heyting arrow faulted the row form of
+    # meet-nucleus-form fails and its loop names the oracle's witnesses.
+    # Lattices of at most 16 parts keep the k^4 loops short
+    if fault:
+        fault(monkeypatch)
+    witnesses = 0
+    for nm, fr in iter_corpus_frames():
+        L = SubLattice(fr)
+        if len(L.subs) > 16:
+            continue
+        L.bytewise = bytewise
+        for name, law in LATTICE_LAWS.items():
+            got = law.check(L)
+            assert got == scalar_laws.LATTICE_ORACLES[name](L), (nm, name)
+            witnesses += len(got[1])
+    assert (witnesses > 0) == bool(fault)
 
 
 @pytest.fixture(scope="module")

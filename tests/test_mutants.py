@@ -1,4 +1,5 @@
-"""Planted faults in the views of a map, each caught by the morphism suite.
+"""Planted faults in the views of a map, each caught by the morphism suite,
+and in the library calls the sublocale suite's row forms reach.
 
 Each fault is one wrong entry in a table every law reads through the
 library: the last entry of `pulls` with its bit 0 cleared, the last entry
@@ -13,14 +14,23 @@ kernel fails the per-map scalar loops must name every witness.
 The `pushes` fault leaves a map out of a source without points, where a
 bit 0 names no point: there `right_adjoint` reads a point that does not
 exist and the suite raises IndexError before any map law runs.
+
+The sublocale suite, capped at frames of 4 elements, gets two faults: a
+Heyting arrow that answers bottom for U = top and H not top, which the
+tables of `meet-nucleus-form` read through `Frame.heyting`, and an
+entanglement that answers the closure of a when b is empty, which
+`entanglement-zone` calls once per pair of parts. Their counts were
+pinned before the part laws had row forms, so the row forms must still
+reach the library.
 """
 
 from collections import Counter
 
 import pytest
 
-from locale_lab import lattice, laws, morphisms
-from locale_lab.laws import run_morphism_suite
+from locale_lab import lattice, laws, morphisms, sublocales
+from locale_lab.frames import Frame
+from locale_lab.laws import run_morphism_suite, run_sublocale_suite
 from locale_lab.morphisms import FrameMorphism
 
 
@@ -82,3 +92,39 @@ def test_a_pushes_fault_on_a_source_without_points_stops_the_suite(monkeypatch):
     _view(monkeypatch, "pushes", lambda f, t: t[:-1] + (t[-1] ^ 1,))
     with pytest.raises(IndexError):
         run_morphism_suite(max_size=4)
+
+
+def heyting(monkeypatch):
+    real = Frame.heyting
+    monkeypatch.setattr(
+        Frame, "heyting", lambda fr, u, h: fr.bottom if u == fr.top and h != fr.top else real(fr, u, h)
+    )
+
+
+def entanglement(monkeypatch):
+    real = sublocales.entanglement
+
+    def fault(a, b):
+        return sublocales.closure(a) if not b.points else real(a, b)
+
+    for module in (sublocales, laws):
+        monkeypatch.setattr(module, "entanglement", fault)
+
+
+# (cases, violations by law) of each fault in the capped sublocale suite
+PART_CAUGHT = {
+    heyting: (42_404, {"meet-nucleus-form": 148, "boolean-opens": 10}),
+    entanglement: (42_404, {"entanglement-zone": 96}),
+}
+
+
+def test_the_capped_sublocale_suite_is_clean_without_a_fault():
+    rep = run_sublocale_suite(max_size=4)
+    assert (rep.cases, rep.violations) == (42_404, [])
+
+
+@pytest.mark.parametrize("fault", PART_CAUGHT, ids=lambda fault: fault.__name__)
+def test_each_part_fault_is_caught_with_its_counts(monkeypatch, fault):
+    fault(monkeypatch)
+    rep = run_sublocale_suite(max_size=4)
+    assert (rep.cases, Counter(v.law for v in rep.violations)) == PART_CAUGHT[fault]

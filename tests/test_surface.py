@@ -1,10 +1,14 @@
 """The public surface of locale_lab: every public top-level function, and
 every public method and property of a public class, has a use in the
-package, and no check is a bare `assert`, which `python -O` drops."""
+package, and no check is a bare `assert`, which `python -O` drops. Also
+the size of `laws.py` in parser tokens, which sets what its compile
+costs."""
 
 from __future__ import annotations
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 import locale_lab
@@ -136,3 +140,21 @@ def test_the_scan_sees_each_kind_of_use():
     # methods of private classes
     cls = ast.parse("class C:\n    def m(self): pass\n    def _p(self): pass\nclass _D:\n    def m(self): pass\n")
     assert _public_methods({"a": cls}) == {"a.C.m"}
+
+
+def test_laws_stays_under_the_parser_token_step():
+    # CPython 3.11's parser doubles its token array at 2^14 tokens: a
+    # laws.py past 16,384 raised the compile peak of that one file from
+    # 5.5 to 6.25 MB and the benchmark's laws-corpus peak_rss_mb by about
+    # 1 MB (CHANGES.md, the FOUND line on laws.py's parser tokens). Counted
+    # as there: tokenize's tokens, comments and blank lines left out, and an
+    # f-string one token, as 3.11 reads it on every version: from 3.12 on,
+    # tokenize splits an f-string into FSTRING_START, its parts and the
+    # tokens of each field up to FSTRING_END, which count here as one
+    text = (SRC / "laws.py").read_text()
+    start, end = (getattr(tokenize, name, None) for name in ("FSTRING_START", "FSTRING_END"))
+    count = depth = 0
+    for t in tokenize.generate_tokens(io.StringIO(text).readline):
+        count += depth == 0 and t.type not in (tokenize.COMMENT, tokenize.NL)
+        depth += (t.type == start) - (t.type == end)
+    assert count < 2**14
