@@ -4,9 +4,13 @@ Elements are integer indexes into a label tuple; after construction every
 lattice operation is a table lookup. A Frame checks on construction that
 its names are distinct, that `up` is a partial order (`Frame.build` closes
 one read from outside) and the bound, lattice and distributivity laws;
-law suites never re-prove them. A frame's parts (`Sublocale`) are
-defined here, next to the part table that builds them; the `sublocales`
-module holds what is done with them.
+law suites never re-prove them. Each check is O(n^2) bitmask work: a
+meet or join is found by looking its cone up, and distributivity is
+tested on pairs, not triples, since a finite lattice is distributive iff
+every join-irreducible is join-prime (Birkhoff, "Rings of sets", Duke
+Math. J. 1937). A frame's parts (`Sublocale`) are defined here, next to
+the part table that builds them; the `sublocales` module holds what is
+done with them.
 """
 
 from __future__ import annotations
@@ -96,7 +100,11 @@ class Frame:
     """A validated finite frame. Elements are 0..n-1; `elements` holds names.
 
     `up[i]` / `down[i]` are bitmasks of the elements above / below i, so the
-    order tests used by the law suites are single AND operations. Values
+    order tests used by the law suites are single AND operations. The
+    constructor checks every law in O(n^2) mask operations: meet(i, j) is
+    the element whose down-set is down[i] & down[j], found in a dict from
+    cone to element, and the frame is distributive iff for every pair
+    v1, v2 the join-irreducibles below v1 join v2 lie below v1 or v2. Values
     read off sets of primes are derived once per frame and kept as long as
     the frame lives, at most one entry per set: the meet of each set of
     primes (`meet_of_primes`) and the one `Sublocale` of each set.
@@ -161,38 +169,47 @@ class Frame:
     # -- construction -------------------------------------------------
 
     def _binary_table(self, cone, kind):
-        # meet(i,j) is the greatest element of down[i] & down[j]; such an
-        # element exists iff the intersection equals its own cone.
-        n = self.n
+        # meet(i,j) is the element whose down-set is down[i] & down[j], if
+        # there is one: one lookup in a dict from cone to element per pair.
+        # The first pair without one, in row-major order, is the witness.
+        at = {c: k for k, c in enumerate(cone)}
         table = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                common = cone[i] & cone[j]
-                found = -1
-                for k in _bits(common):
-                    if cone[k] == common:
-                        found = k
-                        break
-                if found < 0:
-                    raise NotALattice(kind, self.elements[i], self.elements[j])
-                row.append(found)
-            table.append(tuple(row))
+        for i, ci in enumerate(cone):
+            row = tuple([at.get(ci & c) for c in cone])
+            if None in row:
+                raise NotALattice(kind, self.elements[i], self.elements[row.index(None)])
+            table.append(row)
         return tuple(table)
 
     def _check_distributive(self):
-        n = self.n
-        meet, join = self._meet, self._join
-        for w in range(n):
-            mw = meet[w]
-            for v1 in range(n):
-                a = mw[v1]
-                for v2 in range(n):
-                    lhs = mw[join[v1][v2]]
-                    rhs = join[a][mw[v2]]
-                    if lhs != rhs:
-                        e = self.elements
-                        raise NotDistributive(e[w], e[v1], e[v2], e[lhs], e[rhs])
+        # Birkhoff: a finite lattice is distributive iff every
+        # join-irreducible j is join-prime, j <= v1 join v2 only if j <= v1
+        # or j <= v2. j is join-irreducible iff the elements strictly below
+        # it do not join to it: their common upper bounds, the AND of their
+        # up-sets from the full mask (so bottom is not counted), are more
+        # than up[j]. With irr[v] the join-irreducibles below v, the test
+        # is irr[v1 join v2] == irr[v1] | irr[v2] for every pair.
+        up, full = self.up, (1 << self.n) - 1
+        irr_mask = 0
+        for j, below in enumerate(self.down):
+            bounds = full
+            for k in _bits(below & ~(1 << j)):
+                bounds &= up[k]
+            if bounds != up[j]:
+                irr_mask |= 1 << j
+        irr = [below & irr_mask for below in self.down]
+        for v1, row in enumerate(self._join):
+            i1 = irr[v1]
+            got = [irr[v] for v in row]
+            if got != [i1 | i2 for i2 in irr]:
+                # pairs below v1 were checked in their own rows, so the
+                # first failing v2 is above v1; j is the first
+                # join-irreducible below v1 join v2 and below neither
+                v2 = next(v for v in range(v1 + 1, self.n) if got[v] != i1 | irr[v])
+                j = next(_bits(got[v2] & ~(i1 | irr[v2])))
+                meet, join, e = self._meet[j], self._join, self.elements
+                raise NotDistributive(e[j], e[v1], e[v2], e[meet[row[v2]]],
+                                      e[join[meet[v1]][meet[v2]]])
 
     @classmethod
     def build(cls, spec: FrameSpec) -> "Frame":
@@ -237,14 +254,34 @@ class Frame:
             raise InvalidTopology("the empty set is not open", [])
         if frozenset(pset) not in family:
             raise InvalidTopology("the full point set is not open", pts)
-        for a in opens:
-            for b in opens:
+        # each open as a bitmask over the points; a pair and its mirror
+        # have the same union and intersection, so row i starts at open i
+        bit = {p: 1 << i for i, p in enumerate(pts)}
+        masks = [sum(map(bit.__getitem__, o)) for o in opens]
+        closed = set(masks)
+        for i, a in enumerate(masks):
+            rest = masks[i:]
+            if closed.issuperset(map(a.__or__, rest)) and closed.issuperset(map(a.__and__, rest)):
+                continue
+            for b, o in zip(rest, opens[i:]):
                 for law, op, c in (("union", "|", a | b), ("intersection", "&", a & b)):
-                    if c not in family:
-                        w = (sorted(a), sorted(b))
+                    if c not in closed:
+                        w = (sorted(opens[i]), sorted(o))
                         raise InvalidTopology(f"not closed under {law}: {w[0]} {op} {w[1]}", w)
         ordered = sorted(family, key=lambda o: (len(o), tuple(sorted(o))))
-        up = [sum(1 << j for j, b in enumerate(ordered) if a <= b) for a in ordered]
+        # the opens above a are those holding each of its points: the AND,
+        # over its points, of the opens that hold that point
+        holding = dict.fromkeys(pts, 0)
+        for j, o in enumerate(ordered):
+            for p in o:
+                holding[p] |= 1 << j
+        full = (1 << len(ordered)) - 1
+        up = []
+        for o in ordered:
+            above = full
+            for p in o:
+                above &= holding[p]
+            up.append(above)
         return cls([open_set_name(o) for o in ordered], up,
                    opens=tuple(ordered), point_names=tuple(pts))
 

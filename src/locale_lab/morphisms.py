@@ -127,13 +127,16 @@ def validate_morphism(source: Frame, target: Frame, mapping) -> FrameMorphism:
         raise NotAFrameMorphism("bottom", source.elements[source.bottom])
     if f[source.top] != target.top:
         raise NotAFrameMorphism("top", source.elements[source.top])
-    for a in range(source.n):
+    # one row of each table per a; the witness is built only to raise
+    sm, sj, tm, tj = source._meet, source._join, target._meet, target._join
+    for a, fa in enumerate(f):
+        sma, sja, tma, tja = sm[a], sj[a], tm[fa], tj[fa]
         for b in range(a, source.n):
-            w = (source.elements[a], source.elements[b])
-            if f[source.meet(a, b)] != target.meet(f[a], f[b]):
-                raise NotAFrameMorphism("meet", w)
-            if f[source.join(a, b)] != target.join(f[a], f[b]):
-                raise NotAFrameMorphism("join", w)
+            fb = f[b]
+            if f[sma[b]] != tma[fb]:
+                raise NotAFrameMorphism("meet", (source.elements[a], source.elements[b]))
+            if f[sja[b]] != tja[fb]:
+                raise NotAFrameMorphism("join", (source.elements[a], source.elements[b]))
     m = FrameMorphism(source, target, tuple(
         source.primes.index(source.join_all(v for v in range(source.n) if target.leq(f[v], q)))
         for q in target.primes
@@ -236,8 +239,20 @@ def sum_frame(frames):
         raise FrameError("sum of no frames")
     combos = list(itertools.product(*(range(f.n) for f in frames)))
     names = [tuple(f.elements[c[k]] for k, f in enumerate(frames)) for c in combos]
-    up = [sum(1 << j for j, b in enumerate(combos) if all(map(Frame.leq, frames, a, b)))
-          for a in combos]
+    # above[k][x]: the tuples whose k-th entry is above x, read off the
+    # combos once; the up-set of a tuple is the AND of its entries' masks
+    above = []
+    for k, f in enumerate(frames):
+        holding = [0] * f.n
+        for j, c in enumerate(combos):
+            holding[c[k]] |= 1 << j
+        above.append([sum(h for y, h in enumerate(holding) if u >> y & 1) for u in f.up])
+    up = []
+    for c in combos:
+        mask = -1
+        for masks, x in zip(above, c):
+            mask &= masks[x]
+        up.append(mask)
     s = Frame(names, up)
 
     # The injection onto component k is the projection, so f_*(q) for a

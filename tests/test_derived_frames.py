@@ -6,6 +6,7 @@ the same up-sets.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from locale_lab.corpus import corpus_files, iter_corpus_frames, load
 from locale_lab.frames import (
     Frame,
     FrameSpec,
+    InvalidTopology,
     SpecError,
     TopologySpec,
     build_frame,
@@ -61,15 +63,71 @@ def test_fixpoint_frames_match_the_pairs_oracle():
             assert same_order(fixpoint_frame(x)[0], oracle_fixpoint_frame(x)), (name, x)
 
 
+def componentwise_up(frames):
+    """The sum's up-sets by `Frame.leq` on every pair of tuples and every
+    component."""
+    combos = list(itertools.product(*(range(f.n) for f in frames)))
+    return [sum(1 << j for j, b in enumerate(combos) if all(map(Frame.leq, frames, a, b)))
+            for a in combos]
+
+
 def test_sum_frames_match_the_pairs_oracle():
     small = [(name, fr) for name, fr in iter_corpus_frames() if fr.n <= 4]
     assert len(small) > 1
     for (an, a), (bn, b) in itertools.product(small, repeat=2):
-        assert same_order(sum_frame([a, b])[0], oracle_sum_frame([a, b])), (an, bn)
+        s = sum_frame([a, b])[0]
+        assert same_order(s, oracle_sum_frame([a, b])), (an, bn)
+        assert list(s.up) == componentwise_up([a, b]), (an, bn)
     # three components and one: the product order on longer tuples
     triple = [fr for _, fr in small[1:4]]
     assert same_order(sum_frame(triple)[0], oracle_sum_frame(triple))
+    assert list(sum_frame(triple)[0].up) == componentwise_up(triple)
     assert same_order(sum_frame(triple[:1])[0], oracle_sum_frame(triple[:1]))
+
+
+def closure_scan(tspec):
+    """The closure check by every ordered pair of opens, as sets, in the
+    order given: union before intersection."""
+    family = set(tspec.opens)
+    for a, b in itertools.product(tspec.opens, repeat=2):
+        for law, op, c in (("union", "|", a | b), ("intersection", "&", a & b)):
+            if c not in family:
+                w = (sorted(a), sorted(b))
+                raise InvalidTopology(f"not closed under {law}: {w[0]} {op} {w[1]}", w)
+
+
+def random_topology(rng):
+    """A family of sets on at most 4 points with the empty and the full set,
+    closed under union and intersection half of the time, in random order."""
+    pts = "abcd"[:rng.randrange(1, 5)]
+    subsets = [frozenset(s) for r in range(len(pts) + 1) for s in itertools.combinations(pts, r)]
+    family = {frozenset(), frozenset(pts)} | set(rng.sample(subsets, rng.randrange(len(subsets))))
+    if rng.random() < 0.5:
+        while True:
+            more = {a | b for a in family for b in family} | {a & b for a in family for b in family}
+            if more <= family:
+                break
+            family |= more
+    opens = sorted(family, key=sorted)
+    rng.shuffle(opens)
+    return TopologySpec.make(pts, opens)
+
+
+def test_topology_closure_matches_the_pairs_scan():
+    rng = random.Random(36)
+    refused = 0
+    for _ in range(2000):
+        tspec = random_topology(rng)
+        try:
+            closure_scan(tspec)
+        except InvalidTopology as want:
+            with pytest.raises(InvalidTopology) as exc:
+                Frame.from_topology(tspec)
+            assert (str(exc.value), exc.value.witness) == (str(want), want.witness)
+            refused += 1
+            continue
+        assert same_order(Frame.from_topology(tspec), oracle_from_topology(tspec))
+    assert 200 < refused < 1800
 
 
 def test_topology_frames_match_the_pairs_oracle():

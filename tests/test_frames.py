@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from locale_lab.corpus import iter_corpus_frames
+from locale_lab.corpus import iter_corpus_frames, iter_negative_specs
 from locale_lab.frames import (
     Frame,
     FrameError,
@@ -140,6 +141,19 @@ def test_n5_rejected():
         build_frame(N5)
 
 
+@pytest.mark.parametrize("name,message", [
+    ("m3", "'z' meet ('x' join 'y') = 'z' but the join of the meets is '0'"),
+    ("n5", "'b' meet ('a' join 'c') = 'b' but the join of the meets is 'a'"),
+])
+def test_the_negatives_name_their_failing_triple(name, message):
+    # the witness is the first join-irreducible under the first pair
+    # v1 < v2 (index order) whose join it lies below, below neither
+    spec = dict(iter_negative_specs())[name]
+    with pytest.raises(NotDistributive) as exc:
+        build_frame(spec)
+    assert str(exc.value) == message
+
+
 def test_no_meet_rejected():
     # a,b above two incomparable lower bounds p,q: meet(a,b) has no greatest
     spec = FrameSpec.make(
@@ -196,6 +210,114 @@ def test_meet_join_all():
     assert f.name(f.meet_all(xs)) == "{}"
     assert f.join_all([]) == f.bottom
     assert f.meet_all([]) == f.top
+
+
+# ------------------------------------- the checks against their scans
+
+def bits(mask):
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
+def scan_table(names, cone, kind):
+    """The meet (cone = down-sets) or join (cone = up-sets) table by the
+    bit scan: per pair, the first element of the common cone whose own
+    cone it is."""
+    table = []
+    for i in range(len(cone)):
+        row = []
+        for j in range(len(cone)):
+            common = cone[i] & cone[j]
+            found = next((k for k in bits(common) if cone[k] == common), None)
+            if found is None:
+                raise NotALattice(kind, names[i], names[j])
+            row.append(found)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def triple_scan(names, meet, join):
+    """Distributivity by every triple: w meet (v1 join v2) against the join
+    of the meets."""
+    n = len(names)
+    for w, v1, v2 in itertools.product(range(n), repeat=3):
+        lhs, rhs = meet[w][join[v1][v2]], join[meet[w][v1]][meet[w][v2]]
+        if lhs != rhs:
+            raise NotDistributive(names[w], names[v1], names[v2], names[lhs], names[rhs])
+
+
+def closed_up(spec):
+    """The up-sets of a FrameSpec's reflexive-transitive closure, without
+    building its frame."""
+    index = {x: i for i, x in enumerate(spec.elements)}
+    up = [1 << i for i in range(len(index))]
+    for a, b in spec.leq:
+        up[index[a]] |= 1 << index[b]
+    for k, i in itertools.product(range(len(up)), repeat=2):
+        if up[i] >> k & 1:
+            up[i] |= up[k]
+    return up
+
+
+def random_bounded_poset(rng):
+    """A bounded poset of at most 9 elements, its index order shuffled so
+    that it need not be a linear extension."""
+    k, p = rng.randrange(8), rng.random()
+    up = [1 << i for i in range(k + 2)]  # 0 is bottom, k + 1 is top
+    for i, j in itertools.combinations(range(1, k + 1), 2):
+        if rng.random() < p:
+            up[i] |= 1 << j
+    for i in reversed(range(1, k + 1)):
+        for j in bits(up[i]):
+            up[i] |= up[j]
+    up[0] = (1 << (k + 2)) - 1
+    for i in range(1, k + 2):
+        up[i] |= 1 << (k + 1)
+    order = list(range(k + 2))
+    rng.shuffle(order)
+    place = {old: new for new, old in enumerate(order)}
+    names = [f"e{old}" for old in order]
+    return names, [sum(1 << place[j] for j in bits(up[old])) for old in order]
+
+
+def verdict_against_the_scans(names, up):
+    """Build Frame(names, up) and check it against the scans: the same
+    verdict, the same tables and the same NotALattice witness, and a
+    NotDistributive witness that is a failing triple."""
+    down = [sum(1 << i for i, u in enumerate(up) if u >> j & 1) for j in range(len(up))]
+    try:
+        meet, join = scan_table(names, down, "meet"), scan_table(names, up, "join")
+    except NotALattice as want:
+        with pytest.raises(NotALattice) as exc:
+            Frame(names, up)
+        assert (str(exc.value), exc.value.kind, exc.value.witness) == (str(want), want.kind, want.witness)
+        return "NotALattice"
+    try:
+        triple_scan(names, meet, join)
+    except NotDistributive:
+        with pytest.raises(NotDistributive) as exc:
+            Frame(names, up)
+        w, v1, v2 = (names.index(x) for x in exc.value.witness)
+        lhs, rhs = meet[w][join[v1][v2]], join[meet[w][v1]][meet[w][v2]]
+        assert lhs != rhs
+        assert str(exc.value) == str(NotDistributive(*exc.value.witness, names[lhs], names[rhs]))
+        return "NotDistributive"
+    f = Frame(names, up)
+    assert (f._meet, f._join) == (meet, join)
+    return "frame"
+
+
+def test_corpus_and_negatives_match_the_scans():
+    verdicts = [verdict_against_the_scans(f.elements, f.up) for _, f in CORPUS]
+    verdicts += [verdict_against_the_scans(spec.elements, closed_up(spec))
+                 for _, spec in iter_negative_specs()]
+    assert verdicts == ["frame"] * len(CORPUS) + ["NotDistributive"] * 2
+
+
+def test_random_bounded_posets_match_the_scans():
+    rng = random.Random(36)
+    verdicts = [verdict_against_the_scans(*random_bounded_poset(rng)) for _ in range(5000)]
+    counts = {v: verdicts.count(v) for v in ("frame", "NotALattice", "NotDistributive")}
+    assert min(counts.values()) >= 100, counts
 
 
 # ----------------------------------------------------------- heyting

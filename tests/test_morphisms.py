@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import time
 
 import pytest
@@ -84,6 +85,68 @@ def test_validation_rejects_meet_violation():
     with pytest.raises(NotAFrameMorphism) as ei:
         validate_morphism(d, c2, {"0": "0", "a": "1", "b": "1", "1": "1"})
     assert ei.value.law == "meet"
+
+
+def pairwise_verdict(source, target, f):
+    """The (law, witness) of the table f by the loop over pairs: bottom,
+    top, then the first pair a <= b, in index order, at which it fails to
+    preserve meet, then join; None if it is a frame map."""
+    if f[source.bottom] != target.bottom:
+        return "bottom", source.elements[source.bottom]
+    if f[source.top] != target.top:
+        return "top", source.elements[source.top]
+    for a in range(source.n):
+        for b in range(a, source.n):
+            w = (source.elements[a], source.elements[b])
+            if f[source.meet(a, b)] != target.meet(f[a], f[b]):
+                return "meet", w
+            if f[source.join(a, b)] != target.join(f[a], f[b]):
+                return "join", w
+    return None
+
+
+def validated_verdict(source, target, f):
+    try:
+        validate_morphism(source, target, f)
+    except NotAFrameMorphism as exc:
+        return exc.law, exc.witness
+    return None
+
+
+@pytest.mark.parametrize("target,table,verdict", [
+    # a and b both go to u: meet and join fail at (a, b), meet is reported
+    (chain(3), {"0": "0", "a": "1", "b": "1", "1": "2"}, ("meet", ("a", "b"))),
+    # a and b both go to 0: only the join of (a, b) fails
+    (chain(2), {"0": "0", "a": "0", "b": "0", "1": "1"}, ("join", ("a", "b"))),
+], ids=["meet-first", "join-only"])
+def test_planted_non_homomorphisms_report_the_pairwise_witness(target, table, verdict):
+    d = diamond()
+    f = d.table(table, target.el, "fstar")
+    assert pairwise_verdict(d, target, f) == verdict
+    assert validated_verdict(d, target, f) == verdict
+
+
+def test_validation_matches_the_pairwise_loop_on_random_tables():
+    # random tables that keep bottom and top where they can, on every
+    # ordered pair of small representatives: the same first (law,
+    # witness) as the loop, or none
+    rng = random.Random(36)
+    reps = [f for _, f in small_reps()]
+    seen = set()
+    for src, tgt in itertools.product(reps, repeat=2):
+        for _ in range(20):
+            f = [rng.randrange(tgt.n) for _ in range(src.n)]
+            f[src.bottom], f[src.top] = tgt.bottom, tgt.top
+            want = pairwise_verdict(src, tgt, f)
+            assert validated_verdict(src, tgt, f) == want, (src, tgt, f)
+            seen.add(want and want[0])
+        # each map, and each map moved at one element
+        for m in enumerate_morphisms(src, tgt):
+            assert validated_verdict(src, tgt, m.fstar) is None
+            f = list(m.fstar)
+            f[rng.randrange(src.n)] = rng.randrange(tgt.n)
+            assert validated_verdict(src, tgt, f) == pairwise_verdict(src, tgt, f), (src, tgt, f)
+    assert seen == {None, "bottom", "meet", "join"}
 
 
 # --------------------------------------------------------- enumeration
