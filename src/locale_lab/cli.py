@@ -24,7 +24,7 @@ from pathlib import Path
 from locale_lab.corpus import CorpusError, chain_spec
 from locale_lab.frames import FrameError, build_frame, spec_from_json
 from locale_lab.intervals import InvalidInterval, parse_ratopen
-from locale_lab.laws import SUITES, format_text, report_to_json, reports_to_json, run_suite
+from locale_lab.laws import SUITES, run_suite
 from locale_lab.measure import (
     BadTolerance,
     Lebesgue,
@@ -57,6 +57,7 @@ from locale_lab.presented import (
     point_sublocale_meets_generic,
     structural_union_is_whole,
 )
+from locale_lab.runner import format_text, report_to_json, reports_to_json
 from locale_lab.sublocales import (
     closed_sublocale,
     enumerate_sublocales,

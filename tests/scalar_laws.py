@@ -1,6 +1,7 @@
-"""The laws that locale_lab.laws checks with byte kernels, as scalar
-loops, and the finite-measure laws, in Fraction arithmetic: the
-references the fast bodies are compared with.
+"""The laws that locale_lab.part_laws and locale_lab.map_laws check with
+byte kernels, as scalar loops, and the finite-measure laws of
+locale_lab.measure_laws, in Fraction arithmetic: the references the
+fast bodies are compared with.
 
 Each function is the law's check as it was before its kernel: it takes
 the same context (a `SubLattice`) and returns (cases checked, failure
@@ -32,8 +33,8 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from locale_lab.laws import _reduced_parts_algebra, _restriction_valid
 from locale_lab.measure import mu_reduce, null_partner, outer_measure_finite, reduced_algebra
+from locale_lab.measure_laws import _reduced_parts_algebra, _restriction_valid
 from locale_lab.morphisms import atoms, compose, enumerate_morphisms, right_adjoint
 from locale_lab.sublocales import closed_sublocale, entanglement, open_sublocale, union_all
 

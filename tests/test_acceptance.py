@@ -21,7 +21,6 @@ from locale_lab.frames import (
     topology_spec_from_json,
 )
 from locale_lab.intervals import EMPTY_RO, parse_fin, parse_ratopen
-from locale_lab.laws import _boolean_valuations, _meets_cell, _random_ratopen
 from locale_lab.measure import (
     Lebesgue,
     LebesgueRestrictedTo,
@@ -36,6 +35,7 @@ from locale_lab.measure import (
     strict_additivity_interval,
     total_measure,
 )
+from locale_lab.measure_laws import _boolean_valuations, _meets_cell, _random_ratopen
 from locale_lab.morphisms import validate_morphism
 from locale_lab.presented import (
     RATIONALS,

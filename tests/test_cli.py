@@ -16,7 +16,6 @@ from locale_lab import cli
 from locale_lab.cli import _positive_rational, build_parser, main, parse_part
 from locale_lab.corpus import generate
 from locale_lab.intervals import parse_ratopen
-from locale_lab.laws import report_from_json, report_to_json
 from locale_lab.measure import TolNotReached, parse_descriptor, stream_bounds
 from locale_lab.presented import (
     RATIONALS,
@@ -29,6 +28,7 @@ from locale_lab.presented import (
     Union,
     UnsupportedConstructor,
 )
+from locale_lab.runner import report_from_json, report_to_json
 
 
 @pytest.fixture

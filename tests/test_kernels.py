@@ -24,19 +24,20 @@ import pytest
 
 import scalar_laws
 from test_mutants import heyting as heyting_fault
-from locale_lab import laws
+from locale_lab import map_laws, measure_laws, part_laws
 from locale_lab.corpus import boolean_spec, chain_spec, iter_corpus_frames
 from locale_lab.frames import build_frame
 from locale_lab.lattice import SubLattice, _Maps
-from locale_lab.laws import _boolean_valuations, _iso_reps, _scaled, _Valued
+from locale_lab.map_laws import _iso_reps
 from locale_lab.measure import FiniteValuation, ValuationError
+from locale_lab.measure_laws import _boolean_valuations, _scaled, _Valued
 from locale_lab.morphisms import FrameMorphism, enumerate_morphisms, identity_morphism, right_adjoint
 
 UNCONFIRMED = {"form": "byte kernel mismatch the scalar loop did not confirm"}
-MAP_LAWS = {law.name: law for law in laws.MAP_LAWS}
+MAP_LAWS = {law.name: law for law in map_laws.MAP_LAWS}
 LATTICE_LAWS = {
     law.name: law
-    for law in laws.LATTICE_LAWS + laws.PART_LAWS
+    for law in map_laws.LATTICE_LAWS + part_laws.PART_LAWS
     if law.name in scalar_laws.LATTICE_ORACLES
 }
 # the laws that read each table a fault is planted in, by its slot on the
@@ -110,11 +111,11 @@ def flip(f, slot: str, pos: int, bit: int):
 
 def test_the_oracles_cover_every_kernel():
     assert set(MAP_LAWS) == set(scalar_laws.MAP_ORACLES)
-    assert {law.name for law in laws.COMPOSITION_LAWS} >= set(scalar_laws.COMPOSITION_ORACLES)
+    assert {law.name for law in map_laws.COMPOSITION_LAWS} >= set(scalar_laws.COMPOSITION_ORACLES)
     assert set(LATTICE_LAWS) == set(scalar_laws.LATTICE_ORACLES)
     planted = {name for names in LATTICE_PLANTS.values() for name in names}
     assert planted == set(LATTICE_LAWS) - {"entanglement-zone"}
-    assert [law.name for law in laws.FINITE_MEASURE_LAWS] == list(scalar_laws.MEASURE_ORACLES)
+    assert [law.name for law in measure_laws.FINITE_MEASURE_LAWS] == list(scalar_laws.MEASURE_ORACLES)
 
 
 def test_map_kernels_match_the_scalar_loops(corpus_pairs):
@@ -236,7 +237,7 @@ def test_an_unconfirmed_kernel_mismatch_is_a_violation(monkeypatch, corpus_pairs
     cases = {name: law.check(maps)[0] for name, law in MAP_LAWS.items()}
     unconfirmed = {name: (cases[name], [(None, UNCONFIRMED)]) for name in MAP_LAWS}
     # a gather that reads i | j as 1 everywhere
-    monkeypatch.setattr(laws, "_gather", lambda cols, tables: [0, 0, 1, 0][: len(cols)])
+    monkeypatch.setattr(map_laws, "_gather", lambda cols, tables: [0, 0, 1, 0][: len(cols)])
     for name in ("preimage-union-meet", "image-union"):
         assert MAP_LAWS[name].check(maps) == unconfirmed[name]
     # an order read as equality: v <= x only for x = v
@@ -414,7 +415,7 @@ def test_integer_measure_laws_match_the_fraction_bodies(valued):
     witnesses = raises = 0
     for label, ints, fracs in valued:
         assert [Fraction(x, ints.den) for x in ints.out] == fracs.out, label
-        for law in laws.FINITE_MEASURE_LAWS:
+        for law in measure_laws.FINITE_MEASURE_LAWS:
             got = outcome(law.check, ints)
             assert got == outcome(scalar_laws.MEASURE_ORACLES[law.name], fracs), (label, law.name)
             if isinstance(got[0], str):
@@ -438,7 +439,7 @@ def test_integer_measure_laws_match_the_fraction_bodies_on_a_planted_entry(value
         ints.out[e] -= 1
         fracs.out = list(fracs.out)
         fracs.out[e] -= Fraction(1, ints.den)
-        for law in laws.FINITE_MEASURE_LAWS:
+        for law in measure_laws.FINITE_MEASURE_LAWS:
             got = outcome(law.check, ints)
             assert got == outcome(scalar_laws.MEASURE_ORACLES[law.name], fracs), (label, law.name, e)
             if not isinstance(got[0], str):
@@ -461,7 +462,7 @@ def test_the_integer_table_is_never_truncated():
         _scaled(val.mu, without_last)
 
 
-COMPOSITION = next(law for law in laws.COMPOSITION_LAWS if law.name == "composition")
+COMPOSITION = next(law for law in map_laws.COMPOSITION_LAWS if law.name == "composition")
 
 
 def test_composition_matches_its_oracle(small_ctx):
@@ -479,7 +480,7 @@ def test_composition_matches_its_oracle_on_a_planted_composite(monkeypatch, smal
         if len(a.primes) >= 2 and c.primes and maps[an, bn] and maps[bn, cn]
     )
     f0, g0 = maps[an, bn][-1], maps[bn, cn][0]
-    real = laws.compose
+    real = map_laws.compose
 
     def planted(g, f):
         h = real(g, f)
@@ -490,7 +491,7 @@ def test_composition_matches_its_oracle_on_a_planted_composite(monkeypatch, smal
         return FrameMorphism(h.source, h.target, tuple(points))
 
     cases = COMPOSITION.check(small_ctx)[0]
-    monkeypatch.setattr(laws, "compose", planted)
+    monkeypatch.setattr(map_laws, "compose", planted)
     monkeypatch.setattr(scalar_laws, "compose", planted)
     got = COMPOSITION.check(small_ctx)
     assert got == scalar_laws.COMPOSITION_ORACLES["composition"](small_ctx)

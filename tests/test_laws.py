@@ -6,23 +6,19 @@ from pathlib import Path
 
 import pytest
 
-from locale_lab import laws
+from locale_lab import laws, map_laws, measure_laws, part_laws
 from locale_lab.corpus import boolean_spec, chain_spec, corpus_root, generate, iter_corpus_frames
 from locale_lab.frames import build_frame, frame_spec_from_json
+from locale_lab.lattice import SubLattice, _Maps
 from locale_lab.laws import (
-    SubLattice,
-    format_text,
-    report_from_json,
-    report_to_json,
-    reports_to_json,
     run_frame_suite,
     run_measure_suite,
     run_morphism_suite,
     run_sublocale_suite,
     run_suite,
 )
-from locale_lab.lattice import _Maps
 from locale_lab.morphisms import enumerate_morphisms, identity_morphism, right_adjoint
+from locale_lab.runner import format_text, report_from_json, report_to_json, reports_to_json
 from locale_lab.sublocales import enumerate_sublocales, intersect, is_subsublocale, union, whole
 
 
@@ -53,8 +49,9 @@ def test_morphism_suite_green(morphism_report):
 
 def test_the_morphism_report_does_not_depend_on_map_order(morphism_report, monkeypatch):
     # the suite reads each list of maps as a set: listed backwards, the
-    # maps give the same report
-    monkeypatch.setattr(laws, "enumerate_morphisms", lambda a, b: enumerate_morphisms(a, b)[::-1])
+    # maps give the same report, the representatives' as well
+    for module in (laws, map_laws):
+        monkeypatch.setattr(module, "enumerate_morphisms", lambda a, b: enumerate_morphisms(a, b)[::-1])
     backwards = run_morphism_suite()
     assert dataclasses.replace(backwards, seconds=0) == dataclasses.replace(morphism_report, seconds=0)
 
@@ -109,7 +106,11 @@ def test_format_text_layout(frame_report):
 
 
 def test_each_law_is_declared_once():
-    registries = [v for k, v in vars(laws).items() if k.endswith("_LAWS")]
+    # laws imports the other modules' registries it runs: each counts once
+    registries = list({
+        id(v): v for module in (laws, part_laws, map_laws, measure_laws)
+        for k, v in vars(module).items() if k.endswith("_LAWS")
+    }.values())
     declared = [law for reg in registries for law in reg]
     assert len(registries) == 10
     assert len({law.name for law in declared}) == len(declared) == 73
@@ -117,7 +118,7 @@ def test_each_law_is_declared_once():
 
 
 def test_embedding_three_ways_reports_a_planted_adjoint_fault():
-    law = next(law for law in laws.MAP_LAWS if law.name == "embedding-three-ways")
+    law = next(law for law in map_laws.MAP_LAWS if law.name == "embedding-three-ways")
     f = identity_morphism(build_frame(chain_spec(3)))
     L = SubLattice(f.source)
     assert law.check(_Maps([f], L, L)) == (1, [])

@@ -25,7 +25,6 @@ from locale_lab.intervals import (
     parse_fin,
     parse_ratopen,
 )
-from locale_lab.laws import _Arena, _interval_descriptors, _random_ratopen
 from locale_lab.measure import (
     BadTolerance,
     Lebesgue,
@@ -70,6 +69,7 @@ from locale_lab.measure import (
     _stalled,
     _stream_bounds,
 )
+from locale_lab.measure_laws import _Arena, _interval_descriptors, _random_ratopen
 from locale_lab.morphisms import validate_morphism
 from locale_lab.presented import (
     DYADICS,

@@ -7,7 +7,7 @@ import pytest
 
 from locale_lab.corpus import boolean_spec, chain_spec, iter_corpus_frames
 from locale_lab.frames import Frame, FrameError, FrameSpec, TopologySpec, build_frame
-from locale_lab.laws import _iso_reps
+from locale_lab.map_laws import _iso_reps
 from locale_lab.morphisms import (
     NotAFrameMorphism,
     atoms,

@@ -4,9 +4,10 @@ and in the library calls the sublocale suite's row forms reach.
 Each fault is one wrong entry in a table every law reads through the
 library: the last entry of `pulls` with its bit 0 cleared, the last entry
 of `pushes` with its bit 0 flipped, and the last entry of `fstar` or of
-`right_adjoint` replaced by its first. A fault is applied by monkeypatch
-to every binding (`lattice` imports `right_adjoint` by name for the maps'
-tables, `laws` for the scalar loops) and the suite runs capped at frames
+`right_adjoint` replaced by its first. A fault in a library function is
+applied by monkeypatch to every binding of it in a loaded `locale_lab`
+module (`lattice` imports `right_adjoint` by name for the maps' tables,
+`map_laws` for the scalar loops), and the suite runs capped at frames
 of 4 elements. Its case count and the violations of each law are
 pinned, so the pair kernels must read each map's own tables, and where a
 kernel fails the per-map scalar loops must name every witness.
@@ -24,14 +25,24 @@ pinned before the part laws had row forms, so the row forms must still
 reach the library.
 """
 
+import sys
 from collections import Counter
 
 import pytest
 
-from locale_lab import lattice, laws, morphisms, sublocales
+from locale_lab import morphisms, sublocales
 from locale_lab.frames import Frame
 from locale_lab.laws import run_morphism_suite, run_sublocale_suite
 from locale_lab.morphisms import FrameMorphism
+
+
+def _patch_every_binding(monkeypatch, real, fault):
+    """Bind `fault` wherever a loaded `locale_lab` module binds `real`."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("locale_lab."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, fault)
 
 
 def _view(monkeypatch, name, fault):
@@ -53,8 +64,7 @@ def fstar(monkeypatch):
 
 def adjoint(monkeypatch):
     real = morphisms.right_adjoint
-    for module in (morphisms, lattice, laws):
-        monkeypatch.setattr(module, "right_adjoint", lambda f: real(f)[:-1] + real(f)[:1])
+    _patch_every_binding(monkeypatch, real, lambda f: real(f)[:-1] + real(f)[:1])
 
 
 # (cases, violations by law) of each fault
@@ -107,8 +117,7 @@ def entanglement(monkeypatch):
     def fault(a, b):
         return sublocales.closure(a) if not b.points else real(a, b)
 
-    for module in (sublocales, laws):
-        monkeypatch.setattr(module, "entanglement", fault)
+    _patch_every_binding(monkeypatch, real, fault)
 
 
 # (cases, violations by law) of each fault in the capped sublocale suite

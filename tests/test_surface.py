@@ -1,7 +1,7 @@
 """The public surface of locale_lab: every public top-level function, and
 every public method and property of a public class, has a use in the
 package, and no check is a bare `assert`, which `python -O` drops. Also
-the size of `laws.py` in parser tokens, which sets what its compile
+the size of each module in parser tokens, which sets what its compile
 costs."""
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ import ast
 import io
 import tokenize
 from pathlib import Path
+
+import pytest
 
 import locale_lab
 
@@ -21,7 +23,7 @@ ALLOWED_UNUSED = {
     # the benchmark's self-test builds its identity map through it
     "morphisms.identity_morphism",
     # the round-trip partner that proves report_to_json is canonical
-    "laws.report_from_json",
+    "runner.report_from_json",
     # the least part, the twin of `whole`; union_all starts from mask 0
     "sublocales.empty",
     # the bound on what a lazy open's later stages add; the tests check
@@ -142,16 +144,18 @@ def test_the_scan_sees_each_kind_of_use():
     assert _public_methods({"a": cls}) == {"a.C.m"}
 
 
-def test_laws_stays_under_the_parser_token_step():
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_each_module_stays_under_the_parser_token_step(path):
     # CPython 3.11's parser doubles its token array at 2^14 tokens: a
     # laws.py past 16,384 raised the compile peak of that one file from
     # 5.5 to 6.25 MB and the benchmark's laws-corpus peak_rss_mb by about
-    # 1 MB (CHANGES.md, the FOUND line on laws.py's parser tokens). Counted
-    # as there: tokenize's tokens, comments and blank lines left out, and an
-    # f-string one token, as 3.11 reads it on every version: from 3.12 on,
-    # tokenize splits an f-string into FSTRING_START, its parts and the
-    # tokens of each field up to FSTRING_END, which count here as one
-    text = (SRC / "laws.py").read_text()
+    # 1 MB (CHANGES.md, the MENDED line on laws.py's parser tokens), and so
+    # would any module that grew past it. Counted as there: tokenize's
+    # tokens, comments and blank lines left out, and an f-string one token,
+    # as 3.11 reads it on every version: from 3.12 on, tokenize splits an
+    # f-string into FSTRING_START, its parts and the tokens of each field
+    # up to FSTRING_END, which count here as one
+    text = path.read_text()
     start, end = (getattr(tokenize, name, None) for name in ("FSTRING_START", "FSTRING_END"))
     count = depth = 0
     for t in tokenize.generate_tokens(io.StringIO(text).readline):
