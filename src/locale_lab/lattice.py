@@ -7,8 +7,9 @@ byte, so it runs only below `BYTE` of each, and a table it reads through
 kernel reads is built here: per part lattice (`SubLattice`), the index
 bytes of pairs and triples of parts, the up-set, Heyting row and join
 row of each element and the nucleus of each part; per pair of frames
-(`_Maps`), the maps' own tables. Past a byte the laws run their scalar
-loops.
+(`_Maps`), the maps' own tables. A frame has one part per set of its
+points, and one past a byte of parts (`over_byte`) has no `SubLattice`:
+the suites skip it with a note.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from locale_lab.frames import Frame
+from locale_lab.frames import Frame, FrameError
 from locale_lab.morphisms import right_adjoint
 from locale_lab.sublocales import (
     closed_sublocale,
@@ -29,6 +30,13 @@ from locale_lab.sublocales import (
 )
 
 BYTE = 256  # the values of one byte
+
+
+def over_byte(frame: Frame) -> str | None:
+    """Why a part index of `frame` is not a byte, or None: its part count,
+    one part per set of points, past BYTE."""
+    parts = 1 << len(frame.primes)
+    return f"{parts} parts over the byte limit {BYTE}" if parts > BYTE else None
 
 
 def _table(row) -> bytes:
@@ -53,15 +61,16 @@ class SubLattice:
     read the nucleus of each part (`nucleus_rows`) and the Heyting arrow
     and join of each element (`heyting_rows`, `join_rows`) as rows. A
     kernel still compares every equation of its law, byte by byte. A part
-    index is a byte only up to BYTE parts: the lattice is `bytewise`, and
-    its byte tables are read only then. `dense_masks` and `closed_inside`
-    are bit masks, not byte tables, and hold at any size.
+    index is a byte, so a frame `over_byte` is refused. `dense_masks` and
+    `closed_inside` are bit masks, not byte tables.
     """
 
     def __init__(self, frame: Frame):
+        why = over_byte(frame)
+        if why:
+            raise FrameError(f"no part lattice: {why}")
         self.frame = frame
         self.subs = enumerate_sublocales(frame, max(10, frame.n))
-        self.bytewise = len(self.subs) <= BYTE
         self.open_idx = [open_sublocale(frame, v).points for v in range(frame.n)]
         self.closed_idx = [closed_sublocale(frame, v).points for v in range(frame.n)]
         self.whole_idx = self.open_idx[frame.top]
@@ -131,8 +140,7 @@ class SubLattice:
     def up_rows(self) -> list:
         """up_rows[v] has byte x set to 1 iff v <= x: a translate table that
         tests v <= x for a whole row of elements x at once. An element index
-        is a byte when the lattice is bytewise, as a frame has at most as
-        many elements as parts."""
+        is a byte, as a frame has at most as many elements as parts."""
         fr = self.frame
         return [_table(fr.up[v] >> x & 1 for x in range(fr.n)) for v in range(fr.n)]
 
@@ -197,9 +205,8 @@ class _Maps:
     a and EL of b, and the maps' own tables side by side for the pair
     kernels, one per map in map order: `pulls` and `pushes` as translate
     tables, `fstar` and `adjoint` (`right_adjoint`) as rows. They are
-    there when `bytewise`: both lattices are, and every table holds an
-    index of what it names; else they are None and the laws run their
-    scalar loops."""
+    there when `bytewise`: every table holds an index of what it names;
+    else they are None and the laws run their scalar loops."""
 
     def __init__(self, fs, FL, EL):
         self.fs, self.FL, self.EL = fs, FL, EL
@@ -216,7 +223,7 @@ class _Maps:
         except ValueError:  # a value past a byte
             rows = None
         # deleting every index from a table's bytes leaves the values past them
-        self.bytewise = rows is not None and FL.bytewise and EL.bytewise and not any(
+        self.bytewise = rows is not None and not any(
             b"".join(r).translate(None, bytes(range(n))) for r, n in zip(rows, limits)
         )
         if self.bytewise:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from locale_lab.corpus import CorpusError, corpus_files, iter_corpus_frames, iter_negative_specs, load
 from locale_lab.frames import Frame, FrameError, build_frame
 from locale_lab.intervals import frac
-from locale_lab.lattice import SubLattice, _Maps
+from locale_lab.lattice import SubLattice, _Maps, over_byte
 from locale_lab.map_laws import COMPOSITION_LAWS, LATTICE_LAWS, MAP_LAWS, _iso_reps
 from locale_lab.measure import strict_additivity_check, validate_valuation
 from locale_lab.measure_laws import (
@@ -152,11 +152,22 @@ def _triple_negation(fr):
 # measure_laws
 # ---------------------------------------------------------------------------
 
+def _in_a_byte(run, name: str, fr: Frame) -> bool:
+    """Whether a part index of `fr` is a byte, as its `SubLattice` needs; a
+    frame past it becomes a note, as one over the size cap does."""
+    why = over_byte(fr)
+    if why:
+        run.note(f"{name} skipped: {why}")
+    return not why
+
+
 def run_sublocale_suite(root=None, max_size=None, tol=None) -> RunReport:
     max_size = 10 if max_size is None else max_size
     run = _Run("sublocale")
     lossy = None
     for name, fr in run.within(iter_corpus_frames(root), max_size):
+        if not _in_a_byte(run, name, fr):
+            continue
         L = SubLattice(fr)
         run.apply(PART_LAWS, name, L)
         lossy = lossy or _lossy_note(name, L)
@@ -174,7 +185,7 @@ def run_sublocale_suite(root=None, max_size=None, tol=None) -> RunReport:
 def run_morphism_suite(root=None, max_size=None, tol=None) -> RunReport:
     max_size = 8 if max_size is None else max_size
     run = _Run("morphism")
-    frames = list(run.within(iter_corpus_frames(root), max_size))
+    frames = [(nm, fr) for nm, fr in run.within(iter_corpus_frames(root), max_size) if _in_a_byte(run, nm, fr)]
     reps, skipped = _iso_reps(frames)
     run.note(
         f"{len(frames)} corpus frames of size <= {max_size} collapse to "
@@ -216,6 +227,8 @@ def run_measure_suite(root=None, max_size=None, tol=None) -> RunReport:
             continue
         if fr.n == 1:
             tiny.append(nm)
+        if not _in_a_byte(run, nm, fr):
+            continue
         L = SubLattice(fr)
         for vi, val in enumerate(vals):
             run.apply(FINITE_MEASURE_LAWS, f"{nm}/mu{vi}", _Valued(L, val))

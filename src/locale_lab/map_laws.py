@@ -4,12 +4,15 @@
 representatives (`COMPOSITION_LAWS`); and `_iso_reps`, which picks the
 representatives.
 
-A map law's byte kernel reads the tables of every map from frame a to
-frame b side by side (`lattice._Maps`) and checks the law on all of the
-maps at once. When it finds a mismatch, the law's scalar loop runs map by
-map and names the witnesses, each under its map's label `a->b#i`
-(`_each_map`); it also runs alone where a table value or an element index
-is not a byte.
+The two lattice laws with byte kernels compare Boolean-algebra
+identities of point masks, so, like the part laws' (`part_laws`), they
+have no scalar loop: a mismatch can only be a table fault, reported
+unconfirmed. A map law's byte kernel reads the tables of every map from
+frame a to frame b side by side (`lattice._Maps`) and checks the law on
+all of the maps at once. When it finds a mismatch, the law's scalar loop
+runs map by map and names the witnesses, each under its map's label
+`a->b#i` (`_each_map`); it also runs alone where a table value is not an
+index of what it names.
 """
 
 from __future__ import annotations
@@ -79,12 +82,7 @@ def _boolean_combination_distributivity(L):
     for c in cell_idx:
         combos |= {h | c for h in combos}
     combos = sorted(combos)
-
-    def scan():
-        return [{"h": L.label(h), "a": L.label(x), "b": L.label(y)}
-                for h in combos for x in range(k) for y in range(k) if h & (x | y) != (h & x) | (h & y)]
-
-    cases, spread = _settle(len(combos) * k * k, _meets_distribute(L, combos), scan)
+    cases, spread = _settle(len(combos) * k * k, _meets_distribute(L, combos))
     return (1 + comb(cells, 2) if cells else 0) + cases, bad + spread
 
 
@@ -93,27 +91,14 @@ def _boolean_combination_distributivity(L):
 def _meets_join_product(L):
     """The b-pairs are packed once; each a-pair checks all of them at once."""
     pairs = list(itertools.combinations(range(len(L.subs)), 2))
-    ok = None
-    if L.bytewise:
-        b1, b2, bm, ones = L.unordered_pairs
-        spread = [x * ones for x in range(len(L.subs))]
-        ok = all(
-            spread[a1 & a2] | bm
-            == (spread[a1] | b1) & (spread[a1] | b2) & (spread[a2] | b1) & (spread[a2] | b2)
-            for a1, a2 in pairs
-        )
-
-    def scan():
-        bad = []
-        for a1, a2 in pairs:
-            for b1, b2 in pairs:
-                if (a1 & a2) | (b1 & b2) != (a1 | b1) & (a1 | b2) & (a2 | b1) & (a2 | b2):
-                    bad.append(
-                        {"a1": L.label(a1), "a2": L.label(a2), "b1": L.label(b1), "b2": L.label(b2)}
-                    )
-        return bad
-
-    return _settle(len(pairs) ** 2, ok, scan)
+    b1, b2, bm, ones = L.unordered_pairs
+    spread = [x * ones for x in range(len(L.subs))]
+    ok = all(
+        spread[a1 & a2] | bm
+        == (spread[a1] | b1) & (spread[a1] | b2) & (spread[a2] | b1) & (spread[a2] | b2)
+        for a1, a2 in pairs
+    )
+    return _settle(len(pairs) ** 2, ok)
 
 
 @_declare(MAP_LAWS, "adjunction", "fstar(V) <= U iff V <= fstar-adjoint(U)")

@@ -5,14 +5,15 @@ The largest are checked by byte kernels, row forms that read the
 lattice's byte tables: their operands are packed one case per byte, so a
 few operations on long integers or `bytes.translate` calls compare every
 equation of the law, byte by byte, and the case count is the count of
-equations compared. When a kernel finds a mismatch, the law's scalar loop
-runs and names the witnesses; it also runs alone where a part index is
-not a byte (`lattice.BYTE`).
+equations compared. When the kernel of `meet-nucleus-form` finds a
+mismatch, its scalar loop runs and names the witnesses. The other kernels
+compare Boolean-algebra identities of point masks, `|` and `&` of part
+indices, so they have no loop: their only possible violation is a fault
+in a table, reported unconfirmed (`runner._settle`).
 """
 
 from __future__ import annotations
 
-import itertools
 from math import comb
 
 from locale_lab.frames import FrameError
@@ -26,11 +27,9 @@ PART_LAWS: list = []
 
 def _meets_distribute(L, parts):
     """The row form of R n (X u Y) = (R n X) u (R n Y) for every R in
-    `parts` and every ordered pair X, Y of parts, one comparison per R; None
-    where the lattice is not bytewise."""
-    if L.bytewise:
-        x, y, u, _, ones = L.packed_pairs
-        return all(r & u == (r & x) | (r & y) for r in map(ones.__mul__, parts))
+    `parts` and every ordered pair X, Y of parts, one comparison per R."""
+    x, y, u, _, ones = L.packed_pairs
+    return all(r & u == (r & x) | (r & y) for r in map(ones.__mul__, parts))
 
 
 @_declare(PART_LAWS, "nucleus-valid",
@@ -137,15 +136,13 @@ def _meet_nucleus_form(L):
     the rows of c(V) n X against V's join row read through every row."""
     fr, k = L.frame, len(L.subs)
     nm = fr.name
-    ok = None
-    if L.bytewise:
-        rows, meets = L.nucleus_rows, L.ordered_pairs[3]
-        every, tables = b"".join(rows), L.nucleus_tables
-        ok = all(
-            b"".join(map(rows.__getitem__, meets[ov * k:ov * k + k])) == every.translate(hv)
-            and b"".join(map(rows.__getitem__, meets[cv * k:cv * k + k])) == b"".join(map(jv.translate, tables))
-            for ov, cv, hv, jv in zip(L.open_idx, L.closed_idx, L.heyting_rows, L.join_rows)
-        )
+    rows, meets = L.nucleus_rows, L.ordered_pairs[3]
+    every, tables = b"".join(rows), L.nucleus_tables
+    ok = all(
+        b"".join(map(rows.__getitem__, meets[ov * k:ov * k + k])) == every.translate(hv)
+        and b"".join(map(rows.__getitem__, meets[cv * k:cv * k + k])) == b"".join(map(jv.translate, tables))
+        for ov, cv, hv, jv in zip(L.open_idx, L.closed_idx, L.heyting_rows, L.join_rows)
+    )
 
     def scan():
         bad = []
@@ -170,19 +167,7 @@ def _meet_nucleus_form(L):
 @_declare(PART_LAWS, "side-distributivity",
           "L n (X u Y) = (L n X) u (L n Y) for L open or closed")
 def _side_distributivity(L):
-    fr, k = L.frame, len(L.subs)
-
-    def scan():
-        bad = []
-        for v in range(fr.n):
-            for li in (L.open_idx[v], L.closed_idx[v]):
-                for x in range(k):
-                    for y in range(k):
-                        if li & (x | y) != (li & x) | (li & y):
-                            bad.append({"v": fr.name(v), "x": L.label(x), "y": L.label(y)})
-        return bad
-
-    return _settle(2 * fr.n * k * k, _meets_distribute(L, L.open_idx + L.closed_idx), scan)
+    return _settle(2 * L.frame.n * len(L.subs) ** 2, _meets_distribute(L, L.open_idx + L.closed_idx))
 
 
 @_declare(PART_LAWS, "union-lub-intersect-glb",
@@ -194,32 +179,13 @@ def _union_lub_intersect_glb(L):
     differs for some z exactly when the union is not least or the meet not
     greatest."""
     k = len(L.subs)
-    ok = None
-    if L.bytewise:
-        x, y, u, m, ones = L.packed_pairs
-        cx, cy, cm = ~x, ~y, ~m
-        ok = x & u == x and y & u == y and m & x == m and m & y == m and all(
-            u & ~z == (x & ~z) | (y & ~z) and z & cm == (z & cx) | (z & cy)
-            for z in map(ones.__mul__, range(k))
-        )
-    if ok:
-        return 2 * k * k * (1 + k), []
-    # a pair whose bounds fail has no z cases, so the loop counts too
-    checked, bad = 0, []
-    for i in range(k):
-        for j in range(k):
-            u, m = i | j, i & j
-            checked += 2
-            if not (i & u == i and j & u == j) or not (m & i == m and m & j == m):
-                bad.append({"x": L.label(i), "y": L.label(j), "form": "bounds"})
-                continue
-            checked += 2 * k
-            for z in range(k):
-                if i & z == i and j & z == j and u & z != u:
-                    bad.append({"x": L.label(i), "y": L.label(j), "z": L.label(z), "form": "union not least"})
-                if z & i == z and z & j == z and z & m != z:
-                    bad.append({"x": L.label(i), "y": L.label(j), "z": L.label(z), "form": "meet not greatest"})
-    return _settle(checked, ok, lambda: bad)
+    x, y, u, m, ones = L.packed_pairs
+    cx, cy, cm = ~x, ~y, ~m
+    ok = x & u == x and y & u == y and m & x == m and m & y == m and all(
+        u & ~z == (x & ~z) | (y & ~z) and z & cm == (z & cx) | (z & cy)
+        for z in map(ones.__mul__, range(k))
+    )
+    return _settle(2 * k * k * (1 + k), ok)
 
 
 # finite unions distribute over meets (pairs and triples)
@@ -227,26 +193,12 @@ def _union_lub_intersect_glb(L):
           "A u (B1 n B2 n ...) = (A u B1) n (A u B2) n ... over pairs and triples")
 def _join_over_meet(L):
     k = len(L.subs)
-    ok = None
-    if L.bytewise:
-        i2, j2, m2, ones2 = L.unordered_pairs
-        i3, j3, h3, m3, ones3 = L.unordered_triples
-        ok = all(r | m2 == (r | i2) & (r | j2) for r in (a * ones2 for a in range(k))) and all(
-            r | m3 == (r | i3) & (r | j3) & (r | h3) for r in (a * ones3 for a in range(k))
-        )
-
-    def scan():
-        bad = []
-        for a in range(k):
-            for i, j in itertools.combinations(range(k), 2):
-                if a | (i & j) != (a | i) & (a | j):
-                    bad.append({"a": L.label(a), "b1": L.label(i), "b2": L.label(j)})
-            for i, j, h in itertools.combinations(range(k), 3):
-                if a | (i & j & h) != (a | i) & (a | j) & (a | h):
-                    bad.append({"a": L.label(a), "b1": L.label(i), "b2": L.label(j), "b3": L.label(h)})
-        return bad
-
-    return _settle(k * (comb(k, 2) + comb(k, 3)), ok, scan)
+    i2, j2, m2, ones2 = L.unordered_pairs
+    i3, j3, h3, m3, ones3 = L.unordered_triples
+    ok = all(r | m2 == (r | i2) & (r | j2) for r in (a * ones2 for a in range(k))) and all(
+        r | m3 == (r | i3) & (r | j3) & (r | h3) for r in (a * ones3 for a in range(k))
+    )
+    return _settle(k * (comb(k, 2) + comb(k, 3)), ok)
 
 
 @_declare(PART_LAWS, "closure-interior-extremal",
@@ -405,12 +357,7 @@ def _entanglement_zone(L):
           "search for a finite failure of X n (Y u Z) = (X n Y) u (X n Z)")
 def _meet_over_union_search(L):
     k = len(L.subs)
-
-    def scan():
-        return [{"x": L.label(x), "y": L.label(y), "z": L.label(z)}
-                for x in range(k) for y in range(k) for z in range(k) if x & (y | z) != (x & y) | (x & z)]
-
-    return _settle(k ** 3, _meets_distribute(L, range(k)), scan)
+    return _settle(k ** 3, _meets_distribute(L, range(k)))
 
 
 @_declare(PART_LAWS, "subspace-laws",

@@ -12,8 +12,9 @@ signal the CLI turns into exit code 0.
 
 A law with a byte kernel returns through `_settle`: when the kernel
 finds a mismatch, or cannot run, the law's scalar loop runs and names the
-witnesses, and a kernel mismatch the scalar loop does not confirm is
-reported as a violation, never dropped.
+witnesses, and a kernel mismatch the scalar loop does not confirm, or
+that a law without a loop finds, is reported as a violation, never
+dropped.
 
 A suite's report is its `RunReport`, filled in as its laws run; the JSON
 form is the dataclass's fields.
@@ -159,11 +160,13 @@ class _Run:
 _UNCONFIRMED = {"form": "byte kernel mismatch the scalar loop did not confirm"}
 
 
-def _settle(cases: int, ok, scan, unconfirmed=_UNCONFIRMED):
+def _settle(cases: int, ok, scan=list, unconfirmed=_UNCONFIRMED):
     """The result of a law with a byte kernel. `ok` is the kernel's verdict
-    on every case, or None where it cannot run. Unless it passed, the
-    scalar loop `scan()` runs and names the witnesses; a kernel mismatch
-    the scalar loop does not confirm is still a violation, `unconfirmed`."""
+    on every case, or None only for a map law whose tables are not indices
+    (`lattice._Maps`). Unless it passed, the scalar loop `scan()` runs and
+    names the witnesses; a kernel mismatch the scalar loop does not confirm
+    is still a violation, `unconfirmed`. A law without a loop reports every
+    mismatch so."""
     if ok:
         return cases, []
     bad = scan()

@@ -2,15 +2,16 @@
 replace (tests/scalar_laws.py): the same (cases, witnesses), in the same
 order, on every corpus lattice and on every map, the maps of each pair of
 frames checked at once against their oracles map by map, with intact
-tables, with one planted flipped bit in each map in turn, and past 256
-parts, where the laws fall back to their scalar loops. The lattice laws
-likewise with `bytewise` forced off, with the library's Heyting arrow
-faulted, and with one byte planted in each table they read, a mismatch
-no scalar loop confirms. Likewise the finite-measure laws on integer
-tables against their Fraction bodies, with intact tables and with one
-planted entry, and the composition law on maps enumerated once against
-its body that enumerates every triple anew, intact and with one planted
-composite."""
+tables and with one planted flipped bit in each map in turn, some past a
+byte, where the map laws run their scalar loops alone. The lattice laws
+likewise with the library's Heyting arrow faulted, and with one byte
+planted in each table they read, a mismatch no scalar loop confirms: on
+every corpus lattice for the six laws that have no scalar loop. A frame
+past 256 parts has no part lattice. Likewise the finite-measure laws on
+integer tables against their Fraction bodies, with intact tables and
+with one planted entry, and the composition law on maps enumerated once
+against its body that enumerates every triple anew, intact and with one
+planted composite."""
 
 from __future__ import annotations
 
@@ -26,12 +27,12 @@ import scalar_laws
 from test_mutants import heyting as heyting_fault
 from locale_lab import map_laws, measure_laws, part_laws
 from locale_lab.corpus import boolean_spec, chain_spec, iter_corpus_frames
-from locale_lab.frames import build_frame
-from locale_lab.lattice import SubLattice, _Maps
+from locale_lab.frames import FrameError, build_frame
+from locale_lab.lattice import SubLattice, _Maps, over_byte
 from locale_lab.map_laws import _iso_reps
 from locale_lab.measure import FiniteValuation, ValuationError
 from locale_lab.measure_laws import _boolean_valuations, _scaled, _Valued
-from locale_lab.morphisms import FrameMorphism, enumerate_morphisms, identity_morphism, right_adjoint
+from locale_lab.morphisms import FrameMorphism, enumerate_morphisms, right_adjoint
 
 UNCONFIRMED = {"form": "byte kernel mismatch the scalar loop did not confirm"}
 MAP_LAWS = {law.name: law for law in map_laws.MAP_LAWS}
@@ -41,7 +42,7 @@ LATTICE_LAWS = {
     if law.name in scalar_laws.LATTICE_ORACLES
 }
 # the laws that read each table a fault is planted in, by its slot on the
-# map; the first is the one that must catch a fault past 256 parts
+# map
 PLANTED = {
     "_back": ("preimage-union-meet", "preimage-open-closed", "image-preimage-galois"),
     "_forward": ("image-union", "image-preimage-galois"),
@@ -205,27 +206,14 @@ def test_lattice_kernels_match_the_scalar_loops():
             assert law.check(L) == scalar_laws.LATTICE_ORACLES[name](L), name
 
 
-def test_above_256_parts_the_scalar_loops_run():
-    f = identity_morphism(build_frame(chain_spec(10)))
-    L = SubLattice(f.source)
-    assert len(L.subs) == 512
-    assert not L.bytewise
-    f.pulls, f.pushes, f.fstar, right_adjoint(f)
-    maps = _Maps([f], L, L)
-    assert not maps.bytewise
-    assert (maps.pulls, maps.pushes, maps.fstar, maps.adjoint) == (None,) * 4
-    for name, law in MAP_LAWS.items():
-        assert law.check(maps) == by_oracle(name, [f], L, L) == (law.check(maps)[0], [])
-    for slot, names in PLANTED.items():
-        undo = flip(f, slot, 37, 2)
-        try:
-            for name in names:
-                got = MAP_LAWS[name].check(_Maps([f], L, L))
-                assert got == by_oracle(name, [f], L, L)
-            # the first law that reads the planted table catches its fault
-            assert MAP_LAWS[names[0]].check(_Maps([f], L, L))[1], slot
-        finally:
-            undo()
+def test_a_part_lattice_past_a_byte_is_refused():
+    # one part per set of points: the 9-chain has 256, the 10-chain 512
+    chain9, chain10 = build_frame(chain_spec(9)), build_frame(chain_spec(10))
+    assert over_byte(chain9) is None
+    assert over_byte(chain10) == "512 parts over the byte limit 256"
+    with pytest.raises(FrameError) as refused:
+        SubLattice(chain10)
+    assert str(refused.value) == "no part lattice: 512 parts over the byte limit 256"
 
 
 def test_an_unconfirmed_kernel_mismatch_is_a_violation(monkeypatch, corpus_pairs):
@@ -312,8 +300,8 @@ def _plant_join(L):
 
 
 # a byte planted in each table the lattice kernels read, and the laws that
-# read it; entanglement-zone has no byte kernel: it reads bit masks that
-# hold at any size, and the library's entanglement of every pair
+# read it; entanglement-zone has no byte kernel: it reads bit masks, and
+# the library's entanglement of every pair
 LATTICE_PLANTS = {
     _plant_pairs: ("join-over-meet", "meets-join-product"),
     _plant_ordered: ("meet-nucleus-form",),
@@ -332,8 +320,32 @@ LATTICE_PLANTS = {
 }
 
 
+# the lattice laws whose kernels compare identities of `|` and `&` on
+# point masks: no scalar loop could name a witness, so a mismatch can only
+# be a table fault
+KERNEL_ONLY = (
+    "side-distributivity", "union-lub-intersect-glb", "join-over-meet",
+    "meet-over-union-search", "meets-join-product", "boolean-combination-distributivity",
+)
+
+
+@pytest.fixture(scope="module")
+def kernel_only_cases():
+    """The cases of each KERNEL_ONLY law on each corpus lattice with a
+    point, intact: a frame without points has one part, and the plants
+    set bits no case of it reads."""
+    cases = {}
+    for nm, fr in iter_corpus_frames():
+        if fr.primes:
+            L = SubLattice(fr)
+            results = {name: LATTICE_LAWS[name].check(L) for name in KERNEL_ONLY}
+            assert all(bad == [] for _, bad in results.values()), nm
+            cases[nm] = {name: c for name, (c, _) in results.items()}
+    return cases
+
+
 @pytest.mark.parametrize("plant", LATTICE_PLANTS, ids=lambda plant: plant.__name__)
-def test_an_unconfirmed_lattice_kernel_mismatch_is_a_violation(plant):
+def test_an_unconfirmed_lattice_kernel_mismatch_is_a_violation(plant, kernel_only_cases):
     # each plant goes into a fresh lattice, so tables derived from the
     # planted one on first read are derived from the plant; the scalar
     # loops read the library, not the tables, and confirm nothing
@@ -345,6 +357,16 @@ def test_an_unconfirmed_lattice_kernel_mismatch_is_a_violation(plant):
     for name, law in LATTICE_LAWS.items():
         want = (intact[name][0], [UNCONFIRMED]) if name in LATTICE_PLANTS[plant] else intact[name]
         assert law.check(L) == want, name
+    # the laws without a scalar loop, on every corpus lattice with a point
+    assert len(kernel_only_cases) == 42
+    for nm, fr in iter_corpus_frames():
+        if nm in kernel_only_cases:
+            L = SubLattice(fr)
+            plant(L)
+            for name in KERNEL_ONLY:
+                cases = kernel_only_cases[nm][name]
+                want = (cases, [UNCONFIRMED] if name in LATTICE_PLANTS[plant] else [])
+                assert LATTICE_LAWS[name].check(L) == want, (nm, name)
 
 
 def test_entanglement_zone_matches_its_oracle_on_a_planted_closure():
@@ -364,28 +386,21 @@ def test_entanglement_zone_matches_its_oracle_on_a_planted_closure():
     assert forms == {"closure of the meet", "zone not dense in itself", "not largest"}
 
 
-@pytest.mark.parametrize(
-    "bytewise, fault", [(False, None), (True, heyting_fault), (False, heyting_fault)],
-    ids=["scalar", "bytewise-heyting", "scalar-heyting"],
-)
-def test_lattice_laws_match_the_scalar_loops_forced_scalar_and_faulted(monkeypatch, bytewise, fault):
-    # bytewise forced off runs the laws' own scalar loops on lattices a
-    # byte holds; with the library's Heyting arrow faulted the row form of
+def test_lattice_laws_match_the_scalar_loops_with_a_faulted_heyting_arrow(monkeypatch):
+    # with the library's Heyting arrow faulted the row form of
     # meet-nucleus-form fails and its loop names the oracle's witnesses.
-    # Lattices of at most 16 parts keep the k^4 loops short
-    if fault:
-        fault(monkeypatch)
+    # Lattices of at most 16 parts keep the k^4 oracles short
+    heyting_fault(monkeypatch)
     witnesses = 0
     for nm, fr in iter_corpus_frames():
         L = SubLattice(fr)
         if len(L.subs) > 16:
             continue
-        L.bytewise = bytewise
         for name, law in LATTICE_LAWS.items():
             got = law.check(L)
             assert got == scalar_laws.LATTICE_ORACLES[name](L), (nm, name)
             witnesses += len(got[1])
-    assert (witnesses > 0) == bool(fault)
+    assert witnesses > 0
 
 
 @pytest.fixture(scope="module")

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from locale_lab import laws, map_laws, measure_laws, part_laws
-from locale_lab.corpus import boolean_spec, chain_spec, corpus_root, generate, iter_corpus_frames
-from locale_lab.frames import build_frame, frame_spec_from_json
+from locale_lab.corpus import _frame_json, boolean_spec, chain_spec, corpus_root, generate, iter_corpus_frames
+from locale_lab.frames import FrameError, build_frame, frame_spec_from_json
 from locale_lab.lattice import SubLattice, _Maps
 from locale_lab.laws import (
     run_frame_suite,
@@ -172,10 +172,34 @@ def test_part_lattice_scales_past_the_corpus():
     bool16 = build_frame(boolean_spec(4))
     assert bool16.n == 16
     assert len(enumerate_sublocales(bool16, max_size=16)) == 16
-    L = SubLattice(chain12)
-    assert len(L.subs) == 2048
-    assert L.whole_idx == 2047
-    assert L.subs[L.whole_idx] == whole(chain12)
+    # a part lattice holds up to a byte of parts, 2^8 on the 9-chain
+    chain9 = build_frame(chain_spec(9))
+    L = SubLattice(chain9)
+    assert len(L.subs) == 256
+    assert L.whole_idx == 255
+    assert L.subs[L.whole_idx] == whole(chain9)
+    with pytest.raises(FrameError, match="2048 parts over the byte limit 256"):
+        SubLattice(chain12)
+
+
+def test_a_corpus_past_a_byte_finishes_with_a_note(tmp_path):
+    # the 10-chain has 512 parts: the suites skip it with a note, where
+    # the lattice laws' scalar loops once ran for minutes. The 9-chain's
+    # 256 parts still run every part law by kernel; join-over-meet alone
+    # is 256 * (C(256, 2) + C(256, 3)) = 715,816,960 of its cases
+    generate(tmp_path)
+    base = run_sublocale_suite(root=tmp_path, max_size=10)
+    for n in (9, 10):
+        (tmp_path / "frames" / f"chain{n}.json").write_text(json.dumps(_frame_json(chain_spec(n))))
+    note = "chain10 skipped: 512 parts over the byte limit 256"
+    rep = run_sublocale_suite(root=tmp_path, max_size=10)
+    assert (rep.cases, rep.violations) == (base.cases + 768_302_229, [])
+    assert note in rep.notes
+    # the 9-chain's 6,435 maps to itself would gather tables of GBs, so
+    # the morphism suite reads the 10-chain beside the small frames only
+    (tmp_path / "frames" / "chain9.json").unlink()
+    rep = run_morphism_suite(root=tmp_path, max_size=10)
+    assert rep.ok and rep.notes[0] == note
 
 
 def test_size_cap_skips_with_note(tmp_path):
