@@ -20,6 +20,7 @@ from locale_lab.frames import (
     TopologySpec,
     build_frame,
     frame_spec_from_json,
+    open_set_name,
     spec_from_json,
 )
 
@@ -84,14 +85,8 @@ def boolean_spec(k: int) -> FrameSpec:
         for s in itertools.combinations(pts, r)
     ]
     subsets.sort(key=lambda o: (len(o), tuple(sorted(o))))
-    name = lambda o: "{" + ",".join(sorted(o)) + "}"
-    leq = [
-        (name(a), name(b))
-        for a in subsets
-        for b in subsets
-        if a <= b
-    ]
-    return FrameSpec.make([name(o) for o in subsets], leq)
+    leq = [(open_set_name(a), open_set_name(b)) for a in subsets for b in subsets if a <= b]
+    return FrameSpec.make([open_set_name(o) for o in subsets], leq)
 
 
 M3_SPEC = FrameSpec.make(

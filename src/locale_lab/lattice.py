@@ -7,7 +7,8 @@ byte, so it runs only below `BYTE` of each, and a table it reads through
 kernel reads is built here: per part lattice (`SubLattice`), the index
 bytes of pairs and triples of parts, the up-set, Heyting row and join
 row of each element and the nucleus of each part; per pair of frames
-(`_Maps`), the maps' own tables. A frame has one part per set of its
+(`_Maps`), the maps' own tables, read in runs of maps whose gathered
+columns stay under `GATHER_BYTES`. A frame has one part per set of its
 points, and one past a byte of parts (`over_byte`) has no `SubLattice`:
 the suites skip it with a note.
 """
@@ -30,6 +31,7 @@ from locale_lab.sublocales import (
 )
 
 BYTE = 256  # the values of one byte
+GATHER_BYTES = 4 << 20  # the most a pair kernel's gathered column holds
 
 
 def over_byte(frame: Frame) -> str | None:
@@ -234,6 +236,19 @@ class _Maps:
     def fstar_tables(self) -> list:
         """`fstar` of each map as a translate table, when bytewise."""
         return list(map(_table, self.fstar))
+
+    def runs(self):
+        """The maps, when bytewise, in runs that are `_Maps` of their own:
+        a gathered column holds a byte per map and pair of parts, so a run
+        holds GATHER_BYTES over the larger part count squared of maps, at
+        least one. Its tables are the pair's, sliced as they stand."""
+        step = max(1, GATHER_BYTES // max(len(self.FL.subs), len(self.EL.subs)) ** 2)
+        for at in range(0, len(self.fs), step):
+            run = object.__new__(_Maps)
+            run.FL, run.EL, run.bytewise = self.FL, self.EL, True
+            for name in ("fs", "pulls", "pushes", "fstar", "adjoint", "fstar_tables"):
+                setattr(run, name, getattr(self, name)[at: at + step])
+            yield run
 
 
 def _gather(cols, tables):

@@ -200,7 +200,7 @@ def run_morphism_suite(root=None, max_size=None, tol=None) -> RunReport:
     maps = {}
     for (an, a), (bn, b) in itertools.product(reps, repeat=2):
         fs = enumerate_morphisms(a, b)
-        run.apply_maps(MAP_LAWS, f"{an}->{bn}", _Maps(fs, lats[an], lats[bn]))
+        run.apply(MAP_LAWS, f"{an}->{bn}", _Maps(fs, lats[an], lats[bn]))
         if a.n <= 4 and b.n <= 4:
             maps[an, bn] = fs
     run.note(

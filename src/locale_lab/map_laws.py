@@ -7,12 +7,11 @@ representatives.
 The two lattice laws with byte kernels compare Boolean-algebra
 identities of point masks, so, like the part laws' (`part_laws`), they
 have no scalar loop: a mismatch can only be a table fault, reported
-unconfirmed. A map law's byte kernel reads the tables of every map from
-frame a to frame b side by side (`lattice._Maps`) and checks the law on
-all of the maps at once. When it finds a mismatch, the law's scalar loop
-runs map by map and names the witnesses, each under its map's label
-`a->b#i` (`_each_map`); it also runs alone where a table value is not an
-index of what it names.
+unconfirmed. A map law is a byte kernel over any `lattice._Maps` and a
+scalar loop over one map; `_each_map` runs the kernel over the maps from
+frame a to frame b in runs bounded in bytes. When it fails, the scalar
+loop runs map by map and names the witnesses, each under its map's label
+`a->b#i`; it also runs alone where a table value is not an index.
 """
 
 from __future__ import annotations
@@ -45,14 +44,19 @@ MAP_LAWS: list = []
 COMPOSITION_LAWS: list = []
 
 
-def _each_map(maps, cases, ok, scan):
-    """`_settle` for a map law, `cases` per map: `scan(f)` names the
-    witnesses of each map, paired with its index, and a kernel mismatch no
-    map's loop confirms is the pair's, index None."""
+def _each_map(maps, per_map, kernel, scan):
+    """A map law's result, `per_map` cases per map, each witness of
+    `scan(f)` paired with f's index. Where the tables are indices,
+    `_settle` reads `kernel` on every run of the maps (`_Maps.runs`); a
+    mismatch no map's loop confirms is the pair's, index None. Elsewhere
+    every map is scanned alone."""
     def scan_all():
         return [(mi, w) for mi, f in enumerate(maps.fs) for w in scan(f)]
 
-    return _settle(cases * len(maps.fs), ok, scan_all, (None, _UNCONFIRMED))
+    cases = per_map * len(maps.fs)
+    if not maps.bytewise:
+        return cases, scan_all()
+    return _settle(cases, all(map(kernel, maps.runs())), scan_all, (None, _UNCONFIRMED))
 
 
 @_declare(LATTICE_LAWS, "layer-decomposition", "every part is the meet over V of [V] u c(e(V))")
@@ -106,12 +110,12 @@ def _adjunction(maps):
     """The pair kernel reads, for each v, map and u in turn, the up-set of
     fstar(v) at u and the up-set of v at the adjoint of u."""
     src, tgt = maps.FL.frame, maps.EL.frame
-    ok = None
-    if maps.bytewise:
+
+    def kernel(maps):
         rows = [up[: tgt.n] for up in maps.EL.up_rows]
         by_v = bytes(itertools.chain.from_iterable(zip(*maps.fstar)))
         adjoints = b"".join(maps.adjoint)
-        ok = b"".join(map(rows.__getitem__, by_v)) == b"".join(
+        return b"".join(map(rows.__getitem__, by_v)) == b"".join(
             [adjoints.translate(up) for up in maps.FL.up_rows]
         )
 
@@ -120,7 +124,7 @@ def _adjunction(maps):
         return [{"v": src.name(v), "u": tgt.name(u)} for v in range(src.n) for u in range(tgt.n)
                 if tgt.leq(fstar[v], u) != src.leq(v, adj[u])]
 
-    return _each_map(maps, src.n * tgt.n, ok, scan)
+    return _each_map(maps, src.n * tgt.n, kernel, scan)
 
 
 @_declare(MAP_LAWS, "embedding-three-ways",
@@ -129,9 +133,9 @@ def _embedding_three_ways(maps):
     """The pair kernel reads each flag as a byte per map: `is_embedding`,
     the adjoint's values counted, and the adjoint read through fstar."""
     n = maps.EL.frame.n
-    ok = None
-    if maps.bytewise:
-        ok = (
+
+    def kernel(maps):
+        return (
             bytes(map(is_embedding, maps.fs))
             == bytes(map(n.__eq__, map(len, map(set, maps.adjoint))))
             == bytes(map(bytes(range(n)).__eq__, map(bytes.translate, maps.adjoint, maps.fstar_tables)))
@@ -146,7 +150,7 @@ def _embedding_three_ways(maps):
         }
         return [] if len(set(flags.values())) == 1 else [{k: str(v) for k, v in flags.items()}]
 
-    return _each_map(maps, 1, ok, scan)
+    return _each_map(maps, 1, kernel, scan)
 
 
 @_declare(MAP_LAWS, "preimage-open-closed",
@@ -157,29 +161,29 @@ def _preimage_open_closed(maps):
     FL, EL = maps.FL, maps.EL
     src = FL.frame
     sides = (("open", FL.open_idx, EL.open_idx), ("closed", FL.closed_idx, EL.closed_idx))
-    ok = None
-    if maps.bytewise:
+
+    def kernel(maps):
         fstar = b"".join(maps.fstar)
-        ok = all(
+        return all(
             b"".join(map(bytes(parts).translate, maps.pulls)) == fstar.translate(images)
-            for (_, parts, _), images in zip(sides, maps.EL.side_tables)
+            for (_, parts, _), images in zip(sides, EL.side_tables)
         )
 
     def scan(f):
         return [{"v": src.name(v), "side": side} for v in range(src.n) for side, parts, images in sides
                 if f.pulls[parts[v]] != images[f.fstar[v]]]
 
-    return _each_map(maps, 2 * src.n, ok, scan)
+    return _each_map(maps, 2 * src.n, kernel, scan)
 
 
 @_declare(MAP_LAWS, "preimage-union-meet",
           "pullback commutes with binary unions and meets of parts")
 def _preimage_union_meet(maps):
     FL, ks = maps.FL, range(len(maps.FL.subs))
-    ok = None
-    if maps.bytewise:
+
+    def kernel(maps):
         a, b, union, meet = _gather(FL.ordered_pairs, maps.pulls)
-        ok = union == a | b and meet == a & b
+        return union == a | b and meet == a & b
 
     def scan(f):
         pre, bad = f.pulls, []
@@ -190,23 +194,23 @@ def _preimage_union_meet(maps):
                 bad.append({"a": FL.label(i), "b": FL.label(j), "side": "meet"})
         return bad
 
-    return _each_map(maps, 2 * len(ks) ** 2, ok, scan)
+    return _each_map(maps, 2 * len(ks) ** 2, kernel, scan)
 
 
 @_declare(MAP_LAWS, "image-union", "the image of a union is the union of the images")
 def _image_union(maps):
     EL, ks = maps.EL, range(len(maps.EL.subs))
-    ok = None
-    if maps.bytewise:
+
+    def kernel(maps):
         a, b, union = _gather(EL.ordered_pairs[:3], maps.pushes)
-        ok = union == a | b
+        return union == a | b
 
     def scan(f):
         img = f.pushes
         return [{"x": EL.label(i), "y": EL.label(j)} for i, j in itertools.product(ks, ks)
                 if img[i | j] != img[i] | img[j]]
 
-    return _each_map(maps, len(ks) ** 2, ok, scan)
+    return _each_map(maps, len(ks) ** 2, kernel, scan)
 
 
 @_declare(MAP_LAWS, "image-preimage-galois",
@@ -216,19 +220,19 @@ def _image_preimage_galois(maps):
     table, and its image table through its pullback table."""
     FL, EL = maps.FL, maps.EL
     ys, xs = range(len(FL.subs)), range(len(EL.subs))
-    ok = None
-    if maps.bytewise:
+
+    def kernel(maps):
         (there,) = _gather([bytes(ys)], map(bytes.translate, maps.pulls, maps.pushes))
         (back,) = _gather([bytes(xs)], map(bytes.translate, maps.pushes, maps.pulls))
         y, x = (int.from_bytes(bytes(ids) * len(maps.fs), "big") for ids in (ys, xs))
-        ok = there & y == there and x & back == x
+        return there & y == there and x & back == x
 
     def scan(f):
         pre, img = f.pulls, f.pushes
         bad = [{"y": FL.label(i), "side": "image of pullback"} for i in ys if img[pre[i]] & i != img[pre[i]]]
         return bad + [{"x": EL.label(j), "side": "pullback of image"} for j in xs if j & pre[img[j]] != j]
 
-    return _each_map(maps, len(ys) + len(xs), ok, scan)
+    return _each_map(maps, len(ys) + len(xs), kernel, scan)
 
 
 @_declare(COMPOSITION_LAWS, "composition",

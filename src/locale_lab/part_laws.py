@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from math import comb
 
-from locale_lab.frames import FrameError
+from locale_lab.frames import FrameError, open_set_name
 from locale_lab.lattice import SubLattice
 from locale_lab.runner import _declare, _once, _settle
 from locale_lab.sublocales import complement_c, entanglement, is_boolean_sublocale, is_dense, validate_nucleus
@@ -373,25 +373,25 @@ def _subspace_laws(L):
         ee = fr.join_all(v for v in range(fr.n) if not (fr.opens[v] & xs))
         closure_pts = pts - fr.opens[ee]
         if L.ext[ix] != ee:
-            bad.append({"X": set_label(xs), "form": "exterior matches the point picture"})
+            bad.append({"X": open_set_name(xs), "form": "exterior matches the point picture"})
         if L.closure_idx[ix] != idx_of[closure_pts]:
-            bad.append({"X": set_label(xs), "form": "closure matches the point picture"})
+            bad.append({"X": open_set_name(xs), "form": "closure matches the point picture"})
         ie = fr.join_all(v for v in range(fr.n) if fr.opens[v] <= xs)
         if not fr.leq(ie, L.int_el[ix]):
-            bad.append({"X": set_label(xs), "form": "point interior inside localic interior"})
+            bad.append({"X": open_set_name(xs), "form": "point interior inside localic interior"})
         bd = L.closure_idx[ix] & L.closed_idx[L.int_el[ix]]
         point_bd = idx_of[closure_pts - fr.opens[ie]]
         if bd & point_bd != bd:
-            bad.append({"X": set_label(xs), "form": "boundary inside the point boundary"})
+            bad.append({"X": open_set_name(xs), "form": "boundary inside the point boundary"})
         for v in range(fr.n):
             if idx_of[frozenset(fr.opens[v] & xs)] != L.open_idx[v] & ix:
-                bad.append({"X": set_label(xs), "U": fr.name(v), "form": "[U n X] = [U] n [X]"})
+                bad.append({"X": open_set_name(xs), "U": fr.name(v), "form": "[U n X] = [U] n [X]"})
         for ys, iy in idx_of.items():
             if idx_of[xs | ys] != ix | iy:
-                bad.append({"X": set_label(xs), "Y": set_label(ys), "form": "[X u Y] = [X] u [Y]"})
+                bad.append({"X": open_set_name(xs), "Y": open_set_name(ys), "form": "[X u Y] = [X] u [Y]"})
             both = idx_of[xs & ys]
             if both & ix & iy != both:
-                bad.append({"X": set_label(xs), "Y": set_label(ys), "form": "[X n Y] inside [X] n [Y]"})
+                bad.append({"X": open_set_name(xs), "Y": open_set_name(ys), "form": "[X n Y] inside [X] n [Y]"})
     s = len(idx_of)
     return s * (4 + fr.n + 2 * s), bad
 
@@ -409,10 +409,6 @@ def _lossy_note(name: str, L: SubLattice):
             if both != meet and both & meet == both:
                 return (
                     f"point picture is lossy on {name}: [X n Y] is strictly "
-                    f"below [X] n [Y] for X={set_label(xs)}, Y={set_label(ys)}"
+                    f"below [X] n [Y] for X={open_set_name(xs)}, Y={open_set_name(ys)}"
                 )
     return None
-
-
-def set_label(ss) -> str:
-    return "{" + ",".join(sorted(ss)) + "}"

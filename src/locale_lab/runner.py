@@ -10,11 +10,9 @@ checked, which failed (with witnesses), timing, and honest notes about
 phenomena the corpus is too small to exhibit. No violations is the pass
 signal the CLI turns into exit code 0.
 
-A law with a byte kernel returns through `_settle`: when the kernel
-finds a mismatch, or cannot run, the law's scalar loop runs and names the
-witnesses, and a kernel mismatch the scalar loop does not confirm, or
-that a law without a loop finds, is reported as a violation, never
-dropped.
+A law with a byte kernel returns through `_settle`: a kernel mismatch is
+reported as a violation, never dropped. A map law's witness names the
+map it came from (`map_laws._each_map`).
 
 A suite's report is its `RunReport`, filled in as its laws run; the JSON
 form is the dataclass's fields.
@@ -124,19 +122,14 @@ class _Run:
         self._t0 = time.perf_counter()
 
     def apply(self, laws, label: str, ctx):
-        """Check every law in `laws` on `ctx`, reporting failures under `label`."""
+        """Check every law in `laws` on `ctx`, reporting failures under
+        `label`: a map law's witness (i, w), of map i, under `label#i`, and
+        (None, w), of the pair, under `label`."""
         for law in laws:
             cases, bad = law.check(ctx)
             self.report.cases += cases
             for w in bad:
-                self.report.violations.append(Violation(law.name, law.identity, label, dict(w)))
-
-    def apply_maps(self, laws, label, maps):
-        """`apply` for the map laws: a failure of map i goes under `label#i`."""
-        for law in laws:
-            cases, bad = law.check(maps)
-            self.report.cases += cases
-            for mi, w in bad:
+                mi, w = w if isinstance(w, tuple) else (None, w)
                 where = label if mi is None else f"{label}#{mi}"
                 self.report.violations.append(Violation(law.name, law.identity, where, dict(w)))
 
@@ -160,16 +153,11 @@ class _Run:
 _UNCONFIRMED = {"form": "byte kernel mismatch the scalar loop did not confirm"}
 
 
-def _settle(cases: int, ok, scan=list, unconfirmed=_UNCONFIRMED):
-    """The result of a law with a byte kernel. `ok` is the kernel's verdict
-    on every case, or None only for a map law whose tables are not indices
-    (`lattice._Maps`). Unless it passed, the scalar loop `scan()` runs and
-    names the witnesses; a kernel mismatch the scalar loop does not confirm
-    is still a violation, `unconfirmed`. A law without a loop reports every
-    mismatch so."""
+def _settle(cases: int, ok: bool, scan=list, unconfirmed=_UNCONFIRMED):
+    """The result of a law whose byte kernel's verdict on every case is
+    `ok`: unless it holds, the scalar loop `scan()` names the witnesses,
+    and a mismatch it does not confirm, or that a law without a loop
+    finds, is still a violation, `unconfirmed`."""
     if ok:
         return cases, []
-    bad = scan()
-    if ok is False and not bad:
-        bad = [unconfirmed]
-    return cases, bad
+    return cases, scan() or [unconfirmed]

@@ -475,7 +475,7 @@ under a single atom at 1/2 it is exactly null: [0, 0]
     "rationals": """\
 the rational points of [0,1], all of them: mu in [0, 5/8192]
 the interval minus the rationals:          mu in [8187/8192, 1]
-additivity residual of the split: [0, 0] (contains zero: True)
+additivity residual of the split: 0 (exact)
 the two shapes cover the interval structurally: True
 so length splits exactly across a countable set and its complement,
 even though neither side is an open set.
@@ -486,7 +486,7 @@ their intersection is empty. as parts of the locale it is not:
 both are dense, and any two dense parts meet in a dense part.
   union carries full measure: 1
   the meet is only *measure* null: upper bound 0
-  additivity residual brackets zero: [0, 0]
+  additivity residual of the split: 0 (exact)
 
 a finite shadow of the same effect, on the chain 0 < u < 1:
   residual of the generic part against c(u): -1/2

@@ -18,6 +18,7 @@ from __future__ import annotations
 import copy
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -25,7 +26,7 @@ import pytest
 
 import scalar_laws
 from test_mutants import heyting as heyting_fault
-from locale_lab import map_laws, measure_laws, part_laws
+from locale_lab import lattice, map_laws, measure_laws, part_laws
 from locale_lab.corpus import boolean_spec, chain_spec, iter_corpus_frames
 from locale_lab.frames import FrameError, build_frame
 from locale_lab.lattice import SubLattice, _Maps, over_byte
@@ -65,6 +66,15 @@ def corpus_pairs():
             f.pulls, f.pushes, f.fstar, right_adjoint(f)
         pairs.append((f"{an}->{bn}", fs, lats[an], lats[bn]))
     return pairs
+
+
+@pytest.fixture(params=[lattice.GATHER_BYTES, 8 << 10], ids=["default-budget", "runs-of-8"])
+def gather_bytes(request, monkeypatch):
+    """The byte budget of a pair kernel's runs of maps: the default, which
+    holds every corpus pair in one run, and one that cuts chain6 -> chain6's
+    126 maps, 32 parts each side, into runs of 8."""
+    monkeypatch.setattr(lattice, "GATHER_BYTES", request.param)
+    return request.param
 
 
 @pytest.fixture(scope="module")
@@ -119,11 +129,15 @@ def test_the_oracles_cover_every_kernel():
     assert [law.name for law in measure_laws.FINITE_MEASURE_LAWS] == list(scalar_laws.MEASURE_ORACLES)
 
 
-def test_map_kernels_match_the_scalar_loops(corpus_pairs):
+def test_map_kernels_match_the_scalar_loops(corpus_pairs, gather_bytes):
     assert len(corpus_pairs) == 121
     assert sum(len(fs) for _, fs, _, _ in corpus_pairs) == 1490
     # a frame with more points than another has no map onto it
     assert sum(not fs for _, fs, _, _ in corpus_pairs) > 0
+    _, fs, FL, EL = max(corpus_pairs, key=lambda p: len(p[1]))
+    runs = [len(run.fs) for run in _Maps(fs, FL, EL).runs()]
+    # runs of the budget over 32^2 parts' worth of maps, or all 126
+    assert sum(runs) == 126 and max(runs) == min(126, gather_bytes // 32 ** 2)
     for label, fs, FL, EL in corpus_pairs:
         maps = _Maps(fs, FL, EL)
         for name, law in MAP_LAWS.items():
@@ -216,10 +230,12 @@ def test_a_part_lattice_past_a_byte_is_refused():
     assert str(refused.value) == "no part lattice: 512 parts over the byte limit 256"
 
 
-def test_an_unconfirmed_kernel_mismatch_is_a_violation(monkeypatch, corpus_pairs):
+def test_an_unconfirmed_kernel_mismatch_is_a_violation(monkeypatch, corpus_pairs, gather_bytes):
     # chain6 to itself: 126 maps, the identity among them; each kernel is
     # fed a layout the maps' own tables do not have, so no scalar loop
-    # confirms its mismatch
+    # confirms its mismatch. The tables are planted on the pair and reach
+    # every run of its maps; however many runs fail, the pair has one
+    # violation
     _, fs, FL, EL = max(corpus_pairs, key=lambda p: len(p[1]))
     maps = _Maps(fs, FL, EL)
     cases = {name: law.check(maps)[0] for name, law in MAP_LAWS.items()}
@@ -238,6 +254,31 @@ def test_an_unconfirmed_kernel_mismatch_is_a_violation(monkeypatch, corpus_pairs
     maps.pushes = [bytes(256)] * len(fs)
     for name in ("preimage-open-closed", "embedding-three-ways", "image-preimage-galois"):
         assert MAP_LAWS[name].check(maps) == unconfirmed[name]
+
+
+def test_the_map_laws_on_chain8_gather_in_bounded_runs():
+    # chain8 to itself: 1,716 maps over 128 parts, whose gathered columns
+    # would each hold 1,716 * 128^2 bytes, 27 MiB, in one run
+    fr = build_frame(chain_spec(8))
+    L = SubLattice(fr)
+    fs = enumerate_morphisms(fr, fr)
+    assert (len(fs), len(L.subs)) == (1716, 128)
+    tracemalloc.start()
+    try:
+        maps = _Maps(fs, L, L)
+        got = {law.name: law.check(maps) for law in map_laws.MAP_LAWS}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == {
+        "adjunction": (109_824, []),
+        "embedding-three-ways": (1_716, []),
+        "preimage-open-closed": (27_456, []),
+        "preimage-union-meet": (56_229_888, []),
+        "image-union": (28_114_944, []),
+        "image-preimage-galois": (439_296, []),
+    }
+    assert peak < 48 << 20
 
 
 def _set_byte(row: bytes, pos: int, value: int) -> bytes:

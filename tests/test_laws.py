@@ -195,8 +195,9 @@ def test_a_corpus_past_a_byte_finishes_with_a_note(tmp_path):
     rep = run_sublocale_suite(root=tmp_path, max_size=10)
     assert (rep.cases, rep.violations) == (base.cases + 768_302_229, [])
     assert note in rep.notes
-    # the 9-chain's 6,435 maps to itself would gather tables of GBs, so
-    # the morphism suite reads the 10-chain beside the small frames only
+    # the 9-chain's 6,435 maps to itself take seconds, in runs of maps
+    # bounded in bytes (the CI's hostile-input step reads them), so the
+    # morphism suite here reads the 10-chain beside the small frames only
     (tmp_path / "frames" / "chain9.json").unlink()
     rep = run_morphism_suite(root=tmp_path, max_size=10)
     assert rep.ok and rep.notes[0] == note
