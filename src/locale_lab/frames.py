@@ -513,19 +513,29 @@ def _expect_list(obj, where):
     return obj
 
 
-def frame_spec_from_json(obj) -> FrameSpec:
+def _expect_object(obj, keys):
+    """obj, a JSON object with no key outside `keys`."""
     if not isinstance(obj, dict):
         raise SpecError("expected an object")
-    unknown = set(obj) - FRAME_KEYS
+    unknown = set(obj) - keys
     if unknown:
         raise SpecError(f"unknown key {sorted(unknown)[0]!r}")
-    elements = _expect_list(obj.get("elements"), "$.elements")
-    for i, e in enumerate(elements):
-        if not isinstance(e, str):
-            raise SpecError("element names must be strings", f"$.elements[{i}]")
-    leq_raw = _expect_list(obj.get("leq"), "$.leq")
+    return obj
+
+
+def _expect_names(obj, where, what):
+    """obj, an array of `what` names, each a string."""
+    for i, x in enumerate(_expect_list(obj, where)):
+        if not isinstance(x, str):
+            raise SpecError(f"{what} names must be strings", f"{where}[{i}]")
+    return obj
+
+
+def frame_spec_from_json(obj) -> FrameSpec:
+    obj = _expect_object(obj, FRAME_KEYS)
+    elements = _expect_names(obj.get("elements"), "$.elements", "element")
     leq = []
-    for i, pair in enumerate(leq_raw):
+    for i, pair in enumerate(_expect_list(obj.get("leq"), "$.leq")):
         pw = f"$.leq[{i}]"
         pair = _expect_list(pair, pw)
         if len(pair) != 2 or not all(isinstance(x, str) for x in pair):
@@ -535,25 +545,10 @@ def frame_spec_from_json(obj) -> FrameSpec:
 
 
 def topology_spec_from_json(obj) -> TopologySpec:
-    if not isinstance(obj, dict):
-        raise SpecError("expected an object")
-    unknown = set(obj) - TOPOLOGY_KEYS
-    if unknown:
-        raise SpecError(f"unknown key {sorted(unknown)[0]!r}")
-    pts = _expect_list(obj.get("points"), "$.points")
-    for i, p in enumerate(pts):
-        if not isinstance(p, str):
-            raise SpecError("point names must be strings", f"$.points[{i}]")
-    opens_raw = _expect_list(obj.get("opens"), "$.opens")
-    opens = []
-    for i, o in enumerate(opens_raw):
-        ow = f"$.opens[{i}]"
-        o = _expect_list(o, ow)
-        for j, p in enumerate(o):
-            if not isinstance(p, str):
-                raise SpecError("point names must be strings", f"{ow}[{j}]")
-        opens.append(frozenset(o))
-    return TopologySpec.make(pts, opens)
+    obj = _expect_object(obj, TOPOLOGY_KEYS)
+    pts = _expect_names(obj.get("points"), "$.points", "point")
+    opens = enumerate(_expect_list(obj.get("opens"), "$.opens"))
+    return TopologySpec.make(pts, [frozenset(_expect_names(o, f"$.opens[{i}]", "point")) for i, o in opens])
 
 
 def spec_from_json(obj):

@@ -3,14 +3,14 @@ frame as point sets, and the maps between two frames side by side.
 
 A kernel reads a part index, an element index or a table value as one
 byte, so it runs only below `BYTE` of each, and a table it reads through
-`bytes.translate` is padded to `BYTE` bytes (`_table`). Every byte table a
-kernel reads is built here: per part lattice (`SubLattice`), the index
-bytes of pairs and triples of parts, the up-set, Heyting row and join
-row of each element and the nucleus of each part; per pair of frames
-(`_Maps`), the maps' own tables, read in runs of maps whose gathered
-columns stay under `GATHER_BYTES`. A frame has one part per set of its
-points, and one past a byte of parts (`over_byte`) has no `SubLattice`:
-the suites skip it with a note.
+`bytes.translate` is padded to `BYTE` bytes by `_table`, here or as it is
+read. The byte tables kernels read are built here: per part lattice
+(`SubLattice`), the index bytes of pairs and triples of parts, the up-set,
+Heyting row and join row of each element and the nucleus of each part;
+per pair of frames (`_Maps`), the maps' own tables, read in runs of maps
+whose gathered columns stay under `GATHER_BYTES`. A frame has one part
+per set of its points, and one past a byte of parts (`over_byte`) has no
+`SubLattice`: the suites skip it with a note.
 """
 
 from __future__ import annotations
@@ -204,11 +204,11 @@ def _packed(rows, width: int) -> tuple:
 
 class _Maps:
     """The maps `fs` from frame a to frame b, with the part lattices FL of
-    a and EL of b, and the maps' own tables side by side for the pair
-    kernels, one per map in map order: `pulls` and `pushes` as translate
-    tables, `fstar` and `adjoint` (`right_adjoint`) as rows. They are
-    there when `bytewise`: every table holds an index of what it names;
-    else they are None and the laws run their scalar loops."""
+    a and EL of b, and the maps' own tables side by side, one per map in
+    map order, which the pair kernels read in `runs`: `pulls` and `pushes`
+    as translate tables, `fstar` and `adjoint` (`right_adjoint`) as rows.
+    They are there when `bytewise`: every table holds an index of what it
+    names; else they are None and the laws run their scalar loops."""
 
     def __init__(self, fs, FL, EL):
         self.fs, self.FL, self.EL = fs, FL, EL
@@ -233,22 +233,21 @@ class _Maps:
             self.pulls, self.pushes = (list(map(_table, t)) for t in (pulls, pushes))
 
     @cached_property
-    def fstar_tables(self) -> list:
-        """`fstar` of each map as a translate table, when bytewise."""
-        return list(map(_table, self.fstar))
-
-    def runs(self):
-        """The maps, when bytewise, in runs that are `_Maps` of their own:
-        a gathered column holds a byte per map and pair of parts, so a run
-        holds GATHER_BYTES over the larger part count squared of maps, at
-        least one. Its tables are the pair's, sliced as they stand."""
+    def runs(self) -> list:
+        """The maps, when bytewise, in runs that are `_Maps` of their own,
+        sliced from the pair's tables as they stand at the first read, and
+        read by every map law after: a gathered column holds a byte per map
+        and pair of parts, so a run holds GATHER_BYTES over the larger part
+        count squared of maps, at least one."""
         step = max(1, GATHER_BYTES // max(len(self.FL.subs), len(self.EL.subs)) ** 2)
+        runs = []
         for at in range(0, len(self.fs), step):
             run = object.__new__(_Maps)
             run.FL, run.EL, run.bytewise = self.FL, self.EL, True
-            for name in ("fs", "pulls", "pushes", "fstar", "adjoint", "fstar_tables"):
+            for name in ("fs", "pulls", "pushes", "fstar", "adjoint"):
                 setattr(run, name, getattr(self, name)[at: at + step])
-            yield run
+            runs.append(run)
+        return runs
 
 
 def _gather(cols, tables):

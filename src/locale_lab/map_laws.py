@@ -20,7 +20,7 @@ import itertools
 from math import comb
 
 from locale_lab.frames import FrameError
-from locale_lab.lattice import _gather
+from locale_lab.lattice import _gather, _table
 from locale_lab.morphisms import (
     atoms,
     compose,
@@ -47,16 +47,16 @@ COMPOSITION_LAWS: list = []
 def _each_map(maps, per_map, kernel, scan):
     """A map law's result, `per_map` cases per map, each witness of
     `scan(f)` paired with f's index. Where the tables are indices,
-    `_settle` reads `kernel` on every run of the maps (`_Maps.runs`); a
-    mismatch no map's loop confirms is the pair's, index None. Elsewhere
-    every map is scanned alone."""
+    `_settle` reads `kernel` on every run of the maps (`_Maps.runs`, the
+    same runs for every law of the pair); a mismatch no map's loop
+    confirms is the pair's, index None. Elsewhere each map is scanned."""
     def scan_all():
         return [(mi, w) for mi, f in enumerate(maps.fs) for w in scan(f)]
 
     cases = per_map * len(maps.fs)
     if not maps.bytewise:
         return cases, scan_all()
-    return _settle(cases, all(map(kernel, maps.runs())), scan_all, (None, _UNCONFIRMED))
+    return _settle(cases, all(map(kernel, maps.runs)), scan_all, (None, _UNCONFIRMED))
 
 
 @_declare(LATTICE_LAWS, "layer-decomposition", "every part is the meet over V of [V] u c(e(V))")
@@ -138,7 +138,7 @@ def _embedding_three_ways(maps):
         return (
             bytes(map(is_embedding, maps.fs))
             == bytes(map(n.__eq__, map(len, map(set, maps.adjoint))))
-            == bytes(map(bytes(range(n)).__eq__, map(bytes.translate, maps.adjoint, maps.fstar_tables)))
+            == bytes(map(bytes(range(n)).__eq__, map(bytes.translate, maps.adjoint, map(_table, maps.fstar))))
         )
 
     def scan(f):

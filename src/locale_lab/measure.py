@@ -423,18 +423,13 @@ def _restricted(form: dict, d: Measure) -> Measure:
 
 
 def _absorb_null_gaps(d, u: RatOpen) -> RatOpen:
-    """Fill single-point holes of zero point mass."""
-    pieces = list(u.fin.pieces)
-    if not pieces:
-        return u
-    out = [pieces[0]]
-    for p in pieces[1:]:
-        a = out[-1]
-        if a.hi == p.lo and not a.hi_in and not p.lo_in and point_mass(d, a.hi) == 0:
-            out[-1] = Iv(a.lo, p.hi, a.lo_in, p.hi_in)
-        else:
-            out.append(p)
-    return RatOpen(FinUnion(tuple(out)))
+    """Fill single-point holes of zero point mass. Two touching pieces of
+    a canonical open both miss their common end, so its holes are those
+    ends, and `intervals.add` joins the pieces around the null ones."""
+    ps = u.fin.pieces
+    holes = [Iv(a.hi, a.hi, True, True) for a, b in zip(ps, ps[1:])
+             if a.hi == b.lo and point_mass(d, a.hi) == 0]
+    return RatOpen(ivs.add(u.fin, FinUnion(tuple(holes))))
 
 
 def mu_reduce_open(d, u: RatOpen) -> RatOpen:

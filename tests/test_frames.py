@@ -531,8 +531,29 @@ def test_malformed_tables_raise_the_entry_points_error(check, cls, table, messag
     assert "\n" not in text and text.startswith(message)
 
 
-def test_spec_with_labels_is_refused():
+@pytest.mark.parametrize("obj,message", [
+    pytest.param([1, 2], "$: expected an object", id="not-an-object"),
     # a "labels" key is an unknown key like any other
+    pytest.param({"elements": ["0", "1"], "leq": [["0", "1"]], "labels": {}}, "$: unknown key 'labels'",
+                 id="frame-unknown-key"),
+    pytest.param({"points": ["p"], "opens": [], "extra": 1}, "$: unknown key 'extra'", id="topology-unknown-key"),
+    pytest.param({"elements": None, "leq": []}, "$.elements: expected an array, got NoneType", id="elements-null"),
+    pytest.param({"elements": ["a", 1], "leq": []}, "$.elements[1]: element names must be strings",
+                 id="element-name"),
+    pytest.param({"elements": ["a"], "leq": "x"}, "$.leq: expected an array, got str", id="leq-not-an-array"),
+    pytest.param({"elements": ["a"], "leq": ["ab"]}, "$.leq[0]: expected an array, got str", id="leq-pair-string"),
+    pytest.param({"elements": ["a"], "leq": [["a"]]}, "$.leq[0]: expected a pair of element names",
+                 id="leq-pair-short"),
+    pytest.param({"points": ["p", 2], "opens": []}, "$.points[1]: point names must be strings", id="point-name"),
+    pytest.param({"points": ["p"], "opens": 3}, "$.opens: expected an array, got int", id="opens-not-an-array"),
+    pytest.param({"points": ["p"], "opens": [[], 5]}, "$.opens[1]: expected an array, got int",
+                 id="open-not-an-array"),
+    pytest.param({"points": ["p"], "opens": [[], ["p", 7]]}, "$.opens[1][1]: point names must be strings",
+                 id="open-point-name"),
+])
+def test_malformed_frame_json_is_refused_at_its_path(obj, message):
+    # both JSON forms, a frame's elements and leq and a topology's points
+    # and opens, name the first bad value by its path from the root
     with pytest.raises(SpecError) as exc:
-        spec_from_json({"elements": ["0", "1"], "leq": [["0", "1"]], "labels": {}})
-    assert str(exc.value) == "$: unknown key 'labels'"
+        spec_from_json(obj)
+    assert str(exc.value) == message

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
@@ -135,7 +136,7 @@ def test_map_kernels_match_the_scalar_loops(corpus_pairs, gather_bytes):
     # a frame with more points than another has no map onto it
     assert sum(not fs for _, fs, _, _ in corpus_pairs) > 0
     _, fs, FL, EL = max(corpus_pairs, key=lambda p: len(p[1]))
-    runs = [len(run.fs) for run in _Maps(fs, FL, EL).runs()]
+    runs = [len(run.fs) for run in _Maps(fs, FL, EL).runs]
     # runs of the budget over 32^2 parts' worth of maps, or all 126
     assert sum(runs) == 126 and max(runs) == min(126, gather_bytes // 32 ** 2)
     for label, fs, FL, EL in corpus_pairs:
@@ -154,7 +155,6 @@ def test_map_tables_are_the_maps_own_read_only_lifts(corpus_pairs):
             assert maps.pulls[mi] == bytes(f.pulls).ljust(256, b"\0")
             assert maps.pushes[mi] == bytes(f.pushes).ljust(256, b"\0")
             assert maps.fstar[mi] == bytes(f.fstar)
-            assert maps.fstar_tables[mi] == bytes(f.fstar).ljust(256, b"\0")
             assert maps.adjoint[mi] == bytes(right_adjoint(f))
     with pytest.raises(TypeError):
         corpus_pairs[0][1][0].pulls[0] = 1
@@ -233,13 +233,19 @@ def test_a_part_lattice_past_a_byte_is_refused():
 def test_an_unconfirmed_kernel_mismatch_is_a_violation(monkeypatch, corpus_pairs, gather_bytes):
     # chain6 to itself: 126 maps, the identity among them; each kernel is
     # fed a layout the maps' own tables do not have, so no scalar loop
-    # confirms its mismatch. The tables are planted on the pair and reach
-    # every run of its maps; however many runs fail, the pair has one
-    # violation
+    # confirms its mismatch. The tables are planted on a fresh pair before
+    # its runs are first read, so they reach every run of its maps;
+    # however many runs fail, the pair has one violation
     _, fs, FL, EL = max(corpus_pairs, key=lambda p: len(p[1]))
-    maps = _Maps(fs, FL, EL)
-    cases = {name: law.check(maps)[0] for name, law in MAP_LAWS.items()}
+    cases = {name: law.check(_Maps(fs, FL, EL))[0] for name, law in MAP_LAWS.items()}
     unconfirmed = {name: (cases[name], [(None, UNCONFIRMED)]) for name in MAP_LAWS}
+    maps = _Maps(fs, FL, EL)
+    # fstar read as bottom everywhere, the adjoint as bottom, images as empty
+    maps.fstar = [bytes(len(row)) for row in maps.fstar]
+    maps.adjoint = [bytes(len(row)) for row in maps.adjoint]
+    maps.pushes = [bytes(256)] * len(fs)
+    for name in ("preimage-open-closed", "embedding-three-ways", "image-preimage-galois"):
+        assert MAP_LAWS[name].check(maps) == unconfirmed[name]
     # a gather that reads i | j as 1 everywhere
     monkeypatch.setattr(map_laws, "_gather", lambda cols, tables: [0, 0, 1, 0][: len(cols)])
     for name in ("preimage-union-meet", "image-union"):
@@ -247,13 +253,26 @@ def test_an_unconfirmed_kernel_mismatch_is_a_violation(monkeypatch, corpus_pairs
     # an order read as equality: v <= x only for x = v
     monkeypatch.setattr(FL, "up_rows", [bytes(x == y for y in range(256)) for x in range(FL.frame.n)])
     assert MAP_LAWS["adjunction"].check(maps) == unconfirmed["adjunction"]
-    # fstar read as bottom everywhere, the adjoint as bottom, images as empty
-    maps.fstar = [bytes(len(row)) for row in maps.fstar]
-    maps.fstar_tables = [bytes(256)] * len(fs)
-    maps.adjoint = [bytes(len(row)) for row in maps.adjoint]
-    maps.pushes = [bytes(256)] * len(fs)
-    for name in ("preimage-open-closed", "embedding-three-ways", "image-preimage-galois"):
-        assert MAP_LAWS[name].check(maps) == unconfirmed[name]
+
+
+def test_every_map_law_reads_the_same_runs(monkeypatch, corpus_pairs, gather_bytes):
+    # chain6 to itself: the pair's tables are sliced into runs once, and
+    # each of the six map laws reads those very runs: one of all 126 maps
+    # at the default budget, or runs of at most 8
+    _, fs, FL, EL = max(corpus_pairs, key=lambda p: len(p[1]))
+    read = []
+    each_map = map_laws._each_map
+
+    def recording(maps, per_map, kernel, scan):
+        read.append([])
+        return each_map(maps, per_map, lambda run: read[-1].append(run) or kernel(run), scan)
+
+    monkeypatch.setattr(map_laws, "_each_map", recording)
+    maps = _Maps(fs, FL, EL)
+    assert all(law.check(maps)[1] == [] for law in MAP_LAWS.values())
+    assert len(read) == 6
+    assert all(len(runs) == len(read[0]) and all(map(operator.is_, runs, read[0])) for runs in read)
+    assert [len(run.fs) for run in read[0]] == ([8] * 15 + [6] if gather_bytes == 8 << 10 else [126])
 
 
 def test_the_map_laws_on_chain8_gather_in_bounded_runs():

@@ -18,6 +18,7 @@ from locale_lab.frames import (
 from locale_lab.intervals import (
     EMPTY_RO,
     FULL_RO,
+    FinUnion,
     Iv,
     RatOpen,
     interior,
@@ -668,6 +669,47 @@ def test_reduce_open_respects_atoms():
     # fixpoints of the reduction map: everything or everything-but-the-atom
     for s in ["[0,1/2)|(1/2,1]", "[0,1]"]:
         assert mu_reduce_open(d, parse_ratopen(s)) == parse_ratopen(s)
+
+
+def merged_null_gaps(d, u):
+    """The reference fill of the reduction's null gaps: left to right, each
+    piece of u merges with the next when they touch at a point both miss
+    and of zero point mass."""
+    pieces = list(u.fin.pieces)
+    if not pieces:
+        return u
+    out = [pieces[0]]
+    for p in pieces[1:]:
+        a = out[-1]
+        if a.hi == p.lo and not a.hi_in and not p.lo_in and point_mass(d, a.hi) == 0:
+            out[-1] = Iv(a.lo, p.hi, a.lo_in, p.hi_in)
+        else:
+            out.append(p)
+    return RatOpen(FinUnion(tuple(out)))
+
+
+@st.composite
+def touching_opens(draw):
+    """Unions of open eighths (k/8, (k+1)/8), the end ones with or without
+    0 and 1, and some eighths between two of them: neighbouring pieces
+    touch at each eighth they both miss."""
+    cells = draw(st.lists(st.booleans(), min_size=8, max_size=8))
+    ends = draw(st.booleans()), draw(st.booleans())
+    pieces = [Iv(F(k, 8), F(k + 1, 8), k == 0 and ends[0], k == 7 and ends[1]) for k in range(8) if cells[k]]
+    pieces += [Iv(F(k, 8), F(k, 8), True, True) for k in range(1, 8)
+               if cells[k - 1] and cells[k] and draw(st.booleans())]
+    return RatOpen(normalize(pieces))
+
+
+@pytest.mark.parametrize("kind", ["lebesgue", "atoms", "mix lebesgue + atoms"])
+@given(touching_opens(), st.sets(st.integers(1, 7), min_size=1))
+@settings(max_examples=60, deadline=None)
+def test_null_gaps_fill_as_the_merge_loop_does(kind, u, at):
+    # atoms at some of the eighths, where pieces may touch: a touch point
+    # with an atom stays a hole, one without is filled
+    atoms = ",".join(f"{k}/8:{k}/3" for k in sorted(at))
+    d = parse_descriptor(kind if kind == "lebesgue" else f"{kind} {atoms}")
+    assert mu_reduce_open(d, u) == merged_null_gaps(d, ivs.join(u, null_open(d)))
 
 
 def test_reduce_whole_line_pinned_examples():
