@@ -462,10 +462,6 @@ class Sublocale:
         e = self.nucleus
         return tuple(i for i in range(self.frame.n) if e[i] == i)
 
-    @property
-    def is_empty(self) -> bool:
-        return self.points == 0
-
     def __repr__(self):
         names = ",".join(str(self.frame.elements[i]) for i in self.fixpoints)
         return f"Sublocale[{names}]"

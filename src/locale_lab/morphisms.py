@@ -14,7 +14,8 @@ the meet of the points pulled back from c(a), which is the
 
 Maps are enumerated as monotone maps of points. An fstar table from
 outside enters through `validate_morphism`, which finds its points with
-one join per target prime; the injections of a sum and the embedding of
+one join per target prime, an element's image tested against the prime
+by one bit of its down-set; the injections of a sum and the embedding of
 a part are built from their points directly.
 """
 
@@ -121,7 +122,8 @@ class FrameMorphism:
 def validate_morphism(source: Frame, target: Frame, mapping) -> FrameMorphism:
     """The map with this fstar table, checked to be a frame homomorphism.
     Its points are found with one join per target prime q: f_*(q) is the
-    join of the V with fstar(V) <= q. The table is kept as fstar."""
+    join of the V with fstar(V) <= q, each read as one bit of q's
+    down-set. The table is kept as fstar."""
     f = source.table(mapping, target.el, "fstar")
     if f[source.bottom] != target.bottom:
         raise NotAFrameMorphism("bottom", source.elements[source.bottom])
@@ -138,8 +140,8 @@ def validate_morphism(source: Frame, target: Frame, mapping) -> FrameMorphism:
             if f[sja[b]] != tja[fb]:
                 raise NotAFrameMorphism("join", (source.elements[a], source.elements[b]))
     m = FrameMorphism(source, target, tuple(
-        source.primes.index(source.join_all(v for v in range(source.n) if target.leq(f[v], q)))
-        for q in target.primes
+        source.primes.index(source.join_all(v for v, fv in enumerate(f) if below >> fv & 1))
+        for below in (target.down[q] for q in target.primes)
     ))
     m._fstar = f
     return m
@@ -297,35 +299,36 @@ def enumerate_morphisms(source: Frame, target: Frame) -> list:
     By Birkhoff duality the frame maps are exactly the monotone maps from
     the target's primes to the source's primes, q -> f_*(q). Place the
     target primes by down-set size, each on a source prime above the
-    images of those below it; each complete placement is a map whose
-    fstar is derived on demand. The maps come in the order the search
-    places them: lexicographic in the point map, with the target primes
-    taken by down-set size and each tried on the source primes in index
-    order.
+    images of its lower covers, which bound it as all the primes below it
+    do, since up-sets of source primes shrink along the order. The last
+    prime is placed in the loop that appends each map; its fstar is
+    derived on demand. The maps come in the order the search places them:
+    lexicographic in the point map, with the target primes taken by
+    down-set size and each tried on the source primes in index order.
     """
-    order = sorted(
-        range(len(target.primes)),
-        key=lambda j: bin(target.down[target.primes[j]]).count("1"),
-    )
-    below = [
-        [k for k in order[:pos] if target.leq(target.primes[k], target.primes[j])]
-        for pos, j in enumerate(order)
-    ]
+    primes, leq = target.primes, target.leq
+    order = sorted(range(len(primes)), key=lambda j: bin(target.down[primes[j]]).count("1"))
+    if not order:  # a trivial target has no points, and one map
+        return [FrameMorphism(source, target, ())]
+    lt = lambda k, j: k != j and leq(primes[k], primes[j])
+    covers = [[k for k in order if lt(k, j) and not any(lt(k, m) and lt(m, j) for m in order)] for j in order]
     above = [source.primes_above[p] for p in source.primes]
     point = [0] * len(order)
     out = []
+    last = len(order) - 1
 
     def place(pos):
-        if pos == len(order):
-            out.append(FrameMorphism(source, target, tuple(point)))
-            return
         allowed = (1 << len(above)) - 1
-        for k in below[pos]:
+        for k in covers[pos]:
             allowed &= above[point[k]]
+        j = order[pos]
         while allowed:  # the allowed source primes, in index order
             low = allowed & -allowed
-            point[order[pos]] = low.bit_length() - 1
-            place(pos + 1)
+            point[j] = low.bit_length() - 1
+            if pos == last:
+                out.append(FrameMorphism(source, target, tuple(point)))
+            else:
+                place(pos + 1)
             allowed ^= low
 
     place(0)
@@ -334,4 +337,3 @@ def enumerate_morphisms(source: Frame, target: Frame) -> list:
     # full collection
     del place
     return out
-

@@ -35,6 +35,7 @@ from locale_lab.sublocales import (
     whole,
 )
 from scalar_laws import pull, push, right_adjoint_by_definition
+from test_frames import random_bounded_poset
 
 
 def chain(n):
@@ -262,6 +263,79 @@ def test_enumeration_matches_generate_and_test():
             assert m._points == validate_morphism(src, tgt, m.fstar)._points
         total += len(maps)
     assert total == 1490
+
+
+def all_below_search(source, target):
+    """The point maps of a search that bounds each target prime by every
+    prime placed below it, not by its lower covers alone: the reference for
+    `enumerate_morphisms`, with the same placement and choice order."""
+    order = sorted(
+        range(len(target.primes)),
+        key=lambda j: bin(target.down[target.primes[j]]).count("1"),
+    )
+    below = [
+        [k for k in order[:pos] if target.leq(target.primes[k], target.primes[j])]
+        for pos, j in enumerate(order)
+    ]
+    above = [source.primes_above[p] for p in source.primes]
+    point = [0] * len(order)
+    out = []
+
+    def place(pos):
+        if pos == len(order):
+            out.append(tuple(point))
+            return
+        allowed = (1 << len(above)) - 1
+        for k in below[pos]:
+            allowed &= above[point[k]]
+        while allowed:
+            low = allowed & -allowed
+            point[order[pos]] = low.bit_length() - 1
+            place(pos + 1)
+            allowed ^= low
+
+    place(0)
+    return out
+
+
+def random_frames(seed, count):
+    """The first `count` seeded bounded posets that are frames."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        try:
+            out.append(Frame(*random_bounded_poset(rng)))
+        except FrameError:
+            pass
+    return out
+
+
+SEARCH_PAIRS = {
+    "corpus-pairs": lambda: itertools.product([f for _, f in small_reps()], repeat=2),
+    "chains-3-to-10": lambda: ((chain(n), chain(n)) for n in range(3, 11)),
+    "boolean-2^4": lambda: [(powerset("pqrs"), powerset("pqrs"))],
+    "random-frames": lambda: itertools.product(random_frames(41, 12), repeat=2),
+}
+
+
+@pytest.mark.parametrize("case", SEARCH_PAIRS)
+def test_enumeration_matches_the_all_below_search(case):
+    # the same point maps in the same order, so every map index and
+    # a->b#i witness is the reference's; a self-map of the n-chain sends
+    # its n-1 points monotonically to themselves, C(2n-3, n-2) ways
+    counts = []
+    for src, tgt in SEARCH_PAIRS[case]():
+        points = [m._points for m in enumerate_morphisms(src, tgt)]
+        assert points == all_below_search(src, tgt), (src.elements, tgt.elements)
+        counts.append(len(points))
+    want = {
+        "corpus-pairs": (121, 1490),
+        "chains-3-to-10": (8, sum(math.comb(2 * n - 3, n - 2) for n in range(3, 11))),
+        "boolean-2^4": (1, 4 ** 4),
+        "random-frames": (144, 33803),
+    }
+    assert (len(counts), sum(counts)) == want[case]
+    if case == "chains-3-to-10":
+        assert counts[-1] == math.comb(17, 8) == 24310
 
 
 def test_maps_built_from_points_compose():
