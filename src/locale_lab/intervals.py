@@ -12,10 +12,13 @@ An endpoint is an integer pair, numerator and denominator > 0 in lowest
 terms, so equal rationals are equal pairs. Two ends compare by
 cross-multiplication and a computed end is reduced by one gcd, the
 standard method for exact rational arithmetic (Knuth, *TAOCP* vol. 2,
-4.5.1). A carried length is an integer pair too. Fraction stays at the
-edges: Iv.lo and Iv.hi, FinUnion.length(), the public Iv and FinUnion
-constructors and parse_fin take or give Fractions, and a printed end
-reads as the Fraction's str.
+4.5.1). A carried length is an integer pair too. _pair reads each
+literal once into such a pair: text of the form n or n/d in ASCII digits
+by int() and one gcd, and only the other forms (signs, decimals,
+exponents, separators, other digits) through Fraction's grammar. The
+public Iv constructor, and so parse_fin, checks its ends on those pairs.
+Fraction stays at the edges: Iv.lo and Iv.hi and FinUnion.length() give
+Fractions, and a printed end reads as the Fraction's str.
 
 The canonical check runs at the edges: the public FinUnion and Iv
 constructors and parse_fin (which the JSON and command-line paths use).
@@ -68,19 +71,42 @@ def too_long(text: str) -> bool:
 
 
 def frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str) and too_long(x):
-        raise InvalidInterval(f"bad rational {x!r}: more than {digit_limit()} digits")
-    try:
-        return Fraction(x)
-    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
-        raise InvalidInterval(f"bad rational {x!r}: {exc}") from None
+    """x as a Fraction: a Fraction as it is, anything else read by _pair."""
+    return x if isinstance(x, Fraction) else Fraction(*_pair(x))
+
+
+# the most digits _pair reads in a numerator or denominator without
+# Fraction; digit_limit() is at least 640 where it is on
+_FAST_DIGITS = 50
 
 
 def _pair(x) -> tuple:
-    """A rational as its integer pair in lowest terms."""
-    x = frac(x)
+    """x as an integer pair in lowest terms: the one reader of a rational.
+
+    A Fraction gives its numerator and denominator, and text n or n/d in
+    ASCII digits, at most _FAST_DIGITS each and d nonzero, is read by int()
+    and one gcd. Anything else (a sign, space, decimal, exponent, '_'
+    separator, other digit, zero denominator or longer digit string) goes
+    through too_long, then Fraction(x), each refusal one InvalidInterval.
+    """
+    if type(x) is str and x.isascii():
+        n, slash, d = x.partition("/")
+        if n.isdigit() and len(n) <= _FAST_DIGITS:
+            if not slash:
+                return int(n), 1
+            if d.isdigit() and len(d) <= _FAST_DIGITS:
+                n, d = int(n), int(d)
+                if d:
+                    g = gcd(n, d)
+                    return n // g, d // g
+    elif isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    if isinstance(x, str) and too_long(x):
+        raise InvalidInterval(f"bad rational {x!r}: more than {digit_limit()} digits")
+    try:
+        x = Fraction(x)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
+        raise InvalidInterval(f"bad rational {x!r}: {exc}") from None
     return x.numerator, x.denominator
 
 
@@ -97,21 +123,20 @@ class Iv:
     """The piece of [0,1] from lo to hi, each end included or not.
 
     lo is ln/ld and hi is hn/hd, integer pairs in lowest terms. Iv(lo, hi,
-    lo_in, hi_in) takes rationals and checks them; the arena makes its
-    pieces through _piece, unchecked. A piece is a value: nothing assigns
-    to it once it is made.
+    lo_in, hi_in) reads rationals or their literals by _pair and checks
+    them on the pairs; the arena makes its pieces through _piece,
+    unchecked. A piece is a value: nothing assigns to it once it is made.
     """
 
     __slots__ = ("ln", "ld", "hn", "hd", "lo_in", "hi_in")
 
     def __init__(self, lo, hi, lo_in, hi_in):
-        lo, hi = frac(lo), frac(hi)
-        self.ln, self.ld = lo.numerator, lo.denominator
-        self.hn, self.hd = hi.numerator, hi.denominator
+        self.ln, self.ld = ln, ld = _pair(lo)
+        self.hn, self.hd = hn, hd = _pair(hi)
         self.lo_in, self.hi_in = bool(lo_in), bool(hi_in)
-        if lo > hi:
+        if ln * hd > hn * ld:
             raise InvalidInterval(f"endpoints out of order: {self}")
-        if lo < 0 or hi > 1:
+        if ln < 0 or hn > hd:
             raise OutOfAmbient(f"{self} leaves [0,1]")
 
     @property
@@ -456,7 +481,7 @@ def parse_fin(text: str) -> FinUnion:
         if m is None:
             raise InvalidInterval(f"cannot parse piece {part.strip()!r}")
         lb, lo, hi, rb = m.groups()
-        p = Iv(frac(lo), frac(hi), lb == "[", rb == "]")
+        p = Iv(lo, hi, lb == "[", rb == "]")
         if p.is_empty:
             raise InvalidInterval(f"piece {part.strip()!r} is empty")
         pieces.append(p)

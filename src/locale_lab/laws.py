@@ -16,10 +16,9 @@ from fractions import Fraction
 
 from locale_lab.corpus import CorpusError, corpus_files, iter_corpus_frames, iter_negative_specs, load
 from locale_lab.frames import Frame, FrameError, build_frame
-from locale_lab.intervals import frac
 from locale_lab.lattice import SubLattice, _Maps, over_byte
 from locale_lab.map_laws import COMPOSITION_LAWS, LATTICE_LAWS, MAP_LAWS, _iso_reps
-from locale_lab.measure import strict_additivity_check, validate_valuation
+from locale_lab.measure import checked_tol, strict_additivity_check, validate_valuation
 from locale_lab.measure_laws import (
     FINITE_MEASURE_LAWS,
     INTERVAL_LAWS,
@@ -213,7 +212,7 @@ def run_morphism_suite(root=None, max_size=None, tol=None) -> RunReport:
 
 def run_measure_suite(root=None, max_size=None, tol=None) -> RunReport:
     max_size = 10 if max_size is None else max_size
-    tol = Fraction(1, 1000) if tol is None else frac(tol)
+    tol = Fraction(1, 1000) if tol is None else checked_tol(tol)
     run = _Run("measure", tol)
     gated, tiny = [], []
     chain3 = None

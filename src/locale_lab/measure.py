@@ -315,19 +315,24 @@ class Measure:
             rn, rd = r._length_pair()
             n, d = n * rd + rn * d, d * rd
         for q, w in self.atoms:
-            if not (0 <= q <= 1):
+            qn, qd, wn, wd = q.numerator, q.denominator, w.numerator, w.denominator
+            if qn < 0 or qn > qd:
                 raise UnsupportedDescriptor(f"atom {q} outside [0,1]")
-            if w <= 0:
+            if wn <= 0:
                 raise UnsupportedDescriptor(f"atom {q} has weight {w}")
-            if last is not None and q <= last:
+            if last is not None and qn * last[1] <= last[0] * qd:
                 raise UnsupportedDescriptor("atoms not strictly increasing")
-            last = q
-            n, d = n * w.denominator + w.numerator * d, d * w.denominator
+            last = qn, qd
+            n, d = n * wd + wn * d, d * wd
         object.__setattr__(self, "total", Fraction(n, d))
 
 
+_LEBESGUE = Measure((ivs.FULL,))
+
+
 def Lebesgue() -> Measure:
-    return Measure((ivs.FULL,))
+    """Length on [0,1]: one Measure, made once, as a Measure is frozen."""
+    return _LEBESGUE
 
 
 def LebesgueRestrictedTo(region: FinUnion) -> Measure:
@@ -336,13 +341,15 @@ def LebesgueRestrictedTo(region: FinUnion) -> Measure:
 
 def _summed_atoms(pairs) -> tuple:
     """Atoms (point, weight) by increasing point, the weights at one point
-    added; each checked first, as a sum could hide one that is not positive."""
-    weights = {}
+    added; each checked first, as a sum could hide one that is not positive.
+    A point is keyed by its integer pair, which hashes faster than a Fraction."""
+    atoms = {}
     for q, w in pairs:
-        if w <= 0:
+        if w.numerator <= 0:
             raise UnsupportedDescriptor(f"atom {q} has weight {w}")
-        weights[q] = weights.get(q, 0) + w
-    return tuple(sorted(weights.items()))
+        key = q.numerator, q.denominator
+        atoms[key] = (q, atoms[key][1] + w) if key in atoms else (q, w)
+    return tuple(sorted(atoms.values()))
 
 
 def atomic(pairs) -> Measure:
@@ -471,16 +478,18 @@ def checked_tol(tol) -> Fraction:
     """tol as a Fraction, refused with a one-line BadTolerance unless it is
     a rational of at least MIN_TOL: zero would divide by zero in the
     budgets, a negative tol would walk every neighbourhood, and a literal
-    too long to print is refused before it is built."""
-    if isinstance(tol, str) and ivs.too_long(tol):
-        raise BadTolerance(f"tolerance {tol!r} has more than {ivs.digit_limit()} digits")
+    too long to print is refused before it is built. A Fraction is checked
+    as it is and returned; anything else is read once by intervals._pair.
+    Both bounds are tests on the numerator and denominator."""
     try:
-        value = Fraction(tol)
-    except (ValueError, ZeroDivisionError, TypeError):
+        value = frac(tol)
+    except ivs.InvalidInterval:
+        if isinstance(tol, str) and ivs.too_long(tol):
+            raise BadTolerance(f"tolerance {tol!r} has more than {ivs.digit_limit()} digits") from None
         value = None
-    if value is None or value <= 0:
+    if value is None or value.numerator <= 0:
         raise BadTolerance(f"expected a positive rational, got {tol!r}")
-    if value < MIN_TOL:
+    if value.numerator * MIN_TOL.denominator < MIN_TOL.numerator * value.denominator:
         raise BadTolerance(f"tolerance {tol!r} is below 2^-100")
     return value
 

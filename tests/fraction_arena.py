@@ -6,7 +6,8 @@ the canonical form of locale_lab.intervals. Each operation is the one the
 package used before its ends became integer pairs: sorting by Fraction
 keys, bisect with key=, and lengths summed as Fractions. `measure_fin`
 and `total_measure` are the measures of locale_lab.measure summed the
-same way, over its Measure's regions and atoms.
+same way, over its Measure's regions and atoms. `frac` is the reader of
+a rational literal that the package used before intervals._pair.
 """
 
 from __future__ import annotations
@@ -15,6 +16,21 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
+
+from locale_lab.intervals import InvalidInterval, digit_limit, too_long
+
+
+def frac(x) -> Fraction:
+    """x as a Fraction: too_long, then Fraction(x), each refusal one
+    InvalidInterval."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, str) and too_long(x):
+        raise InvalidInterval(f"bad rational {x!r}: more than {digit_limit()} digits")
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
+        raise InvalidInterval(f"bad rational {x!r}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from locale_lab.intervals import (
+    _FAST_DIGITS,
     EMPTY,
     EMPTY_RO,
     FULL,
@@ -15,6 +16,7 @@ from locale_lab.intervals import (
     Iv,
     OutOfAmbient,
     RatOpen,
+    _pair,
     add,
     closure,
     complement,
@@ -468,3 +470,80 @@ def test_literal_size_is_read_off_digits_and_exponent(text, refused):
     elif text[0].isdigit():
         x = frac(text)
         assert len(str(x.numerator)) <= LIMIT and len(str(x.denominator)) <= LIMIT
+
+
+# Digit strings of each kind _pair must tell apart: short ASCII ones, ones
+# about as long as the fast form takes, with '_' separators, and with digits
+# that are not ASCII ('²' and '½' are digits or numbers to str, not to int).
+ASCII_DIGITS = "0123456789"
+ascii_digit_strings = st.one_of(
+    st.text(ASCII_DIGITS, min_size=1, max_size=3),
+    st.text(ASCII_DIGITS, min_size=_FAST_DIGITS - 2, max_size=_FAST_DIGITS + 12),
+)
+digit_strings = st.one_of(
+    st.just(""),
+    ascii_digit_strings,
+    st.text(ASCII_DIGITS + "_", max_size=6),
+    st.text(ASCII_DIGITS + "\u0660\u0661\u0662\u0669\u0967\uff11\u00b2\u00bd", max_size=4),
+)
+signs = st.sampled_from(["", "+", "-"])
+spaces = st.sampled_from(["", " ", "\t", "\n"])
+
+
+@st.composite
+def other_literals(draw):
+    """Text that Fraction may or may not read: a signed digit string, then
+    a decimal part, an exponent or a denominator, each maybe, in spaces."""
+    text = draw(signs) + draw(digit_strings)
+    if draw(st.booleans()):
+        text += "." + draw(digit_strings)
+    if draw(st.booleans()):
+        text += draw(st.sampled_from("eE")) + draw(signs) + draw(st.text(ASCII_DIGITS, max_size=5))
+    if draw(st.booleans()):
+        text += "/" + draw(signs) + draw(digit_strings)
+    return draw(spaces) + text + draw(spaces)
+
+
+# n or n/d in ASCII digits, about half of them short enough for the fast form
+literals = st.one_of(
+    st.builds(lambda n, d: n if d is None else f"{n}/{d}", ascii_digit_strings,
+              st.none() | ascii_digit_strings),
+    other_literals(),
+)
+
+
+@given(literals)
+@settings(max_examples=400)
+@example("1/2")
+@example("0")
+@example("00")
+@example("0/7")
+@example("007/010")
+@example("nan")
+@example("1e400")
+@example("1e-5000")
+@example("0.5")
+@example("\u0661/\u0662")
+@example("1_0/2_0")
+@example("1/0")
+@example("0/0")
+@example("+1/2")
+@example(" 0 ")
+@example("1/2 ")
+@example("1/" + "1" + "0" * 60)
+@example("2" * _FAST_DIGITS + "/" + "4" * _FAST_DIGITS)
+@example("2" * (_FAST_DIGITS + 1) + "/4")
+@example("\u00b2")
+@example("1//2")
+@example("1/")
+@example("")
+def test_pair_reads_a_literal_as_fraction_does(text):
+    try:
+        want = fa.frac(text)
+    except InvalidInterval as exc:
+        with pytest.raises(InvalidInterval) as got:
+            _pair(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert _pair(text) == (want.numerator, want.denominator)
+        assert frac(text) == want

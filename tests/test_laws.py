@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from locale_lab import laws, map_laws, measure_laws, part_laws
+from locale_lab import laws, map_laws, measure, measure_laws, part_laws
 from locale_lab.corpus import _frame_json, boolean_spec, chain_spec, corpus_root, generate, iter_corpus_frames
 from locale_lab.frames import FrameError, build_frame, frame_spec_from_json
 from locale_lab.lattice import SubLattice, _Maps
@@ -216,6 +216,27 @@ def test_the_capped_morphism_report_names_each_skipped_frame():
     assert len(over) == 16
     for nm in over:
         assert any(n.startswith(f"{nm} skipped:") and "size cap 4" in n for n in rep.notes), nm
+
+
+@pytest.mark.parametrize("tol, message", [
+    ("0", "expected a positive rational, got '0'"),
+    ("-1/10", "expected a positive rational, got '-1/10'"),
+    ("1e-300", "tolerance '1e-300' is below 2^-100"),
+], ids=["0", "-1/10", "1e-300"])
+def test_the_measure_suite_refuses_a_bad_tolerance_before_any_law(monkeypatch, tol, message):
+    def unreached(*args):
+        raise AssertionError("a law ran before the tolerance was checked")
+
+    monkeypatch.setattr(laws, "iter_corpus_frames", unreached)
+    with pytest.raises(measure.BadTolerance) as exc:
+        run_suite("measure", tol=tol)
+    assert str(exc.value) == message
+
+
+def test_a_tolerance_literal_reads_as_its_fraction_in_the_report(measure_report):
+    rep = run_measure_suite(tol="1e-3")
+    assert rep.tolerance == measure_report.tolerance == "1/1000"
+    assert (rep.cases, rep.violations) == (measure_report.cases, [])
 
 
 def test_the_measure_suite_holds_at_the_least_tolerance():

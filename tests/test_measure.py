@@ -41,6 +41,7 @@ from locale_lab.measure import (
     ValuationError,
     UnsupportedDescriptor,
     atomic,
+    checked_tol,
     measure_bounds,
     measure_fin,
     measure_ro,
@@ -1674,6 +1675,35 @@ def test_entry_points_refuse_a_bad_tolerance(entry, tol):
         entry(tol)
     assert len(str(exc.value).splitlines()) == 1
     assert ("below 2^-100" in str(exc.value)) == (tol > 0)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Iv("1/2", "1/3", False, False), ivs.InvalidInterval, "endpoints out of order: (1/2,1/3)"),
+    (lambda: Iv(F(3, 4), F(1, 4), True, False), ivs.InvalidInterval, "endpoints out of order: [3/4,1/4)"),
+    (lambda: Iv("-1/2", "1/2", False, True), ivs.OutOfAmbient, "(-1/2,1/2] leaves [0,1]"),
+    (lambda: Iv(0, F(3, 2), True, True), ivs.OutOfAmbient, "[0,3/2] leaves [0,1]"),
+    (lambda: atomic([("3/2", 1)]), UnsupportedDescriptor, "atom 3/2 outside [0,1]"),
+    (lambda: atomic([("-1/3", 1)]), UnsupportedDescriptor, "atom -1/3 outside [0,1]"),
+    (lambda: atomic([("1/2", "0")]), UnsupportedDescriptor, "atom 1/2 has weight 0"),
+    (lambda: Measure(atoms=((F(1, 2), F(1)), (F(1, 3), F(1)))), UnsupportedDescriptor,
+     "atoms not strictly increasing"),
+    (lambda: Measure(atoms=((F(1, 2), F(1)), (F(1, 2), F(1)))), UnsupportedDescriptor,
+     "atoms not strictly increasing"),
+    (lambda: checked_tol("0"), BadTolerance, "expected a positive rational, got '0'"),
+    (lambda: checked_tol(F(-1, 2)), BadTolerance, "expected a positive rational, got Fraction(-1, 2)"),
+    (lambda: checked_tol(F(1, 2 ** 101)), BadTolerance,
+     "tolerance Fraction(1, 2535301200456458802993406410752) is below 2^-100"),
+    (lambda: checked_tol("1e-300"), BadTolerance, "tolerance '1e-300' is below 2^-100"),
+    (lambda: checked_tol("abc"), BadTolerance, "expected a positive rational, got 'abc'"),
+    (lambda: checked_tol("1e-10000000"), BadTolerance,
+     f"tolerance '1e-10000000' has more than {ivs.digit_limit()} digits"),
+], ids=["iv-order-text", "iv-order", "iv-below-0", "iv-above-1", "atom-above-1", "atom-below-0",
+        "atom-weight-0", "atoms-decreasing", "atoms-repeated", "tol-0", "tol-negative",
+        "tol-fraction-below", "tol-text-below", "tol-not-a-rational", "tol-too-long"])
+def test_boundary_checks_keep_their_messages(make, error, message):
+    with pytest.raises(error) as exc:
+        make()
+    assert str(exc.value) == message
 
 
 # ----------------------------------------------------------- the punctured-stream reference
