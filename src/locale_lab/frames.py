@@ -1,20 +1,24 @@
 """Finite frames: complete distributive lattices with validated axioms.
 
-Elements are integer indexes into a label tuple; after construction every
-lattice operation is a table lookup. A Frame checks on construction that
-its names are distinct, that `up` is a partial order (`Frame.build` closes
-one read from outside) and the bound, lattice and distributivity laws;
-law suites never re-prove them. Each check is O(n^2) bitmask work: a
-meet or join is found by looking its cone up, and distributivity is
-tested on pairs, not triples, since a finite lattice is distributive iff
-every join-irreducible is join-prime (Birkhoff, "Rings of sets", Duke
-Math. J. 1937). A frame's parts (`Sublocale`) are defined here, next to
-the part table that builds them; the `sublocales` module holds what is
-done with them.
+Elements are integer indexes into a label tuple. Each element is also
+its set of points, the primes above it, as a bitmask: a finite frame is
+the up-sets of its points (Birkhoff, "Rings of sets", Duke Math. J.
+1937), so a meet is the element of the union of two point sets and a
+join that of their intersection, each one dict lookup. A Frame checks on
+construction that its names are distinct, that `up` is a partial order
+(`Frame.build` closes one read from outside) and that the bounded order
+is a distributive lattice, its elements' point sets being all the
+up-sets of its points; law suites never re-prove them. Only a refused
+order is scanned pair by pair, to name its witness. A frame's parts
+(`Sublocale`) are defined here, next to the part table that builds
+them; the `sublocales` module holds what is done with them.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -96,18 +100,39 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _irreducibles(cones, duals) -> list:
+    """The x that are not the meet of the elements strictly above them, for
+    cones = up-sets and duals = down-sets (the join of those below, for
+    the mirror): the AND of those elements' duals from the full mask is
+    more than duals[x]. Past an element taken, its cone adds nothing."""
+    out, full = [], (1 << len(cones)) - 1
+    for x, cone in enumerate(cones):
+        bounds, rest = full, cone & ~(1 << x)
+        while rest:
+            y = (rest & -rest).bit_length() - 1
+            bounds &= duals[y]
+            rest &= ~cones[y]
+        if bounds != duals[x]:
+            out.append(x)
+    return out
+
+
 class Frame:
     """A validated finite frame. Elements are 0..n-1; `elements` holds names.
 
     `up[i]` / `down[i]` are bitmasks of the elements above / below i, so the
-    order tests used by the law suites are single AND operations. The
-    constructor checks every law in O(n^2) mask operations: meet(i, j) is
-    the element whose down-set is down[i] & down[j], found in a dict from
-    cone to element, and the frame is distributive iff for every pair
-    v1, v2 the join-irreducibles below v1 join v2 lie below v1 or v2. Values
-    read off sets of primes are derived once per frame and kept as long as
-    the frame lives, at most one entry per set: the meet of each set of
-    primes (`meet_of_primes`) and the one `Sublocale` of each set.
+    order tests used by the law suites are single AND operations.
+    `primes_above[v]` has bit k set iff primes[k] is above v: v's set of
+    points, which no other element has. meet(i, j) is the element of the
+    union of two such sets and join(i, j) that of their intersection, one
+    dict lookup each. The primes, in index order, are the elements other
+    than top that are not the meet of the elements strictly above them;
+    the constructor accepts the bounded order iff every union of their
+    up-sets is some element's set, checked in O(n * points) lookups, and
+    scans a refused order pair by pair to name its witness (`_refuse`).
+    Values read off sets of primes are derived once per frame and kept as
+    long as the frame lives, at most one entry per set: the meet of each
+    set of primes (`meet_of_primes`) and the one `Sublocale` of each set.
 
     `_parts` is the part table, the one way a part is built or found: a
     dict from point mask to part whose `__missing__` builds the part on
@@ -129,16 +154,19 @@ class Frame:
         if len(self.up) != self.n:
             raise SpecError(f"{len(self.up)} up-sets for {self.n} elements", "$.up")
         for name, above in zip(e, self.up):
+            if type(above) is not int:
+                raise SpecError(f"the up-set of {name!r} is a {type(above).__name__}, not an int", "$.up")
             if above & ~full:
                 raise SpecError(f"the up-set of {name!r} names an element past the last", "$.up")
         down = [0] * self.n
         for i, above in enumerate(self.up):  # a partial order, by bitmasks
             if not above >> i & 1:
                 raise NotAPartialOrder(f"reflexivity fails: {e[i]!r} is not <= itself", (e[i],))
+            outside = ~above
             for j in _bits(above):
                 down[j] |= 1 << i
-                if self.up[j] & ~above:
-                    k = e[(self.up[j] & ~above).bit_length() - 1]
+                if self.up[j] & outside:
+                    k = e[(self.up[j] & outside).bit_length() - 1]
                     raise NotAPartialOrder(f"transitivity fails: {e[i]!r} <= {e[j]!r} <= {k!r} "
                                            f"but not {e[i]!r} <= {k!r}", (e[i], e[j], k))
                 if j != i and self.up[j] >> i & 1:
@@ -155,9 +183,21 @@ class Frame:
         self.bottom = bottom[0]
         self.top = top[0]
 
-        self._meet = self._binary_table(self.down, "meet")
-        self._join = self._binary_table(self.up, "join")
-        self._check_distributive()
+        # every v is the meet of the primes above it (down from top: a v
+        # that is no prime is the meet of the elements strictly above it),
+        # so v -> its set of primes is one to one and reverses the order.
+        # It is onto the up-sets of the primes, and the order a distributive
+        # lattice (Birkhoff), iff its image holds each set's union with
+        # each prime's
+        self.primes = primes = tuple(_irreducibles(self.up, down))
+        sets = [0] * self.n
+        for k, p in enumerate(primes):
+            for v in _bits(down[p]):
+                sets[v] |= 1 << k
+        self.primes_above = tuple(sets)
+        self._at = at = {mask: v for v, mask in enumerate(sets)}
+        if not all(s | sets[p] in at for s in sets for p in primes):
+            self._refuse()
         self._prime_meets = {}
         self._parts = _Parts(self)
 
@@ -168,48 +208,27 @@ class Frame:
 
     # -- construction -------------------------------------------------
 
-    def _binary_table(self, cone, kind):
-        # meet(i,j) is the element whose down-set is down[i] & down[j], if
-        # there is one: one lookup in a dict from cone to element per pair.
-        # The first pair without one, in row-major order, is the witness.
-        at = {c: k for k, c in enumerate(cone)}
-        table = []
-        for i, ci in enumerate(cone):
-            row = tuple([at.get(ci & c) for c in cone])
-            if None in row:
-                raise NotALattice(kind, self.elements[i], self.elements[row.index(None)])
-            table.append(row)
-        return tuple(table)
-
-    def _check_distributive(self):
-        # Birkhoff: a finite lattice is distributive iff every
-        # join-irreducible j is join-prime, j <= v1 join v2 only if j <= v1
-        # or j <= v2. j is join-irreducible iff the elements strictly below
-        # it do not join to it: their common upper bounds, the AND of their
-        # up-sets from the full mask (so bottom is not counted), are more
-        # than up[j]. With irr[v] the join-irreducibles below v, the test
-        # is irr[v1 join v2] == irr[v1] | irr[v2] for every pair.
-        up, full = self.up, (1 << self.n) - 1
-        irr_mask = 0
-        for j, below in enumerate(self.down):
-            bounds = full
-            for k in _bits(below & ~(1 << j)):
-                bounds &= up[k]
-            if bounds != up[j]:
-                irr_mask |= 1 << j
-        irr = [below & irr_mask for below in self.down]
-        for v1, row in enumerate(self._join):
-            i1 = irr[v1]
-            got = [irr[v] for v in row]
-            if got != [i1 | i2 for i2 in irr]:
-                # pairs below v1 were checked in their own rows, so the
-                # first failing v2 is above v1; j is the first
-                # join-irreducible below v1 join v2 and below neither
-                v2 = next(v for v in range(v1 + 1, self.n) if got[v] != i1 | irr[v])
-                j = next(_bits(got[v2] & ~(i1 | irr[v2])))
-                meet, join, e = self._meet[j], self._join, self.elements
-                raise NotDistributive(e[j], e[v1], e[v2], e[meet[row[v2]]],
-                                      e[join[meet[v1]][meet[v2]]])
+    def _refuse(self):
+        """Raise the refusal of a bounded order that is no distributive
+        lattice: the first pair without a meet, in row-major order, then
+        the first without a join, each found by looking its cone up, then
+        the first pair v1 < v2 whose join is above a join-irreducible below
+        neither (a finite lattice is distributive iff every
+        join-irreducible is join-prime)."""
+        e, up, down, n = self.elements, self.up, self.down, self.n
+        at_meet, at_join = ({c: k for k, c in enumerate(cone)} for cone in (down, up))
+        for kind, cone, at in (("meet", down, at_meet), ("join", up, at_join)):
+            for i, j in itertools.product(range(n), repeat=2):
+                if cone[i] & cone[j] not in at:
+                    raise NotALattice(kind, e[i], e[j])
+        irr = sum(1 << j for j in _irreducibles(down, up))
+        for v1, v2 in itertools.combinations(range(n), 2):
+            v = at_join[up[v1] & up[v2]]
+            if bad := down[v] & irr & ~(down[v1] | down[v2]):
+                j = next(_bits(bad))
+                m = [at_meet[down[j] & down[x]] for x in (v, v1, v2)]
+                raise NotDistributive(e[j], e[v1], e[v2], e[m[0]], e[at_join[up[m[1]] & up[m[2]]]])
+        raise FrameError("not a distributive lattice")
 
     @classmethod
     def build(cls, spec: FrameSpec) -> "Frame":
@@ -254,20 +273,29 @@ class Frame:
             raise InvalidTopology("the empty set is not open", [])
         if frozenset(pset) not in family:
             raise InvalidTopology("the full point set is not open", pts)
-        # each open as a bitmask over the points; a pair and its mirror
-        # have the same union and intersection, so row i starts at open i
+        # each open as a bitmask over the points. The family is closed iff
+        # it is the unions of the points' least opens, each the AND of the
+        # opens that hold it (Alexandrov), iff it holds each open's union
+        # with each least open. Only a refused family is scanned for its
+        # first failing pair, row i from open i on (a pair and its mirror
+        # have the same union and intersection)
         bit = {p: 1 << i for i, p in enumerate(pts)}
         masks = [sum(map(bit.__getitem__, o)) for o in opens]
         closed = set(masks)
-        for i, a in enumerate(masks):
-            rest = masks[i:]
-            if closed.issuperset(map(a.__or__, rest)) and closed.issuperset(map(a.__and__, rest)):
-                continue
-            for b, o in zip(rest, opens[i:]):
-                for law, op, c in (("union", "|", a | b), ("intersection", "&", a & b)):
-                    if c not in closed:
-                        w = (sorted(opens[i]), sorted(o))
-                        raise InvalidTopology(f"not closed under {law}: {w[0]} {op} {w[1]}", w)
+        least = [(1 << len(pts)) - 1] * len(pts)
+        for m in masks:
+            for i in _bits(m):
+                least[i] &= m
+        if not closed.issuperset(m | u for m in masks for u in least):
+            for i, a in enumerate(masks):
+                rest = masks[i:]
+                if closed.issuperset(map(a.__or__, rest)) and closed.issuperset(map(a.__and__, rest)):
+                    continue
+                for b, o in zip(rest, opens[i:]):
+                    for law, op, c in (("union", "|", a | b), ("intersection", "&", a & b)):
+                        if c not in closed:
+                            w = (sorted(opens[i]), sorted(o))
+                            raise InvalidTopology(f"not closed under {law}: {w[0]} {op} {w[1]}", w)
         ordered = sorted(family, key=lambda o: (len(o), tuple(sorted(o))))
         # the opens above a are those holding each of its points: the AND,
         # over its points, of the opens that hold that point
@@ -289,6 +317,8 @@ class Frame:
 
     def el(self, x) -> int:
         """Accept an element name or an index; return the index."""
+        if isinstance(x, bool):
+            raise FrameError(f"element index {x} is a bool, not an int")
         if isinstance(x, int):
             if not 0 <= x < self.n:
                 raise FrameError(f"element index {x} out of range")
@@ -334,22 +364,17 @@ class Frame:
         return (self.up[i] >> j) & 1 == 1
 
     def meet(self, i: int, j: int) -> int:
-        return self._meet[i][j]
+        return self._at[self.primes_above[i] | self.primes_above[j]]
 
     def join(self, i: int, j: int) -> int:
-        return self._join[i][j]
+        return self._at[self.primes_above[i] & self.primes_above[j]]
 
     def meet_all(self, items) -> int:
-        acc = self.top
-        for i in items:
-            acc = self._meet[acc][i]
-        return acc
+        return self._at[functools.reduce(operator.or_, map(self.primes_above.__getitem__, items), 0)]
 
     def join_all(self, items) -> int:
-        acc = self.bottom
-        for i in items:
-            acc = self._join[acc][i]
-        return acc
+        sets = self.primes_above
+        return self._at[functools.reduce(operator.and_, map(sets.__getitem__, items), sets[self.bottom])]
 
     def heyting(self, u: int, h: int) -> int:
         """Largest W with W meet U <= H (right adjoint of meet by U): the
@@ -362,21 +387,16 @@ class Frame:
     # -- predicates ------------------------------------------------------
 
     def well_inside(self, w: int, u: int) -> bool:
-        return self._join[self.neg(w)][u] == self.top
+        return self.join(self.neg(w), u) == self.top
 
     @cached_property
     def boolean(self) -> bool:
-        return all(self._join[u][self.neg(u)] == self.top for u in range(self.n))
+        return all(self.join(u, self.neg(u)) == self.top for u in range(self.n))
 
     @cached_property
     def regular(self) -> bool:
-        for u in range(self.n):
-            cover = self.join_all(
-                w for w in range(self.n) if self.well_inside(w, u)
-            )
-            if cover != u:
-                return False
-        return True
+        return all(self.join_all(w for w in range(self.n) if self.well_inside(w, u)) == u
+                   for u in range(self.n))
 
     @cached_property
     def join_irreducibles(self) -> tuple:
@@ -384,35 +404,13 @@ class Frame:
         return tuple(sorted(self.least_not_below))
 
     @cached_property
-    def primes(self) -> tuple:
-        """The meet-irreducible elements other than top, in index order.
-
-        In a distributive lattice these are exactly the prime elements,
-        i.e. the points of the frame.
-        """
-        out = []
-        for x in range(self.n):
-            if x == self.top:
-                continue
-            above = self.meet_all(y for y in _bits(self.up[x]) if y != x)
-            if above != x:
-                out.append(x)
-        return tuple(out)
-
-    @cached_property
-    def primes_above(self) -> tuple:
-        """primes_above[v] has bit i set iff primes[i] is above v."""
-        return tuple(
-            sum(1 << i for i, p in enumerate(self.primes) if self.leq(v, p))
-            for v in range(self.n)
-        )
-
-    @cached_property
     def least_not_below(self) -> tuple:
-        """least_not_below[i] is kappa(primes[i]): the meet of the elements
-        not below it, which are closed under meets as primes[i] is prime."""
-        everything = self.up[self.bottom]
-        return tuple(self.meet_all(_bits(everything & ~self.down[p])) for p in self.primes)
+        """least_not_below[i] is kappa(primes[i]), the least element not
+        below it: its points are every prime but those at or below
+        primes[i]."""
+        sets = [self.primes_above[p] for p in self.primes]
+        return tuple(self._at[sum(1 << k for k, s in enumerate(sets) if not s >> i & 1)]
+                     for i in range(len(sets)))
 
     def meet_of_primes(self, mask: int) -> int:
         """The meet of the primes whose bits are set in `mask`; top if none."""

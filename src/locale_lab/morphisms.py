@@ -129,15 +129,14 @@ def validate_morphism(source: Frame, target: Frame, mapping) -> FrameMorphism:
         raise NotAFrameMorphism("bottom", source.elements[source.bottom])
     if f[source.top] != target.top:
         raise NotAFrameMorphism("top", source.elements[source.top])
-    # one row of each table per a; the witness is built only to raise
-    sm, sj, tm, tj = source._meet, source._join, target._meet, target._join
+    # the witness is built only to raise
+    sm, sj, tm, tj = source.meet, source.join, target.meet, target.join
     for a, fa in enumerate(f):
-        sma, sja, tma, tja = sm[a], sj[a], tm[fa], tj[fa]
         for b in range(a, source.n):
             fb = f[b]
-            if f[sma[b]] != tma[fb]:
+            if f[sm(a, b)] != tm(fa, fb):
                 raise NotAFrameMorphism("meet", (source.elements[a], source.elements[b]))
-            if f[sja[b]] != tja[fb]:
+            if f[sj(a, b)] != tj(fa, fb):
                 raise NotAFrameMorphism("join", (source.elements[a], source.elements[b]))
     m = FrameMorphism(source, target, tuple(
         source.primes.index(source.join_all(v for v, fv in enumerate(f) if below >> fv & 1))

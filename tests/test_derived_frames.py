@@ -23,6 +23,7 @@ from locale_lab.frames import (
 )
 from locale_lab.morphisms import sum_frame
 from locale_lab.sublocales import enumerate_sublocales, fixpoint_frame
+from test_frames import scan_table
 
 
 def by_pairs(names, leq) -> Frame:
@@ -128,6 +129,60 @@ def test_topology_closure_matches_the_pairs_scan():
             continue
         assert same_order(Frame.from_topology(tspec), oracle_from_topology(tspec))
     assert 200 < refused < 1800
+
+
+def dyadic_grid(level):
+    """The digital line on [0,1] at `level` (Khalimsky, Kopperman & Meyer,
+    Topology Appl. 1990): its points are the k/2^level and the open cells
+    between them, in order along the line. A cell's least open is itself,
+    a grid point's is the point and its adjacent cells; the opens are the
+    unions of least opens, smallest first."""
+    d = 1 << level
+    grid = [f"{k}/{d}" for k in range(d + 1)]
+    points = [grid[0]]
+    for a, b in zip(grid, grid[1:]):
+        points += [f"({a} {b})", b]
+    least = [frozenset(points[max(i - 1, 0):i + 2] if i % 2 == 0 else [p]) for i, p in enumerate(points)]
+    family, todo = {frozenset()}, [frozenset()]
+    for s in todo:
+        for u in least:
+            if s | u not in family:
+                family.add(s | u)
+                todo.append(s | u)
+    return TopologySpec.make(points, sorted(family, key=lambda o: (len(o), sorted(o))))
+
+
+def test_the_dyadic_grid_has_a_fibonacci_number_of_opens():
+    # 2^level + 1 grid points and 2^level cells: a fence of m points,
+    # whose opens number the Fibonacci number F(m + 2)
+    assert [len(dyadic_grid(level).opens) for level in (0, 1, 2)] == [5, 13, 89]
+    assert len(dyadic_grid(3).opens) == 4181
+
+
+def test_the_level_2_grid_matches_the_oracle_and_the_scans():
+    tspec = dyadic_grid(2)
+    got, want = Frame.from_topology(tspec), oracle_from_topology(tspec)
+    assert same_order(got, want)
+    assert (got.opens, got.point_names) == (want.opens, want.point_names)
+    assert (got.n, len(got.primes)) == (89, 9)
+    meet, join = scan_table(got.elements, got.down, "meet"), scan_table(got.elements, got.up, "join")
+    index = {o: k for k, o in enumerate(got.opens)}
+    for i, j in itertools.product(range(got.n), repeat=2):
+        a, b = got.opens[i], got.opens[j]
+        assert got.meet(i, j) == meet[i][j] == index[a & b]
+        assert got.join(i, j) == join[i][j] == index[a | b]
+
+
+@pytest.mark.parametrize("point", ["0/4", "2/4", "(1/4 2/4)"])
+def test_the_level_2_grid_without_a_least_open_is_refused_as_the_scan_refuses_it(point):
+    tspec = dyadic_grid(2)
+    opens = [o for o in tspec.opens if o != min((o for o in tspec.opens if point in o), key=len)]
+    tspec = TopologySpec.make(tspec.points, opens)
+    with pytest.raises(InvalidTopology) as want:
+        closure_scan(tspec)
+    with pytest.raises(InvalidTopology) as exc:
+        Frame.from_topology(tspec)
+    assert (str(exc.value), exc.value.witness) == (str(want.value), want.value.witness)
 
 
 def test_topology_frames_match_the_pairs_oracle():

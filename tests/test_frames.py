@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -20,7 +21,7 @@ from locale_lab.frames import (
     spec_from_json,
 )
 from locale_lab.measure import ValuationError, validate_valuation
-from locale_lab.morphisms import validate_morphism
+from locale_lab.morphisms import identity_morphism, validate_morphism
 from locale_lab.sublocales import validate_nucleus
 
 
@@ -279,10 +280,56 @@ def random_bounded_poset(rng):
     return names, [sum(1 << place[j] for j in bits(up[old])) for old in order]
 
 
+def join_prime_scan(names, meet, join):
+    """Distributivity by Birkhoff's test on pairs, read off the tables: the
+    first pair v1 < v2 (index order) whose join is above a join-irreducible
+    below neither, named with the first such join-irreducible."""
+    n = len(names)
+    bottom = functools.reduce(lambda a, b: meet[a][b], range(n))
+
+    def lower(v):
+        return {j for j in range(n) if meet[j][v] == j}
+
+    irr = {j for j in range(n)
+           if j != bottom and functools.reduce(lambda a, b: join[a][b], lower(j) - {j}, bottom) != j}
+    for v1, v2 in itertools.combinations(range(n), 2):
+        v = join[v1][v2]
+        bad = sorted(irr & (lower(v) - lower(v1) - lower(v2)))
+        if bad:
+            w = bad[0]
+            raise NotDistributive(names[w], names[v1], names[v2], names[meet[w][v]],
+                                  names[join[meet[w][v1]][meet[w][v2]]])
+
+
+def assert_views_match_the_tables(f, meet, join):
+    """What a Frame reads off its point sets against the same values read
+    off its meet and join tables, by their definitions."""
+    n, full = f.n, (1 << f.n) - 1
+
+    def meet_all(xs):
+        return functools.reduce(lambda a, b: meet[a][b], xs, f.top)
+
+    def join_all(xs):
+        return functools.reduce(lambda a, b: join[a][b], xs, f.bottom)
+
+    primes = tuple(x for x in range(n) if x != f.top and meet_all(y for y in bits(f.up[x]) if y != x) != x)
+    assert f.primes == primes
+    assert f.primes_above == tuple(sum(1 << k for k, p in enumerate(primes) if f.leq(v, p))
+                                   for v in range(n))
+    assert f.least_not_below == tuple(meet_all(bits(full & ~f.down[p])) for p in primes)
+    assert f.join_irreducibles == tuple(
+        x for x in range(n) if x != f.bottom and join_all(y for y in bits(f.down[x]) if y != x) != x)
+    for mask in range(1 << len(primes)):
+        assert f.meet_of_primes(mask) == meet_all(primes[k] for k in bits(mask))
+    for u, h in itertools.product(range(n), repeat=2):
+        assert f.heyting(u, h) == join_all(w for w in range(n) if f.leq(meet[w][u], h))
+
+
 def verdict_against_the_scans(names, up):
     """Build Frame(names, up) and check it against the scans: the same
-    verdict, the same tables and the same NotALattice witness, and a
-    NotDistributive witness that is a failing triple."""
+    verdict, the same meets, joins and values read off points, the same
+    NotALattice witness, and the NotDistributive witness of the pairs
+    scan, which is a failing triple."""
     down = [sum(1 << i for i, u in enumerate(up) if u >> j & 1) for j in range(len(up))]
     try:
         meet, join = scan_table(names, down, "meet"), scan_table(names, up, "join")
@@ -294,15 +341,20 @@ def verdict_against_the_scans(names, up):
     try:
         triple_scan(names, meet, join)
     except NotDistributive:
+        with pytest.raises(NotDistributive) as want:
+            join_prime_scan(names, meet, join)
         with pytest.raises(NotDistributive) as exc:
             Frame(names, up)
+        assert (str(exc.value), exc.value.witness) == (str(want.value), want.value.witness)
         w, v1, v2 = (names.index(x) for x in exc.value.witness)
-        lhs, rhs = meet[w][join[v1][v2]], join[meet[w][v1]][meet[w][v2]]
-        assert lhs != rhs
-        assert str(exc.value) == str(NotDistributive(*exc.value.witness, names[lhs], names[rhs]))
+        assert meet[w][join[v1][v2]] != join[meet[w][v1]][meet[w][v2]]
         return "NotDistributive"
+    join_prime_scan(names, meet, join)  # the pairs scan agrees with the triples
     f = Frame(names, up)
-    assert (f._meet, f._join) == (meet, join)
+    pairs = list(itertools.product(range(f.n), repeat=2))
+    assert [f.meet(i, j) for i, j in pairs] == [meet[i][j] for i, j in pairs]
+    assert [f.join(i, j) for i, j in pairs] == [join[i][j] for i, j in pairs]
+    assert_views_match_the_tables(f, meet, join)
     return "frame"
 
 
@@ -483,6 +535,49 @@ def test_indiscrete_two_points():
     assert f.boolean
     # no prime element separates x from y: a single point
     assert len(f.primes) == 1
+
+
+@pytest.mark.parametrize("make,primes,join_irreducibles", [
+    (lambda: Frame(["x"], [1]), [], []),
+    (lambda: Frame.from_topology(TopologySpec.make([], [[]])), [], []),
+    (lambda: chain(2), ["0"], ["1"]),
+    (lambda: powerset("abc"), ["{a,b}", "{a,c}", "{b,c}"], ["{a}", "{b}", "{c}"]),
+], ids=["one-element", "empty-space", "2-chain", "powerset-abc"])
+def test_the_smallest_frames_count_their_points(make, primes, join_irreducibles):
+    # the up-set count at its edges: no points and one up-set, one point
+    # and two, three unordered points and all eight subsets
+    f = make()
+    assert [f.name(p) for p in f.primes] == primes
+    assert [f.name(j) for j in f.join_irreducibles] == join_irreducibles
+    assert f.boolean and f.regular
+    assert f.n == 1 << len(f.primes)
+
+
+def test_a_bool_is_refused_as_an_element_index():
+    f = Frame(["x"], [1])
+    with pytest.raises(FrameError) as exc:
+        f.el(True)
+    assert str(exc.value) == "element index True is a bool, not an int"
+    c3 = chain3()
+    with pytest.raises(FrameError) as exc:
+        validate_nucleus(c3, {"0": "0", "u": True, "1": "1"})
+    assert str(exc.value) == "nucleus at 'u': element index True is a bool, not an int"
+    with pytest.raises(FrameError) as exc:
+        validate_morphism(c3, c3, {"0": "0", True: "u", "1": "1"})
+    assert str(exc.value) == "fstar: element index True is a bool, not an int"
+    with pytest.raises(FrameError) as exc:
+        identity_morphism(c3)(True)
+    assert str(exc.value) == "element index True is a bool, not an int"
+
+
+@pytest.mark.parametrize("up,message", [
+    (["x", 2], "the up-set of 'a' is a str, not an int"),
+    ([3, True], "the up-set of 'b' is a bool, not an int"),
+], ids=["str", "bool"])
+def test_an_up_set_that_is_not_an_int_is_refused(up, message):
+    with pytest.raises(SpecError) as exc:
+        Frame(["a", "b"], up)
+    assert str(exc.value) == f"$.up: {message}"
 
 
 # -------------------------------------------------------- element tables
