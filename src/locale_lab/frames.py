@@ -9,9 +9,10 @@ construction that its names are distinct, that `up` is a partial order
 (`Frame.build` closes one read from outside) and that the bounded order
 is a distributive lattice, its elements' point sets being all the
 up-sets of its points; law suites never re-prove them. Only a refused
-order is scanned pair by pair, to name its witness. A frame's parts
-(`Sublocale`) are defined here, next to the part table that builds
-them; the `sublocales` module holds what is done with them.
+order is scanned pair by pair, to name its witness. Boolean and regular
+are read off the points, so no operation a law checks picks the frames
+it runs on. A frame's parts (`Sublocale`) are defined here, next to the
+part table; the `sublocales` module holds what is done with them.
 """
 
 from __future__ import annotations
@@ -130,9 +131,10 @@ class Frame:
     the constructor accepts the bounded order iff every union of their
     up-sets is some element's set, checked in O(n * points) lookups, and
     scans a refused order pair by pair to name its witness (`_refuse`).
-    Values read off sets of primes are derived once per frame and kept as
-    long as the frame lives, at most one entry per set: the meet of each
-    set of primes (`meet_of_primes`) and the one `Sublocale` of each set.
+    `boolean` and `regular` read the point sets too. Values read off sets
+    of primes are derived once per frame and kept as long as the frame
+    lives, at most one entry per set: the meet of each set of primes
+    (`meet_of_primes`) and the one `Sublocale` of each set.
 
     `_parts` is the part table, the one way a part is built or found: a
     dict from point mask to part whose `__missing__` builds the part on
@@ -391,12 +393,13 @@ class Frame:
 
     @cached_property
     def boolean(self) -> bool:
-        return all(self.join(u, self.neg(u)) == self.top for u in range(self.n))
+        """Every element has a complement: k points have 2^k up-sets iff none lies below another."""
+        return self.n == 1 << len(self.primes)
 
     @cached_property
     def regular(self) -> bool:
-        return all(self.join_all(w for w in range(self.n) if self.well_inside(w, u)) == u
-                   for u in range(self.n))
+        """Every element is the join of those well inside it: iff no point lies below another."""
+        return all(self.primes_above[p] == 1 << k for k, p in enumerate(self.primes))
 
     @cached_property
     def join_irreducibles(self) -> tuple:

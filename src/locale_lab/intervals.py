@@ -151,9 +151,6 @@ class Iv:
     def is_empty(self) -> bool:
         return self.ln == self.hn and self.ld == self.hd and not (self.lo_in and self.hi_in)
 
-    def contains(self, x) -> bool:
-        return _holds(self, *_pair(x))
-
     def _key(self) -> tuple:
         return self.ln, self.ld, self.hn, self.hd, self.lo_in, self.hi_in
 
@@ -428,9 +425,6 @@ class RatOpen:
     @property
     def is_empty(self) -> bool:
         return self.fin.is_empty
-
-    def length(self) -> Fraction:
-        return self.fin.length()
 
     def contains(self, x) -> bool:
         return self.fin.contains(x)

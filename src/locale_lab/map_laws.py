@@ -324,14 +324,16 @@ def _sum_injections(ctx):
 
 def _iso_reps(named_frames):
     """One frame per isomorphism class, in order, and the number of copies
-    skipped: a frame is a copy when one of its maps to an earlier
-    representative of its size has a bijective fstar."""
+    skipped: a frame is a copy when a map to an earlier representative
+    with as many elements has a bijective point map q -> f_*(q). Then
+    fstar, each up-set of points to its preimage, is one to one, so onto:
+    the up-set above q is a preimage, so f_*(q) <= f_*(q') gives q <= q'."""
     reps = []
     skipped = 0
     for name, fr in named_frames:
         if any(
             rf.n == fr.n
-            and any(len(set(m.fstar)) == fr.n for m in enumerate_morphisms(fr, rf))
+            and any(len(set(m._points)) == len(fr.primes) for m in enumerate_morphisms(fr, rf))
             for _, rf in reps
         ):
             skipped += 1

@@ -449,6 +449,36 @@ def test_finite_regular_iff_boolean():
         assert f.regular == f.boolean
 
 
+def oracle_boolean(f):
+    """Every element has a complement: its join with its pseudo-complement
+    is top."""
+    return all(f.join(u, f.neg(u)) == f.top for u in range(f.n))
+
+
+def oracle_regular(f):
+    """Every element is the join of the elements well inside it."""
+    return all(f.join_all(w for w in range(f.n) if f.well_inside(w, u)) == u for u in range(f.n))
+
+
+def test_the_point_flags_match_their_definitions():
+    # the flags are read off the points; their definitions read the
+    # complements and the well-inside relation, on the corpus, the
+    # random posets that are frames, the powersets of 0 to 9 points and
+    # the chains of 1 to 10 elements
+    rng = random.Random(36)
+    frames = [f for _, f in CORPUS]
+    for _ in range(5000):
+        try:
+            frames.append(Frame(*random_bounded_poset(rng)))
+        except FrameError:
+            pass
+    frames += [powerset([f"p{i}" for i in range(k)]) for k in range(10)]
+    frames += [chain(n) for n in range(1, 11)]
+    got = [(f.boolean, f.regular) for f in frames]
+    assert got == [(oracle_boolean(f), oracle_regular(f)) for f in frames]
+    assert {(True, True), (False, False)} == set(got)
+
+
 # ----------------------------------------------------------- points
 
 def brute_points(f):

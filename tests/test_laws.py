@@ -8,7 +8,7 @@ import pytest
 
 from locale_lab import laws, map_laws, measure, measure_laws, part_laws
 from locale_lab.corpus import _frame_json, boolean_spec, chain_spec, corpus_root, generate, iter_corpus_frames
-from locale_lab.frames import FrameError, build_frame, frame_spec_from_json
+from locale_lab.frames import Frame, FrameError, build_frame, frame_spec_from_json
 from locale_lab.lattice import SubLattice, _Maps
 from locale_lab.laws import (
     run_frame_suite,
@@ -243,3 +243,23 @@ def test_the_measure_suite_holds_at_the_least_tolerance():
     # the closed-complement law's stage budget follows the tolerance
     rep = run_measure_suite(tol=Fraction(1, 2 ** 100))
     assert (rep.cases, rep.violations) == (26_678, [])
+
+
+def test_the_gates_do_not_read_the_operations_they_check(monkeypatch):
+    # a Heyting arrow that answers bottom for H = bottom and U neither
+    # bottom nor top, so each such U has bottom for its pseudo-complement.
+    # The flags that pick which frames the measure suite values and which
+    # laws the sublocale suite runs are read off the points, so both
+    # suites run every case they run on sound code, and the frame suite's
+    # definition laws, which read the complements and the well-inside
+    # relation, find the fault
+    real = Frame.heyting
+
+    def heyting(fr, u, h):
+        return fr.bottom if h == fr.bottom and u not in (fr.bottom, fr.top) else real(fr, u, h)
+
+    monkeypatch.setattr(Frame, "heyting", heyting)
+    assert run_measure_suite().cases == 19_478
+    assert run_sublocale_suite().cases == 442_257
+    fired = {v.law for v in run_frame_suite().violations}
+    assert {"boolean-definition", "regular-definition"} <= fired

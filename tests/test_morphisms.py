@@ -397,6 +397,27 @@ def test_iso_reps_match_the_permutation_search(order):
     assert got_skipped == skipped
 
 
+def iso_reps_by_fstar(named_frames):
+    """`_iso_reps` by each candidate map's fstar: a frame is a copy when
+    one of its maps to an earlier representative of its size has a
+    bijective fstar."""
+    reps, skipped = [], 0
+    for name, fr in named_frames:
+        if any(rf.n == fr.n and any(len(set(m.fstar)) == fr.n for m in enumerate_morphisms(fr, rf))
+               for _, rf in reps):
+            skipped += 1
+        else:
+            reps.append((name, fr))
+    return reps, skipped
+
+
+@pytest.mark.parametrize("cap", [4, 5, 8, 10])
+def test_iso_reps_by_points_match_those_by_fstar(cap):
+    frames = [(n, f) for n, f in iter_corpus_frames() if f.n <= cap]
+    (got, got_skipped), (want, skipped) = _iso_reps(frames), iso_reps_by_fstar(frames)
+    assert ([n for n, _ in got], got_skipped) == ([n for n, _ in want], skipped)
+
+
 # ------------------------------------------------------------ adjoints
 
 @pytest.mark.parametrize("src,tgt", PAIRS[:5])

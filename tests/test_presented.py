@@ -166,9 +166,9 @@ def test_lazy_cover_certified_bound_is_strict():
     for eps in (F(1, 2), F(1, 8), F(1, 1000)):
         cov = lazy_cover(RATIONALS, eps)
         for n in range(1, 10):
-            upper = cov.stage(n).length() + cov.tail(n)
+            upper = cov.stage(n).fin.length() + cov.tail(n)
             assert upper < eps / 2
-        assert cov.stage(0).length() == 0
+        assert cov.stage(0).fin.length() == 0
         assert cov.tail(0) == eps / 2
 
 
@@ -192,7 +192,7 @@ def test_lazy_cover_grows_what_the_checked_constructors_build(points, k):
         want = RatOpen(FinUnion((Iv(max(q - r, 0), min(q + r, 1), q < r, 1 - q < r),)))
         got = cov.grow(n)
         assert RatOpen(FinUnion(got.fin.pieces)) == want, (n, str(got))
-        assert got.length() == want.length()
+        assert got.fin.length() == want.fin.length()
 
 
 def test_lazy_cover_rejects_bad_eps():
@@ -350,7 +350,7 @@ def test_closed_neighborhood_shrinks_to_complement():
         if prev is not None:
             assert ivs.intersect(w.fin, prev.fin) == w.fin
         prev = w
-    assert closed_neighborhood(u, 20).length() - comp_len == F(2, 4) / 2 ** 22
+    assert closed_neighborhood(u, 20).fin.length() - comp_len == F(2, 4) / 2 ** 22
 
 
 eighths = st.integers(0, 8).map(lambda i: F(i, 8))
@@ -411,10 +411,10 @@ def test_neighborhood_shapes():
     assert neighborhood(Open(u), 5).stage(0) == u
     assert neighborhood(Open(u), 5).tail(0) == 0
     co = neighborhood(CoCountable(RATIONALS), 3).stage(0)
-    assert co.length() == 1
+    assert co.fin.length() == 1
     assert not co.contains(F(1, 2))  # third enumerated rational
     gen = neighborhood(Generic(), 6)
-    assert gen.stage(4).length() + gen.tail(4) < F(1, 2 ** 7)
+    assert gen.stage(4).fin.length() + gen.tail(4) < F(1, 2 ** 7)
 
 
 def test_neighborhood_of_union_and_meets():
@@ -516,7 +516,7 @@ def test_structural_union_certificates():
 def test_point_sublocale():
     p = Closed(full_minus_points([F(1, 2)]))
     assert not p.of_open.contains(F(1, 2))
-    assert p.of_open.length() == 1
+    assert p.of_open.fin.length() == 1
 
 
 def test_no_point_meets_the_generic_sublocale():
@@ -537,7 +537,7 @@ def test_points_outside_the_interval_are_refused():
 
 def test_full_minus_points():
     w = full_minus_points([F(0), F(1, 2), F(1)])
-    assert w.length() == 1
+    assert w.fin.length() == 1
     assert not w.contains(F(0))
     assert not w.contains(F(1, 2))
     assert w.contains(F(1, 3))

@@ -1,8 +1,9 @@
 """The public surface of locale_lab: every public top-level function, and
 every public method and property of a public class, has a use in the
-package, and no check is a bare `assert`, which `python -O` drops. Also
-the size of each module in parser tokens, which sets what its compile
-costs."""
+package (a method name that several classes define, a use the scan can
+attribute to its class or one named in UNATTRIBUTED), and no check is a
+bare `assert`, which `python -O` drops. Also the size of each module in
+parser tokens, which sets what its compile costs."""
 
 from __future__ import annotations
 
@@ -31,6 +32,9 @@ ALLOWED_UNUSED = {
     "presented.LazyOpen.tail",
     # a bound's width, which the benchmark's checks and the tests read
     "measure.MeasureBounds.width",
+    # a union's length as a Fraction, which the tests read; the package
+    # reads the integer pair `_length_pair`
+    "intervals.FinUnion.length",
 }
 
 
@@ -120,13 +124,141 @@ def _public_methods(trees):
     }
 
 
-def test_every_public_method_has_a_use_in_src():
-    # a use is any `x.name` in the package: the scan cannot tell the
-    # classes apart, so a name some other class uses counts for all
-    trees = _modules()
+# Uses of a method name that two or more public classes define, made
+# through a value the scan cannot type, each with the class it reads.
+UNATTRIBUTED = {
+    "intervals.normalize: p.is_empty": "intervals.Iv",
+    "intervals.FinUnion.__post_init__: p.is_empty": "intervals.Iv",
+    "presented.LazyOpen.stage: new.is_empty": "intervals.RatOpen",
+    "presented.lazy_meet: gb.is_empty": "intervals.RatOpen",
+    "presented.held_by: s.contains": "intervals.RatOpen",
+    "presented.held_by: leaf.points.contains": "presented.Enumerator",
+}
+
+
+def _class_name(annotation, classes):
+    """The class an annotation names, a name or a string, if it is one of
+    `classes`."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        return classes.get(annotation.value)
+    if isinstance(annotation, ast.Name):
+        return classes.get(annotation.id)
+    return None
+
+
+def _agreed(pairs) -> dict:
+    """key -> value for each key that every pair gives the same value."""
+    seen = {}
+    for k, v in pairs:
+        seen.setdefault(k, set()).add(v)
+    return {k: vs.pop() for k, vs in seen.items() if len(vs) == 1 and None not in vs}
+
+
+def _defs(tree):
+    """(qualified name, enclosing class or None, def) of each top-level
+    function and each method of a top-level class."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            yield top.name, None, top
+        elif isinstance(top, ast.ClassDef):
+            for fn in top.body:
+                if isinstance(fn, ast.FunctionDef):
+                    yield f"{top.name}.{fn.name}", top.name, fn
+
+
+def _attributed_uses(trees, names):
+    """The `x.name` uses, for each of `names`, the scan can attribute to
+    a class, as `module.Class.name`, and those it cannot, as `module.def:
+    source`. x is typed when it is a class, `self` in a method of one, a
+    parameter annotated with one, a local every assignment of which is
+    typed alike, a construction of a class, a call of a function or
+    method that every definition of its name annotates as returning a
+    class, or a field a class annotates. Only uses inside functions and
+    methods are read."""
+    classes = {cls.name: f"{mod}.{cls.name}" for mod, tree in trees.items()
+               for cls in tree.body if isinstance(cls, ast.ClassDef)}
+    returns = _agreed((fn.name, _class_name(fn.returns, classes))
+                      for tree in trees.values() for _, _, fn in _defs(tree))
+    fields = {(classes[cls.name], node.target.id): _class_name(node.annotation, classes)
+              for tree in trees.values() for cls in tree.body if isinstance(cls, ast.ClassDef)
+              for node in cls.body if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)}
+
+    def typed(node, env):
+        if isinstance(node, ast.Name):
+            return env.get(node.id)
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name) and f.id in classes:
+                return classes[f.id]
+            return returns.get(f.id if isinstance(f, ast.Name) else getattr(f, "attr", None))
+        if isinstance(node, ast.Attribute):
+            return fields.get((typed(node.value, env), node.attr))
+        return None
+
+    credited, unattributed = set(), set()
+    for mod, tree in trees.items():
+        for qual, owner, fn in _defs(tree):
+            base = dict(classes, **({"self": classes[owner]} if owner else {}))
+            # a name bound otherwise than by `name = value`, by a loop or
+            # an unpacking, has a type only as an annotated parameter
+            assigns = sorted((n for n in ast.walk(fn) if isinstance(n, ast.Assign)
+                              and len(n.targets) == 1 and isinstance(n.targets[0], ast.Name)),
+                             key=lambda n: n.lineno)
+            simple = {id(n.targets[0]) for n in assigns}
+            binds = [(a.arg, _class_name(a.annotation, classes)) for a in ast.walk(fn) if isinstance(a, ast.arg)]
+            binds += [(n.id, None) for n in ast.walk(fn)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store) and id(n) not in simple]
+            for n in assigns:
+                binds.append((n.targets[0].id, typed(n.value, {**base, **_agreed(binds)})))
+            env = {**base, **_agreed(binds)}
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Attribute) and node.attr in names:
+                    cls = typed(node.value, env)
+                    if cls:
+                        credited.add(f"{cls}.{node.attr}")
+                    else:
+                        unattributed.add(f"{mod}.{qual}: {ast.unparse(node)}")
+    return credited, unattributed
+
+
+def _unused_methods(trees):
+    """The public methods without a use in the package, and the uses of
+    shared method names the scan cannot attribute. A method name only one
+    public class defines is used by any `x.name`; one that several define
+    is used only where the scan can tell whose it is."""
+    methods = _public_methods(trees)
+    owners = {}
+    for name in methods:
+        owners.setdefault(name.rsplit(".", 1)[1], set()).add(name)
+    shared = {attr for attr, names in owners.items() if len(names) > 1}
     attrs = {node.attr for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    unused = {name for name in _public_methods(trees) if name.rsplit(".", 1)[1] not in attrs}
+    credited, unattributed = _attributed_uses(trees, shared)
+    credited |= {UNATTRIBUTED[use] + "." + use.rsplit(".", 1)[1] for use in unattributed & set(UNATTRIBUTED)}
+    unused = {name for name in methods if name.rsplit(".", 1)[1] not in attrs
+              or (name.rsplit(".", 1)[1] in shared and name not in credited)}
+    return unused, unattributed
+
+
+def test_every_public_method_has_a_use_in_src():
+    unused, unattributed = _unused_methods(_modules())
+    assert unattributed == set(UNATTRIBUTED)
     assert unused == {name for name in ALLOWED_UNUSED if name.count(".") == 2}
+
+
+def test_a_shared_method_name_is_credited_only_where_its_class_is_known():
+    twins = ast.parse(
+        "class A:\n    def m(self): pass\n    def n(self): pass\n    def k(self) -> 'A': return self\n"
+        "class B:\n    def m(self): pass\n    def n(self): return self.m()\n"
+        "def f(a: A, b):\n    x = A()\n    y = b\n    return a.m, x.k().n, y.n, A.k\n"
+    )
+    assert _attributed_uses({"t": twins}, {"m", "n"}) == ({"t.A.m", "t.B.m", "t.A.n"}, {"t.f: y.n"})
+    # a twin that nothing in the package calls is unused, though its
+    # name's other owner is called everywhere
+    trees = _modules()
+    iv = next(cls for cls in trees["intervals"].body if isinstance(cls, ast.ClassDef) and cls.name == "Iv")
+    iv.body.append(ast.parse("def contains(self, x): return False").body[0])
+    unused, _ = _unused_methods(trees)
+    assert "intervals.Iv.contains" in unused
 
 
 def test_the_scan_sees_each_kind_of_use():
