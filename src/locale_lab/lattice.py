@@ -232,6 +232,15 @@ class _Maps:
             pulls, pushes, self.fstar, self.adjoint = rows
             self.pulls, self.pushes = (list(map(_table, t)) for t in (pulls, pushes))
 
+    def _slice(self, at: int, stop: int) -> _Maps:
+        """The maps fs[at:stop], a `_Maps` of their own, with these tables
+        sliced alike."""
+        run = object.__new__(_Maps)
+        run.FL, run.EL, run.bytewise = self.FL, self.EL, True
+        for name in ("fs", "pulls", "pushes", "fstar", "adjoint"):
+            setattr(run, name, getattr(self, name)[at:stop])
+        return run
+
     @cached_property
     def runs(self) -> list:
         """The maps, when bytewise, in runs that are `_Maps` of their own,
@@ -240,14 +249,7 @@ class _Maps:
         and pair of parts, so a run holds GATHER_BYTES over the larger part
         count squared of maps, at least one."""
         step = max(1, GATHER_BYTES // max(len(self.FL.subs), len(self.EL.subs)) ** 2)
-        runs = []
-        for at in range(0, len(self.fs), step):
-            run = object.__new__(_Maps)
-            run.FL, run.EL, run.bytewise = self.FL, self.EL, True
-            for name in ("fs", "pulls", "pushes", "fstar", "adjoint"):
-                setattr(run, name, getattr(self, name)[at: at + step])
-            runs.append(run)
-        return runs
+        return [self._slice(at, at + step) for at in range(0, len(self.fs), step)]
 
 
 def _gather(cols, tables):

@@ -9,9 +9,10 @@ identities of point masks, so, like the part laws' (`part_laws`), they
 have no scalar loop: a mismatch can only be a table fault, reported
 unconfirmed. A map law is a byte kernel over any `lattice._Maps` and a
 scalar loop over one map; `_each_map` runs the kernel over the maps from
-frame a to frame b in runs bounded in bytes. When it fails, the scalar
-loop runs map by map and names the witnesses, each under its map's label
-`a->b#i`; it also runs alone where a table value is not an index.
+frame a to frame b in runs bounded in bytes. A run it fails is halved
+down to the maps it fails on alone, and the scalar loop runs on those and
+names the witnesses, each under its map's label `a->b#i`; it runs on
+every map where a table value is not an index.
 """
 
 from __future__ import annotations
@@ -48,15 +49,35 @@ def _each_map(maps, per_map, kernel, scan):
     """A map law's result, `per_map` cases per map, each witness of
     `scan(f)` paired with f's index. Where the tables are indices,
     `_settle` reads `kernel` on every run of the maps (`_Maps.runs`, the
-    same runs for every law of the pair); a mismatch no map's loop
-    confirms is the pair's, index None. Elsewhere each map is scanned."""
-    def scan_all():
-        return [(mi, w) for mi, f in enumerate(maps.fs) for w in scan(f)]
-
+    same runs for every law of the pair); each run it fails is halved
+    down to the maps it fails on alone (`_failing`), and only those are
+    scanned. A mismatch no such map's loop confirms is the pair's, index
+    None. Elsewhere each map is scanned."""
     cases = per_map * len(maps.fs)
     if not maps.bytewise:
-        return cases, scan_all()
-    return _settle(cases, all(map(kernel, maps.runs)), scan_all, (None, _UNCONFIRMED))
+        return cases, [(mi, w) for mi, f in enumerate(maps.fs) for w in scan(f)]
+    starts = itertools.accumulate((len(run.fs) for run in maps.runs), initial=0)
+    failed = [(at, run) for at, run in zip(starts, maps.runs) if not kernel(run)]
+    found = [mi for at, run in failed for mi in _failing(kernel, at, run)]
+    return _settle(cases, not failed, lambda: [(mi, w) for mi in found for w in scan(maps.fs[mi])],
+                   (None, _UNCONFIRMED))
+
+
+def _failing(kernel, at: int, run) -> list:
+    """The indices of the maps `kernel` fails on alone, in a run of maps it
+    fails on whose first is map `at`: the run is halved, sliced as
+    `_Maps.runs` slices, and each half it fails is searched in turn
+    (adaptive group testing, as every kernel is a conjunction over the
+    maps it reads)."""
+    n = len(run.fs)
+    if n == 1:
+        return [at]
+    found = []
+    for lo, hi in ((0, n // 2), (n // 2, n)):
+        half = run._slice(lo, hi)
+        if not kernel(half):
+            found += _failing(kernel, at + lo, half)
+    return found
 
 
 @_declare(LATTICE_LAWS, "layer-decomposition", "every part is the meet over V of [V] u c(e(V))")

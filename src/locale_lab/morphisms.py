@@ -12,7 +12,8 @@ Pulling source points back gives the preimage of a part, and fstar(a) is
 the meet of the points pulled back from c(a), which is the
 `preimage-open-closed` identity.
 
-Maps are enumerated as monotone maps of points. An fstar table from
+Maps are enumerated as monotone maps of points, built one target point
+at a time over every partial point map at once. An fstar table from
 outside enters through `validate_morphism`, which finds its points with
 one join per target prime, an element's image tested against the prime
 by one bit of its down-set; the injections of a sum and the embedding of
@@ -22,6 +23,7 @@ a part are built from their points directly.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
 from locale_lab.frames import Frame, FrameError
 # union and whole are not used here but stay importable from this module
@@ -296,43 +298,46 @@ def enumerate_morphisms(source: Frame, target: Frame) -> list:
     """All frame homomorphisms source -> target, built from their points.
 
     By Birkhoff duality the frame maps are exactly the monotone maps from
-    the target's primes to the source's primes, q -> f_*(q). Place the
-    target primes by down-set size, each on a source prime above the
-    images of its lower covers, which bound it as all the primes below it
-    do, since up-sets of source primes shrink along the order. The last
-    prime is placed in the loop that appends each map; its fstar is
-    derived on demand. The maps come in the order the search places them:
-    lexicographic in the point map, with the target primes taken by
-    down-set size and each tried on the source primes in index order.
+    the target's primes to the source's primes, q -> f_*(q). The target
+    primes are placed by down-set size, one level at a time: every
+    partial point map is extended by each source prime above the images
+    of the new prime's lower covers, which bound it as all the primes
+    below it do, since up-sets of source primes shrink along the order.
+    Below one cover, the allowed primes are a tuple read by the cover's
+    image; below more, the AND of the covers' up-set masks, each mask's
+    tuple built once. A partial map with no allowed prime ends there.
+    Each point map's fstar is derived on demand. The maps come in the
+    order of the placement: lexicographic in the point map, with the
+    target primes taken by down-set size and each tried on the source
+    primes in index order.
     """
     primes, leq = target.primes, target.leq
     order = sorted(range(len(primes)), key=lambda j: bin(target.down[primes[j]]).count("1"))
-    if not order:  # a trivial target has no points, and one map
-        return [FrameMorphism(source, target, ())]
     lt = lambda k, j: k != j and leq(primes[k], primes[j])
-    covers = [[k for k in order if lt(k, j) and not any(lt(k, m) and lt(m, j) for m in order)] for j in order]
+    # the lower covers of each prime, by their places in the order
+    covers = [
+        [pos for pos, k in enumerate(order) if lt(k, j) and not any(lt(k, m) and lt(m, j) for m in order)]
+        for j in order
+    ]
     above = [source.primes_above[p] for p in source.primes]
-    point = [0] * len(order)
-    out = []
-    last = len(order) - 1
-
-    def place(pos):
-        allowed = (1 << len(above)) - 1
-        for k in covers[pos]:
-            allowed &= above[point[k]]
-        j = order[pos]
-        while allowed:  # the allowed source primes, in index order
-            low = allowed & -allowed
-            point[j] = low.bit_length() - 1
-            if pos == last:
-                out.append(FrameMorphism(source, target, tuple(point)))
-            else:
-                place(pos + 1)
-            allowed ^= low
-
-    place(0)
-    # place refers to itself through its closure; unbinding it breaks that
-    # cycle, so `out` is freed when the caller drops it, not at the next
-    # full collection
-    del place
-    return out
+    ones = [(i,) for i in range(len(above))]
+    ups = [tuple(one for one in ones if a >> one[0] & 1) for a in above]
+    allowed = {}
+    level = [()]  # the partial point maps, in placement order
+    for below in covers:
+        if not below:
+            level = [t + one for t in level for one in ones]
+        elif len(below) == 1:
+            (c,) = below
+            level = [t + one for t in level for one in ups[t[c]]]
+        else:
+            c, *rest = below
+            masks = [above[t[c]] for t in level]
+            for c in rest:
+                masks = [m & above[t[c]] for m, t in zip(masks, level)]
+            for m in set(masks).difference(allowed):
+                allowed[m] = tuple(one for one in ones if m >> one[0] & 1)
+            level = [t + one for t, m in zip(level, masks) for one in allowed[m]]
+    if order != sorted(order):  # each point map back in index order
+        level = map(itemgetter(*map(order.index, range(len(order)))), level)
+    return [FrameMorphism(source, target, points) for points in level]

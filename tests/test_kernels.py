@@ -213,6 +213,55 @@ def test_map_kernels_match_the_scalar_loops_on_a_planted_fault(corpus_pairs):
     assert found > checks // 2
 
 
+def test_a_failing_run_is_halved_down_to_its_faulty_map(monkeypatch, corpus_pairs, gather_bytes):
+    # chain6 to itself: one flipped fstar bit in one of its 126 maps. Each
+    # law's kernel fails on the run that holds the map, then on one half at
+    # each halving, down to the map alone: about 2 log2(126) kernel calls
+    # past the pair's runs, and one scan, of the planted map
+    _, fs, FL, EL = max(corpus_pairs, key=lambda p: len(p[1]))
+    mi = 77
+    calls, scanned = [], []
+    each_map = map_laws._each_map
+
+    def counting(maps, per_map, kernel, scan):
+        calls.append(0)
+        scanned.append([])
+
+        def counted(run):
+            calls[-1] += 1
+            return kernel(run)
+
+        def recorded(f):
+            scanned[-1].append(fs.index(f))
+            return scan(f)
+
+        return each_map(maps, per_map, counted, recorded)
+
+    monkeypatch.setattr(map_laws, "_each_map", counting)
+    intact = {name: [scalar_laws.MAP_ORACLES[name](f, FL, EL) for f in fs] for name in PLANTED["_fstar"]}
+    undo = flip(fs[mi], "_fstar", 3, 0)
+    try:
+        maps = _Maps(fs, FL, EL)
+        runs = len(maps.runs)
+        assert runs == (16 if gather_bytes == 8 << 10 else 1)
+        # the planted map is in a run of 126 maps, or of 8
+        depth = 7 if runs == 1 else 3
+        broken = set()
+        for k, name in enumerate(PLANTED["_fstar"]):
+            got = MAP_LAWS[name].check(maps)
+            assert got == spliced(intact[name], mi, fs[mi], name, FL, EL), name
+            if got[1]:
+                broken.add(name)
+                assert {i for i, _ in got[1]} == {mi}, name
+                assert runs + 2 * (depth - 1) <= calls[k] <= runs + 2 * depth, name
+                assert scanned[k] == [mi], name
+            else:  # a kernel that holds reads each run once and scans nothing
+                assert (calls[k], scanned[k]) == (runs, []), name
+        assert broken == {"adjunction", "preimage-open-closed"}
+    finally:
+        undo()
+
+
 def test_lattice_kernels_match_the_scalar_loops():
     for _, fr in iter_corpus_frames():
         L = SubLattice(fr)

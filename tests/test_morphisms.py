@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -208,6 +209,17 @@ def test_self_map_counts_past_the_corpus():
     assert len(enumerate_morphisms(bool16, bool16)) == 256
 
 
+def test_enumeration_leaves_no_cyclic_garbage():
+    # the maps are freed by reference counting when the caller drops them:
+    # the search keeps no reference cycle, such as a recursive closure
+    chain9 = build_frame(chain_spec(9))
+    gc.collect()
+    maps = enumerate_morphisms(chain9, chain9)
+    assert len(maps) == math.comb(15, 7) == 6435
+    del maps
+    assert gc.collect() == 0
+
+
 # ------------------------------------------- oracle for the point-map DFS
 
 def generate_and_test(source, target):
@@ -265,10 +277,14 @@ def test_enumeration_matches_generate_and_test():
     assert total == 1490
 
 
-def all_below_search(source, target):
+def all_below_search(source, target, reach):
     """The point maps of a search that bounds each target prime by every
     prime placed below it, not by its lower covers alone: the reference for
-    `enumerate_morphisms`, with the same placement and choice order."""
+    `enumerate_morphisms`, with the same placement and choice order. What
+    the search meets is added to the set `reach`: "covers" for a target
+    prime with two or more lower covers, "order" for a placement order
+    other than index order, and "dead end" for a partial map that no
+    source prime extends."""
     order = sorted(
         range(len(target.primes)),
         key=lambda j: bin(target.down[target.primes[j]]).count("1"),
@@ -280,6 +296,13 @@ def all_below_search(source, target):
     above = [source.primes_above[p] for p in source.primes]
     point = [0] * len(order)
     out = []
+    if order != sorted(order):
+        reach.add("order")
+    lt = lambda k, m: k != m and target.leq(target.primes[k], target.primes[m])
+    for ks in below:
+        # a lower cover is below no other prime below
+        if sum(not any(lt(k, m) for m in ks) for k in ks) >= 2:
+            reach.add("covers")
 
     def place(pos):
         if pos == len(order):
@@ -288,6 +311,8 @@ def all_below_search(source, target):
         allowed = (1 << len(above)) - 1
         for k in below[pos]:
             allowed &= above[point[k]]
+        if not allowed:
+            reach.add("dead end")
         while allowed:
             low = allowed & -allowed
             point[order[pos]] = low.bit_length() - 1
@@ -321,11 +346,14 @@ SEARCH_PAIRS = {
 def test_enumeration_matches_the_all_below_search(case):
     # the same point maps in the same order, so every map index and
     # a->b#i witness is the reference's; a self-map of the n-chain sends
-    # its n-1 points monotonically to themselves, C(2n-3, n-2) ways
-    counts = []
+    # its n-1 points monotonically to themselves, C(2n-3, n-2) ways. The
+    # corpus and random cases reach a prime with two lower covers, a
+    # placement order other than index order, and a partial map with no
+    # completion
+    counts, reach = [], set()
     for src, tgt in SEARCH_PAIRS[case]():
         points = [m._points for m in enumerate_morphisms(src, tgt)]
-        assert points == all_below_search(src, tgt), (src.elements, tgt.elements)
+        assert points == all_below_search(src, tgt, reach), (src.elements, tgt.elements)
         counts.append(len(points))
     want = {
         "corpus-pairs": (121, 1490),
@@ -336,6 +364,8 @@ def test_enumeration_matches_the_all_below_search(case):
     assert (len(counts), sum(counts)) == want[case]
     if case == "chains-3-to-10":
         assert counts[-1] == math.comb(17, 8) == 24310
+    everything = {"covers", "order", "dead end"}
+    assert reach == (everything if case in ("corpus-pairs", "random-frames") else set())
 
 
 def test_maps_built_from_points_compose():
