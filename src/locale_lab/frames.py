@@ -1,18 +1,17 @@
 """Finite frames: complete distributive lattices with validated axioms.
 
-Elements are integer indexes into a label tuple. Each element is also
-its set of points, the primes above it, as a bitmask: a finite frame is
-the up-sets of its points (Birkhoff, "Rings of sets", Duke Math. J.
-1937), so a meet is the element of the union of two point sets and a
-join that of their intersection, each one dict lookup. A Frame checks on
-construction that its names are distinct, that `up` is a partial order
-(`Frame.build` closes one read from outside) and that the bounded order
-is a distributive lattice, its elements' point sets being all the
-up-sets of its points; law suites never re-prove them. Only a refused
-order is scanned pair by pair, to name its witness. Boolean and regular
-are read off the points, so no operation a law checks picks the frames
-it runs on. A frame's parts (`Sublocale`) are defined here, next to the
-part table; the `sublocales` module holds what is done with them.
+Elements are integer indexes into a label tuple, and each element is its
+set of points, the primes above it, as a bitmask: a finite frame is the
+up-sets of its points (Birkhoff, "Rings of sets", Duke Math. J. 1937).
+That is the one form of the order: a meet is the element of the union of
+two point sets and a join that of their intersection, one dict lookup.
+Every frame is made from its points by one constructor. Only an order
+from outside is checked, once, at the boundary: distinct names, `up` a
+partial order (`Frame.build` closes one read from outside) and the
+bounded order a distributive lattice; only a refused order is scanned
+pair by pair, to name its witness. Boolean and regular are read off the
+points, so no operation a law checks picks the frames it runs on. A
+frame's parts (`Sublocale`) are defined here, next to the part table.
 """
 
 from __future__ import annotations
@@ -118,23 +117,49 @@ def _irreducibles(cones, duals) -> list:
     return out
 
 
+def _refuse(e, up, down):
+    """Raise the refusal of a bounded order, names e with up- and
+    down-sets, that is no distributive lattice: the first pair without a
+    meet, in row-major order, then the first without a join, each found
+    by looking its cone up, then the first pair v1 < v2 whose join is
+    above a join-irreducible below neither (a finite lattice is
+    distributive iff every join-irreducible is join-prime)."""
+    n = len(e)
+    at_meet, at_join = ({c: k for k, c in enumerate(cone)} for cone in (down, up))
+    for kind, cone, at in (("meet", down, at_meet), ("join", up, at_join)):
+        for i, j in itertools.product(range(n), repeat=2):
+            if cone[i] & cone[j] not in at:
+                raise NotALattice(kind, e[i], e[j])
+    irr = sum(1 << j for j in _irreducibles(down, up))
+    for v1, v2 in itertools.combinations(range(n), 2):
+        v = at_join[up[v1] & up[v2]]
+        if bad := down[v] & irr & ~(down[v1] | down[v2]):
+            j = next(_bits(bad))
+            m = [at_meet[down[j] & down[x]] for x in (v, v1, v2)]
+            raise NotDistributive(e[j], e[v1], e[v2], e[m[0]], e[at_join[up[m[1]] & up[m[2]]]])
+    raise FrameError("not a distributive lattice")
+
+
 class Frame:
     """A validated finite frame. Elements are 0..n-1; `elements` holds names.
 
-    `up[i]` / `down[i]` are bitmasks of the elements above / below i, so the
-    order tests used by the law suites are single AND operations.
-    `primes_above[v]` has bit k set iff primes[k] is above v: v's set of
-    points, which no other element has. meet(i, j) is the element of the
-    union of two such sets and join(i, j) that of their intersection, one
-    dict lookup each. The primes, in index order, are the elements other
-    than top that are not the meet of the elements strictly above them;
-    the constructor accepts the bounded order iff every union of their
-    up-sets is some element's set, checked in O(n * points) lookups, and
-    scans a refused order pair by pair to name its witness (`_refuse`).
-    `boolean` and `regular` read the point sets too. Values read off sets
-    of primes are derived once per frame and kept as long as the frame
-    lives, at most one entry per set: the meet of each set of primes
-    (`meet_of_primes`) and the one `Sublocale` of each set.
+    The order is stored once, as point sets: `primes_above[v]` has bit k
+    set iff primes[k] is above v, v's set of points, which no other
+    element has, so u <= v iff v's set is inside u's, meet(i, j) is the
+    element of the union of two sets and join(i, j) that of their
+    intersection, each one dict lookup. The primes, in index order, are
+    the elements other than top that are not the meet of the elements
+    strictly above them. No up- or down-set is kept. Values read off sets
+    of primes are derived once per frame and kept while it lives: the
+    meet of each set of primes (`meet_of_primes`) and its one `Sublocale`.
+
+    One trusted constructor, `_of_points`, takes the names, the primes and
+    their point sets; `from_topology` and the derived frames, which know
+    their points, call it at once. `Frame(elements, up)` is the boundary
+    for an order from outside (`Frame.build`, JSON): it checks `up` as a
+    bounded partial order, then accepts it iff every union of the primes'
+    up-sets is some element's set, O(n * points) lookups, and scans a
+    refused order pair by pair to name its witness (`_refuse`).
 
     `_parts` is the part table, the one way a part is built or found: a
     dict from point mask to part whose `__missing__` builds the part on
@@ -144,46 +169,40 @@ class Frame:
     a frame is a reference cycle, freed by the cycle collector.
     """
 
-    def __init__(self, elements, up, *, opens=None, point_names=None):
-        self.elements = e = tuple(elements)
-        self.n = len(e)
-        self.index = {name: i for i, name in enumerate(e)}
-        if len(self.index) != self.n:
-            dup = next(x for i, x in enumerate(e) if self.index[x] != i)
+    def __init__(self, elements, up):
+        e = tuple(elements)
+        n = len(e)
+        index = {name: i for i, name in enumerate(e)}
+        if len(index) != n:
+            dup = next(x for i, x in enumerate(e) if index[x] != i)
             raise SpecError(f"duplicate element {dup!r}", "$.elements")
-        self.up = tuple(up)
-        full = (1 << self.n) - 1
-        if len(self.up) != self.n:
-            raise SpecError(f"{len(self.up)} up-sets for {self.n} elements", "$.up")
-        for name, above in zip(e, self.up):
+        up = tuple(up)
+        full = (1 << n) - 1
+        if len(up) != n:
+            raise SpecError(f"{len(up)} up-sets for {n} elements", "$.up")
+        for name, above in zip(e, up):
             if type(above) is not int:
                 raise SpecError(f"the up-set of {name!r} is a {type(above).__name__}, not an int", "$.up")
             if above & ~full:
                 raise SpecError(f"the up-set of {name!r} names an element past the last", "$.up")
-        down = [0] * self.n
-        for i, above in enumerate(self.up):  # a partial order, by bitmasks
+        down = [0] * n
+        for i, above in enumerate(up):  # a partial order, by bitmasks
             if not above >> i & 1:
                 raise NotAPartialOrder(f"reflexivity fails: {e[i]!r} is not <= itself", (e[i],))
             outside = ~above
             for j in _bits(above):
                 down[j] |= 1 << i
-                if self.up[j] & outside:
-                    k = e[(self.up[j] & outside).bit_length() - 1]
+                if up[j] & outside:
+                    k = e[(up[j] & outside).bit_length() - 1]
                     raise NotAPartialOrder(f"transitivity fails: {e[i]!r} <= {e[j]!r} <= {k!r} "
                                            f"but not {e[i]!r} <= {k!r}", (e[i], e[j], k))
-                if j != i and self.up[j] >> i & 1:
+                if j != i and up[j] >> i & 1:
                     raise NotAPartialOrder(f"antisymmetry fails: {e[i]!r} <= {e[j]!r} <= {e[i]!r}",
                                            (e[i], e[j]))
-        self.down = tuple(down)
-
-        bottom = [i for i in range(self.n) if self.up[i] == full]
-        top = [i for i in range(self.n) if self.down[i] == full]
-        if not bottom:
+        if full not in up:
             raise MissingBound("bottom")
-        if not top:
+        if full not in down:
             raise MissingBound("top")
-        self.bottom = bottom[0]
-        self.top = top[0]
 
         # every v is the meet of the primes above it (down from top: a v
         # that is no prime is the meet of the elements strictly above it),
@@ -191,46 +210,35 @@ class Frame:
         # It is onto the up-sets of the primes, and the order a distributive
         # lattice (Birkhoff), iff its image holds each set's union with
         # each prime's
-        self.primes = primes = tuple(_irreducibles(self.up, down))
-        sets = [0] * self.n
-        for k, p in enumerate(primes):
-            for v in _bits(down[p]):
-                sets[v] |= 1 << k
-        self.primes_above = tuple(sets)
-        self._at = at = {mask: v for v, mask in enumerate(sets)}
+        primes = tuple(_irreducibles(up, down))
+        sets = tuple(sum(1 << k for k, p in enumerate(primes) if above >> p & 1) for above in up)
+        at = set(sets)
         if not all(s | sets[p] in at for s in sets for p in primes):
-            self._refuse()
+            _refuse(e, up, down)
+        self._adopt(e, primes, sets)
+
+    @classmethod
+    def _of_points(cls, elements, primes, primes_above) -> "Frame":
+        """The trusted constructor: element v is named elements[v] and has
+        the point set primes_above[v], bit k for primes[k], the primes as
+        element indices ascending and the sets every up-set of them once."""
+        frame = object.__new__(cls)
+        frame._adopt(tuple(elements), tuple(primes), tuple(primes_above))
+        return frame
+
+    def _adopt(self, elements, primes, primes_above):
+        self.elements, self.n = elements, len(elements)
+        self.primes, self.primes_above = primes, primes_above
+        self.index = {name: i for i, name in enumerate(elements)}
+        self._at = at = {mask: v for v, mask in enumerate(primes_above)}
+        self.bottom, self.top = at[(1 << len(primes)) - 1], at[0]
         self._prime_meets = {}
         self._parts = _Parts(self)
-
-        # Only set when the frame came from a TopologySpec: the open set
-        # behind each element, aligned with `elements`.
-        self.opens = opens
-        self.point_names = point_names
+        # Set by from_topology alone: the open behind each element, aligned
+        # with `elements`, and each point's prime, as its index in `primes`
+        self.opens = self.point_names = self.point_primes = None
 
     # -- construction -------------------------------------------------
-
-    def _refuse(self):
-        """Raise the refusal of a bounded order that is no distributive
-        lattice: the first pair without a meet, in row-major order, then
-        the first without a join, each found by looking its cone up, then
-        the first pair v1 < v2 whose join is above a join-irreducible below
-        neither (a finite lattice is distributive iff every
-        join-irreducible is join-prime)."""
-        e, up, down, n = self.elements, self.up, self.down, self.n
-        at_meet, at_join = ({c: k for k, c in enumerate(cone)} for cone in (down, up))
-        for kind, cone, at in (("meet", down, at_meet), ("join", up, at_join)):
-            for i, j in itertools.product(range(n), repeat=2):
-                if cone[i] & cone[j] not in at:
-                    raise NotALattice(kind, e[i], e[j])
-        irr = sum(1 << j for j in _irreducibles(down, up))
-        for v1, v2 in itertools.combinations(range(n), 2):
-            v = at_join[up[v1] & up[v2]]
-            if bad := down[v] & irr & ~(down[v1] | down[v2]):
-                j = next(_bits(bad))
-                m = [at_meet[down[j] & down[x]] for x in (v, v1, v2)]
-                raise NotDistributive(e[j], e[v1], e[v2], e[m[0]], e[at_join[up[m[1]] & up[m[2]]]])
-        raise FrameError("not a distributive lattice")
 
     @classmethod
     def build(cls, spec: FrameSpec) -> "Frame":
@@ -254,6 +262,9 @@ class Frame:
 
     @classmethod
     def from_topology(cls, tspec: TopologySpec) -> "Frame":
+        """The frame of a finite topology, built from its points: point x's
+        prime is the union of the least opens that miss x, and open v's
+        points are the classes of the points not in v (alike in every open)."""
         pts = list(tspec.points)
         if len(set(pts)) != len(pts):
             raise SpecError("duplicate point", "$.points")
@@ -298,22 +309,18 @@ class Frame:
                         if c not in closed:
                             w = (sorted(opens[i]), sorted(o))
                             raise InvalidTopology(f"not closed under {law}: {w[0]} {op} {w[1]}", w)
-        ordered = sorted(family, key=lambda o: (len(o), tuple(sorted(o))))
-        # the opens above a are those holding each of its points: the AND,
-        # over its points, of the opens that hold that point
-        holding = dict.fromkeys(pts, 0)
-        for j, o in enumerate(ordered):
-            for p in o:
-                holding[p] |= 1 << j
-        full = (1 << len(ordered)) - 1
-        up = []
-        for o in ordered:
-            above = full
-            for p in o:
-                above &= holding[p]
-            up.append(above)
-        return cls([open_set_name(o) for o in ordered], up,
-                   opens=tuple(ordered), point_names=tuple(pts))
+        ordered = sorted(zip(opens, masks), key=lambda om: (len(om[0]), tuple(sorted(om[0]))))
+        place = {m: v for v, (_, m) in enumerate(ordered)}
+        # each point's prime, the largest open missing it, as an element
+        prime_of = [place[functools.reduce(operator.or_, (u for u in least if not u >> x & 1), 0)]
+                    for x in range(len(pts))]
+        primes = sorted(set(prime_of))
+        first = [prime_of.index(p) for p in primes]  # a point of each class
+        sets = [sum(1 << k for k, x in enumerate(first) if not m >> x & 1) for _, m in ordered]
+        frame = cls._of_points([open_set_name(o) for o, _ in ordered], primes, sets)
+        frame.opens, frame.point_names = tuple(o for o, _ in ordered), tuple(pts)
+        frame.point_primes = tuple(map(primes.index, prime_of))
+        return frame
 
     # -- lattice operations --------------------------------------------
 
@@ -363,7 +370,7 @@ class Frame:
         return tuple(out)
 
     def leq(self, i: int, j: int) -> bool:
-        return (self.up[i] >> j) & 1 == 1
+        return self.primes_above[j] & ~self.primes_above[i] == 0
 
     def meet(self, i: int, j: int) -> int:
         return self._at[self.primes_above[i] | self.primes_above[j]]

@@ -240,6 +240,9 @@ def normalize(pieces) -> "FinUnion":
 
 @dataclass(frozen=True)
 class FinUnion:
+    """A finite union of intervals of [0,1]: its canonical `pieces`, sorted
+    and pairwise separated, checked on construction."""
+
     pieces: tuple
     # the length as an integer pair in lowest terms, once known
     _length: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -413,6 +416,9 @@ def closure(u: FinUnion) -> FinUnion:
 
 @dataclass(frozen=True)
 class RatOpen:
+    """A rational open of [0,1]: a FinUnion whose pieces hold an endpoint
+    only at the ambient boundary, 0 or 1."""
+
     fin: FinUnion
 
     def __post_init__(self):

@@ -19,16 +19,8 @@ import itertools
 from functools import cached_property
 
 from locale_lab.frames import Frame, FrameError
-from locale_lab.morphisms import right_adjoint
-from locale_lab.sublocales import (
-    closed_sublocale,
-    enumerate_sublocales,
-    exterior,
-    generic,
-    interior,
-    open_sublocale,
-    subspace_sublocale,
-)
+from locale_lab.morphisms import _lift, right_adjoint
+from locale_lab.sublocales import enumerate_sublocales, exterior, generic, interior
 
 BYTE = 256  # the values of one byte
 GATHER_BYTES = 4 << 20  # the most a pair kernel's gathered column holds
@@ -73,8 +65,8 @@ class SubLattice:
             raise FrameError(f"no part lattice: {why}")
         self.frame = frame
         self.subs = enumerate_sublocales(frame, max(10, frame.n))
-        self.open_idx = [open_sublocale(frame, v).points for v in range(frame.n)]
-        self.closed_idx = [closed_sublocale(frame, v).points for v in range(frame.n)]
+        self.closed_idx = list(frame.primes_above)
+        self.open_idx = [(len(self.subs) - 1) & ~s for s in self.closed_idx]
         self.whole_idx = self.open_idx[frame.top]
         self.empty_idx = self.open_idx[frame.bottom]
         # derived per-sublocale data
@@ -92,14 +84,10 @@ class SubLattice:
         return generic(self.frame).points
 
     @cached_property
-    def subspace_idx(self) -> dict:
-        """Point subset -> index of its subspace part (topology frames only)."""
-        pts = self.frame.point_names
-        return {
-            frozenset(c): subspace_sublocale(self.frame, c).points
-            for r in range(len(pts) + 1)
-            for c in itertools.combinations(pts, r)
-        }
+    def subspace_idx(self) -> tuple:
+        """Point-subset mask, bit i for point_names[i] -> index of its
+        subspace part (topology frames only): the OR of the points' primes."""
+        return _lift([1 << k for k in self.frame.point_primes])
 
     @cached_property
     def packed_pairs(self):
@@ -143,8 +131,8 @@ class SubLattice:
         """up_rows[v] has byte x set to 1 iff v <= x: a translate table that
         tests v <= x for a whole row of elements x at once. An element index
         is a byte, as a frame has at most as many elements as parts."""
-        fr = self.frame
-        return [_table(fr.up[v] >> x & 1 for x in range(fr.n)) for v in range(fr.n)]
+        sets = self.frame.primes_above
+        return [_table(s & ~t == 0 for s in sets) for t in sets]
 
     @cached_property
     def nucleus_rows(self) -> list:

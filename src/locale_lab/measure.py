@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from locale_lab import intervals as ivs
-from locale_lab.frames import Frame, FrameError, _bits
+from locale_lab.frames import Frame, FrameError
 from locale_lab.intervals import EMPTY_RO, FULL_RO, FinUnion, Iv, RatOpen, frac, parse_fin
 from locale_lab.morphisms import FrameMorphism
 from locale_lab.presented import (
@@ -60,16 +60,7 @@ from locale_lab.presented import (
     neighborhood,
     normal_form,
 )
-from locale_lab.sublocales import (
-    Sublocale,
-    closed_sublocale,
-    fixpoint_frame,
-    intersect,
-    is_subsublocale,
-    open_sublocale,
-    union as sub_union,
-    whole,
-)
+from locale_lab.sublocales import Sublocale, fixpoint_frame, intersect, union as sub_union, whole
 
 # ---------------------------------------------------------------------------
 # finite valuations
@@ -138,10 +129,11 @@ def validate_valuation(frame: Frame, table) -> FiniteValuation:
     if mu[frame.bottom] != 0:
         raise NotZeroAtBottom(mu[frame.bottom])
     e = frame.elements
-    lower = []  # lower[b]: the elements b covers, in index order
-    for b, down in enumerate(frame.down):
-        below = down & ~(1 << b)
-        lower.append([a for a in _bits(below) if frame.up[a] & below == 1 << a])
+    # lower[b]: the elements b covers, in index order, each b's set with
+    # one point more
+    at = frame._at
+    lower = [sorted(at[t] for t in (s | 1 << i for i in range(len(frame.primes))) if t != s and t in at)
+             for s in frame.primes_above]
     for b, covers in enumerate(lower):
         for a in covers:
             if mu[a] > mu[b]:
@@ -177,7 +169,7 @@ def null_partner(val: FiniteValuation, a: Sublocale):
     the partner is empty. Both facts are returned as exact certificates.
     """
     v = vstar(a)
-    b = closed_sublocale(val.frame, v)
+    b = val.frame._parts[val.frame.primes_above[v]]
     certs = {
         "union": outer_measure_finite(val, sub_union(a, b)),
         "intersection": outer_measure_finite(val, intersect(a, b)),
@@ -191,10 +183,8 @@ def restrict_valuation(val: FiniteValuation, a: Sublocale):
     as the outer measure of its trace on a. Returns (valuation, fix). Off
     Boolean frames it can raise NotModular (corpus topology top-3pt-18)."""
     omega, fix = fixpoint_frame(a)
-    mu = tuple(
-        outer_measure_finite(val, intersect(a, open_sublocale(val.frame, amb)))
-        for amb in fix
-    )
+    parts, sets = val.frame._parts, val.frame.primes_above
+    mu = tuple(outer_measure_finite(val, parts[a.points & ~sets[amb]]) for amb in fix)
     return validate_valuation(omega, mu), fix
 
 
@@ -238,6 +228,9 @@ def strict_additivity_check(val: FiniteValuation, x: Sublocale, y: Sublocale) ->
 
 @dataclass(frozen=True)
 class ReducedAlgebra:
+    """The frame of reduced sublocales, what `reduced_algebra` returns: the
+    ambient part behind each element, the quotient and the valuation."""
+
     frame: Frame
     reps: tuple  # reps[i] is the ambient Sublocale behind frame element i
     quotient: object  # FrameMorphism from the ambient frame
@@ -264,9 +257,13 @@ def reduced_algebra(val: FiniteValuation) -> ReducedAlgebra:
             masks += [s | 1 << i for s in masks]
     reps = [frame._parts[s] for s in masks]
     reps.sort(key=lambda r: (len(r.fixpoints), r.nucleus))
-    up = [sum(1 << j for j, y in enumerate(reps) if is_subsublocale(x, y)) for x in reps]
-    red = Frame([f"r{i}" for i in range(len(reps))], up)
-    points = tuple((masks[-1] & ~reps[p].points).bit_length() - 1 for p in red.primes)
+    # the points are the support less one point q, in index order, and a
+    # set s of support points lies under that point iff q is not in s
+    missing = [masks[-1] & ~r.points for r in reps]
+    primes = [j for j, m in enumerate(missing) if m and not m & m - 1]
+    points = tuple(missing[j].bit_length() - 1 for j in primes)
+    red = Frame._of_points([f"r{i}" for i in range(len(reps))], primes,
+                           [sum(1 << k for k, q in enumerate(points) if m >> q & 1) for m in missing])
     nu = FiniteValuation(red, tuple(val.mass[q] for q in points))
     return ReducedAlgebra(red, tuple(reps), FrameMorphism(frame, red, points), nu)
 
@@ -496,6 +493,9 @@ def checked_tol(tol) -> Fraction:
 
 @dataclass(frozen=True)
 class MeasureBounds:
+    """Certified bounds lower <= mu <= upper on an outer measure, with the
+    names of the routes that certify them."""
+
     lower: Fraction
     upper: Fraction
     certificates: tuple
@@ -726,6 +726,9 @@ def _stream_bounds(x: PresentedSublocale, regions: tuple, tol: Fraction) -> Meas
 
 @dataclass(frozen=True)
 class ResidualBounds:
+    """Bounds lo <= mu(X u Y) + mu(X n Y) - mu(X) - mu(Y) <= hi, with the
+    bounds on the four measures they are made of."""
+
     lo: Fraction
     hi: Fraction
     union: MeasureBounds

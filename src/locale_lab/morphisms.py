@@ -16,27 +16,19 @@ Maps are enumerated as monotone maps of points, built one target point
 at a time over every partial point map at once. An fstar table from
 outside enters through `validate_morphism`, which finds its points with
 one join per target prime, an element's image tested against the prime
-by one bit of its down-set; the injections of a sum and the embedding of
-a part are built from their points directly.
+by one bit of the image's point set; a sum and its injections, and the
+embedding of a part, are built from their points directly.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from operator import itemgetter
+import operator
 
-from locale_lab.frames import Frame, FrameError
+from locale_lab.frames import Frame, FrameError, _bits
 # union and whole are not used here but stay importable from this module
-from locale_lab.sublocales import (
-    MixedFrames,
-    Sublocale,
-    closed_sublocale,
-    fixpoint_frame,
-    intersect_all,
-    open_sublocale,
-    union,
-    whole,
-)
+from locale_lab.sublocales import MixedFrames, Sublocale, fixpoint_frame, intersect_all, union, whole
 
 
 class NotAFrameMorphism(FrameError):
@@ -124,8 +116,8 @@ class FrameMorphism:
 def validate_morphism(source: Frame, target: Frame, mapping) -> FrameMorphism:
     """The map with this fstar table, checked to be a frame homomorphism.
     Its points are found with one join per target prime q: f_*(q) is the
-    join of the V with fstar(V) <= q, each read as one bit of q's
-    down-set. The table is kept as fstar."""
+    join of the V with fstar(V) <= q, those whose fstar(V) has q among
+    its points. The table is kept as fstar."""
     f = source.table(mapping, target.el, "fstar")
     if f[source.bottom] != target.bottom:
         raise NotAFrameMorphism("bottom", source.elements[source.bottom])
@@ -140,9 +132,10 @@ def validate_morphism(source: Frame, target: Frame, mapping) -> FrameMorphism:
                 raise NotAFrameMorphism("meet", (source.elements[a], source.elements[b]))
             if f[sj(a, b)] != tj(fa, fb):
                 raise NotAFrameMorphism("join", (source.elements[a], source.elements[b]))
+    sets = target.primes_above
     m = FrameMorphism(source, target, tuple(
-        source.primes.index(source.join_all(v for v, fv in enumerate(f) if below >> fv & 1))
-        for below in (target.down[q] for q in target.primes)
+        source.primes.index(source.join_all(v for v, fv in enumerate(f) if sets[fv] >> j & 1))
+        for j in range(len(target.primes))
     ))
     m._fstar = f
     return m
@@ -234,38 +227,31 @@ def sum_frame(frames):
     """Product of the frames (the sum of their locales).
 
     Elements are tuples of component elements, ordered componentwise.
-    Returns (frame, injections) where injections[i] is the morphism whose
-    fstar projects onto component i.
+    Its points are the disjoint union of the components' points: a prime
+    is a prime of one component with top in every other, and a tuple's
+    set is the union of its entries' sets. Returns (frame, injections)
+    where injections[i] is the morphism whose fstar projects onto
+    component i.
     """
     frames = list(frames)
     if not frames:
         raise FrameError("sum of no frames")
-    combos = list(itertools.product(*(range(f.n) for f in frames)))
-    names = [tuple(f.elements[c[k]] for k, f in enumerate(frames)) for c in combos]
-    # above[k][x]: the tuples whose k-th entry is above x, read off the
-    # combos once; the up-set of a tuple is the AND of its entries' masks
-    above = []
-    for k, f in enumerate(frames):
-        holding = [0] * f.n
-        for j, c in enumerate(combos):
-            holding[c[k]] |= 1 << j
-        above.append([sum(h for y, h in enumerate(holding) if u >> y & 1) for u in f.up])
-    up = []
-    for c in combos:
-        mask = -1
-        for masks, x in zip(above, c):
-            mask &= masks[x]
-        up.append(mask)
-    s = Frame(names, up)
-
+    names = list(itertools.product(*(f.elements for f in frames)))
+    index = {c: j for j, c in enumerate(itertools.product(*(range(f.n) for f in frames)))}
+    # prime i of component k is the tuple with it there and top elsewhere;
+    # the tuples sort in index order, and bit place[k, i] is that prime's
+    held = sorted(
+        (tuple(p if m == k else g.top for m, g in enumerate(frames)), k, i)
+        for k, f in enumerate(frames) for i, p in enumerate(f.primes)
+    )
+    place = {(k, i): b for b, (_, k, i) in enumerate(held)}
+    lifted = [[sum(1 << place[k, i] for i in _bits(s)) for s in f.primes_above] for k, f in enumerate(frames)]
+    sets = [functools.reduce(operator.or_, t) for t in itertools.product(*lifted)]
+    s = Frame._of_points(names, [index[c] for c, _, _ in held], sets)
     # The injection onto component k is the projection, so f_*(q) for a
     # prime q of that component is q there and top everywhere else.
-    def point(k, q):
-        name = tuple(f.elements[q if m == k else f.top] for m, f in enumerate(frames))
-        return s.primes.index(s.index[name])
-
     injections = [
-        FrameMorphism(s, f, tuple(point(k, q) for q in f.primes))
+        FrameMorphism(s, f, tuple(place[k, i] for i in range(len(f.primes))))
         for k, f in enumerate(frames)
     ]
     return s, injections
@@ -283,11 +269,9 @@ def atoms(frame: Frame) -> list:
     below p) and c(v) where it is not. They partition the whole frame and
     every open/closed combination is a union of them.
     """
+    parts, sets, every = frame._parts, frame.primes_above, (1 << len(frame.primes)) - 1
     return [
-        intersect_all(frame, [
-            closed_sublocale(frame, v) if frame.leq(v, p) else open_sublocale(frame, v)
-            for v in range(frame.n)
-        ])
+        intersect_all(frame, [parts[s if frame.leq(v, p) else every & ~s] for v, s in enumerate(sets)])
         for p in frame.primes
     ]
 
@@ -311,8 +295,9 @@ def enumerate_morphisms(source: Frame, target: Frame) -> list:
     target primes taken by down-set size and each tried on the source
     primes in index order.
     """
-    primes, leq = target.primes, target.leq
-    order = sorted(range(len(primes)), key=lambda j: bin(target.down[primes[j]]).count("1"))
+    primes, leq, sets = target.primes, target.leq, target.primes_above
+    # by down-set size: the elements whose sets hold the prime's set
+    order = sorted(range(len(primes)), key=lambda j: sum(sets[primes[j]] & ~s == 0 for s in sets))
     lt = lambda k, j: k != j and leq(primes[k], primes[j])
     # the lower covers of each prime, by their places in the order
     covers = [
@@ -339,5 +324,5 @@ def enumerate_morphisms(source: Frame, target: Frame) -> list:
                 allowed[m] = tuple(one for one in ones if m >> one[0] & 1)
             level = [t + one for t, m in zip(level, masks) for one in allowed[m]]
     if order != sorted(order):  # each point map back in index order
-        level = map(itemgetter(*map(order.index, range(len(order)))), level)
+        level = map(operator.itemgetter(*map(order.index, range(len(order)))), level)
     return [FrameMorphism(source, target, points) for points in level]

@@ -14,6 +14,7 @@ in a table, reported unconfirmed (`runner._settle`).
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 
 from locale_lab.frames import FrameError, open_set_name
@@ -360,55 +361,67 @@ def _meet_over_union_search(L):
     return _settle(k ** 3, _meets_distribute(L, range(k)))
 
 
+def _point_picture(fr):
+    """A topology's frame of at most three points: its point subsets as
+    masks, bit i for point_names[i], by size in `combinations` order, its
+    opens as masks, aligned with its elements, and a mask's name; or None."""
+    if fr.opens is None or len(fr.point_names) > 3:
+        return None
+    bit = {p: 1 << i for i, p in enumerate(fr.point_names)}
+    subsets = [sum(map(bit.get, c)) for r in range(len(bit) + 1) for c in combinations(bit, r)]
+    opens = [sum(map(bit.get, o)) for o in fr.opens]
+    return subsets, opens, lambda m: open_set_name(p for p in bit if m & bit[p])
+
+
 @_declare(PART_LAWS, "subspace-laws",
           "point subsets embed compatibly with union, open meets, exterior, and closure")
 def _subspace_laws(L):
     fr = L.frame
-    if fr.opens is None or len(fr.point_names) > 3:
+    if not (picture := _point_picture(fr)):
         return 0, []
-    pts = frozenset(fr.point_names)
-    idx_of = L.subspace_idx
-    bad = []
-    for xs, ix in idx_of.items():
-        ee = fr.join_all(v for v in range(fr.n) if not (fr.opens[v] & xs))
-        closure_pts = pts - fr.opens[ee]
+    (subsets, opens, name), idx_of = picture, L.subspace_idx
+    pts, bad = len(subsets) - 1, []
+    for xs in subsets:
+        ix = idx_of[xs]
+        ee = fr.join_all(v for v in range(fr.n) if not opens[v] & xs)
+        closure_pts = pts & ~opens[ee]
         if L.ext[ix] != ee:
-            bad.append({"X": open_set_name(xs), "form": "exterior matches the point picture"})
+            bad.append({"X": name(xs), "form": "exterior matches the point picture"})
         if L.closure_idx[ix] != idx_of[closure_pts]:
-            bad.append({"X": open_set_name(xs), "form": "closure matches the point picture"})
-        ie = fr.join_all(v for v in range(fr.n) if fr.opens[v] <= xs)
+            bad.append({"X": name(xs), "form": "closure matches the point picture"})
+        ie = fr.join_all(v for v in range(fr.n) if not opens[v] & ~xs)
         if not fr.leq(ie, L.int_el[ix]):
-            bad.append({"X": open_set_name(xs), "form": "point interior inside localic interior"})
+            bad.append({"X": name(xs), "form": "point interior inside localic interior"})
         bd = L.closure_idx[ix] & L.closed_idx[L.int_el[ix]]
-        point_bd = idx_of[closure_pts - fr.opens[ie]]
+        point_bd = idx_of[closure_pts & ~opens[ie]]
         if bd & point_bd != bd:
-            bad.append({"X": open_set_name(xs), "form": "boundary inside the point boundary"})
+            bad.append({"X": name(xs), "form": "boundary inside the point boundary"})
         for v in range(fr.n):
-            if idx_of[frozenset(fr.opens[v] & xs)] != L.open_idx[v] & ix:
-                bad.append({"X": open_set_name(xs), "U": fr.name(v), "form": "[U n X] = [U] n [X]"})
-        for ys, iy in idx_of.items():
+            if idx_of[opens[v] & xs] != L.open_idx[v] & ix:
+                bad.append({"X": name(xs), "U": fr.name(v), "form": "[U n X] = [U] n [X]"})
+        for ys in subsets:
+            iy = idx_of[ys]
             if idx_of[xs | ys] != ix | iy:
-                bad.append({"X": open_set_name(xs), "Y": open_set_name(ys), "form": "[X u Y] = [X] u [Y]"})
+                bad.append({"X": name(xs), "Y": name(ys), "form": "[X u Y] = [X] u [Y]"})
             both = idx_of[xs & ys]
             if both & ix & iy != both:
-                bad.append({"X": open_set_name(xs), "Y": open_set_name(ys), "form": "[X n Y] inside [X] n [Y]"})
-    s = len(idx_of)
+                bad.append({"X": name(xs), "Y": name(ys), "form": "[X n Y] inside [X] n [Y]"})
+    s = len(subsets)
     return s * (4 + fr.n + 2 * s), bad
 
 
 def _lossy_note(name: str, L: SubLattice):
     """A note on the first pair of point subsets whose meet is strictly
     below the meet of their parts, or None."""
-    fr = L.frame
-    if fr.opens is None or len(fr.point_names) > 3:
+    if not (picture := _point_picture(L.frame)):
         return None
-    idx_of = L.subspace_idx
-    for xs, ix in idx_of.items():
-        for ys, iy in idx_of.items():
-            both, meet = idx_of[xs & ys], ix & iy
+    (subsets, _, subset_name), idx_of = picture, L.subspace_idx
+    for xs in subsets:
+        for ys in subsets:
+            both, meet = idx_of[xs & ys], idx_of[xs] & idx_of[ys]
             if both != meet and both & meet == both:
                 return (
                     f"point picture is lossy on {name}: [X n Y] is strictly "
-                    f"below [X] n [Y] for X={open_set_name(xs)}, Y={open_set_name(ys)}"
+                    f"below [X] n [Y] for X={subset_name(xs)}, Y={subset_name(ys)}"
                 )
     return None

@@ -259,11 +259,14 @@ def _gaps(cores) -> RatOpen:
 
 @dataclass(frozen=True)
 class PresentedSublocale:
-    pass
+    """A sublocale of [0,1] given by a constructor; the subclasses are the
+    constructors."""
 
 
 @dataclass(frozen=True)
 class Open(PresentedSublocale):
+    """The open sublocale of a rational open."""
+
     part: RatOpen
 
     def __post_init__(self):
@@ -282,6 +285,8 @@ class Closed(PresentedSublocale):
 
 @dataclass(frozen=True)
 class CountablePoints(PresentedSublocale):
+    """The join of the enumerated points of [0,1]."""
+
     points: Enumerator
 
 
@@ -299,6 +304,8 @@ class Generic(PresentedSublocale):
 
 @dataclass(frozen=True)
 class _Combination(PresentedSublocale):
+    """A union or a meet of one or more parts."""
+
     parts: tuple
 
     def __post_init__(self):

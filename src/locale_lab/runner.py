@@ -32,6 +32,9 @@ from dataclasses import asdict, dataclass, field
 
 @dataclass(frozen=True)
 class Violation:
+    """One failed case: the law and its identity, the frame or entry it
+    failed on, and the witness."""
+
     law: str
     identity: str
     frame: str
@@ -40,6 +43,9 @@ class Violation:
 
 @dataclass
 class RunReport:
+    """A suite's report: the cases checked, the violations, the time taken,
+    the tolerance of a measure suite and the notes."""
+
     suite: str
     cases: int
     violations: list

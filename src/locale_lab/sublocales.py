@@ -30,7 +30,7 @@ keep the nucleus algorithms as a differential oracle.
 
 from __future__ import annotations
 
-from locale_lab.frames import Frame, FrameError, Sublocale
+from locale_lab.frames import Frame, FrameError, Sublocale, _bits
 
 
 class NucleusError(FrameError):
@@ -177,7 +177,7 @@ def exterior(x: Sublocale) -> int:
 
 
 def closure(x: Sublocale) -> Sublocale:
-    return closed_sublocale(x.frame, exterior(x))
+    return x.frame._parts[x.frame.primes_above[exterior(x)]]
 
 
 def interior(x: Sublocale) -> int:
@@ -216,15 +216,19 @@ def entanglement(a: Sublocale, b: Sublocale) -> Sublocale:
 def fixpoint_frame(x: Sublocale):
     """The frame of fixpoints of x's nucleus, with its ambient embedding.
 
-    Built from the ambient order on the fixpoints: meets agree with the
-    ambient frame and joins are e(ambient join). Returns (frame, fix) where
-    fix[k] is the ambient index of element k. Both are built once per part
-    and kept on it.
+    Built from x's points: its primes are the ambient primes in x, and
+    each fixpoint's set is its ambient set met with x's points, so its
+    meets agree with the ambient frame and its joins are e(ambient join).
+    Returns (frame, fix) where fix[k] is the ambient index of element k.
+    Both are built once per part and kept on it.
     """
     if x._fixpoint_frame is None:
         amb, fix = x.frame, x.fixpoints
-        up = [sum(1 << k for k, b in enumerate(fix) if amb.leq(a, b)) for a in fix]
-        x._fixpoint_frame = Frame([amb.elements[i] for i in fix], up), fix
+        kept = list(_bits(x.points))  # the ambient primes in x, in order
+        x._fixpoint_frame = Frame._of_points(
+            [amb.elements[a] for a in fix], [fix.index(amb.primes[i]) for i in kept],
+            [sum(1 << k for k, i in enumerate(kept) if amb.primes_above[a] >> i & 1) for a in fix],
+        ), fix
     return x._fixpoint_frame
 
 
@@ -237,17 +241,18 @@ def subspace_sublocale(frame: Frame, pts) -> Sublocale:
     """The sublocale a subset of points induces on its topology's frame.
 
     Its points are the primes P_x, for x in the subset, where P_x is the
-    largest open missing x. Several points x can share one prime, so the
-    picture can lose information. Requires a frame built from a topology.
+    largest open missing x, read off `point_primes`. Several points x can
+    share one prime, so the picture can lose information. Requires a frame
+    built from a topology.
     """
-    if frame.opens is None:
+    if frame.point_primes is None:
         raise FrameError("subspace_sublocale needs a frame built from a topology")
     pts = frozenset(pts)
-    unknown = pts - set(frame.point_names)
+    prime_of = dict(zip(frame.point_names, frame.point_primes))
+    unknown = pts - prime_of.keys()
     if unknown:
         raise FrameError(f"unknown point {sorted(unknown)[0]!r}")
     points = 0
     for x in pts:
-        missing = frame.join_all(w for w in range(frame.n) if x not in frame.opens[w])
-        points |= 1 << frame.primes.index(missing)
+        points |= 1 << prime_of[x]
     return frame._parts[points]

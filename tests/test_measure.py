@@ -540,7 +540,8 @@ def test_point_mass_reduction_matches_enumerating_oracle_on_corpus():
             alg = reduced_algebra(val)
             assert alg.reps == tuple(reps), (name, val)
             red = quotient.target
-            assert (alg.frame.elements, alg.frame.up) == (red.elements, red.up), (name, val)
+            assert (alg.frame.elements, alg.frame.primes, alg.frame.primes_above) == (
+                red.elements, red.primes, red.primes_above), (name, val)
             assert alg.quotient._points == quotient._points, (name, val)
             assert alg.quotient.fstar == quotient.fstar, (name, val)
             assert alg.valuation.mu == nu.mu, (name, val)

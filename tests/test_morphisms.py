@@ -36,7 +36,7 @@ from locale_lab.sublocales import (
     whole,
 )
 from scalar_laws import pull, push, right_adjoint_by_definition
-from test_frames import random_bounded_poset
+from test_frames import down_rows, random_bounded_poset, up_rows
 
 
 def chain(n):
@@ -226,7 +226,8 @@ def generate_and_test(source, target):
     """Frame maps by assigning join-irreducibles: any monotone assignment
     extends uniquely to a join-preserving map; keep the extensions that
     also preserve top and binary meets."""
-    irr = sorted(source.join_irreducibles, key=lambda p: bin(source.down[p]).count("1"))
+    down = down_rows(source)
+    irr = sorted(source.join_irreducibles, key=lambda p: bin(down[p]).count("1"))
     below = [[j for j in irr if source.leq(j, p) and j != p] for p in irr]
     out = []
     assignment = {}
@@ -285,9 +286,10 @@ def all_below_search(source, target, reach):
     prime with two or more lower covers, "order" for a placement order
     other than index order, and "dead end" for a partial map that no
     source prime extends."""
+    down = down_rows(target)
     order = sorted(
         range(len(target.primes)),
-        key=lambda j: bin(target.down[target.primes[j]]).count("1"),
+        key=lambda j: bin(down[target.primes[j]]).count("1"),
     )
     below = [
         [k for k in order[:pos] if target.leq(target.primes[k], target.primes[j])]
@@ -383,7 +385,7 @@ def test_maps_built_from_points_compose():
 
 
 def profile(f):
-    return [(bin(f.up[i]).count("1"), bin(f.down[i]).count("1")) for i in range(f.n)]
+    return [(bin(u).count("1"), bin(d).count("1")) for u, d in zip(up_rows(f), down_rows(f))]
 
 
 def isomorphic(f, g):

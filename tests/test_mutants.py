@@ -26,6 +26,17 @@ entanglement that answers the closure of a when b is empty, which
 `entanglement-zone` calls once per pair of parts. Their counts were
 pinned before the part laws had row forms, so the row forms must still
 reach the library.
+
+Two faults sit in the points a frame is built from: one open's point set
+in `Frame.from_topology`, and one fixpoint's in `fixpoint_frame`, each
+with its lowest bit dropped at the middle element. Their frames are no
+longer every up-set of their points, so a meet or a join of two such
+sets can name no element. The topology fault reaches the frame and
+sublocale suites as violations when they are capped at 4 elements, and
+stops `laws all` with a KeyError in the frame suite. The fixpoint fault
+is seen by `embedding-factorization` alone and stops the measure suite,
+whose restricted valuations read fixpoint frames; the frame and
+sublocale suites build no fixpoint frame and pass it.
 """
 
 import sys
@@ -35,7 +46,7 @@ import pytest
 
 from locale_lab import morphisms, sublocales
 from locale_lab.frames import Frame
-from locale_lab.laws import run_morphism_suite, run_sublocale_suite
+from locale_lab.laws import run_frame_suite, run_measure_suite, run_morphism_suite, run_sublocale_suite
 from locale_lab.morphisms import FrameMorphism
 
 
@@ -140,3 +151,71 @@ def test_each_part_fault_is_caught_with_its_counts(monkeypatch, fault):
     fault(monkeypatch)
     rep = run_sublocale_suite(max_size=4)
     assert (rep.cases, Counter(v.law for v in rep.violations)) == PART_CAUGHT[fault]
+
+
+def _dropped(fr):
+    """fr with the lowest bit of its middle element's point set dropped."""
+    sets = list(fr.primes_above)
+    sets[len(sets) // 2] &= sets[len(sets) // 2] - 1
+    return Frame._of_points(fr.elements, fr.primes, sets)
+
+
+def topology_points(monkeypatch):
+    real = Frame.from_topology.__func__
+
+    def fault(cls, tspec):
+        fr = real(cls, tspec)
+        out = _dropped(fr)
+        out.opens, out.point_names, out.point_primes = fr.opens, fr.point_names, fr.point_primes
+        return out
+
+    monkeypatch.setattr(Frame, "from_topology", classmethod(fault))
+
+
+def fixpoint_points(monkeypatch):
+    real = sublocales.fixpoint_frame
+
+    def fault(x):
+        if x._fixpoint_frame is None:
+            omega, fix = real(x)
+            x._fixpoint_frame = _dropped(omega), fix
+        return x._fixpoint_frame
+
+    _patch_every_binding(monkeypatch, real, fault)
+
+
+# (suite, fault) -> (cases, violations by law) of the suite capped at 4
+# elements, or the exception that stops it
+POINT_CAUGHT = {
+    (run_frame_suite, topology_points): (2_618, {
+        "boolean-definition": 8, "heyting-adjunction": 20, "finite-regular-is-boolean": 4,
+    }),
+    (run_sublocale_suite, topology_points): (41_728, {
+        "closure-interior-extremal": 44, "subspace-laws": 92, "exterior-partition": 32,
+        "generic-dense": 4, "boolean-generic-whole": 4, "boolean-opens": 12,
+    }),
+    (run_morphism_suite, topology_points): ValueError,
+    (run_measure_suite, topology_points): KeyError,
+    (run_frame_suite, fixpoint_points): (2_618, {}),
+    (run_sublocale_suite, fixpoint_points): (42_404, {}),
+    (run_morphism_suite, fixpoint_points): (21_664, {"embedding-factorization": 141}),
+    (run_measure_suite, fixpoint_points): KeyError,
+}
+
+
+@pytest.mark.parametrize("suite,fault", POINT_CAUGHT, ids=lambda f: f.__name__)
+def test_each_point_fault_is_caught_with_its_counts(monkeypatch, suite, fault):
+    fault(monkeypatch)
+    want = POINT_CAUGHT[suite, fault]
+    if isinstance(want, type):
+        with pytest.raises(want):
+            suite(max_size=4)
+    else:
+        rep = suite(max_size=4)
+        assert (rep.cases, Counter(v.law for v in rep.violations)) == want
+
+
+def test_a_topology_point_fault_stops_the_whole_frame_suite(monkeypatch):
+    topology_points(monkeypatch)
+    with pytest.raises(KeyError):
+        run_frame_suite()

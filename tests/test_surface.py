@@ -27,6 +27,12 @@ ALLOWED_UNUSED = {
     "runner.report_from_json",
     # the least part, the twin of `whole`; union_all starts from mask 0
     "sublocales.empty",
+    # [u] for an element name or index; the package reads the part table
+    # at the point sets it computes
+    "sublocales.open_sublocale",
+    # the part of a set of point names; the part laws read
+    # `SubLattice.subspace_idx`, the same bits by point mask
+    "sublocales.subspace_sublocale",
     # the bound on what a lazy open's later stages add; the tests check
     # stage lengths against it, and the package reads the raw `_tail`
     "presented.LazyOpen.tail",
