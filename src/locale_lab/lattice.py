@@ -10,7 +10,8 @@ Heyting row and join row of each element and the nucleus of each part;
 per pair of frames (`_Maps`), the maps' own tables, read in runs of maps
 whose gathered columns stay under `GATHER_BYTES`. A frame has one part
 per set of its points, and one past a byte of parts (`over_byte`) has no
-`SubLattice`: the suites skip it with a note.
+`SubLattice`: the suites skip it with a note. `BYTE` comes from
+`morphisms`, whose point maps are bytes too.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ import itertools
 from functools import cached_property
 
 from locale_lab.frames import Frame, FrameError
-from locale_lab.morphisms import _lift, right_adjoint
+from locale_lab.morphisms import BYTE, _lift, right_adjoint
 from locale_lab.sublocales import enumerate_sublocales, exterior, generic, interior
 
-BYTE = 256  # the values of one byte
 GATHER_BYTES = 4 << 20  # the most a pair kernel's gathered column holds
 
 

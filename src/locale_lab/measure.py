@@ -43,7 +43,7 @@ from fractions import Fraction
 from locale_lab import intervals as ivs
 from locale_lab.frames import Frame, FrameError
 from locale_lab.intervals import EMPTY_RO, FULL_RO, FinUnion, Iv, RatOpen, frac, parse_fin
-from locale_lab.morphisms import FrameMorphism
+from locale_lab.morphisms import FrameMorphism, _byte_points
 from locale_lab.presented import (
     Closed,
     CoCountable,
@@ -245,9 +245,11 @@ def reduced_algebra(val: FiniteValuation) -> ReducedAlgebra:
     support points, and V -> [V] meet support is the quotient. A support
     point q below a point p leaves no reduced part above {q} and {p}. The
     frame is built from the inclusion order, the quotient from its point
-    map: the support less q goes to q, and carries q's mass.
+    map: the support less q goes to q, and carries q's mass. A frame of
+    more than a byte of points has no quotient point map, and is refused.
     """
     frame = val.frame
+    _byte_points(len(frame.primes))
     masks = [0]  # the sets of support points, ending with the whole support
     for i, (p, m) in enumerate(zip(frame.primes, val.mass)):
         if m > 0:
@@ -261,7 +263,7 @@ def reduced_algebra(val: FiniteValuation) -> ReducedAlgebra:
     # set s of support points lies under that point iff q is not in s
     missing = [masks[-1] & ~r.points for r in reps]
     primes = [j for j, m in enumerate(missing) if m and not m & m - 1]
-    points = tuple(missing[j].bit_length() - 1 for j in primes)
+    points = bytes(missing[j].bit_length() - 1 for j in primes)
     red = Frame._of_points([f"r{i}" for i in range(len(reps))], primes,
                            [sum(1 << k for k, q in enumerate(points) if m >> q & 1) for m in missing])
     nu = FiniteValuation(red, tuple(val.mass[q] for q in points))

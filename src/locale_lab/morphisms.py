@@ -12,6 +12,15 @@ Pulling source points back gives the preimage of a part, and fstar(a) is
 the meet of the points pulled back from c(a), which is the
 `preimage-open-closed` identity.
 
+A point map is a bytes object, one byte per target point: it holds no
+references, so the cycle collector does not track it, it caches its
+hash, and composing two maps is one C call. Its bytes are source point
+indices, so a map's source has at most `BYTE` (256) points, the limit
+`lattice.BYTE` also sets on a part index (it is defined here, and
+`lattice` imports it). Every function that makes a point map, here and
+`measure.reduced_algebra`, refuses a wider source with one `FrameError`
+naming its point count.
+
 Maps are enumerated as monotone maps of points, built one target point
 at a time over every partial point map at once. An fstar table from
 outside enters through `validate_morphism`, which finds its points with
@@ -29,6 +38,14 @@ import operator
 from locale_lab.frames import Frame, FrameError, _bits
 # union and whole are not used here but stay importable from this module
 from locale_lab.sublocales import MixedFrames, Sublocale, fixpoint_frame, intersect_all, union, whole
+
+BYTE = 256  # the values of one byte
+
+
+def _byte_points(points: int) -> None:
+    """Refuse a source of this many points: its point indices are not bytes."""
+    if points > BYTE:
+        raise FrameError(f"{points} points over the byte limit {BYTE} of a point map")
 
 
 class NotAFrameMorphism(FrameError):
@@ -49,8 +66,9 @@ def _lift(cols) -> tuple:
 
 class FrameMorphism:
     """A frame homomorphism fstar: source -> target, stored as its point
-    map: entry j is the index in `source.primes` of f_*(q) for the target
-    prime q = target.primes[j]. The constructor trusts the map; use
+    map, a bytes object: byte j is the index in `source.primes` of f_*(q)
+    for the target prime q = target.primes[j], so the source has at most
+    `BYTE` points. The constructor trusts the map; use
     `validate_morphism` for an fstar table from outside.
 
     Every view is read off two lifts of point sets, tables over every
@@ -62,7 +80,7 @@ class FrameMorphism:
 
     __slots__ = ("source", "target", "_points", "_fstar", "_adjoint", "_back", "_forward")
 
-    def __init__(self, source: Frame, target: Frame, points: tuple):
+    def __init__(self, source: Frame, target: Frame, points: bytes):
         self.source, self.target, self._points = source, target, points
         self._fstar = self._adjoint = self._back = self._forward = None
 
@@ -118,6 +136,7 @@ def validate_morphism(source: Frame, target: Frame, mapping) -> FrameMorphism:
     Its points are found with one join per target prime q: f_*(q) is the
     join of the V with fstar(V) <= q, those whose fstar(V) has q among
     its points. The table is kept as fstar."""
+    _byte_points(len(source.primes))
     f = source.table(mapping, target.el, "fstar")
     if f[source.bottom] != target.bottom:
         raise NotAFrameMorphism("bottom", source.elements[source.bottom])
@@ -133,7 +152,7 @@ def validate_morphism(source: Frame, target: Frame, mapping) -> FrameMorphism:
             if f[sj(a, b)] != tj(fa, fb):
                 raise NotAFrameMorphism("join", (source.elements[a], source.elements[b]))
     sets = target.primes_above
-    m = FrameMorphism(source, target, tuple(
+    m = FrameMorphism(source, target, bytes(
         source.primes.index(source.join_all(v for v, fv in enumerate(f) if sets[fv] >> j & 1))
         for j in range(len(target.primes))
     ))
@@ -142,14 +161,17 @@ def validate_morphism(source: Frame, target: Frame, mapping) -> FrameMorphism:
 
 
 def identity_morphism(frame: Frame) -> FrameMorphism:
-    return FrameMorphism(frame, frame, tuple(range(len(frame.primes))))
+    _byte_points(len(frame.primes))
+    return FrameMorphism(frame, frame, bytes(range(len(frame.primes))))
 
 
 def compose(g: FrameMorphism, f: FrameMorphism) -> FrameMorphism:
-    """(g after f) on the star maps, built from its point map: f's after g's."""
+    """(g after f) on the star maps, built from its point map: f's after
+    g's, each byte of g's looked up in f's in one C call. Its source is
+    f's, already within a byte of points."""
     if f.target is not g.source:
         raise MixedFrames()
-    return FrameMorphism(f.source, g.target, tuple(f._points[i] for i in g._points))
+    return FrameMorphism(f.source, g.target, bytes(map(f._points.__getitem__, g._points)))
 
 
 def right_adjoint(f: FrameMorphism) -> tuple:
@@ -177,8 +199,9 @@ def sublocale_embedding(x: Sublocale):
     the fixpoint frame. f_* is the inclusion of the fixpoints, so each
     point of the fixpoint frame goes to itself in the ambient frame.
     """
+    _byte_points(len(x.frame.primes))
     omega, fix = fixpoint_frame(x)
-    points = tuple(x.frame.primes.index(fix[q]) for q in omega.primes)
+    points = bytes(x.frame.primes.index(fix[q]) for q in omega.primes)
     return FrameMorphism(x.frame, omega, points), omega, fix
 
 
@@ -231,11 +254,13 @@ def sum_frame(frames):
     is a prime of one component with top in every other, and a tuple's
     set is the union of its entries' sets. Returns (frame, injections)
     where injections[i] is the morphism whose fstar projects onto
-    component i.
+    component i. The sum's points are refused past `BYTE` before its
+    elements, the product of the components', are built.
     """
     frames = list(frames)
     if not frames:
         raise FrameError("sum of no frames")
+    _byte_points(sum(len(f.primes) for f in frames))
     names = list(itertools.product(*(f.elements for f in frames)))
     index = {c: j for j, c in enumerate(itertools.product(*(range(f.n) for f in frames)))}
     # prime i of component k is the tuple with it there and top elsewhere;
@@ -251,7 +276,7 @@ def sum_frame(frames):
     # The injection onto component k is the projection, so f_*(q) for a
     # prime q of that component is q there and top everywhere else.
     injections = [
-        FrameMorphism(s, f, tuple(place[k, i] for i in range(len(f.primes))))
+        FrameMorphism(s, f, bytes(place[k, i] for i in range(len(f.primes))))
         for k, f in enumerate(frames)
     ]
     return s, injections
@@ -294,7 +319,13 @@ def enumerate_morphisms(source: Frame, target: Frame) -> list:
     order of the placement: lexicographic in the point map, with the
     target primes taken by down-set size and each tried on the source
     primes in index order.
+
+    Every partial point map is bytes, extended by concatenating one byte,
+    so the cycle collector tracks no partial map: the `FrameMorphism`
+    objects returned are the only tracked objects the search allocates
+    per map. A source of more than `BYTE` points is refused.
     """
+    _byte_points(len(source.primes))
     primes, leq, sets = target.primes, target.leq, target.primes_above
     # by down-set size: the elements whose sets hold the prime's set
     order = sorted(range(len(primes)), key=lambda j: sum(sets[primes[j]] & ~s == 0 for s in sets))
@@ -305,10 +336,10 @@ def enumerate_morphisms(source: Frame, target: Frame) -> list:
         for j in order
     ]
     above = [source.primes_above[p] for p in source.primes]
-    ones = [(i,) for i in range(len(above))]
+    ones = [bytes((i,)) for i in range(len(above))]
     ups = [tuple(one for one in ones if a >> one[0] & 1) for a in above]
     allowed = {}
-    level = [()]  # the partial point maps, in placement order
+    level = [b""]  # the partial point maps, in placement order
     for below in covers:
         if not below:
             level = [t + one for t in level for one in ones]
@@ -324,5 +355,5 @@ def enumerate_morphisms(source: Frame, target: Frame) -> list:
                 allowed[m] = tuple(one for one in ones if m >> one[0] & 1)
             level = [t + one for t, m in zip(level, masks) for one in allowed[m]]
     if order != sorted(order):  # each point map back in index order
-        level = map(operator.itemgetter(*map(order.index, range(len(order)))), level)
+        level = map(bytes, map(operator.itemgetter(*map(order.index, range(len(order)))), level))
     return [FrameMorphism(source, target, points) for points in level]

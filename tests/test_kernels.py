@@ -612,7 +612,7 @@ def test_composition_matches_its_oracle_on_a_planted_composite(monkeypatch, smal
             return h
         points = list(h._points)
         points[0] = (points[0] + 1) % len(h.source.primes)
-        return FrameMorphism(h.source, h.target, tuple(points))
+        return FrameMorphism(h.source, h.target, bytes(points))
 
     cases = COMPOSITION.check(small_ctx)[0]
     monkeypatch.setattr(map_laws, "compose", planted)
