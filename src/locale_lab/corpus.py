@@ -195,11 +195,15 @@ def iter_corpus_frames(root=None) -> list:
 
 
 def corpus_files(root=None) -> list:
-    """The positive corpus files: topologies, then frames, in filename order."""
+    """The positive corpus files: topologies, then frames, in filename order.
+    A corpus with none is refused: every suite would pass it with no case."""
     root = corpus_root(root)
-    return sorted((root / "topologies").glob("*.json")) + sorted(
+    files = sorted((root / "topologies").glob("*.json")) + sorted(
         (root / "frames").glob("*.json")
     )
+    if not files:
+        raise FileNotFoundError(f"{root} has no corpus file in topologies/ or frames/")
+    return files
 
 
 def iter_negative_specs(root=None) -> list:

@@ -29,6 +29,7 @@ from locale_lab.frames import (
 from locale_lab.laws import run_measure_suite
 from locale_lab.morphisms import sum_frame
 from locale_lab.sublocales import enumerate_sublocales, fixpoint_frame, is_subsublocale
+from cli_contract import dyadic_grid
 from test_frames import down_rows, scan_table, up_rows
 
 
@@ -159,27 +160,6 @@ def test_topology_closure_matches_the_pairs_scan():
             continue
         assert same_frame(Frame.from_topology(tspec), oracle_from_topology(tspec))
     assert 200 < refused < 1800
-
-
-def dyadic_grid(level):
-    """The digital line on [0,1] at `level` (Khalimsky, Kopperman & Meyer,
-    Topology Appl. 1990): its points are the k/2^level and the open cells
-    between them, in order along the line. A cell's least open is itself,
-    a grid point's is the point and its adjacent cells; the opens are the
-    unions of least opens, smallest first."""
-    d = 1 << level
-    grid = [f"{k}/{d}" for k in range(d + 1)]
-    points = [grid[0]]
-    for a, b in zip(grid, grid[1:]):
-        points += [f"({a} {b})", b]
-    least = [frozenset(points[max(i - 1, 0):i + 2] if i % 2 == 0 else [p]) for i, p in enumerate(points)]
-    family, todo = {frozenset()}, [frozenset()]
-    for s in todo:
-        for u in least:
-            if s | u not in family:
-                family.add(s | u)
-                todo.append(s | u)
-    return TopologySpec.make(points, sorted(family, key=lambda o: (len(o), sorted(o))))
 
 
 def test_the_dyadic_grid_has_a_fibonacci_number_of_opens():
