@@ -7,13 +7,16 @@ peak-RSS or RSS-growth bound. The call is a CLI argv, its input files named
 by the builders that write them, or a probe: a function of this module
 that does its work inside a `Span`. Seconds lines are dropped first.
 
-    PYTHONPATH=src python tests/cli_contract.py
+    PYTHONHASHSEED=1 PYTHONPATH=src python tests/cli_contract.py
 
-answers each row in a fresh interpreter: as `python -m locale_lab.cli`, or
-if bounded, through `cli.main` or its probe with the bounds read in that
+answers each row in a fresh interpreter, `python -O -W error` with
+`PYTHONHASHSEED=0`: as `python -m locale_lab.cli`, or if a probe or
+bounded, through its probe or `cli.main` with the bounds read in that
 process. Then it answers each `Row.in_process` row through `cli.main`, in
 table order, in its own process with warnings as errors, and requires the
-fresh answer. It exits 1 if any row failed, and imports no pytest.
+fresh answer. So each such answer depends on neither `-O`, nor the hash
+seed (when this process runs under another), nor the calls made before it
+in one process. It exits 1 if any row failed, and imports no pytest.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -33,6 +37,7 @@ from typing import Callable, NamedTuple
 
 HERE = Path(__file__).resolve().parent
 CHILD = f"import sys; sys.path.insert(0, {str(HERE)!r}); import cli_contract; cli_contract.child(*sys.argv[1:])"
+FRESH = [sys.executable, "-O", "-W", "error"]  # asserts and `if __debug__:` blocks compiled out
 DEFAULT_TIMEOUT = 5
 
 
@@ -54,8 +59,9 @@ class Row:
 
     @property
     def in_process(self) -> bool:
-        """Unbounded, its timeout the default, and its stdout read to the end."""
-        return not self.bounded and self.timeout <= DEFAULT_TIMEOUT and self.close_after is None
+        """An argv, unbounded, its timeout the default, and its stdout read to the end."""
+        return (not callable(self.call) and not self.bounded and self.timeout <= DEFAULT_TIMEOUT
+                and self.close_after is None)
 
     @property
     def name(self) -> str:
@@ -140,8 +146,9 @@ def answer(argv, span=contextlib.nullcontext()) -> Answer:
 
 
 def child(probe, *argv) -> None:
-    """A bounded row's answer in this fresh interpreter, printed as JSON:
-    its probe if named, else `cli.main(argv)`, inside one `Span`."""
+    """A probe's or a bounded row's answer in this fresh interpreter,
+    printed as JSON: its probe if named, else `cli.main(argv)`, inside one
+    `Span`."""
     span = Span()
     got = captured(lambda: globals()[probe](span)) if probe else answer(argv, span)
     print(json.dumps(got._replace(seconds=span.seconds, peak_mib=span.peak_mib, grown_mib=span.grown_mib)))
@@ -149,17 +156,16 @@ def child(probe, *argv) -> None:
 
 def answer_fresh(row: Row, argv: list) -> Answer:
     """The row's answer from a fresh interpreter, within its timeout."""
-    if row.bounded:
-        probe = row.call.__name__ if callable(row.call) else ""
-        cmd = [sys.executable, "-c", CHILD, probe, *argv]
-    else:
-        cmd = [sys.executable, "-m", "locale_lab.cli", *argv]
+    probe = row.call.__name__ if callable(row.call) else ""
+    read_child = bool(probe) or row.bounded
+    cmd = [*FRESH, "-c", CHILD, probe, *argv] if read_child else [*FRESH, "-m", "locale_lab.cli", *argv]
+    env = {**os.environ, "PYTHONHASHSEED": "0"}
     try:
         if row.close_after is None:
-            r = subprocess.run(cmd, capture_output=True, text=True, timeout=row.timeout)
+            r = subprocess.run(cmd, capture_output=True, text=True, timeout=row.timeout, env=env)
             code, out, err = r.returncode, r.stdout, r.stderr
         else:
-            with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as p:
+            with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env) as p:
                 out = "".join(p.stdout.readline() for _ in range(row.close_after))
                 p.stdout.close()
                 try:
@@ -169,7 +175,7 @@ def answer_fresh(row: Row, argv: list) -> Answer:
                     raise
     except subprocess.TimeoutExpired:
         return Answer(None, "", "")
-    if row.bounded:
+    if read_child:
         try:
             return Answer(*json.loads(out))
         except ValueError:
@@ -328,6 +334,13 @@ def chain11_maps(span):
     return 0
 
 
+def fresh_flags(span):
+    """The flags and hash seed of the fresh interpreter the runner starts."""
+    with span:
+        print(sys.flags.optimize, sys.warnoptions, os.environ.get("PYTHONHASHSEED"), sep="\n")
+    return 0
+
+
 def suites(*counts) -> re.Pattern:
     """A `--format json` law report of these (suite, cases), in order."""
     return re.compile("(?s)" + ".*".join(f'"cases": {n},.*"suite": "{s}"' for s, n in counts))
@@ -337,6 +350,10 @@ def mu(value) -> tuple:
     return (f"mu = {value} (exact)",)
 
 
+# `laws all --format json` less its seconds lines, the one place its
+# counts are written; the README's Tests section regenerates it
+LAWS_ALL = (HERE / "laws_all.json").read_text()
+CASES = {report["suite"]: report["cases"] for report in json.loads(LAWS_ALL)}
 DIGITS = sys.get_int_max_str_digits()
 PART = "union(meet-open(irrationals; (0,1/2)); closed (1/4,3/4))"
 CHAIN10_NOTE = re.compile(r"^note: chain10 skipped: 512 parts over the byte limit 256$", re.M)
@@ -417,6 +434,10 @@ ROWS = [
     # one level of bytes point maps at a time grows the peak resident set
     # by 14-15 MiB from the peak before chain11 is built (tuples took 21-22)
     Row(chain11_maps, 0, out=("chain11 -> chain11: 92378 maps",), timeout=30, rss_mib=64, growth_mib=18),
+    # every fresh answer is one with asserts compiled out, warnings as
+    # errors and hash seed 0, so each in-process row, compared with it,
+    # shows its answer depends on none of them
+    Row(fresh_flags, 0, out=("1", "['error']", "0")),
     *(Row(argv, 1, err=(f"bad rational '1e-5000': more than {DIGITS} digits",)) for argv in [
         ("measure", "lebesgue", "(0,1e-5000)"),
         ("measure", "lebesgue", "closed (0,1e-5000)"),
@@ -452,13 +473,17 @@ ROWS = [
     # as a locale, yet holds no point and has no length
     Row(("measure", "lebesgue", "meet(rationals; irrationals)"), 0, out=mu(0)),
     Row(("laws", "frame", "--max-size", "3", "--format", "json"), 0, out=suites(("frame", 806))),
-    Row(("laws", "frame"), 0, out=("suite: frame", "cases: 10136", "violations: 0")),
-    Row(("laws", "sublocale", "--format", "json"), 0, out=suites(("sublocale", 442257))),
+    Row(("laws", "frame"), 0, out=("suite: frame", f"cases: {CASES['frame']}", "violations: 0")),
+    Row(("laws", "sublocale", "--format", "json"), 0, out=suites(("sublocale", CASES["sublocale"]))),
     Row(("laws", "morphism", "--max-size", "4", "--format", "json"), 0, out=suites(("morphism", 21664))),
-    Row(("laws", "morphism", "--format", "json"), 0, out=suites(("morphism", 2201853))),
-    Row(("laws", "measure", "--format", "json"), 0, out=suites(("measure", 19478))),
-    Row(("laws", "all", "--format", "json"), 0, out=suites(
-        ("frame", 10136), ("sublocale", 442257), ("morphism", 2201853), ("measure", 19478))),
+    Row(("laws", "morphism", "--format", "json"), 0, out=suites(("morphism", CASES["morphism"]))),
+    Row(("laws", "measure", "--format", "json"), 0, out=suites(("measure", CASES["measure"]))),
+    # the whole report: notes, layout and witnesses as well as counts
+    Row(("laws", "all", "--format", "json"), 0, out=tuple(LAWS_ALL.splitlines())),
+    # large denominators in the interval sums; at the least tolerance,
+    # 2^-100, the closed-complement law's stage budget follows it
+    Row(("laws", "measure", "--tol", "1/1000000000000", "--format", "json"), 0, out=suites(("measure", 21877))),
+    Row(("laws", "measure", "--tol", f"1/{2 ** 100}", "--format", "json"), 0, out=suites(("measure", 26678))),
     Row(("frame-check", chain2), 0, out=("valid frame: 2 elements", "boolean: yes", "regular: yes", "points: 1")),
     *(Row(("demo", name), 0, out=tuple(text.splitlines())) for name, text in DEMOS.items()),
     # single calls

@@ -30,7 +30,7 @@ from locale_lab.presented import (
 )
 from locale_lab.runner import report_from_json, report_to_json
 
-from cli_contract import ROWS, Inputs, Row, answer, answer_fresh, chain11_maps, failures, mu, run
+from cli_contract import ROWS, Inputs, Row, answer, answer_fresh, chain11_maps, failures, fresh_flags, mu, run
 
 
 def test_frame_check_parse_failure(tmp_path, capsys):
@@ -322,6 +322,14 @@ def test_a_closed_stdout_ends_without_a_traceback(inputs):
     assert [row.close_after for row in readers] == [0, 1]
     for row in readers:
         assert failures(row, answer_fresh(row, inputs.argv(row))) == [], row.name
+
+
+def test_every_fresh_answer_is_optimized_warnings_as_errors_at_hash_seed_0():
+    # the in-process rows are compared with answers given under these
+    # flags, so a flag dropped would leave the comparison showing less
+    row = next(row for row in ROWS if row.call is fresh_flags)
+    assert not row.in_process
+    assert failures(row, answer_fresh(row, [])) == []
 
 
 CHEAP = ("measure", "lebesgue", "(0,1/2)")

@@ -1,8 +1,6 @@
 import dataclasses
 import json
 import shutil
-from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -85,18 +83,6 @@ def test_report_json_round_trip(frame_report, measure_report):
 def test_reports_to_json_is_a_list(frame_report):
     obj = json.loads(reports_to_json([frame_report, frame_report]))
     assert isinstance(obj, list) and len(obj) == 2
-
-
-# `locale-lab laws all --format json | grep -v '"seconds"'`, the one line
-# of a report that differs between runs
-LAWS_ALL = Path(__file__).with_name("laws_all.json")
-
-
-def test_the_laws_all_report_is_pinned(frame_report, sublocale_report, morphism_report, measure_report):
-    # the whole report, notes, layout and witnesses as well as counts
-    text = reports_to_json([frame_report, sublocale_report, morphism_report, measure_report])
-    untimed = "".join(ln for ln in text.splitlines(keepends=True) if not ln.lstrip().startswith('"seconds":'))
-    assert untimed == LAWS_ALL.read_text()
 
 
 def test_format_text_layout(frame_report):
@@ -237,12 +223,6 @@ def test_a_tolerance_literal_reads_as_its_fraction_in_the_report(measure_report)
     rep = run_measure_suite(tol="1e-3")
     assert rep.tolerance == measure_report.tolerance == "1/1000"
     assert (rep.cases, rep.violations) == (measure_report.cases, [])
-
-
-def test_the_measure_suite_holds_at_the_least_tolerance():
-    # the closed-complement law's stage budget follows the tolerance
-    rep = run_measure_suite(tol=Fraction(1, 2 ** 100))
-    assert (rep.cases, rep.violations) == (26_678, [])
 
 
 def test_the_gates_do_not_read_the_operations_they_check(monkeypatch):
