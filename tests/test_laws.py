@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +84,18 @@ def test_report_json_round_trip(frame_report, measure_report):
 def test_reports_to_json_is_a_list(frame_report):
     obj = json.loads(reports_to_json([frame_report, frame_report]))
     assert isinstance(obj, list) and len(obj) == 2
+
+
+# `locale-lab laws all --format json | grep -v '"seconds"'`, the one line
+# of a report that differs between runs
+LAWS_ALL = Path(__file__).with_name("laws_all.json")
+
+
+def test_the_laws_all_report_is_pinned(frame_report, sublocale_report, morphism_report, measure_report):
+    # the whole report, notes, layout and witnesses as well as counts
+    text = reports_to_json([frame_report, sublocale_report, morphism_report, measure_report])
+    untimed = "".join(ln for ln in text.splitlines(keepends=True) if not ln.lstrip().startswith('"seconds":'))
+    assert untimed == LAWS_ALL.read_text()
 
 
 def test_format_text_layout(frame_report):
