@@ -22,9 +22,10 @@ Fractions, and a printed end reads as the Fraction's str.
 
 The canonical check runs at the edges: the public FinUnion and Iv
 constructors and parse_fin (which the JSON and command-line paths use).
-normalize, add, intersect, complement and presented's gap builders make
-canonical output by construction and skip it through _trusted; add also
-carries the length along, so a union sums its pieces at most once.
+normalize, add, intersect, complement, interior and presented's gap
+builders make canonical output by construction and skip it through
+_trusted; add also carries the length along, so a union sums its pieces
+at most once.
 """
 
 from __future__ import annotations
@@ -398,13 +399,14 @@ def complement(u: FinUnion) -> FinUnion:
 
 def interior(u: FinUnion) -> FinUnion:
     # canonical pieces are separated, so the interior works piecewise;
-    # inclusion survives only at the ambient boundary
+    # inclusion survives only at the ambient boundary; opened pieces stay
+    # sorted and separated, so the result is canonical by construction
     out = []
     for p in u.pieces:
         q = _piece(p.ln, p.ld, p.hn, p.hd, p.lo_in and p.ln == 0, p.hi_in and p.hn == p.hd)
         if not q.is_empty:
             out.append(q)
-    return normalize(out)
+    return _trusted(tuple(out))
 
 
 def closure(u: FinUnion) -> FinUnion:

@@ -3,10 +3,11 @@ exhaustively over the bundled corpus and, for measure, the unit interval.
 
 Each suite has one driver, `run_<suite>_suite`, which builds the
 contexts its laws read and applies the laws to each through one
-`runner._Run`. The frame suite's laws are declared here; the sublocale,
-morphism and measure suites' laws in `part_laws`, `map_laws` and
-`measure_laws`. `SUITES` maps each suite's name to its driver, in the
-order `run_suite("all")` runs them.
+`runner._Run`. The frame suite's laws are declared here, its four
+Heyting identities as quantified declarations (`runner._forall`) over a
+frame's elements; the sublocale, morphism and measure suites' laws in
+`part_laws`, `map_laws` and `measure_laws`. `SUITES` maps each suite's
+name to its driver, in the order `run_suite("all")` runs them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from locale_lab.measure_laws import (
 )
 from locale_lab.morphisms import enumerate_morphisms
 from locale_lab.part_laws import PART_LAWS, _lossy_note
-from locale_lab.runner import RunReport, _declare, _once, _Run
+from locale_lab.runner import RunReport, _declare, _forall, _once, _Run
 from locale_lab.sublocales import closed_sublocale, generic
 
 
@@ -79,28 +80,15 @@ def _negative_rejected(spec):
     return _once(False, {"error": "built without complaint"})
 
 
-@_declare(FRAME_LAWS, "heyting-adjunction", "W <= (U => H) iff W n U <= H")
-def _heyting_adjunction(fr):
-    n, nm = fr.n, fr.name
-    bad = []
-    for w in range(n):
-        for u in range(n):
-            for h in range(n):
-                if fr.leq(w, fr.heyting(u, h)) != fr.leq(fr.meet(w, u), h):
-                    bad.append({"w": nm(w), "u": nm(u), "h": nm(h)})
-    return n ** 3, bad
+def _elements(fr):
+    """A frame as `_forall` quantifies it: its elements, and no parts."""
+    return fr, None
 
 
-@_declare(FRAME_LAWS, "meet-over-join", "A n (B u C) = (A n B) u (A n C)")
-def _meet_over_join(fr):
-    n, nm = fr.n, fr.name
-    bad = []
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if fr.meet(a, fr.join(b, c)) != fr.join(fr.meet(a, b), fr.meet(a, c)):
-                    bad.append({"a": nm(a), "b": nm(b), "c": nm(c)})
-    return n ** 3, bad
+_forall(FRAME_LAWS, "heyting-adjunction", "W <= (U => H) iff W n U <= H", _elements, "wuh",
+        lambda fr, w, u, h: fr.leq(w, fr.heyting(u, h)) == fr.leq(fr.meet(w, u), h))
+_forall(FRAME_LAWS, "meet-over-join", "A n (B u C) = (A n B) u (A n C)", _elements, "abc",
+        lambda fr, a, b, c: fr.meet(a, fr.join(b, c)) == fr.join(fr.meet(a, b), fr.meet(a, c)))
 
 
 @_declare(FRAME_LAWS, "boolean-definition",
@@ -126,24 +114,10 @@ def _finite_regular_is_boolean(fr):
     return _once(fr.regular == fr.boolean)
 
 
-@_declare(FRAME_LAWS, "neg-of-join", "not(U u V) = not U n not V")
-def _neg_of_join(fr):
-    n, nm = fr.n, fr.name
-    bad = []
-    for u in range(n):
-        for v in range(n):
-            if fr.neg(fr.join(u, v)) != fr.meet(fr.neg(u), fr.neg(v)):
-                bad.append({"u": nm(u), "v": nm(v)})
-    return n * n, bad
-
-
-@_declare(FRAME_LAWS, "triple-negation", "not not not U = not U")
-def _triple_negation(fr):
-    bad = []
-    for u in range(fr.n):
-        if fr.neg(fr.neg(fr.neg(u))) != fr.neg(u):
-            bad.append({"u": fr.name(u)})
-    return fr.n, bad
+_forall(FRAME_LAWS, "neg-of-join", "not(U u V) = not U n not V", _elements, "uv",
+        lambda fr, u, v: fr.neg(fr.join(u, v)) == fr.meet(fr.neg(u), fr.neg(v)))
+_forall(FRAME_LAWS, "triple-negation", "not not not U = not U", _elements, "u",
+        lambda fr, u: fr.neg(fr.neg(fr.neg(u))) == fr.neg(u))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 (`LATTICE_LAWS`), of every map from one representative frame to another
 (`MAP_LAWS`), and of composites of maps between the small
 representatives (`COMPOSITION_LAWS`); and `_iso_reps`, which picks the
-representatives.
+representatives. `layer-decomposition`, quantified over the parts, is a
+declaration read by `runner._forall`.
 
 The two lattice laws with byte kernels compare Boolean-algebra
 identities of point masks, so, like the part laws' (`part_laws`), they
@@ -35,8 +36,8 @@ from locale_lab.morphisms import (
     sum_frame,
     validate_morphism,
 )
-from locale_lab.part_laws import _meets_distribute
-from locale_lab.runner import _UNCONFIRMED, _declare, _settle
+from locale_lab.part_laws import _meets_distribute, _parts
+from locale_lab.runner import _UNCONFIRMED, _declare, _forall, _settle
 from locale_lab.sublocales import is_subsublocale, union_all, whole
 
 
@@ -80,14 +81,9 @@ def _failing(kernel, at: int, run) -> list:
     return found
 
 
-@_declare(LATTICE_LAWS, "layer-decomposition", "every part is the meet over V of [V] u c(e(V))")
-def _layer_decomposition(L):
-    bad = []
-    for i, sub in enumerate(L.subs):
-        layers = [L.open_idx[v] | L.closed_idx[ev] for v, ev in enumerate(sub.nucleus)]
-        if L.meet_fold(layers) != i:
-            bad.append({"x": L.label(i)})
-    return len(L.subs), bad
+_forall(LATTICE_LAWS, "layer-decomposition", "every part is the meet over V of [V] u c(e(V))", _parts, "X",
+        lambda L, i: i == L.meet_fold(
+            L.open_idx[v] | L.closed_idx[e] for v, e in enumerate(L.subs[i].nucleus)))
 
 
 @_declare(LATTICE_LAWS, "boolean-combination-distributivity",

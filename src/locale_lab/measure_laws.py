@@ -1,8 +1,10 @@
 """The measure suite's laws: the gate on each corpus frame
 (`MEASURE_FRAME_LAWS`), the laws of each valuation on a complemented
 frame's part lattice (`FINITE_MEASURE_LAWS`, over `_Valued`), and those
-of [0,1] at one tolerance (`INTERVAL_LAWS`, over `_Arena`). An interval
-law that draws random opens draws them from a seeded stream of its own.
+of [0,1] at one tolerance (`INTERVAL_LAWS`, over `_Arena`), the finite
+laws of elements and parts alone declared through `runner._forall`. An
+interval law that draws random opens draws them from a seeded stream of
+its own.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from locale_lab.presented import (
     point_sublocale_meets_generic,
     structural_union_is_whole,
 )
-from locale_lab.runner import _declare, _once
+from locale_lab.runner import _declare, _forall, _once
 
 
 MEASURE_FRAME_LAWS: list = []
@@ -127,26 +129,15 @@ def _scaled(values, den: int) -> list:
     return out
 
 
-@_declare(FINITE_MEASURE_LAWS, "outer-extends",
-          "the outer measure of [V] is the valuation of V")
-def _outer_extends(m):
-    L, out, mu, fr = m.L, m.out, m.mu, m.L.frame
-    bad = []
-    for v in range(fr.n):
-        if out[L.open_idx[v]] != mu[v]:
-            bad.append({"v": fr.name(v)})
-    return fr.n, bad
+def _valued(m):
+    """A valuation as `_forall` quantifies it: its frame's elements, its parts."""
+    return m.L.frame, m.L
 
 
-@_declare(FINITE_MEASURE_LAWS, "outer-monotone", "X inside Y gives mu(X) <= mu(Y)")
-def _outer_monotone(m):
-    L, out, k = m.L, m.out, len(m.L.subs)
-    bad = []
-    for i in range(k):
-        for j in range(k):
-            if i & j == i and out[i] > out[j]:
-                bad.append({"x": L.label(i), "y": L.label(j)})
-    return k * k, bad
+_forall(FINITE_MEASURE_LAWS, "outer-extends", "the outer measure of [V] is the valuation of V", _valued, "v",
+        lambda m, v: m.out[m.L.open_idx[v]] == m.mu[v])
+_forall(FINITE_MEASURE_LAWS, "outer-monotone", "X inside Y gives mu(X) <= mu(Y)", _valued, "XY",
+        lambda m, i, j: i & j != i or m.out[i] <= m.out[j])
 
 
 @_declare(FINITE_MEASURE_LAWS, "strict-additivity",
@@ -183,25 +174,10 @@ def _increasing_union_sup(m):
     return checked, bad
 
 
-@_declare(FINITE_MEASURE_LAWS, "closed-complement", "mu[V] + mu(c(V)) is the total mass")
-def _closed_complement(m):
-    L, out, fr = m.L, m.out, m.L.frame
-    bad = []
-    for v in range(fr.n):
-        if out[L.open_idx[v]] + out[L.closed_idx[v]] != m.top:
-            bad.append({"v": fr.name(v)})
-    return fr.n, bad
-
-
-@_declare(FINITE_MEASURE_LAWS, "open-split", "mu(A n [V]) + mu(A n c(V)) = mu(A)")
-def _open_split(m):
-    L, out, fr = m.L, m.out, m.L.frame
-    bad = []
-    for i in range(len(L.subs)):
-        for v in range(fr.n):
-            if out[i & L.open_idx[v]] + out[i & L.closed_idx[v]] != out[i]:
-                bad.append({"x": L.label(i), "v": fr.name(v)})
-    return len(L.subs) * fr.n, bad
+_forall(FINITE_MEASURE_LAWS, "closed-complement", "mu[V] + mu(c(V)) is the total mass", _valued, "v",
+        lambda m, v: m.out[m.L.open_idx[v]] + m.out[m.L.closed_idx[v]] == m.top)
+_forall(FINITE_MEASURE_LAWS, "open-split", "mu(A n [V]) + mu(A n c(V)) = mu(A)", _valued, "Xv",
+        lambda m, i, v: m.out[i & m.L.open_idx[v]] + m.out[i & m.L.closed_idx[v]] == m.out[i])
 
 
 @_declare(FINITE_MEASURE_LAWS, "relative-modularity",

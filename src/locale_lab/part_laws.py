@@ -10,6 +10,10 @@ mismatch, its scalar loop runs and names the witnesses. The other kernels
 compare Boolean-algebra identities of point masks, `|` and `&` of part
 indices, so they have no loop: their only possible violation is a fault
 in a table, reported unconfirmed (`runner._settle`).
+
+The identities of opens, closeds and the generic part, quantified over
+the frame's elements and the lattice's parts (`_parts`), are declarations
+read by `runner._forall`, each a predicate or one per form.
 """
 
 from __future__ import annotations
@@ -19,11 +23,16 @@ from math import comb
 
 from locale_lab.frames import FrameError, open_set_name
 from locale_lab.lattice import SubLattice
-from locale_lab.runner import _declare, _once, _settle
+from locale_lab.runner import _declare, _forall, _once, _settle
 from locale_lab.sublocales import complement_c, entanglement, is_boolean_sublocale, is_dense, validate_nucleus
 
 
 PART_LAWS: list = []
+
+
+def _parts(L):
+    """A part lattice as `_forall` quantifies it: its frame's elements, its parts."""
+    return L.frame, L
 
 
 def _meets_distribute(L, parts):
@@ -45,87 +54,39 @@ def _nucleus_valid(L):
     return len(L.subs), bad
 
 
-@_declare(PART_LAWS, "open-order", "U <= V iff [U] inside [V]")
-def _open_order(L):
-    fr = L.frame
-    bad = []
-    for u in range(fr.n):
-        for v in range(fr.n):
-            ou, ov = L.open_idx[u], L.open_idx[v]
-            if fr.leq(u, v) != (ou & ov == ou):
-                bad.append({"u": fr.name(u), "v": fr.name(v)})
-    return fr.n ** 2, bad
-
-
-@_declare(PART_LAWS, "open-meet", "[U n V] = [U] n [V]")
-def _open_meet(L):
-    fr = L.frame
-    bad = []
-    for u in range(fr.n):
-        for v in range(fr.n):
-            if L.open_idx[fr.meet(u, v)] != L.open_idx[u] & L.open_idx[v]:
-                bad.append({"u": fr.name(u), "v": fr.name(v)})
-    return fr.n ** 2, bad
-
-
-@_declare(PART_LAWS, "open-join", "[U u V] = [U] u [V]")
-def _open_join(L):
-    fr = L.frame
-    bad = []
-    for u in range(fr.n):
-        for v in range(fr.n):
-            if L.open_idx[fr.join(u, v)] != L.open_idx[u] | L.open_idx[v]:
-                bad.append({"u": fr.name(u), "v": fr.name(v)})
-    return fr.n ** 2, bad
-
-
-@_declare(PART_LAWS, "closed-duality",
-          "c reverses order, c(U u V) = c(U) n c(V), c(U n V) = c(U) u c(V)")
-def _closed_duality(L):
-    fr, nm = L.frame, L.frame.name
-    bad = []
-    for u in range(fr.n):
-        for v in range(fr.n):
-            cu, cv = L.closed_idx[u], L.closed_idx[v]
-            if fr.leq(v, u) != (cu & cv == cu):
-                bad.append({"law": "order", "u": nm(u), "v": nm(v)})
-            if L.closed_idx[fr.join(u, v)] != L.closed_idx[u] & L.closed_idx[v]:
-                bad.append({"law": "meet", "u": nm(u), "v": nm(v)})
-            if L.closed_idx[fr.meet(u, v)] != L.closed_idx[u] | L.closed_idx[v]:
-                bad.append({"law": "join", "u": nm(u), "v": nm(v)})
-    return 3 * fr.n ** 2, bad
-
-
-@_declare(PART_LAWS, "open-closed-partition", "[V] u c(V) = E and [V] n c(V) = empty")
-def _open_closed_partition(L):
-    fr = L.frame
-    bad = []
-    for v in range(fr.n):
-        if (L.open_idx[v] | L.closed_idx[v]) != L.whole_idx:
-            bad.append({"v": fr.name(v), "side": "union"})
-        if (L.open_idx[v] & L.closed_idx[v]) != L.empty_idx:
-            bad.append({"v": fr.name(v), "side": "meet"})
-    return 2 * fr.n, bad
+# [U] is the part with the points outside U, so this holds by set algebra
+# on any point sets: it checks only the table layout
+_forall(PART_LAWS, "open-order", "U <= V iff [U] inside [V]", _parts, "uv",
+        lambda L, u, v: L.frame.leq(u, v) == (L.open_idx[u] & L.open_idx[v] == L.open_idx[u]))
+_forall(PART_LAWS, "open-meet", "[U n V] = [U] n [V]", _parts, "uv",
+        lambda L, u, v: L.open_idx[L.frame.meet(u, v)] == L.open_idx[u] & L.open_idx[v])
+_forall(PART_LAWS, "open-join", "[U u V] = [U] u [V]", _parts, "uv",
+        lambda L, u, v: L.open_idx[L.frame.join(u, v)] == L.open_idx[u] | L.open_idx[v])
+_forall(PART_LAWS, "closed-duality", "c reverses order, c(U u V) = c(U) n c(V), c(U n V) = c(U) u c(V)",
+        _parts, "uv", {
+            "order":
+                lambda L, u, v: L.frame.leq(v, u) == (L.closed_idx[u] & L.closed_idx[v] == L.closed_idx[u]),
+            "meet": lambda L, u, v: L.closed_idx[L.frame.join(u, v)] == L.closed_idx[u] & L.closed_idx[v],
+            "join": lambda L, u, v: L.closed_idx[L.frame.meet(u, v)] == L.closed_idx[u] | L.closed_idx[v],
+        }, key="law")
+_forall(PART_LAWS, "open-closed-partition", "[V] u c(V) = E and [V] n c(V) = empty", _parts, "v", {
+    "union": lambda L, v: L.open_idx[v] | L.closed_idx[v] == L.whole_idx,
+    "meet": lambda L, v: L.open_idx[v] & L.closed_idx[v] == L.empty_idx,
+}, key="side")
 
 
 # the four equivalences pairing a sublocale against an open/closed pair
-@_declare(PART_LAWS, "complement-characterizations",
-          "union with one of the pair is everything iff the other is contained")
-def _complement_characterizations(L):
-    fr, k = L.frame, len(L.subs)
-    bad = []
-    for v in range(fr.n):
-        ov, cv = L.open_idx[v], L.closed_idx[v]
-        for x in range(k):
-            if (x | cv == L.whole_idx) != (ov & x == ov):
-                bad.append({"v": fr.name(v), "x": L.label(x), "form": "X u c(V) = E iff [V] in X"})
-            if (x & ov == L.empty_idx) != (x & cv == x):
-                bad.append({"v": fr.name(v), "x": L.label(x), "form": "X n [V] = 0 iff X in c(V)"})
-            if (x | ov == L.whole_idx) != (cv & x == cv):
-                bad.append({"v": fr.name(v), "x": L.label(x), "form": "X u [V] = E iff c(V) in X"})
-            if (x & cv == L.empty_idx) != (x & ov == x):
-                bad.append({"v": fr.name(v), "x": L.label(x), "form": "X n c(V) = 0 iff X in [V]"})
-    return 4 * fr.n * k, bad
+_forall(PART_LAWS, "complement-characterizations",
+        "union with one of the pair is everything iff the other is contained", _parts, "vX", {
+            "X u c(V) = E iff [V] in X":
+                lambda L, v, x: (x | L.closed_idx[v] == L.whole_idx) == (x & L.open_idx[v] == L.open_idx[v]),
+            "X n [V] = 0 iff X in c(V)":
+                lambda L, v, x: (x & L.open_idx[v] == L.empty_idx) == (x & L.closed_idx[v] == x),
+            "X u [V] = E iff c(V) in X":
+                lambda L, v, x: (x | L.open_idx[v] == L.whole_idx) == (x & L.closed_idx[v] == L.closed_idx[v]),
+            "X n c(V) = 0 iff X in [V]":
+                lambda L, v, x: (x & L.closed_idx[v] == L.empty_idx) == (x & L.open_idx[v] == x),
+        })
 
 
 # meets with opens and closeds have closed-form nuclei
@@ -226,40 +187,29 @@ def _closure_interior_extremal(L):
     return k * (4 + len(L.closed_parts)), bad
 
 
-@_declare(PART_LAWS, "exterior-partition",
-          "the exterior, interior, and boundary of a part tile the space")
-def _exterior_partition(L):
-    fr, k = L.frame, len(L.subs)
-    bad = []
-    for i in range(k):
-        ext_i, int_i = L.ext[i], L.int_el[i]
-        bd = L.closure_idx[i] & L.closed_idx[int_i]
-        if L.closure_idx[i] != L.closed_idx[ext_i]:
-            bad.append({"x": L.label(i), "form": "closure is c(Ext X)"})
-        if bd != L.closed_idx[fr.join(int_i, ext_i)]:
-            bad.append({"x": L.label(i), "form": "boundary is c(Int X u Ext X)"})
-        if (L.open_idx[int_i] | bd) != L.closure_idx[i]:
-            bad.append({"x": L.label(i), "form": "[Int X] u boundary = closure"})
-        if (L.open_idx[ext_i] | bd) != L.closed_idx[int_i]:
-            bad.append({"x": L.label(i), "form": "[Ext X] u boundary = c(Int X)"})
-        dense = L.dense[i]
-        if dense != (L.closure_idx[i] == L.whole_idx) or dense != is_dense(L.subs[i]):
-            bad.append({"x": L.label(i), "form": "dense iff closure is everything"})
-    return 5 * k, bad
+def _boundary(L, i):
+    """The boundary of part i: its closure met with c(Int X)."""
+    return L.closure_idx[i] & L.closed_idx[L.int_el[i]]
 
 
-@_declare(PART_LAWS, "generic-nucleus",
-          "the least dense part maps H to not not H = Int closure [H]")
-def _generic_nucleus(L):
-    fr = L.frame
-    g = L.subs[L.generic_idx].nucleus
-    bad = []
-    for h in range(fr.n):
-        if g[h] != fr.neg(fr.neg(h)):
-            bad.append({"h": fr.name(h), "form": "double negation"})
-        if g[h] != L.int_el[L.closure_idx[L.open_idx[h]]]:
-            bad.append({"h": fr.name(h), "form": "interior of closure"})
-    return 2 * fr.n, bad
+_forall(PART_LAWS, "exterior-partition", "the exterior, interior, and boundary of a part tile the space",
+        _parts, "X", {
+            "closure is c(Ext X)": lambda L, i: L.closure_idx[i] == L.closed_idx[L.ext[i]],
+            "boundary is c(Int X u Ext X)":
+                lambda L, i: _boundary(L, i) == L.closed_idx[L.frame.join(L.int_el[i], L.ext[i])],
+            "[Int X] u boundary = closure":
+                lambda L, i: L.open_idx[L.int_el[i]] | _boundary(L, i) == L.closure_idx[i],
+            "[Ext X] u boundary = c(Int X)":
+                lambda L, i: L.open_idx[L.ext[i]] | _boundary(L, i) == L.closed_idx[L.int_el[i]],
+            "dense iff closure is everything":
+                lambda L, i: L.dense[i] == (L.closure_idx[i] == L.whole_idx) == is_dense(L.subs[i]),
+        })
+_forall(PART_LAWS, "generic-nucleus", "the least dense part maps H to not not H = Int closure [H]",
+        _parts, "h", {
+            "double negation": lambda L, h: L.subs[L.generic_idx].nucleus[h] == L.frame.neg(L.frame.neg(h)),
+            "interior of closure":
+                lambda L, h: L.subs[L.generic_idx].nucleus[h] == L.int_el[L.closure_idx[L.open_idx[h]]],
+        })
 
 
 @_declare(PART_LAWS, "generic-dense", "the generic part is dense")
@@ -291,14 +241,8 @@ def _generic_boolean_part(L):
     return _once(is_boolean_sublocale(L.subs[L.generic_idx]))
 
 
-@_declare(PART_LAWS, "generic-closed-swap", "generic n c(V) = generic n [not V]")
-def _generic_closed_swap(L):
-    fr, gi = L.frame, L.generic_idx
-    bad = []
-    for v in range(fr.n):
-        if gi & L.closed_idx[v] != gi & L.open_idx[fr.neg(v)]:
-            bad.append({"v": fr.name(v)})
-    return fr.n, bad
+_forall(PART_LAWS, "generic-closed-swap", "generic n c(V) = generic n [not V]", _parts, "v",
+        lambda L, v: L.generic_idx & L.closed_idx[v] == L.generic_idx & L.open_idx[L.frame.neg(v)])
 
 
 @_declare(PART_LAWS, "smallest-cocover",

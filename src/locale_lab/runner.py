@@ -10,6 +10,10 @@ checked, which failed (with witnesses), timing, and honest notes about
 phenomena the corpus is too small to exhibit. No violations is the pass
 signal the CLI turns into exit code 0.
 
+A law quantified over frame elements and parts is a declaration,
+`_forall`, with no loop of its own: `_forall` alone decides its case
+count and how its witnesses name their values.
+
 A law with a byte kernel returns through `_settle`: a kernel mismatch is
 reported as a violation, never dropped. A map law's witness names the
 map it came from (`map_laws._each_map`).
@@ -20,7 +24,9 @@ form is the dataclass's fields.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
@@ -113,6 +119,35 @@ def _declare(laws: list, name: str, identity: str):
         return check
 
     return register
+
+
+def _forall(laws: list, name: str, identity: str, over, letters: str, holds, key: str = "form"):
+    """Register law `name` in `laws`: `holds(ctx, *values)` for every
+    tuple of values, one per letter of `letters`, the first letter the
+    outermost loop. A lower-case letter ranges over the elements of the
+    frame, an upper-case one over the parts of the lattice, where
+    `over(ctx)` is (frame, lattice). `holds` is one predicate, or a dict
+    of forms, each a predicate, checked innermost. The cases are the
+    product of the ranges times the forms; each failing case is a witness
+    that names each value under its lower-case letter, an element by
+    `Frame.name` and a part by `SubLattice.label`, and a failing form
+    under `key`."""
+    forms = holds if isinstance(holds, dict) else {None: holds}
+    keys = letters.lower()
+
+    def check(ctx):
+        fr, L = over(ctx)
+        axes = [(range(fr.n), fr.name) if c.islower() else (range(len(L.subs)), L.label) for c in letters]
+        ranges = [r for r, _ in axes]
+        cases = math.prod(map(len, ranges)) * len(forms)
+        if all(all(itertools.starmap(ok, itertools.product((ctx,), *ranges))) for ok in forms.values()):
+            return cases, []
+        return cases, [
+            {**{c: nm(x) for c, (_, nm), x in zip(keys, axes, case)}, **({} if form is None else {key: form})}
+            for case in itertools.product(*ranges) for form, ok in forms.items() if not ok(ctx, *case)
+        ]
+
+    laws.append(Law(name, identity, check))
 
 
 def _once(ok: bool, witness=None):

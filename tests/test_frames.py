@@ -23,32 +23,7 @@ from locale_lab.frames import (
 from locale_lab.measure import ValuationError, validate_valuation
 from locale_lab.morphisms import identity_morphism, validate_morphism
 from locale_lab.sublocales import validate_nucleus
-
-
-def chain(n):
-    names = ["0"] + [f"c{i}" for i in range(1, n - 1)] + ["1"]
-    if n == 1:
-        names = ["0"]
-    leq = [(names[i], names[i + 1]) for i in range(len(names) - 1)]
-    return build_frame(FrameSpec.make(names, leq))
-
-
-def chain3():
-    return build_frame(FrameSpec.make(["0", "u", "1"], [("0", "u"), ("u", "1")]))
-
-
-def powerset(points_):
-    opens = [frozenset(s) for r in range(len(points_) + 1)
-             for s in itertools.combinations(points_, r)]
-    return Frame.from_topology(TopologySpec.make(points_, opens))
-
-
-def diamond():
-    # 0 < a,b < 1 with a,b incomparable: the 4-element Boolean frame
-    return build_frame(
-        FrameSpec.make(["0", "a", "b", "1"],
-                       [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
-    )
+from small_frames import chain01, chain3, diamond, powerset
 
 
 M3 = FrameSpec.make(
@@ -66,7 +41,7 @@ CORPUS = list(iter_corpus_frames())
 # ---------------------------------------------------------------- building
 
 def test_chain_orders():
-    f = chain(4)
+    f = chain01(4)
     assert f.n == 4
     assert f.leq(f.el("0"), f.el("1"))
     assert f.leq(f.el("c1"), f.el("c2"))
@@ -195,7 +170,7 @@ def brute_join(f, i, j):
     return least[0]
 
 
-@pytest.mark.parametrize("make", [chain3, diamond, lambda: powerset("abc"), lambda: chain(6)])
+@pytest.mark.parametrize("make", [chain3, diamond, lambda: powerset("abc"), lambda: chain01(6)])
 def test_tables_match_brute_force(make):
     f = make()
     for i in range(f.n):
@@ -393,7 +368,7 @@ def brute_heyting(f, u, h):
     return best[0]
 
 
-@pytest.mark.parametrize("make", [chain3, diamond, lambda: powerset("abc"), lambda: chain(5)] + [
+@pytest.mark.parametrize("make", [chain3, diamond, lambda: powerset("abc"), lambda: chain01(5)] + [
     pytest.param(lambda f=f: f, id=f"corpus-{name}") for name, f in CORPUS
 ])
 def test_heyting_matches_brute_force(make):
@@ -424,7 +399,7 @@ def oracle_join_irreducibles(f):
 
 
 def test_join_irreducibles_match_their_definition():
-    frames = [chain3(), diamond(), powerset("abc"), chain(5)] + [f for _, f in CORPUS]
+    frames = [chain3(), diamond(), powerset("abc"), chain01(5)] + [f for _, f in CORPUS]
     for f in frames:
         assert f.join_irreducibles == oracle_join_irreducibles(f), f
 
@@ -451,12 +426,12 @@ def test_boolean_and_regular():
     assert not c.boolean
     assert not c.regular
     # 2-chain is Boolean (degenerately)
-    assert chain(2).boolean
+    assert chain01(2).boolean
 
 
 def test_finite_regular_iff_boolean():
     # checked on a small zoo; the equivalence is a finite-lattice fact
-    for make in (chain3, diamond, lambda: powerset("abc"), lambda: chain(5)):
+    for make in (chain3, diamond, lambda: powerset("abc"), lambda: chain01(5)):
         f = make()
         assert f.regular == f.boolean
 
@@ -485,7 +460,7 @@ def test_the_point_flags_match_their_definitions():
         except FrameError:
             pass
     frames += [powerset([f"p{i}" for i in range(k)]) for k in range(10)]
-    frames += [chain(n) for n in range(1, 11)]
+    frames += [chain01(n) for n in range(1, 11)]
     got = [(f.boolean, f.regular) for f in frames]
     assert got == [(oracle_boolean(f), oracle_regular(f)) for f in frames]
     assert {(True, True), (False, False)} == set(got)
@@ -511,7 +486,7 @@ def brute_points(f):
 
 
 @pytest.mark.parametrize(
-    "make", [chain3, diamond, lambda: powerset("abc"), lambda: chain(5)]
+    "make", [chain3, diamond, lambda: powerset("abc"), lambda: chain01(5)]
 )
 def test_points_match_brute_force(make):
     # each prime q is the point x -> [x not below q]
@@ -527,7 +502,7 @@ def test_powerset_points_count():
 
 def test_chain_has_exactly_n_minus_one_points():
     for n in range(2, 6):
-        assert len(chain(n).primes) == n - 1
+        assert len(chain01(n).primes) == n - 1
 
 
 # ------------------------------------------------------- topologies
@@ -582,7 +557,7 @@ def test_indiscrete_two_points():
 @pytest.mark.parametrize("make,primes,join_irreducibles", [
     (lambda: Frame(["x"], [1]), [], []),
     (lambda: Frame.from_topology(TopologySpec.make([], [[]])), [], []),
-    (lambda: chain(2), ["0"], ["1"]),
+    (lambda: chain01(2), ["0"], ["1"]),
     (lambda: powerset("abc"), ["{a,b}", "{a,c}", "{b,c}"], ["{a}", "{b}", "{c}"]),
 ], ids=["one-element", "empty-space", "2-chain", "powerset-abc"])
 def test_the_smallest_frames_count_their_points(make, primes, join_irreducibles):

@@ -17,8 +17,9 @@ from locale_lab.laws import (
     run_suite,
 )
 from locale_lab.morphisms import enumerate_morphisms, identity_morphism, right_adjoint
-from locale_lab.runner import format_text, report_from_json, report_to_json, reports_to_json
+from locale_lab.runner import _forall, format_text, report_from_json, report_to_json, reports_to_json
 from locale_lab.sublocales import enumerate_sublocales, intersect, is_subsublocale, union, whole
+from small_frames import chain3
 
 
 def test_frame_suite_green(frame_report):
@@ -114,6 +115,35 @@ def test_each_law_is_declared_once():
     assert len(registries) == 10
     assert len({law.name for law in declared}) == len(declared) == 73
     assert all(law.identity and callable(law.check) for law in declared)
+
+
+def test_the_quantifier_counts_and_names_its_cases():
+    # a planted law over an element v and a part X of chain3's lattice, in
+    # two forms: one fails at the top element, the other at the whole part
+    L = SubLattice(chain3())
+    declared = []
+    _forall(declared, "planted", "v is not top; X is not the whole", lambda L: (L.frame, L), "vX", {
+        "top": lambda L, v, x: v != L.frame.top,
+        "whole": lambda L, v, x: x != L.whole_idx,
+    }, key="side")
+    cases, bad = declared[0].check(L)
+    assert cases == 3 * 4 * 2
+    # in loop order, v outermost and the form innermost
+    assert bad == [
+        {"v": "0", "x": "fix(0,u,1)", "side": "whole"},
+        {"v": "u", "x": "fix(0,u,1)", "side": "whole"},
+        {"v": "1", "x": "fix(1)", "side": "top"},
+        {"v": "1", "x": "fix(0,1)", "side": "top"},
+        {"v": "1", "x": "fix(u,1)", "side": "top"},
+        {"v": "1", "x": "fix(0,u,1)", "side": "top"},
+        {"v": "1", "x": "fix(0,u,1)", "side": "whole"},
+    ]
+    assert all(list(w) == ["v", "x", "side"] for w in bad)
+    # one form: no form key, and the letters' order is the loop order
+    _forall(declared, "planted-once", "X is not the whole", lambda L: (L.frame, L), "Xv",
+            lambda L, x, v: x != L.whole_idx or v)
+    assert declared[1].check(L) == (4 * 3, [{"x": "fix(0,u,1)", "v": "0"}])
+    assert list(declared[1].check(L)[1][0]) == ["x", "v"]
 
 
 def test_embedding_three_ways_reports_a_planted_adjoint_fault():

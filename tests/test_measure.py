@@ -9,10 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from locale_lab import intervals as ivs, measure as measure_module
 from locale_lab.corpus import boolean_spec, chain_spec, iter_corpus_frames
 from locale_lab.frames import (
-    Frame,
     FrameError,
     FrameSpec,
-    TopologySpec,
     build_frame,
 )
 from locale_lab.intervals import (
@@ -104,25 +102,9 @@ from locale_lab.sublocales import (
 )
 
 import fraction_arena as fa
+from small_frames import chain3, diamond, powerset
 
 TOL = F(1, 1000)
-
-
-def chain3():
-    return build_frame(FrameSpec.make(["0", "u", "1"], [("0", "u"), ("u", "1")]))
-
-
-def diamond():
-    return build_frame(
-        FrameSpec.make(["0", "a", "b", "1"],
-                       [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
-    )
-
-
-def powerset(pts):
-    opens = [frozenset(s) for r in range(len(pts) + 1)
-             for s in itertools.combinations(pts, r)]
-    return Frame.from_topology(TopologySpec.make(pts, opens))
 
 
 def weights_valuation(frame, w):

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from locale_lab.corpus import boolean_spec, chain_spec, iter_corpus_frames
-from locale_lab.frames import Frame, FrameError, FrameSpec, TopologySpec, build_frame
+from locale_lab.frames import Frame, FrameError, build_frame
 from locale_lab.laws import run_measure_suite, run_morphism_suite
 from locale_lab.map_laws import _iso_reps
 from locale_lab.measure import FiniteValuation, reduced_algebra
@@ -42,27 +42,8 @@ from locale_lab.sublocales import (
     whole,
 )
 from scalar_laws import pull, push, right_adjoint_by_definition
+from small_frames import chain, diamond, powerset
 from test_frames import down_rows, random_bounded_poset, up_rows
-
-
-def chain(n):
-    names = [str(i) for i in range(n)]
-    return build_frame(
-        FrameSpec.make(names, [(names[i], names[i + 1]) for i in range(n - 1)])
-    )
-
-
-def diamond():
-    return build_frame(
-        FrameSpec.make(["0", "a", "b", "1"],
-                       [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
-    )
-
-
-def powerset(pts):
-    opens = [frozenset(s) for r in range(len(pts) + 1)
-             for s in itertools.combinations(pts, r)]
-    return Frame.from_topology(TopologySpec.make(pts, opens))
 
 
 # ---------------------------------------------------------- validation

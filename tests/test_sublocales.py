@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from locale_lab.corpus import boolean_spec, chain_spec, iter_corpus_frames
-from locale_lab.frames import Frame, FrameSpec, TopologySpec, build_frame
+from locale_lab.frames import Frame, TopologySpec, build_frame
 from locale_lab.morphisms import enumerate_morphisms, image, preimage
 from locale_lab.sublocales import (
     FrameTooLarge,
@@ -38,30 +38,7 @@ from locale_lab.sublocales import (
     validate_nucleus,
     whole,
 )
-
-
-def chain3():
-    return build_frame(FrameSpec.make(["0", "u", "1"], [("0", "u"), ("u", "1")]))
-
-
-def chain(n):
-    names = [str(i) for i in range(n)]
-    return build_frame(
-        FrameSpec.make(names, [(names[i], names[i + 1]) for i in range(n - 1)])
-    )
-
-
-def diamond():
-    return build_frame(
-        FrameSpec.make(["0", "a", "b", "1"],
-                       [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
-    )
-
-
-def powerset(pts):
-    opens = [frozenset(s) for r in range(len(pts) + 1)
-             for s in itertools.combinations(pts, r)]
-    return Frame.from_topology(TopologySpec.make(pts, opens))
+from small_frames import chain, chain3, diamond, powerset
 
 
 def sierpinski():

@@ -48,13 +48,6 @@ def _modules():
     return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
 
 
-def _is_law(fn: ast.FunctionDef) -> bool:
-    return any(
-        isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "_declare"
-        for d in fn.decorator_list
-    )
-
-
 def _free_names(node, bound=frozenset()):
     """The names `node` loads that no function around them binds."""
     if isinstance(node, (ast.FunctionDef, ast.Lambda)):
@@ -112,7 +105,6 @@ def test_every_public_function_has_a_use_in_src():
         for fn in tree.body
         if isinstance(fn, ast.FunctionDef)
         and not fn.name.startswith("_")
-        and not _is_law(fn)
     } - used
     assert unused == {name for name in ALLOWED_UNUSED if name.count(".") == 1}
 
